@@ -6,13 +6,24 @@ catch everything from this package with a single ``except`` clause.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
 
 
 class ConfigurationError(ReproError):
-    """A component was constructed with inconsistent or invalid parameters."""
+    """A component was constructed with inconsistent or invalid parameters.
+
+    ``reason`` marks parameters that are valid but outside what a fast
+    engine models: a short stable token (such as ``"unit_bytes"``) that
+    a caller falling back to the scalar reference reports and counts.
+    """
+
+    def __init__(self, *args, reason: Optional[str] = None):
+        super().__init__(*args)
+        self.reason = reason
 
 
 class AlignmentError(ReproError):

@@ -15,6 +15,7 @@ from .experiments import (
     figure12,
     run_all_benchmarks,
     run_benchmark,
+    run_benchmark_scalar,
     table2,
     table3,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "figure12",
     "run_all_benchmarks",
     "run_benchmark",
+    "run_benchmark_scalar",
     "table2",
     "table3",
     "format_table",

@@ -17,9 +17,10 @@ import dataclasses
 import itertools
 import statistics
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..energy import SCHEMES, normalized_energies
+from ..errors import ConfigurationError
 from ..memsim.hierarchy import PAPER_CONFIG, HierarchyConfig, MemoryHierarchy
 from ..memsim.stats import CacheStats
 from ..reliability import (
@@ -36,7 +37,8 @@ from ..timing import (
     time_events,
     timing_policy,
 )
-from ..workloads import benchmark_names, make_workload
+from ..timing import fast as timing_fast
+from ..workloads import TraceRecord, benchmark_names, make_workload
 from .reporting import format_table
 
 #: Default trace length for full experiment runs (kept SimPoint-like in
@@ -48,9 +50,12 @@ DEFAULT_REFERENCES = 200_000
 class BenchmarkRun:
     """One benchmark's shared simulation products.
 
-    ``events`` is a plain ``AccessEvent`` list from the scalar collector
-    or an :class:`~repro.timing.fast.EventColumns` from the batch fast
-    path; both iterate as the same event tuples.
+    ``events`` is an :class:`~repro.timing.fast.EventColumns` from the
+    batch engine or a plain ``AccessEvent`` list from the scalar
+    collector; both iterate as the same event tuples.  ``engine`` names
+    the collector that ran (``"batch"`` or ``"scalar"``), and
+    ``fallback_reason`` why :func:`run_benchmark` left the batch engine
+    (``None`` when it did not).
     """
 
     name: str
@@ -59,6 +64,20 @@ class BenchmarkRun:
     l2: CacheStats
     events: Sequence[AccessEvent]
     units_per_block: int
+    engine: str
+    fallback_reason: Optional[str] = None
+
+
+def _benchmark_trace(
+    name: str, n_references: int, seed: int, warmup_fraction: float
+) -> Tuple[Iterator[TraceRecord], int]:
+    """``name``'s records, warmup prefix first, and the warmup length."""
+    warmup = int(n_references * warmup_fraction)
+    # ``records(...)`` is documented as a generator, but guard against a
+    # workload handing back a sequence: without ``iter`` the warmup
+    # prefix would be replayed a second time into the measured window.
+    records = iter(make_workload(name, seed=seed).records(n_references + warmup))
+    return records, warmup
 
 
 def run_benchmark(
@@ -67,7 +86,6 @@ def run_benchmark(
     seed: int = 0,
     config: HierarchyConfig = PAPER_CONFIG,
     warmup_fraction: float = 0.25,
-    fast: bool = False,
 ) -> BenchmarkRun:
     """Replay one benchmark once and capture everything the models need.
 
@@ -75,29 +93,50 @@ def run_benchmark(
     excluded from the counters (the role SimPoint fast-forwarding plays in
     the paper's setup); the timing events cover only the measured window.
 
-    With ``fast=True`` the replay runs on the vectorized batch engine
-    (:func:`repro.timing.fast.collect_run_fast`), producing bit-identical
-    statistics and an :class:`~repro.timing.fast.EventColumns` event
-    stream that every scalar consumer still accepts.
+    The replay runs on the vectorized batch engine
+    (:func:`repro.timing.fast.collect_run_fast`, which cross-checks short
+    traces against the scalar collector itself): statistics are
+    bit-identical to :func:`run_benchmark_scalar` and the events come as
+    :class:`~repro.timing.fast.EventColumns`.  An L1 the engine cannot
+    model (protection units other than 64-bit) replays on the scalar
+    reference instead, with the reason in ``fallback_reason``.
     """
-    workload = make_workload(name, seed=seed)
-    warmup = int(n_references * warmup_fraction)
-    # ``records(...)`` is documented as a generator, but guard against a
-    # workload handing back a sequence: without ``iter`` the warmup
-    # prefix would be replayed a second time into the measured window.
-    records = iter(workload.records(n_references + warmup))
-    if fast:
-        from ..timing.fast import collect_run_fast
-
-        run = collect_run_fast(records, config, warmup=warmup)
-        return BenchmarkRun(
-            name=name,
-            references=n_references,
-            l1=run.l1,
-            l2=run.l2,
-            events=run.events,
-            units_per_block=run.units_per_block,
+    records, warmup = _benchmark_trace(name, n_references, seed, warmup_fraction)
+    try:
+        run = timing_fast.collect_run_fast(records, config, warmup=warmup)
+    except ConfigurationError as exc:
+        if exc.reason is None:
+            raise
+        scalar = run_benchmark_scalar(
+            name, n_references, seed, config, warmup_fraction
         )
+        scalar.fallback_reason = f"l1_{exc.reason}"
+        return scalar
+    return BenchmarkRun(
+        name=name,
+        references=n_references,
+        l1=run.l1,
+        l2=run.l2,
+        events=run.events,
+        units_per_block=run.units_per_block,
+        engine="batch",
+    )
+
+
+def run_benchmark_scalar(
+    name: str,
+    n_references: int = DEFAULT_REFERENCES,
+    seed: int = 0,
+    config: HierarchyConfig = PAPER_CONFIG,
+    warmup_fraction: float = 0.25,
+) -> BenchmarkRun:
+    """:func:`run_benchmark` on the scalar reference collector.
+
+    Replays the trace through a :class:`MemoryHierarchy` with
+    :func:`repro.timing.model.collect_events`: the ground truth the batch
+    engine is bit-identical to, and the path for an L1 it cannot model.
+    """
+    records, warmup = _benchmark_trace(name, n_references, seed, warmup_fraction)
     hierarchy = MemoryHierarchy(config)
     if warmup:
         collect_events(itertools.islice(records, warmup), hierarchy)
@@ -111,6 +150,7 @@ def run_benchmark(
         l2=hierarchy.l2.stats,
         events=events,
         units_per_block=hierarchy.l1d.units_per_block,
+        engine="scalar",
     )
 
 
@@ -120,21 +160,20 @@ def run_all_benchmarks(
     benchmarks: Optional[Sequence[str]] = None,
     config: HierarchyConfig = PAPER_CONFIG,
     obs=None,
-    fast: bool = False,
 ) -> List[BenchmarkRun]:
     """Shared simulations for every benchmark in evaluation order.
 
     ``obs`` (a :class:`repro.obs.TraceSink`) gets one span per benchmark
     simulation — coarse progress marks, not per-access events, so the
-    trace stays small at full experiment scale.  ``fast`` selects the
-    batch-engine replay for every benchmark (see :func:`run_benchmark`).
+    trace stays small at full experiment scale.  Each span names the
+    engine that ran (see :func:`run_benchmark`).
     """
     names = list(benchmarks) if benchmarks is not None else benchmark_names()
     live = obs is not None and obs.enabled
     runs = []
     for name in names:
         start = time.perf_counter() if live else 0.0
-        run = run_benchmark(name, n_references, seed, config, fast=fast)
+        run = run_benchmark(name, n_references, seed, config)
         if live:
             obs.span(
                 "experiment",
@@ -145,6 +184,8 @@ def run_all_benchmarks(
                     "references": run.references,
                     "l1_miss_rate": run.l1.miss_rate,
                     "l2_miss_rate": run.l2.miss_rate,
+                    "engine": run.engine,
+                    "fallback_reason": run.fallback_reason,
                 },
             )
         runs.append(run)
@@ -224,17 +265,15 @@ def figure10(
 ) -> Figure10Result:
     """Price each benchmark's event stream under each scheme's ports.
 
-    Columnar event streams (from ``run_benchmark(fast=True)``) are
-    priced by the bit-identical vectorized engine; scalar lists take the
-    reference loop.
+    Columnar event streams (the batch engine's) are priced by the
+    bit-identical vectorized engine; scalar lists take the reference
+    loop.
     """
-    from ..timing.fast import EventColumns, time_events_fast
-
     per_benchmark: Dict[str, Dict[str, float]] = {}
     for run in runs:
         pricer = (
-            time_events_fast
-            if isinstance(run.events, EventColumns)
+            timing_fast.time_events_fast
+            if isinstance(run.events, timing_fast.EventColumns)
             else time_events
         )
         row = {}

@@ -350,7 +350,8 @@ class BatchReplayEngine:
         if unit_bytes != WORD_BYTES:
             raise ConfigurationError(
                 "the batch engine replays 64-bit protection units only "
-                f"(unit_bytes=8); got {unit_bytes}"
+                f"(unit_bytes=8); got {unit_bytes}",
+                reason="unit_bytes",
             )
         if policy.lower() != "lru":
             raise ConfigurationError(

@@ -490,8 +490,10 @@ def collect_run_fast(
     Args:
         records: a :class:`~repro.memsim.batch.BatchTrace` or an
             iterable of :class:`~repro.workloads.trace.TraceRecord`.
-        config: hierarchy geometry (L1 protection units must be 64-bit,
-            the batch-engine precondition).
+        config: hierarchy geometry.  The batch engine models 64-bit L1
+            protection units only; any other L1 raises
+            :class:`~repro.errors.ConfigurationError` with ``reason``
+            ``"unit_bytes"`` before ``records`` is consumed.
         warmup: references to exclude from the front of the trace.
         equivalence: ``"auto"`` (cross-check against the scalar
             collector when the trace is small), ``"always"`` or
@@ -504,6 +506,10 @@ def collect_run_fast(
             f"equivalence mode must be one of {EQUIVALENCE_MODES}, "
             f"got {equivalence!r}"
         )
+    l1 = config.l1d
+    engine = BatchReplayEngine(
+        l1.size_bytes, l1.ways, l1.block_bytes, unit_bytes=l1.unit_bytes
+    )
     trace = (
         records if isinstance(records, BatchTrace) else BatchTrace.from_records(records)
     )
@@ -512,8 +518,6 @@ def collect_run_fast(
         raise ConfigurationError(
             f"warmup must be within the trace: {warmup} vs {n_total} references"
         )
-    l1 = config.l1d
-    engine = BatchReplayEngine(l1.size_bytes, l1.ways, l1.block_bytes)
     capture = ReplayCapture()
     state = engine.begin(capture)
     flat = _zero_gap(trace)

@@ -138,6 +138,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for run in runs:
                 run.l1.export_metrics(registry, prefix=f"{run.name}.l1.")
                 run.l2.export_metrics(registry, prefix=f"{run.name}.l2.")
+                engine = (
+                    f"engine.fallback.{run.fallback_reason}"
+                    if run.fallback_reason
+                    else f"engine.{run.engine}"
+                )
+                registry.counter(engine).inc()
         tables = _tables_for(args.experiment, runs)
     if args.experiment in ("table3mc", "all"):
         tables["table3mc"] = table3mc_text(args.mc_samples, args.seed)

@@ -18,8 +18,10 @@ in for the paper's benchmarks.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import dataclasses
+import itertools
 from typing import Iterator, Optional
 
 from ..errors import ConfigurationError
@@ -111,79 +113,109 @@ class SyntheticWorkload:
         self.seed = seed
 
     def records(self, n_references: int) -> Iterator[TraceRecord]:
-        """Yield ``n_references`` trace records."""
+        """Yield ``n_references`` trace records.
+
+        The trace is a fixed function of ``(seed, profile)``:
+        :class:`~repro.workloads.store.TraceCache` keys and every
+        recorded result depend on the exact ``random.Random`` draw
+        sequence, which ``tests/test_workloads.py`` pins by digest.  For
+        speed the loop binds profile fields and ``rng`` methods to
+        locals and inlines the size and gap draws; each inlined draw
+        consumes the generator exactly as the helper it replaces.
+        """
         p = self.profile
         rng = make_rng((self.seed, p.name))
+        random = rng.random
+        randrange = rng.randrange
+        choice = rng.choice
+        expovariate = rng.expovariate
+        getrandbits = rng.getrandbits
+        bisect_right = bisect.bisect_right
         recent_blocks: collections.deque = collections.deque(
             maxlen=p.reuse_window_blocks
         )
         recent_stores: collections.deque = collections.deque(maxlen=p.rewrite_window)
+        remember_block = recent_blocks.append
+        remember_store = recent_stores.append
         seq_addr: Optional[int] = None
+        # ``rng.choices(sizes, weights)`` draws one ``random()`` and
+        # bisects the cumulative weights; doing that inline with the
+        # weights accumulated once makes the very same draw.
         sizes = list(_SIZE_WEIGHTS)
-        size_weights = list(_SIZE_WEIGHTS.values())
-        ws_end = p.base_address + p.working_set_bytes
+        cum_weights = list(itertools.accumulate(_SIZE_WEIGHTS.values()))
+        total = cum_weights[-1] + 0.0
+        last_size = len(sizes) - 1
+        base = p.base_address
+        ws_bytes = p.working_set_bytes
+        ws_end = base + ws_bytes
+        ws_words = ws_bytes // 8
+        hot_words = p.hot_bytes // 8
+        store_region = p.store_region_bytes
+        store_words = store_region // 8
+        store_fraction = p.store_fraction
+        p_store_rewrite = p.p_store_rewrite
+        seq_fraction = p.seq_fraction
+        p_reuse = p.p_reuse
+        p_hot = p.p_hot
+        store_dwell = p.store_dwell
+        block_mask = ~(_BLOCK_BYTES - 1)
+        block_words = _BLOCK_BYTES // 8
         # Recency bias of reuse: mean rank is a quarter of the window.
         reuse_rate = 4.0 / p.reuse_window_blocks
-        store_ptr = p.base_address
+        # Instruction gaps are geometric with the profile's mean
+        # (support >= 0), capped at 50x the mean.
+        mean_gap = p.mean_gap
+        p_gap = 1.0 / (mean_gap + 1.0)
+        max_gap = 50 * mean_gap
+        store_ptr = base
         fresh_stores = 0
+        load_op, store_op = AccessType.LOAD, AccessType.STORE
 
         for _ in range(n_references):
-            is_store = rng.random() < p.store_fraction
+            is_store = random() < store_fraction
             # Store-stream addresses deliberately stay out of the load
             # reuse pool: once the sliding store window moves on, its
             # dirty lines cool down, age out of the cache and get written
             # back — that is what feeds the L2's dirty-data population.
-            if is_store and recent_stores and rng.random() < p.p_store_rewrite:
-                addr = rng.choice(recent_stores)
-            elif is_store and p.store_region_bytes and rng.random() < 0.95:
+            if is_store and recent_stores and random() < p_store_rewrite:
+                addr = choice(recent_stores)
+            elif is_store and store_region and random() < 0.95:
                 # Fresh store inside the sliding store window.
-                addr = store_ptr + rng.randrange(p.store_region_bytes // 8) * 8
+                addr = store_ptr + randrange(store_words) * 8
                 if addr >= ws_end:
-                    addr -= p.working_set_bytes
+                    addr -= ws_bytes
                 fresh_stores += 1
-                if fresh_stores % p.store_dwell == 0:
+                if fresh_stores % store_dwell == 0:
                     store_ptr += _BLOCK_BYTES
                     if store_ptr >= ws_end:
-                        store_ptr = p.base_address
-            elif seq_addr is not None and rng.random() < p.seq_fraction:
+                        store_ptr = base
+            elif seq_addr is not None and random() < seq_fraction:
                 seq_addr += 8
                 if seq_addr >= ws_end:
-                    seq_addr = p.base_address
+                    seq_addr = base
                 addr = seq_addr
-                recent_blocks.append(addr & ~(_BLOCK_BYTES - 1))
-            elif recent_blocks and rng.random() < p.p_reuse:
-                rank = min(int(rng.expovariate(reuse_rate)), len(recent_blocks) - 1)
-                block = recent_blocks[len(recent_blocks) - 1 - rank]
-                addr = block + rng.randrange(_BLOCK_BYTES // 8) * 8
-                recent_blocks.append(block)
+                remember_block(addr & block_mask)
+            elif recent_blocks and random() < p_reuse:
+                rank = min(int(expovariate(reuse_rate)), len(recent_blocks) - 1)
+                block = recent_blocks[-1 - rank]
+                addr = block + randrange(block_words) * 8
+                remember_block(block)
             else:
-                region = (
-                    p.hot_bytes if rng.random() < p.p_hot else p.working_set_bytes
-                )
-                addr = p.base_address + rng.randrange(region // 8) * 8
+                words = hot_words if random() < p_hot else ws_words
+                addr = base + randrange(words) * 8
                 seq_addr = addr
-                recent_blocks.append(addr & ~(_BLOCK_BYTES - 1))
-            size = rng.choices(sizes, weights=size_weights, k=1)[0]
+                remember_block(addr & block_mask)
+            size = sizes[bisect_right(cum_weights, random() * total, 0, last_size)]
             # Natural alignment inside the chosen word.
-            offset = rng.randrange(8 // size) * size
-            addr = (addr & ~7) + offset
+            addr = (addr & ~7) + randrange(8 // size) * size
 
-            gap = self._gap(rng)
+            gap = 0
+            if mean_gap:
+                while random() > p_gap and gap < max_gap:
+                    gap += 1
             if is_store:
-                recent_stores.append(addr & ~7)
-                value = bytes(rng.getrandbits(8) for _ in range(size))
-                yield TraceRecord(AccessType.STORE, addr, size, gap, value)
+                remember_store(addr & ~7)
+                value = bytes([getrandbits(8) for _ in range(size)])
+                yield TraceRecord(store_op, addr, size, gap, value)
             else:
-                yield TraceRecord(AccessType.LOAD, addr, size, gap)
-
-    def _gap(self, rng) -> int:
-        """Geometric-ish instruction gap with the profile's mean."""
-        mean = self.profile.mean_gap
-        if mean == 0:
-            return 0
-        # Geometric distribution with mean ``mean`` (support >= 0).
-        p = 1.0 / (mean + 1.0)
-        gap = 0
-        while rng.random() > p and gap < 50 * mean:
-            gap += 1
-        return gap
+                yield TraceRecord(load_op, addr, size, gap)

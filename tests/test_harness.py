@@ -1,5 +1,8 @@
 """Tests for the experiment harness (one runner per paper table/figure)."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.harness import (
@@ -12,9 +15,12 @@ from repro.harness import (
     format_value,
     run_all_benchmarks,
     run_benchmark,
+    run_benchmark_scalar,
     table2,
     table3,
 )
+from repro.memsim import PAPER_CONFIG, HierarchyConfig
+from repro.tools import run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +38,7 @@ class TestRunBenchmark:
         assert len(run.events) == 1500
         assert run.l1.accesses == 1500
         assert run.units_per_block == 4
+        assert run.engine == "batch" and run.fallback_reason is None
 
     def test_warmup_excluded_from_stats(self):
         run = run_benchmark("gzip", n_references=1000, warmup_fraction=0.5)
@@ -67,10 +74,9 @@ class TestRunBenchmark:
         assert list(run.events) == list(reference.events)
 
     def test_fast_path_is_bit_identical(self):
-        scalar = run_benchmark("gcc", n_references=900, warmup_fraction=0.25)
-        fast = run_benchmark(
-            "gcc", n_references=900, warmup_fraction=0.25, fast=True
-        )
+        scalar = run_benchmark_scalar("gcc", n_references=900, warmup_fraction=0.25)
+        fast = run_benchmark("gcc", n_references=900, warmup_fraction=0.25)
+        assert fast.engine == "batch"
         assert list(fast.events) == list(scalar.events)
         assert fast.l1 == scalar.l1
         assert fast.l2 == scalar.l2
@@ -78,12 +84,52 @@ class TestRunBenchmark:
 
     def test_run_all_benchmarks_fast(self):
         names = ["gzip", "mcf"]
-        scalar = run_all_benchmarks(n_references=700, benchmarks=names)
-        fast = run_all_benchmarks(n_references=700, benchmarks=names, fast=True)
+        scalar = [run_benchmark_scalar(name, n_references=700) for name in names]
+        fast = run_all_benchmarks(n_references=700, benchmarks=names)
+        assert [run.name for run in fast] == names
         for a, b in zip(scalar, fast):
+            assert b.engine == "batch"
             assert a.name == b.name
             assert list(a.events) == list(b.events)
             assert a.l1 == b.l1 and a.l2 == b.l2
+
+    def test_falls_back_to_scalar_for_unmodelled_l1(self):
+        # The batch engine models 64-bit L1 units only; a 4-byte-unit L1
+        # must take the scalar reference, not be mis-modelled as 64-bit.
+        config = HierarchyConfig(
+            l1d=dataclasses.replace(PAPER_CONFIG.l1d, unit_bytes=4),
+            l2=PAPER_CONFIG.l2,
+        )
+        run = run_benchmark("gcc", n_references=3000, config=config)
+        scalar = run_benchmark_scalar("gcc", n_references=3000, config=config)
+        assert run.engine == "scalar"
+        assert run.fallback_reason == "l1_unit_bytes"
+        assert run.units_per_block == scalar.units_per_block == 8
+        assert run.l1 == scalar.l1 and run.l2 == scalar.l2
+        assert list(run.events) == list(scalar.events)
+
+
+class TestPaperTablesEndToEnd:
+    def test_default_cli_tables_equal_scalar_reference(self, tmp_path):
+        # At 3750 references per benchmark the collector's own "auto"
+        # cross-check does not run, so compare against the scalar path.
+        names = ["gzip", "mcf"]
+        tables, metrics = tmp_path / "tables", tmp_path / "metrics.json"
+        rc = run_experiment.main(
+            ["all", "--benchmarks", *names, "-n", "3000",
+             "--mc-samples", "2000", "--output", str(tables),
+             "--emit-metrics", str(metrics)]
+        )
+        assert rc == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["engine.batch"] == len(names)
+        scalar_runs = [
+            run_benchmark_scalar(name, n_references=3000) for name in names
+        ]
+        expected = run_experiment._tables_for("all", scalar_runs)
+        expected["table3mc"] = run_experiment.table3mc_text(2000, 0)
+        written = {p.stem: p.read_text() for p in tables.iterdir()}
+        assert written == {name: text + "\n" for name, text in expected.items()}
 
 
 class TestFigure10(object):

@@ -8,13 +8,15 @@ the same event stream (and L1/L2 statistics) as the scalar
 buffer capacity.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, EquivalenceError
-from repro.memsim import PAPER_CONFIG, MemoryHierarchy
+from repro.memsim import PAPER_CONFIG, HierarchyConfig, MemoryHierarchy
 from repro.timing import (
     TIMING_POLICIES,
     AccessEvent,
@@ -145,6 +147,21 @@ class TestCollectFast:
     def test_rejects_bad_equivalence_mode(self):
         with pytest.raises(ConfigurationError):
             collect_run_fast([], PAPER_CONFIG, equivalence="sometimes")
+
+    def test_rejects_l1_units_it_cannot_model(self):
+        # Regression: the engine used to be built without the L1's unit
+        # width and silently replayed a 4-byte-unit L1 as a 64-bit one.
+        config = HierarchyConfig(
+            l1d=dataclasses.replace(PAPER_CONFIG.l1d, unit_bytes=4),
+            l2=PAPER_CONFIG.l2,
+        )
+        records = iter(make_workload("gcc", seed=0).records(50))
+        with pytest.raises(ConfigurationError) as excinfo:
+            collect_run_fast(records, config)
+        assert excinfo.value.reason == "unit_bytes"
+        # Raised before the input is touched, so a caller can replay
+        # the same records on the scalar collector.
+        assert len(list(records)) == 50
 
     def test_rejects_out_of_range_warmup(self):
         records = list(make_workload("gzip", seed=0).records(10))

@@ -1,7 +1,14 @@
 """Tests for the command-line tools."""
 
+import dataclasses
+import functools
+import json
+
 import pytest
 
+from repro.harness import run_all_benchmarks
+from repro.memsim import PAPER_CONFIG, HierarchyConfig
+from repro.obs import read_jsonl_trace
 from repro.tools import gen_trace, run_campaign, run_experiment
 from repro.workloads import load_trace
 
@@ -74,6 +81,44 @@ class TestRunExperiment:
             "table3mc.txt",
         }
 
+    def test_engine_counters_and_spans(self, tmp_path):
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.jsonl"
+        rc = run_experiment.main([
+            "fig10", "-n", "800", "--benchmarks", "gzip", "eon",
+            "--emit-metrics", str(metrics), "--trace-out", str(trace),
+        ])
+        assert rc == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["engine.batch"] == 2
+        assert not [k for k in counters if k.startswith("engine.fallback")]
+        spans = list(read_jsonl_trace(trace, category="experiment"))
+        assert [s["args"]["engine"] for s in spans] == ["batch", "batch"]
+
+    def test_scalar_fallback_is_counted(self, tmp_path, monkeypatch):
+        # No CLI flag picks the hierarchy, so hand the CLI's simulation
+        # step an L1 with 4-byte units, which the batch engine cannot
+        # model.
+        config = HierarchyConfig(
+            l1d=dataclasses.replace(PAPER_CONFIG.l1d, unit_bytes=4),
+            l2=PAPER_CONFIG.l2,
+        )
+        monkeypatch.setattr(
+            run_experiment, "run_all_benchmarks",
+            functools.partial(run_all_benchmarks, config=config),
+        )
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.jsonl"
+        rc = run_experiment.main([
+            "table2", "-n", "600", "--benchmarks", "gcc",
+            "--emit-metrics", str(metrics), "--trace-out", str(trace),
+        ])
+        assert rc == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["engine.fallback.l1_unit_bytes"] == 1
+        assert "engine.batch" not in counters
+        (span,) = read_jsonl_trace(trace, category="experiment")
+        assert span["args"]["engine"] == "scalar"
+        assert span["args"]["fallback_reason"] == "l1_unit_bytes"
+
 
 class TestRunCampaign:
     def test_cppc_campaign_prints_outcomes(self, capsys):
@@ -94,8 +139,6 @@ class TestRunCampaign:
         assert "secded" in capsys.readouterr().out
 
     def test_json_summary(self, capsys, tmp_path):
-        import json
-
         out = tmp_path / "summary.json"
         rc = run_campaign.main([
             "parity", "--trials", "3", "--warmup", "300", "--post", "200",
@@ -227,8 +270,6 @@ class TestRunSensitivity:
         assert sequential in out
 
     def test_json_summary(self, capsys):
-        import json
-
         from repro.tools import run_sensitivity
 
         rc = run_sensitivity.main(["interleaving", "--json", "-"])
@@ -271,8 +312,6 @@ class TestRunScorecard:
         assert rc in (0, 3)
 
     def test_scorecard_json(self, capsys, tmp_path):
-        import json
-
         from repro.tools import run_scorecard
 
         out = tmp_path / "card.json"

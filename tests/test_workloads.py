@@ -1,5 +1,7 @@
 """Tests for trace format, generators and the SPEC-like profiles."""
 
+import dataclasses
+import hashlib
 import io
 
 import pytest
@@ -144,6 +146,59 @@ class TestGenerator:
         records = materialize(make_workload("gzip").records(4000))
         mean = sum(r.gap for r in records) / len(records)
         assert abs(mean - get_profile("gzip").mean_gap) < 0.5
+
+
+#: SHA-256 of ``records(4000)`` at seed 0 for every profile, in the
+#: :func:`_trace_digest` encoding.  A change to the generator's draw
+#: order changes every trace, and with it every ``TraceCache`` key and
+#: recorded result; these pins make such a change fail here first.
+PINNED_TRACE_DIGESTS = {
+    "gzip": "366e654ffe5631c8051b938d97103654d44ba087d15084ff0c7bf8ce8103d972",
+    "vpr": "6f699f2823badfaccccfeb3a427ee8a7f66936eed32f3588b8f0639145062921",
+    "gcc": "8927ecd69e193c047510fdeb602c0a3641eaf07b1e08bb1e23a03b3fd92b88cb",
+    "mcf": "52ec6c716dbc09d24a44ff935d4e724f6544bf519441708f110cf3cbbe7f6976",
+    "crafty": "5d356c4226675acc0517f4bf4b9ce12694c5cc8bed81a5d8592ae6ab0b7bf39b",
+    "parser": "661c7496176d208d549d83847b597435688eac5f39258e21e7d00851d99bf23a",
+    "eon": "d4e0e46d46d2c3976ab44999520a72ba30bf8956d4ac4a90c3598b4b75246e84",
+    "perlbmk": "9c89a69b7956b1dc514544ad2ccfd65b3e5223a93dd3057403ef81501948de2b",
+    "gap": "752504a647596b30e0a39c239339d2e7586999a0b9c8a4749efef838f6a8cae8",
+    "vortex": "70733bccf15cb68812c282d475e1fb149237b132b283c68bb4a1506852ffc1ab",
+    "bzip2": "a8f94e0b07ca3cf8f753902b6b07e637df9c4cf9d515f321570915b78b21847f",
+    "twolf": "582fb701201deaedfebf76ca195aff0e0c132e72dfb573be1f7695c34db99acc",
+    "swim": "b6adf52088d04275cc23f075da465c59e8c201e305a5705a0fa175e65e94db44",
+    "art": "0c4a5144d95d1054b30835f7e90878226564d746ac26cfc8c16f8b78d4b860a6",
+    "equake": "d1403e1bd8d514b42b5e96c328334834250c08e5270a33fe5ce67ee5d87ef52f",
+}
+
+#: The same pin for a gzip variant with no instruction gaps (a branch
+#: no profile takes) and no sliding store window.
+PINNED_FLAT_DIGEST = "3352301501063db73ec76aea2778a56645613a9fbe4a7975382729b8e745bbfb"
+
+
+def _trace_digest(records) -> str:
+    digest = hashlib.sha256()
+    for r in records:
+        assert type(r) is TraceRecord
+        digest.update(
+            f"{r.op.value} {r.addr:x} {r.size} {r.gap} {r.value.hex()}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+class TestSynthesisPinned:
+    def test_every_profile_matches_its_pin(self):
+        assert set(PINNED_TRACE_DIGESTS) == set(BENCHMARKS)
+        for name, expected in PINNED_TRACE_DIGESTS.items():
+            records = make_workload(name, seed=0).records(4000)
+            assert _trace_digest(records) == expected, name
+
+    def test_gap_free_profile_without_store_window(self):
+        profile = dataclasses.replace(
+            get_profile("gzip"), name="gzip-flat", mean_gap=0,
+            store_region_bytes=0,
+        )
+        records = SyntheticWorkload(profile, seed=0).records(4000)
+        assert _trace_digest(records) == PINNED_FLAT_DIGEST
 
 
 class TestSpecProfiles:
