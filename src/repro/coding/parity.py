@@ -9,15 +9,41 @@ word — the classic one-dimensional parity cache.
 Interleaved parity detects every spatial burst of up to ``ways`` adjacent
 bits inside a word, because such a burst touches each parity group at most
 once.
+
+Encoding is an XOR-fold.  Because ``ways`` divides the word width, MSB-first
+bit ``k`` sits at LSB position ``data_bits - 1 - k``, which is congruent to
+``ways - 1 - (k mod ways)`` modulo ``ways``: group ``i`` is exactly the set
+of LSB positions congruent to ``ways - 1 - i``, the position of group
+``i``'s bit in the check word.  So XOR-ing the word's ``ways``-bit chunks
+together yields the check word itself.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet, Tuple
 
 from ..errors import ConfigurationError
-from ..util import get_bit, parity
+from ..util import get_bit, mask, parity
 from .base import DetectionOutcome, Inspection, WordCode
+
+#: The one inspection every clean word shares (``Inspection`` is frozen).
+_CLEAN = Inspection(outcome=DetectionOutcome.CLEAN)
+
+
+def _fold_schedule(data_bits: int, ways: int) -> Tuple[Tuple[int, int], ...]:
+    """``(shift, keep)`` steps that XOR-fold a word down to ``ways`` bits.
+
+    Each step XORs the upper half of the remaining ``ways``-bit chunks
+    onto the lower half (``x >> shift ^ x & keep``), rounding the lower
+    half up so an odd chunk count folds correctly too.
+    """
+    steps = []
+    chunks = data_bits // ways
+    while chunks > 1:
+        low = (chunks + 1) // 2
+        steps.append((low * ways, mask(low * ways)))
+        chunks = low
+    return tuple(steps)
 
 
 class InterleavedParity(WordCode):
@@ -37,26 +63,30 @@ class InterleavedParity(WordCode):
             )
         super().__init__(data_bits=data_bits, check_bits=ways)
         self.ways = ways
-        # Precompute the mask of each parity group for fast encode.
-        self._group_masks: List[int] = []
-        for i in range(ways):
-            m = 0
-            for k in range(i, data_bits, ways):
-                m |= 1 << (data_bits - 1 - k)
-            self._group_masks.append(m)
+        self._data_mask = mask(data_bits)
+        self._check_mask = mask(ways)
+        self._folds = _fold_schedule(data_bits, ways)
 
     def encode(self, data: int) -> int:
-        check = 0
-        for i, group_mask in enumerate(self._group_masks):
-            bit = parity(data & group_mask)
-            check |= bit << (self.ways - 1 - i)
-        return check
+        # Bits outside the word (wider or negative ints) belong to no
+        # parity group, so they are masked off first.
+        x = data & self._data_mask
+        if self.ways == 1:
+            # The one-bit fold is the word's parity; a popcount is
+            # cheaper than log2(data_bits) single-bit folds.
+            return parity(x)
+        for shift, keep in self._folds:
+            x = x >> shift ^ x & keep
+        return x
 
     def inspect(self, data: int, check: int) -> Inspection:
-        self._validate(data, check)
+        if not (
+            0 <= data <= self._data_mask and 0 <= check <= self._check_mask
+        ):
+            self._validate(data, check)
         syndrome = self.encode(data) ^ check
         if syndrome == 0:
-            return Inspection(outcome=DetectionOutcome.CLEAN)
+            return _CLEAN
         faulty = frozenset(
             i for i in range(self.ways) if get_bit(syndrome, i, self.ways)
         )
@@ -84,7 +114,9 @@ class InterleavedParity(WordCode):
         """Data-word mask of the bits covered by ``group``."""
         if not 0 <= group < self.ways:
             raise ConfigurationError(f"parity group {group} out of range")
-        return self._group_masks[group]
+        # One bit per chunk (0x0101...01 for ways=8), moved to the LSB
+        # position of group ``group`` (see the module docstring).
+        return self._data_mask // self._check_mask << (self.ways - 1 - group)
 
 
 def word_parity_code(data_bits: int = 64) -> InterleavedParity:

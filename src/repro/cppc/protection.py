@@ -27,6 +27,7 @@ from ..memsim.cache import Cache
 from ..memsim.protection import CodedProtection, FaultResolution, Resolution
 from ..memsim.types import UnitLocation
 from ..obs.trail import DEFAULT_TRAIL_MAXLEN, RecoveryAuditTrail, audit_payload
+from ..util import parity
 from .geometry import PhysicalGeometry
 from .recovery import RecoveryReport, recover
 from .registers import RegisterFile
@@ -254,10 +255,10 @@ class CppcProtection(CodedProtection):
             dirty_xor ^= self.rotation.rotate_in(value, cls)
         if which == "r1":
             pair.r1 = dirty_xor ^ pair.r2
-            pair.r1_parity = bin(pair.r1).count("1") & 1
+            pair.r1_parity = parity(pair.r1)
         else:
             pair.r2 = dirty_xor ^ pair.r1
-            pair.r2_parity = bin(pair.r2).count("1") & 1
+            pair.r2_parity = parity(pair.r2)
         self.register_repairs += 1
         if self._obs_on:
             self._obs.emit(

@@ -18,7 +18,7 @@ import dataclasses
 from typing import List
 
 from ..errors import ConfigurationError
-from ..util import check_word
+from ..util import check_word, parity
 
 
 @dataclasses.dataclass
@@ -52,13 +52,13 @@ class RegisterPair:
         """A unit value (already rotated) was stored into the domain."""
         check_word(rotated_value, self.width_bits)
         self.r1 ^= rotated_value
-        self.r1_parity ^= bin(rotated_value).count("1") & 1
+        self.r1_parity ^= parity(rotated_value)
 
     def on_dirty_removed(self, rotated_value: int) -> None:
         """A dirty unit value (already rotated) left the domain."""
         check_word(rotated_value, self.width_bits)
         self.r2 ^= rotated_value
-        self.r2_parity ^= bin(rotated_value).count("1") & 1
+        self.r2_parity ^= parity(rotated_value)
 
     @property
     def dirty_xor(self) -> int:
@@ -67,11 +67,11 @@ class RegisterPair:
 
     def r1_intact(self) -> bool:
         """Whether R1's stored parity matches its contents (Section 4.9)."""
-        return (bin(self.r1).count("1") & 1) == self.r1_parity
+        return parity(self.r1) == self.r1_parity
 
     def r2_intact(self) -> bool:
         """Whether R2's stored parity matches its contents."""
-        return (bin(self.r2).count("1") & 1) == self.r2_parity
+        return parity(self.r2) == self.r2_parity
 
     def corrupt_r1(self, xor_mask: int) -> None:
         """Flip register bits without updating parity (fault injection)."""

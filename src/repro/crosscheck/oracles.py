@@ -235,7 +235,7 @@ def check_recovery(scenario: Scenario) -> List[str]:
         if not due:
             memory = cache.next_level
             for addr, expected in golden.items():
-                if memory.peek(addr, 1)[0] != expected:
+                if memory.byte_at(addr) != expected:
                     problems.append(
                         f"memory byte {addr:#x} corrupt after flush "
                         "despite a single-bit fault"

@@ -451,8 +451,9 @@ class FaultCampaign:
                 detail=str(exc),
             )
 
+        byte_at = hierarchy.memory.byte_at
         for addr, expected in golden.items():
-            if hierarchy.memory.peek(addr, 1)[0] != expected:
+            if byte_at(addr) != expected:
                 return TrialResult(
                     outcome=Outcome.SDC,
                     injected_bits=injection.total_bits,

@@ -15,7 +15,7 @@ from ..cppc.geometry import PhysicalGeometry
 from ..errors import SimulationError
 from ..memsim.cache import Cache
 from ..memsim.types import UnitLocation
-from ..util import Seed, make_rng
+from ..util import Seed, make_rng, popcount
 from .models import BitFlip, SpatialFault, TemporalFault
 
 
@@ -34,7 +34,7 @@ class InjectionRecord:
     @property
     def total_bits(self) -> int:
         """Total bits flipped."""
-        return sum(bin(f.mask).count("1") for f in self.flips)
+        return sum(popcount(f.mask) for f in self.flips)
 
 
 class FaultInjector:

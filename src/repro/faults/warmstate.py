@@ -23,7 +23,8 @@ warmup itself runs through the :class:`~repro.memsim.batch.BatchReplayEngine`:
 the engine produces the final L1 state directly, and the next-level
 traffic it captures (:class:`~repro.memsim.batch.ReplayCapture`) is
 replayed through the scalar L2 in original access order to warm the rest
-of the hierarchy.  Everything else falls back to a scalar warmup.
+of the hierarchy.  Everything else falls back to a scalar warmup, and the
+warm state records which condition sent it there.
 
 :func:`warm_state_for` memoizes warm states in a bounded module-level
 :class:`~repro.memsim.snapshot.SnapshotCache`, keyed by everything the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cppc.protection import CppcProtection
 from ..memsim.batch import BatchReplayEngine, BatchTrace, ReplayCapture
@@ -71,6 +72,9 @@ class WarmState:
         start_cycle: cycle clock at the fork point.
         warm_engine: how the prefix was simulated — ``"batch"``,
             ``"scalar"`` or ``"pristine"`` (zero-length warmup).
+        warm_fallback: why a scalar warmup ran instead of the batch
+            engine (the :func:`_batch_compatible` condition that failed,
+            e.g. ``"l1_scheme"``), else None.
         size_bytes: pickled size (cache accounting and lane shipping).
     """
 
@@ -81,6 +85,7 @@ class WarmState:
     suffix_records: List[TraceRecord]
     start_cycle: int
     warm_engine: str
+    warm_fallback: Optional[str] = None
     size_bytes: int = 0
 
     def fork(self) -> Tuple[MemoryHierarchy, GoldenMemory, TraceReplayer]:
@@ -114,18 +119,25 @@ def warm_key(config: CampaignConfig) -> tuple:
     )
 
 
-def _batch_compatible(l1) -> bool:
-    """Whether the batch engine models this L1 exactly."""
+def _batch_compatible(l1) -> Optional[str]:
+    """None when the batch engine models this L1 exactly, else the first
+    condition that fails (a short tag such as ``"l1_scheme"``)."""
     prot = l1.protection
-    return (
-        isinstance(prot, CppcProtection)
-        and l1.unit_bytes == 8
-        and prot.code.ways == 8
-        and isinstance(l1.policy, LRUPolicy)
-        and not l1.write_through
-        and l1.allocate_on_write
-        and l1.tag_protection is None
-    )
+    if not isinstance(prot, CppcProtection):
+        return "l1_scheme"
+    if l1.unit_bytes != 8:
+        return "l1_unit_bytes"
+    if prot.code.ways != 8:
+        return "l1_parity_ways"
+    if not isinstance(l1.policy, LRUPolicy):
+        return "l1_policy"
+    if l1.write_through:
+        return "l1_write_through"
+    if not l1.allocate_on_write:
+        return "l1_no_write_allocate"
+    if l1.tag_protection is not None:
+        return "l1_tag_protection"
+    return None
 
 
 def _words_to_bytes(words: List[int]) -> bytes:
@@ -204,14 +216,17 @@ def build_warm_state(config: CampaignConfig) -> WarmState:
     start_cycle = sum(r.instructions for r in warm_records)
 
     hierarchy = MemoryHierarchy(protection_factory=config.scheme_factory)
+    fallback = None
     if not warm_records:
         warm_engine = "pristine"
-    elif _batch_compatible(hierarchy.l1d):
-        _batch_warm(hierarchy, warm_records)
-        warm_engine = "batch"
     else:
-        TraceReplayer(hierarchy).run(warm_records)
-        warm_engine = "scalar"
+        fallback = _batch_compatible(hierarchy.l1d)
+        if fallback is None:
+            _batch_warm(hierarchy, warm_records)
+            warm_engine = "batch"
+        else:
+            TraceReplayer(hierarchy).run(warm_records)
+            warm_engine = "scalar"
 
     state = WarmState(
         key=warm_key(config),
@@ -221,6 +236,7 @@ def build_warm_state(config: CampaignConfig) -> WarmState:
         suffix_records=suffix_records,
         start_cycle=start_cycle,
         warm_engine=warm_engine,
+        warm_fallback=fallback,
     )
     state.size_bytes = len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
     return state

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..cppc.registers import RegisterFile
 from ..errors import AlignmentError, ConfigurationError, TraceFormatError
-from ..util import WORD_BYTES
+from ..util import WORD_BYTES, parity
 from .address import AddressMapper
 from .stats import CacheStats
 from .types import AccessType
@@ -676,8 +676,8 @@ class BatchReplayEngine:
                 pair.r2 ^= state.r2_acc[rotation_class]
             # Incremental event parity telescopes to the parity of the
             # final register value (popcount is linear over XOR mod 2).
-            pair.r1_parity = bin(pair.r1).count("1") & 1
-            pair.r2_parity = bin(pair.r2).count("1") & 1
+            pair.r1_parity = parity(pair.r1)
+            pair.r2_parity = parity(pair.r2)
         lines = self._snapshot_lines(
             state.line_tag, state.line_data, state.line_dirty
         )

@@ -13,7 +13,7 @@ tag array").
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError, UncorrectableError
 from .address import AddressMapper
@@ -44,6 +44,27 @@ class CacheLine:
         self.dirty: List[bool] = [False] * units
         self.check: List[int] = [0] * units
         self.last_dirty_access: List[Optional[float]] = [None] * units
+
+    @classmethod
+    def resident(
+        cls,
+        tag: int,
+        tag_check: int,
+        data: bytes,
+        dirty: Sequence[bool],
+        check: Sequence[int],
+        last_dirty_access: Sequence[Optional[float]],
+    ) -> "CacheLine":
+        """A valid line holding copies of the given state."""
+        ln = cls.__new__(cls)
+        ln.tag = tag
+        ln.tag_check = tag_check
+        ln.valid = True
+        ln.data = bytearray(data)
+        ln.dirty = list(dirty)
+        ln.check = list(check)
+        ln.last_dirty_access = list(last_dirty_access)
+        return ln
 
     def any_dirty(self) -> bool:
         """True when at least one unit of the line is dirty."""
@@ -187,6 +208,15 @@ class Cache:
         off = unit_index * self.unit_bytes
         ln.data[off : off + self.unit_bytes] = value.to_bytes(self.unit_bytes, "big")
 
+    def _unit_values(self, ln: CacheLine) -> List[int]:
+        """Every unit value of a line, in unit order."""
+        data = ln.data
+        ub = self.unit_bytes
+        return [
+            int.from_bytes(data[off : off + ub], "big")
+            for off in range(0, self.block_bytes, ub)
+        ]
+
     def peek_unit(self, loc: UnitLocation) -> Tuple[int, int, bool]:
         """(value, check, dirty) of the unit at ``loc`` without an access."""
         ln = self._row(loc.set_index)[loc.way]
@@ -278,8 +308,17 @@ class Cache:
                 yield loc, value
 
     def resident_locations(self) -> List[UnitLocation]:
-        """Locations of all valid units (fault-site sampling)."""
-        return [loc for loc, _v, _d in self.iter_units()]
+        """Locations of all valid units (fault-site sampling), in
+        :meth:`iter_units` order."""
+        units = range(self.units_per_block)
+        return [
+            UnitLocation(set_index, way, u)
+            for set_index, row in enumerate(self._lines)
+            if row is not None
+            for way, ln in enumerate(row)
+            if ln.valid
+            for u in units
+        ]
 
     def dirty_unit_count(self) -> int:
         """Number of currently dirty units."""
@@ -288,19 +327,22 @@ class Cache:
     # ------------------------------------------------------------------
     # Verification plumbing
     # ------------------------------------------------------------------
-    def _verify_unit(self, ln: CacheLine, loc: UnitLocation) -> bool:
+    def _verify_unit(
+        self, ln: CacheLine, set_index: int, way: int, unit_index: int
+    ) -> bool:
         """Check one unit; repair or refetch on detection.
 
         Returns True when a fault was detected (and handled).  Raises
         :class:`UncorrectableError` on a DUE.
         """
-        value = self._unit_value(ln, loc.unit_index)
-        check = ln.check[loc.unit_index]
+        value = self._unit_value(ln, unit_index)
+        check = ln.check[unit_index]
         inspection = self.protection.inspect(value, check)
         if not inspection.detected:
             return False
+        loc = UnitLocation(set_index, way, unit_index)
         self.stats.detected_faults += 1
-        dirty = ln.dirty[loc.unit_index]
+        dirty = ln.dirty[unit_index]
         if self._obs_on:
             self._obs.emit(
                 "cache",
@@ -393,7 +435,7 @@ class Cache:
             # The whole block is read for write-back; every unit is
             # therefore checked on the way out.
             for u in range(self.units_per_block):
-                self._verify_unit(ln, UnitLocation(set_index, way, u))
+                self._verify_unit(ln, set_index, way, u)
             if self.next_level is None:
                 raise SimulationError(
                     f"{self.name}: dirty eviction with no next level"
@@ -407,8 +449,9 @@ class Cache:
             wrote_back = True
         else:
             self.stats.evictions_clean += 1
-        values = [self._unit_value(ln, u) for u in range(self.units_per_block)]
-        self.protection.on_evict(set_index, way, values, list(ln.dirty))
+        self.protection.on_evict(
+            set_index, way, self._unit_values(ln), list(ln.dirty)
+        )
         dirty_count = sum(ln.dirty)
         if dirty_count:
             self.stats.dirty_units_changed(-dirty_count)
@@ -442,11 +485,9 @@ class Cache:
             ln.tag_check = self.tag_protection.encode(tag)
             self.tag_protection.on_insert(tag)
         ln.data[:] = block
-        values = []
-        for u in range(self.units_per_block):
-            v = self._unit_value(ln, u)
-            ln.check[u] = self.protection.encode(v)
-            values.append(v)
+        values = self._unit_values(ln)
+        encode = self.protection.encode
+        ln.check[:] = [encode(v) for v in values]
         self.protection.on_fill(set_index, way, values)
         self.stats.fills += 1
         self.policy.fill(set_index, way)
@@ -476,9 +517,10 @@ class Cache:
     def load(self, addr: int, size: int, cycle: Optional[float] = None) -> AccessResult:
         """Read ``size`` bytes at ``addr`` (naturally aligned, one line)."""
         now = self._advance(cycle)
-        self.mapper.check_access(addr, size)
-        set_index = self.mapper.set_index(addr)
-        tag = self.mapper.tag(addr)
+        mapper = self.mapper
+        mapper.check_access(addr, size)
+        set_index = mapper.set_index(addr)
+        tag = mapper.tag(addr)
         way = self._find(set_index, tag)
         hit = way is not None
         wrote_back = False
@@ -502,14 +544,14 @@ class Cache:
             wrote_back = self.stats.writebacks > writebacks_before
         ln = self._row(set_index)[way]
         detected = False
-        for u in self.mapper.units_touched(addr, size):
-            loc = UnitLocation(set_index, way, u)
-            if self._verify_unit(ln, loc):
+        off = mapper.block_offset(addr)
+        ub = self.unit_bytes
+        for u in range(off // ub, (off + size - 1) // ub + 1):
+            if self._verify_unit(ln, set_index, way, u):
                 detected = True
             if ln.dirty[u]:
                 self._touch_dirty_interval(ln, u, now)
         self.policy.touch(set_index, way)
-        off = self.mapper.block_offset(addr)
         return AccessResult(
             hit=hit,
             data=bytes(ln.data[off : off + size]),
@@ -523,9 +565,10 @@ class Cache:
         """Write ``data`` at ``addr`` (write-allocate, write-back)."""
         size = len(data)
         now = self._advance(cycle)
-        self.mapper.check_access(addr, size)
-        set_index = self.mapper.set_index(addr)
-        tag = self.mapper.tag(addr)
+        mapper = self.mapper
+        mapper.check_access(addr, size)
+        set_index = mapper.set_index(addr)
+        tag = mapper.tag(addr)
         way = self._find(set_index, tag)
         hit = way is not None
         wrote_back = False
@@ -558,28 +601,30 @@ class Cache:
             wrote_back = self.stats.writebacks > writebacks_before
         ln = self._row(set_index)[way]
         detected = False
-        off = self.mapper.block_offset(addr)
-        for u in self.mapper.units_touched(addr, size):
+        off = mapper.block_offset(addr)
+        ub = self.unit_bytes
+        for u in range(off // ub, (off + size - 1) // ub + 1):
             loc = UnitLocation(set_index, way, u)
             was_dirty = ln.dirty[u]
             if was_dirty:
                 self.stats.stores_to_dirty_units += 1
-            unit_off = u * self.unit_bytes
+            unit_off = u * ub
+            unit_end = unit_off + ub
             lo = max(off, unit_off)
-            hi = min(off + size, unit_off + self.unit_bytes)
-            full_overwrite = lo == unit_off and hi == unit_off + self.unit_bytes
+            hi = min(off + size, unit_end)
+            full_overwrite = lo == unit_off and hi == unit_end
             if self.protection.verify_on_store(was_dirty, not full_overwrite):
                 # The old value is read (read-before-write); its parity is
                 # checked so a latent fault cannot silently pollute the
                 # scheme's correction state.
-                if self._verify_unit(ln, loc):
+                if self._verify_unit(ln, set_index, way, u):
                     detected = True
-            old = self._unit_value(ln, u)
-            new_bytes = bytearray(old.to_bytes(self.unit_bytes, "big"))
-            new_bytes[lo - unit_off : hi - unit_off] = data[lo - off : hi - off]
-            new = int.from_bytes(new_bytes, "big")
+            unit = ln.data[unit_off:unit_end]
+            old = int.from_bytes(unit, "big")
+            unit[lo - unit_off : hi - unit_off] = data[lo - off : hi - off]
+            new = int.from_bytes(unit, "big")
             self.protection.on_unit_write(loc, old, new, was_dirty)
-            self._set_unit_value(ln, u, new)
+            ln.data[unit_off:unit_end] = unit
             if full_overwrite:
                 ln.check[u] = self.protection.encode(new)
             else:
@@ -617,8 +662,9 @@ class Cache:
             )
         dirty_count = sum(ln.dirty)
         if dirty_count:
-            values = [self._unit_value(ln, u) for u in range(self.units_per_block)]
-            self.protection.on_cleaned(set_index, way, values, list(ln.dirty))
+            self.protection.on_cleaned(
+                set_index, way, self._unit_values(ln), list(ln.dirty)
+            )
             self.stats.dirty_units_changed(-dirty_count)
             ln.dirty = [False] * self.units_per_block
             ln.last_dirty_access = [None] * self.units_per_block
@@ -650,14 +696,15 @@ class Cache:
             return False
         # The line is read for the write-back, so every unit is checked.
         for u in range(self.units_per_block):
-            self._verify_unit(ln, UnitLocation(set_index, way, u))
+            self._verify_unit(ln, set_index, way, u)
         if self.next_level is None:
             raise SimulationError(f"{self.name}: cannot clean with no next level")
         base = self.mapper.rebuild_address(ln.tag, set_index)
         self.next_level.write_block(base, bytes(ln.data), cycle=self._access_counter)
         self.stats.writebacks += 1
-        values = [self._unit_value(ln, u) for u in range(self.units_per_block)]
-        self.protection.on_cleaned(set_index, way, values, list(ln.dirty))
+        self.protection.on_cleaned(
+            set_index, way, self._unit_values(ln), list(ln.dirty)
+        )
         self.stats.dirty_units_changed(-sum(ln.dirty))
         ln.dirty = [False] * self.units_per_block
         ln.last_dirty_access = [None] * self.units_per_block
@@ -691,8 +738,8 @@ class Cache:
         for set_index, row in enumerate(self._lines):
             if row is None:
                 continue
-            for way in range(self.ways):
-                if self._evict(set_index, way):
+            for way, ln in enumerate(row):
+                if ln.valid and self._evict(set_index, way):
                     count += 1
         return count
 

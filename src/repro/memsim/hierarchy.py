@@ -189,4 +189,4 @@ class MemoryHierarchy:
             if loc is not None:
                 ln = cache.line(loc.set_index, loc.way)
                 return ln.data[cache.mapper.block_offset(addr)]
-        return self.memory.peek(addr, 1)[0]
+        return self.memory.byte_at(addr)

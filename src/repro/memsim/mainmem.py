@@ -63,6 +63,12 @@ class MainMemory:
             size -= take
         return bytes(out)
 
+    def byte_at(self, addr: int) -> int:
+        """The byte at ``addr`` without counting an access (zero if
+        untouched); one dict lookup, no intermediate byte strings."""
+        block = self._blocks.get(addr & ~(self.block_bytes - 1))
+        return 0 if block is None else block[addr & (self.block_bytes - 1)]
+
     def poke(self, addr: int, data: bytes) -> None:
         """Write bytes without counting an access (for test setup)."""
         i = 0

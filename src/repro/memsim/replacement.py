@@ -45,7 +45,8 @@ class LRUPolicy(ReplacementPolicy):
     def __init__(self, num_sets: int, ways: int):
         super().__init__(num_sets, ways)
         # Per set: list of ways from most- to least-recently used.
-        self._order: List[List[int]] = [list(range(ways)) for _ in range(num_sets)]
+        pristine = list(range(ways))
+        self._order: List[List[int]] = [pristine.copy() for _ in range(num_sets)]
 
     def touch(self, set_index: int, way: int) -> None:
         order = self._order[set_index]
@@ -65,7 +66,8 @@ class FIFOPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, ways: int):
         super().__init__(num_sets, ways)
-        self._queues: List[List[int]] = [list(range(ways)) for _ in range(num_sets)]
+        pristine = list(range(ways))
+        self._queues: List[List[int]] = [pristine.copy() for _ in range(num_sets)]
 
     def touch(self, set_index: int, way: int) -> None:
         # Hits do not reorder a FIFO.

@@ -37,7 +37,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SnapshotError
-from .cache import Cache
+from .cache import Cache, CacheLine
 from .hierarchy import MemoryHierarchy
 from .mainmem import MainMemory
 from .replacement import FIFOPolicy, LRUPolicy, RandomPolicy
@@ -313,15 +313,27 @@ def restore_cache(snap: CacheSnapshot, cache: Cache) -> Cache:
     the state a snapshot carries, it does not erase leftovers.
     """
     _check_target(snap, cache)
+    # Each restored line is built once from its snapshot; only the ways
+    # a snapshot leaves empty in a newly materialized row get blank lines.
+    rows = cache._lines
+    new_rows = []
     for line in snap.lines:
-        ln = cache.line(line.set_index, line.way)
-        ln.valid = True
-        ln.tag = line.tag
-        ln.tag_check = line.tag_check
-        ln.data[:] = line.data
-        ln.dirty = list(line.dirty)
-        ln.check = list(line.check)
-        ln.last_dirty_access = list(line.last_dirty_access)
+        row = rows[line.set_index]
+        if row is None:
+            row = rows[line.set_index] = [None] * cache.ways
+            new_rows.append(row)
+        row[line.way] = CacheLine.resident(
+            line.tag,
+            line.tag_check,
+            line.data,
+            line.dirty,
+            line.check,
+            line.last_dirty_access,
+        )
+    for row in new_rows:
+        for way, ln in enumerate(row):
+            if ln is None:
+                row[way] = CacheLine(cache.block_bytes, cache.units_per_block)
     cache._access_counter = snap.access_counter
     cache.stats = _restore_stats(snap.stats)
     _restore_policy(snap.policy, cache)
@@ -399,6 +411,12 @@ class SnapshotCache:
         self._entries.move_to_end(key)
         self.hits += 1
         return entry[0]
+
+    def peek(self, key):
+        """The cached value for ``key``, or None, leaving recency order and
+        the hit/miss counters untouched (reporting)."""
+        entry = self._entries.get(key)
+        return None if entry is None else entry[0]
 
     def put(self, key, value, size_bytes: int) -> None:
         """Insert (or refresh) an entry, evicting LRU entries over bounds.

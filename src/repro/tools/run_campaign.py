@@ -299,9 +299,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if result.degradation is not None:
             export_degradation_metrics(registry, result.degradation)
         if args.fast:
-            from ..faults.warmstate import warm_cache
+            from ..faults.warmstate import warm_cache, warm_key
 
             warm_cache().export_metrics(registry, prefix="warm_cache")
+            # Which engine simulated the shared warmup, and why a scalar
+            # one ran (absent when a resumed run needed no warm state).
+            warm = warm_cache().peek(warm_key(config))
+            if warm is not None:
+                registry.counter(f"engine.warm.{warm.warm_engine}").inc()
+                if warm.warm_fallback is not None:
+                    registry.counter(f"engine.warm.fallback.{warm.warm_fallback}").inc()
     if profiler is not None:
         _print_profile(profiler, args.profile_out)
 

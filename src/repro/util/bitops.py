@@ -40,18 +40,27 @@ def check_word(value: int, width: int = WORD_BITS) -> int:
     return value
 
 
+def _bin_count(x: int) -> int:
+    return bin(x).count("1")
+
+
+#: Set-bit count of a non-negative int: ``int.bit_count`` where the
+#: interpreter has it (Python >= 3.10), ``bin(x).count("1")`` before.
+_bit_count = getattr(int, "bit_count", _bin_count)
+
+
 def popcount(x: int) -> int:
     """Number of set bits in ``x`` (x must be non-negative)."""
     if x < 0:
         raise ConfigurationError("popcount requires a non-negative integer")
-    return x.bit_count()
+    return _bit_count(x)
 
 
 def parity(x: int) -> int:
     """Even-parity bit of ``x``: 1 if the number of set bits is odd."""
     if x < 0:
         raise ConfigurationError("parity requires a non-negative integer")
-    return x.bit_count() & 1
+    return _bit_count(x) & 1
 
 
 def get_bit(x: int, k: int, width: int = WORD_BITS) -> int:

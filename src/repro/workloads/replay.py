@@ -42,12 +42,12 @@ class GoldenMemory:
 
     def store(self, addr: int, data: bytes) -> None:
         """Record an architectural store."""
-        for i, b in enumerate(data):
-            self._bytes[addr + i] = b
+        self._bytes.update(zip(range(addr, addr + len(data)), data))
 
     def read(self, addr: int, size: int) -> bytes:
         """Expected bytes at ``addr`` (unwritten bytes read as zero)."""
-        return bytes(self._bytes.get(addr + i, 0) for i in range(size))
+        get = self._bytes.get
+        return bytes([get(a, 0) for a in range(addr, addr + size)])
 
     def items(self):
         """Iterate ``(address, expected_byte)`` over every written byte."""

@@ -1,10 +1,13 @@
 """Unit and property tests for repro.util.bitops."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.util import bitops
 from repro.util import (
     bit_positions,
     bytes_to_words,
@@ -79,6 +82,23 @@ class TestPopcountParity:
     @given(words, st.integers(min_value=0, max_value=63))
     def test_single_flip_changes_parity(self, x, k):
         assert parity(x) != parity(flip_bit(x, k))
+
+    # ``int.bit_count`` exists only from Python 3.10 on; the primitives
+    # pick it when present and ``bin(x).count("1")`` otherwise.  Check
+    # both branches on every interpreter.
+    @pytest.mark.parametrize("branch", ["native", "bin"])
+    @given(x=st.integers(min_value=0, max_value=1 << 300))
+    def test_primitives_match_bin_count(self, branch, x):
+        if branch == "native" and not hasattr(int, "bit_count"):
+            pytest.skip("int.bit_count needs Python 3.10+")
+        bit_count = int.bit_count if branch == "native" else bitops._bin_count
+        with mock.patch.object(bitops, "_bit_count", bit_count):
+            assert popcount(x) == bin(x).count("1")
+            assert parity(x) == bin(x).count("1") & 1
+
+    def test_native_branch_chosen_when_available(self):
+        expected = getattr(int, "bit_count", bitops._bin_count)
+        assert bitops._bit_count is expected
 
 
 class TestBitIndexing:

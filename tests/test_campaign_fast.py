@@ -9,6 +9,9 @@ for CPPC, scalar for everything else), and pin down the warm-state
 cache and configuration guard rails.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -22,6 +25,8 @@ from repro.faults import (
     warm_state_for,
 )
 from repro.faults import warmstate as warmstate_mod
+from repro.memsim import MemoryHierarchy, NoProtection
+from repro.memsim.replacement import FIFOPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -100,6 +105,7 @@ class TestBitIdentity:
         config = shared_config(warmup_references=0, trials=4)
         state = build_warm_state(config)
         assert state.warm_engine == "pristine"
+        assert state.warm_fallback is None
         legacy, fast = run_both(config)
         assert_identical(legacy, fast)
 
@@ -115,18 +121,42 @@ class TestWarmEngines:
     def test_cppc_uses_batch_engine(self):
         state = build_warm_state(shared_config())
         assert state.warm_engine == "batch"
+        assert state.warm_fallback is None
 
     def test_secded_falls_back_to_scalar(self):
         state = build_warm_state(shared_config(scheme_factory=scheme_factory("secded")))
         assert state.warm_engine == "scalar"
+        assert state.warm_fallback == "l1_scheme"
+
+    @pytest.mark.parametrize(
+        "change,reason",
+        [
+            (lambda h: setattr(h.l1d, "protection", NoProtection()), "l1_scheme"),
+            (lambda h: setattr(h.l1d, "unit_bytes", 4), "l1_unit_bytes"),
+            (lambda h: setattr(h.l1d.protection.code, "ways", 4), "l1_parity_ways"),
+            (lambda h: setattr(h.l1d, "policy", FIFOPolicy(1, 1)), "l1_policy"),
+            (lambda h: setattr(h.l1d, "write_through", True), "l1_write_through"),
+            (
+                lambda h: setattr(h.l1d, "allocate_on_write", False),
+                "l1_no_write_allocate",
+            ),
+            (lambda h: setattr(h.l1d, "tag_protection", object()), "l1_tag_protection"),
+        ],
+    )
+    def test_batch_compatible_names_the_failed_condition(self, change, reason):
+        hierarchy = MemoryHierarchy(protection_factory=scheme_factory("cppc"))
+        assert warmstate_mod._batch_compatible(hierarchy.l1d) is None
+        change(hierarchy)
+        assert warmstate_mod._batch_compatible(hierarchy.l1d) == reason
 
     def test_batch_and_scalar_warm_agree(self, monkeypatch):
         config = shared_config(warmup_references=900)
         batch_state = build_warm_state(config)
         assert batch_state.warm_engine == "batch"
-        monkeypatch.setattr(warmstate_mod, "_batch_compatible", lambda l1: False)
+        monkeypatch.setattr(warmstate_mod, "_batch_compatible", lambda l1: "forced")
         scalar_state = build_warm_state(config)
         assert scalar_state.warm_engine == "scalar"
+        assert scalar_state.warm_fallback == "forced"
         assert scalar_state.snapshot == batch_state.snapshot
         assert scalar_state.golden_image == batch_state.golden_image
         assert scalar_state.start_cycle == batch_state.start_cycle
@@ -174,3 +204,84 @@ class TestWarmCache:
         state = warm_state_for(shared_config())
         assert state.size_bytes > 0
         assert warmstate_mod.warm_cache().total_bytes >= state.size_bytes
+
+
+def _trial_digest(result):
+    rows = [
+        [t.outcome.value, t.injected_bits, t.touched_units, t.detail]
+        for t in result.trials
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+class TestOutcomePins:
+    """SHA-256 of every trial's ``(outcome, injected_bits, touched_units,
+    detail)``, computed before the scalar simulator's kernels were
+    rewritten for speed.  Any change to a value, check word, exception
+    message or iteration order the campaign observes moves a digest.
+
+    Each campaign: gcc, 12 trials, 800 warm-up and 400 post-fault
+    references, seed 3 unless given, through both the legacy and the
+    snapshot-fork path.  The outcome set says which classification paths
+    a pin covers.
+    """
+
+    PINS = {
+        "cppc-l1-temporal": (
+            dict(scheme="cppc"),
+            {"benign", "corrected"},
+            "0bb6848b3fca836628f266b73c23d14d7f636ff5baebd0804cf395a8a3d46d34",
+        ),
+        "cppc-l1-spatial-8x8": (
+            dict(scheme="cppc", fault_kind="spatial", spatial_shape=(8, 8)),
+            {"benign", "corrected"},
+            "60b702cfba72ffa6245fd2eab6e34eb49933bf3cb047903747036f0ae633a1e2",
+        ),
+        "cppc-l2-temporal": (
+            dict(scheme="cppc", target_level="L2"),
+            {"benign"},
+            "6b9e63e165d91e43848663eec56276bbe414723b7e53bdbf0804b5f6a7d8c347",
+        ),
+        "parity-dirty-only": (
+            dict(scheme="parity", dirty_only=True),
+            {"benign", "due"},
+            "c729c7adcb22b7ba8d42ef701c87495662950c79d00c7d56d10ea1c12dbd3bd5",
+        ),
+        # Its SDCs come from the post-flush latent-corruption scan.
+        "none-dirty-only": (
+            dict(scheme="none", dirty_only=True),
+            {"benign", "sdc"},
+            "cf13769db39de94b4da032813033e6469483f01a8e24c19b40f9599b553dd209",
+        ),
+        # Several corrupted bytes per strike, so the detail names the
+        # first mismatch in golden-image (store) order, not address order.
+        "none-spatial-8x8-scan-order": (
+            dict(scheme="none", fault_kind="spatial", spatial_shape=(8, 8), seed=5),
+            {"benign", "sdc"},
+            "55c8acfcc8f94f92abe294080906a79e93c1a2a4afe625030cb7cced8903dabc",
+        ),
+        "twod": (
+            dict(scheme="twod"),
+            {"benign", "corrected"},
+            "0bb6848b3fca836628f266b73c23d14d7f636ff5baebd0804cf395a8a3d46d34",
+        ),
+        "secded": (
+            dict(scheme="secded"),
+            {"benign", "corrected"},
+            "0bb6848b3fca836628f266b73c23d14d7f636ff5baebd0804cf395a8a3d46d34",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_legacy_and_fast_match_pinned_digest(self, name):
+        params, outcomes, digest = self.PINS[name]
+        settings = dict(
+            trials=12, warmup_references=800, post_fault_references=400, seed=3
+        )
+        settings.update(params)
+        settings["scheme_factory"] = scheme_factory(settings.pop("scheme"))
+        config = shared_config(**settings)
+        legacy, fast = run_both(config)
+        assert {t.outcome.value for t in legacy.trials} == outcomes
+        assert _trial_digest(legacy) == digest
+        assert _trial_digest(fast) == digest

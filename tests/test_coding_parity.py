@@ -153,3 +153,93 @@ class TestLinearity:
         code = byte_parity_code()
         assert code.encode(0) == 0
         assert code.encode(a) == code.encode(a ^ 0)
+
+
+def _definition_mask(data_bits, ways, group):
+    """Data-word mask of group ``group`` straight from the definition."""
+    return sum(1 << (data_bits - 1 - k) for k in range(group, data_bits, ways))
+
+
+def _definition_encode(data_bits, ways, data):
+    """Check word by the per-group definition: ``parity(data & mask)``."""
+    check = 0
+    for i in range(ways):
+        bit = bin(data & _definition_mask(data_bits, ways, i)).count("1") & 1
+        check |= bit << (ways - 1 - i)
+    return check
+
+
+@st.composite
+def geometries(draw):
+    """Every width the constructor accepts, with one of its divisors."""
+    data_bits = draw(st.integers(min_value=1, max_value=300))
+    ways = draw(st.sampled_from([w for w in range(1, data_bits + 1)
+                                 if data_bits % w == 0]))
+    return data_bits, ways
+
+
+NAMED_GEOMETRIES = [(64, 8), (256, 8), (64, 1), (24, 8), (48, 8), (40, 1),
+                    (72, 9), (64, 64), (8, 8), (1, 1)]
+
+
+class TestFoldMatchesDefinition:
+    """``encode`` is an XOR-fold; it must equal the per-group definition
+    on any int, including ints wider than the word and negative ints
+    (the definition masks both through each group mask)."""
+
+    @pytest.mark.parametrize("data_bits,ways", NAMED_GEOMETRIES)
+    @given(data=st.data())
+    def test_named_geometries(self, data_bits, ways, data):
+        code = InterleavedParity(data_bits, ways)
+        span = 1 << (data_bits + 20)
+        x = data.draw(st.integers(min_value=-span, max_value=span))
+        assert code.encode(x) == _definition_encode(data_bits, ways, x)
+
+    @given(geometries(), st.data())
+    def test_drawn_geometries(self, geometry, data):
+        data_bits, ways = geometry
+        code = InterleavedParity(data_bits, ways)
+        span = 1 << (data_bits + 20)
+        x = data.draw(st.integers(min_value=-span, max_value=span))
+        assert code.encode(x) == _definition_encode(data_bits, ways, x)
+
+    @given(geometries())
+    def test_group_masks_match_definition(self, geometry):
+        data_bits, ways = geometry
+        code = InterleavedParity(data_bits, ways)
+        for g in range(ways):
+            assert code.group_mask(g) == _definition_mask(data_bits, ways, g)
+
+    @given(geometries(), st.data())
+    def test_inspect_reports_definition_syndrome(self, geometry, data):
+        data_bits, ways = geometry
+        code = InterleavedParity(data_bits, ways)
+        x = data.draw(st.integers(min_value=0, max_value=(1 << data_bits) - 1))
+        check = data.draw(st.integers(min_value=0, max_value=(1 << ways) - 1))
+        syndrome = _definition_encode(data_bits, ways, x) ^ check
+        inspection = code.inspect(x, check)
+        if syndrome == 0:
+            assert inspection.outcome is DetectionOutcome.CLEAN
+            assert inspection.syndrome == 0
+            assert inspection.faulty_parities == frozenset()
+        else:
+            assert inspection.outcome is DetectionOutcome.DETECTED
+            assert inspection.syndrome == syndrome
+            assert inspection.faulty_parities == {
+                i for i in range(ways) if syndrome >> (ways - 1 - i) & 1
+            }
+
+    @given(geometries(), st.data())
+    def test_inspect_rejects_out_of_range(self, geometry, data):
+        data_bits, ways = geometry
+        code = InterleavedParity(data_bits, ways)
+        good_data = data.draw(st.integers(0, (1 << data_bits) - 1))
+        good_check = data.draw(st.integers(0, (1 << ways) - 1))
+        bad_data = data.draw(st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=1 << data_bits)))
+        bad_check = data.draw(st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=1 << ways)))
+        with pytest.raises(ConfigurationError):
+            code.inspect(bad_data, good_check)
+        with pytest.raises(ConfigurationError):
+            code.inspect(good_data, bad_check)

@@ -168,6 +168,31 @@ class TestRunCampaign:
         resumed = capsys.readouterr().out
         assert resumed == first
 
+    @pytest.mark.parametrize(
+        "scheme,warmup,engine,fallback",
+        [
+            ("cppc", "400", "batch", None),
+            ("secded", "400", "scalar", "l1_scheme"),
+            ("cppc", "0", "pristine", None),
+        ],
+    )
+    def test_fast_warm_engine_is_counted(
+        self, tmp_path, scheme, warmup, engine, fallback
+    ):
+        metrics = tmp_path / "m.json"
+        rc = run_campaign.main([
+            scheme, "--fast", "--trials", "2", "--warmup", warmup,
+            "--post", "200", "--benchmark", "gzip",
+            "--emit-metrics", str(metrics),
+        ])
+        assert rc == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        engines = {k: v for k, v in counters.items() if k.startswith("engine.")}
+        expected = {f"engine.warm.{engine}": 1}
+        if fallback is not None:
+            expected[f"engine.warm.fallback.{fallback}"] = 1
+        assert engines == expected
+
     def test_impossible_timeout_exits_partial(self, capsys):
         rc = run_campaign.main([
             "parity", "--trials", "2", "--warmup", "20000", "--post", "200",
