@@ -44,7 +44,7 @@ from typing import Callable, Dict, List
 
 from ..cppc.protection import CppcProtection
 from ..errors import EquivalenceError, UncorrectableError
-from ..faults.campaign import CampaignConfig, FaultCampaign
+from ..faults.campaign import CampaignConfig, FaultCampaign, trial_mismatches
 from ..faults.injector import FaultInjector
 from ..faults.models import SpatialFault, TemporalFault
 from ..faults.schemes import scheme_factory
@@ -285,16 +285,7 @@ def check_campaign(scenario: Scenario) -> List[str]:
         fast = FaultCampaign(config, fast=True).run()
     finally:
         clear_warm_cache()
-    problems = [
-        f"trial {i}: fast={vars(b)!r} legacy={vars(a)!r}"
-        for i, (a, b) in enumerate(zip(legacy.trials, fast.trials))
-        if vars(a) != vars(b)
-    ]
-    if len(legacy.trials) != len(fast.trials):
-        problems.append(
-            f"trial count: fast={len(fast.trials)} legacy={len(legacy.trials)}"
-        )
-    return problems
+    return trial_mismatches(fast.trials, legacy.trials)
 
 
 # ----------------------------------------------------------------------
@@ -429,15 +420,9 @@ def check_timing(scenario: Scenario) -> List[str]:
     the scenario's L1 with matching block size — the only L2 shape the
     scalar hierarchy accepts (its unit must equal the L1 block).
     """
-    from ..memsim import CacheGeometry, HierarchyConfig, MemoryHierarchy
-    from ..timing import (
-        TIMING_POLICIES,
-        TimingConfig,
-        collect_events,
-        time_events,
-        time_events_fast,
-    )
-    from ..timing.fast import EventColumns, collect_run_fast
+    from ..memsim import CacheGeometry, HierarchyConfig
+    from ..timing import TimingConfig
+    from ..timing.fast import timing_mismatches
 
     config = HierarchyConfig(
         l1d=CacheGeometry(
@@ -455,34 +440,11 @@ def check_timing(scenario: Scenario) -> List[str]:
             latency_cycles=8,
         ),
     )
-    run = collect_run_fast(scenario.records, config, equivalence="never")
-    hierarchy = MemoryHierarchy(config)
-    events = collect_events(scenario.records, hierarchy)
-    problems = run.events.mismatches(EventColumns.from_events(events))
-    if hierarchy.l1d.stats != run.l1:
-        problems.append("L1 statistics diverged from the scalar collector")
-    if hierarchy.l2.stats != run.l2:
-        problems.append("L2 statistics diverged from the scalar collector")
     timing_config = TimingConfig(
         issue_width=scenario.issue_width,
         store_buffer_capacity=scenario.store_buffer,
     )
-    for scheme, factory in TIMING_POLICIES.items():
-        scalar_result = time_events(
-            events,
-            factory(),
-            timing_config,
-            units_per_block=hierarchy.l1d.units_per_block,
-        )
-        fast_result = time_events_fast(
-            run.events,
-            factory(),
-            timing_config,
-            units_per_block=run.units_per_block,
-        )
-        if scalar_result != fast_result:
-            problems.append(f"{scheme}: {scalar_result!r} != {fast_result!r}")
-    return problems
+    return timing_mismatches(scenario.records, config, timing_config=timing_config)
 
 
 #: Oracle registry: scenario kind -> (oracle name, checker).

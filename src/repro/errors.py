@@ -6,7 +6,7 @@ catch everything from this package with a single ``except`` clause.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 
 class ReproError(Exception):
@@ -159,13 +159,60 @@ class SnapshotError(ReproError):
 
 
 class EquivalenceError(SimulationError):
-    """The batch fast path and the scalar simulator disagreed.
+    """A fast path and its scalar reference disagreed.
 
-    Raised by :class:`repro.workloads.replay.FastReplay` when its
-    cross-check finds any divergence between the two engines; the message
-    lists every mismatching line, statistic, register or memory block.
+    Raised when a cross-check finds any divergence, usually through
+    :func:`raise_mismatches`; ``mismatches`` lists every mismatching
+    line, statistic, register, event or trial.
     """
 
     def __init__(self, message: str, *, mismatches=None):
         super().__init__(message)
         self.mismatches = list(mismatches or [])
+
+
+#: ``equivalence=`` modes of the fast paths.  ``"auto"`` cross-checks a
+#: run of at most ``equivalence_limit`` references against the scalar
+#: reference; ``"always"`` and ``"never"`` force either behaviour.
+EQUIVALENCE_MODES = ("auto", "always", "never")
+
+#: The modes of a fast path with no run size for ``"auto"`` to gate on
+#: (a fault campaign cross-checks trial by trial).
+FORCED_EQUIVALENCE_MODES = EQUIVALENCE_MODES[1:]
+
+#: ``"auto"`` cross-checks runs of at most this many references.
+DEFAULT_EQUIVALENCE_LIMIT = 2048
+
+
+def check_equivalence_mode(
+    mode: str,
+    limit: int = DEFAULT_EQUIVALENCE_LIMIT,
+    modes: Sequence[str] = EQUIVALENCE_MODES,
+) -> None:
+    """Raise :class:`ConfigurationError` unless ``mode`` is one of
+    ``modes`` and ``limit`` is non-negative."""
+    if mode not in modes:
+        raise ConfigurationError(
+            f"equivalence mode must be one of {modes}, got {mode!r}"
+        )
+    if limit < 0:
+        raise ConfigurationError(f"equivalence_limit must be >= 0, got {limit!r}")
+
+
+def cross_checks(
+    mode: str, references: int = 0, limit: int = DEFAULT_EQUIVALENCE_LIMIT
+) -> bool:
+    """Whether a run of ``references`` references is cross-checked."""
+    return mode == "always" or (mode == "auto" and references <= limit)
+
+
+def raise_mismatches(message: str, mismatches: Sequence[str]) -> None:
+    """Raise :class:`EquivalenceError` when ``mismatches`` is non-empty.
+
+    The message is ``message`` followed by the first ten mismatches.
+    """
+    if mismatches:
+        raise EquivalenceError(
+            f"{message}:\n  " + "\n  ".join(mismatches[:10]),
+            mismatches=mismatches,
+        )

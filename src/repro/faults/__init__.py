@@ -7,6 +7,7 @@ from .campaign import (
     Outcome,
     TrialFailure,
     TrialResult,
+    trial_mismatches,
 )
 from .fitrate import FitEstimate, estimate_fit
 from .injector import FaultInjector, InjectionRecord
@@ -34,6 +35,7 @@ __all__ = [
     "Outcome",
     "TrialFailure",
     "TrialResult",
+    "trial_mismatches",
     "SCHEMES",
     "SchemeFactory",
     "scheme_factory",

@@ -21,13 +21,17 @@ import dataclasses
 import enum
 import itertools
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
+    FORCED_EQUIVALENCE_MODES,
     ConfigurationError,
     EquivalenceError,
     TrialCrashError,
     UncorrectableError,
+    check_equivalence_mode,
+    cross_checks,
+    raise_mismatches,
 )
 from ..memsim.hierarchy import MemoryHierarchy
 from ..memsim.protection import CacheProtection
@@ -242,8 +246,6 @@ class FaultCampaign:
             on any per-trial divergence (validation harness mode).
     """
 
-    EQUIVALENCE_MODES = ("never", "always")
-
     def __init__(
         self,
         config: CampaignConfig,
@@ -257,11 +259,7 @@ class FaultCampaign:
                 "the snapshot-fork fast path needs shared_warmup=True: "
                 "per-trial workload traces have nothing to share"
             )
-        if fast_equivalence not in self.EQUIVALENCE_MODES:
-            raise ConfigurationError(
-                f"fast_equivalence must be one of {self.EQUIVALENCE_MODES}, "
-                f"got {fast_equivalence!r}"
-            )
+        check_equivalence_mode(fast_equivalence, modes=FORCED_EQUIVALENCE_MODES)
         self.config = config
         self.obs = obs
         self.fast = fast
@@ -327,9 +325,12 @@ class FaultCampaign:
         try:
             if self.fast:
                 result = self._classify_trial_fast(trial, warm)
-                if self.fast_equivalence == "always":
-                    _check_trial_equivalence(
-                        trial, result, self._classify_trial(trial)
+                if cross_checks(self.fast_equivalence):
+                    raise_mismatches(
+                        "snapshot-fork trial diverged from the legacy path",
+                        trial_mismatches(
+                            [result], [self._classify_trial(trial)], first=trial
+                        ),
                     )
             else:
                 result = self._classify_trial(trial)
@@ -476,21 +477,20 @@ class FaultCampaign:
         return injector.random_spatial(height=height, width=width)
 
 
-def _check_trial_equivalence(
-    trial: int, fast: TrialResult, legacy: TrialResult
-) -> None:
-    """Raise :class:`EquivalenceError` when the two paths disagree."""
-    mismatches = [
-        f"trial {trial} {field.name}: fast={mine!r} legacy={theirs!r}"
-        for field in dataclasses.fields(TrialResult)
-        for mine, theirs in [
-            (getattr(fast, field.name), getattr(legacy, field.name))
-        ]
-        if mine != theirs
+def trial_mismatches(
+    fast: Sequence[TrialResult], legacy: Sequence[TrialResult], first: int = 0
+) -> List[str]:
+    """How a snapshot-fork campaign diverges from the legacy loop.
+
+    Compares the two runs' per-trial results (numbered from ``first``)
+    and their trial counts; returns one line per mismatch, so an empty
+    list means the runs are bit-identical.
+    """
+    problems = [
+        f"trial {first + i}: fast={vars(b)!r} legacy={vars(a)!r}"
+        for i, (a, b) in enumerate(zip(legacy, fast))
+        if vars(a) != vars(b)
     ]
-    if mismatches:
-        raise EquivalenceError(
-            "snapshot-fork trial diverged from the legacy path:\n  "
-            + "\n  ".join(mismatches),
-            mismatches=mismatches,
-        )
+    if len(fast) != len(legacy):
+        problems.append(f"trial count: fast={len(fast)} legacy={len(legacy)}")
+    return problems

@@ -60,6 +60,7 @@ from ..errors import (
     EquivalenceError,
     FaultLocatorError,
     UncorrectableError,
+    raise_mismatches,
 )
 from ..memsim import Cache, MainMemory
 from ..memsim.batch import _fold_check_words, _rotl_bytes_u64
@@ -618,13 +619,11 @@ def cross_check_live(
         for position in chosen
         if int(outcomes[position]) != live[position]
     ]
-    if mismatches:
-        raise EquivalenceError(
-            "vector kernel diverged from live recovery on "
-            f"{len(mismatches)}/{len(chosen)} replayed sample(s):\n  "
-            + "\n  ".join(mismatches[:10]),
-            mismatches=mismatches,
-        )
+    raise_mismatches(
+        "vector kernel diverged from live recovery on "
+        f"{len(mismatches)}/{len(chosen)} replayed sample(s)",
+        mismatches,
+    )
     return {
         "samples": samples,
         "checked": len(chosen),

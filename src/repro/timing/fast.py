@@ -37,7 +37,13 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import ConfigurationError, EquivalenceError
+from ..errors import (
+    DEFAULT_EQUIVALENCE_LIMIT,
+    ConfigurationError,
+    check_equivalence_mode,
+    cross_checks,
+    raise_mismatches,
+)
 from ..memsim.batch import BatchReplayEngine, BatchTrace, ReplayCapture
 from ..memsim.cache import Cache
 from ..memsim.hierarchy import PAPER_CONFIG, HierarchyConfig, MemoryHierarchy
@@ -45,19 +51,15 @@ from ..memsim.mainmem import MainMemory
 from ..memsim.protection import NoProtection
 from ..memsim.stats import CacheStats
 from .model import (
+    TIMING_POLICIES,
     AccessEvent,
     SchemeTimingPolicy,
     TimingConfig,
     TimingResult,
     collect_events,
+    time_events,
     timing_policy,
 )
-
-#: Cross-check modes, mirroring :class:`repro.workloads.replay.FastReplay`.
-EQUIVALENCE_MODES = ("auto", "always", "never")
-
-#: ``"auto"`` cross-checks traces of at most this many references.
-DEFAULT_EQUIVALENCE_LIMIT = 2048
 
 
 @dataclasses.dataclass(frozen=True)
@@ -442,35 +444,6 @@ def _dirty_flags(dirty_stores: List[int], warmup: int, n_total: int) -> np.ndarr
     return flags
 
 
-def _cross_check(
-    trace: BatchTrace, config: HierarchyConfig, warmup: int, run: FastRun
-) -> None:
-    """Replay the trace through the scalar collector and compare."""
-    hierarchy = MemoryHierarchy(config)
-    records = iter(trace.to_records())
-    if warmup:
-        collect_events(itertools.islice(records, warmup), hierarchy)
-        hierarchy.l1d.reset_stats()
-        hierarchy.l2.reset_stats()
-    scalar_events = EventColumns.from_events(collect_events(records, hierarchy))
-    problems = scalar_events.mismatches(run.events)
-    if hierarchy.l1d.stats != run.l1:
-        problems.append(
-            "L1 stats diverge: "
-            f"{hierarchy.l1d.stats.snapshot()} vs {run.l1.snapshot()}"
-        )
-    if hierarchy.l2.stats != run.l2:
-        problems.append(
-            "L2 stats diverge: "
-            f"{hierarchy.l2.stats.snapshot()} vs {run.l2.snapshot()}"
-        )
-    if problems:
-        raise EquivalenceError(
-            "timing fast path diverged from the scalar collector",
-            mismatches=problems,
-        )
-
-
 def collect_run_fast(
     records: Union[BatchTrace, Iterable],
     config: HierarchyConfig = PAPER_CONFIG,
@@ -496,16 +469,12 @@ def collect_run_fast(
             ``"unit_bytes"`` before ``records`` is consumed.
         warmup: references to exclude from the front of the trace.
         equivalence: ``"auto"`` (cross-check against the scalar
-            collector when the trace is small), ``"always"`` or
-            ``"never"`` — the :class:`~repro.workloads.replay.FastReplay`
-            convention.
+            pipeline with :func:`timing_mismatches` when the trace is
+            small), ``"always"`` or ``"never"`` — the
+            :class:`~repro.workloads.replay.FastReplay` convention.
         equivalence_limit: reference-count cutoff for ``"auto"``.
     """
-    if equivalence not in EQUIVALENCE_MODES:
-        raise ConfigurationError(
-            f"equivalence mode must be one of {EQUIVALENCE_MODES}, "
-            f"got {equivalence!r}"
-        )
+    check_equivalence_mode(equivalence, equivalence_limit)
     l1 = config.l1d
     engine = BatchReplayEngine(
         l1.size_bytes, l1.ways, l1.block_bytes, unit_bytes=l1.unit_bytes
@@ -539,10 +508,11 @@ def collect_run_fast(
         references=n_total - warmup,
         units_per_block=engine.units_per_block,
     )
-    if equivalence == "always" or (
-        equivalence == "auto" and n_total <= equivalence_limit
-    ):
-        _cross_check(trace, config, warmup, run)
+    if cross_checks(equivalence, n_total, equivalence_limit):
+        raise_mismatches(
+            "timing fast path diverged from the scalar pipeline",
+            timing_mismatches(trace, config, warmup=warmup, run=run),
+        )
     return run
 
 
@@ -560,6 +530,75 @@ def collect_events_fast(
         equivalence=equivalence,
         equivalence_limit=equivalence_limit,
     ).events
+
+
+def collect_scalar(
+    records: Iterable, config: HierarchyConfig = PAPER_CONFIG, *, warmup: int = 0
+) -> Tuple[List[AccessEvent], MemoryHierarchy]:
+    """The scalar reference of :func:`collect_run_fast`.
+
+    Replays ``records`` through a fresh :class:`MemoryHierarchy` with
+    :func:`~repro.timing.model.collect_events`, resetting the cache
+    statistics after the first ``warmup`` references.  Returns the
+    measured events and the hierarchy, whose ``l1d``/``l2`` hold the
+    measured-window statistics.
+    """
+    hierarchy = MemoryHierarchy(config)
+    records = iter(records)
+    if warmup:
+        collect_events(itertools.islice(records, warmup), hierarchy)
+        hierarchy.l1d.reset_stats()
+        hierarchy.l2.reset_stats()
+    return collect_events(records, hierarchy), hierarchy
+
+
+def timing_mismatches(
+    records: Union[BatchTrace, Iterable],
+    config: HierarchyConfig = PAPER_CONFIG,
+    *,
+    warmup: int = 0,
+    timing_config: Optional[TimingConfig] = None,
+    run: Optional[FastRun] = None,
+) -> List[str]:
+    """How the Figure-10 fast path diverges from the scalar pipeline.
+
+    Compares ``run`` (by default :func:`collect_run_fast` of the same
+    records) with :func:`collect_scalar`: the event streams, the L1 and
+    L2 statistics, and every scheme's :class:`TimingResult` priced by
+    the scalar :func:`~repro.timing.model.time_events` and by
+    :func:`time_events_fast`.  Returns one line per mismatch, so an
+    empty list means the two paths agree bit for bit.
+    """
+    if isinstance(records, BatchTrace):
+        trace, records = records, records.to_records()
+    else:
+        records = list(records)
+        trace = BatchTrace.from_records(records)
+    if run is None:
+        run = collect_run_fast(trace, config, warmup=warmup, equivalence="never")
+    events, hierarchy = collect_scalar(records, config, warmup=warmup)
+    problems = EventColumns.from_events(events).mismatches(run.events)
+    for level, scalar, fast in (
+        ("L1", hierarchy.l1d.stats, run.l1),
+        ("L2", hierarchy.l2.stats, run.l2),
+    ):
+        if scalar != fast:
+            problems.append(
+                f"{level} stats diverge: {scalar.snapshot()} vs {fast.snapshot()}"
+            )
+    for scheme, factory in TIMING_POLICIES.items():
+        scalar_result = time_events(
+            events,
+            factory(),
+            timing_config,
+            units_per_block=hierarchy.l1d.units_per_block,
+        )
+        fast_result = time_events_fast(
+            run.events, factory(), timing_config, units_per_block=run.units_per_block
+        )
+        if scalar_result != fast_result:
+            problems.append(f"{scheme}: {scalar_result!r} != {fast_result!r}")
+    return problems
 
 
 # ----------------------------------------------------------------------

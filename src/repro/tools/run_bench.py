@@ -1,71 +1,53 @@
 """Benchmark the repo's fast paths against their reference simulators.
 
-Default mode replays one synthetic benchmark trace through both the
-batch engine and the scalar simulator, checks that they agree
-word-for-word on a short prefix, and writes a JSON report
-(``BENCH_replay.json`` by default)::
+Each ``--mode`` is one row of :data:`MODES`.  Its run function first
+proves the fast path bit-identical to the scalar reference (a divergence
+raises :class:`~repro.errors.EquivalenceError` and exits 1), then times
+both paths and returns a JSON report (``BENCH_<mode>.json`` by default):
 
-    python -m repro.tools.run_bench --trace-len 100000
+* ``replay`` (default) — the batch replay engine vs. the scalar
+  ``Cache``, plus batch time with a *disabled* trace sink over the plain
+  batch time (the zero-overhead-when-disabled property of
+  :mod:`repro.obs`);
+* ``tracestore`` — columnar load (:mod:`repro.workloads.store`) vs.
+  text parsing, chunked replay straight off the reader, and the
+  content-addressed trace cache;
+* ``campaign`` — the snapshot-fork campaign
+  (:mod:`repro.faults.warmstate`) vs. the legacy warm-every-trial loop;
+* ``reliability`` — the vectorized double-fault Monte-Carlo engine
+  (:mod:`repro.reliability.fastmc`) vs. the scalar loop;
+* ``timing`` — the Figure-10 timing fast path (:mod:`repro.timing.fast`)
+  vs. the scalar ``collect_events``/``time_events`` pipeline.
+
+::
+
     python -m repro.tools.run_bench --trace-len 20000 --min-speedup 3
+    python -m repro.tools.run_bench --mode campaign --trials 200 --min-speedup 3
 
-``--campaign`` instead benchmarks the snapshot-fork campaign fast path
-(:mod:`repro.faults.warmstate`) against the legacy warm-every-trial
-loop, verifies the two produce bit-identical per-trial results, and
-writes ``BENCH_campaign.json``::
-
-    python -m repro.tools.run_bench --campaign --trials 200 \\
-        --min-campaign-speedup 3
-
-``--trace-format columnar`` benchmarks the on-disk columnar trace
-store (:mod:`repro.workloads.store`): streaming generation, columnar
-load into ``BatchTrace`` columns vs. one-line-per-record text parsing,
-chunked replay straight off the reader, and the content-addressed
-trace cache, writing ``BENCH_tracestore.json``::
-
-    python -m repro.tools.run_bench --trace-format columnar \\
-        --trace-len 200000 --min-load-speedup 5
-
-``--reliability`` benchmarks the vectorized Monte-Carlo double-fault
-engine (:mod:`repro.reliability.fastmc`) against the scalar reference
-loop: it first replays a randomized subset of sampled fault pairs
-through the live ``Cache``/``CppcProtection`` machinery asserting
-per-sample outcome identity, asserts the shard merge is bit-independent
-of the shard count, then times both paths and writes
-``BENCH_reliability.json``::
-
-    python -m repro.tools.run_bench --reliability \\
-        --mc-samples 200000 --min-mc-speedup 50
-
-``--min-speedup`` / ``--min-campaign-speedup`` turn the run into a
-gate: the exit status is ``EXIT_PARTIAL`` (results exist but a claim
-failed) when the measured speedup falls below the floor, which is how
-CI keeps the fast paths honest without being flaky about absolute
-timings.  ``--max-obs-overhead`` gates the same way on the ratio of
-batch replay time with a *disabled* trace sink attached to the plain
-batch time — the zero-overhead-when-disabled property of
-:mod:`repro.obs`, kept honest as a ratio rather than a wall-clock.
-
-``--compare-baseline [PATH]`` additionally compares the run's ratio
-metrics against a committed ``BENCH_baseline.json`` and *warns* (never
-fails) when a ratio regressed beyond ``--baseline-tolerance`` — the
-bench trajectory is tracked across PRs without turning machine noise
-into red builds.
+``--min-speedup`` (and in replay mode ``--max-obs-overhead``) turn the
+run into a gate on the mode's ratio metrics: a miss exits
+``EXIT_PARTIAL`` (3), which keeps the fast paths honest without being
+flaky about absolute timings.  ``--compare-baseline [PATH]`` compares
+the same ratios against a committed ``BENCH_baseline.json`` and *warns*
+(never fails) when one regressed past :data:`BASELINE_TOLERANCE`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import pathlib
 import sys
 import tempfile
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import EquivalenceError
-from ..faults.schemes import SCHEMES, scheme_factory
+from ..errors import EquivalenceError, raise_mismatches
+from ..faults.schemes import scheme_factory
 from ..memsim.batch import BatchTrace
 from ..obs import NullSink, make_sink
 from ..workloads import benchmark_names, make_workload, materialize
@@ -78,13 +60,7 @@ from ..workloads.store import (
     write_trace,
 )
 from ..workloads.trace import load_trace, save_trace
-from ._cli import (
-    add_obs_arguments,
-    emit_metrics,
-    fail,
-    metrics_registry,
-    resolve_exit,
-)
+from ._cli import add_obs_arguments, emit_metrics, fail, metrics_registry, resolve_exit
 
 #: Trace prefix used to warm both engines before the timed runs.
 WARMUP_REFERENCES = 5_000
@@ -92,338 +68,13 @@ WARMUP_REFERENCES = 5_000
 #: Default committed baseline file (see ``--compare-baseline``).
 DEFAULT_BASELINE = "BENCH_baseline.json"
 
-#: Ratio metrics tracked against the baseline, per mode.  Direction
-#: ``"min"`` means lower-is-worse (a speedup), ``"max"`` the opposite
-#: (an overhead ratio).
-BASELINE_METRICS = {
-    "replay": (("speedup", "min"), ("obs_overhead_ratio", "max")),
-    "campaign": (("speedup", "min"),),
-    "tracestore": (("load_speedup", "min"),),
-    "reliability": (("mc_speedup", "min"),),
-    "timing": (("speedup", "min"),),
-}
+#: A ratio regressed when it falls below this fraction of its baseline
+#: (or, for an overhead, exceeds the baseline divided by it).
+BASELINE_TOLERANCE = 0.8
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-run-bench",
-        description="Time scalar vs. batch trace replay and emit JSON.",
-    )
-    parser.add_argument(
-        "--benchmark",
-        choices=benchmark_names(),
-        default="gcc",
-        help="synthetic workload profile (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--trace-len",
-        "-n",
-        type=int,
-        default=100_000,
-        help="references in the timed trace (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--equivalence-len",
-        type=int,
-        default=1_000,
-        help="prefix replayed through both engines and cross-checked "
-        "word-for-word; 0 skips the check (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timed repetitions per engine, best taken (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="workload seed (default: 0)",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when batch/scalar speedup is below this "
-        "(default: no gate)",
-    )
-    parser.add_argument(
-        "--max-obs-overhead",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when batch time with a disabled trace sink "
-        "exceeds this ratio of the plain batch time (default: no gate)",
-    )
-    parser.add_argument(
-        "--output",
-        "-o",
-        type=pathlib.Path,
-        default=None,
-        help="JSON report path (default: BENCH_replay.json, or "
-        "BENCH_campaign.json with --campaign)",
-    )
-    store = parser.add_argument_group(
-        "trace-store mode",
-        "benchmark the columnar on-disk trace store against the text "
-        "format: generation streaming into chunks, load into BatchTrace "
-        "columns vs. text parse, chunked replay, and the trace cache",
-    )
-    store.add_argument(
-        "--trace-format",
-        choices=("records", "columnar"),
-        default="records",
-        help="'columnar' switches to the trace-store benchmark "
-        "(default: %(default)s, the in-memory replay benchmark)",
-    )
-    store.add_argument(
-        "--chunk-records",
-        type=int,
-        default=DEFAULT_CHUNK_RECORDS,
-        help="records per columnar chunk (default: %(default)s)",
-    )
-    store.add_argument(
-        "--min-load-speedup",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when the columnar-load vs. text-parse "
-        "speedup is below this (default: no gate)",
-    )
-    campaign = parser.add_argument_group(
-        "campaign mode",
-        "benchmark the snapshot-fork campaign fast path against the "
-        "legacy warm-every-trial loop (bit-identical results, checked)",
-    )
-    campaign.add_argument(
-        "--campaign",
-        action="store_true",
-        help="time a fault-injection campaign instead of raw trace replay",
-    )
-    campaign.add_argument(
-        "--scheme",
-        choices=SCHEMES,
-        default="cppc",
-        help="protection scheme for campaign mode (default: %(default)s)",
-    )
-    campaign.add_argument(
-        "--trials",
-        type=int,
-        default=200,
-        help="campaign trials per timed run (default: %(default)s)",
-    )
-    campaign.add_argument(
-        "--warmup",
-        type=int,
-        default=12_000,
-        help="warmup references per trial in campaign mode; the fast "
-        "path simulates them once (default: %(default)s)",
-    )
-    campaign.add_argument(
-        "--post",
-        type=int,
-        default=250,
-        help="post-fault references per trial in campaign mode "
-        "(default: %(default)s)",
-    )
-    campaign.add_argument(
-        "--min-campaign-speedup",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when the fast/legacy campaign speedup is "
-        "below this (default: no gate)",
-    )
-    reliability = parser.add_argument_group(
-        "reliability mode",
-        "benchmark the vectorized Monte-Carlo double-fault engine "
-        "against the scalar reference loop (per-sample live equivalence "
-        "and shard-merge determinism asserted first)",
-    )
-    reliability.add_argument(
-        "--reliability",
-        action="store_true",
-        help="time the double-fault Monte-Carlo engine instead of trace "
-        "replay",
-    )
-    reliability.add_argument(
-        "--mc-samples",
-        type=int,
-        default=200_000,
-        help="fault-pair samples per timed vectorized run "
-        "(default: %(default)s)",
-    )
-    reliability.add_argument(
-        "--scalar-mc-samples",
-        type=int,
-        default=64,
-        help="samples per timed scalar-reference run; both timings are "
-        "normalized to samples/sec before the ratio (default: %(default)s)",
-    )
-    reliability.add_argument(
-        "--mc-shards",
-        type=int,
-        default=1,
-        help="sample shards for the timed vectorized run; the merged "
-        "estimate is bit-independent of this (default: %(default)s)",
-    )
-    reliability.add_argument(
-        "--mc-pairs",
-        type=int,
-        default=1,
-        help="register pairs of the benched geometry (default: %(default)s)",
-    )
-    reliability.add_argument(
-        "--mc-parity-ways",
-        type=int,
-        default=8,
-        help="parity interleave ways of the benched geometry "
-        "(default: %(default)s)",
-    )
-    reliability.add_argument(
-        "--mc-cache-bytes",
-        type=int,
-        default=8192,
-        help="dirty-cache capacity of the benched geometry "
-        "(default: %(default)s)",
-    )
-    reliability.add_argument(
-        "--equivalence-subset",
-        type=int,
-        default=48,
-        help="sampled fault pairs replayed through live Cache recovery "
-        "and compared per sample; 0 skips the check (default: %(default)s)",
-    )
-    reliability.add_argument(
-        "--min-mc-speedup",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when the vectorized/scalar samples-per-sec "
-        "ratio is below this (default: no gate)",
-    )
-    timing = parser.add_argument_group(
-        "timing mode",
-        "benchmark the vectorized Figure-10 timing fast path "
-        "(columnar event collection + array pricing) against the scalar "
-        "collect_events/time_events pipeline; bit-identity of events, "
-        "cache statistics and every scheme's TimingResult is asserted "
-        "across all benchmarks before anything is timed",
-    )
-    timing.add_argument(
-        "--timing",
-        action="store_true",
-        help="time the Figure-10 timing fast path instead of trace replay",
-    )
-    timing.add_argument(
-        "--timing-refs",
-        type=int,
-        default=12_000,
-        help="measured references per benchmark; a quarter more are "
-        "prepended as cache warmup (default: %(default)s)",
-    )
-    timing.add_argument(
-        "--timing-benchmarks",
-        nargs="+",
-        choices=benchmark_names(),
-        default=None,
-        metavar="NAME",
-        help="subset of benchmarks to run (default: the full Figure-10 "
-        "workload set)",
-    )
-    timing.add_argument(
-        "--min-timing-speedup",
-        type=float,
-        default=0.0,
-        help="exit 3 when the fast/scalar speedup is below this "
-        "(default: no gate)",
-    )
-    baseline = parser.add_argument_group(
-        "baseline tracking",
-        "compare ratio metrics against a committed baseline file; "
-        "regressions warn on stderr but never change the exit status",
-    )
-    baseline.add_argument(
-        "--compare-baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        default=None,
-        metavar="PATH",
-        help=f"baseline JSON to compare against (default: {DEFAULT_BASELINE})",
-    )
-    baseline.add_argument(
-        "--baseline-tolerance",
-        type=float,
-        default=0.8,
-        help="warn when a tracked ratio falls below this fraction of the "
-        "baseline (or exceeds 1/fraction for overhead ratios) "
-        "(default: %(default)s)",
-    )
-    add_obs_arguments(parser)
-    return parser
-
-
-def compare_baseline(report: dict, mode: str, path, tolerance: float) -> dict:
-    """Compare ``report``'s tracked ratios against the baseline file.
-
-    Returns a comparison record (also attached to the report by the
-    caller): per metric the current and baseline values, the allowed
-    bound, and whether it regressed.  A missing baseline file or mode
-    section yields ``{"status": "no-baseline"}`` so fresh checkouts and
-    new modes stay silent.
-    """
-    if not 0.0 < tolerance <= 1.0:
-        raise ValueError("baseline tolerance must be in (0, 1]")
-    path = pathlib.Path(path)
-    if not path.is_file():
-        return {"status": "no-baseline", "path": str(path)}
-    baseline = json.loads(path.read_text()).get(mode)
-    if not baseline:
-        return {"status": "no-baseline", "path": str(path), "mode": mode}
-    metrics = {}
-    regressed = False
-    for metric, direction in BASELINE_METRICS[mode]:
-        base = baseline.get(metric)
-        current = report.get(metric)
-        if base is None or current is None:
-            continue
-        if direction == "min":
-            bound = base * tolerance
-            bad = current < bound
-        else:
-            bound = base / tolerance
-            bad = current > bound
-        regressed = regressed or bad
-        metrics[metric] = {
-            "current": current,
-            "baseline": base,
-            "bound": bound,
-            "regressed": bad,
-        }
-    return {
-        "status": "regressed" if regressed else "ok",
-        "path": str(path),
-        "tolerance": tolerance,
-        "metrics": metrics,
-    }
-
-
-def _apply_baseline(report: dict, mode: str, args) -> None:
-    """Attach the baseline comparison and warn on regressions."""
-    if args.compare_baseline is None:
-        return
-    comparison = compare_baseline(
-        report, mode, args.compare_baseline, args.baseline_tolerance
-    )
-    report["baseline_comparison"] = comparison
-    if comparison["status"] != "regressed":
-        return
-    for metric, entry in comparison["metrics"].items():
-        if entry["regressed"]:
-            print(
-                f"WARNING: {mode} {metric} {entry['current']:.3f} "
-                f"regressed past the baseline bound {entry['bound']:.3f} "
-                f"(baseline {entry['baseline']:.3f}, "
-                f"tolerance {args.baseline_tolerance})",
-                file=sys.stderr,
-            )
+#: Fault-pair geometry of the reliability mode: register pairs, parity
+#: interleave ways and dirty-cache capacity.
+MC_GEOMETRY = {"num_pairs": 1, "parity_ways": 8, "cache_bytes": 8192}
 
 
 def _time_best(fn, repeats: int) -> float:
@@ -446,7 +97,7 @@ def run_bench(
     trace_out: Optional[str] = None,
     registry=None,
 ) -> dict:
-    """Run the comparison and return the report dictionary.
+    """Run the replay comparison and return the report dictionary.
 
     ``trace_out`` additionally replays the trace once with a live sink
     attached (per-chunk spans land in the file); ``registry`` (a
@@ -505,6 +156,7 @@ def run_bench(
     )
 
     report = {
+        "mode": "replay",
         "benchmark": benchmark,
         "trace_len": trace_len,
         "seed": seed,
@@ -520,10 +172,6 @@ def run_bench(
     }
     if registry is not None:
         batch_result["value"].stats.export_metrics(registry, prefix="batch.")
-        registry.gauge("bench.speedup").set(report["speedup"])
-        registry.gauge("bench.obs_overhead_ratio").set(
-            report["obs_overhead_ratio"]
-        )
     if trace_out is not None:
         with make_sink(trace_out) as sink:
             FastReplay(equivalence="never", obs=sink).run(trace)
@@ -539,14 +187,11 @@ def run_tracestore_bench(
     repeats: int = 3,
     seed: int = 0,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    workdir=None,
-    registry=None,
 ) -> dict:
     """Benchmark the columnar trace store and return the report.
 
-    Writes the same generated trace in both formats under ``workdir``
-    (a temporary directory by default), then measures, best of
-    ``repeats``:
+    Writes the same generated trace in both formats under a temporary
+    directory, then measures, best of ``repeats``:
 
     * columnar load (file → replay-ready :class:`BatchTrace` columns)
       against text parse (``load_trace`` → ``from_records``) — the
@@ -564,19 +209,14 @@ def run_tracestore_bench(
     if trace_len < 1:
         raise ValueError("trace_len must be positive")
     with tempfile.TemporaryDirectory() as tmp:
-        base = pathlib.Path(workdir) if workdir is not None else pathlib.Path(tmp)
-        base.mkdir(parents=True, exist_ok=True)
+        base = pathlib.Path(tmp)
         col_path = base / f"{benchmark}-{trace_len}.coltrace"
         text_path = base / f"{benchmark}-{trace_len}.trace"
 
         # Streaming generation straight into chunks (bounded memory).
         start = time.perf_counter()
-        with ColumnarTraceWriter(
-            col_path, chunk_records=chunk_records
-        ) as writer:
-            writer.extend(
-                make_workload(benchmark, seed=seed).records(trace_len)
-            )
+        with ColumnarTraceWriter(col_path, chunk_records=chunk_records) as writer:
+            writer.extend(make_workload(benchmark, seed=seed).records(trace_len))
         gen_columnar_s = time.perf_counter() - start
         peak_buffered = writer.peak_buffered
         if peak_buffered > chunk_records:
@@ -587,9 +227,7 @@ def run_tracestore_bench(
 
         start = time.perf_counter()
         with open(text_path, "w") as fh:
-            save_trace(
-                make_workload(benchmark, seed=seed).records(trace_len), fh
-            )
+            save_trace(make_workload(benchmark, seed=seed).records(trace_len), fh)
         gen_text_s = time.perf_counter() - start
 
         def text_load():
@@ -607,16 +245,16 @@ def run_tracestore_bench(
         # files the timings used.
         text_trace = text_load()
         col_trace = columnar_load()
-        for field in (
-            "addr", "size", "is_store", "gap", "value_word", "value_mask",
-        ):
-            if not np.array_equal(
-                getattr(text_trace, field), getattr(col_trace, field)
-            ):
-                raise EquivalenceError(
-                    f"columnar load diverged from the text round-trip "
-                    f"on column {field!r}"
+        raise_mismatches(
+            "columnar load diverged from the text round-trip",
+            [
+                f"column {field.name!r}"
+                for field in dataclasses.fields(BatchTrace)
+                if not np.array_equal(
+                    getattr(text_trace, field.name), getattr(col_trace, field.name)
                 )
+            ],
+        )
 
         # Scalar equivalence through the full columnar path (chunked
         # replay + record decode for the scalar twin).
@@ -624,14 +262,8 @@ def run_tracestore_bench(
         if checked:
             check_path = base / "equivalence-prefix.coltrace"
             with ColumnarTraceReader(col_path, use_mmap=False) as reader:
-                prefix = []
-                for record in reader.records():
-                    prefix.append(record)
-                    if len(prefix) >= checked:
-                        break
-            write_trace(
-                prefix, check_path, chunk_records=max(1, checked // 4)
-            )
+                prefix = list(itertools.islice(reader.records(), checked))
+            write_trace(prefix, check_path, chunk_records=max(1, checked // 4))
             with ColumnarTraceReader(check_path) as reader:
                 FastReplay(equivalence="always").run(reader)
 
@@ -657,7 +289,7 @@ def run_tracestore_bench(
             reader.batch_trace()
         cache_hit_s = time.perf_counter() - start
 
-        report = {
+        return {
             "mode": "tracestore",
             "benchmark": benchmark,
             "trace_len": trace_len,
@@ -679,45 +311,36 @@ def run_tracestore_bench(
             "cache_hit_seconds": cache_hit_s,
             "columns_identical": True,
         }
-    if registry is not None:
-        registry.gauge("bench.tracestore_load_speedup").set(
-            report["load_speedup"]
-        )
-        registry.gauge("bench.tracestore_replay_ops_per_sec").set(
-            report["chunked_replay_ops_per_sec"]
-        )
-    return report
 
 
 def run_campaign_bench(
-    scheme: str = "cppc",
-    benchmark: str = "gcc",
-    *,
-    trials: int = 200,
-    warmup: int = 12_000,
-    post: int = 250,
-    seed: int = 0,
-    registry=None,
+    benchmark: str = "gcc", *, trials: int = 200, seed: int = 0
 ) -> dict:
     """Time the legacy vs. snapshot-fork campaign and return the report.
 
-    Runs the same shared-warmup campaign twice — once through the legacy
+    Runs the same shared-warmup CPPC campaign (12,000 warmup and 250
+    post-fault references per trial) twice — once through the legacy
     warm-every-trial loop, once through the snapshot-fork fast path —
     and verifies per-trial bit-identity before reporting throughput.
     The fast timing includes building the warm snapshot (the cache is
     cleared first), so the reported ratio is what a cold campaign sees.
     """
-    from ..faults.campaign import CampaignConfig, FaultCampaign, Outcome
+    from ..faults.campaign import (
+        CampaignConfig,
+        FaultCampaign,
+        Outcome,
+        trial_mismatches,
+    )
     from ..faults.warmstate import clear_warm_cache
 
     if trials < 1:
         raise ValueError("trials must be positive")
     config = CampaignConfig(
-        scheme_factory=scheme_factory(scheme),
+        scheme_factory=scheme_factory("cppc"),
         benchmark=benchmark,
         trials=trials,
-        warmup_references=warmup,
-        post_fault_references=post,
+        warmup_references=12_000,
+        post_fault_references=250,
         seed=seed,
         shared_warmup=True,
     )
@@ -731,25 +354,17 @@ def run_campaign_bench(
     fast = FaultCampaign(config, fast=True).run()
     fast_s = time.perf_counter() - start
 
-    mismatches = [
-        f"trial {i}: fast={vars(b)!r} legacy={vars(a)!r}"
-        for i, (a, b) in enumerate(zip(legacy.trials, fast.trials))
-        if vars(a) != vars(b)
-    ]
-    if mismatches:
-        raise EquivalenceError(
-            "snapshot-fork campaign diverged from the legacy loop:\n  "
-            + "\n  ".join(mismatches[:10]),
-            mismatches=mismatches,
-        )
-
-    report = {
+    raise_mismatches(
+        "snapshot-fork campaign diverged from the legacy loop",
+        trial_mismatches(fast.trials, legacy.trials),
+    )
+    return {
         "mode": "campaign",
-        "scheme": scheme,
+        "scheme": "cppc",
         "benchmark": benchmark,
         "trials": trials,
-        "warmup_references": warmup,
-        "post_fault_references": post,
+        "warmup_references": config.warmup_references,
+        "post_fault_references": config.post_fault_references,
         "seed": seed,
         "legacy_seconds": legacy_s,
         "fast_seconds": fast_s,
@@ -759,38 +374,27 @@ def run_campaign_bench(
         "outcomes": {o.value: legacy.counts[o] for o in Outcome},
         "identical_trials": True,
     }
-    if registry is not None:
-        registry.gauge("bench.campaign_speedup").set(report["speedup"])
-        registry.gauge("bench.campaign_fast_trials_per_sec").set(
-            report["fast_trials_per_sec"]
-        )
-    return report
 
 
 def run_reliability_bench(
     *,
     mc_samples: int = 200_000,
     scalar_samples: int = 64,
-    shards: int = 1,
-    num_pairs: int = 1,
-    parity_ways: int = 8,
-    cache_bytes: int = 8192,
-    equivalence_subset: int = 48,
     repeats: int = 3,
     seed: int = 0,
-    registry=None,
 ) -> dict:
     """Time the vectorized vs. scalar double-fault engine; return report.
 
     Correctness first, following the other fast-path benches:
 
-    * **live equivalence** — a randomized ``equivalence_subset`` of the
-      kernel's sampled fault pairs is replayed through full
-      ``Cache``/``CppcProtection`` recovery and compared *per sample*
-      (the subset deliberately front-loads the rare DUE/miscorrection
-      verdicts), for the benched geometry and a second multi-pair one;
+    * **live equivalence** — :func:`~repro.reliability.fastmc.cross_check_live`
+      replays a randomized subset of the kernel's sampled fault pairs
+      through full ``Cache``/``CppcProtection`` recovery and compares
+      them *per sample* (the subset deliberately front-loads the rare
+      DUE/miscorrection verdicts), for the benched geometry and a
+      four-pair one;
     * **shard-merge determinism** — the same seed estimated through one
-      shard and through several must produce the identical outcome
+      shard and through four must produce the identical outcome
       histogram, bit for bit.
 
     Both paths are then timed (best of ``repeats``) on their own sample
@@ -802,44 +406,22 @@ def run_reliability_bench(
 
     if mc_samples < 1 or scalar_samples < 1:
         raise ValueError("sample budgets must be positive")
-
-    equivalence = []
-    if equivalence_subset:
-        geometries = [(num_pairs, parity_ways)]
-        if (4, parity_ways) not in geometries:
-            geometries.append((4, parity_ways))
-        for pairs, ways in geometries:
-            summary = fastmc.cross_check_live(
-                samples=512,
-                subset=equivalence_subset,
-                parity_ways=ways,
-                num_pairs=pairs,
-                seed=seed,
-                cache_bytes=min(cache_bytes, 1024),
-            )
-            equivalence.append(summary)
+    equivalence = [
+        fastmc.cross_check_live(num_pairs=pairs, seed=seed)
+        for pairs in (MC_GEOMETRY["num_pairs"], 4)
+    ]
 
     probe = max(1, min(mc_samples, 20_000))
     single = fastmc.estimate_double_fault_failure_fast(
-        samples=probe,
-        parity_ways=parity_ways,
-        num_pairs=num_pairs,
-        seed=seed,
-        cache_bytes=cache_bytes,
-        shards=1,
+        samples=probe, seed=seed, **MC_GEOMETRY
     )
     sharded = fastmc.estimate_double_fault_failure_fast(
-        samples=probe,
-        parity_ways=parity_ways,
-        num_pairs=num_pairs,
-        seed=seed,
-        cache_bytes=cache_bytes,
-        shards=max(4, shards),
+        samples=probe, shards=4, seed=seed, **MC_GEOMETRY
     )
     if vars(single) != vars(sharded):
         raise EquivalenceError(
             f"shard merge is not deterministic: 1 shard {vars(single)!r} "
-            f"vs {max(4, shards)} shards {vars(sharded)!r}",
+            f"vs 4 shards {vars(sharded)!r}",
             mismatches=[f"{vars(single)!r} != {vars(sharded)!r}"],
         )
 
@@ -847,23 +429,14 @@ def run_reliability_bench(
 
     def vector_once():
         estimate_holder["value"] = fastmc.estimate_double_fault_failure_fast(
-            samples=mc_samples,
-            parity_ways=parity_ways,
-            num_pairs=num_pairs,
-            seed=seed,
-            cache_bytes=cache_bytes,
-            shards=shards,
+            samples=mc_samples, seed=seed, **MC_GEOMETRY
         )
 
     vector_once()  # warm NumPy / image construction
     vector_s = _time_best(vector_once, repeats)
     scalar_s = _time_best(
         lambda: montecarlo.estimate_double_fault_failure(
-            samples=scalar_samples,
-            parity_ways=parity_ways,
-            num_pairs=num_pairs,
-            seed=seed,
-            cache_bytes=cache_bytes,
+            samples=scalar_samples, seed=seed, **MC_GEOMETRY
         ),
         repeats,
     )
@@ -872,14 +445,12 @@ def run_reliability_bench(
     ci_low, ci_high = estimate.failure_rate_ci()
     vector_sps = mc_samples / vector_s
     scalar_sps = scalar_samples / scalar_s
-    report = {
+    return {
         "mode": "reliability",
         "mc_samples": mc_samples,
         "scalar_samples": scalar_samples,
-        "shards": shards,
-        "num_pairs": num_pairs,
-        "parity_ways": parity_ways,
-        "cache_bytes": cache_bytes,
+        "shards": 1,
+        **MC_GEOMETRY,
         "seed": seed,
         "repeats": repeats,
         "vector_seconds": vector_s,
@@ -890,112 +461,68 @@ def run_reliability_bench(
         "failure_rate": estimate.failure_rate,
         "failure_rate_ci95": [ci_low, ci_high],
         "sdc_rate": estimate.sdc_rate,
-        "analytic": montecarlo.analytical_collision_probability(parity_ways, num_pairs),
+        "analytic": montecarlo.analytical_collision_probability(
+            MC_GEOMETRY["parity_ways"], MC_GEOMETRY["num_pairs"]
+        ),
         "corrected": estimate.corrected,
         "due": estimate.due,
         "miscorrected": estimate.miscorrected,
         "shard_merge_deterministic": True,
         "equivalence": equivalence,
     }
-    if registry is not None:
-        registry.gauge("bench.mc_speedup").set(report["mc_speedup"])
-        registry.gauge("bench.mc_samples_per_sec").set(vector_sps)
-    return report
 
 
 def run_timing_bench(
-    *,
-    n_references: int = 12_000,
-    warmup_fraction: float = 0.25,
-    benchmarks: Optional[Sequence[str]] = None,
-    repeats: int = 3,
-    seed: int = 0,
-    registry=None,
+    *, trace_len: int = 12_000, repeats: int = 3, seed: int = 0
 ) -> dict:
     """Time the Figure-10 timing fast path vs. the scalar pipeline.
 
     Correctness first, following the other fast-path benches: for every
-    benchmark the batch collector's events, L1/L2 statistics and all
-    four schemes' priced :class:`TimingResult` objects must equal the
-    scalar ``collect_events``/``time_events`` outputs *bit for bit*
-    before anything is timed.
+    benchmark, :func:`repro.timing.fast.timing_mismatches` must find the
+    batch collector's events, L1/L2 statistics and all four schemes'
+    priced :class:`TimingResult` objects equal to the scalar
+    ``collect_events``/``time_events`` outputs *bit for bit* before
+    anything is timed.
 
-    Both stages then consume pre-generated traces (the scalar path a
-    record list, the fast path the equivalent :class:`BatchTrace`) so
-    the ratio measures simulation, not workload synthesis — the same
-    convention the replay bench uses.  Each stage replays every
-    benchmark and prices it under every scheme; best-of-``repeats``
-    wall times feed the ``speedup`` ratio.
+    Each benchmark measures ``trace_len`` references after a quarter as
+    many warmup references.  Both stages consume pre-generated traces
+    (the scalar path a record list, the fast path the equivalent
+    :class:`BatchTrace`) so the ratio measures simulation, not workload
+    synthesis — the same convention the replay bench uses.  Each stage
+    replays every benchmark and prices it under every scheme;
+    best-of-``repeats`` wall times feed the ``speedup`` ratio.
     """
-    import itertools
-
-    from ..memsim import PAPER_CONFIG, MemoryHierarchy
-    from ..timing import (
-        TIMING_POLICIES,
-        collect_events,
-        time_events,
+    from ..memsim import PAPER_CONFIG
+    from ..timing import TIMING_POLICIES, time_events
+    from ..timing.fast import (
+        collect_run_fast,
+        collect_scalar,
         time_events_fast,
+        timing_mismatches,
     )
-    from ..timing.fast import EventColumns, collect_run_fast
 
-    if n_references < 1:
+    if trace_len < 1:
         raise ValueError("timing reference count must be positive")
-    names = list(benchmarks) if benchmarks else benchmark_names()
-    warmup = int(n_references * warmup_fraction)
-    total = n_references + warmup
+    names = benchmark_names()
+    warmup = trace_len // 4
     policies = {name: factory() for name, factory in TIMING_POLICIES.items()}
-
-    records = {}
-    batch_traces = {}
-    for name in names:
-        recs = list(make_workload(name, seed=seed).records(total))
-        records[name] = recs
-        batch_traces[name] = BatchTrace.from_records(recs)
-
-    def scalar_events(name):
-        hierarchy = MemoryHierarchy(PAPER_CONFIG)
-        it = iter(records[name])
-        if warmup:
-            collect_events(itertools.islice(it, warmup), hierarchy)
-            hierarchy.l1d.reset_stats()
-            hierarchy.l2.reset_stats()
-        return collect_events(it, hierarchy), hierarchy
+    records = {
+        name: list(make_workload(name, seed=seed).records(trace_len + warmup))
+        for name in names
+    }
+    traces = {name: BatchTrace.from_records(recs) for name, recs in records.items()}
 
     problems = []
     for name in names:
-        run = collect_run_fast(
-            batch_traces[name], PAPER_CONFIG, warmup=warmup, equivalence="never"
-        )
-        events, hierarchy = scalar_events(name)
-        prefix = f"{name}: "
-        problems += [
-            prefix + m
-            for m in run.events.mismatches(EventColumns.from_events(events))
-        ]
-        if hierarchy.l1d.stats != run.l1:
-            problems.append(prefix + "L1 statistics diverged")
-        if hierarchy.l2.stats != run.l2:
-            problems.append(prefix + "L2 statistics diverged")
-        for scheme, policy in policies.items():
-            scalar_result = time_events(
-                events, policy, units_per_block=hierarchy.l1d.units_per_block
-            )
-            fast_result = time_events_fast(
-                run.events, policy, units_per_block=run.units_per_block
-            )
-            if scalar_result != fast_result:
-                problems.append(
-                    f"{prefix}{scheme}: {scalar_result!r} != {fast_result!r}"
-                )
-    if problems:
-        raise EquivalenceError(
-            "timing fast path diverged from the scalar pipeline",
-            mismatches=problems,
-        )
+        for problem in timing_mismatches(records[name], PAPER_CONFIG, warmup=warmup):
+            problems.append(f"{name}: {problem}")
+    raise_mismatches("timing fast path diverged from the scalar pipeline", problems)
 
     def scalar_stage():
         for name in names:
-            events, hierarchy = scalar_events(name)
+            events, hierarchy = collect_scalar(
+                records[name], PAPER_CONFIG, warmup=warmup
+            )
             for policy in policies.values():
                 time_events(
                     events, policy, units_per_block=hierarchy.l1d.units_per_block
@@ -1004,10 +531,7 @@ def run_timing_bench(
     def fast_stage():
         for name in names:
             run = collect_run_fast(
-                batch_traces[name],
-                PAPER_CONFIG,
-                warmup=warmup,
-                equivalence="never",
+                traces[name], PAPER_CONFIG, warmup=warmup, equivalence="never"
             )
             for policy in policies.values():
                 time_events_fast(
@@ -1018,11 +542,10 @@ def run_timing_bench(
     fast_s = _time_best(fast_stage, repeats)
     scalar_s = _time_best(scalar_stage, repeats)
 
-    measured = len(names) * n_references
-    report = {
+    return {
         "mode": "timing",
         "benchmarks": names,
-        "references": n_references,
+        "references": trace_len,
         "warmup": warmup,
         "schemes": list(policies),
         "seed": seed,
@@ -1030,234 +553,289 @@ def run_timing_bench(
         "scalar_seconds": scalar_s,
         "fast_seconds": fast_s,
         "speedup": scalar_s / fast_s,
-        "fast_references_per_sec": measured / fast_s,
+        "fast_references_per_sec": len(names) * trace_len / fast_s,
         "equivalence": {
             "benchmarks": len(names),
             "schemes": len(policies),
             "status": "ok",
         },
     }
-    if registry is not None:
-        registry.gauge("bench.timing_speedup").set(report["speedup"])
-        registry.gauge("bench.timing_references_per_sec").set(
-            report["fast_references_per_sec"]
-        )
-    return report
 
 
-def _timing_main(args, registry) -> int:
-    try:
-        report = run_timing_bench(
-            n_references=args.timing_refs,
-            benchmarks=args.timing_benchmarks,
-            repeats=args.repeats,
-            seed=args.seed,
-            registry=registry,
-        )
-    except EquivalenceError as exc:
-        return fail(f"equivalence check FAILED:\n{exc}")
-    _apply_baseline(report, "timing", args)
-    output = args.output or pathlib.Path("BENCH_timing.json")
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    emit_metrics(args.emit_metrics, registry)
-    print(
-        "figure-10 timing, {n} benchmarks x {references} refs x "
-        "{schemes} schemes: scalar {scalar_seconds:.2f}s  "
-        "fast {fast_seconds:.2f}s  speedup {speedup:.1f}x".format(
-            n=len(report["benchmarks"]),
-            schemes=len(report["schemes"]),
-            **{
-                k: v
-                for k, v in report.items()
-                if k in ("references", "scalar_seconds", "fast_seconds", "speedup")
-            },
-        )
-    )
-    print(f"wrote {output}")
-    gate_failed = False
-    if args.min_timing_speedup and report["speedup"] < args.min_timing_speedup:
-        print(
-            f"timing speedup {report['speedup']:.1f}x is below "
-            f"the required {args.min_timing_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        gate_failed = True
-    return resolve_exit(partial=gate_failed)
+@dataclasses.dataclass(frozen=True)
+class Mode:
+    """One ``--mode``: what it runs and what its report promises."""
+
+    #: Returns the report; raises ``EquivalenceError`` on a divergence.
+    run: Callable[..., dict]
+    #: Space-separated CLI values (plus ``registry``) passed to ``run``.
+    inputs: str
+    #: (report key, ``"min"`` for a speedup or ``"max"`` for an overhead,
+    #: gauge name): gated, compared to the baseline, and exported.
+    ratios: Tuple[Tuple[str, str, str], ...]
+    #: One-line summary, formatted with the report.
+    summary: str
+    #: Further exported gauges: (gauge name, report key).
+    gauges: Tuple[Tuple[str, str], ...] = ()
+    #: Default ``--trace-len`` of the modes that take one.
+    trace_len: Optional[int] = None
 
 
-def _reliability_main(args, registry) -> int:
-    try:
-        report = run_reliability_bench(
-            mc_samples=args.mc_samples,
-            scalar_samples=args.scalar_mc_samples,
-            shards=args.mc_shards,
-            num_pairs=args.mc_pairs,
-            parity_ways=args.mc_parity_ways,
-            cache_bytes=args.mc_cache_bytes,
-            equivalence_subset=args.equivalence_subset,
-            repeats=args.repeats,
-            seed=args.seed,
-            registry=registry,
-        )
-    except EquivalenceError as exc:
-        return fail(f"equivalence check FAILED:\n{exc}")
-    _apply_baseline(report, "reliability", args)
-    output = args.output or pathlib.Path("BENCH_reliability.json")
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    emit_metrics(args.emit_metrics, registry)
-    print(
-        "double-fault p={num_pairs} w={parity_ways}: "
-        "scalar {scalar_samples_per_sec:.0f} samples/s  "
-        "vector {vector_samples_per_sec:.0f} samples/s  "
-        "speedup {mc_speedup:.0f}x  "
-        "rate {failure_rate:.4f} (analytic {analytic:.4f})".format(**report)
-    )
-    print(f"wrote {output}")
-    gate_failed = False
-    if args.min_mc_speedup and report["mc_speedup"] < args.min_mc_speedup:
-        print(
-            f"Monte-Carlo speedup {report['mc_speedup']:.1f}x is below "
-            f"the required {args.min_mc_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        gate_failed = True
-    return resolve_exit(partial=gate_failed)
-
-
-def _campaign_main(args, registry) -> int:
-    try:
-        report = run_campaign_bench(
-            args.scheme,
-            args.benchmark,
-            trials=args.trials,
-            warmup=args.warmup,
-            post=args.post,
-            seed=args.seed,
-            registry=registry,
-        )
-    except EquivalenceError as exc:
-        return fail(f"equivalence check FAILED:\n{exc}")
-    _apply_baseline(report, "campaign", args)
-    output = args.output or pathlib.Path("BENCH_campaign.json")
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    emit_metrics(args.emit_metrics, registry)
-    print(
-        "{scheme}/{benchmark}: {trials} trials  "
-        "legacy {legacy_trials_per_sec:.2f} trials/s  "
-        "fast {fast_trials_per_sec:.2f} trials/s  "
-        "speedup {speedup:.1f}x".format(**report)
-    )
-    print(f"wrote {output}")
-    gate_failed = False
-    if (
-        args.min_campaign_speedup
-        and report["speedup"] < args.min_campaign_speedup
-    ):
-        print(
-            f"campaign speedup {report['speedup']:.1f}x is below the "
-            f"required {args.min_campaign_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        gate_failed = True
-    return resolve_exit(partial=gate_failed)
-
-
-def _tracestore_main(args, registry) -> int:
-    try:
-        report = run_tracestore_bench(
-            args.benchmark,
-            args.trace_len,
-            equivalence_len=args.equivalence_len,
-            repeats=args.repeats,
-            seed=args.seed,
-            chunk_records=args.chunk_records,
-            registry=registry,
-        )
-    except EquivalenceError as exc:
-        return fail(f"equivalence check FAILED:\n{exc}")
-    _apply_baseline(report, "tracestore", args)
-    output = args.output or pathlib.Path("BENCH_tracestore.json")
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    emit_metrics(args.emit_metrics, registry)
-    print(
-        "{benchmark}: {trace_len} refs  "
+MODES = {
+    "replay": Mode(
+        run=run_bench,
+        inputs="benchmark trace_len equivalence_len repeats seed trace_out registry",
+        ratios=(
+            ("speedup", "min", "bench.speedup"),
+            ("obs_overhead_ratio", "max", "bench.obs_overhead_ratio"),
+        ),
+        summary="{benchmark}: {trace_len} refs  "
+        "scalar {scalar_ops_per_sec:.0f} ops/s  "
+        "batch {batch_ops_per_sec:.0f} ops/s  "
+        "speedup {speedup:.1f}x  "
+        "obs-overhead {obs_overhead_ratio:.3f}",
+        trace_len=100_000,
+    ),
+    "tracestore": Mode(
+        run=run_tracestore_bench,
+        inputs="benchmark trace_len equivalence_len repeats seed",
+        ratios=(("load_speedup", "min", "bench.tracestore_load_speedup"),),
+        gauges=(("bench.tracestore_replay_ops_per_sec", "chunked_replay_ops_per_sec"),),
+        summary="{benchmark}: {trace_len} refs  "
         "text-load {text_load_seconds:.3f}s  "
         "columnar-load {columnar_load_seconds:.3f}s  "
         "load-speedup {load_speedup:.1f}x  "
-        "chunked-replay {chunked_replay_ops_per_sec:.0f} ops/s".format(
-            **report
-        )
+        "chunked-replay {chunked_replay_ops_per_sec:.0f} ops/s",
+        trace_len=200_000,
+    ),
+    "campaign": Mode(
+        run=run_campaign_bench,
+        inputs="benchmark trials seed",
+        ratios=(("speedup", "min", "bench.campaign_speedup"),),
+        gauges=(("bench.campaign_fast_trials_per_sec", "fast_trials_per_sec"),),
+        summary="{scheme}/{benchmark}: {trials} trials  "
+        "legacy {legacy_trials_per_sec:.2f} trials/s  "
+        "fast {fast_trials_per_sec:.2f} trials/s  "
+        "speedup {speedup:.1f}x",
+    ),
+    "reliability": Mode(
+        run=run_reliability_bench,
+        inputs="mc_samples scalar_samples repeats seed",
+        ratios=(("mc_speedup", "min", "bench.mc_speedup"),),
+        gauges=(("bench.mc_samples_per_sec", "vector_samples_per_sec"),),
+        summary="double-fault p={num_pairs} w={parity_ways}: "
+        "scalar {scalar_samples_per_sec:.0f} samples/s  "
+        "vector {vector_samples_per_sec:.0f} samples/s  "
+        "speedup {mc_speedup:.0f}x  "
+        "rate {failure_rate:.4f} (analytic {analytic:.4f})",
+    ),
+    "timing": Mode(
+        run=run_timing_bench,
+        inputs="trace_len repeats seed",
+        ratios=(("speedup", "min", "bench.timing_speedup"),),
+        gauges=(("bench.timing_references_per_sec", "fast_references_per_sec"),),
+        summary="figure-10 timing, {equivalence[benchmarks]} benchmarks x "
+        "{references} refs x {equivalence[schemes]} schemes: "
+        "scalar {scalar_seconds:.2f}s  fast {fast_seconds:.2f}s  "
+        "speedup {speedup:.1f}x",
+        trace_len=12_000,
+    ),
+}
+
+
+def _worse(value: float, bound: float, direction: str) -> bool:
+    """Whether ``value`` is on the wrong side of ``bound``."""
+    return value < bound if direction == "min" else value > bound
+
+
+def compare_baseline(report: dict, mode: str, path) -> dict:
+    """Compare ``report``'s ratio metrics against the baseline file.
+
+    Returns a comparison record (also attached to the report by the
+    caller): per metric the current and baseline values, the allowed
+    bound, and whether it regressed.  A missing baseline file or mode
+    section yields ``{"status": "no-baseline"}`` so fresh checkouts and
+    new modes stay silent.
+    """
+    path = pathlib.Path(path)
+    if not path.is_file():
+        return {"status": "no-baseline", "path": str(path)}
+    baseline = json.loads(path.read_text()).get(mode)
+    if not baseline:
+        return {"status": "no-baseline", "path": str(path), "mode": mode}
+    metrics = {}
+    for key, direction, _ in MODES[mode].ratios:
+        base, current = baseline.get(key), report[key]
+        if base is None:
+            continue
+        if direction == "min":
+            bound = base * BASELINE_TOLERANCE
+        else:
+            bound = base / BASELINE_TOLERANCE
+        metrics[key] = {
+            "current": current,
+            "baseline": base,
+            "bound": bound,
+            "regressed": _worse(current, bound, direction),
+        }
+    regressed = any(entry["regressed"] for entry in metrics.values())
+    return {
+        "status": "regressed" if regressed else "ok",
+        "path": str(path),
+        "tolerance": BASELINE_TOLERANCE,
+        "metrics": metrics,
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-run-bench",
+        description="Check a fast path bit-identical to its scalar reference, "
+        "time both, and write a JSON report.",
     )
-    print(f"wrote {output}")
-    gate_failed = False
-    if args.min_load_speedup and report["load_speedup"] < args.min_load_speedup:
-        print(
-            f"columnar load speedup {report['load_speedup']:.1f}x is below "
-            f"the required {args.min_load_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        gate_failed = True
-    return resolve_exit(partial=gate_failed)
+    parser.add_argument(
+        "--mode",
+        choices=MODES,
+        default="replay",
+        help="fast path to benchmark (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--benchmark",
+        choices=benchmark_names(),
+        default="gcc",
+        help="workload profile of the replay, tracestore and campaign modes "
+        "(default: %(default)s)",
+    )
+    trace_lens = ", ".join(
+        f"{mode.trace_len} {name}" for name, mode in MODES.items() if mode.trace_len
+    )
+    parser.add_argument(
+        "--trace-len",
+        "-n",
+        type=int,
+        default=None,
+        help="references in the timed trace; per benchmark, after a quarter "
+        f"as many warmup references, in timing mode (default: {trace_lens})",
+    )
+    parser.add_argument(
+        "--equivalence-len",
+        type=int,
+        default=1_000,
+        help="trace prefix cross-checked word-for-word against the scalar "
+        "cache in the replay and tracestore modes; 0 skips the check "
+        "(default: %(default)s)",
+    )
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=3,
+        help="timed repetitions per path, best taken (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="workload seed (default: %(default)s)"
+    )
+    parser.add_argument(
+        "--trials", type=int, default=200, help="campaign trials (default: %(default)s)"
+    )
+    parser.add_argument(
+        "--mc-samples",
+        type=int,
+        default=200_000,
+        help="fault-pair samples per timed vectorized reliability run "
+        "(default: %(default)s)",
+    )
+    parser.add_argument(
+        "--scalar-mc-samples",
+        dest="scalar_samples",
+        type=int,
+        default=64,
+        help="samples per timed scalar reliability run; both timings are "
+        "normalized to samples/sec before the ratio (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--min-speedup",
+        type=float,
+        default=0.0,
+        help="exit 3 when the mode's fast/reference speedup is below this "
+        "(default: no gate)",
+    )
+    parser.add_argument(
+        "--max-obs-overhead",
+        type=float,
+        default=0.0,
+        help="replay mode: exit 3 when batch time with a disabled trace sink "
+        "exceeds this ratio of the plain batch time (default: no gate)",
+    )
+    parser.add_argument(
+        "--output",
+        "-o",
+        type=pathlib.Path,
+        default=None,
+        help="JSON report path (default: BENCH_<mode>.json)",
+    )
+    parser.add_argument(
+        "--compare-baseline",
+        nargs="?",
+        const=DEFAULT_BASELINE,
+        default=None,
+        metavar="PATH",
+        help="warn on stderr, without changing the exit status, when a ratio "
+        f"regressed against this baseline JSON (default: {DEFAULT_BASELINE})",
+    )
+    add_obs_arguments(parser)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.trace_len < 1:
+    spec = MODES[args.mode]
+    if args.trace_len is None:
+        args.trace_len = spec.trace_len
+    elif args.trace_len < 1:
         parser.error("--trace-len must be positive")
-    if args.timing_refs < 1:
-        parser.error("--timing-refs must be positive")
+    if args.mode != "replay" and (args.trace_out or args.max_obs_overhead):
+        parser.error("--trace-out and --max-obs-overhead apply to --mode replay only")
     registry = metrics_registry(args.emit_metrics)
-    if args.timing:
-        return _timing_main(args, registry)
-    if args.campaign:
-        return _campaign_main(args, registry)
-    if args.reliability:
-        return _reliability_main(args, registry)
-    if args.trace_format == "columnar":
-        return _tracestore_main(args, registry)
+    values = dict(vars(args), registry=registry)
     try:
-        report = run_bench(
-            args.benchmark,
-            args.trace_len,
-            equivalence_len=args.equivalence_len,
-            repeats=args.repeats,
-            seed=args.seed,
-            trace_out=args.trace_out,
-            registry=registry,
-        )
+        report = spec.run(**{name: values[name] for name in spec.inputs.split()})
     except EquivalenceError as exc:
         return fail(f"equivalence check FAILED:\n{exc}")
-    _apply_baseline(report, "replay", args)
-    output = args.output or pathlib.Path("BENCH_replay.json")
+
+    if args.compare_baseline is not None:
+        comparison = compare_baseline(report, args.mode, args.compare_baseline)
+        report["baseline_comparison"] = comparison
+        for key, entry in comparison.get("metrics", {}).items():
+            if entry["regressed"]:
+                print(
+                    f"WARNING: {args.mode} {key} {entry['current']:.3f} "
+                    f"regressed past the baseline bound {entry['bound']:.3f} "
+                    f"(baseline {entry['baseline']:.3f}, "
+                    f"tolerance {BASELINE_TOLERANCE})",
+                    file=sys.stderr,
+                )
+    output = args.output or pathlib.Path(f"BENCH_{args.mode}.json")
     output.write_text(json.dumps(report, indent=2) + "\n")
+    if registry is not None:
+        for key, _, gauge in spec.ratios:
+            registry.gauge(gauge).set(report[key])
+        for gauge, key in spec.gauges:
+            registry.gauge(gauge).set(report[key])
     emit_metrics(args.emit_metrics, registry)
-    print(
-        "{benchmark}: {trace_len} refs  "
-        "scalar {scalar_ops_per_sec:.0f} ops/s  "
-        "batch {batch_ops_per_sec:.0f} ops/s  "
-        "speedup {speedup:.1f}x  "
-        "obs-overhead {obs_overhead_ratio:.3f}".format(**report)
-    )
+    print(spec.summary.format(**report))
     print(f"wrote {output}")
+
     gate_failed = False
-    if args.min_speedup and report["speedup"] < args.min_speedup:
-        print(
-            f"speedup {report['speedup']:.1f}x is below the required "
-            f"{args.min_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        gate_failed = True
-    if (
-        args.max_obs_overhead
-        and report["obs_overhead_ratio"] > args.max_obs_overhead
-    ):
-        print(
-            f"disabled-sink overhead {report['obs_overhead_ratio']:.3f} "
-            f"exceeds the allowed {args.max_obs_overhead:.3f}",
-            file=sys.stderr,
-        )
-        gate_failed = True
+    for key, direction, _ in spec.ratios:
+        limit = args.min_speedup if direction == "min" else args.max_obs_overhead
+        if limit and _worse(report[key], limit, direction):
+            verb = "is below the required" if direction == "min" else "exceeds"
+            print(
+                f"{args.mode} {key} {report[key]:.3f} {verb} {limit:.3f}",
+                file=sys.stderr,
+            )
+            gate_failed = True
     return resolve_exit(partial=gate_failed)
 
 

@@ -28,7 +28,7 @@ import argparse
 import dataclasses
 from typing import Optional, Sequence
 
-from ..errors import ConfigurationError, ReproError
+from ..errors import FORCED_EQUIVALENCE_MODES, ConfigurationError, ReproError
 from ..faults import CampaignConfig, FaultCampaign, Outcome
 from ..faults.schemes import SCHEMES, scheme_factory
 from ..runtime import (
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the same shared-warmup campaign trial by trial)",
     )
     parser.add_argument(
-        "--fast-equivalence", choices=FaultCampaign.EQUIVALENCE_MODES,
+        "--fast-equivalence", choices=FORCED_EQUIVALENCE_MODES,
         default="never", metavar="MODE",
         help="with --fast, 'always' re-runs every trial on the legacy "
              "path and fails on any divergence (default: never)",

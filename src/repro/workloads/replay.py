@@ -20,7 +20,13 @@ import time
 from typing import Dict, Iterable, List, Optional
 
 from ..cppc.protection import CppcProtection
-from ..errors import ConfigurationError, EquivalenceError, SimulationError
+from ..errors import (
+    DEFAULT_EQUIVALENCE_LIMIT,
+    SimulationError,
+    check_equivalence_mode,
+    cross_checks,
+    raise_mismatches,
+)
 from ..memsim.batch import (
     BatchReplayEngine,
     BatchReplayResult,
@@ -194,8 +200,6 @@ class FastReplay:
             simulation state, so equivalence results are unchanged.
     """
 
-    MODES = ("auto", "always", "never")
-
     def __init__(
         self,
         size_bytes: int = 32 * 1024,
@@ -206,16 +210,10 @@ class FastReplay:
         byte_shifting: bool = True,
         num_classes: int = 8,
         equivalence: str = "auto",
-        equivalence_limit: int = 2048,
+        equivalence_limit: int = DEFAULT_EQUIVALENCE_LIMIT,
         obs=None,
     ):
-        if equivalence not in self.MODES:
-            raise ConfigurationError(
-                f"equivalence mode must be one of {self.MODES}, "
-                f"got {equivalence!r}"
-            )
-        if equivalence_limit < 0:
-            raise ConfigurationError("equivalence_limit must be >= 0")
+        check_equivalence_mode(equivalence, equivalence_limit)
         self.engine = BatchReplayEngine(
             size_bytes,
             ways,
@@ -282,10 +280,7 @@ class FastReplay:
             stores=batch.stores,
             instructions=batch.instructions,
         )
-        check = self.equivalence == "always" or (
-            self.equivalence == "auto"
-            and batch.references <= self.equivalence_limit
-        )
+        check = cross_checks(self.equivalence, batch.references, self.equivalence_limit)
         if obs is not None:
             obs.span(
                 "replay",
@@ -307,12 +302,7 @@ class FastReplay:
                     time.perf_counter() - t0,
                     {"problems": len(problems)},
                 )
-            if problems:
-                raise EquivalenceError(
-                    "batch replay diverged from the scalar cache:\n  "
-                    + "\n  ".join(problems),
-                    mismatches=problems,
-                )
+            raise_mismatches("batch replay diverged from the scalar cache", problems)
         return FastReplayResult(replay=summary, batch=batch, checked=check)
 
     def _cross_check(self, records, batch) -> List[str]:

@@ -171,6 +171,19 @@ class TestFastReplay:
         with pytest.raises(ConfigurationError):
             FastReplay(equivalence_limit=-1)
 
+    def test_divergence_raises_with_mismatches(self, monkeypatch):
+        from repro.memsim import batch as batch_module
+
+        original = batch_module._rotl_bytes_u64
+        monkeypatch.setattr(
+            batch_module,
+            "_rotl_bytes_u64",
+            lambda values, count: original(values, count + 1),
+        )
+        with pytest.raises(EquivalenceError) as excinfo:
+            FastReplay(equivalence="always").run(workload_records(n=400))
+        assert excinfo.value.mismatches
+
     def test_wrapper_function(self):
         result = fast_replay(workload_records(n=60), equivalence="always")
         assert result.checked
@@ -257,17 +270,15 @@ class TestTracestoreBench:
     def test_report_and_gate(self, tmp_path, capsys):
         import json
 
-        from repro.tools.run_bench import main
+        from repro.tools.run_bench import main, run_tracestore_bench
 
         out = tmp_path / "BENCH_tracestore.json"
         code = main(
             [
-                "--trace-format",
-                "columnar",
+                "--mode",
+                "tracestore",
                 "--trace-len",
                 "3000",
-                "--chunk-records",
-                "512",
                 "--equivalence-len",
                 "300",
                 "--repeats",
@@ -281,24 +292,29 @@ class TestTracestoreBench:
         assert report["mode"] == "tracestore"
         assert report["trace_len"] == 3000
         assert report["columns_identical"] is True
-        assert report["writer_peak_buffered"] <= 512
         assert report["load_speedup"] > 0
         assert "load-speedup" in capsys.readouterr().out
+        # The chunk size is no CLI option: the streaming bound is pinned
+        # on the run function with a chunk smaller than the trace.
+        chunked = run_tracestore_bench(
+            "gcc", 3000, equivalence_len=0, repeats=1, chunk_records=512
+        )
+        assert chunked["writer_peak_buffered"] <= 512
 
     def test_unreachable_load_gate_is_partial(self, tmp_path):
         from repro.tools.run_bench import main
 
         code = main(
             [
-                "--trace-format",
-                "columnar",
+                "--mode",
+                "tracestore",
                 "--trace-len",
                 "1000",
                 "--equivalence-len",
                 "0",
                 "--repeats",
                 "1",
-                "--min-load-speedup",
+                "--min-speedup",
                 "1e9",
                 "--output",
                 str(tmp_path / "BENCH_tracestore.json"),

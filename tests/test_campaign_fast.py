@@ -14,16 +14,18 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EquivalenceError
 from repro.faults import (
     CampaignConfig,
     FaultCampaign,
     Outcome,
+    TrialResult,
     build_warm_state,
     clear_warm_cache,
     scheme_factory,
     warm_state_for,
 )
+from repro.faults.campaign import trial_mismatches
 from repro.faults import warmstate as warmstate_mod
 from repro.memsim import MemoryHierarchy, NoProtection
 from repro.memsim.replacement import FIFOPolicy
@@ -171,6 +173,33 @@ class TestGuards:
     def test_bad_equivalence_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultCampaign(shared_config(), fast=True, fast_equivalence="sometimes")
+        # A campaign has no run size for "auto" to gate on.
+        with pytest.raises(ConfigurationError):
+            FaultCampaign(shared_config(), fast=True, fast_equivalence="auto")
+
+    def test_equivalence_always_raises_on_divergence(self, monkeypatch):
+        monkeypatch.setattr(
+            FaultCampaign,
+            "_classify_trial_fast",
+            lambda self, trial, warm=None: TrialResult(Outcome.SDC, detail="forced"),
+        )
+        campaign = FaultCampaign(
+            shared_config(trials=2), fast=True, fast_equivalence="always"
+        )
+        with pytest.raises(EquivalenceError) as excinfo:
+            campaign.run()
+        assert excinfo.value.mismatches
+        assert excinfo.value.mismatches[0].startswith("trial 0: ")
+
+    def test_trial_mismatches_counts_trials(self):
+        corrected = TrialResult(Outcome.CORRECTED, injected_bits=1, touched_units=1)
+        benign = TrialResult(Outcome.BENIGN)
+        assert trial_mismatches([corrected], [corrected]) == []
+        assert trial_mismatches([corrected], [corrected, benign]) == [
+            "trial count: fast=1 legacy=2"
+        ]
+        (problem,) = trial_mismatches([benign], [corrected], first=7)
+        assert problem.startswith("trial 7: fast=")
 
     def test_shared_warmup_changes_workload_seed(self):
         config = shared_config()

@@ -31,6 +31,7 @@ from repro.timing.fast import (
     collect_run_fast,
     simulate_cpi_fast,
     time_events_fast,
+    timing_mismatches,
 )
 from repro.workloads import make_workload
 
@@ -147,6 +148,49 @@ class TestCollectFast:
     def test_rejects_bad_equivalence_mode(self):
         with pytest.raises(ConfigurationError):
             collect_run_fast([], PAPER_CONFIG, equivalence="sometimes")
+
+    def test_rejects_negative_equivalence_limit(self):
+        # Regression: a negative limit was accepted and silently turned
+        # "auto" into "never".
+        with pytest.raises(ConfigurationError):
+            collect_run_fast([], PAPER_CONFIG, equivalence_limit=-1)
+
+    def test_auto_mode_checks_at_the_limit_and_skips_above(self, monkeypatch):
+        from repro.timing import fast as fast_module
+
+        records = list(make_workload("gzip", seed=2).records(121))
+        original = fast_module._dirty_flags
+        monkeypatch.setattr(
+            fast_module,
+            "_dirty_flags",
+            lambda stores, warmup, n: np.zeros_like(original(stores, warmup, n)),
+        )
+        with pytest.raises(EquivalenceError) as excinfo:
+            collect_run_fast(
+                records[:120], PAPER_CONFIG, equivalence="auto", equivalence_limit=120
+            )
+        assert excinfo.value.mismatches
+        run = collect_run_fast(
+            records, PAPER_CONFIG, equivalence="auto", equivalence_limit=120
+        )
+        assert run.references == 121
+
+    def test_comparison_prices_every_scheme(self, monkeypatch):
+        from repro.timing import fast as fast_module
+
+        records = list(make_workload("mcf", seed=5).records(400))
+        assert timing_mismatches(records, PAPER_CONFIG, warmup=100) == []
+        original = fast_module._resolve_backlog
+
+        def no_shadow(cap, drain, supply, store_demand, miss_demand, miss, shadow):
+            return original(
+                cap, drain, supply, store_demand, miss_demand, miss, shadow * 0.0
+            )
+
+        monkeypatch.setattr(fast_module, "_resolve_backlog", no_shadow)
+        problems = timing_mismatches(records, PAPER_CONFIG, warmup=100)
+        assert problems
+        assert {p.split(":")[0] for p in problems} <= set(TIMING_POLICIES)
 
     def test_rejects_l1_units_it_cannot_model(self):
         # Regression: the engine used to be built without the L1's unit
