@@ -239,14 +239,14 @@ class CppcProtection(CodedProtection):
             raise ConfigurationError(f"register must be 'r1' or 'r2', not {which}")
         pair = self.registers.pairs[pair_index]
         dirty_xor = 0
+        stored_check = self.cache.stored_check
         for loc, value, dirty in self.cache.iter_units():
             if not dirty:
                 continue
             cls = self.class_of(loc)
             if self.registers.pair_index_of_class(cls) != pair_index:
                 continue
-            check = self.cache.line(loc.set_index, loc.way).check[loc.unit_index]
-            if self.inspect(value, check).detected:
+            if self.inspect(value, stored_check(loc)).detected:
                 raise UncorrectableError(
                     "cppc: cannot rebuild a faulty register while dirty "
                     f"word {loc} is itself faulty (Section 4.9 caveat)",

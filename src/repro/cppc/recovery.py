@@ -111,6 +111,7 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
     # collecting the ones whose parity check fails.
     dirty_by_pair: Dict[int, List[Tuple[UnitLocation, int, int]]] = {}
     faulty_by_pair: Dict[int, List[FaultyUnit]] = {}
+    stored_check = cache.stored_check
     for loc, value, dirty in cache.iter_units():
         report.units_scanned += 1
         if not dirty:
@@ -118,8 +119,7 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
         cls = scheme.class_of(loc)
         pair_index = scheme.registers.pair_index_of_class(cls)
         dirty_by_pair.setdefault(pair_index, []).append((loc, value, cls))
-        check = cache.line(loc.set_index, loc.way).check[loc.unit_index]
-        inspection = scheme.inspect(value, check)
+        inspection = scheme.inspect(value, stored_check(loc))
         if inspection.detected:
             faulty_by_pair.setdefault(pair_index, []).append(
                 FaultyUnit(
@@ -190,9 +190,6 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
         )
         for unit in faulty:
             corrected = unit.stored_value ^ deltas[unit.loc]
-            stored_check = cache.line(
-                unit.loc.set_index, unit.loc.way
-            ).check[unit.loc.unit_index]
             # Sanity-check the reconstruction.  Any parity group still
             # mismatching must be one that flagged originally — that case
             # is a fault in the *check bits* themselves (the data was
@@ -200,7 +197,7 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
             # regenerated on repair).  A mismatch in a group that never
             # flagged means the registers disagree with the evidence: the
             # fault exceeded correction capability.
-            residual = scheme.inspect(corrected, stored_check)
+            residual = scheme.inspect(corrected, stored_check(unit.loc))
             if residual.detected and not (
                 residual.faulty_parities <= unit.faulty_parities
             ):

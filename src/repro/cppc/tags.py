@@ -19,6 +19,7 @@ Attach a :class:`TagCppc` to a :class:`~repro.memsim.Cache` via its
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 from ..coding import InterleavedParity
@@ -55,10 +56,11 @@ class TagCppc:
 
     # ------------------------------------------------------------------
     def attach(self, cache: "Cache") -> None:
-        """Bind to ``cache``; called by the cache constructor."""
+        """Bind to ``cache``; called by the cache constructor.  A weak
+        proxy, so the cache and its tag protection form no cycle."""
         if self.cache is not None:
             raise ConfigurationError("tag protection is already attached")
-        self.cache = cache
+        self.cache = weakref.proxy(cache)
 
     @property
     def valid_tag_xor(self) -> int:
@@ -105,20 +107,17 @@ class TagCppc:
         if self.cache is None:
             raise SimulationError("tag recovery invoked before attach()")
         acc = self.valid_tag_xor
-        for set_index in range(self.cache.num_sets):
-            for way in range(self.cache.ways):
-                if set_index == faulty_set and way == faulty_way:
-                    continue
-                line = self.cache.line(set_index, way)
-                if not line.valid:
-                    continue
-                other = line.tag
-                if self.code.inspect(other, line.tag_check).detected:
-                    raise UncorrectableError(
-                        "tag-cppc: a second concurrent tag fault at "
-                        f"set {set_index} way {way} defeats recovery",
-                    )
-                acc ^= other
+        for set_index, way in self.cache.resident_lines():
+            if set_index == faulty_set and way == faulty_way:
+                continue
+            line = self.cache.line(set_index, way)
+            other = line.tag
+            if self.code.inspect(other, line.tag_check).detected:
+                raise UncorrectableError(
+                    "tag-cppc: a second concurrent tag fault at "
+                    f"set {set_index} way {way} defeats recovery",
+                )
+            acc ^= other
         faulty_line = self.cache.line(faulty_set, faulty_way)
         if self.code.inspect(acc, faulty_line.tag_check).detected:
             raise UncorrectableError(

@@ -326,16 +326,9 @@ def check_chaos(scenario: Scenario) -> List[str]:
             chaos=plan,
         ) as runtime:
             survived = FaultCampaign(config).run(runtime=runtime)
-    problems = [
-        f"trial {i}: chaos={vars(b)!r} baseline={vars(a)!r}"
-        for i, (a, b) in enumerate(zip(baseline.trials, survived.trials))
-        if vars(a) != vars(b)
-    ]
-    if len(baseline.trials) != len(survived.trials):
-        problems.append(
-            f"trial count: chaos={len(survived.trials)} "
-            f"baseline={len(baseline.trials)}"
-        )
+    problems = trial_mismatches(
+        survived.trials, baseline.trials, names=("chaos", "baseline")
+    )
     if survived.failures or not survived.complete:
         problems.append(
             f"chaos campaign did not complete cleanly: "

@@ -478,19 +478,26 @@ class FaultCampaign:
 
 
 def trial_mismatches(
-    fast: Sequence[TrialResult], legacy: Sequence[TrialResult], first: int = 0
+    run: Sequence[TrialResult],
+    reference: Sequence[TrialResult],
+    first: int = 0,
+    names: Tuple[str, str] = ("fast", "legacy"),
 ) -> List[str]:
-    """How a snapshot-fork campaign diverges from the legacy loop.
+    """How one campaign run's trials diverge from a reference run's.
 
     Compares the two runs' per-trial results (numbered from ``first``)
     and their trial counts; returns one line per mismatch, so an empty
-    list means the runs are bit-identical.
+    list means the runs are bit-identical.  ``names`` labels the run and
+    the reference in the messages: by default the snapshot-fork path
+    against the legacy loop, ``("chaos", "baseline")`` for a chaos run
+    against its chaos-free baseline.
     """
+    mine, theirs = names
     problems = [
-        f"trial {first + i}: fast={vars(b)!r} legacy={vars(a)!r}"
-        for i, (a, b) in enumerate(zip(legacy, fast))
+        f"trial {first + i}: {mine}={vars(b)!r} {theirs}={vars(a)!r}"
+        for i, (a, b) in enumerate(zip(reference, run))
         if vars(a) != vars(b)
     ]
-    if len(fast) != len(legacy):
-        problems.append(f"trial count: fast={len(fast)} legacy={len(legacy)}")
+    if len(run) != len(reference):
+        problems.append(f"trial count: {mine}={len(run)} {theirs}={len(reference)}")
     return problems

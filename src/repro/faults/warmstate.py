@@ -10,12 +10,12 @@ that prefix exactly once and captures everything a trial needs:
 * the materialized post-warmup suffix records, and
 * the cycle clock at the fork point.
 
-:meth:`WarmState.fork` then rebuilds a live hierarchy in milliseconds —
-restore into a freshly constructed hierarchy is far cheaper than
-re-simulating thousands of references — and the forked trial is
-bit-identical to a legacy warm-every-trial one (same resident units in
-the same iteration order, so the per-trial injection RNG sees the same
-sample space; same statistics baselines; same cycle clock).
+:meth:`WarmState.fork` then rebuilds a live hierarchy with a few slice
+copies per cache instead of re-simulating thousands of references, and
+the forked trial is bit-identical to a legacy warm-every-trial one (same
+resident units in the same iteration order, so the per-trial injection
+RNG sees the same sample space; same statistics baselines; same cycle
+clock).
 
 Where the L1 scheme is batch-compatible (CPPC over 64-bit units under
 LRU — the configuration :mod:`repro.memsim.batch` vectorizes), the
@@ -89,7 +89,13 @@ class WarmState:
     size_bytes: int = 0
 
     def fork(self) -> Tuple[MemoryHierarchy, GoldenMemory, TraceReplayer]:
-        """A fresh live ``(hierarchy, golden, replayer)`` at the fork point."""
+        """A fresh live ``(hierarchy, golden, replayer)`` at the fork point.
+
+        The hierarchy's caches hold flat per-cache containers, so the
+        fork allocates a bounded number of objects whatever the warm
+        state's size, and holds no reference cycle: it is freed as soon
+        as the trial drops it.
+        """
         hierarchy = MemoryHierarchy(protection_factory=self.config.scheme_factory)
         restore_hierarchy(self.snapshot, hierarchy)
         golden = GoldenMemory()
@@ -173,16 +179,20 @@ def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> 
         else:
             hierarchy.l2.write_block(addr, _words_to_bytes(words), cycle=now)
 
+    upb = l1.units_per_block
     for (set_index, way), state in result.lines.items():
-        ln = l1.line(set_index, way)
-        ln.valid = True
-        ln.tag = state.tag
-        ln.data[:] = state.data
-        ln.dirty = list(state.dirty)
-        ln.check = list(state.check)
-        ln.last_dirty_access = list(capture.line_last[set_index][way])
+        u0 = (set_index * l1.ways + way) * upb
+        l1.install_line(
+            set_index,
+            way,
+            state.tag,
+            state.data,
+            state.dirty,
+            state.check,
+            capture.line_last[u0 : u0 + upb],
+        )
     for set_index, order in capture.lru.items():
-        l1.policy._order[set_index] = list(order)
+        l1.policy.set_recency_order(set_index, order)
     stats = result.stats
     # The scalar cache keeps integer cycle stamps; normalize the one
     # float the reducer produces so snapshots compare field-for-field.

@@ -2,7 +2,7 @@
 
 from .address import AddressMapper
 from .buffers import BoundedQueue, PendingStore, PendingVictim, StoreBuffer, VictimBuffer
-from .cache import Cache, CacheLine
+from .cache import Cache, LineView
 from .coherence import BusStats, CoherentSystem, small_coherent_config
 from .hierarchy import (
     PAPER_CONFIG,
@@ -33,7 +33,6 @@ from .scrub import EarlyWritebackScrubber, ScrubberStats
 from .snapshot import (
     CacheSnapshot,
     HierarchySnapshot,
-    LineSnapshot,
     MemorySnapshot,
     PolicySnapshot,
     SnapshotCache,
@@ -70,7 +69,6 @@ __all__ = [
     "snapshot_scalar_cache",
     "CacheSnapshot",
     "HierarchySnapshot",
-    "LineSnapshot",
     "MemorySnapshot",
     "PolicySnapshot",
     "SnapshotCache",
@@ -86,7 +84,7 @@ __all__ = [
     "StoreBuffer",
     "VictimBuffer",
     "Cache",
-    "CacheLine",
+    "LineView",
     "BusStats",
     "CoherentSystem",
     "small_coherent_config",

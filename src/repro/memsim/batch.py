@@ -262,8 +262,9 @@ class ReplayCapture:
             (stable, so a miss's read precedes its victim's write-back,
             exactly the scalar ``Cache`` order).
         lru: final MRU-to-LRU way order per touched set.
-        line_last: final ``[set][way] -> [unit] -> last dirty cycle``
-            state (None for never-filled ways).
+        line_last: final last-dirty cycle of every unit, flat —
+            unit ``u`` of (set, way) at ``(set * ways + way) *
+            units_per_block + u`` (None where no dirty stamp is live).
         slot_addr: byte address of each memory-image slot.
         final_cycle: cycle of the last access (0 for an empty trace).
         dirty_stores: access indices of stores that hit an already-dirty
@@ -485,18 +486,17 @@ class BatchReplayEngine:
         # memory-image slot so the replay loop never hashes an address.
         block_addrs = trace.addr >> (self.block_bytes.bit_length() - 1)
         unique_blocks, inverse = np.unique(block_addrs, return_inverse=True)
-        upb = self.units_per_block
         block_slot = state.block_slot
-        lookup = np.empty(len(unique_blocks), dtype=np.int64)
-        for j, block in enumerate(unique_blocks.tolist()):
-            slot = block_slot.get(block)
-            if slot is None:
-                slot = len(state.memimg)
-                block_slot[block] = slot
-                state.slot_blocks.append(block)
-                state.memimg.append([0] * upb)
-            lookup[j] = slot
-        mem_slot = lookup[inverse]
+        slot_blocks = state.slot_blocks
+        blocks = unique_blocks.tolist()
+        for block in blocks:
+            if block not in block_slot:
+                block_slot[block] = len(slot_blocks)
+                slot_blocks.append(block)
+        grow = self.units_per_block * len(slot_blocks) - len(state.memimg)
+        state.memimg.extend([0] * grow)
+        lookup = [block_slot[block] for block in blocks]
+        mem_slot = np.array(lookup, dtype=np.int64)[inverse]
 
         r1_vals: List[int] = []
         r1_cls: List[int] = []
@@ -507,7 +507,30 @@ class BatchReplayEngine:
         delta_val: List[int] = []
 
         order = np.argsort(set_idx, kind="stable")
-        bounds = np.searchsorted(set_idx[order], np.arange(self.num_sets + 1))
+        bounds = np.searchsorted(set_idx[order], np.arange(self.num_sets + 1)).tolist()
+        # Every column in set order once, so each set below takes plain
+        # slices (views) instead of gathering its own rows.
+        columns = (
+            order + offset,
+            tags[order],
+            units[order],
+            classes[order],
+            trace.is_store[order],
+            cycles[order],
+            mem_slot[order],
+            trace.value_word[order],
+            trace.value_mask[order],
+        )
+        del tags, units, classes, mem_slot  # only the set-ordered copies live on
+        lines = (
+            state.line_tag,
+            state.line_data,
+            state.line_dirty,
+            state.line_last,
+            state.line_slot,
+            state.line_ndirty,
+            state.lru,
+        )
         if obs is None:
             # Uninstrumented path: one span, zero timing calls.
             set_ranges = [(0, self.num_sets)]
@@ -527,32 +550,15 @@ class BatchReplayEngine:
         for c0, c1 in set_ranges:
             t_chunk = time.perf_counter() if obs is not None else 0.0
             for s in range(c0, c1):
-                lo, hi = int(bounds[s]), int(bounds[s + 1])
+                lo, hi = bounds[s], bounds[s + 1]
                 if lo == hi:
                     continue
                 state.touched.add(s)
-                sub = order[lo:hi]
                 self._replay_set(
                     s,
-                    (sub + offset).tolist(),
-                    tags[sub].tolist(),
-                    units[sub].tolist(),
-                    classes[sub].tolist(),
-                    trace.is_store[sub].tolist(),
-                    cycles[sub].tolist(),
-                    mem_slot[sub].tolist(),
-                    trace.value_word[sub].tolist(),
-                    trace.value_mask[sub].tolist(),
+                    *[column[lo:hi].tolist() for column in columns],
                     state.memimg,
-                    (
-                        state.line_tag[s],
-                        state.line_data[s],
-                        state.line_dirty[s],
-                        state.line_last[s],
-                        state.line_slot[s],
-                        state.line_ndirty[s],
-                        state.lru[s],
-                    ),
+                    lines,
                     state.counters,
                     r1_vals,
                     r1_cls,
@@ -631,8 +637,10 @@ class BatchReplayEngine:
             capture.line_last = state.line_last
             capture.slot_addr = [int(b) * bb for b in state.slot_blocks]
             capture.final_cycle = state.last_cycle
+            ways = self.ways
             for s in sorted(state.touched):
-                capture.lru[s] = state.lru[s]
+                base = s * ways
+                capture.lru[s] = [ln - base for ln in state.lru[base : base + ways]]
 
     def _finish(self, state: "_ReplayState") -> BatchReplayResult:
         """Fold the accumulated state into the result bundle."""
@@ -734,8 +742,8 @@ class BatchReplayEngine:
         slots: List[int],
         words: List[int],
         masks: List[int],
-        memimg: List[List[int]],
-        state,
+        memimg: List[int],
+        lines,
         c: "_Counters",
         r1_vals: List[int],
         r1_cls: List[int],
@@ -752,14 +760,19 @@ class BatchReplayEngine:
         exactly one set, so cache *and* memory-image state touched here
         is disjoint from every other set's.  The per-access work is a
         handful of integer operations; everything reducible is deferred
-        to the bulk phases.  ``state`` (including the LRU order) lives in
-        the caller's :class:`_ReplayState`, so consecutive chunks of one
-        streamed trace resume exactly where the previous chunk stopped.
+        to the bulk phases.  ``lines`` (including the LRU order) is the
+        caller's flat :class:`_ReplayState` storage, so consecutive
+        chunks of one streamed trace resume exactly where the previous
+        chunk stopped.
         """
-        ltag, ldata, ldirty, llast, lslot, lndirty, lru = state
+        ltag, ldata, ldirty, llast, lslot, lndirty, lru = lines
         ways = self.ways
-        way_range = range(ways)
+        base = s * ways
+        lru_tail = base + ways - 1
+        line_range = range(base, base + ways)
         upb = self.units_per_block
+        clean = [False] * upb
+        unstamped = [None] * upb
         num_classes = self.num_classes
         cls_base = (s * upb) % num_classes
         r1v = r1_vals.append
@@ -777,7 +790,7 @@ class BatchReplayEngine:
         ):
             # Tag match across the ways (scalar Cache._find order).
             w = -1
-            for cand in way_range:
+            for cand in line_range:
                 if ltag[cand] == t:
                     w = cand
                     break
@@ -796,21 +809,22 @@ class BatchReplayEngine:
                     ev((i, 0, slot, now, None))
                 # Victim: first invalid way, else LRU tail.
                 v = -1
-                for cand in way_range:
+                for cand in line_range:
                     if ltag[cand] == -1:
                         v = cand
                         break
                 if v < 0:
-                    v = lru[-1]
+                    v = lru[lru_tail]
                     nd = lndirty[v]
                     if nd:
-                        victim_data = ldata[v]
-                        victim_dirty = ldirty[v]
+                        d0 = v * upb
+                        victim_data = ldata[d0 : d0 + upb]
                         for uu in range(upb):
-                            if victim_dirty[uu]:
+                            if ldirty[d0 + uu]:
                                 r2v(victim_data[uu])
                                 r2c((cls_base + uu) % num_classes)
-                        memimg[lslot[v]] = victim_data
+                        m0 = lslot[v] * upb
+                        memimg[m0 : m0 + upb] = victim_data
                         if ev is not None:
                             ev((i, 1, lslot[v], now, victim_data))
                         c.mem_writes += 1
@@ -821,19 +835,19 @@ class BatchReplayEngine:
                     else:
                         c.evictions_clean += 1
                 ltag[v] = t
-                ldata[v] = memimg[slot][:]
-                ldirty[v] = [False] * upb
-                llast[v] = [None] * upb
+                d0 = v * upb
+                m0 = slot * upb
+                ldata[d0 : d0 + upb] = memimg[m0 : m0 + upb]
+                ldirty[d0 : d0 + upb] = clean
+                llast[d0 : d0 + upb] = unstamped
                 lslot[v] = slot
                 lndirty[v] = 0
                 c.fills += 1
                 w = v
-            drow = ldirty[w]
-            was_dirty = drow[u]
+            ui = w * upb + u
+            was_dirty = ldirty[ui]
             if st:
-                vrow = ldata[w]
-                lrow = llast[w]
-                old = vrow[u]
+                old = ldata[ui]
                 if was_dirty:
                     c.stores_to_dirty += 1
                     c.read_before_writes += 1
@@ -844,43 +858,46 @@ class BatchReplayEngine:
                 new = (old & ~msk) | word
                 r1v(new)
                 r1c(cls_i)
-                vrow[u] = new
+                ldata[ui] = new
                 if not was_dirty:
-                    drow[u] = True
+                    ldirty[ui] = True
                     lndirty[w] += 1
                     dia(i)
                     dva(1)
-                last = lrow[u]
+                last = llast[ui]
                 if last is not None:
                     iva(now - last)
-                lrow[u] = now
+                llast[ui] = now
             elif was_dirty:
-                lrow = llast[w]
-                iva(now - lrow[u])
-                lrow[u] = now
-            if lru[0] != w:
-                lru.remove(w)
-                lru.insert(0, w)
+                iva(now - llast[ui])
+                llast[ui] = now
+            if lru[base] != w:
+                pos = lru.index(w, base)
+                while pos > base:
+                    lru[pos] = lru[pos - 1]
+                    pos -= 1
+                lru[base] = w
 
     def _snapshot_lines(
         self, line_tag, line_data, line_dirty
     ) -> Dict[Tuple[int, int], LineState]:
         """Final per-line state with check words re-encoded in bulk."""
         lines: Dict[Tuple[int, int], LineState] = {}
-        for s in range(self.num_sets):
-            for w in range(self.ways):
-                if line_tag[s][w] == -1:
-                    continue
-                values = np.array(line_data[s][w], dtype=np.uint64)
-                # Fault-free replay of a linear code: the check word of
-                # every unit equals a fresh encode of its value.
-                checks = _fold_check_words(values)
-                lines[(s, w)] = LineState(
-                    tag=line_tag[s][w],
-                    data=values.astype(">u8").tobytes(),
-                    dirty=tuple(line_dirty[s][w]),
-                    check=tuple(int(x) for x in checks),
-                )
+        upb = self.units_per_block
+        for line, tag in enumerate(line_tag):
+            if tag == -1:
+                continue
+            d0 = line * upb
+            values = np.array(line_data[d0 : d0 + upb], dtype=np.uint64)
+            # Fault-free replay of a linear code: the check word of
+            # every unit equals a fresh encode of its value.
+            checks = _fold_check_words(values)
+            lines[divmod(line, self.ways)] = LineState(
+                tag=tag,
+                data=values.astype(">u8").tobytes(),
+                dirty=tuple(line_dirty[d0 : d0 + upb]),
+                check=tuple(int(x) for x in checks),
+            )
         return lines
 
 
@@ -949,18 +966,24 @@ class _ReplayState:
 
     def __init__(self, engine: BatchReplayEngine, capture):
         num_sets, ways = engine.num_sets, engine.ways
+        lines = num_sets * ways
+        units = lines * engine.units_per_block
         self.capture = capture
         self.counters = _Counters()
-        # Per-[set][way] line state, plus per-set MRU-to-LRU way order.
-        self.line_tag = [[-1] * ways for _ in range(num_sets)]
-        self.line_data = [[None] * ways for _ in range(num_sets)]
-        self.line_dirty = [[None] * ways for _ in range(num_sets)]
-        self.line_last = [[None] * ways for _ in range(num_sets)]
-        self.line_slot = [[-1] * ways for _ in range(num_sets)]
-        self.line_ndirty = [[0] * ways for _ in range(num_sets)]
-        self.lru = [list(range(ways)) for _ in range(num_sets)]
+        # Flat line state laid out like the scalar Cache's: line
+        # ``set * ways + way`` (tag -1 while never filled), unit
+        # ``line * units_per_block + unit``; each set's lines in
+        # MRU-to-LRU order at ``lru[set * ways : (set + 1) * ways]``.
+        self.line_tag = [-1] * lines
+        self.line_data = [0] * units
+        self.line_dirty = [False] * units
+        self.line_last = [None] * units
+        self.line_slot = [-1] * lines
+        self.line_ndirty = [0] * lines
+        self.lru = list(range(lines))
         self.touched = set()
-        # Dense memory image, grown as new blocks appear.
+        # Dense memory image, grown as new blocks appear: block slot
+        # ``k`` holds its words at ``memimg[k * units_per_block:]``.
         self.block_slot = {}
         self.slot_blocks = []
         self.memimg = []
@@ -1008,17 +1031,14 @@ class _ReplayState:
 def snapshot_scalar_cache(cache) -> Dict[Tuple[int, int], LineState]:
     """The scalar :class:`Cache`'s lines in :class:`LineState` form."""
     lines: Dict[Tuple[int, int], LineState] = {}
-    for s in range(cache.num_sets):
-        for w in range(cache.ways):
-            ln = cache.line(s, w)
-            if not ln.valid:
-                continue
-            lines[(s, w)] = LineState(
-                tag=ln.tag,
-                data=bytes(ln.data),
-                dirty=tuple(ln.dirty),
-                check=tuple(ln.check),
-            )
+    for s, w in cache.resident_lines():
+        ln = cache.line(s, w)
+        lines[(s, w)] = LineState(
+            tag=ln.tag,
+            data=ln.data,
+            dirty=tuple(ln.dirty),
+            check=tuple(ln.check),
+        )
     return lines
 
 

@@ -9,11 +9,21 @@ A *unit* is the protection granularity: a 64-bit word for an L1 cache, an
 L1-block-sized chunk for an L2 cache (paper Section 3.5).  Dirty bits are
 kept per unit, as the paper requires ("one dirty bit per word in the cache
 tag array").
+
+State lives in flat per-cache containers rather than per-line objects.
+Line ``set_index * ways + way`` owns tag/valid slot ``line`` and unit
+slots ``line * units_per_block`` onward in the dirty, check-word and
+last-dirty-cycle lists; unit slot ``ui`` holds its data bytes at
+``ui * unit_bytes`` of one data ``bytearray``.  A snapshot
+copies a handful of containers and a restore is a handful of slice
+assignments; no per-line object exists for the cyclic collector to scan.
+An invalid line always holds clean units with no dirty-cycle stamp; its
+tag, data and check words may be stale.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError, UncorrectableError
 from .address import AddressMapper
@@ -28,47 +38,20 @@ from .stats import CacheStats
 from .types import AccessResult, UnitLocation
 
 
-class CacheLine:
-    """One cache line: tag, data bytes, per-unit dirty bits and check words."""
+class LineView(NamedTuple):
+    """Copy of one line's state (tests, diagnostics, rare-path readers)."""
 
-    __slots__ = (
-        "tag", "valid", "data", "dirty", "check", "last_dirty_access",
-        "tag_check",
-    )
-
-    def __init__(self, block_bytes: int, units: int):
-        self.tag = 0
-        self.tag_check = 0
-        self.valid = False
-        self.data = bytearray(block_bytes)
-        self.dirty: List[bool] = [False] * units
-        self.check: List[int] = [0] * units
-        self.last_dirty_access: List[Optional[float]] = [None] * units
-
-    @classmethod
-    def resident(
-        cls,
-        tag: int,
-        tag_check: int,
-        data: bytes,
-        dirty: Sequence[bool],
-        check: Sequence[int],
-        last_dirty_access: Sequence[Optional[float]],
-    ) -> "CacheLine":
-        """A valid line holding copies of the given state."""
-        ln = cls.__new__(cls)
-        ln.tag = tag
-        ln.tag_check = tag_check
-        ln.valid = True
-        ln.data = bytearray(data)
-        ln.dirty = list(dirty)
-        ln.check = list(check)
-        ln.last_dirty_access = list(last_dirty_access)
-        return ln
+    valid: bool
+    tag: int
+    tag_check: int
+    data: bytes
+    dirty: List[bool]
+    check: List[int]
+    last_dirty_access: List[Optional[float]]
 
     def any_dirty(self) -> bool:
         """True when at least one unit of the line is dirty."""
-        return any(self.dirty)
+        return True in self.dirty
 
 
 class Cache:
@@ -129,11 +112,20 @@ class Cache:
         self.policy: ReplacementPolicy = make_policy(
             policy, self.num_sets, ways, seed=policy_seed
         )
-        # Line rows are materialized on first touch: a trace only visits
-        # a fraction of a large cache's sets, so eager allocation of
-        # num_sets * ways CacheLine objects would dominate construction
-        # (and snapshot-fork) cost for short-lived hierarchies.
-        self._lines: List[Optional[List[CacheLine]]] = [None] * self.num_sets
+        lines = self.num_sets * ways
+        units = lines * self.units_per_block
+        self._valid = bytearray(lines)
+        self._tags: List[int] = [0] * lines
+        self._tag_checks: Optional[List[int]] = (
+            None if tag_protection is None else [0] * lines
+        )
+        self._data = bytearray(size_bytes)
+        self._dirty: List[bool] = [False] * units
+        self._check: List[int] = [0] * units
+        self._last_dirty: List[Optional[float]] = [None] * units
+        # Slice sources that reset one line's units on eviction/cleaning.
+        self._clean_units = [False] * self.units_per_block
+        self._no_stamps = [None] * self.units_per_block
         self.protection = protection or NoProtection()
         self.protection.attach(self)
         self.tag_protection = tag_protection
@@ -164,83 +156,141 @@ class Cache:
         """Width of one protection unit in bits."""
         return self.unit_bytes * 8
 
-    def _row(self, set_index: int) -> List[CacheLine]:
-        """The (lazily materialized) lines of one set."""
-        row = self._lines[set_index]
-        if row is None:
-            row = self._lines[set_index] = [
-                CacheLine(self.block_bytes, self.units_per_block)
-                for _ in range(self.ways)
-            ]
-        return row
+    def line(self, set_index: int, way: int) -> LineView:
+        """A copy of one line's state (tests and diagnostics)."""
+        line = set_index * self.ways + way
+        upb = self.units_per_block
+        u0 = line * upb
+        off = line * self.block_bytes
+        return LineView(
+            valid=bool(self._valid[line]),
+            tag=self._tags[line],
+            tag_check=0 if self._tag_checks is None else self._tag_checks[line],
+            data=bytes(self._data[off : off + self.block_bytes]),
+            dirty=self._dirty[u0 : u0 + upb],
+            check=self._check[u0 : u0 + upb],
+            last_dirty_access=self._last_dirty[u0 : u0 + upb],
+        )
 
-    def line(self, set_index: int, way: int) -> CacheLine:
-        """Direct access to one line (fault injection and tests)."""
-        return self._row(set_index)[way]
+    def resident_lines(self) -> Iterator[Tuple[int, int]]:
+        """``(set_index, way)`` of every valid line, set by set, way by way."""
+        valid = self._valid
+        ways = self.ways
+        line = valid.find(1)
+        while line >= 0:
+            yield divmod(line, ways)
+            line = valid.find(1, line + 1)
+
+    def stored_check(self, loc: UnitLocation) -> int:
+        """The check word stored for the unit at ``loc``."""
+        line = loc.set_index * self.ways + loc.way
+        return self._check[line * self.units_per_block + loc.unit_index]
+
+    def _line_of(self, addr: int) -> int:
+        """Line index holding ``addr``, or -1 when it is not resident."""
+        base = self.mapper.set_index(addr) * self.ways
+        tag = self.mapper.tag(addr)
+        valid = self._valid
+        tags = self._tags
+        for line in range(base, base + self.ways):
+            if valid[line] and tags[line] == tag:
+                return line
+        return -1
 
     def locate(self, addr: int) -> Optional[UnitLocation]:
         """Location of the unit holding ``addr``, or None if not resident."""
-        set_index = self.mapper.set_index(addr)
-        row = self._lines[set_index]
-        if row is None:
+        line = self._line_of(addr)
+        if line < 0:
             return None
-        tag = self.mapper.tag(addr)
-        for way in range(self.ways):
-            ln = row[way]
-            if ln.valid and ln.tag == tag:
-                return UnitLocation(set_index, way, self.mapper.unit_index(addr))
-        return None
+        set_index, way = divmod(line, self.ways)
+        return UnitLocation(set_index, way, self.mapper.unit_index(addr))
+
+    def peek_byte(self, addr: int) -> Optional[int]:
+        """The byte this level holds at ``addr``, or None if not resident."""
+        line = self._line_of(addr)
+        if line < 0:
+            return None
+        return self._data[line * self.block_bytes + self.mapper.block_offset(addr)]
 
     def address_of(self, loc: UnitLocation) -> int:
         """Byte address of the first byte of the unit at ``loc``."""
-        ln = self._row(loc.set_index)[loc.way]
-        base = self.mapper.rebuild_address(ln.tag, loc.set_index)
+        tag = self._tags[loc.set_index * self.ways + loc.way]
+        base = self.mapper.rebuild_address(tag, loc.set_index)
         return base + loc.unit_index * self.unit_bytes
+
+    def install_line(
+        self,
+        set_index: int,
+        way: int,
+        tag: int,
+        data: bytes,
+        dirty: Sequence[bool],
+        check: Sequence[int],
+        last_dirty_access: Sequence[Optional[float]],
+    ) -> None:
+        """Make (set, way) a valid line holding exactly the given state
+        (``block_bytes`` of data, ``units_per_block`` of each per-unit
+        sequence).
+
+        Bypasses the access path — no protection hook, statistic or
+        replacement update — for warm engines that computed the state
+        elsewhere.
+        """
+        upb = self.units_per_block
+        line = set_index * self.ways + way
+        self._valid[line] = 1
+        self._tags[line] = tag
+        off = line * self.block_bytes
+        self._data[off : off + self.block_bytes] = data
+        u0 = line * upb
+        self._dirty[u0 : u0 + upb] = dirty
+        self._check[u0 : u0 + upb] = check
+        self._last_dirty[u0 : u0 + upb] = last_dirty_access
 
     # ------------------------------------------------------------------
     # Unit-level raw access (fault injection, schemes, tests)
     # ------------------------------------------------------------------
-    def _unit_value(self, ln: CacheLine, unit_index: int) -> int:
-        off = unit_index * self.unit_bytes
-        return int.from_bytes(ln.data[off : off + self.unit_bytes], "big")
+    def _unit_value(self, ui: int) -> int:
+        off = ui * self.unit_bytes
+        return int.from_bytes(self._data[off : off + self.unit_bytes], "big")
 
-    def _set_unit_value(self, ln: CacheLine, unit_index: int, value: int) -> None:
-        off = unit_index * self.unit_bytes
-        ln.data[off : off + self.unit_bytes] = value.to_bytes(self.unit_bytes, "big")
+    def _set_unit_value(self, ui: int, value: int) -> None:
+        off = ui * self.unit_bytes
+        self._data[off : off + self.unit_bytes] = value.to_bytes(self.unit_bytes, "big")
 
-    def _unit_values(self, ln: CacheLine) -> List[int]:
+    def _unit_values(self, line: int) -> List[int]:
         """Every unit value of a line, in unit order."""
-        data = ln.data
+        data = self._data
         ub = self.unit_bytes
+        start = line * self.block_bytes
         return [
             int.from_bytes(data[off : off + ub], "big")
-            for off in range(0, self.block_bytes, ub)
+            for off in range(start, start + self.block_bytes, ub)
         ]
+
+    def _valid_unit(self, loc: UnitLocation, action: str) -> int:
+        """Unit slot of ``loc``; raises when its line is invalid."""
+        line = loc.set_index * self.ways + loc.way
+        if not self._valid[line]:
+            raise SimulationError(f"{self.name}: {action} invalid line {loc}")
+        return line * self.units_per_block + loc.unit_index
 
     def peek_unit(self, loc: UnitLocation) -> Tuple[int, int, bool]:
         """(value, check, dirty) of the unit at ``loc`` without an access."""
-        ln = self._row(loc.set_index)[loc.way]
-        if not ln.valid:
+        line = loc.set_index * self.ways + loc.way
+        if not self._valid[line]:
             raise SimulationError(f"{self.name}: no valid line at {loc}")
-        return (
-            self._unit_value(ln, loc.unit_index),
-            ln.check[loc.unit_index],
-            ln.dirty[loc.unit_index],
-        )
+        ui = line * self.units_per_block + loc.unit_index
+        return self._unit_value(ui), self._check[ui], self._dirty[ui]
 
     def corrupt_data(self, loc: UnitLocation, xor_mask: int) -> None:
         """Flip data bits of a resident unit without touching check bits."""
-        ln = self._row(loc.set_index)[loc.way]
-        if not ln.valid:
-            raise SimulationError(f"{self.name}: cannot corrupt invalid line {loc}")
-        self._set_unit_value(ln, loc.unit_index, self._unit_value(ln, loc.unit_index) ^ xor_mask)
+        ui = self._valid_unit(loc, "cannot corrupt")
+        self._set_unit_value(ui, self._unit_value(ui) ^ xor_mask)
 
     def corrupt_check(self, loc: UnitLocation, xor_mask: int) -> None:
         """Flip stored check bits of a resident unit."""
-        ln = self._row(loc.set_index)[loc.way]
-        if not ln.valid:
-            raise SimulationError(f"{self.name}: cannot corrupt invalid line {loc}")
-        ln.check[loc.unit_index] ^= xor_mask
+        self._check[self._valid_unit(loc, "cannot corrupt")] ^= xor_mask
 
     def reset_stats(self) -> None:
         """Zero the statistics while keeping cache contents (post-warmup).
@@ -264,12 +314,12 @@ class Cache:
 
     def corrupt_tag(self, set_index: int, way: int, xor_mask: int) -> None:
         """Flip bits of a stored tag (tag-array fault injection)."""
-        ln = self._row(set_index)[way]
-        if not ln.valid:
+        line = set_index * self.ways + way
+        if not self._valid[line]:
             raise SimulationError(
                 f"{self.name}: cannot corrupt the tag of an invalid line"
             )
-        ln.tag ^= xor_mask
+        self._tags[line] ^= xor_mask
 
     def repair_unit(self, loc: UnitLocation, value: int) -> None:
         """Overwrite a unit with its recovered value and fresh check bits.
@@ -278,28 +328,34 @@ class Cache:
         whose access triggered recovery (e.g. CPPC spatial multi-bit
         correction fixes several words in one recovery pass).
         """
-        ln = self._row(loc.set_index)[loc.way]
-        if not ln.valid:
-            raise SimulationError(f"{self.name}: cannot repair invalid line {loc}")
-        self._set_unit_value(ln, loc.unit_index, value)
-        ln.check[loc.unit_index] = self.protection.encode(value)
+        ui = self._valid_unit(loc, "cannot repair")
+        self._set_unit_value(ui, value)
+        self._check[ui] = self.protection.encode(value)
         self.stats.corrected_faults += 1
 
     def iter_units(self) -> Iterator[Tuple[UnitLocation, int, bool]]:
-        """Yield ``(location, value, dirty)`` for every valid unit."""
-        for set_index, row in enumerate(self._lines):
-            if row is None:
-                continue
-            for way in range(self.ways):
-                ln = row[way]
-                if not ln.valid:
-                    continue
-                for u in range(self.units_per_block):
-                    yield (
-                        UnitLocation(set_index, way, u),
-                        self._unit_value(ln, u),
-                        ln.dirty[u],
-                    )
+        """Yield ``(location, value, dirty)`` for every valid unit, set by
+        set, way by way, unit by unit."""
+        valid = self._valid
+        data = self._data
+        dirty = self._dirty
+        ways = self.ways
+        upb = self.units_per_block
+        ub = self.unit_bytes
+        bb = self.block_bytes
+        line = valid.find(1)
+        while line >= 0:
+            set_index, way = divmod(line, ways)
+            ui = line * upb
+            off = line * bb
+            for u in range(upb):
+                yield (
+                    UnitLocation(set_index, way, u),
+                    int.from_bytes(data[off : off + ub], "big"),
+                    dirty[ui + u],
+                )
+                off += ub
+            line = valid.find(1, line + 1)
 
     def iter_dirty_units(self) -> Iterator[Tuple[UnitLocation, int]]:
         """Yield ``(location, value)`` for every dirty unit."""
@@ -313,36 +369,34 @@ class Cache:
         units = range(self.units_per_block)
         return [
             UnitLocation(set_index, way, u)
-            for set_index, row in enumerate(self._lines)
-            if row is not None
-            for way, ln in enumerate(row)
-            if ln.valid
+            for set_index, way in self.resident_lines()
             for u in units
         ]
 
     def dirty_unit_count(self) -> int:
         """Number of currently dirty units."""
-        return sum(1 for _ in self.iter_dirty_units())
+        # Invalid lines hold only clean units.
+        return self._dirty.count(True)
 
     # ------------------------------------------------------------------
     # Verification plumbing
     # ------------------------------------------------------------------
-    def _verify_unit(
-        self, ln: CacheLine, set_index: int, way: int, unit_index: int
-    ) -> bool:
-        """Check one unit; repair or refetch on detection.
+    def _verify_unit(self, ui: int, set_index: int, way: int, unit_index: int) -> bool:
+        """Check the unit in slot ``ui``; repair or refetch on detection.
 
         Returns True when a fault was detected (and handled).  Raises
         :class:`UncorrectableError` on a DUE.
         """
-        value = self._unit_value(ln, unit_index)
-        check = ln.check[unit_index]
+        ub = self.unit_bytes
+        off = ui * ub
+        value = int.from_bytes(self._data[off : off + ub], "big")
+        check = self._check[ui]
         inspection = self.protection.inspect(value, check)
         if not inspection.detected:
             return False
         loc = UnitLocation(set_index, way, unit_index)
         self.stats.detected_faults += 1
-        dirty = ln.dirty[unit_index]
+        dirty = self._dirty[ui]
         if self._obs_on:
             self._obs.emit(
                 "cache",
@@ -350,17 +404,17 @@ class Cache:
                 {"level": self.name, "loc": list(loc), "dirty": dirty},
             )
         resolution = self.protection.handle_fault(loc, value, check, inspection, dirty)
-        self._apply_resolution(ln, loc, resolution)
+        self._apply_resolution(ui, loc, resolution)
         return True
 
     def _apply_resolution(
-        self, ln: CacheLine, loc: UnitLocation, resolution: FaultResolution
+        self, ui: int, loc: UnitLocation, resolution: FaultResolution
     ) -> None:
         if resolution.kind is Resolution.CORRECTED:
             if resolution.value is None:
                 raise SimulationError("corrected resolution without a value")
-            self._set_unit_value(ln, loc.unit_index, resolution.value)
-            ln.check[loc.unit_index] = self.protection.encode(resolution.value)
+            self._set_unit_value(ui, resolution.value)
+            self._check[ui] = self.protection.encode(resolution.value)
             self.stats.corrected_faults += 1
             if self._obs_on:
                 self._obs.emit(
@@ -370,7 +424,7 @@ class Cache:
                 )
             return
         if resolution.kind is Resolution.REFETCH:
-            if ln.dirty[loc.unit_index]:
+            if self._dirty[ui]:
                 raise SimulationError(
                     f"{self.name}: refetch resolution for dirty unit {loc}"
                 )
@@ -378,12 +432,13 @@ class Cache:
                 raise UncorrectableError(
                     f"{self.name}: clean fault at {loc} but no next level to refetch"
                 )
-            base = self.mapper.rebuild_address(ln.tag, loc.set_index)
+            tag = self._tags[ui // self.units_per_block]
+            base = self.mapper.rebuild_address(tag, loc.set_index)
             block = self.next_level.read_block(base, cycle=self._access_counter)
             off = loc.unit_index * self.unit_bytes
             fresh = int.from_bytes(block[off : off + self.unit_bytes], "big")
-            self._set_unit_value(ln, loc.unit_index, fresh)
-            ln.check[loc.unit_index] = self.protection.encode(fresh)
+            self._set_unit_value(ui, fresh)
+            self._check[ui] = self.protection.encode(fresh)
             self.stats.corrected_faults += 1
             self.stats.refetch_corrections += 1
             if self._obs_on:
@@ -399,60 +454,66 @@ class Cache:
     # Lookup / fill / evict
     # ------------------------------------------------------------------
     def _find(self, set_index: int, tag: int) -> Optional[int]:
-        row = self._lines[set_index]
-        if row is None:
+        base = set_index * self.ways
+        tags = self._tags
+        tag_protection = self.tag_protection
+        if tag_protection is None:
+            for line in range(base, base + self.ways):
+                if tags[line] == tag and self._valid[line]:
+                    return line - base
             return None
-        for way in range(self.ways):
-            ln = row[way]
-            if not ln.valid:
+        # Every valid way's tag is checked, in way order, up to the match.
+        for line in range(base, base + self.ways):
+            if not self._valid[line]:
                 continue
-            if self.tag_protection is not None:
-                recovered = self.tag_protection.verify(
-                    set_index, way, ln.tag, ln.tag_check
-                )
-                if recovered is not None:
-                    ln.tag = recovered
-                    self.stats.corrected_faults += 1
-                    self.stats.detected_faults += 1
-            if ln.tag == tag:
-                return way
+            recovered = tag_protection.verify(
+                set_index, line - base, tags[line], self._tag_checks[line]
+            )
+            if recovered is not None:
+                tags[line] = recovered
+                self.stats.corrected_faults += 1
+                self.stats.detected_faults += 1
+            if tags[line] == tag:
+                return line - base
         return None
 
     def _pick_victim(self, set_index: int) -> int:
-        row = self._row(set_index)
-        for way in range(self.ways):
-            if not row[way].valid:
-                return way
+        base = set_index * self.ways
+        empty = self._valid.find(0, base, base + self.ways)
+        if empty >= 0:
+            return empty - base
         return self.policy.victim(set_index)
 
     def _evict(self, set_index: int, way: int) -> bool:
         """Remove the line at (set, way).  Returns True on a dirty writeback."""
-        ln = self._row(set_index)[way]
-        if not ln.valid:
+        line = set_index * self.ways + way
+        if not self._valid[line]:
             return False
-        wrote_back = False
-        if ln.any_dirty():
+        upb = self.units_per_block
+        u0 = line * upb
+        # Checking units on the way out repairs data, never dirty bits.
+        dirty_units = self._dirty[u0 : u0 + upb]
+        dirty_count = dirty_units.count(True)
+        wrote_back = dirty_count > 0
+        if wrote_back:
             # The whole block is read for write-back; every unit is
             # therefore checked on the way out.
-            for u in range(self.units_per_block):
-                self._verify_unit(ln, set_index, way, u)
+            for u in range(upb):
+                self._verify_unit(u0 + u, set_index, way, u)
             if self.next_level is None:
-                raise SimulationError(
-                    f"{self.name}: dirty eviction with no next level"
-                )
-            base = self.mapper.rebuild_address(ln.tag, set_index)
+                raise SimulationError(f"{self.name}: dirty eviction with no next level")
+            base = self.mapper.rebuild_address(self._tags[line], set_index)
+            off = line * self.block_bytes
             self.next_level.write_block(
-                base, bytes(ln.data), cycle=self._access_counter
+                base,
+                bytes(self._data[off : off + self.block_bytes]),
+                cycle=self._access_counter,
             )
             self.stats.writebacks += 1
             self.stats.evictions_dirty += 1
-            wrote_back = True
         else:
             self.stats.evictions_clean += 1
-        self.protection.on_evict(
-            set_index, way, self._unit_values(ln), list(ln.dirty)
-        )
-        dirty_count = sum(ln.dirty)
+        self.protection.on_evict(set_index, way, self._unit_values(line), dirty_units)
         if dirty_count:
             self.stats.dirty_units_changed(-dirty_count)
         if self._obs_on:
@@ -468,26 +529,33 @@ class Cache:
                 },
             )
         if self.tag_protection is not None:
-            self.tag_protection.on_remove(ln.tag)
-        ln.valid = False
-        ln.dirty = [False] * self.units_per_block
-        ln.last_dirty_access = [None] * self.units_per_block
+            self.tag_protection.on_remove(self._tags[line])
+        self._valid[line] = 0
+        self._dirty[u0 : u0 + upb] = self._clean_units
+        self._last_dirty[u0 : u0 + upb] = self._no_stamps
         self.policy.invalidate(set_index, way)
         return wrote_back
 
     def _fill(self, set_index: int, tag: int, block: bytes) -> int:
+        if len(block) != self.block_bytes:
+            raise SimulationError(
+                f"{self.name}: fill of {len(block)}B into a "
+                f"{self.block_bytes}B line"
+            )
         way = self._pick_victim(set_index)
         self._evict(set_index, way)
-        ln = self._row(set_index)[way]
-        ln.valid = True
-        ln.tag = tag
+        line = set_index * self.ways + way
+        self._valid[line] = 1
+        self._tags[line] = tag
         if self.tag_protection is not None:
-            ln.tag_check = self.tag_protection.encode(tag)
+            self._tag_checks[line] = self.tag_protection.encode(tag)
             self.tag_protection.on_insert(tag)
-        ln.data[:] = block
-        values = self._unit_values(ln)
+        off = line * self.block_bytes
+        self._data[off : off + self.block_bytes] = block
+        values = self._unit_values(line)
         encode = self.protection.encode
-        ln.check[:] = [encode(v) for v in values]
+        u0 = line * self.units_per_block
+        self._check[u0 : u0 + self.units_per_block] = [encode(v) for v in values]
         self.protection.on_fill(set_index, way, values)
         self.stats.fills += 1
         self.policy.fill(set_index, way)
@@ -506,13 +574,11 @@ class Cache:
         self.stats.advance_to(cycle)
         return cycle
 
-    def _touch_dirty_interval(
-        self, ln: CacheLine, unit_index: int, cycle: float
-    ) -> None:
-        last = ln.last_dirty_access[unit_index]
+    def _touch_dirty_interval(self, ui: int, cycle: float) -> None:
+        last = self._last_dirty[ui]
         if last is not None:
             self.stats.record_dirty_interval(cycle - last)
-        ln.last_dirty_access[unit_index] = cycle
+        self._last_dirty[ui] = cycle
 
     def load(self, addr: int, size: int, cycle: Optional[float] = None) -> AccessResult:
         """Read ``size`` bytes at ``addr`` (naturally aligned, one line)."""
@@ -542,19 +608,22 @@ class Cache:
             writebacks_before = self.stats.writebacks
             way = self._fill(set_index, tag, block)
             wrote_back = self.stats.writebacks > writebacks_before
-        ln = self._row(set_index)[way]
+        u0 = (set_index * self.ways + way) * self.units_per_block
+        dirty = self._dirty
         detected = False
         off = mapper.block_offset(addr)
         ub = self.unit_bytes
         for u in range(off // ub, (off + size - 1) // ub + 1):
-            if self._verify_unit(ln, set_index, way, u):
+            ui = u0 + u
+            if self._verify_unit(ui, set_index, way, u):
                 detected = True
-            if ln.dirty[u]:
-                self._touch_dirty_interval(ln, u, now)
+            if dirty[ui]:
+                self._touch_dirty_interval(ui, now)
         self.policy.touch(set_index, way)
+        start = u0 * ub + off
         return AccessResult(
             hit=hit,
-            data=bytes(ln.data[off : off + size]),
+            data=bytes(self._data[start : start + size]),
             writeback=wrote_back,
             detected_fault=detected,
         )
@@ -599,13 +668,18 @@ class Cache:
             writebacks_before = self.stats.writebacks
             way = self._fill(set_index, tag, block)
             wrote_back = self.stats.writebacks > writebacks_before
-        ln = self._row(set_index)[way]
+        u0 = (set_index * self.ways + way) * self.units_per_block
+        stored = self._data
+        dirty = self._dirty
+        check = self._check
+        protection = self.protection
         detected = False
         off = mapper.block_offset(addr)
         ub = self.unit_bytes
         for u in range(off // ub, (off + size - 1) // ub + 1):
+            ui = u0 + u
             loc = UnitLocation(set_index, way, u)
-            was_dirty = ln.dirty[u]
+            was_dirty = dirty[ui]
             if was_dirty:
                 self.stats.stores_to_dirty_units += 1
             unit_off = u * ub
@@ -613,35 +687,51 @@ class Cache:
             lo = max(off, unit_off)
             hi = min(off + size, unit_end)
             full_overwrite = lo == unit_off and hi == unit_end
-            if self.protection.verify_on_store(was_dirty, not full_overwrite):
+            if protection.verify_on_store(was_dirty, not full_overwrite):
                 # The old value is read (read-before-write); its parity is
                 # checked so a latent fault cannot silently pollute the
                 # scheme's correction state.
-                if self._verify_unit(ln, set_index, way, u):
+                if self._verify_unit(ui, set_index, way, u):
                     detected = True
-            unit = ln.data[unit_off:unit_end]
+            uoff = ui * ub
+            unit = stored[uoff : uoff + ub]
             old = int.from_bytes(unit, "big")
             unit[lo - unit_off : hi - unit_off] = data[lo - off : hi - off]
             new = int.from_bytes(unit, "big")
-            self.protection.on_unit_write(loc, old, new, was_dirty)
-            ln.data[unit_off:unit_end] = unit
+            protection.on_unit_write(loc, old, new, was_dirty)
+            stored[uoff : uoff + ub] = unit
             if full_overwrite:
-                ln.check[u] = self.protection.encode(new)
+                check[ui] = protection.encode(new)
             else:
                 # A partial store updates the check bits by the delta of
                 # the written bytes (the codes are linear), exactly like
                 # hardware's parity read-modify-write.  A latent fault in
                 # the unwritten bytes therefore stays detectable instead
                 # of being silently re-encoded as valid.
-                ln.check[u] ^= self.protection.encode(old ^ new)
+                check[ui] ^= protection.encode(old ^ new)
             if not was_dirty:
-                ln.dirty[u] = True
+                dirty[ui] = True
                 self.stats.dirty_units_changed(+1)
-            self._touch_dirty_interval(ln, u, now)
+            self._touch_dirty_interval(ui, now)
         self.policy.touch(set_index, way)
         if self.write_through:
             self._write_through_line(set_index, way, now)
         return AccessResult(hit=hit, writeback=wrote_back, detected_fault=detected)
+
+    def _clean_in_place(self, set_index: int, way: int) -> None:
+        """Hand a resident line's dirty units to the scheme and mark them
+        clean; the line stays valid."""
+        line = set_index * self.ways + way
+        upb = self.units_per_block
+        u0 = line * upb
+        dirty_units = self._dirty[u0 : u0 + upb]
+        dirty_count = sum(dirty_units)
+        if not dirty_count:
+            return
+        self.protection.on_cleaned(set_index, way, self._unit_values(line), dirty_units)
+        self.stats.dirty_units_changed(-dirty_count)
+        self._dirty[u0 : u0 + upb] = self._clean_units
+        self._last_dirty[u0 : u0 + upb] = self._no_stamps
 
     def _write_through_line(self, set_index: int, way: int, now: float) -> None:
         """Propagate a just-written line to the next level and clean it.
@@ -649,25 +739,20 @@ class Cache:
         Write-through keeps no dirty data (the reason parity alone is
         adequate for write-through L1 caches, paper Section 1).
         """
-        ln = self._row(set_index)[way]
-        base = self.mapper.rebuild_address(ln.tag, set_index)
-        self.next_level.write_block(base, bytes(ln.data), cycle=now)
+        line = set_index * self.ways + way
+        base = self.mapper.rebuild_address(self._tags[line], set_index)
+        off = line * self.block_bytes
+        self.next_level.write_block(
+            base, bytes(self._data[off : off + self.block_bytes]), cycle=now
+        )
         self.stats.write_throughs += 1
         if self._obs_on:
             self._obs.emit(
                 "cache",
                 "writeback",
-                {"level": self.name, "set": set_index, "way": way,
-                 "through": True},
+                {"level": self.name, "set": set_index, "way": way, "through": True},
             )
-        dirty_count = sum(ln.dirty)
-        if dirty_count:
-            self.protection.on_cleaned(
-                set_index, way, self._unit_values(ln), list(ln.dirty)
-            )
-            self.stats.dirty_units_changed(-dirty_count)
-            ln.dirty = [False] * self.units_per_block
-            ln.last_dirty_access = [None] * self.units_per_block
+        self._clean_in_place(set_index, way)
 
     # ------------------------------------------------------------------
     # Next-level interface (used by an upper cache)
@@ -691,23 +776,25 @@ class Cache:
         The mechanism behind early write-back schemes ([2, 15] in the
         paper) and coherence downgrades.  Returns True when data moved.
         """
-        ln = self._row(set_index)[way]
-        if not ln.valid or not ln.any_dirty():
+        line = set_index * self.ways + way
+        upb = self.units_per_block
+        u0 = line * upb
+        if not self._valid[line] or True not in self._dirty[u0 : u0 + upb]:
             return False
         # The line is read for the write-back, so every unit is checked.
-        for u in range(self.units_per_block):
-            self._verify_unit(ln, set_index, way, u)
+        for u in range(upb):
+            self._verify_unit(u0 + u, set_index, way, u)
         if self.next_level is None:
             raise SimulationError(f"{self.name}: cannot clean with no next level")
-        base = self.mapper.rebuild_address(ln.tag, set_index)
-        self.next_level.write_block(base, bytes(ln.data), cycle=self._access_counter)
-        self.stats.writebacks += 1
-        self.protection.on_cleaned(
-            set_index, way, self._unit_values(ln), list(ln.dirty)
+        base = self.mapper.rebuild_address(self._tags[line], set_index)
+        off = line * self.block_bytes
+        self.next_level.write_block(
+            base,
+            bytes(self._data[off : off + self.block_bytes]),
+            cycle=self._access_counter,
         )
-        self.stats.dirty_units_changed(-sum(ln.dirty))
-        ln.dirty = [False] * self.units_per_block
-        ln.last_dirty_access = [None] * self.units_per_block
+        self.stats.writebacks += 1
+        self._clean_in_place(set_index, way)
         return True
 
     def invalidate_address(self, addr: int) -> bool:
@@ -735,12 +822,9 @@ class Cache:
     def flush(self) -> int:
         """Write back and invalidate everything.  Returns write-back count."""
         count = 0
-        for set_index, row in enumerate(self._lines):
-            if row is None:
-                continue
-            for way, ln in enumerate(row):
-                if ln.valid and self._evict(set_index, way):
-                    count += 1
+        for set_index, way in self.resident_lines():
+            if self._evict(set_index, way):
+                count += 1
         return count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -183,10 +183,8 @@ class MemoryHierarchy:
         return bytes(out)
 
     def _resident_byte(self, addr: int) -> int:
-        levels = [self.l1d, self.l2] + ([self.l3] if self.l3 else [])
-        for cache in levels:
-            loc = cache.locate(addr)
-            if loc is not None:
-                ln = cache.line(loc.set_index, loc.way)
-                return ln.data[cache.mapper.block_offset(addr)]
+        for cache in self.levels():
+            byte = cache.peek_byte(addr)
+            if byte is not None:
+                return byte
         return self.memory.byte_at(addr)

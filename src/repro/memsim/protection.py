@@ -20,6 +20,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import enum
+import weakref
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..coding import (
@@ -71,12 +72,17 @@ class CacheProtection(abc.ABC):
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, cache: "Cache") -> None:
-        """Bind to ``cache``; called once by the cache constructor."""
+        """Bind to ``cache``; called once by the cache constructor.
+
+        The scheme keeps a weak proxy: the cache owns the scheme, so a
+        strong back-reference would make a reference cycle and leave a
+        dropped cache to the cyclic collector.
+        """
         if self.cache is not None:
             raise ConfigurationError(
                 f"{self.name} protection is already attached to a cache"
             )
-        self.cache = cache
+        self.cache = weakref.proxy(cache)
 
     def set_observer(self, sink) -> None:
         """Attach a :class:`repro.obs.TraceSink` (None detaches)."""

@@ -8,7 +8,7 @@ removed.  The cache guarantees it only asks for a victim among valid ways.
 from __future__ import annotations
 
 import abc
-from typing import List
+from typing import List, Sequence
 
 from ..errors import ConfigurationError
 from ..util import Seed, make_rng
@@ -44,21 +44,35 @@ class LRUPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, ways: int):
         super().__init__(num_sets, ways)
-        # Per set: list of ways from most- to least-recently used.
-        pristine = list(range(ways))
-        self._order: List[List[int]] = [pristine.copy() for _ in range(num_sets)]
+        # One flat list: set s holds its ways from most- to least-recently
+        # used at [s * ways, (s + 1) * ways).
+        self._order: List[int] = list(range(ways)) * num_sets
 
     def touch(self, set_index: int, way: int) -> None:
-        order = self._order[set_index]
-        order.remove(way)
-        order.insert(0, way)
+        order = self._order
+        base = set_index * self.ways
+        if order[base] != way:
+            # Shift the more recent ways down one slot (element by
+            # element: cheaper than slicing for a handful of ways).
+            pos = order.index(way, base)
+            while pos > base:
+                order[pos] = order[pos - 1]
+                pos -= 1
+            order[base] = way
 
     def victim(self, set_index: int) -> int:
-        return self._order[set_index][-1]
+        return self._order[(set_index + 1) * self.ways - 1]
 
     def recency_order(self, set_index: int) -> List[int]:
-        """MRU-to-LRU order of a set (exposed for tests)."""
-        return list(self._order[set_index])
+        """MRU-to-LRU order of a set."""
+        base = set_index * self.ways
+        return self._order[base : base + self.ways]
+
+    def set_recency_order(self, set_index: int, order: Sequence[int]) -> None:
+        """Replace a set's MRU-to-LRU order (a permutation of its ways;
+        warm engines)."""
+        base = set_index * self.ways
+        self._order[base : base + self.ways] = order
 
 
 class FIFOPolicy(ReplacementPolicy):
@@ -66,20 +80,24 @@ class FIFOPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, ways: int):
         super().__init__(num_sets, ways)
-        pristine = list(range(ways))
-        self._queues: List[List[int]] = [pristine.copy() for _ in range(num_sets)]
+        # One flat list: set s holds its ways oldest fill first at
+        # [s * ways, (s + 1) * ways).
+        self._queues: List[int] = list(range(ways)) * num_sets
 
     def touch(self, set_index: int, way: int) -> None:
         # Hits do not reorder a FIFO.
         pass
 
     def fill(self, set_index: int, way: int) -> None:
-        queue = self._queues[set_index]
-        queue.remove(way)
-        queue.append(way)
+        queue = self._queues
+        last = (set_index + 1) * self.ways - 1
+        if queue[last] != way:
+            pos = queue.index(way, set_index * self.ways)
+            queue[pos:last] = queue[pos + 1 : last + 1]
+            queue[last] = way
 
     def victim(self, set_index: int) -> int:
-        return self._queues[set_index][0]
+        return self._queues[set_index * self.ways]
 
 
 class RandomPolicy(ReplacementPolicy):

@@ -5,8 +5,15 @@ trial.  This module captures the complete post-warmup state of a
 :class:`~repro.memsim.cache.Cache` (data, tags, dirty bits, check words,
 replacement order, statistics, protection-scheme state) and of a whole
 :class:`~repro.memsim.hierarchy.MemoryHierarchy`, so one warm image can
-be restored into a fresh hierarchy per trial instead of re-simulating
-the prefix.
+be restored into a hierarchy per trial instead of re-simulating the
+prefix.
+
+A cache snapshot copies the cache's flat per-line and per-unit
+containers whole, with every invalid line blanked (zero tag, data and
+check words), so two caches holding the same lines snapshot equal
+whatever their eviction history.  Restore overwrites every container of
+the target with slice assignments, so the target may be fresh or may
+have simulated anything before.
 
 The restored simulator is *bit-identical* to the original: replaying the
 same suffix produces the same access results, statistics, register
@@ -18,8 +25,8 @@ Protection state is dispatched on the scheme's ``name``:
 * ``cppc`` — the (R1, R2) register pairs with their parity bits, plus
   the ``recoveries`` / ``register_repairs`` counters.  The bounded
   diagnostic buffers (``recovery_log``, ``audit_trail``) are *not*
-  carried: they never influence simulation outcomes, and campaign trials
-  fork from fault-free warm state where both are empty.
+  carried — they never influence simulation outcomes — and restore
+  empties them, as they are in a fault-free warm state.
 * ``2d-parity`` — the vertical parity register.
 * ``none`` / ``parity`` / ``secded`` — stateless.
 
@@ -37,7 +44,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SnapshotError
-from .cache import Cache, CacheLine
+from .cache import Cache
 from .hierarchy import MemoryHierarchy
 from .mainmem import MainMemory
 from .replacement import FIFOPolicy, LRUPolicy, RandomPolicy
@@ -48,37 +55,24 @@ _STATELESS_SCHEMES = ("none", "parity", "secded")
 
 
 @dataclasses.dataclass
-class LineSnapshot:
-    """One valid cache line: position plus full per-unit state."""
-
-    set_index: int
-    way: int
-    tag: int
-    tag_check: int
-    data: bytes
-    dirty: Tuple[bool, ...]
-    check: Tuple[int, ...]
-    #: Per-unit cycle of the last dirty access (``Tavg`` bookkeeping).
-    #: Values are carried verbatim (int or float) — converting would
-    #: perturb interval arithmetic and break bit-identity.
-    last_dirty_access: Tuple[Optional[float], ...]
-
-
-@dataclasses.dataclass
 class PolicySnapshot:
-    """Replacement-policy state: only what differs from a fresh policy."""
+    """Replacement-policy state."""
 
     kind: str
-    #: Per-set way orders that differ from the pristine ``range(ways)``
-    #: (LRU recency / FIFO fill order).  Untouched sets are omitted.
-    orders: Dict[int, List[int]] = dataclasses.field(default_factory=dict)
+    #: Every set's way order, flat (LRU recency / FIFO fill order; set
+    #: ``s`` at ``[s * ways, (s + 1) * ways)``), else ``None``.
+    order: Optional[List[int]] = None
     #: ``random.getstate()`` of a :class:`RandomPolicy`, else ``None``.
     rng_state: Optional[tuple] = None
 
 
 @dataclasses.dataclass
 class CacheSnapshot:
-    """Complete state of one cache level."""
+    """Complete state of one cache level.
+
+    The line and unit containers follow the cache's flat layout: line
+    ``set_index * ways + way``, unit ``line * units_per_block + unit``.
+    """
 
     name: str
     size_bytes: int
@@ -87,7 +81,16 @@ class CacheSnapshot:
     unit_bytes: int
     scheme: str
     access_counter: float
-    lines: List[LineSnapshot]
+    #: One byte per line, 1 when valid.
+    valid: bytes
+    tags: List[int]
+    data: bytes
+    dirty: List[bool]
+    check: List[int]
+    #: Per-unit cycle of the last dirty access (``Tavg`` bookkeeping).
+    #: Values are carried verbatim (int or float) — converting would
+    #: perturb interval arithmetic and break bit-identity.
+    last_dirty_access: List[Optional[float]]
     policy: PolicySnapshot
     stats: dict
     protection: dict
@@ -115,25 +118,10 @@ class HierarchySnapshot:
 # ----------------------------------------------------------------------
 def _snapshot_policy(cache: Cache) -> PolicySnapshot:
     policy = cache.policy
-    pristine = list(range(cache.ways))
     if isinstance(policy, LRUPolicy):
-        return PolicySnapshot(
-            kind="lru",
-            orders={
-                s: list(order)
-                for s, order in enumerate(policy._order)
-                if order != pristine
-            },
-        )
+        return PolicySnapshot(kind="lru", order=list(policy._order))
     if isinstance(policy, FIFOPolicy):
-        return PolicySnapshot(
-            kind="fifo",
-            orders={
-                s: list(queue)
-                for s, queue in enumerate(policy._queues)
-                if queue != pristine
-            },
-        )
+        return PolicySnapshot(kind="fifo", order=list(policy._queues))
     if isinstance(policy, RandomPolicy):
         return PolicySnapshot(kind="random", rng_state=policy._rng.getstate())
     raise SnapshotError(
@@ -167,25 +155,20 @@ def snapshot_cache(cache: Cache) -> CacheSnapshot:
         raise SnapshotError(
             f"{cache.name}: tag-protected caches are not snapshot-capable"
         )
-    lines: List[LineSnapshot] = []
-    for set_index, row in enumerate(cache._lines):
-        if row is None:
-            continue
-        for way, ln in enumerate(row):
-            if not ln.valid:
-                continue
-            lines.append(
-                LineSnapshot(
-                    set_index=set_index,
-                    way=way,
-                    tag=ln.tag,
-                    tag_check=ln.tag_check,
-                    data=bytes(ln.data),
-                    dirty=tuple(ln.dirty),
-                    check=tuple(ln.check),
-                    last_dirty_access=tuple(ln.last_dirty_access),
-                )
-            )
+    # Copy only the valid lines' tags, data and check words, leaving
+    # every invalid line blank.
+    bb = cache.block_bytes
+    upb = cache.units_per_block
+    tags = [0] * len(cache._tags)
+    data = bytearray(len(cache._data))
+    check = [0] * len(cache._check)
+    for set_index, way in cache.resident_lines():
+        line = set_index * cache.ways + way
+        tags[line] = cache._tags[line]
+        off = line * bb
+        data[off : off + bb] = cache._data[off : off + bb]
+        u0 = line * upb
+        check[u0 : u0 + upb] = cache._check[u0 : u0 + upb]
     return CacheSnapshot(
         name=cache.name,
         size_bytes=cache.size_bytes,
@@ -194,7 +177,12 @@ def snapshot_cache(cache: Cache) -> CacheSnapshot:
         unit_bytes=cache.unit_bytes,
         scheme=cache.protection.name,
         access_counter=cache._access_counter,
-        lines=lines,
+        valid=bytes(cache._valid),
+        tags=tags,
+        data=bytes(data),
+        dirty=list(cache._dirty),
+        check=check,
+        last_dirty_access=list(cache._last_dirty),
         policy=_snapshot_policy(cache),
         stats=dataclasses.asdict(cache.stats),
         protection=_snapshot_protection(cache),
@@ -243,33 +231,20 @@ def _check_target(snap: CacheSnapshot, cache: Cache) -> None:
 
 def _restore_policy(snap: PolicySnapshot, cache: Cache) -> None:
     policy = cache.policy
+    expected = {"lru": LRUPolicy, "fifo": FIFOPolicy, "random": RandomPolicy}
+    if snap.kind not in expected:
+        raise SnapshotError(f"unknown policy snapshot kind {snap.kind!r}")
+    if not isinstance(policy, expected[snap.kind]):
+        raise SnapshotError(
+            f"{cache.name}: snapshot holds {snap.kind} policy state, target "
+            f"policy is {type(policy).__name__}"
+        )
     if snap.kind == "lru":
-        if not isinstance(policy, LRUPolicy):
-            raise SnapshotError(
-                f"{cache.name}: snapshot holds LRU state, target policy is "
-                f"{type(policy).__name__}"
-            )
-        for s, order in snap.orders.items():
-            policy._order[s] = list(order)
-        return
-    if snap.kind == "fifo":
-        if not isinstance(policy, FIFOPolicy):
-            raise SnapshotError(
-                f"{cache.name}: snapshot holds FIFO state, target policy is "
-                f"{type(policy).__name__}"
-            )
-        for s, queue in snap.orders.items():
-            policy._queues[s] = list(queue)
-        return
-    if snap.kind == "random":
-        if not isinstance(policy, RandomPolicy):
-            raise SnapshotError(
-                f"{cache.name}: snapshot holds random-policy state, target "
-                f"policy is {type(policy).__name__}"
-            )
+        policy._order[:] = snap.order
+    elif snap.kind == "fifo":
+        policy._queues[:] = snap.order
+    else:
         policy._rng.setstate(snap.rng_state)
-        return
-    raise SnapshotError(f"unknown policy snapshot kind {snap.kind!r}")
 
 
 def _restore_protection(snap: CacheSnapshot, cache: Cache) -> None:
@@ -291,6 +266,8 @@ def _restore_protection(snap: CacheSnapshot, cache: Cache) -> None:
             pair.r2_parity = r2_parity
         scheme.recoveries = state["recoveries"]
         scheme.register_repairs = state["register_repairs"]
+        scheme.recovery_log.clear()
+        scheme.audit_trail.clear()
         return
     if snap.scheme == "2d-parity":
         scheme.vertical_register._register = state["vertical"]
@@ -307,33 +284,20 @@ def _restore_stats(stats_dict: dict) -> CacheStats:
 
 
 def restore_cache(snap: CacheSnapshot, cache: Cache) -> Cache:
-    """Load a snapshot into a *fresh* cache of identical configuration.
+    """Load a snapshot into a cache of identical configuration.
 
-    The target must be newly constructed (pristine): restore only writes
-    the state a snapshot carries, it does not erase leftovers.
+    Every line, unit, replacement, statistics and protection container of
+    the target is overwritten, so the target may be freshly built or may
+    already have simulated anything: afterwards
+    ``snapshot_cache(cache) == snap``.
     """
     _check_target(snap, cache)
-    # Each restored line is built once from its snapshot; only the ways
-    # a snapshot leaves empty in a newly materialized row get blank lines.
-    rows = cache._lines
-    new_rows = []
-    for line in snap.lines:
-        row = rows[line.set_index]
-        if row is None:
-            row = rows[line.set_index] = [None] * cache.ways
-            new_rows.append(row)
-        row[line.way] = CacheLine.resident(
-            line.tag,
-            line.tag_check,
-            line.data,
-            line.dirty,
-            line.check,
-            line.last_dirty_access,
-        )
-    for row in new_rows:
-        for way, ln in enumerate(row):
-            if ln is None:
-                row[way] = CacheLine(cache.block_bytes, cache.units_per_block)
+    cache._valid[:] = snap.valid
+    cache._tags[:] = snap.tags
+    cache._data[:] = snap.data
+    cache._dirty[:] = snap.dirty
+    cache._check[:] = snap.check
+    cache._last_dirty[:] = snap.last_dirty_access
     cache._access_counter = snap.access_counter
     cache.stats = _restore_stats(snap.stats)
     _restore_policy(snap.policy, cache)
@@ -342,7 +306,8 @@ def restore_cache(snap: CacheSnapshot, cache: Cache) -> Cache:
 
 
 def restore_memory(snap: MemorySnapshot, memory: MainMemory) -> MainMemory:
-    """Load a memory snapshot into a fresh :class:`MainMemory`."""
+    """Load a memory snapshot into a :class:`MainMemory`, replacing its
+    blocks and counters."""
     memory._blocks = dict(snap.blocks)
     memory.reads = snap.reads
     memory.writes = snap.writes
@@ -352,11 +317,11 @@ def restore_memory(snap: MemorySnapshot, memory: MainMemory) -> MainMemory:
 def restore_hierarchy(
     snap: HierarchySnapshot, hierarchy: MemoryHierarchy
 ) -> MemoryHierarchy:
-    """Load a hierarchy snapshot into a freshly built hierarchy.
+    """Load a hierarchy snapshot into a hierarchy, overwriting its state.
 
     The target must have the same level structure and per-level
     configuration (geometry, scheme, policy) as the hierarchy the
-    snapshot was taken from.
+    snapshot was taken from; what it simulated before does not matter.
     """
     levels = hierarchy.levels()
     if len(levels) != len(snap.caches):

@@ -197,6 +197,10 @@ class RecoveryAuditTrail:
             self.sink.emit("cppc.recovery", "audit", payload)
         return payload
 
+    def clear(self) -> None:
+        """Drop the retained records (``total_recorded`` keeps counting)."""
+        self._entries.clear()
+
     @property
     def latest(self) -> Optional[dict]:
         """The most recent audit record, or None."""

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from bisect import bisect_left
 from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -248,20 +249,22 @@ class _LeanL2:
         self.stats = CacheStats()
         self.stats.configure(self.num_sets * self.ways)
         lines = self.num_sets * self.ways
-        self.tags = [0] * lines
+        # Flat per-line state (line ``set * ways + way``) and each set's
+        # MRU-to-LRU way order at ``order[set * ways : (set + 1) * ways]``.
+        # A line holds the capture's memory-image slot of its block, and
+        # ``slot_way`` maps every resident slot back to its way, so a
+        # probe is one list index.  ``filled`` counts valid ways: lines
+        # fill in way order and validity never decreases (every eviction
+        # is immediately followed by a fill of the same way), so the
+        # first invalid way is simply ``filled``.
+        self.line_slot = [-1] * lines
         self.dirty = [False] * lines
         self.last_dirty = [None] * lines
-        # Per-set state materializes on first touch: an L2 usually has
-        # far more sets than the trace references.  ``tag_way`` maps
-        # resident tags to ways (the scalar way-probe, O(1)); ``filled``
-        # counts valid ways — lines fill in way order and validity never
-        # decreases (every eviction is immediately followed by a fill of
-        # the same way), so the first invalid way is simply ``filled``.
-        self.order: list = [None] * self.num_sets
-        self.tag_way: list = [None] * self.num_sets
+        self.order = list(range(self.ways)) * self.num_sets
         self.filled = [0] * self.num_sets
+        self.slot_way: list = []
 
-    def replay(self, events, slot_set, slot_tag, base_access, miss_level) -> None:
+    def replay(self, events, slot_set, base_access, miss_level) -> None:
         """Drive one capture segment, classifying per-access miss levels.
 
         ``miss_level`` (when not ``None``) receives 2 for accesses whose
@@ -276,8 +279,11 @@ class _LeanL2:
         record_interval = stats.record_dirty_interval
         dirty_changed = stats.dirty_units_changed
         ways = self.ways
-        tags, dirty, last_dirty = self.tags, self.dirty, self.last_dirty
-        orders, tag_maps, filled_l = self.order, self.tag_way, self.filled
+        line_slot, dirty, last_dirty = self.line_slot, self.dirty, self.last_dirty
+        order, filled_l = self.order, self.filled
+        slot_way = self.slot_way
+        if len(slot_way) < len(slot_set):
+            slot_way.extend([-1] * (len(slot_set) - len(slot_way)))
         counter = self._access_counter
         current = -1
         missed = False
@@ -292,16 +298,9 @@ class _LeanL2:
             now = counter
             advance_to(now)
             set_index = slot_set[slot]
-            tag = slot_tag[slot]
             base = set_index * ways
-            tmap = tag_maps[set_index]
-            if tmap is None:
-                tmap = tag_maps[set_index] = {}
-                order = orders[set_index] = list(range(ways))
-            else:
-                order = orders[set_index]
-            way = tmap.get(tag)
-            if way is not None:
+            way = slot_way[slot]
+            if way >= 0:
                 if kind:
                     stats.write_hits += 1
                 else:
@@ -317,7 +316,7 @@ class _LeanL2:
                     way = filled
                     filled_l[set_index] = filled + 1
                 else:
-                    way = order[-1]
+                    way = order[base + ways - 1]
                     line = base + way
                     if dirty[line]:
                         stats.writebacks += 1
@@ -327,12 +326,10 @@ class _LeanL2:
                         last_dirty[line] = None
                     else:
                         stats.evictions_clean += 1
-                    del tmap[tags[line]]
-                tags[base + way] = tag
-                tmap[tag] = way
+                    slot_way[line_slot[line]] = -1
+                line_slot[base + way] = slot
+                slot_way[slot] = way
                 stats.fills += 1
-                order.remove(way)
-                order.insert(0, way)
             line = base + way
             if kind:
                 if dirty[line]:
@@ -347,9 +344,12 @@ class _LeanL2:
             elif dirty[line]:
                 record_interval(now - last_dirty[line])
                 last_dirty[line] = now
-            if order[0] != way:
-                order.remove(way)
-                order.insert(0, way)
+            if order[base] != way:
+                pos = order.index(way, base)
+                while pos > base:
+                    order[pos] = order[pos - 1]
+                    pos -= 1
+                order[base] = way
         if miss_level is not None and current >= 0:
             miss_level[current - base_access] = 2 if missed else 1
         self._access_counter = counter
@@ -392,11 +392,10 @@ def _replay_l2(
         l2 = _LeanL2(geometry)
         num_sets, bb = l2.num_sets, l2.block_bytes
         slot_set = [(a // bb) % num_sets for a in capture.slot_addr or []]
-        slot_tag = [(a // bb) // num_sets for a in capture.slot_addr or []]
-        l2.replay(events[:split], slot_set, slot_tag, 0, None)
+        l2.replay(events[:split], slot_set, 0, None)
         if warmup:
             l2.reset_stats()
-        l2.replay(events[split:], slot_set, slot_tag, warmup, miss_level)
+        l2.replay(events[split:], slot_set, warmup, miss_level)
         return l2.stats, miss_level
     # pragma-style fallback: a multi-unit L2 cannot come out of
     # MemoryHierarchy, but keep the general scalar path for safety.
@@ -710,7 +709,8 @@ def _resolve_backlog(
     zero_port = np.maximum(from_zero - cap, 0.0)
     zero_next = np.minimum(from_zero, cap)
     # Rail departures are consumed by a monotone cursor (``p`` only
-    # grows), so plain sorted Python lists beat per-jump searchsorted.
+    # grows) bisecting plain sorted Python lists, cheaper per jump than
+    # ``np.searchsorted``.
     zero_exits = np.flatnonzero(zero_next != 0.0).tolist()
     zero_cursor = 0
 
@@ -733,11 +733,9 @@ def _resolve_backlog(
     # Scalar excursions index these Python lists instead of the arrays:
     # the values are the same IEEE doubles, but list indexing skips the
     # numpy-scalar boxing that would otherwise dominate short stretches.
-    supply_l = supply.tolist()
-    store_l = store_demand.tolist()
-    missd_l = miss_demand.tolist()
-    miss_l = miss.tolist()
-    shadow_l = shadow.tolist()
+    # Built on the first excursion; a scan that never leaves the rails
+    # (parity-like policies) needs none.
+    supply_l = store_l = missd_l = miss_l = shadow_l = None
 
     def step(backlog: float, j: int) -> Tuple[float, float]:
         """One event, exactly as the scalar loop computes it."""
@@ -762,10 +760,7 @@ def _resolve_backlog(
     cap_cursor = 0
     while p < n:
         if backlog == 0.0:
-            k = zero_cursor
-            while k < n_zero_exits and zero_exits[k] < p:
-                k += 1
-            zero_cursor = k
+            k = zero_cursor = bisect_left(zero_exits, p, zero_cursor)
             if k == n_zero_exits:
                 break
             e = zero_exits[k]
@@ -777,12 +772,8 @@ def _resolve_backlog(
             if cap_tables is None:
                 cap_tables = cap_transitions()
             cap_port, cap_next, cap_exits = cap_tables
-            k = cap_cursor
-            n_cap_exits = len(cap_exits)
-            while k < n_cap_exits and cap_exits[k] < p:
-                k += 1
-            cap_cursor = k
-            e = cap_exits[k] if k < n_cap_exits else n
+            k = cap_cursor = bisect_left(cap_exits, p, cap_cursor)
+            e = cap_exits[k] if k < len(cap_exits) else n
             if e > p:
                 port[p:e] = cap_port[p:e]
             if e == n:
@@ -792,20 +783,31 @@ def _resolve_backlog(
             continue
         # Interior: resolve a handful of events scalar-style (short
         # excursions between rails are the common case) ...
-        steps = 0
-        while p < n and 0.0 < backlog < cap and steps < 32:
-            supplied = supply_l[p]  # step(), inlined for the hot loop
+        if supply_l is None:
+            supply_l = supply.tolist()
+            store_l = store_demand.tolist()
+            missd_l = miss_demand.tolist()
+            miss_l = miss.tolist()
+            shadow_l = shadow.tolist()
+        end = p + 32 if p + 32 < n else n
+        while p < end:
+            # step(), inlined for the hot loop; ``x if x > 0.0 else 0.0``
+            # is ``max(0.0, x)`` without the call.
+            supplied = supply_l[p]
             if supplied > 0:
-                backlog = max(0.0, backlog - supplied)
+                backlog = backlog - supplied
+                backlog = backlog if backlog > 0.0 else 0.0
             backlog = backlog + store_l[p]
             if miss_l[p]:
-                backlog = backlog + missd_l[p]
-                backlog = max(0.0, backlog - shadow_l[p])
+                backlog = backlog + missd_l[p] - shadow_l[p]
+                backlog = backlog if backlog > 0.0 else 0.0
             if backlog > cap:
                 port[p] = backlog - cap
                 backlog = cap
             p += 1
-            steps += 1
+            # A step keeps the backlog within [0, cap]; stop on a rail.
+            if backlog == 0.0 or backlog == cap:
+                break
         if p >= n or backlog == 0.0 or backlog == cap:
             continue
         # ... and genuinely long interior stretches with the chunked

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..errors import CheckpointWarning
-from ..faults import CampaignConfig, FaultCampaign, scheme_factory
+from ..faults import CampaignConfig, FaultCampaign, scheme_factory, trial_mismatches
 from ..runtime import CampaignRuntime, ChaosPlan, RetryPolicy, campaign_digest
 from ._cli import (
     EXIT_FATAL,
@@ -141,14 +141,16 @@ def _config(args) -> CampaignConfig:
     )
 
 
-def _trial_rows(result) -> list:
-    return [vars(t) for t in result.trials]
-
-
 def _check_equivalence(name: str, reference, survived) -> Optional[int]:
     """Exit code when ``survived`` diverges from ``reference``, else None."""
-    if _trial_rows(survived) != _trial_rows(reference):
-        return fail(f"{name}: per-trial outcomes diverged from reference")
+    problems = trial_mismatches(
+        survived.trials, reference.trials, names=(name, "reference")
+    )
+    if problems:
+        return fail(
+            f"{name}: per-trial outcomes diverged from reference "
+            f"({len(problems)} mismatch(es), first: {problems[0]})"
+        )
     if survived.summary() != reference.summary():
         return fail(f"{name}: summary diverged from reference")
     if survived.failures or not survived.complete:

@@ -9,8 +9,10 @@ for CPPC, scalar for everything else), and pin down the warm-state
 cache and configuration guard rails.
 """
 
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -235,6 +237,65 @@ class TestWarmCache:
         assert warmstate_mod.warm_cache().total_bytes >= state.size_bytes
 
 
+class TestTrialFootprint:
+    """Forks allocate a bounded number of collector-tracked objects, and a
+    finished trial's hierarchy is freed by reference counting alone."""
+
+    @pytest.mark.parametrize("bench,warmup", [("gcc", 2000), ("mcf", 5000)])
+    def test_fork_allocates_a_bounded_number_of_tracked_objects(self, bench, warmup):
+        state = build_warm_state(
+            shared_config(benchmark=bench, warmup_references=warmup)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            hierarchy, _golden, _replayer = state.fork()
+            allocated = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        # Any per-line object would put the count above the resident lines.
+        resident = sum(
+            1 for level in hierarchy.levels() for _ in level.resident_lines()
+        )
+        assert allocated < resident
+        assert allocated <= 1000
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["legacy", "fork"])
+    @pytest.mark.parametrize(
+        "scheme,params,outcome",
+        [
+            ("cppc", {}, "corrected"),
+            ("parity", dict(dirty_only=True, seed=3), "due"),
+            ("twod", dict(target_level="L2", seed=3), "corrected"),
+        ],
+    )
+    def test_finished_trial_is_freed_without_the_collector(
+        self, monkeypatch, fast, scheme, params, outcome
+    ):
+        refs = []
+        finish = FaultCampaign._finish_trial
+
+        def spy(self, trial, hierarchy, *args):
+            levels = hierarchy.levels()
+            owned = [hierarchy, *levels, *(level.protection for level in levels)]
+            refs.extend(weakref.ref(obj) for obj in owned)
+            return finish(self, trial, hierarchy, *args)
+
+        monkeypatch.setattr(FaultCampaign, "_finish_trial", spy)
+        config = shared_config(scheme_factory=scheme_factory(scheme), **params)
+        gc.collect()
+        gc.disable()
+        try:
+            result = FaultCampaign(config, fast=fast).run()
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            gc.enable()
+        assert outcome in {t.outcome.value for t in result.trials}
+        assert len(refs) == 5 * config.trials
+        assert alive == 0
+
+
 def _trial_digest(result):
     rows = [
         [t.outcome.value, t.injected_bits, t.touched_units, t.detail]
@@ -298,6 +359,28 @@ class TestOutcomePins:
             dict(scheme="secded"),
             {"benign", "corrected"},
             "0bb6848b3fca836628f266b73c23d14d7f636ff5baebd0804cf395a8a3d46d34",
+        ),
+        # 10-bit check words over 256-bit L2 units, warmed by the scalar
+        # fallback; the strikes need a larger resident L2 to land.
+        "secded-l2-spatial-8x8": (
+            dict(
+                scheme="secded",
+                target_level="L2",
+                fault_kind="spatial",
+                spatial_shape=(8, 8),
+                benchmark="mcf",
+                warmup_references=1500,
+                trials=8,
+                seed=0,
+            ),
+            {"benign", "corrected"},
+            "937e6597a9a108dfcf85ee4d8d41867bb17fbbb55855dddf303b4a88e9ede0ab",
+        ),
+        # The fork restores the L2's vertical parity register.
+        "twod-l2-temporal": (
+            dict(scheme="twod", target_level="L2"),
+            {"benign", "corrected"},
+            "9a7a13b2bbf71ba8cd78bf024d9e4d5ae439e685d57c2200f36813847a972cd7",
         ),
     }
 

@@ -1,6 +1,8 @@
 """Tests for CPPC-style tag-array protection (paper Section 7)."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -133,3 +135,29 @@ class TestTagRecovery:
         result = cache.load(0x2000, 8)
         assert result.hit
         assert cache.tag_protection.recoveries == 1
+
+
+class TestLifetime:
+    def test_tag_protected_cache_is_freed_without_the_collector(self):
+        """The cache and its tag scheme hold no reference cycle, so
+        dropping the cache frees both by reference counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            cache, _ = make_tag_protected_cache()
+            cache.store(0x2000, b"\x9A" * 8)
+            set_index = cache.mapper.set_index(0x2000)
+            way = next(
+                w for w in range(cache.ways) if cache.line(set_index, w).valid
+            )
+            cache.corrupt_tag(set_index, way, 0b1)
+            cache.load(0x2000, 8)
+            assert cache.tag_protection.recoveries == 1
+            refs = [
+                weakref.ref(obj)
+                for obj in (cache, cache.tag_protection, cache.protection)
+            ]
+            del cache
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()

@@ -132,6 +132,26 @@ class TestRoundTrip:
             assert a.data == b.data
         assert snapshot_cache(restored) == snapshot_cache(original)
 
+    @pytest.mark.parametrize("scheme", SCHEMES + ("twod",))
+    def test_restore_overwrites_a_used_hierarchy(self, scheme):
+        records = _trace("gcc", (scheme, "used"), 900)
+        original = _fresh(scheme)
+        TraceReplayer(original).run(records[:300])
+        snap = snapshot_hierarchy(original)
+
+        # The target replayed a different, longer trace first: more
+        # resident lines, other tags, dirty data and register contents.
+        used = _fresh(scheme)
+        TraceReplayer(used).run(_trace("mcf", (scheme, "other"), 1200))
+        assert snapshot_hierarchy(used) != snap
+        restore_hierarchy(snap, used)
+        assert snapshot_hierarchy(used) == snap
+
+        start = sum(r.instructions for r in records[:300])
+        TraceReplayer(original, start_cycle=start).run(records[300:])
+        TraceReplayer(used, start_cycle=start).run(records[300:])
+        assert snapshot_hierarchy(used) == snapshot_hierarchy(original)
+
     def test_golden_checked_suffix_replay_is_clean(self):
         records = _trace("gcc", 11, 600)
         from repro.workloads.replay import GoldenMemory
