@@ -240,9 +240,7 @@ class CppcProtection(CodedProtection):
         pair = self.registers.pairs[pair_index]
         dirty_xor = 0
         stored_check = self.cache.stored_check
-        for loc, value, dirty in self.cache.iter_units():
-            if not dirty:
-                continue
+        for loc, value in self.cache.iter_dirty_units():
             cls = self.class_of(loc)
             if self.registers.pair_index_of_class(cls) != pair_index:
                 continue
@@ -273,9 +271,7 @@ class CppcProtection(CodedProtection):
     def dirty_xor_expected(self, pair_index: int) -> int:
         """XOR of rotated dirty values the pair *should* hold (testing)."""
         acc = 0
-        for loc, value, dirty in self.cache.iter_units():
-            if not dirty:
-                continue
+        for loc, value in self.cache.iter_dirty_units():
             cls = self.class_of(loc)
             if self.registers.pair_index_of_class(cls) == pair_index:
                 acc ^= self.rotation.rotate_in(value, cls)

@@ -71,8 +71,10 @@ class RecoveryReport:
         default_factory=dict
     )
     methods: List[str] = dataclasses.field(default_factory=list)
-    #: Units the recovery walk inspected (the whole valid cache: the
-    #: dominant cost of the Section 4.4 procedure).
+    #: Cost-model count of the units a hardware recovery reads: every
+    #: valid unit, the dominant cost of the Section 4.4 procedure.  It
+    #: is computed from the resident-unit count; the simulated scan
+    #: itself visits only the dirty units.
     units_scanned: int = 0
     #: Per-pair audit slices, in resolution order.
     pair_audits: List[PairAudit] = dataclasses.field(default_factory=list)
@@ -104,18 +106,18 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
     # and rebuild any that took a hit (paper Section 4.9).
     repairs_before = scheme.register_repairs
     scheme.verify_registers()
-    report = RecoveryReport(trigger=trigger)
-    report.register_repairs = scheme.register_repairs - repairs_before
+    report = RecoveryReport(
+        trigger=trigger,
+        units_scanned=cache.resident_unit_count(),
+        register_repairs=scheme.register_repairs - repairs_before,
+    )
 
     # Step 1/3: scan all dirty units, grouping by register pair and
     # collecting the ones whose parity check fails.
     dirty_by_pair: Dict[int, List[Tuple[UnitLocation, int, int]]] = {}
     faulty_by_pair: Dict[int, List[FaultyUnit]] = {}
     stored_check = cache.stored_check
-    for loc, value, dirty in cache.iter_units():
-        report.units_scanned += 1
-        if not dirty:
-            continue
+    for loc, value in cache.iter_dirty_units():
         cls = scheme.class_of(loc)
         pair_index = scheme.registers.pair_index_of_class(cls)
         dirty_by_pair.setdefault(pair_index, []).append((loc, value, cls))
@@ -132,9 +134,7 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
             )
             report.faulty_units.append(loc)
 
-    if not any(
-        u.loc == trigger for units in faulty_by_pair.values() for u in units
-    ):
+    if not any(u.loc == trigger for units in faulty_by_pair.values() for u in units):
         raise SimulationError(
             f"recovery triggered by {trigger} but the scan does not see it "
             "as a faulty dirty unit"
@@ -238,9 +238,7 @@ def _resolve_pair(
     if len(faulty) == 1:
         unit = faulty[0]
         report.methods.append("single")
-        return {
-            unit.loc: scheme.rotation.rotate_out(r3, unit.rotation_class)
-        }
+        return {unit.loc: scheme.rotation.rotate_out(r3, unit.rotation_class)}
 
     if _parity_groups_disjoint(faulty):
         # Step 4: disjoint groups never mix under byte rotation, so each

@@ -233,14 +233,12 @@ def check_recovery(scenario: Scenario) -> List[str]:
                 "single-bit fault"
             )
         if not due:
-            memory = cache.next_level
-            for addr, expected in golden.items():
-                if memory.byte_at(addr) != expected:
-                    problems.append(
-                        f"memory byte {addr:#x} corrupt after flush "
-                        "despite a single-bit fault"
-                    )
-                    break
+            addr = cache.next_level.first_mismatch(golden.items())
+            if addr is not None:
+                problems.append(
+                    f"memory byte {addr:#x} corrupt after flush "
+                    "despite a single-bit fault"
+                )
 
     if not due:
         # After a full flush no dirty words remain, so every register

@@ -452,15 +452,14 @@ class FaultCampaign:
                 detail=str(exc),
             )
 
-        byte_at = hierarchy.memory.byte_at
-        for addr, expected in golden.items():
-            if byte_at(addr) != expected:
-                return TrialResult(
-                    outcome=Outcome.SDC,
-                    injected_bits=injection.total_bits,
-                    touched_units=len(injection.touched_units),
-                    detail=f"latent corruption at {addr:#x} after flush",
-                )
+        addr = hierarchy.memory.first_mismatch(golden.items())
+        if addr is not None:
+            return TrialResult(
+                outcome=Outcome.SDC,
+                injected_bits=injection.total_bits,
+                touched_units=len(injection.touched_units),
+                detail=f"latent corruption at {addr:#x} after flush",
+            )
 
         detected = target.stats.detected_faults > detected_before
         return TrialResult(

@@ -90,9 +90,7 @@ class FaultInjector:
             flips.append(BitFlip(loc, mask))
         return InjectionRecord(flips=flips)
 
-    def _inject_interleaved(
-        self, fault: SpatialFault, degree: int
-    ) -> InjectionRecord:
+    def _inject_interleaved(self, fault: SpatialFault, degree: int) -> InjectionRecord:
         layout = BitInterleaving(degree=degree, word_bits=self.cache.unit_bits)
         physical_rows = self.geometry.rows_per_way // degree
         flips: List[BitFlip] = []
@@ -151,6 +149,7 @@ class FaultInjector:
         row_bits = self.cache.unit_bits * degree
         left_col = self._rng.randrange(max(1, row_bits - width + 1))
         return self.inject_spatial(
-            SpatialFault(way=way, top_row=top_row, left_col=left_col,
-                         height=height, width=width)
+            SpatialFault(
+                way=way, top_row=top_row, left_col=left_col, height=height, width=width
+            )
         )

@@ -17,12 +17,14 @@ last-dirty-cycle lists; unit slot ``ui`` holds its data bytes at
 ``ui * unit_bytes`` of one data ``bytearray``.  A snapshot
 copies a handful of containers and a restore is a handful of slice
 assignments; no per-line object exists for the cyclic collector to scan.
-An invalid line always holds clean units with no dirty-cycle stamp; its
-tag, data and check words may be stale.
+A clean unit never carries a dirty-cycle stamp, and an invalid line
+always holds clean units; its tag, data and check words may be stale.
 """
 
 from __future__ import annotations
 
+import collections.abc
+from itertools import compress
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError, UncorrectableError
@@ -52,6 +54,35 @@ class LineView(NamedTuple):
     def any_dirty(self) -> bool:
         """True when at least one unit of the line is dirty."""
         return True in self.dirty
+
+
+class ResidentLocations(collections.abc.Sequence):
+    """Index-only view of every valid unit's :class:`UnitLocation`, in
+    :meth:`Cache.iter_units` order (fault-site sampling).
+
+    Holds only the valid line indices, taken when the view is made; an
+    element is built when it is read, so ``rng.choice`` draws a site
+    without one location object per resident unit.  Integer indexes
+    only (negative ones count from the end).
+    """
+
+    __slots__ = ("_lines", "_ways", "_upb")
+
+    def __init__(self, lines: List[int], ways: int, units_per_block: int):
+        self._lines = lines
+        self._ways = ways
+        self._upb = units_per_block
+
+    def __len__(self) -> int:
+        return len(self._lines) * self._upb
+
+    def __getitem__(self, index: int) -> UnitLocation:
+        # Floor division maps a negative index onto a negative line
+        # index with a non-negative unit, which the list resolves; an
+        # index past either end lands past the line list and raises.
+        line, unit = divmod(index, self._upb)
+        set_index, way = divmod(self._lines[line], self._ways)
+        return UnitLocation(set_index, way, unit)
 
 
 class Cache:
@@ -358,20 +389,37 @@ class Cache:
             line = valid.find(1, line + 1)
 
     def iter_dirty_units(self) -> Iterator[Tuple[UnitLocation, int]]:
-        """Yield ``(location, value)`` for every dirty unit."""
-        for loc, value, dirty in self.iter_units():
-            if dirty:
-                yield loc, value
+        """Yield ``(location, value)`` for every dirty unit, in
+        :meth:`iter_units` order.
 
-    def resident_locations(self) -> List[UnitLocation]:
+        ``itertools.compress`` filters the flat dirty list, so the
+        Python-level work is per dirty unit, not per resident unit
+        (invalid lines hold only clean units).  It is the one dirty walk:
+        CPPC recovery, register repair and the register check read it.
+        """
+        ways = self.ways
+        upb = self.units_per_block
+        ub = self.unit_bytes
+        data = self._data
+        for ui in compress(range(len(self._dirty)), self._dirty):
+            line, u = divmod(ui, upb)
+            set_index, way = divmod(line, ways)
+            off = ui * ub
+            yield (
+                UnitLocation(set_index, way, u),
+                int.from_bytes(data[off : off + ub], "big"),
+            )
+
+    def resident_locations(self) -> Sequence[UnitLocation]:
         """Locations of all valid units (fault-site sampling), in
-        :meth:`iter_units` order."""
-        units = range(self.units_per_block)
-        return [
-            UnitLocation(set_index, way, u)
-            for set_index, way in self.resident_lines()
-            for u in units
-        ]
+        :meth:`iter_units` order, as a :class:`ResidentLocations` view
+        that builds a location only when it is read."""
+        lines = list(compress(range(len(self._valid)), self._valid))
+        return ResidentLocations(lines, self.ways, self.units_per_block)
+
+    def resident_unit_count(self) -> int:
+        """Number of units in valid lines."""
+        return self._valid.count(1) * self.units_per_block
 
     def dirty_unit_count(self) -> int:
         """Number of currently dirty units."""
@@ -513,7 +561,10 @@ class Cache:
             self.stats.evictions_dirty += 1
         else:
             self.stats.evictions_clean += 1
-        self.protection.on_evict(set_index, way, self._unit_values(line), dirty_units)
+        if wrote_back or self.protection.tracks_clean_lines:
+            self.protection.on_evict(
+                set_index, way, self._unit_values(line), dirty_units
+            )
         if dirty_count:
             self.stats.dirty_units_changed(-dirty_count)
         if self._obs_on:
@@ -533,7 +584,6 @@ class Cache:
         self._valid[line] = 0
         self._dirty[u0 : u0 + upb] = self._clean_units
         self._last_dirty[u0 : u0 + upb] = self._no_stamps
-        self.policy.invalidate(set_index, way)
         return wrote_back
 
     def _fill(self, set_index: int, tag: int, block: bytes) -> int:
@@ -820,12 +870,53 @@ class Cache:
         return self.clean_line(set_index, way)
 
     def flush(self) -> int:
-        """Write back and invalidate everything.  Returns write-back count."""
+        """Write back and invalidate everything.  Returns write-back count.
+
+        Only lines holding a dirty unit go through :meth:`_evict`, in line
+        order, so every unit of each is still checked (and recovered) on
+        its way out.  The clean lines ahead of each dirty line are
+        dropped first, in one slice of the valid bytes counted into
+        ``evictions_clean``, so a recovery inside the flush sees the same
+        valid lines a line-by-line walk would.  Clean lines still go
+        through :meth:`_evict` one by one when a trace observer or tag
+        protection is attached, or when the scheme
+        :attr:`~CacheProtection.tracks_clean_lines`: each of those has
+        per-line work to do on a clean removal.
+        """
+        one_by_one = (
+            self._obs_on
+            or self.tag_protection is not None
+            or self.protection.tracks_clean_lines
+        )
+        upb = self.units_per_block
+        ways = self.ways
         count = 0
-        for set_index, way in self.resident_lines():
-            if self._evict(set_index, way):
-                count += 1
+        done = 0  # lines below this one are already removed
+        # ``compress`` reads each dirty bit as the walk reaches it, so the
+        # later units of a line, cleaned by its eviction, are not visited.
+        for ui in compress(range(len(self._dirty)), self._dirty):
+            line = ui // upb
+            if line > done:
+                self._drop_clean_lines(done, line, one_by_one)
+            count += self._evict(*divmod(line, ways))
+            done = line + 1
+        self._drop_clean_lines(done, len(self._valid), one_by_one)
         return count
+
+    def _drop_clean_lines(self, start: int, stop: int, one_by_one: bool) -> None:
+        """Remove the valid lines in ``[start, stop)``, which are all clean."""
+        valid = self._valid
+        if one_by_one:
+            line = valid.find(1, start, stop)
+            while line >= 0:
+                self._evict(*divmod(line, self.ways))
+                line = valid.find(1, line + 1, stop)
+            return
+        # A clean line holds no dirty bit or dirty-cycle stamp to reset.
+        dropped = valid.count(1, start, stop)
+        if dropped:
+            valid[start:stop] = bytes(stop - start)
+            self.stats.evictions_clean += dropped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

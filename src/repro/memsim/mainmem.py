@@ -6,7 +6,7 @@ memory reads as zero, which keeps golden-model comparisons trivial.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..errors import AlignmentError, ConfigurationError
 
@@ -68,6 +68,27 @@ class MainMemory:
         untouched); one dict lookup, no intermediate byte strings."""
         block = self._blocks.get(addr & ~(self.block_bytes - 1))
         return 0 if block is None else block[addr & (self.block_bytes - 1)]
+
+    def first_mismatch(self, image: Iterable[Tuple[int, int]]) -> Optional[int]:
+        """The first address of ``image`` whose byte differs here, or None.
+
+        ``image`` yields ``(address, expected_byte)`` pairs (a golden
+        image's items, in store order); no access is counted.  The block
+        holding the previous address is kept at hand, so a run of bytes
+        in one block costs one dict lookup.
+        """
+        blocks = self._blocks
+        mask = self.block_bytes - 1
+        zeros = bytes(self.block_bytes)
+        base = -1
+        block = zeros
+        for addr, expected in image:
+            if (addr & ~mask) != base:
+                base = addr & ~mask
+                block = blocks.get(base, zeros)
+            if block[addr & mask] != expected:
+                return addr
+        return None
 
     def poke(self, addr: int, data: bytes) -> None:
         """Write bytes without counting an access (for test setup)."""

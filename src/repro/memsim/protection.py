@@ -60,6 +60,10 @@ class CacheProtection(abc.ABC):
 
     #: Human-readable scheme name (used in reports).
     name: str = "abstract"
+    #: Whether :meth:`on_evict` must see clean lines too.  When False the
+    #: cache calls it only for lines holding a dirty unit, and a flush
+    #: may drop clean lines in bulk without calling it at all.
+    tracks_clean_lines: bool = False
 
     def __init__(self):
         self.cache: Optional["Cache"] = None
@@ -142,9 +146,7 @@ class CacheProtection(abc.ABC):
     ) -> None:
         """A store is overwriting a unit (old value already verified)."""
 
-    def on_fill(
-        self, set_index: int, way: int, values: Sequence[int]
-    ) -> None:
+    def on_fill(self, set_index: int, way: int, values: Sequence[int]) -> None:
         """A block was just filled into (set, way) with clean ``values``."""
 
     def on_evict(
@@ -154,7 +156,11 @@ class CacheProtection(abc.ABC):
         values: Sequence[int],
         dirty_flags: Sequence[bool],
     ) -> None:
-        """The valid block at (set, way) is being removed."""
+        """The valid block at (set, way) is being removed.
+
+        Called for every removed line when :attr:`tracks_clean_lines` is
+        set, otherwise only for lines holding at least one dirty unit.
+        """
 
     def on_cleaned(
         self,
@@ -231,8 +237,12 @@ class SecdedProtection(CodedProtection):
 
     name = "secded"
 
-    def __init__(self, code: Optional[SecdedCode] = None, data_bits: int = 64,
-                 interleaving_degree: int = 8):
+    def __init__(
+        self,
+        code: Optional[SecdedCode] = None,
+        data_bits: int = 64,
+        interleaving_degree: int = 8,
+    ):
         super().__init__(code or SecdedCode(data_bits=data_bits))
         #: Physical bit-interleaving degree (energy model input; with
         #: degree k, a spatial burst of <= k bits is split into single-bit
@@ -274,6 +284,8 @@ class TwoDParityProtection(CodedProtection):
     """
 
     name = "2d-parity"
+    # The vertical parity reads every removed line, clean or dirty.
+    tracks_clean_lines = True
 
     def __init__(self, code: Optional[InterleavedParity] = None, data_bits: int = 64):
         super().__init__(code or InterleavedParity(data_bits=data_bits, ways=8))

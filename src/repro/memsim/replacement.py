@@ -1,8 +1,9 @@
 """Replacement policies for set-associative caches.
 
-All policies share one interface: ``touch`` on every hit or fill,
-``victim`` to pick a way when a set is full, ``invalidate`` when a line is
-removed.  The cache guarantees it only asks for a victim among valid ways.
+All policies share one interface: ``touch`` on every hit or fill and
+``victim`` to pick a way when a set is full.  The cache guarantees it only
+asks for a victim among valid ways (it fills an empty way first), so a
+removed line needs no policy update.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ class ReplacementPolicy(abc.ABC):
     def fill(self, set_index: int, way: int) -> None:
         """Note that ``way`` was just filled (defaults to a touch)."""
         self.touch(set_index, way)
-
-    def invalidate(self, set_index: int, way: int) -> None:
-        """Note that ``way`` no longer holds a line (default: no-op)."""
 
 
 class LRUPolicy(ReplacementPolicy):

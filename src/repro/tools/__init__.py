@@ -1,25 +1,6 @@
 """Command-line entry points: trace generation, experiments, campaigns.
 
 Each submodule exposes ``main(argv)`` and is runnable as
-``python -m repro.tools.<name>``.
+``python -m repro.tools.<name>``.  The package imports none of them, so
+launching one CLI loads only that CLI.
 """
-
-from . import (
-    gen_docs,
-    gen_trace,
-    run_bench,
-    run_campaign,
-    run_experiment,
-    run_scorecard,
-    run_sensitivity,
-)
-
-__all__ = [
-    "gen_docs",
-    "gen_trace",
-    "run_bench",
-    "run_campaign",
-    "run_experiment",
-    "run_scorecard",
-    "run_sensitivity",
-]

@@ -206,8 +206,25 @@ class TestRecoveryCost:
         cache.corrupt_data(cache.locate(0), 1)
         cache.load(0, 8)
         report = cache.protection.recovery_log[-1]
-        assert report.units_scanned >= 10
+        # Ten resident lines of four units each.
+        assert report.units_scanned == 40 == len(list(cache.iter_units()))
         assert report.estimated_cycles() == 4 * report.units_scanned
+
+    def test_flush_recovery_counts_the_lines_still_resident(self):
+        cache, _ = make_cppc_cache()
+        for i in range(10):
+            cache.store(i * 64, bytes([i]) * 8)  # even sets; sets 0, 2 twice
+        for i in range(8):
+            cache.load(32 + i * 64, 8)  # one clean line in each odd set
+        loc = cache.locate(4 * 64)
+        assert (loc.set_index, loc.way) == (8, 0)
+        cache.corrupt_data(loc, 1)
+        cache.flush()
+        report = cache.protection.recovery_log[-1]
+        assert report.trigger == loc
+        # The flush has removed every line of sets 0-7; sets 8-15 still
+        # hold eight lines of four units each.
+        assert report.units_scanned == 32
 
     def test_amortized_overhead_is_negligible(self):
         """Section 5: recovery cost can be ignored.  At 0.001 FIT/bit over

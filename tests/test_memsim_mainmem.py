@@ -70,3 +70,26 @@ class TestPeekPoke:
         block = mem.read_block(0)
         assert block[4:6] == b"\xff\xee"
         assert block[:4] == bytes(4)
+
+
+class TestFirstMismatch:
+    @given(
+        st.dictionaries(st.integers(0, 300), st.integers(0, 255), max_size=40),
+        st.dictionaries(st.integers(0, 300), st.integers(0, 255), max_size=40),
+    )
+    def test_matches_the_byte_by_byte_scan(self, stored, image):
+        mem = MainMemory(32)
+        for addr, byte in stored.items():
+            mem.poke(addr, bytes([byte]))
+        expected = next(
+            (addr for addr, byte in image.items() if mem.byte_at(addr) != byte), None
+        )
+        assert mem.first_mismatch(image.items()) == expected
+
+    def test_reports_the_first_address_in_image_order(self):
+        mem = MainMemory(32)
+        mem.poke(0, b"\x01" * 96)
+        image = {64: 2, 0: 2, 70: 1}
+        assert mem.first_mismatch(image.items()) == 64
+        assert mem.first_mismatch({70: 1, 5: 1}.items()) is None
+        assert mem.first_mismatch({200: 0, 201: 7}.items()) == 201

@@ -3,9 +3,13 @@
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.harness import run_all_benchmarks
 from repro.memsim import PAPER_CONFIG, HierarchyConfig
 from repro.obs import read_jsonl_trace
@@ -366,3 +370,16 @@ class TestSharedCliConventions:
         target = tmp_path / "out.json"
         _cli.emit_json(str(target), {"x": 2})
         assert '"x": 2' in target.read_text()
+
+    def test_cli_launch_raises_no_runpy_warning(self):
+        """The package imports no CLI, so ``-m`` finds none preloaded."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        command = [sys.executable, "-W", "error::RuntimeWarning", "-m"]
+        proc = subprocess.run(
+            command + ["repro.tools.gen_trace", "--help"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
