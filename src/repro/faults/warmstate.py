@@ -20,11 +20,13 @@ clock).
 Where the L1 scheme is batch-compatible (CPPC over 64-bit units under
 LRU — the configuration :mod:`repro.memsim.batch` vectorizes), the
 warmup itself runs through the :class:`~repro.memsim.batch.BatchReplayEngine`:
-the engine produces the final L1 state directly, and the next-level
-traffic it captures (:class:`~repro.memsim.batch.ReplayCapture`) is
-replayed through the scalar L2 in original access order to warm the rest
-of the hierarchy.  Everything else falls back to a scalar warmup, and the
-warm state records which condition sent it there.
+the engine produces the final L1 state directly, and the L2 absorbs the
+next-level traffic it captures (:class:`~repro.memsim.batch.ReplayCapture`)
+in original access order, in one pass of its whole-line kernel
+(:meth:`~repro.memsim.cache.Cache.absorb_line_traffic`), which warms the
+rest of the hierarchy exactly as the per-access path would.  Everything
+else falls back to a scalar warmup, and the warm state records which
+condition sent it there.
 
 :func:`warm_state_for` memoizes warm states in a bounded module-level
 :class:`~repro.memsim.snapshot.SnapshotCache`, keyed by everything the
@@ -146,18 +148,16 @@ def _batch_compatible(l1) -> Optional[str]:
     return None
 
 
-def _words_to_bytes(words: List[int]) -> bytes:
-    return b"".join(int(w).to_bytes(8, "big") for w in words)
-
-
 def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> None:
     """Warm ``hierarchy`` through the batch engine (L1) plus event replay.
 
     The engine resolves the whole L1 access stream vectorized and
-    captures its next-level block traffic; replaying those events
-    through the scalar L2 in original access order reproduces exactly
-    the L2/memory state of a scalar warmup, because the scalar L1 would
-    have issued exactly these reads and write-backs at these cycles.
+    captures its next-level block traffic.  The L2 absorbs those events
+    in original access order in one pass
+    (:meth:`~repro.memsim.cache.Cache.absorb_line_traffic`, exact for
+    its single-unit lines), which reproduces exactly the L2/memory state
+    of a scalar warmup, because the scalar L1 would have issued exactly
+    these reads and write-backs at these cycles.
     """
     l1 = hierarchy.l1d
     prot = l1.protection
@@ -171,13 +171,7 @@ def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> 
     )
     capture = ReplayCapture()
     result = engine.replay(BatchTrace.from_records(warm_records), capture=capture)
-
-    for _index, kind, slot, now, words in capture.events:
-        addr = capture.slot_addr[slot]
-        if kind == 0:
-            hierarchy.l2.read_block(addr, cycle=now)
-        else:
-            hierarchy.l2.write_block(addr, _words_to_bytes(words), cycle=now)
+    hierarchy.l2.absorb_line_traffic(capture.events, capture.slot_addr)
 
     upb = l1.units_per_block
     for (set_index, way), state in result.lines.items():

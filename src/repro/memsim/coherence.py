@@ -64,6 +64,7 @@ class CoherentSystem:
     ):
         if num_cores < 1:
             raise ConfigurationError("need at least one core")
+        config.check_geometry()
         self.config = config
         self.memory = MainMemory(block_bytes=config.l2.block_bytes)
         self.l2 = Cache(

@@ -65,6 +65,29 @@ class HierarchyConfig:
     memory_latency_cycles: int = 200
     frequency_hz: float = 3.0e9
 
+    def check_geometry(self) -> None:
+        """Raise :class:`ConfigurationError` unless each level below the L1
+        holds lines of one protection unit, each one block of the level
+        above: L2 unit == L2 block == L1 block and, with an L3, L3 unit
+        == L3 block == L2 block.
+
+        Paper Section 3.5: data moves from one level to the next a whole
+        upper-level block at a time, so that block is the lower level's
+        protection unit.  A larger lower-level block would make every
+        block-aligned refill of the level above read part of a line.
+        """
+        levels = [("L1D", self.l1d), ("L2", self.l2)]
+        if self.l3 is not None:
+            levels.append(("L3", self.l3))
+        for (upper, above), (name, level) in zip(levels, levels[1:]):
+            if not level.unit_bytes == level.block_bytes == above.block_bytes:
+                raise ConfigurationError(
+                    f"{name} protection unit and block must both equal the "
+                    f"{upper} block size (paper Section 3.5): unit "
+                    f"{level.unit_bytes}B, block {level.block_bytes}B, "
+                    f"{upper} block {above.block_bytes}B"
+                )
+
 
 PAPER_CONFIG = HierarchyConfig()
 
@@ -96,22 +119,12 @@ class MemoryHierarchy:
         protection_factory: ProtectionFactory = _no_protection,
         policy: str = "lru",
     ):
+        config.check_geometry()
         self.config = config
-        if config.l2.unit_bytes != config.l1d.block_bytes:
-            raise ConfigurationError(
-                "L2 protection unit must equal the L1 block size "
-                "(paper Section 3.5): "
-                f"{config.l2.unit_bytes}B vs {config.l1d.block_bytes}B"
-            )
         self.memory = MainMemory(block_bytes=config.l2.block_bytes)
         self.l3: Optional[Cache] = None
         l2_backing = self.memory
         if config.l3 is not None:
-            if config.l3.unit_bytes != config.l2.block_bytes:
-                raise ConfigurationError(
-                    "L3 protection unit must equal the L2 block size: "
-                    f"{config.l3.unit_bytes}B vs {config.l2.block_bytes}B"
-                )
             self.l3 = Cache(
                 "L3",
                 config.l3.size_bytes,

@@ -12,9 +12,9 @@ Columnar collection (:func:`collect_events_fast`) drives the
 trace, splitting warmup from the measured window with a mid-stream
 :meth:`~repro.memsim.batch._ReplayState.checkpoint` instead of a second
 replay.  The engine's :class:`~repro.memsim.batch.ReplayCapture` records
-the next-level traffic; replaying that (sparse) traffic through a real
-scalar L2 ``Cache`` reproduces the L2 statistics and the per-access
-``miss_level`` exactly as the scalar hierarchy saw them.
+the next-level traffic; replaying that (sparse) traffic through a lean
+single-unit-line L2 model reproduces the L2 statistics and the
+per-access ``miss_level`` exactly as the scalar hierarchy saw them.
 
 Pricing (:func:`time_events_fast`) computes the issue and miss-stall
 terms as pure array ops.  The store-buffer backlog recurrence
@@ -46,10 +46,7 @@ from ..errors import (
     raise_mismatches,
 )
 from ..memsim.batch import BatchReplayEngine, BatchTrace, ReplayCapture
-from ..memsim.cache import Cache
 from ..memsim.hierarchy import PAPER_CONFIG, HierarchyConfig, MemoryHierarchy
-from ..memsim.mainmem import MainMemory
-from ..memsim.protection import NoProtection
 from ..memsim.stats import CacheStats
 from .model import (
     TIMING_POLICIES,
@@ -231,13 +228,12 @@ def _delta_stats(engine: BatchReplayEngine, warm: dict, end: dict) -> CacheStats
 class _LeanL2:
     """Single-unit-per-line L2 replay with scalar-exact accounting.
 
-    Every constructible hierarchy has ``l2.unit_bytes == l1.block_bytes``
-    (enforced) and ``l2.block_bytes == l1.block_bytes`` (a larger L2
-    block would make the L1's block-aligned refills misaligned), so the
-    captured traffic always touches exactly one L2 unit covering the
-    whole line.  That collapses the scalar ``Cache`` path to a handful
-    of list operations per event; the float-bearing statistics still go
-    through the very same :class:`CacheStats` methods (``advance_to``,
+    :meth:`~repro.memsim.hierarchy.HierarchyConfig.check_geometry` makes
+    every L2 line one unit of one L1 block, so the captured traffic
+    always touches exactly one L2 unit covering the whole line.  That
+    collapses the scalar ``Cache`` path to a handful of list operations
+    per event; the float-bearing statistics still go through the very
+    same :class:`CacheStats` methods (``advance_to``,
     ``record_dirty_interval``), so every rounding step matches.
     """
 
@@ -376,8 +372,8 @@ def _replay_l2(
     the scalar L1 would have issued (same order, same cycles), so
     feeding them to an L2 model reproduces its statistics bit-for-bit,
     including the ``reset_stats()`` at the warmup boundary.  The lean
-    single-unit model covers every geometry the hierarchy accepts; a
-    real scalar ``Cache`` backs the exotic multi-unit case.
+    single-unit model covers every geometry
+    :meth:`~repro.memsim.hierarchy.HierarchyConfig.check_geometry` accepts.
     ``miss_level`` is classified per L1-missing access the way
     ``collect_events`` does: level 2 whenever the access grew the L2
     miss counter (its own fill *or* its victim's write-back missing L2).
@@ -388,50 +384,13 @@ def _replay_l2(
     split = 0
     while split < len(events) and events[split][0] < warmup:
         split += 1
-    if geometry.unit_bytes == geometry.block_bytes:
-        l2 = _LeanL2(geometry)
-        num_sets, bb = l2.num_sets, l2.block_bytes
-        slot_set = [(a // bb) % num_sets for a in capture.slot_addr or []]
-        l2.replay(events[:split], slot_set, 0, None)
-        if warmup:
-            l2.reset_stats()
-        l2.replay(events[split:], slot_set, warmup, miss_level)
-        return l2.stats, miss_level
-    # pragma-style fallback: a multi-unit L2 cannot come out of
-    # MemoryHierarchy, but keep the general scalar path for safety.
-    l2 = Cache(
-        "L2",
-        geometry.size_bytes,
-        geometry.ways,
-        geometry.block_bytes,
-        unit_bytes=geometry.unit_bytes,
-        protection=NoProtection(),
-        next_level=MainMemory(block_bytes=geometry.block_bytes),
-        policy="lru",
-    )
-    slot_addr = capture.slot_addr or []
-
-    def apply(event):
-        _, kind, slot, cycle, words = event
-        addr = slot_addr[slot]
-        if kind == 0:
-            l2.read_block(addr, cycle=cycle)
-        else:
-            data = b"".join(w.to_bytes(8, "big") for w in words)
-            l2.write_block(addr, data, cycle=cycle)
-
-    for k in range(split):
-        apply(events[k])
+    l2 = _LeanL2(geometry)
+    num_sets, bb = l2.num_sets, l2.block_bytes
+    slot_set = [(a // bb) % num_sets for a in capture.slot_addr or []]
+    l2.replay(events[:split], slot_set, 0, None)
     if warmup:
         l2.reset_stats()
-    k = split
-    while k < len(events):
-        access = events[k][0]
-        misses_before = l2.stats.misses
-        while k < len(events) and events[k][0] == access:
-            apply(events[k])
-            k += 1
-        miss_level[access - warmup] = 2 if l2.stats.misses > misses_before else 1
+    l2.replay(events[split:], slot_set, warmup, miss_level)
     return l2.stats, miss_level
 
 
@@ -462,10 +421,13 @@ def collect_run_fast(
     Args:
         records: a :class:`~repro.memsim.batch.BatchTrace` or an
             iterable of :class:`~repro.workloads.trace.TraceRecord`.
-        config: hierarchy geometry.  The batch engine models 64-bit L1
-            protection units only; any other L1 raises
-            :class:`~repro.errors.ConfigurationError` with ``reason``
-            ``"unit_bytes"`` before ``records`` is consumed.
+        config: hierarchy geometry.  A geometry
+            :meth:`~repro.memsim.hierarchy.HierarchyConfig.check_geometry`
+            rejects raises :class:`~repro.errors.ConfigurationError`, as
+            the scalar pipeline does.  The batch engine models 64-bit L1
+            protection units only; any other L1 raises it with ``reason``
+            ``"unit_bytes"``.  Both are raised before ``records`` is
+            consumed.
         warmup: references to exclude from the front of the trace.
         equivalence: ``"auto"`` (cross-check against the scalar
             pipeline with :func:`timing_mismatches` when the trace is
@@ -474,6 +436,7 @@ def collect_run_fast(
         equivalence_limit: reference-count cutoff for ``"auto"``.
     """
     check_equivalence_mode(equivalence, equivalence_limit)
+    config.check_geometry()
     l1 = config.l1d
     engine = BatchReplayEngine(
         l1.size_bytes, l1.ways, l1.block_bytes, unit_bytes=l1.unit_bytes

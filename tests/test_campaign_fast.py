@@ -154,16 +154,28 @@ class TestWarmEngines:
         assert warmstate_mod._batch_compatible(hierarchy.l1d) == reason
 
     def test_batch_and_scalar_warm_agree(self, monkeypatch):
-        config = shared_config(warmup_references=900)
-        batch_state = build_warm_state(config)
-        assert batch_state.warm_engine == "batch"
+        # gcc's 900 references leave the 1MB L2 clean; mcf's 10,000 make
+        # it write back dirty lines, so the L2 kernel's eviction path and
+        # memory's block order are compared too.
+        configs = [
+            shared_config(warmup_references=900),
+            shared_config(benchmark="mcf", warmup_references=10_000),
+        ]
+        batch_states = [build_warm_state(config) for config in configs]
+        assert [s.warm_engine for s in batch_states] == ["batch", "batch"]
         monkeypatch.setattr(warmstate_mod, "_batch_compatible", lambda l1: "forced")
-        scalar_state = build_warm_state(config)
-        assert scalar_state.warm_engine == "scalar"
-        assert scalar_state.warm_fallback == "forced"
-        assert scalar_state.snapshot == batch_state.snapshot
-        assert scalar_state.golden_image == batch_state.golden_image
-        assert scalar_state.start_cycle == batch_state.start_cycle
+        for config, batch_state in zip(configs, batch_states):
+            scalar_state = build_warm_state(config)
+            assert scalar_state.warm_engine == "scalar"
+            assert scalar_state.warm_fallback == "forced"
+            assert scalar_state.snapshot == batch_state.snapshot
+            assert list(scalar_state.snapshot.memory.blocks) == list(
+                batch_state.snapshot.memory.blocks
+            )
+            assert scalar_state.golden_image == batch_state.golden_image
+            assert scalar_state.start_cycle == batch_state.start_cycle
+        l2_stats = batch_states[1].snapshot.caches[1].stats
+        assert l2_stats["evictions_dirty"] > 0
 
 
 class TestGuards:

@@ -1,5 +1,6 @@
 """Tests for the two-level hierarchy."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,9 @@ from repro.memsim import (
     MemoryHierarchy,
     PAPER_CONFIG,
 )
+from repro.memsim.coherence import CoherentSystem
+from repro.timing.fast import collect_run_fast
+from repro.workloads import make_workload
 
 from conftest import TINY_CONFIG
 
@@ -39,6 +43,17 @@ class TestPaperConfig:
         )
         with pytest.raises(ConfigurationError):
             MemoryHierarchy(bad)
+
+    def test_l3_accepted_when_its_unit_and_block_are_an_l2_block(self):
+        config = dataclasses.replace(
+            TINY_CONFIG,
+            l3=CacheGeometry(
+                size_bytes=32768, ways=4, block_bytes=32, unit_bytes=32,
+                latency_cycles=24,
+            ),
+        )
+        config.check_geometry()
+        assert MemoryHierarchy(config).l3 is not None
 
     def test_geometry_helpers(self):
         g = PAPER_CONFIG.l1d
@@ -127,3 +142,47 @@ class TestProtectionFactoryWiring:
             protection_factory=lambda lvl, u: CppcProtection(data_bits=u),
         )
         assert h.l1d.protection is not h.l2.protection
+
+
+def with_l2(**changes):
+    return dataclasses.replace(
+        TINY_CONFIG, l2=dataclasses.replace(TINY_CONFIG.l2, **changes)
+    )
+
+
+#: Every entry point that builds or models a hierarchy from a config.
+ENTRY_POINTS = {
+    "MemoryHierarchy": MemoryHierarchy,
+    "CoherentSystem": lambda config: CoherentSystem(config=config),
+    "collect_run_fast": lambda config: collect_run_fast(
+        list(make_workload("gcc", seed=0).records(200)),
+        config,
+        equivalence="never",
+    ),
+}
+
+
+class TestGeometryRule:
+    """L2 unit == L2 block == L1 block (and L3 unit == L3 block == L2
+    block), checked where a config enters, not on the first miss."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_l2_block_larger_than_l1_block(self, entry):
+        with pytest.raises(ConfigurationError, match="L2 protection unit"):
+            ENTRY_POINTS[entry](with_l2(block_bytes=64))
+
+    @pytest.mark.parametrize("entry", ["CoherentSystem", "collect_run_fast"])
+    def test_l2_unit_smaller_than_l1_block(self, entry):
+        with pytest.raises(ConfigurationError, match="L2 protection unit"):
+            ENTRY_POINTS[entry](with_l2(unit_bytes=8))
+
+    def test_l3_block_larger_than_l2_block(self):
+        config = dataclasses.replace(
+            TINY_CONFIG,
+            l3=CacheGeometry(
+                size_bytes=32768, ways=4, block_bytes=64, unit_bytes=32,
+                latency_cycles=24,
+            ),
+        )
+        with pytest.raises(ConfigurationError, match="L3 protection unit"):
+            MemoryHierarchy(config)
