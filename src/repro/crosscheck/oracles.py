@@ -263,7 +263,9 @@ def check_recovery(scenario: Scenario) -> List[str]:
 # campaign: legacy loop vs. snapshot-fork fast path
 # ----------------------------------------------------------------------
 def check_campaign(scenario: Scenario) -> List[str]:
-    """Per-trial bit identity of the legacy and fast campaign paths."""
+    """Per-trial bit identity of a shared-warmup campaign's fork
+    (:meth:`FaultCampaign.run`) and its scalar reference
+    (:meth:`FaultCampaign.run_scalar`)."""
     config = CampaignConfig(
         scheme_factory=scheme_factory(scenario.scheme),
         benchmark=scenario.benchmark,
@@ -277,10 +279,11 @@ def check_campaign(scenario: Scenario) -> List[str]:
         seed=scenario.seed,
         shared_warmup=True,
     )
+    campaign = FaultCampaign(config)
     clear_warm_cache()
     try:
-        legacy = FaultCampaign(config).run()
-        fast = FaultCampaign(config, fast=True).run()
+        legacy = campaign.run_scalar()
+        fast = campaign.run()
     finally:
         clear_warm_cache()
     return trial_mismatches(fast.trials, legacy.trials)

@@ -231,19 +231,23 @@ class CampaignResult:
 class FaultCampaign:
     """Runs the Monte-Carlo campaign described by a :class:`CampaignConfig`.
 
+    The config chooses the engine.  Under ``config.shared_warmup`` every
+    trial forks one memoized warm snapshot and simulates only its
+    post-warmup suffix (see :mod:`repro.faults.warmstate`); otherwise
+    each trial warms its own hierarchy on its own trace.  Per-trial
+    results of the fork are bit-identical to the scalar reference,
+    :meth:`run_scalar`, which warms every trial itself either way.
+
     Args:
         config: the campaign parameters.
         obs: optional :class:`repro.obs.TraceSink`.  Sequential runs
             attach it to every trial's hierarchy (hit/miss/recovery
             events stream out live) and wrap each trial in a span.
-        fast: fork every trial from a cached warm snapshot instead of
-            re-simulating the warmup prefix (requires
-            ``config.shared_warmup``; see :mod:`repro.faults.warmstate`).
-            Per-trial results are bit-identical to the legacy path.
-        fast_equivalence: ``"never"`` (default) trusts the fast path;
-            ``"always"`` *also* runs the legacy warm-every-trial path for
-            every trial and raises :class:`~repro.errors.EquivalenceError`
-            on any per-trial divergence (validation harness mode).
+        equivalence: ``"never"`` (default) trusts the fork;
+            ``"always"`` *also* runs the scalar reference for every
+            trial and raises :class:`~repro.errors.EquivalenceError` on
+            any per-trial divergence (validation harness mode).  Only a
+            shared-warmup campaign forks, so only it can be checked.
     """
 
     def __init__(
@@ -251,19 +255,18 @@ class FaultCampaign:
         config: CampaignConfig,
         obs=None,
         *,
-        fast: bool = False,
-        fast_equivalence: str = "never",
+        equivalence: str = "never",
     ):
-        if fast and not config.shared_warmup:
+        check_equivalence_mode(equivalence, modes=FORCED_EQUIVALENCE_MODES)
+        if cross_checks(equivalence) and not config.shared_warmup:
             raise ConfigurationError(
-                "the snapshot-fork fast path needs shared_warmup=True: "
-                "per-trial workload traces have nothing to share"
+                "equivalence='always' needs shared_warmup=True: a per-trial "
+                "campaign runs only the scalar reference, so there is "
+                "nothing to compare"
             )
-        check_equivalence_mode(fast_equivalence, modes=FORCED_EQUIVALENCE_MODES)
         self.config = config
         self.obs = obs
-        self.fast = fast
-        self.fast_equivalence = fast_equivalence
+        self.equivalence = equivalence
 
     def _obs_or_none(self):
         return self.obs if self.obs is not None and self.obs.enabled else None
@@ -282,17 +285,28 @@ class FaultCampaign:
             from ..runtime.campaign import run_campaign
 
             return run_campaign(
-                self.config,
-                runtime,
-                obs=self.obs,
-                fast=self.fast,
-                fast_equivalence=self.fast_equivalence,
+                self.config, runtime, obs=self.obs, equivalence=self.equivalence
             )
+        return self._run_sequential(self._run_trial)
+
+    def run_scalar(self) -> CampaignResult:
+        """Execute every trial through the scalar reference, in-process.
+
+        Each trial warms its own hierarchy and replays its whole trace
+        (:meth:`_classify_trial`), whatever the config; the warm-state
+        cache is never consulted.  This is what the fork is compared
+        against, the campaign counterpart of
+        :func:`repro.harness.experiments.run_benchmark_scalar`.  A trial
+        crash propagates as raised.
+        """
+        return self._run_sequential(self._classify_trial)
+
+    def _run_sequential(self, run_trial) -> CampaignResult:
         obs = self._obs_or_none()
         result = CampaignResult(config=self.config)
         for trial in range(self.config.trials):
             start = time.perf_counter() if obs is not None else 0.0
-            outcome = self._run_trial(trial)
+            outcome = run_trial(trial)
             result.trials.append(outcome)
             if obs is not None:
                 obs.span(
@@ -318,22 +332,21 @@ class FaultCampaign:
         and derived seed so drivers can report *which* trial died.
 
         ``warm`` optionally supplies a pre-built
-        :class:`~repro.faults.warmstate.WarmState` for the fast path
-        (worker processes pass their digest-cached one); without it the
-        fast path consults the module-level warm cache.
+        :class:`~repro.faults.warmstate.WarmState` for a shared-warmup
+        trial (worker processes pass their digest-cached one); without
+        it the fork consults the module-level warm cache.
         """
         try:
-            if self.fast:
-                result = self._classify_trial_fast(trial, warm)
-                if cross_checks(self.fast_equivalence):
-                    raise_mismatches(
-                        "snapshot-fork trial diverged from the legacy path",
-                        trial_mismatches(
-                            [result], [self._classify_trial(trial)], first=trial
-                        ),
-                    )
-            else:
-                result = self._classify_trial(trial)
+            if not self.config.shared_warmup:
+                return self._classify_trial(trial)
+            result = self._classify_trial_fast(trial, warm)
+            if cross_checks(self.equivalence):
+                raise_mismatches(
+                    "snapshot-fork trial diverged from the legacy path",
+                    trial_mismatches(
+                        [result], [self._classify_trial(trial)], first=trial
+                    ),
+                )
             return result
         except KeyboardInterrupt:
             raise

@@ -1,7 +1,6 @@
 """Trace-driven cache simulator: caches, hierarchy, protection plumbing."""
 
 from .address import AddressMapper
-from .buffers import BoundedQueue, PendingStore, PendingVictim, StoreBuffer, VictimBuffer
 from .cache import Cache, LineView
 from .coherence import BusStats, CoherentSystem, small_coherent_config
 from .hierarchy import (
@@ -78,11 +77,6 @@ __all__ = [
     "snapshot_cache",
     "snapshot_hierarchy",
     "snapshot_memory",
-    "BoundedQueue",
-    "PendingStore",
-    "PendingVictim",
-    "StoreBuffer",
-    "VictimBuffer",
     "Cache",
     "LineView",
     "BusStats",

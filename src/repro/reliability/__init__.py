@@ -1,7 +1,7 @@
 """Analytical reliability models: MTTF, aliasing hazard, AVF."""
 
 from .aliasing import aliasing_vulnerable_bits, mttf_aliasing_years
-from .avf import PAPER_AVF, measured_avf
+from .avf import PAPER_AVF
 from .fastmc import (
     CacheImage,
     FaultPairBatch,
@@ -29,7 +29,6 @@ __all__ = [
     "aliasing_vulnerable_bits",
     "mttf_aliasing_years",
     "PAPER_AVF",
-    "measured_avf",
     "ReliabilityInputs",
     "mttf_cppc_years",
     "mttf_domain_pair_years",

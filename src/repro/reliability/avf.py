@@ -1,51 +1,8 @@
-"""Architectural Vulnerability Factor helpers.
+"""Architectural Vulnerability Factor.
 
 The paper uses a flat AVF of 0.7 for dirty data ("all Loads from dirty
-data may cause a failure").  :func:`measured_avf` additionally offers a
-trace-derived estimate — the fraction of dirty units whose next event is
-a load rather than an overwrite or eviction — for sensitivity studies.
+data may cause a failure").
 """
-
-from __future__ import annotations
-
-from typing import Iterable
-
-from ..errors import ConfigurationError
-from ..memsim.hierarchy import MemoryHierarchy
-from ..memsim.types import AccessType
-from ..workloads.trace import TraceRecord
 
 #: The paper's Section 6.3 assumption.
 PAPER_AVF = 0.7
-
-
-def measured_avf(
-    records: Iterable[TraceRecord], hierarchy: MemoryHierarchy
-) -> float:
-    """Estimate AVF as the fraction of reads among dirty-word touches.
-
-    Replays the trace on ``hierarchy`` (which must be fresh) and counts,
-    for units that are dirty when touched, how often the touch is a load
-    (a fault there would be consumed) versus a store overwrite (a fault
-    there would be masked).
-    """
-    reads_of_dirty = 0
-    writes_to_dirty = 0
-    l1 = hierarchy.l1d
-    for record in records:
-        if record.op is AccessType.LOAD:
-            loc = l1.locate(record.addr)
-            if loc is not None:
-                line = l1.line(loc.set_index, loc.way)
-                if line.dirty[loc.unit_index]:
-                    reads_of_dirty += 1
-            hierarchy.load(record.addr, record.size)
-        else:
-            before = l1.stats.stores_to_dirty_units
-            hierarchy.store(record.addr, record.value)
-            if l1.stats.stores_to_dirty_units > before:
-                writes_to_dirty += 1
-    touches = reads_of_dirty + writes_to_dirty
-    if touches == 0:
-        raise ConfigurationError("trace never touched a dirty unit")
-    return reads_of_dirty / touches

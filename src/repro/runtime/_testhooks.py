@@ -80,3 +80,18 @@ def flaky(marker_dir: str, succeed_on_attempt: int, value):
     if attempt < succeed_on_attempt:
         os.kill(os.getpid(), signal.SIGKILL)
     return value
+
+
+def diverge(marker_dir: str):
+    """Report a fast-path divergence, counting attempts under ``marker_dir``.
+
+    Attempts are counted with marker files, like :func:`flaky`, so a
+    test can tell whether the executor retried the task.
+    """
+    from ..errors import raise_mismatches
+
+    directory = Path(marker_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    attempt = len(list(directory.glob("attempt-*"))) + 1
+    (directory / f"attempt-{attempt}").touch()
+    raise_mismatches("synthetic divergence", [f"attempt {attempt}: fast!=scalar"])

@@ -181,8 +181,7 @@ def run_campaign(
     runtime: CampaignRuntime,
     *,
     obs=None,
-    fast: bool = False,
-    fast_equivalence: str = "never",
+    equivalence: str = "never",
 ) -> CampaignResult:
     """Run (or resume) one campaign under a :class:`CampaignRuntime`.
 
@@ -190,16 +189,18 @@ def run_campaign(
     trials the retry policy gave up on land in ``.failures``.  With a
     checkpoint directory every finished trial is durable before the next
     is scheduled on that lane, so an interruption loses at most in-flight
-    work.
+    work.  A per-trial divergence under ``equivalence="always"`` is not a
+    crash: its :class:`~repro.errors.EquivalenceError` stops the sweep
+    and propagates, unrecorded.
 
-    The per-trial payload is deduplicated: the campaign config (plus, on
-    the ``fast`` path, its warm snapshot — see
-    :mod:`repro.faults.warmstate`) is pickled once, shipped to each
-    worker lane once via an executor preload, and cached worker-side by
-    content digest; tasks carry only ``(digest, trial_index)``.  ``fast``
-    requires ``config.shared_warmup`` and produces bit-identical
-    per-trial results (``fast_equivalence="always"`` re-runs the legacy
-    path per trial and raises on any divergence).
+    The per-trial payload is deduplicated: ``(config, warm)`` — ``warm``
+    is the campaign's warm snapshot under ``config.shared_warmup`` (see
+    :mod:`repro.faults.warmstate`), None otherwise — is pickled once,
+    shipped to each worker lane once via an executor preload, and cached
+    worker-side by content digest; tasks carry only
+    ``(digest, trial_index, equivalence)``.  Workers run the same
+    :meth:`FaultCampaign._run_trial` as the sequential loop, so the
+    config chooses the engine here too.
 
     ``obs`` (a :class:`repro.obs.TraceSink`) receives one outcome event
     per finished trial.  Trials execute in worker subprocesses, so —
@@ -208,10 +209,6 @@ def run_campaign(
     """
     if obs is not None and not obs.enabled:
         obs = None
-    if fast and not config.shared_warmup:
-        raise ConfigurationError(
-            "the snapshot-fork fast path requires shared_warmup=True"
-        )
     digest = campaign_digest(config)
     store: Optional[CheckpointStore] = None
     recorded: Dict[int, CheckpointRecord] = {}
@@ -232,20 +229,15 @@ def run_campaign(
 
     pending = [i for i in range(config.trials) if i not in recorded]
 
-    if fast:
-        from ..faults.warmstate import warm_state_for
-
-        payload = (config, warm_state_for(config)) if pending else None
-        trial_fn = _worker.run_fast_campaign_trial
-        extra_args = (fast_equivalence,)
-    else:
-        payload = config if pending else None
-        trial_fn = _worker.run_campaign_trial_cached
-        extra_args = ()
-
     preload_token = None
-    if payload is not None:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    tasks = []
+    if pending:
+        warm = None
+        if config.shared_warmup:
+            from ..faults.warmstate import warm_state_for
+
+            warm = warm_state_for(config)
+        blob = pickle.dumps((config, warm), protocol=pickle.HIGHEST_PROTOCOL)
         payload_digest = hashlib.sha256(blob).hexdigest()
         preload_token = runtime.executor().add_preload(
             _worker.seed_campaign_payload, payload_digest, blob
@@ -254,13 +246,11 @@ def run_campaign(
             TrialTask(
                 index=i,
                 seed=config.trial_seed(i),
-                fn=trial_fn,
-                args=(payload_digest, i) + extra_args,
+                fn=_worker.run_campaign_trial,
+                args=(payload_digest, i, equivalence),
             )
             for i in pending
         ]
-    else:
-        tasks = []
 
     def checkpoint(report: TaskReport) -> None:
         if obs is not None:

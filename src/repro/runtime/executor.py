@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import (
     CampaignRuntimeError,
     ConfigurationError,
+    EquivalenceError,
     TrialCrashError,
     TrialHungError,
     TrialQuarantinedError,
@@ -257,7 +258,10 @@ class TrialExecutor:
 
         Reports come back ordered like ``tasks``.  ``on_report`` (if
         given) fires once per finished task, serialized under a lock, so
-        callers can checkpoint results as they land.
+        callers can checkpoint results as they land.  The one exception
+        is :class:`~repro.errors.EquivalenceError`: a task whose fast
+        path disagreed with its reference is neither retried nor
+        reported, and the error stops the sweep and propagates.
         """
         queue = collections.deque(tasks)
         reports: Dict[int, TaskReport] = {}
@@ -405,6 +409,10 @@ class TrialExecutor:
                     last_error = self._crash(task, attempt, exc)
                 except CampaignRuntimeError as exc:
                     last_error = exc
+                except EquivalenceError:
+                    # A fast path disagreeing with its reference is a
+                    # verdict, not a crash: retrying cannot change it.
+                    raise
                 except Exception as exc:
                     last_error = self._crash(task, attempt, exc)
             if attempt < self.retry.max_attempts:

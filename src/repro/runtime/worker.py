@@ -1,10 +1,12 @@
 """Subprocess entry points for the trial runtime.
 
 Everything here is module-level so ``spawn``-context workers can unpickle
-it by qualified name.  Workers receive fully picklable payloads (a
-:class:`~repro.faults.campaign.CampaignConfig` built with
-:class:`~repro.faults.schemes.SchemeFactory`, plus a trial index) and
-return plain dataclasses.
+it by qualified name.  A campaign's trials all enter through
+:func:`run_campaign_trial`: the worker holds the campaign's picklable
+payload (a :class:`~repro.faults.campaign.CampaignConfig` built with
+:class:`~repro.faults.schemes.SchemeFactory`, plus its warm snapshot
+under a shared warmup), each task names a trial index, and results come
+back as plain dataclasses.
 """
 
 from __future__ import annotations
@@ -97,27 +99,16 @@ def run_task_with_chaos(kind: str, delay_s: float, fn, args):
     return fn(*args)
 
 
-def run_campaign_trial(config, trial_index: int):
-    """Execute one fault-injection trial in this worker.
-
-    Runs the exact same :meth:`FaultCampaign._run_trial` as the
-    sequential in-process path, so a campaign's per-trial outcomes do not
-    depend on where (or in what order) its trials execute.
-    """
-    from ..faults.campaign import FaultCampaign
-
-    return FaultCampaign(config)._run_trial(trial_index)
-
-
 # ----------------------------------------------------------------------
-# Shared-payload trial entry points
+# The shared-payload trial entry point
 #
-# A campaign's config (and, on the fast path, its warm snapshot) is the
-# same for every trial, so the driver ships it once per worker via an
+# A campaign's config (and, under a shared warmup, its warm snapshot) is
+# the same for every trial, so the driver ships it once per worker via an
 # executor preload (:meth:`TrialExecutor.add_preload`) and per-trial
-# tasks carry only ``(digest, trial_index)``.  The cache is module-level
-# worker state: each spawn-context worker process holds its own copy,
-# bounded so long-lived lanes serving many campaigns stay bounded too.
+# tasks carry only the payload digest, a trial index and the equivalence
+# mode.  The cache is module-level worker state: each spawn-context
+# worker process holds its own copy, bounded so long-lived lanes serving
+# many campaigns stay bounded too.
 # ----------------------------------------------------------------------
 _PAYLOAD_CACHE = None
 
@@ -149,26 +140,20 @@ def _cached_payload(digest: str):
     return payload
 
 
-def run_campaign_trial_cached(digest: str, trial_index: int):
-    """Legacy-path trial against a preloaded campaign config."""
-    from ..faults.campaign import FaultCampaign
+def run_campaign_trial(digest: str, trial_index: int, equivalence: str = "never"):
+    """Execute one fault-injection trial against a preloaded payload.
 
-    config = _cached_payload(digest)
-    return FaultCampaign(config)._run_trial(trial_index)
-
-
-def run_fast_campaign_trial(
-    digest: str, trial_index: int, fast_equivalence: str = "never"
-):
-    """Snapshot-fork trial against a preloaded ``(config, WarmState)``.
-
-    The warm state is unpickled once per worker (at preload time) and
-    forked per trial, so workers never re-simulate the shared warmup.
+    The payload is ``(config, warm)``: ``warm`` is the campaign's
+    :class:`~repro.faults.warmstate.WarmState` under
+    ``config.shared_warmup`` (unpickled once per worker at preload time
+    and forked per trial, so workers never re-simulate the shared
+    warmup), None otherwise.  Runs the exact same
+    :meth:`FaultCampaign._run_trial` as the sequential in-process path,
+    so a campaign's per-trial outcomes do not depend on where (or in
+    what order) its trials execute.
     """
     from ..faults.campaign import FaultCampaign
 
     config, warm = _cached_payload(digest)
-    campaign = FaultCampaign(
-        config, fast=True, fast_equivalence=fast_equivalence
-    )
+    campaign = FaultCampaign(config, equivalence=equivalence)
     return campaign._run_trial(trial_index, warm=warm)

@@ -320,8 +320,10 @@ def run_campaign_bench(
 
     Runs the same shared-warmup CPPC campaign (12,000 warmup and 250
     post-fault references per trial) twice — once through the legacy
-    warm-every-trial loop, once through the snapshot-fork fast path —
-    and verifies per-trial bit-identity before reporting throughput.
+    warm-every-trial loop (:meth:`FaultCampaign.run_scalar`), once
+    through the snapshot-fork engine its shared warmup selects
+    (:meth:`FaultCampaign.run`) — and verifies per-trial bit-identity
+    before reporting throughput.
     The fast timing includes building the warm snapshot (the cache is
     cleared first), so the reported ratio is what a cold campaign sees.
     """
@@ -345,13 +347,14 @@ def run_campaign_bench(
         shared_warmup=True,
     )
 
+    campaign = FaultCampaign(config)
     start = time.perf_counter()
-    legacy = FaultCampaign(config).run()
+    legacy = campaign.run_scalar()
     legacy_s = time.perf_counter() - start
 
     clear_warm_cache()
     start = time.perf_counter()
-    fast = FaultCampaign(config, fast=True).run()
+    fast = campaign.run()
     fast_s = time.perf_counter() - start
 
     raise_mismatches(

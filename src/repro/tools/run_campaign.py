@@ -83,10 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fast", action=argparse.BooleanOptionalAction, default=False,
-        help="snapshot-fork fast path: share one warmup across trials, "
-             "simulate it once, and fork each trial from the snapshot "
-             "(implies a shared warmup seed; bit-identical to running "
-             "the same shared-warmup campaign trial by trial)",
+        help="share one warmup trace across trials; the warmup is then "
+             "simulated once and each trial forks from its snapshot "
+             "(bit-identical to running the same shared-warmup campaign "
+             "trial by trial)",
     )
     parser.add_argument(
         "--fast-equivalence", choices=FORCED_EQUIVALENCE_MODES,
@@ -196,6 +196,11 @@ def _validate_args(args) -> None:
         raise ConfigurationError(
             f"--chaos-rate must be within [0, 1], got {args.chaos_rate!r}"
         )
+    if args.fast_equivalence == "always" and not args.fast:
+        raise ConfigurationError(
+            "--fast-equivalence always needs --fast: without a shared "
+            "warmup every trial already runs the legacy path"
+        )
 
 
 def _chaos_plan(args):
@@ -263,8 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with open_sink(args.trace_out) as sink:
             campaign = FaultCampaign(
-                config, obs=sink, fast=args.fast,
-                fast_equivalence=args.fast_equivalence,
+                config, obs=sink, equivalence=args.fast_equivalence
             )
             if profiler is not None:
                 profiler.enable()
@@ -298,7 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result.export_metrics(registry)
         if result.degradation is not None:
             export_degradation_metrics(registry, result.degradation)
-        if args.fast:
+        if config.shared_warmup:
             from ..faults.warmstate import warm_cache, warm_key
 
             warm_cache().export_metrics(registry, prefix="warm_cache")

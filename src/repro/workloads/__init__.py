@@ -27,14 +27,6 @@ from .store import (
     write_trace,
 )
 from .trace import TraceRecord, load_trace, materialize, save_trace, trace_stats
-from .transforms import (
-    drop,
-    interleave,
-    multiprogrammed_mix,
-    offset_addresses,
-    scale_gaps,
-    take,
-)
 
 __all__ = [
     "SyntheticWorkload",
@@ -63,10 +55,4 @@ __all__ = [
     "materialize",
     "save_trace",
     "trace_stats",
-    "drop",
-    "interleave",
-    "multiprogrammed_mix",
-    "offset_addresses",
-    "scale_gaps",
-    "take",
 ]

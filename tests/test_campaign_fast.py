@@ -1,12 +1,13 @@
 """Snapshot-fork fast path vs. the legacy warm-every-trial loop.
 
-The fast path's contract is *bit-identity*: for the same shared-warmup
-config and seeds it must produce exactly the per-trial
+A shared-warmup campaign forks every trial from one warm snapshot
+(``FaultCampaign.run``).  The fork's contract is *bit-identity*: for the
+same config and seeds it must produce exactly the per-trial
 :class:`TrialResult` sequence (and therefore the same outcome tallies)
-as the legacy loop.  These tests enforce that over randomized
-scheme/benchmark/seed combinations, exercise both warm engines (batch
-for CPPC, scalar for everything else), and pin down the warm-state
-cache and configuration guard rails.
+as the legacy loop, ``FaultCampaign.run_scalar``.  These tests enforce
+that over randomized scheme/benchmark/seed combinations, exercise both
+warm engines (batch for CPPC, scalar for everything else), and pin down
+the warm-state cache and configuration guard rails.
 """
 
 import gc
@@ -55,9 +56,12 @@ def shared_config(**overrides):
 
 
 def run_both(config):
-    legacy = FaultCampaign(config).run()
+    campaign = FaultCampaign(config)
     clear_warm_cache()
-    fast = FaultCampaign(config, fast=True).run()
+    legacy = campaign.run_scalar()
+    # The reference must not quietly turn into the fork it checks.
+    assert len(warmstate_mod.warm_cache()) == 0
+    fast = campaign.run()
     return legacy, fast
 
 
@@ -115,9 +119,9 @@ class TestBitIdentity:
 
     def test_equivalence_always_passes_and_returns_fast_results(self):
         config = shared_config(trials=4)
-        campaign = FaultCampaign(config, fast=True, fast_equivalence="always")
+        campaign = FaultCampaign(config, equivalence="always")
         result = campaign.run()
-        legacy = FaultCampaign(config).run()
+        legacy = campaign.run_scalar()
         assert_identical(legacy, result)
 
 
@@ -179,17 +183,19 @@ class TestWarmEngines:
 
 
 class TestGuards:
-    def test_fast_requires_shared_warmup(self):
+    def test_equivalence_always_requires_shared_warmup(self):
+        # A per-trial campaign runs only the scalar reference, so there
+        # is no fork to compare it with.
         config = shared_config(shared_warmup=False)
-        with pytest.raises(ConfigurationError):
-            FaultCampaign(config, fast=True)
+        with pytest.raises(ConfigurationError, match="shared_warmup"):
+            FaultCampaign(config, equivalence="always")
 
     def test_bad_equivalence_mode_rejected(self):
         with pytest.raises(ConfigurationError):
-            FaultCampaign(shared_config(), fast=True, fast_equivalence="sometimes")
+            FaultCampaign(shared_config(), equivalence="sometimes")
         # A campaign has no run size for "auto" to gate on.
         with pytest.raises(ConfigurationError):
-            FaultCampaign(shared_config(), fast=True, fast_equivalence="auto")
+            FaultCampaign(shared_config(), equivalence="auto")
 
     def test_equivalence_always_raises_on_divergence(self, monkeypatch):
         monkeypatch.setattr(
@@ -197,9 +203,7 @@ class TestGuards:
             "_classify_trial_fast",
             lambda self, trial, warm=None: TrialResult(Outcome.SDC, detail="forced"),
         )
-        campaign = FaultCampaign(
-            shared_config(trials=2), fast=True, fast_equivalence="always"
-        )
+        campaign = FaultCampaign(shared_config(trials=2), equivalence="always")
         with pytest.raises(EquivalenceError) as excinfo:
             campaign.run()
         assert excinfo.value.mismatches
@@ -273,7 +277,7 @@ class TestTrialFootprint:
         assert allocated < resident
         assert allocated <= 1000
 
-    @pytest.mark.parametrize("fast", [False, True], ids=["legacy", "fork"])
+    @pytest.mark.parametrize("run", ["run_scalar", "run"], ids=["legacy", "fork"])
     @pytest.mark.parametrize(
         "scheme,params,outcome",
         [
@@ -283,7 +287,7 @@ class TestTrialFootprint:
         ],
     )
     def test_finished_trial_is_freed_without_the_collector(
-        self, monkeypatch, fast, scheme, params, outcome
+        self, monkeypatch, run, scheme, params, outcome
     ):
         refs = []
         finish = FaultCampaign._finish_trial
@@ -299,7 +303,7 @@ class TestTrialFootprint:
         gc.collect()
         gc.disable()
         try:
-            result = FaultCampaign(config, fast=fast).run()
+            result = getattr(FaultCampaign(config), run)()
             alive = sum(ref() is not None for ref in refs)
         finally:
             gc.enable()

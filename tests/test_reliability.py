@@ -9,17 +9,12 @@ from repro.reliability import (
     PAPER_AVF,
     ReliabilityInputs,
     aliasing_vulnerable_bits,
-    measured_avf,
     mttf_aliasing_years,
     mttf_cppc_years,
     mttf_domain_pair_years,
     mttf_parity_years,
     mttf_secded_years,
 )
-from repro.memsim import MemoryHierarchy
-from repro.workloads import make_workload
-
-from conftest import TINY_CONFIG
 
 # The paper's Table 2 inputs.
 L1 = ReliabilityInputs(size_bits=32 * 1024 * 8, dirty_fraction=0.16,
@@ -141,15 +136,3 @@ class TestAliasing:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             aliasing_vulnerable_bits(8, 3)
-
-
-class TestMeasuredAvf:
-    def test_measured_avf_in_range(self):
-        hierarchy = MemoryHierarchy(TINY_CONFIG)
-        avf = measured_avf(make_workload("gzip").records(1500), hierarchy)
-        assert 0.0 < avf < 1.0
-
-    def test_empty_trace_rejected(self):
-        hierarchy = MemoryHierarchy(TINY_CONFIG)
-        with pytest.raises(ConfigurationError):
-            measured_avf([], hierarchy)

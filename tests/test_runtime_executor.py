@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
+    EquivalenceError,
     TrialCrashError,
     TrialTimeoutError,
 )
@@ -149,6 +150,23 @@ class TestCrashes:
         assert report.ok
         assert report.value == "finally"
         assert report.attempts == 3
+
+    def test_divergence_stops_the_sweep_without_retry(self, tmp_path):
+        # A fast path disagreeing with its reference is a verdict: the
+        # error propagates after one attempt and nothing is reported.
+        marks = tmp_path / "marks"
+        seen = []
+        retry = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+        with TrialExecutor(jobs=1, retry=retry, sleep=no_sleep) as executor:
+            with pytest.raises(EquivalenceError) as excinfo:
+                executor.run(
+                    [TrialTask(index=0, seed=1, fn=hooks.diverge, args=(str(marks),))],
+                    on_report=seen.append,
+                )
+            assert executor.health.crashes == 0
+        assert excinfo.value.mismatches == ["attempt 1: fast!=scalar"]
+        assert len(list(marks.glob("attempt-*"))) == 1
+        assert seen == []
 
     def test_map_raises_structured_error_on_exhaustion(self):
         retry = RetryPolicy(max_attempts=1)

@@ -1,11 +1,12 @@
 """Deduplicated campaign payloads and preloaded worker caches.
 
-The runtime ships each campaign's payload (config, and on the fast path
-the warm snapshot) to every worker lane exactly once, keyed by content
-digest; trials carry only ``(digest, index)``.  These tests cover the
-worker-side cache, the executor preload mechanism (including re-seeding
-a rebuilt lane after a kill), and end-to-end bit-identity of the
-runtime-backed fast path against the sequential legacy loop.
+The runtime ships each campaign's payload (config, plus the warm
+snapshot under a shared warmup) to every worker lane exactly once, keyed
+by content digest; trials carry only the digest, an index and the
+equivalence mode.  These tests cover the worker-side cache, the executor
+preload mechanism (including re-seeding a rebuilt lane after a kill),
+and end-to-end bit-identity of the runtime-backed fork against the
+sequential legacy loop.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import pickle
 
 import pytest
 
-from repro.errors import CampaignRuntimeError, ConfigurationError
+from repro.errors import CampaignRuntimeError
 from repro.faults import (
     CampaignConfig,
     FaultCampaign,
@@ -21,12 +22,7 @@ from repro.faults import (
     scheme_factory,
     warm_state_for,
 )
-from repro.runtime import (
-    CampaignRuntime,
-    TrialExecutor,
-    TrialTask,
-    run_campaign,
-)
+from repro.runtime import CampaignRuntime, TrialExecutor, TrialTask
 from repro.runtime import worker as _worker
 
 
@@ -65,22 +61,21 @@ def _fresh_caches():
 class TestWorkerPayloadCache:
     def test_cached_legacy_trial_matches_direct(self):
         config = shared_config(shared_warmup=False)
-        digest = seed_payload(config)
+        digest = seed_payload((config, None))
         direct = FaultCampaign(config)._run_trial(1)
-        cached = _worker.run_campaign_trial_cached(digest, 1)
+        cached = _worker.run_campaign_trial(digest, 1)
         assert vars(cached) == vars(direct)
 
     def test_fast_trial_matches_legacy(self):
         config = shared_config()
-        warm = warm_state_for(config)
-        digest = seed_payload((config, warm))
-        legacy = FaultCampaign(config)._run_trial(2)
-        fast = _worker.run_fast_campaign_trial(digest, 2)
+        legacy = FaultCampaign(config).run_scalar().trials[2]
+        digest = seed_payload((config, warm_state_for(config)))
+        fast = _worker.run_campaign_trial(digest, 2, "always")
         assert vars(fast) == vars(legacy)
 
     def test_missing_payload_is_a_structured_error(self):
         with pytest.raises(CampaignRuntimeError):
-            _worker.run_campaign_trial_cached("0" * 64, 0)
+            _worker.run_campaign_trial("0" * 64, 0)
 
     def test_payload_cache_is_bounded(self):
         cache = _worker._payload_cache()
@@ -90,23 +85,23 @@ class TestWorkerPayloadCache:
 class TestExecutorPreload:
     def test_preload_seeds_workers_and_survives_lane_kill(self):
         config = shared_config(shared_warmup=False, trials=2)
-        blob = pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps((config, None), protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(blob).hexdigest()
         expected = [vars(FaultCampaign(config)._run_trial(i)) for i in range(2)]
         with TrialExecutor(jobs=1) as executor:
             token = executor.add_preload(_worker.seed_campaign_payload, digest, blob)
-            first = executor.map(_worker.run_campaign_trial_cached, [(digest, 0)])
+            first = executor.map(_worker.run_campaign_trial, [(digest, 0)])
             assert vars(first[0]) == expected[0]
             # Kill the lane: the replacement worker has a cold cache and
             # must be re-seeded by the preload before its next trial.
             executor._lanes[0].kill()
-            second = executor.map(_worker.run_campaign_trial_cached, [(digest, 1)])
+            second = executor.map(_worker.run_campaign_trial, [(digest, 1)])
             assert vars(second[0]) == expected[1]
             executor.remove_preload(token)
 
     def test_removed_preload_not_applied_to_new_workers(self):
         config = shared_config(shared_warmup=False, trials=1)
-        blob = pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps((config, None), protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(blob).hexdigest()
         with TrialExecutor(jobs=1) as executor:
             token = executor.add_preload(_worker.seed_campaign_payload, digest, blob)
@@ -117,7 +112,7 @@ class TestExecutorPreload:
                     TrialTask(
                         index=0,
                         seed=0,
-                        fn=_worker.run_campaign_trial_cached,
+                        fn=_worker.run_campaign_trial,
                         args=(digest, 0),
                     )
                 ]
@@ -129,18 +124,21 @@ class TestExecutorPreload:
 class TestRuntimeFastCampaign:
     def test_runtime_fast_path_matches_sequential_legacy(self):
         config = shared_config(trials=6)
-        legacy = FaultCampaign(config).run()
-        clear_warm_cache()
+        legacy = FaultCampaign(config).run_scalar()
         with CampaignRuntime(jobs=2) as runtime:
-            fast = FaultCampaign(config, fast=True).run(runtime=runtime)
+            fast = FaultCampaign(config).run(runtime=runtime)
         assert [vars(t) for t in fast.trials] == [vars(t) for t in legacy.trials]
         assert fast.failures == []
 
-    def test_runtime_fast_requires_shared_warmup(self):
-        config = shared_config(shared_warmup=False)
+    def test_runtime_equivalence_always_matches_scalar(self):
+        # Workers re-run each forked trial through the scalar reference.
+        config = shared_config(trials=3)
+        legacy = FaultCampaign(config).run_scalar()
+        campaign = FaultCampaign(config, equivalence="always")
         with CampaignRuntime(jobs=1) as runtime:
-            with pytest.raises(ConfigurationError):
-                run_campaign(config, runtime, fast=True)
+            checked = campaign.run(runtime=runtime)
+        assert [vars(t) for t in checked.trials] == [vars(t) for t in legacy.trials]
+        assert checked.failures == []
 
     def test_legacy_runtime_path_unchanged_by_dedup(self):
         config = shared_config(shared_warmup=False, trials=3)

@@ -222,6 +222,12 @@ class TestCliValidation:
             (["cppc", "--heartbeat", "0"], "--heartbeat"),
             (["cppc", "--chaos-rate", "-0.5"], "--chaos-rate"),
             (["cppc", "--chaos-rate", "1.5"], "--chaos-rate"),
+            # Without --fast there is no fork to check.
+            (
+                ["cppc", "--fast-equivalence", "always", "--trials", "2",
+                 "--warmup", "300", "--post", "200"],
+                "--fast-equivalence",
+            ),
         ],
     )
     def test_run_campaign_rejects_bad_flags(self, capsys, argv, flag):
