@@ -89,6 +89,20 @@ def _fast_campaign_seed_skew() -> List[Patch]:
     return [(FaultCampaign, "_classify_trial_fast", classify_fast)]
 
 
+def _golden_touch_skips_hits() -> List[Patch]:
+    """The golden suffix pass treats every access as a miss, so a unit
+    only counts as touched when its line is evicted: trials whose fault
+    a load would have found skip the suffix."""
+    from ..faults.warmstate import _TouchRecorder
+
+    original = _TouchRecorder._access
+
+    def access(self, cache, addr, size, hit):
+        return original(self, cache, addr, size, False)
+
+    return [(_TouchRecorder, "_access", access)]
+
+
 def _audit_zero_residue() -> List[Patch]:
     """The audit recorder logs residue 0 for every register pair."""
     from ..cppc import protection
@@ -156,6 +170,12 @@ MUTATIONS: Dict[str, Mutation] = {
             "fast campaign path uses trial+1's injection seed",
             ("campaign",),
             _fast_campaign_seed_skew,
+        ),
+        Mutation(
+            "golden-touch-skips-hits",
+            "golden suffix pass does not count hits as touches",
+            ("campaign",),
+            _golden_touch_skips_hits,
         ),
         Mutation(
             "audit-zero-residue",

@@ -13,10 +13,12 @@ mirror the repo's redundant computations:
   the audit trail: every recorded pass must satisfy
   :func:`~repro.obs.trail.verify_audit`, its corrections must re-derive
   via :func:`~repro.obs.trail.reconstruct_corrections`, and the final
-  flushed state must satisfy the R1^R2 register invariant.  Scenarios
-  whose entire fault plan is one temporal data fault additionally
-  assert full architectural correctness (single-bit faults are exactly
-  what CPPC guarantees to repair).
+  flushed state must satisfy the R1^R2 register invariant, up to the
+  flips parity cannot see (an even number in one parity group of one
+  dirty unit), which must stay in the registers and corrupt the data.
+  Scenarios whose entire fault plan is one temporal data fault
+  additionally assert full architectural correctness (single-bit faults
+  are exactly what CPPC guarantees to repair).
 * :func:`check_campaign` — the legacy warm-every-trial campaign loop
   vs. the snapshot-fork fast path, per-trial bit identity.
 * :func:`check_doublefault` — the measured double-fault failure rate
@@ -40,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tempfile
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from ..cppc.protection import CppcProtection
 from ..errors import EquivalenceError, UncorrectableError
@@ -51,9 +53,11 @@ from ..faults.schemes import scheme_factory
 from ..faults.warmstate import clear_warm_cache
 from ..memsim.cache import Cache
 from ..memsim.mainmem import MainMemory
+from ..memsim.types import AccessType, UnitLocation
 from ..obs.trail import reconstruct_corrections, verify_audit
 from ..reliability import fastmc, montecarlo
 from ..runtime import CampaignRuntime, ChaosPlan, RetryPolicy
+from ..util import popcount
 from ..workloads.replay import FastReplay, GoldenMemory, TraceReplayer
 from .scenario import FaultOp, Scenario
 
@@ -133,6 +137,10 @@ def _build_scenario_cache(scenario: Scenario) -> Cache:
     )
 
 
+#: One unit a fault op flipped: ``(location, data mask, check mask)``.
+Flip = Tuple[UnitLocation, int, int]
+
+
 def apply_fault(cache: Cache, op: FaultOp) -> int:
     """Apply one fault-plan op to ``cache``; returns bits flipped.
 
@@ -141,6 +149,11 @@ def apply_fault(cache: Cache, op: FaultOp) -> int:
     live geometry, so the same op stays meaningful as a shrinker trims
     the trace around it.
     """
+    return sum(popcount(data) + popcount(check) for _, data, check in _flip(cache, op))
+
+
+def _flip(cache: Cache, op: FaultOp) -> List[Flip]:
+    """:func:`apply_fault`, returning what it flipped in each unit."""
     if op.kind == "spatial":
         injector = FaultInjector(cache, seed=0)
         rows = max(1, injector.geometry.rows_per_way)
@@ -153,23 +166,91 @@ def apply_fault(cache: Cache, op: FaultOp) -> int:
                 width=op.width,
             )
         )
-        return record.total_bits
+        return [(flip.loc, flip.mask, 0) for flip in record.flips]
     if op.dirty_only:
         candidates = [loc for loc, _v in cache.iter_dirty_units()]
     else:
         candidates = cache.resident_locations()
     if not candidates:
-        return 0
+        return []
     loc = candidates[op.target % len(candidates)]
     if op.kind == "temporal":
-        flips = FaultInjector(cache, seed=0).inject_temporal(
+        record = FaultInjector(cache, seed=0).inject_temporal(
             TemporalFault(loc, op.bit % cache.unit_bits)
         )
-        return flips.total_bits
+        return [(flip.loc, flip.mask, 0) for flip in record.flips]
     # check-bit fault: flip one stored check bit, data untouched
     width = max(1, cache.protection.code.check_bits)
-    cache.corrupt_check(loc, 1 << (op.bit % width))
-    return 1
+    mask = 1 << (op.bit % width)
+    cache.corrupt_check(loc, mask)
+    return [(loc, 0, mask)]
+
+
+class _UnseenFlips:
+    """Flips parity cannot see: the fault class CPPC leaves as SDC.
+
+    A dirty unit whose flips leave every parity group even passes every
+    check, so its wrong data is written back as if correct, and its
+    removal puts the wrong word into R2: its pair keeps the folded
+    (rotated) wrong bits as residue after the flush.
+
+    After each batch of fault ops (those due before the same reference),
+    every unit the batch flipped is judged on its whole state: dirty,
+    wrong against the golden model, and passing inspection.  A unit
+    judged again in a later batch replaces its earlier judgment when
+    nothing changed it in between; otherwise its pair's residue is
+    beyond prediction (``unpredicted``).
+    """
+
+    def __init__(self, cache: Cache, golden: GoldenMemory):
+        self.cache = cache
+        self.golden = golden
+        #: (location, address) -> (state after the batch, pair, residue)
+        self._units: Dict[tuple, tuple] = {}
+        self.unpredicted: set = set()
+        #: address -> wrong bits of each byte no later store rewrote.
+        self.corrupt: Dict[int, int] = {}
+
+    def judge(self, flips: List[Flip]) -> None:
+        cache = self.cache
+        scheme: CppcProtection = cache.protection
+        by_unit: Dict[UnitLocation, List[int]] = {}
+        for loc, data, check in flips:
+            masks = by_unit.setdefault(loc, [0, 0])
+            masks[0] ^= data
+            masks[1] ^= check
+        ub = cache.unit_bytes
+        for loc, (data, check) in by_unit.items():
+            value, word, dirty = cache.peek_unit(loc)
+            addr = cache.address_of(loc)
+            cls = scheme.class_of(loc)
+            pair = scheme.registers.pair_index_of_class(cls)
+            before = (value ^ data, word ^ check, dirty)
+            earlier = self._units.get((loc, addr))
+            if earlier is not None and earlier[0] != before:
+                self.unpredicted.add(pair)
+            wrong = value ^ int.from_bytes(self.golden.read(addr, ub), "big")
+            if not dirty or scheme.inspect(value, word).detected:
+                wrong = 0
+            residue = scheme.rotation.rotate_in(wrong, cls)
+            self._units[(loc, addr)] = ((value, word, dirty), pair, residue)
+            for i, bits in enumerate(wrong.to_bytes(ub, "big")):
+                if bits:
+                    self.corrupt[addr + i] = bits
+                else:
+                    self.corrupt.pop(addr + i, None)
+
+    def stored(self, addr: int, size: int) -> None:
+        for byte in range(addr, addr + size):
+            self.corrupt.pop(byte, None)
+
+    def residues(self) -> Dict[int, int]:
+        """Pair index -> residue the unseen flips leave after the flush."""
+        out: Dict[int, int] = {}
+        for _state, pair, residue in self._units.values():
+            if residue:
+                out[pair] = out.get(pair, 0) ^ residue
+        return out
 
 
 def _audit_problems(scheme: CppcProtection) -> List[str]:
@@ -204,17 +285,27 @@ def check_recovery(scenario: Scenario) -> List[str]:
     injected_bits = 0
     due: str = ""
     mismatches = 0
+    unseen = _UnseenFlips(cache, golden)
+    records = scenario.records
     try:
         next_fault = 0
-        for index, record in enumerate(scenario.records):
-            while next_fault < len(plan) and plan[next_fault].at <= index:
-                injected_bits += apply_fault(cache, plan[next_fault])
+        for index in range(len(records) + 1):
+            flips: List[Flip] = []
+            while next_fault < len(plan) and (
+                plan[next_fault].at <= index or index == len(records)
+            ):
+                flips.extend(_flip(cache, plan[next_fault]))
                 next_fault += 1
+            if flips:
+                injected_bits += sum(popcount(d) + popcount(c) for _, d, c in flips)
+                unseen.judge(flips)
+            if index == len(records):
+                break
+            record = records[index]
+            if record.op is AccessType.STORE:
+                unseen.stored(record.addr, record.size)
             if replayer.step(record):
                 mismatches += 1
-        while next_fault < len(plan):
-            injected_bits += apply_fault(cache, plan[next_fault])
-            next_fault += 1
         cache.flush()
     except UncorrectableError as exc:
         due = str(exc)
@@ -243,18 +334,36 @@ def check_recovery(scenario: Scenario) -> List[str]:
     if not due:
         # After a full flush no dirty words remain, so every register
         # pair must have drained to the all-zero state and agree with a
-        # fresh scan of the (empty) dirty set.
+        # fresh scan of the (empty) dirty set -- except for flips parity
+        # cannot see, which stay as residue.  A detection may recover
+        # with that residue in the way, so its pair is then not predicted.
+        detected = cache.stats.detected_faults > 0
+        residues = unseen.residues()
         for i, pair in enumerate(scheme.registers.pairs):
+            if i in unseen.unpredicted or (detected and i in residues):
+                continue
             expected = scheme.dirty_xor_expected(i)
-            if pair.dirty_xor != expected:
+            left = residues.get(i, 0)
+            if pair.dirty_xor != expected ^ left:
                 problems.append(
                     f"pair {i}: R1^R2 {pair.dirty_xor:#x} != rescan "
-                    f"{expected:#x} after flush"
+                    f"{expected:#x} ^ flips parity cannot see {left:#x} "
+                    "after flush"
                 )
-            if pair.dirty_xor != 0 and expected == 0:
+            if pair.dirty_xor != left and expected == 0:
                 problems.append(
                     f"pair {i}: registers left residue {pair.dirty_xor:#x} "
                     "after flushing every dirty word"
+                )
+        # Unseen flips that no store rewrote, in bytes the golden image
+        # holds, are silent data corruption the run must show.
+        if unseen.corrupt and not (detected or unseen.unpredicted or mismatches):
+            image = dict(golden.items())
+            corrupt = sorted(a for a in unseen.corrupt if a in image)
+            if corrupt and cache.next_level.first_mismatch(image.items()) is None:
+                problems.append(
+                    "flips parity cannot see left no corruption in loads or "
+                    f"memory (bytes {[hex(a) for a in corrupt[:4]]})"
                 )
     return problems
 

@@ -129,6 +129,33 @@ class TrialResult:
     detail: str = ""
 
 
+#: How a trial was settled, in the order :class:`CampaignResult` reports
+#: them: ``skipped`` replayed no suffix (its struck units are never
+#: touched, or nothing was resident to strike), ``rejoined`` replayed
+#: the suffix but not the flush (its pre-flush state equals the golden
+#: run's), ``replayed`` simulated both, and ``resumed`` was read back
+#: from a checkpoint.
+SETTLE_PATHS = ("skipped", "rejoined", "replayed", "resumed")
+
+
+@dataclasses.dataclass(frozen=True)
+class TrialRun:
+    """One finished trial: its result, plus how it was settled.
+
+    The settle path is kept out of :class:`TrialResult`, which is what
+    two runs of a trial are compared by.
+
+    Attributes:
+        result: the trial's classification.
+        settled: one of :data:`SETTLE_PATHS` (never ``resumed``).
+        replayed: suffix references the trial simulated.
+    """
+
+    result: TrialResult
+    settled: str = "replayed"
+    replayed: int = 0
+
+
 @dataclasses.dataclass(frozen=True)
 class TrialFailure:
     """A trial the execution layer could not complete.
@@ -167,12 +194,32 @@ class CampaignResult:
     self-heals; see :class:`repro.runtime.health.DegradationReport`) —
     populated only by runtime-backed runs with a resilience feature
     active, None otherwise.
+
+    ``settled`` counts the completed trials by :data:`SETTLE_PATHS`, and
+    ``replayed_references`` sums the suffix references they simulated.
+    The scalar reference and per-trial campaigns settle every trial as
+    ``replayed``.
     """
 
     config: CampaignConfig
     trials: List[TrialResult] = dataclasses.field(default_factory=list)
     failures: List[TrialFailure] = dataclasses.field(default_factory=list)
     degradation: Optional[dict] = None
+    settled: Dict[str, int] = dataclasses.field(
+        default_factory=lambda: dict.fromkeys(SETTLE_PATHS, 0)
+    )
+    replayed_references: int = 0
+
+    def add(self, run: TrialRun) -> None:
+        """Append a finished trial and count how it was settled."""
+        self.trials.append(run.result)
+        self.settled[run.settled] += 1
+        self.replayed_references += run.replayed
+
+    def add_resumed(self, result: TrialResult) -> None:
+        """Append a trial read back from a checkpoint."""
+        self.trials.append(result)
+        self.settled["resumed"] += 1
 
     @property
     def counts(self) -> Dict[Outcome, int]:
@@ -216,6 +263,8 @@ class CampaignResult:
             "failed": self.failed,
             "counts": {o.value: n for o, n in self.counts.items()},
             "rates": self.summary(),
+            "settled": dict(self.settled),
+            "replayed_references": self.replayed_references,
         }
 
     def export_metrics(self, registry, prefix: str = "campaign.") -> None:
@@ -226,6 +275,11 @@ class CampaignResult:
             registry.gauge(f"{prefix}{outcome}_rate").set(rate)
         registry.counter(f"{prefix}completed").inc(self.completed)
         registry.counter(f"{prefix}failed").inc(self.failed)
+        for path, count in self.settled.items():
+            registry.counter(f"{prefix}settled.{path}").inc(count)
+        registry.counter(f"{prefix}replayed_references").inc(
+            self.replayed_references
+        )
 
 
 class FaultCampaign:
@@ -306,8 +360,8 @@ class FaultCampaign:
         result = CampaignResult(config=self.config)
         for trial in range(self.config.trials):
             start = time.perf_counter() if obs is not None else 0.0
-            outcome = run_trial(trial)
-            result.trials.append(outcome)
+            run = run_trial(trial)
+            result.add(run)
             if obs is not None:
                 obs.span(
                     "campaign",
@@ -315,15 +369,16 @@ class FaultCampaign:
                     start,
                     time.perf_counter() - start,
                     {
-                        "outcome": outcome.outcome.value,
-                        "injected_bits": outcome.injected_bits,
-                        "touched_units": outcome.touched_units,
+                        "outcome": run.result.outcome.value,
+                        "injected_bits": run.result.injected_bits,
+                        "touched_units": run.result.touched_units,
+                        "settled": run.settled,
                     },
                 )
         return result
 
     # ------------------------------------------------------------------
-    def _run_trial(self, trial: int, warm=None) -> TrialResult:
+    def _run_trial(self, trial: int, warm=None) -> TrialRun:
         """Run one trial; unexpected exceptions become structured crashes.
 
         ``KeyboardInterrupt`` is always re-raised (an interrupt is a user
@@ -339,15 +394,15 @@ class FaultCampaign:
         try:
             if not self.config.shared_warmup:
                 return self._classify_trial(trial)
-            result = self._classify_trial_fast(trial, warm)
+            run = self._classify_trial_fast(trial, warm)
             if cross_checks(self.equivalence):
                 raise_mismatches(
                     "snapshot-fork trial diverged from the legacy path",
                     trial_mismatches(
-                        [result], [self._classify_trial(trial)], first=trial
+                        [run.result], [self._classify_trial(trial).result], first=trial
                     ),
                 )
-            return result
+            return run
         except KeyboardInterrupt:
             raise
         except EquivalenceError:
@@ -369,7 +424,9 @@ class FaultCampaign:
                 seed=self.config.trial_seed(trial),
             ) from exc
 
-    def _classify_trial(self, trial: int) -> TrialResult:
+    def _classify_trial(self, trial: int) -> TrialRun:
+        """The scalar reference: warm a fresh hierarchy on the trial's own
+        trace, then inject, replay the whole suffix and flush."""
         cfg = self.config
         obs = self._obs_or_none()
         hierarchy = MemoryHierarchy(protection_factory=cfg.scheme_factory)
@@ -388,23 +445,36 @@ class FaultCampaign:
         try:
             for record in warmup:
                 if replayer.step(record):
-                    return TrialResult(
-                        outcome=Outcome.SDC, detail="mismatch before injection"
+                    return TrialRun(
+                        TrialResult(
+                            outcome=Outcome.SDC, detail="mismatch before injection"
+                        )
                     )
         except UncorrectableError as exc:
-            return TrialResult(outcome=Outcome.DUE, detail=f"warmup: {exc}")
+            return TrialRun(
+                TrialResult(outcome=Outcome.DUE, detail=f"warmup: {exc}")
+            )
 
         return self._finish_trial(trial, hierarchy, golden, replayer, records)
 
-    def _classify_trial_fast(self, trial: int, warm=None) -> TrialResult:
-        """Fork the cached warm state and simulate only the suffix.
+    def _classify_trial_fast(self, trial: int, warm=None) -> TrialRun:
+        """Fork the cached warm state and simulate only what the fault
+        can change.
 
         Bit-identical to :meth:`_classify_trial` under ``shared_warmup``:
         the restored hierarchy, golden image and cycle clock match the
         warmed-up originals exactly, and the injection RNG depends only
         on ``(seed, trial)`` plus the (identical) resident cache state.
+        The warm state's :class:`~repro.faults.warmstate.GoldenRecord`
+        then settles the trial by the cheapest exact path
+        (:meth:`_finish_trial`): a trial whose struck units the suffix
+        never touches takes the golden pre-flush state instead of
+        replaying the suffix, and a trial whose pre-flush state equals
+        the golden one is classified without its flush.
+
         The observer, if any, sees injection/classification events but
-        not the warmup prefix (simulated once, not per trial).
+        not the warmup prefix (simulated once, not per trial), nor the
+        suffix steps or the flush a trial skips.
         """
         if warm is None:
             from .warmstate import warm_state_for
@@ -415,16 +485,34 @@ class FaultCampaign:
         if obs is not None:
             hierarchy.set_observer(obs)
         return self._finish_trial(
-            trial, hierarchy, golden, replayer, iter(warm.suffix_records)
+            trial,
+            hierarchy,
+            golden,
+            replayer,
+            warm.suffix_records,
+            warm.golden_record,
         )
 
     def _finish_trial(
-        self, trial: int, hierarchy, golden, replayer, records
-    ) -> TrialResult:
+        self, trial: int, hierarchy, golden, replayer, records, golden_record=None
+    ) -> TrialRun:
         """Inject into a warmed-up hierarchy, replay the suffix, classify.
 
         ``records`` yields the post-warmup suffix only — the shared tail
-        of the legacy and snapshot-fork paths.
+        of the legacy and snapshot-fork paths.  ``golden_record`` (the
+        fork's :class:`~repro.faults.warmstate.GoldenRecord`, None for
+        the scalar reference) lets the trial skip what its fault cannot
+        change:
+
+        * no struck unit is touched by the suffix: the fork takes the
+          golden pre-flush state, keeping its flips, which equals
+          replaying the suffix, and then flushes;
+        * the pre-flush state equals the golden one up to statistics:
+          the flush would repeat the golden run's, which leaves memory
+          correct and detects nothing, so the trial is CORRECTED when
+          its target's ``detected_faults`` rose and BENIGN otherwise,
+          exactly what the flush would conclude.  Only this
+          classification reads the statistics the digest leaves out.
         """
         cfg = self.config
         obs = self._obs_or_none()
@@ -432,7 +520,10 @@ class FaultCampaign:
         injector = FaultInjector(target, seed=(cfg.seed, trial))
         injection = self._inject(injector)
         if injection is None or not injection.flips:
-            return TrialResult(outcome=Outcome.BENIGN, detail="no resident target")
+            return TrialRun(
+                TrialResult(outcome=Outcome.BENIGN, detail="no resident target"),
+                "replayed" if golden_record is None else "skipped",
+            )
         if obs is not None:
             obs.emit(
                 "campaign",
@@ -447,38 +538,50 @@ class FaultCampaign:
             )
 
         detected_before = target.stats.detected_faults
+        replayed_from = replayer.result.references
+
+        def settle(outcome, detail="", settled="replayed") -> TrialRun:
+            return TrialRun(
+                TrialResult(
+                    outcome=outcome,
+                    injected_bits=injection.total_bits,
+                    touched_units=len(injection.touched_units),
+                    detail=detail,
+                ),
+                settled,
+                replayer.result.references - replayed_from,
+            )
+
+        skipped = golden_record is not None and not golden_record.touches(
+            target, injection.touched_units
+        )
         try:
-            for record in records:  # the remaining post-fault slice
-                if replayer.step(record):
-                    return TrialResult(
-                        outcome=Outcome.SDC,
-                        injected_bits=injection.total_bits,
-                        touched_units=len(injection.touched_units),
-                        detail="load returned corrupted data",
+            if skipped:
+                golden_record.apply(hierarchy, golden)
+            else:
+                for record in records:  # the remaining post-fault slice
+                    if replayer.step(record):
+                        return settle(Outcome.SDC, "load returned corrupted data")
+                if golden_record is not None and golden_record.rejoins(hierarchy):
+                    detected = target.stats.detected_faults > detected_before
+                    return settle(
+                        Outcome.CORRECTED if detected else Outcome.BENIGN,
+                        settled="rejoined",
                     )
             hierarchy.flush()
         except UncorrectableError as exc:
-            return TrialResult(
-                outcome=Outcome.DUE,
-                injected_bits=injection.total_bits,
-                touched_units=len(injection.touched_units),
-                detail=str(exc),
-            )
+            return settle(Outcome.DUE, str(exc))
 
+        settled = "skipped" if skipped else "replayed"
         addr = hierarchy.memory.first_mismatch(golden.items())
         if addr is not None:
-            return TrialResult(
-                outcome=Outcome.SDC,
-                injected_bits=injection.total_bits,
-                touched_units=len(injection.touched_units),
-                detail=f"latent corruption at {addr:#x} after flush",
+            return settle(
+                Outcome.SDC, f"latent corruption at {addr:#x} after flush", settled
             )
 
         detected = target.stats.detected_faults > detected_before
-        return TrialResult(
-            outcome=Outcome.CORRECTED if detected else Outcome.BENIGN,
-            injected_bits=injection.total_bits,
-            touched_units=len(injection.touched_units),
+        return settle(
+            Outcome.CORRECTED if detected else Outcome.BENIGN, settled=settled
         )
 
     def _inject(self, injector: FaultInjector) -> Optional[InjectionRecord]:

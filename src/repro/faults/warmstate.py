@@ -28,6 +28,15 @@ rest of the hierarchy exactly as the per-access path would.  Everything
 else falls back to a scalar warmup, and the warm state records which
 condition sent it there.
 
+After taking the snapshot, :func:`build_warm_state` keeps replaying its
+own hierarchy through the suffix, fault-free, and records the golden run
+in a small :class:`GoldenRecord`: the first suffix step that touches
+each unit, the pre-flush state as a delta against the snapshot, and a
+digest of that state.  A flipped unit is inert until its first touch,
+so a trial whose struck units the suffix never touches need not replay
+it; a trial whose pre-flush state equals the golden one need not flush
+(:meth:`~repro.faults.campaign.FaultCampaign._classify_trial_fast`).
+
 :func:`warm_state_for` memoizes warm states in a bounded module-level
 :class:`~repro.memsim.snapshot.SnapshotCache`, keyed by everything the
 warm image depends on — scheme factory, benchmark, prefix length, trace
@@ -38,23 +47,194 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..cppc.protection import CppcProtection
+from ..errors import UncorrectableError
 from ..memsim.batch import BatchReplayEngine, BatchTrace, ReplayCapture
+from ..memsim.cache import Cache
 from ..memsim.hierarchy import MemoryHierarchy
 from ..memsim.replacement import LRUPolicy
 from ..memsim.snapshot import (
+    HierarchyDelta,
     HierarchySnapshot,
     SnapshotCache,
+    apply_delta,
+    diff_hierarchy,
     restore_hierarchy,
     snapshot_hierarchy,
+    state_digest,
 )
-from ..memsim.types import AccessType
+from ..memsim.types import AccessType, UnitLocation
 from ..workloads.replay import GoldenMemory, TraceReplayer
 from ..workloads.store import cached_records
 from ..workloads.trace import TraceRecord
 from .campaign import CampaignConfig
+
+
+@dataclasses.dataclass
+class GoldenRecord:
+    """The fault-free run of a warm state's suffix, recorded once.
+
+    Holds no full image: the pre-flush state is a delta against the
+    warm snapshot, and the rejoin test compares digests.
+
+    Attributes:
+        first_touch: per cache level name, the first suffix step that
+            touches each unit slot (``line * units_per_block + unit``).
+            A step touches a unit when it loads or stores any byte of
+            it, or fills or evicts its line; a unit missing here keeps
+            its warm state through the whole suffix.
+        delta: the golden pre-flush hierarchy against the warm snapshot
+            (:func:`~repro.memsim.snapshot.diff_hierarchy`).
+        image_delta: the golden memory bytes the suffix's stores set;
+            applied with ``dict.update``, addresses new to the image
+            follow it in first-store order, as in the golden run.
+        digest: :func:`~repro.memsim.snapshot.state_digest` of the
+            golden pre-flush hierarchy.
+        flush_clean: whether the golden run's own flush detected nothing
+            and left memory equal to the golden image.  When it did not,
+            no trial skips its flush.
+    """
+
+    first_touch: Dict[str, Dict[int, int]]
+    delta: HierarchyDelta
+    image_delta: Dict[int, int]
+    digest: bytes
+    flush_clean: bool
+
+    def touches(self, cache: Cache, locs: Iterable[UnitLocation]) -> bool:
+        """Whether the suffix touches any of the units at ``locs``."""
+        first = self.first_touch[cache.name]
+        ways = cache.ways
+        upb = cache.units_per_block
+        return any(
+            (loc.set_index * ways + loc.way) * upb + loc.unit_index in first
+            for loc in locs
+        )
+
+    def apply(self, hierarchy: MemoryHierarchy, golden: GoldenMemory) -> None:
+        """Move a fork to the golden run's pre-flush state.
+
+        Only units the suffix touched are written, so a flipped unit it
+        never touches keeps its flips: the fork then equals a fork
+        injected with the same flips that replayed the whole suffix.
+        """
+        apply_delta(self.delta, hierarchy)
+        golden.update(self.image_delta)
+
+    def rejoins(self, hierarchy: MemoryHierarchy) -> bool:
+        """Whether a trial's pre-flush state equals the golden run's, up
+        to statistics, with a golden flush that needed no correction.
+
+        Such a trial's flush repeats the golden one: memory ends equal
+        to the golden image, and nothing is detected.
+        """
+        return self.flush_clean and state_digest(hierarchy) == self.digest
+
+
+class _TouchRecorder:
+    """Trace sink for the golden pass: the first step that touches each
+    unit slot, and every set an access reached (where the delta looks).
+
+    ``load``/``store`` events name an access; on a hit the line holding
+    its address is resident, so the touched units are known.  ``evict``
+    events name the slot a fill replaces.  A fill into an empty way
+    emits no event, but that way held no valid line at the fork point
+    or lost it to an earlier eviction, so no fault can sit there.
+    """
+
+    enabled = True
+
+    def __init__(self, hierarchy: MemoryHierarchy):
+        self.step = 0
+        self._levels = {level.name: level for level in hierarchy.levels()}
+        self.first_touch: Dict[str, Dict[int, int]] = {
+            name: {} for name in self._levels
+        }
+        self.sets: Dict[str, set] = {name: set() for name in self._levels}
+
+    def emit(self, category, name, args=None, ts=None) -> None:
+        if category != "cache":
+            return
+        if name == "evict":
+            self._evict(self._levels[args["level"]], args["set"], args["way"])
+        elif name in ("load", "store"):
+            cache = self._levels[args["level"]]
+            self._access(cache, args["addr"], args["size"], args["hit"])
+
+    def _access(self, cache: Cache, addr: int, size: int, hit: bool) -> None:
+        self.sets[cache.name].add(cache.mapper.set_index(addr))
+        if hit:
+            ub = cache.unit_bytes
+            u0 = cache._line_of(addr) * cache.units_per_block
+            off = cache.mapper.block_offset(addr)
+            self._touch(cache, range(u0 + off // ub, u0 + (off + size - 1) // ub + 1))
+
+    def _evict(self, cache: Cache, set_index: int, way: int) -> None:
+        upb = cache.units_per_block
+        first = (set_index * cache.ways + way) * upb
+        self._touch(cache, range(first, first + upb))
+
+    def _touch(self, cache: Cache, units: range) -> None:
+        first_touch = self.first_touch[cache.name]
+        for ui in units:
+            first_touch.setdefault(ui, self.step)
+
+
+def _detections(hierarchy: MemoryHierarchy) -> int:
+    return sum(level.stats.detected_faults for level in hierarchy.levels())
+
+
+def _golden_pass(
+    state: "WarmState", hierarchy: MemoryHierarchy, golden: GoldenMemory
+) -> Optional[GoldenRecord]:
+    """Replay ``state``'s suffix fault-free on the hierarchy and golden
+    memory its snapshot was taken from, record the run, then flush.
+
+    None when the fault-free run itself detects a fault or loads wrong
+    data, which no correct simulator does; trials then replay in full.
+    """
+    recorder = _TouchRecorder(hierarchy)
+    replayer = TraceReplayer(
+        hierarchy, golden=golden, check_loads=True, start_cycle=state.start_cycle
+    )
+    detected = _detections(hierarchy)
+    hierarchy.set_observer(recorder)
+    try:
+        for step, record in enumerate(state.suffix_records):
+            recorder.step = step
+            if replayer.step(record):
+                return None
+    except UncorrectableError:
+        return None
+    finally:
+        hierarchy.set_observer(None)
+    if _detections(hierarchy) != detected:
+        return None
+    # The suffix's stores, replayed into an empty image: the final bytes,
+    # new addresses in the order the golden image gained them.
+    stores = GoldenMemory()
+    for record in state.suffix_records:
+        if record.op is AccessType.STORE:
+            stores.store(record.addr, record.value)
+    sets = [recorder.sets[level.name] for level in hierarchy.levels()]
+    golden_run = GoldenRecord(
+        first_touch=recorder.first_touch,
+        delta=diff_hierarchy(state.snapshot, hierarchy, sets),
+        image_delta=stores.snapshot(),
+        digest=state_digest(hierarchy),
+        flush_clean=False,
+    )
+    try:
+        hierarchy.flush()
+    except UncorrectableError:
+        return golden_run
+    golden_run.flush_clean = (
+        _detections(hierarchy) == detected
+        and hierarchy.memory.first_mismatch(golden.items()) is None
+    )
+    return golden_run
 
 
 @dataclasses.dataclass
@@ -77,6 +257,11 @@ class WarmState:
         warm_fallback: why a scalar warmup ran instead of the batch
             engine (the :func:`_batch_compatible` condition that failed,
             e.g. ``"l1_scheme"``), else None.
+        golden_record: the fault-free suffix run (:class:`GoldenRecord`)
+            that lets trials skip what their fault cannot change; None
+            when that run was unusable, and every trial replays in full.
+            It depends on the warm state alone, so it rides to workers
+            in the payload and is dropped with the state.
         size_bytes: pickled size (cache accounting and lane shipping).
     """
 
@@ -88,6 +273,7 @@ class WarmState:
     start_cycle: int
     warm_engine: str
     warm_fallback: Optional[str] = None
+    golden_record: Optional[GoldenRecord] = None
     size_bytes: int = 0
 
     def fork(self) -> Tuple[MemoryHierarchy, GoldenMemory, TraceReplayer]:
@@ -201,7 +387,9 @@ def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> 
 
 
 def build_warm_state(config: CampaignConfig) -> WarmState:
-    """Simulate the shared warmup prefix once and package the result."""
+    """Simulate the shared warmup prefix once and package the result,
+    then run the suffix fault-free on the same hierarchy to record its
+    :class:`GoldenRecord`."""
     # cached_records goes through the columnar trace store when
     # REPRO_TRACE_CACHE is set, so campaigns sharing a workload decode
     # one on-disk trace instead of regenerating it per process.
@@ -242,6 +430,9 @@ def build_warm_state(config: CampaignConfig) -> WarmState:
         warm_engine=warm_engine,
         warm_fallback=fallback,
     )
+    state.golden_record = _golden_pass(state, hierarchy, golden)
+    # The flushed build hierarchy is done: free it before pickling.
+    del hierarchy, golden
     state.size_bytes = len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
     return state
 

@@ -696,7 +696,7 @@ class Cache:
             self._obs.emit(
                 "cache",
                 "load",
-                {"level": self.name, "addr": addr, "hit": hit},
+                {"level": self.name, "addr": addr, "size": size, "hit": hit},
             )
         if hit:
             self.stats.read_hits += 1
@@ -747,7 +747,7 @@ class Cache:
             self._obs.emit(
                 "cache",
                 "store",
-                {"level": self.name, "addr": addr, "hit": hit},
+                {"level": self.name, "addr": addr, "size": size, "hit": hit},
             )
         if hit:
             self.stats.write_hits += 1

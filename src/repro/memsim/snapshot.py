@@ -33,6 +33,16 @@ Protection state is dispatched on the scheme's ``name``:
 Anything else raises :class:`~repro.errors.SnapshotError` rather than
 silently dropping state.
 
+Beside the full image sits a *delta*: :func:`diff_hierarchy` records
+only the lines, units, replacement orders and memory blocks in which a
+live hierarchy differs from a snapshot (plus the small whole-cache
+state, carried whole), and :func:`apply_delta` writes them back.  Every
+unit the delta does not name is left as it is, so a delta taken from a
+fault-free run can be applied to a faulty fork without erasing faults
+in units the run never changed.  :func:`state_digest` hashes a
+hierarchy's state with the statistics left out, an exact equality test
+that holds no second image.
+
 :class:`SnapshotCache` is the LRU used to bound warm-state caches on
 both the campaign side and inside worker processes.
 """
@@ -40,8 +50,11 @@ both the campaign side and inside worker processes.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+from array import array
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SnapshotError
 from .cache import Cache
@@ -111,6 +124,48 @@ class HierarchySnapshot:
 
     caches: List[CacheSnapshot]
     memory: MemorySnapshot
+
+
+@dataclasses.dataclass
+class CacheDelta:
+    """How one cache level differs from a :class:`CacheSnapshot`.
+
+    Only lines and units that differ are carried; the clock, statistics
+    and protection state are small and carried whole.
+    """
+
+    #: ``(line, valid, tag)`` of every line whose valid bit or tag differs.
+    lines: List[Tuple[int, int, int]]
+    #: ``(unit, data, dirty, check, last_dirty_access)`` of every unit
+    #: slot that differs, including every unit of a line in ``lines``.
+    units: List[Tuple[int, bytes, bool, int, Optional[float]]]
+    #: ``(set_index, way order)`` of every set whose LRU recency or FIFO
+    #: fill order differs.
+    orders: List[Tuple[int, List[int]]]
+    #: ``random.getstate()`` of a :class:`RandomPolicy`, else ``None``.
+    rng_state: Optional[tuple]
+    access_counter: float
+    stats: dict
+    protection: dict
+
+
+@dataclasses.dataclass
+class MemoryDelta:
+    """Blocks that differ from a :class:`MemorySnapshot`, in the memory's
+    own order, plus its counters."""
+
+    blocks: Dict[int, bytes]
+    reads: int
+    writes: int
+
+
+@dataclasses.dataclass
+class HierarchyDelta:
+    """How a :class:`MemoryHierarchy` differs from a
+    :class:`HierarchySnapshot`: one delta per level plus main memory."""
+
+    caches: List[CacheDelta]
+    memory: MemoryDelta
 
 
 # ----------------------------------------------------------------------
@@ -247,12 +302,11 @@ def _restore_policy(snap: PolicySnapshot, cache: Cache) -> None:
         policy._rng.setstate(snap.rng_state)
 
 
-def _restore_protection(snap: CacheSnapshot, cache: Cache) -> None:
+def _restore_protection(name: str, state: dict, cache: Cache) -> None:
     scheme = cache.protection
-    state = snap.protection
-    if snap.scheme in _STATELESS_SCHEMES:
+    if name in _STATELESS_SCHEMES:
         return
-    if snap.scheme == "cppc":
+    if name == "cppc":
         pairs = scheme.registers.pairs
         if len(state["pairs"]) != len(pairs):
             raise SnapshotError(
@@ -269,12 +323,10 @@ def _restore_protection(snap: CacheSnapshot, cache: Cache) -> None:
         scheme.recovery_log.clear()
         scheme.audit_trail.clear()
         return
-    if snap.scheme == "2d-parity":
+    if name == "2d-parity":
         scheme.vertical_register._register = state["vertical"]
         return
-    raise SnapshotError(
-        f"{cache.name}: cannot restore protection scheme {snap.scheme!r}"
-    )
+    raise SnapshotError(f"{cache.name}: cannot restore protection scheme {name!r}")
 
 
 def _restore_stats(stats_dict: dict) -> CacheStats:
@@ -301,7 +353,7 @@ def restore_cache(snap: CacheSnapshot, cache: Cache) -> Cache:
     cache._access_counter = snap.access_counter
     cache.stats = _restore_stats(snap.stats)
     _restore_policy(snap.policy, cache)
-    _restore_protection(snap, cache)
+    _restore_protection(snap.scheme, snap.protection, cache)
     return cache
 
 
@@ -314,6 +366,16 @@ def restore_memory(snap: MemorySnapshot, memory: MainMemory) -> MainMemory:
     return memory
 
 
+def _check_levels(count: int, hierarchy: MemoryHierarchy) -> list:
+    levels = hierarchy.levels()
+    if len(levels) != count:
+        raise SnapshotError(
+            f"snapshot holds {count} cache levels, target hierarchy has "
+            f"{len(levels)}"
+        )
+    return levels
+
+
 def restore_hierarchy(
     snap: HierarchySnapshot, hierarchy: MemoryHierarchy
 ) -> MemoryHierarchy:
@@ -323,16 +385,236 @@ def restore_hierarchy(
     configuration (geometry, scheme, policy) as the hierarchy the
     snapshot was taken from; what it simulated before does not matter.
     """
-    levels = hierarchy.levels()
-    if len(levels) != len(snap.caches):
-        raise SnapshotError(
-            f"snapshot holds {len(snap.caches)} cache levels, target "
-            f"hierarchy has {len(levels)}"
-        )
+    levels = _check_levels(len(snap.caches), hierarchy)
     for cache_snap, cache in zip(snap.caches, levels):
         restore_cache(cache_snap, cache)
     restore_memory(snap.memory, hierarchy.memory)
     return hierarchy
+
+
+# ----------------------------------------------------------------------
+# Deltas
+# ----------------------------------------------------------------------
+def _order_of(policy) -> Optional[List[int]]:
+    """The flat per-set way order of an LRU or FIFO policy, else None."""
+    if isinstance(policy, LRUPolicy):
+        return policy._order
+    if isinstance(policy, FIFOPolicy):
+        return policy._queues
+    return None
+
+
+def _unit_differs(base: CacheSnapshot, cache: Cache, ui: int) -> bool:
+    ub = cache.unit_bytes
+    off = ui * ub
+    stamp = cache._last_dirty[ui]
+    base_stamp = base.last_dirty_access[ui]
+    return (
+        cache._data[off : off + ub] != base.data[off : off + ub]
+        or cache._dirty[ui] != base.dirty[ui]
+        or cache._check[ui] != base.check[ui]
+        # A dirty-cycle stamp is carried verbatim, int or float.
+        or stamp != base_stamp
+        or type(stamp) is not type(base_stamp)
+    )
+
+
+def _diff_cache(base: CacheSnapshot, cache: Cache, sets: Iterable[int]) -> CacheDelta:
+    """How ``cache`` differs from ``base`` in ``sets``, which must hold
+    every set whose lines or order may differ.
+
+    A line whose valid bit or tag differs is carried with all its units
+    (blank when it is now invalid); in any other valid line only the
+    units that differ are carried.
+    """
+    _check_target(base, cache)
+    ways = cache.ways
+    upb = cache.units_per_block
+    ub = cache.unit_bytes
+    valid, tags, data = cache._valid, cache._tags, cache._data
+    dirty, check, stamps = cache._dirty, cache._check, cache._last_dirty
+    order = _order_of(cache.policy)
+    blank = bytes(ub)
+    lines: List[Tuple[int, int, int]] = []
+    units: List[Tuple[int, bytes, bool, int, Optional[float]]] = []
+    orders: List[Tuple[int, List[int]]] = []
+    for set_index in sorted(sets):
+        lo = set_index * ways
+        if order is not None:
+            way_order = order[lo : lo + ways]
+            if way_order != base.policy.order[lo : lo + ways]:
+                orders.append((set_index, way_order))
+        for line in range(lo, lo + ways):
+            u0 = line * upb
+            is_valid = valid[line]
+            if is_valid != base.valid[line] or (
+                is_valid and tags[line] != base.tags[line]
+            ):
+                lines.append((line, is_valid, tags[line] if is_valid else 0))
+                changed = range(u0, u0 + upb)
+            elif is_valid:
+                changed = [
+                    ui for ui in range(u0, u0 + upb) if _unit_differs(base, cache, ui)
+                ]
+            else:
+                continue
+            for ui in changed:
+                if is_valid:
+                    unit = bytes(data[ui * ub : (ui + 1) * ub])
+                    units.append((ui, unit, dirty[ui], check[ui], stamps[ui]))
+                else:
+                    units.append((ui, blank, False, 0, None))
+    policy = cache.policy
+    return CacheDelta(
+        lines=lines,
+        units=units,
+        orders=orders,
+        rng_state=(
+            policy._rng.getstate() if isinstance(policy, RandomPolicy) else None
+        ),
+        access_counter=cache._access_counter,
+        stats=dataclasses.asdict(cache.stats),
+        protection=_snapshot_protection(cache),
+    )
+
+
+def _apply_cache_delta(delta: CacheDelta, cache: Cache) -> None:
+    """Write a :func:`_diff_cache` delta into ``cache``; every line and
+    unit it does not name keeps its current state."""
+    valid, tags, data = cache._valid, cache._tags, cache._data
+    dirty, check, stamps = cache._dirty, cache._check, cache._last_dirty
+    ub = cache.unit_bytes
+    for line, is_valid, tag in delta.lines:
+        valid[line] = is_valid
+        tags[line] = tag
+    for ui, unit, is_dirty, word, stamp in delta.units:
+        data[ui * ub : (ui + 1) * ub] = unit
+        dirty[ui] = is_dirty
+        check[ui] = word
+        stamps[ui] = stamp
+    order = _order_of(cache.policy)
+    ways = cache.ways
+    for set_index, way_order in delta.orders:
+        order[set_index * ways : (set_index + 1) * ways] = way_order
+    if delta.rng_state is not None:
+        cache.policy._rng.setstate(delta.rng_state)
+    cache._access_counter = delta.access_counter
+    cache.stats = _restore_stats(delta.stats)
+    _restore_protection(cache.protection.name, delta.protection, cache)
+
+
+def _diff_memory(base: MemorySnapshot, memory: MainMemory) -> MemoryDelta:
+    """The blocks of ``memory`` that differ from ``base``, in the memory's
+    order (blocks are never removed, so applying them with ``dict.update``
+    also rebuilds that order)."""
+    old = base.blocks
+    return MemoryDelta(
+        blocks={a: b for a, b in memory._blocks.items() if old.get(a) != b},
+        reads=memory.reads,
+        writes=memory.writes,
+    )
+
+
+def diff_hierarchy(
+    base: HierarchySnapshot,
+    hierarchy: MemoryHierarchy,
+    sets: Sequence[Iterable[int]],
+) -> HierarchyDelta:
+    """How ``hierarchy`` differs from ``base``.
+
+    ``sets`` holds, per level (innermost first), every set whose lines
+    or replacement order may differ, such as the sets a run since the
+    snapshot reached; the others are not compared.
+    """
+    levels = _check_levels(len(base.caches), hierarchy)
+    return HierarchyDelta(
+        caches=[
+            _diff_cache(snap, cache, level_sets)
+            for snap, cache, level_sets in zip(base.caches, levels, sets)
+        ],
+        memory=_diff_memory(base.memory, hierarchy.memory),
+    )
+
+
+def apply_delta(delta: HierarchyDelta, hierarchy: MemoryHierarchy) -> MemoryHierarchy:
+    """Write a :func:`diff_hierarchy` delta into ``hierarchy``.
+
+    Applied to a restore of the snapshot the delta was taken against,
+    the result equals the diffed hierarchy (``snapshot_hierarchy``
+    equality, memory block order included).  Applied to such a restore
+    after some of its units were changed, it keeps those changes in
+    every unit the delta does not name.
+    """
+    levels = _check_levels(len(delta.caches), hierarchy)
+    for cache_delta, cache in zip(delta.caches, levels):
+        _apply_cache_delta(cache_delta, cache)
+    memory = hierarchy.memory
+    memory._blocks.update(delta.memory.blocks)
+    memory.reads = delta.memory.reads
+    memory.writes = delta.memory.writes
+    return hierarchy
+
+
+# ----------------------------------------------------------------------
+# Digest
+# ----------------------------------------------------------------------
+#: Protection-state entries that are statistics, not state.
+_PROTECTION_COUNTERS = ("recoveries", "register_repairs")
+
+
+def _hash_ints(h, values: List[int]) -> None:
+    """Feed a list of ints to ``h`` a slice at a time, so no copy of a
+    whole L2-sized list is ever held."""
+    for start in range(0, len(values), 4096):
+        chunk = values[start : start + 4096]
+        try:
+            h.update(array("q", chunk))
+        except OverflowError:
+            h.update(repr(chunk).encode())
+
+
+def state_digest(hierarchy: MemoryHierarchy) -> bytes:
+    """SHA-256 of a hierarchy's state with the statistics left out.
+
+    Hashes every line's valid bit and tag, the data, dirty bits and check
+    words (stale ones of invalid lines too), the dirty units' dirty-cycle
+    stamps, the replacement state, the clock, the protection scheme's
+    registers and main memory's blocks.  Left out: :class:`CacheStats`,
+    CPPC's ``recoveries``/``register_repairs`` counters and memory's
+    read/write counts.  Equal digests therefore mean equal state up to
+    statistics, and a hierarchy's further simulation reads no
+    statistics, so two such hierarchies go on to make the same accesses,
+    detections and memory writes.
+    """
+    h = hashlib.sha256()
+    for cache in hierarchy.levels():
+        dirty = cache._dirty
+        stamps = cache._last_dirty
+        policy = cache.policy
+        protection = {
+            k: v
+            for k, v in _snapshot_protection(cache).items()
+            if k not in _PROTECTION_COUNTERS
+        }
+        rest = (
+            [stamps[ui] for ui in compress(range(len(dirty)), dirty)],
+            cache._access_counter,
+            type(policy).__name__,
+            policy._rng.getstate() if isinstance(policy, RandomPolicy) else None,
+            sorted(protection.items()),
+        )
+        h.update(cache._valid)
+        h.update(cache._data)
+        h.update(bytes(dirty))
+        _hash_ints(h, cache._tags)
+        _hash_ints(h, cache._check)
+        _hash_ints(h, _order_of(policy) or [])
+        h.update(repr(rest).encode())
+    blocks = hierarchy.memory._blocks
+    for addr in sorted(blocks):
+        h.update(b"%d:" % addr)
+        h.update(blocks[addr])
+    return h.digest()
 
 
 # ----------------------------------------------------------------------

@@ -186,7 +186,9 @@ def run_campaign(
     """Run (or resume) one campaign under a :class:`CampaignRuntime`.
 
     Completed trials land in ``CampaignResult.trials`` in trial order;
-    trials the retry policy gave up on land in ``.failures``.  With a
+    trials the retry policy gave up on land in ``.failures``.  Workers
+    report how each trial was settled, and trials read back from
+    checkpoints count as ``resumed`` in ``CampaignResult.settled``.  With a
     checkpoint directory every finished trial is durable before the next
     is scheduled on that lane, so an interruption loses at most in-flight
     work.  A per-trial divergence under ``equivalence="always"`` is not a
@@ -260,8 +262,9 @@ def run_campaign(
                     "trial",
                     {
                         "trial": report.index,
-                        "outcome": report.value.outcome.value,
-                        "injected_bits": report.value.injected_bits,
+                        "outcome": report.value.result.outcome.value,
+                        "injected_bits": report.value.result.injected_bits,
+                        "settled": report.value.settled,
                         "attempts": report.attempts,
                     },
                 )
@@ -279,8 +282,10 @@ def run_campaign(
             return
         if report.ok:
             store.record(
-                report.index, report.seed, "result",
-                result_payload(report.value),
+                report.index,
+                report.seed,
+                "result",
+                result_payload(report.value.result),
             )
         else:
             store.record(
@@ -306,7 +311,7 @@ def run_campaign(
         if trial in recorded:
             record = recorded[trial]
             if record.kind == "result":
-                result.trials.append(result_from_payload(record.payload))
+                result.add_resumed(result_from_payload(record.payload))
             else:
                 result.failures.append(
                     failure_from_payload(trial, record.seed, record.payload)
@@ -314,7 +319,7 @@ def run_campaign(
         elif trial in by_index:
             report = by_index[trial]
             if report.ok:
-                result.trials.append(report.value)
+                result.add(report.value)
             else:
                 result.failures.append(_failure_from_report(report))
     if runtime.resilience_active:

@@ -11,10 +11,12 @@ back as plain dataclasses.
 
 from __future__ import annotations
 
+import os
 import pickle
 import signal
 import sys
 import threading
+import time
 from typing import Optional, Sequence
 
 #: Worker-side heartbeat rewrite interval (seconds).  Small relative to
@@ -22,24 +24,43 @@ from typing import Optional, Sequence
 #: stale, large enough that beating is free next to real trial work.
 HEARTBEAT_INTERVAL_S = 0.2
 
+#: How often a worker checks that the driver which spawned it still
+#: lives (seconds).
+PARENT_POLL_S = 0.5
+
 _HEARTBEAT_STOP: Optional[threading.Event] = None
+_PARENT_WATCH: Optional[threading.Thread] = None
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this process once ``parent`` is gone.
+
+    A killed driver cannot reap its workers, and an orphan is adopted by
+    another process, which changes ``os.getppid()``.  Nothing is left to
+    report to, so the worker exits at once.
+    """
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
 
 
 def initialize_worker(
     extra_sys_path: Sequence[str] = (),
     heartbeat_path: Optional[str] = None,
 ) -> None:
-    """Per-worker setup: import path, signal disposition, heartbeat.
+    """Per-worker setup: import path, signals, parent watch, heartbeat.
 
     ``spawn`` children rebuild ``sys.path`` from the environment, so the
     parent passes its own package location along for installs that rely
     on ``PYTHONPATH`` tricks.  SIGINT is ignored in workers: a Ctrl-C
-    belongs to the driver, which reaps workers explicitly.  When the
-    driver supplies ``heartbeat_path`` a daemon thread rewrites that
-    file every :data:`HEARTBEAT_INTERVAL_S` seconds — the liveness
-    signal :class:`repro.runtime.health.HeartbeatMonitor` watches.
+    belongs to the driver, which reaps workers explicitly.  A daemon
+    thread ends the worker once its driver is gone (a SIGKILLed driver
+    reaps nothing).  When the driver supplies ``heartbeat_path`` a
+    daemon thread rewrites that file every :data:`HEARTBEAT_INTERVAL_S`
+    seconds — the liveness signal
+    :class:`repro.runtime.health.HeartbeatMonitor` watches.
     """
-    global _HEARTBEAT_STOP
+    global _HEARTBEAT_STOP, _PARENT_WATCH
     for path in extra_sys_path:
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -47,6 +68,11 @@ def initialize_worker(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
+    if _PARENT_WATCH is None:
+        _PARENT_WATCH = threading.Thread(
+            target=_exit_with_parent, args=(os.getppid(),), daemon=True
+        )
+        _PARENT_WATCH.start()
     if heartbeat_path is not None and _HEARTBEAT_STOP is None:
         from .health import beat
 
@@ -61,8 +87,6 @@ def initialize_worker(
 
 def package_sys_path() -> list:
     """The parent-side path entries workers need to import ``repro``."""
-    import os
-
     import repro
 
     return [os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))]
@@ -84,9 +108,6 @@ def run_task_with_chaos(kind: str, delay_s: float, fn, args):
     jitter — and then run the trial normally, so any surviving attempt
     returns the bit-identical result the clean path would have.
     """
-    import os
-    import time
-
     if kind == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
     elif kind in ("wedge", "delay"):
@@ -141,7 +162,9 @@ def _cached_payload(digest: str):
 
 
 def run_campaign_trial(digest: str, trial_index: int, equivalence: str = "never"):
-    """Execute one fault-injection trial against a preloaded payload.
+    """Execute one fault-injection trial against a preloaded payload and
+    return its :class:`~repro.faults.campaign.TrialRun` (the result plus
+    how the trial was settled).
 
     The payload is ``(config, warm)``: ``warm`` is the campaign's
     :class:`~repro.faults.warmstate.WarmState` under

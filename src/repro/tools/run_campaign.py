@@ -222,6 +222,8 @@ def _summary_payload(args, result) -> dict:
         "failed": result.failed,
         "counts": {o.value: result.counts[o] for o in Outcome},
         "rates": result.summary(),
+        "settled": dict(result.settled),
+        "replayed_references": result.replayed_references,
         "failures": [dataclasses.asdict(f) for f in result.failures],
         "complete": result.complete,
         "degradation": result.degradation,

@@ -67,6 +67,11 @@ class GoldenMemory:
         """Replace the image with a previously captured snapshot."""
         self._bytes = dict(image)
 
+    def update(self, image: Dict[int, int]) -> None:
+        """Overwrite or add the bytes of ``image``, in its order: a
+        captured run of stores, replayed at once."""
+        self._bytes.update(image)
+
     def __len__(self) -> int:
         return len(self._bytes)
 

@@ -28,10 +28,11 @@ from repro.faults import (
     scheme_factory,
     warm_state_for,
 )
-from repro.faults.campaign import trial_mismatches
+from repro.faults.campaign import SETTLE_PATHS, TrialRun, trial_mismatches
 from repro.faults import warmstate as warmstate_mod
-from repro.memsim import MemoryHierarchy, NoProtection
+from repro.memsim import MemoryHierarchy, NoProtection, snapshot_hierarchy
 from repro.memsim.replacement import FIFOPolicy
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -124,6 +125,32 @@ class TestBitIdentity:
         legacy = campaign.run_scalar()
         assert_identical(legacy, result)
 
+    def test_zero_post_fault_references_matches(self):
+        config = shared_config(post_fault_references=0, trials=4)
+        legacy, fast = run_both(config)
+        assert_identical(legacy, fast)
+        assert fast.settled["skipped"] == 4
+        assert fast.replayed_references == 0
+
+    def test_every_settle_path_matches(self):
+        # Untouched faults skip the suffix, overwritten or corrected ones
+        # rejoin the golden run, and parity's DUEs replay in full.
+        config = shared_config(
+            scheme_factory=scheme_factory("parity"),
+            trials=12,
+            warmup_references=800,
+            post_fault_references=400,
+            seed=3,
+        )
+        legacy, fast = run_both(config)
+        assert_identical(legacy, fast)
+        assert all(fast.settled[path] > 0 for path in SETTLE_PATHS[:3])
+        assert sum(fast.settled.values()) == config.trials
+        assert legacy.settled == dict(
+            skipped=0, rejoined=0, replayed=config.trials, resumed=0
+        )
+        assert 0 < fast.replayed_references < legacy.replayed_references
+
 
 class TestWarmEngines:
     def test_cppc_uses_batch_engine(self):
@@ -182,6 +209,118 @@ class TestWarmEngines:
         assert l2_stats["evictions_dirty"] > 0
 
 
+def untouched_unit(state, cache):
+    """The location of a resident unit of ``cache`` that ``state``'s
+    suffix never touches, dirty when one is."""
+    record = state.golden_record
+    first = record.first_touch[cache.name]
+    upb = cache.units_per_block
+    dirty = [loc for loc, _value in cache.iter_dirty_units()]
+    for loc in dirty + list(cache.resident_locations()):
+        slot = (loc.set_index * cache.ways + loc.way) * upb + loc.unit_index
+        if slot not in first:
+            return loc
+    raise AssertionError("the suffix touches every resident unit")
+
+
+class TestGoldenRecord:
+    """The golden suffix pass that lets trials skip what their fault
+    cannot change (``WarmState.golden_record``)."""
+
+    @pytest.mark.parametrize("level", ["L1D", "L2"])
+    @pytest.mark.parametrize("scheme", ["cppc", "parity", "secded", "twod", "none"])
+    def test_delta_plus_flips_equals_a_full_suffix_replay(self, scheme, level):
+        # mcf's 5,000 warm-up references leave dirty lines in the L2 too.
+        state = build_warm_state(
+            shared_config(
+                scheme_factory=scheme_factory(scheme),
+                benchmark="mcf",
+                warmup_references=5000,
+            )
+        )
+        assert state.golden_record is not None
+        runs = []
+        for replay in (True, False):
+            hierarchy, golden, replayer = state.fork()
+            target = hierarchy.l1d if level == "L1D" else hierarchy.l2
+            loc = untouched_unit(state, target)
+            target.corrupt_data(loc, 0b1011 << 3)
+            if replay:
+                for record in state.suffix_records:
+                    assert not replayer.step(record)
+            else:
+                state.golden_record.apply(hierarchy, golden)
+            runs.append((hierarchy, golden))
+        (replayed, replayed_golden), (applied, applied_golden) = runs
+        assert snapshot_hierarchy(applied) == snapshot_hierarchy(replayed)
+        assert list(applied.memory._blocks) == list(replayed.memory._blocks)
+        assert list(applied_golden.items()) == list(replayed_golden.items())
+
+    @pytest.mark.parametrize("bench", ["gcc", "mcf"])
+    def test_every_changed_resident_unit_is_touched(self, bench):
+        # A unit the golden run changed was stored to or had its line
+        # replaced; either must count as a touch, or a fault there would
+        # skip the suffix that reaches it.
+        state = build_warm_state(shared_config(benchmark=bench, warmup_references=2000))
+        record = state.golden_record
+        hierarchy = MemoryHierarchy(protection_factory=scheme_factory("cppc"))
+        for snap, delta, cache in zip(
+            state.snapshot.caches, record.delta.caches, hierarchy.levels()
+        ):
+            touched = record.first_touch[cache.name]
+            upb = cache.units_per_block
+            changed = [ui for ui, *_ in delta.units if snap.valid[ui // upb]]
+            assert changed
+            assert set(changed) <= set(touched)
+            assert all(
+                0 <= step < len(state.suffix_records) for step in touched.values()
+            )
+
+    def test_eviction_touches_are_needed(self, monkeypatch):
+        # mcf evicts struck L1 lines inside the suffix: without eviction
+        # touches those trials skip a suffix whose write-back detects.
+        monkeypatch.setattr(
+            warmstate_mod._TouchRecorder, "_evict", lambda self, cache, s, w: None
+        )
+        config = shared_config(
+            benchmark="mcf", trials=3, warmup_references=1200, post_fault_references=800
+        )
+        legacy, fast = run_both(config)
+        assert trial_mismatches(fast.trials, legacy.trials)
+
+    def test_golden_flush_that_detects_disables_the_rejoin(self):
+        config = shared_config(trials=8)
+        record = warm_state_for(config).golden_record
+        assert record.flush_clean is True
+        record.flush_clean = False
+        fast = FaultCampaign(config).run()
+        clear_warm_cache()
+        legacy = FaultCampaign(config).run_scalar()
+        assert_identical(legacy, fast)
+        assert fast.settled["rejoined"] == 0
+        assert fast.settled["replayed"] > 0
+
+    def test_unusable_golden_run_replays_every_trial(self):
+        config = shared_config(trials=4)
+        warm_state_for(config).golden_record = None
+        fast = FaultCampaign(config).run()
+        assert fast.settled["replayed"] == config.trials
+        assert fast.replayed_references == config.trials * config.post_fault_references
+
+    def test_settle_counts_are_reported(self):
+        result = FaultCampaign(shared_config(trials=4)).run()
+        snapshot = result.snapshot()
+        assert snapshot["settled"] == result.settled
+        assert sum(snapshot["settled"].values()) == 4
+        assert snapshot["replayed_references"] == result.replayed_references
+        registry = MetricsRegistry()
+        result.export_metrics(registry)
+        counters = registry.snapshot()["counters"]
+        for path in SETTLE_PATHS:
+            assert counters[f"campaign.settled.{path}"] == result.settled[path]
+        assert counters["campaign.replayed_references"] == result.replayed_references
+
+
 class TestGuards:
     def test_equivalence_always_requires_shared_warmup(self):
         # A per-trial campaign runs only the scalar reference, so there
@@ -201,7 +340,9 @@ class TestGuards:
         monkeypatch.setattr(
             FaultCampaign,
             "_classify_trial_fast",
-            lambda self, trial, warm=None: TrialResult(Outcome.SDC, detail="forced"),
+            lambda self, trial, warm=None: TrialRun(
+                TrialResult(Outcome.SDC, detail="forced")
+            ),
         )
         campaign = FaultCampaign(shared_config(trials=2), equivalence="always")
         with pytest.raises(EquivalenceError) as excinfo:
@@ -254,8 +395,9 @@ class TestWarmCache:
 
 
 class TestTrialFootprint:
-    """Forks allocate a bounded number of collector-tracked objects, and a
-    finished trial's hierarchy is freed by reference counting alone."""
+    """Forks, with the golden delta applied, allocate a bounded number of
+    collector-tracked objects, and a finished trial's hierarchy is freed
+    by reference counting alone."""
 
     @pytest.mark.parametrize("bench,warmup", [("gcc", 2000), ("mcf", 5000)])
     def test_fork_allocates_a_bounded_number_of_tracked_objects(self, bench, warmup):
@@ -266,7 +408,8 @@ class TestTrialFootprint:
         gc.disable()
         try:
             before = len(gc.get_objects())
-            hierarchy, _golden, _replayer = state.fork()
+            hierarchy, golden, _replayer = state.fork()
+            state.golden_record.apply(hierarchy, golden)
             allocated = len(gc.get_objects()) - before
         finally:
             gc.enable()

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import pathlib
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.crosscheck import (
     save_reproducer,
     shrink_scenario,
 )
+from repro.crosscheck import oracles
 from repro.crosscheck.fuzz import fuzz
 from repro.crosscheck.mutations import active
 from repro.crosscheck.oracles import (
@@ -30,6 +32,7 @@ from repro.crosscheck.oracles import (
     check_replay,
 )
 from repro.errors import ConfigurationError
+from repro.memsim.mainmem import MainMemory
 from repro.memsim.types import AccessType
 from repro.workloads.trace import TraceRecord
 
@@ -118,6 +121,34 @@ class TestScenarioGrammar:
         rebuilt = Scenario.from_json(json.loads(json.dumps(scenario.to_json())))
         assert rebuilt == scenario
         assert isinstance(rebuilt.chaos_kinds, tuple)
+
+
+class TestFlipsParityCannotSee:
+    """Two flips in one parity group of a dirty unit pass every check.
+
+    The recovery oracle predicts that class instead of reporting it: the
+    folded flips must stay in the unit's register pair, and the wrong
+    data must reach memory.  (Seed 5's scenario 449, shrunk: one store,
+    then a data bit and a check bit of the same group.)
+    """
+
+    def scenario(self):
+        path = pathlib.Path(__file__).parent / "corpus"
+        scenario, _recorded = load_reproducer(path / "repro-recovery-eb5193e201ae.json")
+        return scenario
+
+    def test_predicted_class_replays_clean(self):
+        assert check_recovery(self.scenario()) == []
+
+    def test_residue_is_still_checked(self, monkeypatch):
+        monkeypatch.setattr(oracles._UnseenFlips, "residues", lambda self: {})
+        problems = check_recovery(self.scenario())
+        assert any("registers left residue 0x200000" in p for p in problems)
+
+    def test_missing_corruption_is_reported(self, monkeypatch):
+        monkeypatch.setattr(MainMemory, "first_mismatch", lambda self, image: None)
+        (problem,) = check_recovery(self.scenario())
+        assert "left no corruption" in problem
 
 
 class TestApplyFault:

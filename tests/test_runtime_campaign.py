@@ -7,7 +7,9 @@ timeout, retried per policy, and surface as a structured failure without
 aborting the sweep.
 """
 
+import os
 import pickle
+import time
 
 import pytest
 
@@ -85,6 +87,11 @@ class TestResume:
         assert trial_dicts(resumed) == trial_dicts(reference)
         assert resumed.summary() == reference.summary()
         assert resumed.complete
+        # Workers report how they settled each trial; the two read back
+        # from the checkpoint count as resumed.
+        assert first.settled == reference.settled
+        assert resumed.settled["resumed"] == 2
+        assert resumed.settled["replayed"] == config.trials - 2
 
     def test_resume_with_full_checkpoint_runs_nothing(self, tmp_path):
         config = small_config(trials=3)
@@ -200,8 +207,35 @@ class TestStructuredErrors:
         assert clone.trial_index == 2
 
 
+def stray_workers():
+    """PIDs of live multiprocessing workers and resource trackers that
+    this process did not start (read from /proc)."""
+    strays = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read()
+            with open(f"/proc/{entry}/status") as fh:
+                status = fh.read()
+        except OSError:
+            continue
+        if b"spawn_main" not in cmdline and b"resource_tracker" not in cmdline:
+            continue
+        ppid = next(
+            int(line.split()[1])
+            for line in status.splitlines()
+            if line.startswith("PPid:")
+        )
+        if ppid != os.getpid():
+            strays.add(int(entry))
+    return strays
+
+
 class TestKillAndResumeSmoke:
     def test_sigkilled_campaign_resumes_identically(self, tmp_path):
+        before = stray_workers() if os.path.isdir("/proc") else set()
         rc = run_resilience_smoke.main(
             [
                 "--trials", "6",
@@ -211,3 +245,11 @@ class TestKillAndResumeSmoke:
             ]
         )
         assert rc == 0
+        if not os.path.isdir("/proc"):
+            return
+        # The SIGKILLed driver's worker outlives it only until it sees
+        # that its parent is gone; then its resource tracker ends too.
+        deadline = time.monotonic() + 10
+        while stray_workers() - before and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not stray_workers() - before

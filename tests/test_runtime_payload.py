@@ -71,7 +71,7 @@ class TestWorkerPayloadCache:
         legacy = FaultCampaign(config).run_scalar().trials[2]
         digest = seed_payload((config, warm_state_for(config)))
         fast = _worker.run_campaign_trial(digest, 2, "always")
-        assert vars(fast) == vars(legacy)
+        assert vars(fast.result) == vars(legacy)
 
     def test_missing_payload_is_a_structured_error(self):
         with pytest.raises(CampaignRuntimeError):

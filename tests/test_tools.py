@@ -155,6 +155,30 @@ class TestRunCampaign:
         assert summary["failed"] == 0
         assert summary["complete"] is True
         assert set(summary["rates"]) == {"benign", "corrected", "due", "sdc"}
+        # A per-trial campaign replays every trial in full.
+        assert summary["settled"] == {
+            "skipped": 0, "rejoined": 0, "replayed": 3, "resumed": 0,
+        }
+
+    def test_fast_campaign_reports_how_trials_settled(self, tmp_path):
+        out = tmp_path / "summary.json"
+        metrics = tmp_path / "m.json"
+        rc = run_campaign.main([
+            "cppc", "--fast", "--trials", "4", "--warmup", "400",
+            "--post", "300", "--json", str(out),
+            "--emit-metrics", str(metrics),
+        ])
+        assert rc == 0
+        summary = json.loads(out.read_text())
+        settled = summary["settled"]
+        assert sum(settled.values()) == 4
+        assert settled["skipped"] > 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert {p: counters[f"campaign.settled.{p}"] for p in settled} == settled
+        assert (
+            counters["campaign.replayed_references"]
+            == summary["replayed_references"]
+        )
 
     def test_runtime_flags_with_checkpoint_and_resume(self, capsys, tmp_path):
         args = [
