@@ -24,10 +24,6 @@ mirror the repo's redundant computations:
 * :func:`check_doublefault` — the measured double-fault failure rate
   vs. the ``1/(p*w)`` analytical collision probability, within a
   binomial confidence band.
-* :func:`check_chaos` — the same campaign run chaos-free in process
-  and through the crash-safe runtime under a survivable
-  :class:`~repro.runtime.ChaosPlan` (worker kills, delays, checkpoint
-  I/O errors): absorbed faults must be bit-invisible in the result.
 * :func:`check_timing` — the scalar Figure-10 timing pipeline
   (``collect_events`` + ``time_events`` per scheme) vs. the columnar
   fast path (:mod:`repro.timing.fast`): events, L1/L2 statistics and
@@ -41,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tempfile
 from typing import Callable, Dict, List, Tuple
 
 from ..cppc.protection import CppcProtection
@@ -56,7 +51,6 @@ from ..memsim.mainmem import MainMemory
 from ..memsim.types import AccessType, UnitLocation
 from ..obs.trail import reconstruct_corrections, verify_audit
 from ..reliability import fastmc, montecarlo
-from ..runtime import CampaignRuntime, ChaosPlan, RetryPolicy
 from ..util import popcount
 from ..workloads.replay import FastReplay, GoldenMemory, TraceReplayer
 from .scenario import FaultOp, Scenario
@@ -399,58 +393,6 @@ def check_campaign(scenario: Scenario) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# chaos: chaos-free in-process run vs. the runtime under injected faults
-# ----------------------------------------------------------------------
-def check_chaos(scenario: Scenario) -> List[str]:
-    """Survivable chaos must be bit-invisible in the campaign result.
-
-    Every fault in the plan is one the runtime absorbs on its own
-    (worker kills and delays via retry, checkpoint I/O errors via the
-    appender's rollback-and-retry), so the chaos run must reproduce the
-    chaos-free sequential baseline per trial — and own up to the
-    absorbed faults in its degradation report.
-    """
-    config = CampaignConfig(
-        scheme_factory=scheme_factory(scenario.scheme),
-        benchmark=scenario.benchmark,
-        trials=scenario.trials,
-        warmup_references=scenario.warmup_references,
-        post_fault_references=scenario.post_fault_references,
-        fault_kind=scenario.fault_kind,
-        spatial_shape=tuple(scenario.spatial_shape),
-        dirty_only=scenario.dirty_only,
-        target_level=scenario.target_level,
-        seed=scenario.seed,
-    )
-    baseline = FaultCampaign(config).run()
-    plan = ChaosPlan(
-        seed=scenario.seed,
-        kinds=tuple(scenario.chaos_kinds),
-        rate=scenario.chaos_rate,
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-oracle-") as tmp:
-        with CampaignRuntime(
-            jobs=1,
-            retry=RetryPolicy(max_attempts=3),
-            checkpoint_dir=tmp,
-            chaos=plan,
-        ) as runtime:
-            survived = FaultCampaign(config).run(runtime=runtime)
-    problems = trial_mismatches(
-        survived.trials, baseline.trials, names=("chaos", "baseline")
-    )
-    if survived.failures or not survived.complete:
-        problems.append(
-            f"chaos campaign did not complete cleanly: "
-            f"{len(survived.failures)} failure(s), complete="
-            f"{survived.complete}"
-        )
-    if survived.degradation is None:
-        problems.append("chaos run attached no degradation report")
-    return problems
-
-
-# ----------------------------------------------------------------------
 # doublefault: measured failure rate vs. the 1/(p*w) analytic claim
 # ----------------------------------------------------------------------
 def check_doublefault(scenario: Scenario) -> List[str]:
@@ -556,7 +498,6 @@ ORACLES: Dict[str, Callable[[Scenario], List[str]]] = {
     "recovery": check_recovery,
     "campaign": check_campaign,
     "doublefault": check_doublefault,
-    "chaos": check_chaos,
     "timing": check_timing,
 }
 

@@ -7,7 +7,7 @@ recipe) and perturb it (a fault plan).  Scenarios serialize to plain
 JSON, so a shrunk failure becomes a reproducer file under
 ``tests/corpus/`` that replays anywhere without the generator.
 
-Six scenario kinds, one per differential oracle
+Five scenario kinds, one per differential oracle
 (:mod:`repro.crosscheck.oracles`):
 
 * ``replay`` — a trace replayed through the scalar :class:`Cache` and
@@ -19,9 +19,6 @@ Six scenario kinds, one per differential oracle
   legacy warm-every-trial loop and the snapshot-fork fast path.
 * ``doublefault`` — a Monte-Carlo double-fault measurement compared to
   the ``1/(p*w)`` analytical collision probability.
-* ``chaos`` — one campaign run chaos-free in process and again through
-  the crash-safe runtime under a survivable
-  :class:`~repro.runtime.ChaosPlan`; recovery must be bit-invisible.
 * ``timing`` — the scalar Figure-10 pipeline (``collect_events`` +
   ``time_events`` per scheme) against the columnar fast path
   (:mod:`repro.timing.fast`); events, cache statistics and every
@@ -54,7 +51,6 @@ SCENARIO_KINDS = (
     "recovery",
     "campaign",
     "doublefault",
-    "chaos",
     "timing",
 )
 
@@ -62,14 +58,12 @@ SCENARIO_KINDS = (
 #: timing scenarios are cheap (hundreds of scalar accesses) and carry
 #: most of the word-for-word coverage; campaign and double-fault
 #: scenarios cost more per case, so they run less often but still every
-#: few seconds.  Chaos scenarios spawn worker subprocesses and
-#: deliberately kill them, so they are the rarest (and smallest) kind.
+#: few seconds.
 DEFAULT_KIND_WEIGHTS: Dict[str, float] = {
     "replay": 0.33,
     "recovery": 0.27,
     "campaign": 0.18,
     "doublefault": 0.09,
-    "chaos": 0.05,
     "timing": 0.08,
 }
 
@@ -153,9 +147,6 @@ class Scenario:
     # --- double-fault recipe ------------------------------------------
     samples: int = 48
     parity_ways: int = 8
-    # --- chaos recipe -------------------------------------------------
-    chaos_rate: float = 0.5
-    chaos_kinds: tuple = ("kill", "delay")
     # --- timing recipe ------------------------------------------------
     issue_width: int = 4
     store_buffer: int = 2
@@ -174,7 +165,6 @@ class Scenario:
         """A JSON-safe dict (records encoded as compact arrays)."""
         out = dataclasses.asdict(self)
         out["spatial_shape"] = list(self.spatial_shape)
-        out["chaos_kinds"] = list(self.chaos_kinds)
         out["records"] = [_record_to_json(r) for r in self.records]
         out["faults"] = [dataclasses.asdict(op) for op in self.faults]
         out["version"] = FORMAT_VERSION
@@ -182,20 +172,35 @@ class Scenario:
 
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
-        """Rebuild a scenario from :meth:`to_json` output."""
+        """Rebuild a scenario from :meth:`to_json` output.
+
+        Raises :class:`ConfigurationError` for an unsupported format
+        version or a field this grammar does not define.
+        """
         data = dict(data)
         version = data.pop("version", FORMAT_VERSION)
         if version != FORMAT_VERSION:
             raise ConfigurationError(f"unsupported scenario format version {version!r}")
         data["records"] = [_record_from_json(r) for r in data.get("records", [])]
-        data["faults"] = [FaultOp(**op) for op in data.get("faults", [])]
+        data["faults"] = [
+            FaultOp(**_known_fields(FaultOp, op)) for op in data.get("faults", [])
+        ]
         data["spatial_shape"] = tuple(data.get("spatial_shape", (4, 4)))
-        data["chaos_kinds"] = tuple(data.get("chaos_kinds", ("kill", "delay")))
-        return cls(**data)
+        return cls(**_known_fields(cls, data))
 
     def canonical_json(self) -> str:
         """Stable text form (digest / dedup key of this scenario)."""
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def _known_fields(cls, data: dict) -> dict:
+    """``data`` unchanged, once every key names a field of ``cls``."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {cls.__name__} field(s) {', '.join(unknown)}"
+        )
+    return data
 
 
 def _record_to_json(record: TraceRecord) -> list:
@@ -349,30 +354,6 @@ class ScenarioGenerator:
             spatial_shape=(rng.randrange(2, 9), rng.randrange(2, 9)),
             dirty_only=fault_kind == "temporal" and rng.random() < 0.4,
             target_level=rng.choice(("L1D", "L1D", "L2")),
-        )
-
-    def _gen_chaos(self, rng, index: int) -> Scenario:
-        # Small campaigns only: every chaos trial may cost a worker
-        # respawn, so the grammar trades trace length for fault variety.
-        # Kinds are any non-empty subset of the survivable worker faults
-        # plus the checkpoint I/O faults the appender self-heals.
-        survivable = ("kill", "delay", "enospc")
-        kinds = tuple(k for k in survivable if rng.random() < 0.5)
-        if not kinds:
-            kinds = (rng.choice(survivable),)
-        return Scenario(
-            kind="chaos",
-            seed=rng.getrandbits(32),
-            scheme=rng.choice(("cppc", "parity", "secded", "none")),
-            benchmark=rng.choice(_FUZZ_BENCHMARKS),
-            trials=rng.randrange(2, 5),
-            warmup_references=rng.randrange(100, 400),
-            post_fault_references=rng.randrange(80, 250),
-            fault_kind=rng.choice(("temporal", "spatial")),
-            spatial_shape=(rng.randrange(2, 9), rng.randrange(2, 9)),
-            target_level="L1D",
-            chaos_rate=rng.choice((0.5, 1.0)),
-            chaos_kinds=kinds,
         )
 
     def _gen_timing(self, rng, index: int) -> Scenario:

@@ -127,11 +127,6 @@ _FIELD_FLOORS = {
         ("post_fault_references", 8),
     ),
     "doublefault": (("samples", 8),),
-    "chaos": (
-        ("trials", 1),
-        ("warmup_references", 16),
-        ("post_fault_references", 8),
-    ),
 }
 
 

@@ -102,41 +102,6 @@ class TrialTimeoutError(CampaignRuntimeError):
         self.timeout_s = timeout_s
 
 
-class TrialHungError(CampaignRuntimeError):
-    """A campaign trial's worker stopped heartbeating and was killed.
-
-    Distinct from :class:`TrialTimeoutError`: a hung trial's worker is
-    *frozen* (SIGSTOP, deadlock, livelock) rather than merely slow — its
-    heartbeat file stopped updating while wall-clock budget may well
-    have remained.
-    """
-
-    def __init__(self, message: str, *, trial_index=None, seed=None,
-                 stale_s=None):
-        super().__init__(message)
-        self.trial_index = trial_index
-        self.seed = seed
-        self.stale_s = stale_s
-
-
-class TrialQuarantinedError(CampaignRuntimeError):
-    """A trial exhausted its retry budget and was quarantined.
-
-    Raised only when the circuit breaker (``quarantine=True``) is armed:
-    instead of the campaign aborting (or silently degrading), the trial
-    is set aside with its last error's classification preserved in
-    ``cause_kind`` so the degradation report can account for it.
-    """
-
-    def __init__(self, message: str, *, trial_index=None, seed=None,
-                 attempts=None, cause_kind=None):
-        super().__init__(message)
-        self.trial_index = trial_index
-        self.seed = seed
-        self.attempts = attempts
-        self.cause_kind = cause_kind
-
-
 class CheckpointCorruptError(CampaignRuntimeError):
     """A campaign checkpoint could not be trusted (bad digest, torn
     record in the middle of the log, or a manifest that does not match
@@ -144,8 +109,9 @@ class CheckpointCorruptError(CampaignRuntimeError):
 
 
 class CheckpointWarning(UserWarning):
-    """A checkpoint was readable but imperfect (e.g. a torn tail line
-    dropped on load); the affected trial will simply re-execute."""
+    """A checkpoint survived an imperfection: a torn tail line dropped on
+    load (its trial re-executes), or an append that failed once and was
+    rolled back and retried."""
 
 
 class SnapshotError(ReproError):

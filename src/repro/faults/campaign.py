@@ -167,8 +167,7 @@ class TrialFailure:
         trial_index: which trial failed.
         seed: the trial's derived seed identity
             (:meth:`CampaignConfig.trial_seed`).
-        kind: ``"crash"``, ``"timeout"``, ``"hung"`` (heartbeat lost) or
-            ``"quarantined"`` (circuit breaker tripped).
+        kind: ``"crash"`` or ``"timeout"``.
         attempts: how many attempts were made before giving up.
         message: last error message observed.
     """
@@ -189,12 +188,6 @@ class CampaignResult:
     are over completed trials only, so partial campaigns stay valid
     estimates with an explicit denominator.
 
-    ``degradation`` is the runtime's structured account of absorbed
-    faults (chaos injections, lane kills, quarantined trials, checkpoint
-    self-heals; see :class:`repro.runtime.health.DegradationReport`) —
-    populated only by runtime-backed runs with a resilience feature
-    active, None otherwise.
-
     ``settled`` counts the completed trials by :data:`SETTLE_PATHS`, and
     ``replayed_references`` sums the suffix references they simulated.
     The scalar reference and per-trial campaigns settle every trial as
@@ -204,7 +197,6 @@ class CampaignResult:
     config: CampaignConfig
     trials: List[TrialResult] = dataclasses.field(default_factory=list)
     failures: List[TrialFailure] = dataclasses.field(default_factory=list)
-    degradation: Optional[dict] = None
     settled: Dict[str, int] = dataclasses.field(
         default_factory=lambda: dict.fromkeys(SETTLE_PATHS, 0)
     )
@@ -596,23 +588,18 @@ def trial_mismatches(
     run: Sequence[TrialResult],
     reference: Sequence[TrialResult],
     first: int = 0,
-    names: Tuple[str, str] = ("fast", "legacy"),
 ) -> List[str]:
     """How one campaign run's trials diverge from a reference run's.
 
-    Compares the two runs' per-trial results (numbered from ``first``)
-    and their trial counts; returns one line per mismatch, so an empty
-    list means the runs are bit-identical.  ``names`` labels the run and
-    the reference in the messages: by default the snapshot-fork path
-    against the legacy loop, ``("chaos", "baseline")`` for a chaos run
-    against its chaos-free baseline.
+    Compares the snapshot-fork run's per-trial results (numbered from
+    ``first``) and trial count with the legacy loop's; returns one line
+    per mismatch, so an empty list means the runs are bit-identical.
     """
-    mine, theirs = names
     problems = [
-        f"trial {first + i}: {mine}={vars(b)!r} {theirs}={vars(a)!r}"
+        f"trial {first + i}: fast={vars(b)!r} legacy={vars(a)!r}"
         for i, (a, b) in enumerate(zip(reference, run))
         if vars(a) != vars(b)
     ]
     if len(run) != len(reference):
-        problems.append(f"trial count: {mine}={len(run)} {theirs}={len(reference)}")
+        problems.append(f"trial count: fast={len(run)} legacy={len(reference)}")
     return problems

@@ -7,16 +7,6 @@ trials are retried with deterministic backoff (:class:`RetryPolicy`),
 finished trials are durably checkpointed (:class:`CheckpointStore`), and
 an interrupted campaign resumes bit-identically
 (:func:`run_campaign` + :class:`CampaignRuntime`).
-
-The robustness layer rides on top: :class:`ChaosPlan` injects seeded,
-deterministic runtime faults (worker kills, wedges, delays, checkpoint
-I/O errors) so the recovery machinery is exercised on purpose;
-:class:`~repro.runtime.health.HeartbeatMonitor` and
-:class:`~repro.runtime.health.AdaptiveTimeout` provide liveness and
-learned deadlines; ``quarantine=True`` converts a poison trial's retry
-exhaustion into a :class:`~repro.errors.TrialQuarantinedError` plus a
-structured :class:`~repro.runtime.health.DegradationReport` instead of
-a failed run.
 """
 
 from .campaign import (
@@ -27,36 +17,19 @@ from .campaign import (
     result_payload,
     run_campaign,
 )
-from .chaos import CHAOS_KINDS, SURVIVABLE_KINDS, ChaosOp, ChaosPlan
 from .checkpoint import CheckpointRecord, CheckpointStore, campaign_digest
 from .executor import TaskReport, TrialExecutor, TrialTask
-from .health import (
-    AdaptiveTimeout,
-    DegradationReport,
-    ExecutorHealth,
-    HeartbeatMonitor,
-    export_degradation_metrics,
-)
 from .retry import RetryPolicy
 
 __all__ = [
-    "AdaptiveTimeout",
-    "CHAOS_KINDS",
     "CampaignRuntime",
-    "ChaosOp",
-    "ChaosPlan",
     "CheckpointRecord",
     "CheckpointStore",
-    "DegradationReport",
-    "ExecutorHealth",
-    "HeartbeatMonitor",
     "RetryPolicy",
-    "SURVIVABLE_KINDS",
     "TaskReport",
     "TrialExecutor",
     "TrialTask",
     "campaign_digest",
-    "export_degradation_metrics",
     "failure_from_payload",
     "failure_payload",
     "result_from_payload",

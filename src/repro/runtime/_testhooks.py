@@ -1,10 +1,10 @@
-"""Pathological worker tasks used by the runtime's own tests and smokes.
+"""Pathological worker tasks used by the runtime's own tests.
 
 Test modules are not importable inside ``spawn`` workers (they are not
 on the child's ``sys.path``), so the misbehaving task functions the
-executor tests need — hangs, crashes, self-kills — live here, inside the
-package, where any worker can unpickle them.  Nothing in the library
-calls these.
+runtime tests need — hangs, crashes, self-kills, wedged trials — live
+here, inside the package, where any worker can unpickle them.  Nothing
+in the library calls these.
 """
 
 from __future__ import annotations
@@ -14,15 +14,11 @@ import signal
 import time
 from pathlib import Path
 
+from .worker import run_campaign_trial
+
 
 def echo(value):
     """Return ``value`` unchanged (happy-path task)."""
-    return value
-
-
-def slow_echo(value, delay_s: float):
-    """Return ``value`` after sleeping ``delay_s`` seconds."""
-    time.sleep(delay_s)
     return value
 
 
@@ -44,10 +40,8 @@ def kill_self() -> None:
 def stop_self() -> None:
     """Freeze the worker with SIGSTOP (a hung-but-alive process).
 
-    Unlike :func:`hang`, the process stops *executing entirely* — its
-    heartbeat thread freezes with it, which is exactly the failure mode
-    wall-clock timeouts cannot distinguish from slow work but a
-    :class:`~repro.runtime.health.HeartbeatMonitor` can.
+    Unlike :func:`hang`, the process stops executing entirely, threads
+    included; only the driver's wall-clock timeout can reap it.
     """
     os.kill(os.getpid(), signal.SIGSTOP)
 
@@ -65,6 +59,25 @@ def slow_once(marker_dir: str, delay_s: float, value=None):
         marker.touch()
         time.sleep(delay_s)
     return value
+
+
+def wedge_first_attempt(
+    marker_dir: str,
+    delay_s: float,
+    digest: str,
+    trial_index: int,
+    equivalence: str = "never",
+):
+    """Sleep ``delay_s`` on each trial's first attempt, then run the trial.
+
+    Stands in for :func:`~repro.runtime.worker.run_campaign_trial` once
+    :func:`functools.partial` binds ``marker_dir`` and ``delay_s``: a
+    per-trial deadline under ``delay_s`` kills every first attempt, and
+    the retry runs the real trial.  Attempts are counted per trial with
+    marker files, as in :func:`slow_once`.
+    """
+    slow_once(os.path.join(marker_dir, f"trial-{trial_index}"), delay_s)
+    return run_campaign_trial(digest, trial_index, equivalence)
 
 
 def flaky(marker_dir: str, succeed_on_attempt: int, value):

@@ -18,11 +18,7 @@ import pickle
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from ..errors import (
-    CheckpointCorruptError,
-    ConfigurationError,
-    TrialQuarantinedError,
-)
+from ..errors import CheckpointCorruptError, ConfigurationError
 from ..faults.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -31,10 +27,8 @@ from ..faults.campaign import (
     TrialResult,
 )
 from . import worker as _worker
-from .chaos import ChaosPlan
 from .checkpoint import CheckpointRecord, CheckpointStore, campaign_digest
 from .executor import TaskReport, TrialExecutor, TrialTask, _error_kind
-from .health import AdaptiveTimeout, DegradationReport
 from .retry import RetryPolicy
 
 
@@ -57,10 +51,6 @@ class CampaignRuntime:
         checkpoint_dir: Union[str, Path, None] = None,
         resume: bool = False,
         executor: Optional[TrialExecutor] = None,
-        chaos: Optional[ChaosPlan] = None,
-        heartbeat_timeout_s: Optional[float] = None,
-        adaptive_timeout: bool = False,
-        quarantine: bool = False,
     ):
         if resume and checkpoint_dir is None:
             raise ConfigurationError(
@@ -73,33 +63,13 @@ class CampaignRuntime:
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self.resume = resume
-        self.chaos = chaos
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.adaptive_timeout = adaptive_timeout
-        self.quarantine = quarantine
         self._executor = executor
-
-    @property
-    def resilience_active(self) -> bool:
-        """True when any chaos/health feature is switched on."""
-        return (
-            self.chaos is not None
-            or self.heartbeat_timeout_s is not None
-            or self.adaptive_timeout
-            or self.quarantine
-        )
 
     def executor(self) -> TrialExecutor:
         """The lazily created, reusable worker-lane executor."""
         if self._executor is None:
             self._executor = TrialExecutor(
-                jobs=self.jobs,
-                timeout_s=self.timeout_s,
-                retry=self.retry,
-                chaos=self.chaos,
-                heartbeat_timeout_s=self.heartbeat_timeout_s,
-                adaptive=AdaptiveTimeout() if self.adaptive_timeout else None,
-                quarantine=self.quarantine,
+                jobs=self.jobs, timeout_s=self.timeout_s, retry=self.retry
             )
         return self._executor
 
@@ -219,11 +189,6 @@ def run_campaign(
             runtime.checkpoint_dir / digest[:16],
             config_digest=digest,
             resume=runtime.resume,
-            io_fault_hook=(
-                runtime.chaos.io_fault_hook()
-                if runtime.chaos is not None
-                else None
-            ),
         )
         if runtime.resume:
             recorded = store.load()
@@ -322,60 +287,7 @@ def run_campaign(
                 result.add(report.value)
             else:
                 result.failures.append(_failure_from_report(report))
-    if runtime.resilience_active:
-        result.degradation = _degradation_snapshot(
-            runtime, store, reports, result
-        )
     return result
-
-
-def _degradation_snapshot(
-    runtime: CampaignRuntime,
-    store: Optional[CheckpointStore],
-    reports,
-    result: CampaignResult,
-) -> dict:
-    """Assemble the structured degradation report for one campaign."""
-    degradation = DegradationReport(
-        executor=(
-            runtime._executor.health.snapshot()
-            if runtime._executor is not None
-            else {}
-        ),
-        chaos=runtime.chaos.describe() if runtime.chaos is not None else None,
-        checkpoint_io_retries=store.io_retries if store is not None else 0,
-        checkpoint_torn_tail_dropped=(
-            store.torn_tail_dropped if store is not None else 0
-        ),
-    )
-    for report in reports:
-        if isinstance(report.error, TrialQuarantinedError):
-            degradation.quarantined.append(
-                {
-                    "trial": report.index,
-                    "seed": report.seed,
-                    "attempts": report.error.attempts,
-                    "cause": report.error.cause_kind,
-                    "message": str(report.error),
-                }
-            )
-    # Quarantines recorded by an interrupted (now resumed) run count too.
-    for failure in result.failures:
-        if failure.kind == "quarantined" and not any(
-            entry["trial"] == failure.trial_index
-            for entry in degradation.quarantined
-        ):
-            degradation.quarantined.append(
-                {
-                    "trial": failure.trial_index,
-                    "seed": failure.seed,
-                    "attempts": failure.attempts,
-                    "cause": None,
-                    "message": failure.message,
-                }
-            )
-    degradation.quarantined.sort(key=lambda entry: entry["trial"])
-    return degradation.snapshot()
 
 
 def _validate_records(

@@ -8,8 +8,9 @@ Layout of one checkpoint directory (one campaign configuration)::
 Every record carries the ``(config_digest, trial_index, seed)`` identity
 of its trial plus a content checksum.  A SIGKILL can tear at most the
 final record (appends are flushed and fsync'd in order), so ``load``
-silently drops a torn *tail* line but treats corruption anywhere earlier
-— or a manifest that does not match the campaign being resumed — as
+drops a torn *tail* line with a :class:`~repro.errors.CheckpointWarning`
+but treats corruption anywhere earlier — or a manifest that does not
+match the campaign being resumed — as
 :class:`~repro.errors.CheckpointCorruptError`.
 """
 
@@ -22,7 +23,7 @@ import os
 import threading
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..errors import (
     CheckpointCorruptError,
@@ -96,17 +97,11 @@ class CheckpointStore:
         *,
         config_digest: str,
         resume: bool = False,
-        io_fault_hook: Optional[Callable[[int], Optional[str]]] = None,
     ):
         self.directory = Path(directory)
         self.config_digest = config_digest
         self._lock = threading.Lock()
         self._log: Optional[JsonlAppender] = None
-        # Chaos harness hook: maps a trial index to a one-shot injected
-        # I/O fault kind (see repro.runtime.chaos.ChaosPlan.io_fault_hook).
-        self._io_fault_hook = io_fault_hook
-        self._io_retries_closed = 0
-        self.torn_tail_dropped = 0
         manifest_path = self.directory / MANIFEST_NAME
         if manifest_path.exists():
             if not resume:
@@ -185,22 +180,16 @@ class CheckpointStore:
         """Path of the append-only trial log."""
         return self.directory / LOG_NAME
 
-    @property
-    def io_retries(self) -> int:
-        """Appends that needed the appender's truncate-and-retry heal."""
-        with self._lock:
-            live = self._log.io_retries if self._log is not None else 0
-            return self._io_retries_closed + live
-
     def record(
         self, trial_index: int, seed: int, kind: str, payload: dict
     ) -> None:
         """Durably append one finished trial (append + flush + fsync).
 
         Appends go through :class:`~repro.util.jsonio.JsonlAppender`, so
-        a transient I/O failure (real or chaos-injected) is healed by
-        rolling the log back to the last durable record and retrying
-        once — the record is durable when this returns, or it raised.
+        a transient I/O failure is healed by rolling the log back to the
+        last durable record and retrying once, with a
+        :class:`~repro.errors.CheckpointWarning` — the record is durable
+        when this returns, or it raised.
         """
         body = {
             "config_digest": self.config_digest,
@@ -213,8 +202,6 @@ class CheckpointStore:
         with self._lock:
             if self._log is None:
                 self._log = JsonlAppender(self.log_path)
-            if self._io_fault_hook is not None:
-                self._log.inject(self._io_fault_hook(trial_index))
             self._log.append(line)
 
     def load(self) -> Dict[int, CheckpointRecord]:
@@ -239,7 +226,6 @@ class CheckpointStore:
                 if lineno == len(lines) - 1:
                     # Torn tail from a crash mid-append: drop it and
                     # let the resume re-execute that trial.
-                    self.torn_tail_dropped += 1
                     warnings.warn(
                         f"dropping torn trailing checkpoint record at "
                         f"{self.log_path}:{lineno + 1}; its trial will "
@@ -280,7 +266,6 @@ class CheckpointStore:
         """Close the log file handle (records already durable)."""
         with self._lock:
             if self._log is not None:
-                self._io_retries_closed += self._log.io_retries
                 self._log.close()
                 self._log = None
 

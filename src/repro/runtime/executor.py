@@ -10,17 +10,6 @@ the lane pool is rebuilt, and the trial is classified
 dead processes) and timeouts are retried per :class:`RetryPolicy` with
 deterministic, seed-derived backoff; a trial that exhausts its attempts
 surfaces as a structured failure report instead of aborting the sweep.
-
-The executor is also where the robustness layer plugs in: an optional
-:class:`~repro.runtime.chaos.ChaosPlan` substitutes a fault-wrapped
-entry point at submit time, a heartbeat monitor
-(:class:`~repro.runtime.health.HeartbeatMonitor`) kills workers whose
-liveness signal stops independent of wall clock, adaptive deadlines
-(:class:`~repro.runtime.health.AdaptiveTimeout`) tighten the timeout
-from observed trial durations, and ``quarantine=True`` converts retry
-exhaustion into :class:`~repro.errors.TrialQuarantinedError` instead of
-a plain failure.  All of it is opt-in: with every knob off, the dispatch
-path is byte-for-byte the original single blocking wait.
 """
 
 from __future__ import annotations
@@ -28,13 +17,10 @@ from __future__ import annotations
 import collections
 import dataclasses
 import multiprocessing
-import shutil
-import tempfile
 import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
@@ -42,36 +28,18 @@ from ..errors import (
     ConfigurationError,
     EquivalenceError,
     TrialCrashError,
-    TrialHungError,
-    TrialQuarantinedError,
     TrialTimeoutError,
 )
 from ..util.rng import split_seed
 from . import worker as _worker
-from .chaos import ChaosPlan
-from .health import AdaptiveTimeout, ExecutorHealth, HeartbeatMonitor
 from .retry import RetryPolicy
 
 WARMUP_TIMEOUT_S = 120.0
 
 
-class _HeartbeatStale(Exception):
-    """Internal: the awaited worker stopped beating (carries staleness)."""
-
-    def __init__(self, stale_s: float):
-        super().__init__(stale_s)
-        self.stale_s = stale_s
-
-
 def _error_kind(error: CampaignRuntimeError) -> str:
     """Failure-kind classification shared with the campaign layer."""
-    if isinstance(error, TrialQuarantinedError):
-        return "quarantined"
-    if isinstance(error, TrialTimeoutError):
-        return "timeout"
-    if isinstance(error, TrialHungError):
-        return "hung"
-    return "crash"
+    return "timeout" if isinstance(error, TrialTimeoutError) else "crash"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,13 +71,7 @@ class TaskReport:
 class _Lane:
     """One worker slot: a single-process pool that can be killed whole."""
 
-    def __init__(
-        self,
-        mp_context,
-        initargs: Sequence[str],
-        preloads=None,
-        heartbeat_path=None,
-    ):
+    def __init__(self, mp_context, initargs: Sequence[str], preloads=None):
         self._mp_context = mp_context
         self._initargs = tuple(initargs)
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -117,12 +79,6 @@ class _Lane:
         # constructed directly in tests).
         self._preloads = preloads if preloads is not None else (lambda: ())
         self._applied: set = set()
-        self.heartbeat_path = heartbeat_path
-        self.monitor = (
-            HeartbeatMonitor(heartbeat_path)
-            if heartbeat_path is not None
-            else None
-        )
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -130,7 +86,7 @@ class _Lane:
                 max_workers=1,
                 mp_context=self._mp_context,
                 initializer=_worker.initialize_worker,
-                initargs=(self._initargs, self.heartbeat_path),
+                initargs=(self._initargs,),
             )
             # Warm the worker so per-trial timeouts measure the trial,
             # not interpreter spawn + numpy import.
@@ -176,45 +132,22 @@ class TrialExecutor:
         timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         sleep: Callable[[float], None] = time.sleep,
-        chaos: Optional[ChaosPlan] = None,
-        heartbeat_timeout_s: Optional[float] = None,
-        adaptive: Optional[AdaptiveTimeout] = None,
-        quarantine: bool = False,
     ):
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
         if timeout_s is not None and timeout_s <= 0:
             raise ConfigurationError("timeout_s must be positive")
-        if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
-            raise ConfigurationError("heartbeat_timeout_s must be positive")
         self.jobs = jobs
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
         self._sleep = sleep
-        self.chaos = chaos
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.adaptive = adaptive
-        self.quarantine = quarantine
-        self.health = ExecutorHealth()
         self._mp_context = multiprocessing.get_context("spawn")
         self._initargs = _worker.package_sys_path()
         self._preloads: Dict[int, Tuple[Callable, Tuple]] = {}
         self._preload_token = 0
-        self._heartbeat_dir: Optional[str] = None
-        if heartbeat_timeout_s is not None:
-            self._heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
         self._lanes = [
-            _Lane(
-                self._mp_context,
-                self._initargs,
-                self._preload_snapshot,
-                heartbeat_path=(
-                    str(Path(self._heartbeat_dir) / f"lane-{index}.beat")
-                    if self._heartbeat_dir is not None
-                    else None
-                ),
-            )
-            for index in range(jobs)
+            _Lane(self._mp_context, self._initargs, self._preload_snapshot)
+            for _ in range(jobs)
         ]
         self._lock = threading.Lock()
         self._stop = False
@@ -337,43 +270,21 @@ class TrialExecutor:
     def _run_task(self, lane: _Lane, task: TrialTask) -> TaskReport:
         last_error: Optional[CampaignRuntimeError] = None
         attempts = 0
-        chaos_op = (
-            self.chaos.worker_op_for(task.index)
-            if self.chaos is not None
-            else None
-        )
         for attempt in range(1, self.retry.max_attempts + 1):
             with self._lock:
                 if self._stop:
                     break
             attempts = attempt
-            deadline_s = self.timeout_s
-            if self.adaptive is not None:
-                deadline_s = self.adaptive.deadline_s(self.timeout_s)
             try:
-                if chaos_op is not None and attempt == chaos_op.attempt:
-                    with self._lock:
-                        self.health.count_chaos(chaos_op.kind)
-                    future = lane.submit(
-                        _worker.run_task_with_chaos,
-                        chaos_op.kind,
-                        chaos_op.delay_s,
-                        task.fn,
-                        task.args,
-                    )
-                else:
-                    future = lane.submit(task.fn, *task.args)
+                future = lane.submit(task.fn, *task.args)
             except Exception as exc:
                 # Covers a broken pool and a worker that cannot even warm
                 # up — either way the lane is rebuilt before the retry.
-                self._kill_lane(lane)
+                lane.kill()
                 last_error = self._crash(task, attempt, exc)
             else:
-                started = time.monotonic() if self.adaptive is not None else 0.0
                 try:
-                    value = self._await(lane, future, deadline_s)
-                    if self.adaptive is not None:
-                        self.adaptive.observe(time.monotonic() - started)
+                    value = future.result(timeout=self.timeout_s)
                     return TaskReport(
                         index=task.index,
                         seed=task.seed,
@@ -381,31 +292,17 @@ class TrialExecutor:
                         value=value,
                     )
                 except FutureTimeoutError:
-                    self._kill_lane(lane)
-                    with self._lock:
-                        self.health.timeouts += 1
+                    lane.kill()
                     last_error = TrialTimeoutError(
-                        f"trial {task.index} exceeded {deadline_s:g}s "
+                        f"trial {task.index} exceeded {self.timeout_s:g}s "
                         f"wall clock (attempt {attempt}/"
                         f"{self.retry.max_attempts}); worker killed",
                         trial_index=task.index,
                         seed=task.seed,
-                        timeout_s=deadline_s,
-                    )
-                except _HeartbeatStale as stale:
-                    self._kill_lane(lane)
-                    with self._lock:
-                        self.health.heartbeat_kills += 1
-                    last_error = TrialHungError(
-                        f"trial {task.index}'s worker stopped heartbeating "
-                        f"for {stale.stale_s:.2f}s (attempt {attempt}/"
-                        f"{self.retry.max_attempts}); worker killed",
-                        trial_index=task.index,
-                        seed=task.seed,
-                        stale_s=stale.stale_s,
+                        timeout_s=self.timeout_s,
                     )
                 except BrokenExecutor as exc:
-                    self._kill_lane(lane)
+                    lane.kill()
                     last_error = self._crash(task, attempt, exc)
                 except CampaignRuntimeError as exc:
                     last_error = exc
@@ -417,8 +314,6 @@ class TrialExecutor:
                     last_error = self._crash(task, attempt, exc)
             if attempt < self.retry.max_attempts:
                 self._sleep(self.retry.backoff_s(attempt, task.seed))
-        if last_error is not None and self.quarantine:
-            last_error = self._quarantine(task, attempts, last_error)
         return TaskReport(
             index=task.index,
             seed=task.seed,
@@ -426,63 +321,7 @@ class TrialExecutor:
             error=last_error,
         )
 
-    def _await(self, lane: _Lane, future, deadline_s: Optional[float]):
-        """Wait for ``future`` under the wall-clock and liveness budgets.
-
-        Without a heartbeat monitor this is exactly one blocking
-        ``future.result`` call (the zero-overhead fast path).  With one,
-        the wait polls in short slices, raising
-        :class:`FutureTimeoutError` at the wall-clock deadline and
-        :class:`_HeartbeatStale` as soon as the worker's beat goes quiet
-        for longer than ``heartbeat_timeout_s``.
-        """
-        monitor = lane.monitor
-        if monitor is None or self.heartbeat_timeout_s is None:
-            return future.result(timeout=deadline_s)
-        monitor.reset()
-        slice_s = max(0.02, min(0.25, self.heartbeat_timeout_s / 4.0))
-        started = time.monotonic()
-        while True:
-            remaining = (
-                None
-                if deadline_s is None
-                else deadline_s - (time.monotonic() - started)
-            )
-            if remaining is not None and remaining <= 0:
-                raise FutureTimeoutError()
-            wait_s = (
-                slice_s if remaining is None else min(slice_s, remaining)
-            )
-            try:
-                return future.result(timeout=wait_s)
-            except FutureTimeoutError:
-                if monitor.stale(self.heartbeat_timeout_s):
-                    raise _HeartbeatStale(monitor.stale_s()) from None
-
-    def _kill_lane(self, lane: _Lane) -> None:
-        lane.kill()
-        with self._lock:
-            self.health.lane_kills += 1
-
-    def _quarantine(
-        self, task: TrialTask, attempts: int, error: CampaignRuntimeError
-    ) -> TrialQuarantinedError:
-        """Circuit breaker: convert retry exhaustion into quarantine."""
-        cause_kind = _error_kind(error)
-        with self._lock:
-            self.health.quarantined += 1
-        return TrialQuarantinedError(
-            f"trial {task.index} quarantined after {attempts} attempt(s); "
-            f"last error ({cause_kind}): {error}",
-            trial_index=task.index,
-            seed=task.seed,
-            attempts=attempts,
-            cause_kind=cause_kind,
-        )
-
     def _crash(self, task: TrialTask, attempt: int, exc) -> TrialCrashError:
-        with self._lock:
-            self.health.crashes += 1
         return TrialCrashError(
             f"trial {task.index} crashed on attempt {attempt}/"
             f"{self.retry.max_attempts}: {type(exc).__name__}: {exc}",
@@ -495,9 +334,6 @@ class TrialExecutor:
         """Kill every lane's worker and release the pools."""
         for lane in self._lanes:
             lane.close()
-        if self._heartbeat_dir is not None:
-            shutil.rmtree(self._heartbeat_dir, ignore_errors=True)
-            self._heartbeat_dir = None
 
     def __enter__(self) -> "TrialExecutor":
         return self

@@ -19,16 +19,10 @@ import threading
 import time
 from typing import Optional, Sequence
 
-#: Worker-side heartbeat rewrite interval (seconds).  Small relative to
-#: any sensible ``heartbeat_timeout_s`` so a live worker never looks
-#: stale, large enough that beating is free next to real trial work.
-HEARTBEAT_INTERVAL_S = 0.2
-
 #: How often a worker checks that the driver which spawned it still
 #: lives (seconds).
 PARENT_POLL_S = 0.5
 
-_HEARTBEAT_STOP: Optional[threading.Event] = None
 _PARENT_WATCH: Optional[threading.Thread] = None
 
 
@@ -44,23 +38,17 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def initialize_worker(
-    extra_sys_path: Sequence[str] = (),
-    heartbeat_path: Optional[str] = None,
-) -> None:
-    """Per-worker setup: import path, signals, parent watch, heartbeat.
+def initialize_worker(extra_sys_path: Sequence[str] = ()) -> None:
+    """Per-worker setup: import path, signals and parent watch.
 
     ``spawn`` children rebuild ``sys.path`` from the environment, so the
     parent passes its own package location along for installs that rely
     on ``PYTHONPATH`` tricks.  SIGINT is ignored in workers: a Ctrl-C
     belongs to the driver, which reaps workers explicitly.  A daemon
     thread ends the worker once its driver is gone (a SIGKILLed driver
-    reaps nothing).  When the driver supplies ``heartbeat_path`` a
-    daemon thread rewrites that file every :data:`HEARTBEAT_INTERVAL_S`
-    seconds — the liveness signal
-    :class:`repro.runtime.health.HeartbeatMonitor` watches.
+    reaps nothing).
     """
-    global _HEARTBEAT_STOP, _PARENT_WATCH
+    global _PARENT_WATCH
     for path in extra_sys_path:
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -73,16 +61,6 @@ def initialize_worker(
             target=_exit_with_parent, args=(os.getppid(),), daemon=True
         )
         _PARENT_WATCH.start()
-    if heartbeat_path is not None and _HEARTBEAT_STOP is None:
-        from .health import beat
-
-        _HEARTBEAT_STOP = threading.Event()
-        thread = threading.Thread(
-            target=beat,
-            args=(heartbeat_path, HEARTBEAT_INTERVAL_S, _HEARTBEAT_STOP),
-            daemon=True,
-        )
-        thread.start()
 
 
 def package_sys_path() -> list:
@@ -95,29 +73,6 @@ def package_sys_path() -> list:
 def noop() -> None:
     """Warm-up task: proves a worker is alive and has imported repro."""
     return None
-
-
-def run_task_with_chaos(kind: str, delay_s: float, fn, args):
-    """Apply one worker-side chaos fault, then run the real task.
-
-    The executor substitutes this wrapper at submit time when the active
-    :class:`~repro.runtime.chaos.ChaosPlan` schedules a worker fault for
-    the (trial, attempt) being dispatched.  ``kill`` dies exactly the
-    way a crashed worker does; ``wedge``/``delay`` sleep first — the
-    former long enough to blow the deadline, the latter a small seeded
-    jitter — and then run the trial normally, so any surviving attempt
-    returns the bit-identical result the clean path would have.
-    """
-    if kind == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif kind in ("wedge", "delay"):
-        if delay_s > 0:
-            time.sleep(delay_s)
-    else:
-        from ..errors import CampaignRuntimeError
-
-        raise CampaignRuntimeError(f"unknown worker chaos kind {kind!r}")
-    return fn(*args)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Shared CLI conventions for the ``repro.tools`` entry points.
 
 Exit codes (uniform across ``run_campaign``, ``run_scorecard``,
-``run_sensitivity``, ``run_bench``, ``run_fuzz``,
-``run_resilience_smoke``):
+``run_sensitivity``, ``run_bench``, ``run_fuzz``):
 
 * ``EXIT_OK`` (0) — everything ran and every result is complete.
 * ``EXIT_FATAL`` (1) — the run could not produce usable results
@@ -130,7 +129,7 @@ def require_positive(**flags) -> None:
     """Raise :class:`ConfigurationError` for any value <= 0.
 
     Keyword names are flag names with underscores (``timeout``,
-    ``chaos_rate``); the message renders them with dashes.
+    ``mc_samples``); the message renders them with dashes.
     """
     for name, value in flags.items():
         if value is not None and value <= 0:

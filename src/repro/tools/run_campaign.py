@@ -10,16 +10,8 @@ in a worker subprocess with a wall-clock timeout and retry/backoff, every
 finished trial is checkpointed, and an interrupted campaign resumed with
 ``--resume`` reproduces the uninterrupted result bit-identically.
 
-Chaos mode: ``--chaos [KINDS]`` injects seeded deterministic faults into
-the runtime itself (worker kills, wedges, delays, checkpoint I/O errors)
-to exercise the recovery machinery; ``--quarantine``,
-``--adaptive-timeout``, and ``--heartbeat SECONDS`` enable the
-graceful-degradation layer.  A degraded-but-complete campaign reports a
-``degradation`` summary (and still exits 0 unless trials were
-quarantined or abandoned).
-
 Exit codes follow :mod:`repro.tools._cli`: 0 complete, 3 partial (some
-trials abandoned after retries or quarantined), 1 fatal.
+trials abandoned after retries), 1 fatal.
 """
 
 from __future__ import annotations
@@ -31,13 +23,6 @@ from typing import Optional, Sequence
 from ..errors import FORCED_EQUIVALENCE_MODES, ConfigurationError, ReproError
 from ..faults import CampaignConfig, FaultCampaign, Outcome
 from ..faults.schemes import SCHEMES, scheme_factory
-from ..runtime import (
-    CHAOS_KINDS,
-    CampaignRuntime,
-    ChaosPlan,
-    RetryPolicy,
-    export_degradation_metrics,
-)
 from ..workloads import benchmark_names
 from ._cli import (
     add_json_argument,
@@ -130,41 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="skip trials already recorded under --checkpoint-dir",
     )
-    chaos = parser.add_argument_group(
-        "chaos & graceful degradation",
-        "inject deterministic faults into the runtime itself and degrade "
-        "gracefully instead of failing the run",
-    )
-    chaos.add_argument(
-        "--chaos", nargs="?", const="all", default=None, metavar="KINDS",
-        help="inject seeded runtime faults; KINDS is 'all' or a "
-             f"comma-list from {','.join(CHAOS_KINDS)} (implies the "
-             "crash-safe runtime)",
-    )
-    chaos.add_argument(
-        "--chaos-seed", type=int, default=None, metavar="N",
-        help="seed of the chaos plan (default: --seed)",
-    )
-    chaos.add_argument(
-        "--chaos-rate", type=float, default=0.25, metavar="P",
-        help="probability a trial receives a fault (default: %(default)s)",
-    )
-    chaos.add_argument(
-        "--quarantine", action="store_true",
-        help="circuit breaker: a trial that exhausts its retries is "
-             "quarantined (reported, exit 3) instead of failing the run "
-             "outright",
-    )
-    chaos.add_argument(
-        "--adaptive-timeout", action="store_true",
-        help="tighten the per-trial deadline from completed-trial "
-             "duration percentiles",
-    )
-    chaos.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="kill a worker whose heartbeat stalls this long "
-             "(liveness, distinct from --timeout wall clock)",
-    )
     add_json_argument(parser)
     add_obs_arguments(parser)
     return parser
@@ -173,41 +123,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _wants_runtime(args) -> bool:
     return any(
         value is not None
-        for value in (args.jobs, args.timeout, args.retries,
-                      args.checkpoint_dir, args.chaos, args.heartbeat)
-    ) or args.resume or args.quarantine or args.adaptive_timeout
+        for value in (args.jobs, args.timeout, args.retries, args.checkpoint_dir)
+    ) or args.resume
 
 
 def _validate_args(args) -> None:
     """Typed validation at the CLI boundary (before any work starts)."""
-    require_positive(
-        trials=args.trials,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        heartbeat=args.heartbeat,
-    )
-    require_non_negative(
-        warmup=args.warmup,
-        post=args.post,
-        retries=args.retries,
-        chaos_rate=args.chaos_rate,
-    )
-    if args.chaos_rate > 1.0:
-        raise ConfigurationError(
-            f"--chaos-rate must be within [0, 1], got {args.chaos_rate!r}"
-        )
+    require_positive(trials=args.trials, jobs=args.jobs, timeout=args.timeout)
+    require_non_negative(warmup=args.warmup, post=args.post, retries=args.retries)
     if args.fast_equivalence == "always" and not args.fast:
         raise ConfigurationError(
             "--fast-equivalence always needs --fast: without a shared "
             "warmup every trial already runs the legacy path"
         )
-
-
-def _chaos_plan(args):
-    if args.chaos is None:
-        return None
-    seed = args.chaos_seed if args.chaos_seed is not None else args.seed
-    return ChaosPlan.from_spec(args.chaos, seed=seed, rate=args.chaos_rate)
 
 
 def _summary_payload(args, result) -> dict:
@@ -226,7 +154,6 @@ def _summary_payload(args, result) -> dict:
         "replayed_references": result.replayed_references,
         "failures": [dataclasses.asdict(f) for f in result.failures],
         "complete": result.complete,
-        "degradation": result.degradation,
     }
 
 
@@ -245,7 +172,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profiling = args.profile or args.profile_out is not None
     try:
         _validate_args(args)
-        chaos = _chaos_plan(args)
         config = CampaignConfig(
             scheme_factory=scheme_factory(args.scheme),
             benchmark=args.benchmark,
@@ -276,6 +202,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 profiler.enable()
             try:
                 if _wants_runtime(args):
+                    from ..runtime import CampaignRuntime, RetryPolicy
+
                     retry = (
                         RetryPolicy(max_attempts=args.retries + 1)
                         if args.retries is not None
@@ -287,10 +215,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         retry=retry,
                         checkpoint_dir=args.checkpoint_dir,
                         resume=args.resume,
-                        chaos=chaos,
-                        heartbeat_timeout_s=args.heartbeat,
-                        adaptive_timeout=args.adaptive_timeout,
-                        quarantine=args.quarantine,
                     ) as runtime:
                         result = campaign.run(runtime=runtime)
                 else:
@@ -302,8 +226,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return fail(f"campaign failed: {exc}")
     if registry is not None:
         result.export_metrics(registry)
-        if result.degradation is not None:
-            export_degradation_metrics(registry, result.degradation)
         if config.shared_warmup:
             from ..faults.warmstate import warm_cache, warm_key
 
@@ -330,26 +252,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for failure in result.failures:
             print(f"            trial {failure.trial_index} "
                   f"[{failure.kind} x{failure.attempts}]: {failure.message}")
-    degradation = result.degradation
-    if degradation is not None and degradation.get("degraded"):
-        executor_counts = degradation.get("executor", {})
-        absorbed = " ".join(
-            f"{key}={executor_counts.get(key, 0)}"
-            for key in ("lane_kills", "timeouts", "heartbeat_kills",
-                        "crashes", "quarantined")
-            if executor_counts.get(key)
-        )
-        checkpoint = degradation.get("checkpoint", {})
-        for key in ("io_retries", "torn_tail_dropped"):
-            if checkpoint.get(key):
-                absorbed += f" checkpoint_{key}={checkpoint[key]}"
-        chaos_counts = executor_counts.get("chaos_injected") or {}
-        injected = sum(chaos_counts.values())
-        print(f"degraded: absorbed {absorbed.strip()}"
-              + (f" (chaos injected: {injected})" if injected else ""))
-        for entry in degradation.get("quarantined", ()):
-            print(f"            quarantined trial {entry['trial']} "
-                  f"[{entry.get('cause')} x{entry.get('attempts')}]")
     emit_json(args.json, _summary_payload(args, result))
     emit_metrics(args.emit_metrics, registry)
     return resolve_exit(partial=not result.complete)

@@ -1,4 +1,4 @@
-"""Checksummed canonical-JSON line records and a fault-aware appender.
+"""Checksummed canonical-JSON line records and a self-healing appender.
 
 The writer discipline shared by campaign checkpoints
 (:class:`repro.runtime.checkpoint.CheckpointStore`) and trace sinks
@@ -10,24 +10,19 @@ mid-append) from damage anywhere earlier.
 :class:`JsonlAppender` is the durable writer half of that discipline —
 append + flush + fsync per record, with a remembered *good offset* (the
 end of the last record known durable) so an I/O error mid-append can be
-rolled back by truncating to the good offset and retrying once.  The
-``inject`` hook exists for the chaos harness
-(:mod:`repro.runtime.chaos`): it simulates ENOSPC, a torn partial write,
-and a failed fsync at the exact points real disks fail, which is how the
-self-healing path earns its test coverage.
+rolled back by truncating to the good offset and retrying once.
 """
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 from typing import Optional
 
-#: Injectable I/O fault kinds understood by :meth:`JsonlAppender.append`.
-IO_FAULT_KINDS = ("enospc", "torn", "fsync")
+from ..errors import CheckpointWarning
 
 
 def canonical_json(payload: dict) -> str:
@@ -49,35 +44,23 @@ class JsonlAppender:
     returning, so a record is durable (or the call raised) — the
     invariant :class:`~repro.runtime.checkpoint.CheckpointStore` builds
     its torn-tail tolerance on.  On an :class:`OSError` anywhere in that
-    sequence the file is truncated back to the last known-good offset
-    (discarding any partial line the failed write left behind) and the
-    append is retried once on a freshly opened handle; a second failure
-    propagates.  ``io_retries`` counts successful self-heals.
+    sequence (a full disk, a short write, a failed fsync) the file is
+    truncated back to the last known-good offset (discarding any partial
+    line the failed write left behind) and the append is retried once on
+    a freshly opened handle, with a
+    :class:`~repro.errors.CheckpointWarning`; a second failure
+    propagates.
 
     Args:
         path: the JSONL file; created on first append.
-        inject_next: optional one-shot fault (see :data:`IO_FAULT_KINDS`)
-            applied to the next append — set by the chaos harness via
-            :meth:`inject`.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._fh = None
         self._good_offset: Optional[int] = None
-        self._inject_next: Optional[str] = None
-        self.io_retries = 0
 
     # ------------------------------------------------------------------
-    def inject(self, kind: Optional[str]) -> None:
-        """Arm a one-shot injected I/O fault for the next append."""
-        if kind is not None and kind not in IO_FAULT_KINDS:
-            raise ValueError(
-                f"unknown I/O fault kind {kind!r}; expected one of "
-                f"{IO_FAULT_KINDS}"
-            )
-        self._inject_next = kind
-
     def _open(self):
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
@@ -87,30 +70,23 @@ class JsonlAppender:
 
     def append(self, line: str) -> None:
         """Durably append ``line`` (newline added); self-heal one failure."""
-        inject, self._inject_next = self._inject_next, None
         try:
-            self._write(line, inject)
-        except OSError:
+            self._write(line)
+        except OSError as exc:
             self._rollback()
-            self._write(line, None)
-            self.io_retries += 1
+            self._write(line)
+            warnings.warn(
+                f"append to {self.path} failed ({exc}); rolled back to the "
+                "last durable record and retried",
+                CheckpointWarning,
+                stacklevel=2,
+            )
         self._good_offset = self._fh.tell()
 
-    def _write(self, line: str, inject: Optional[str]) -> None:
+    def _write(self, line: str) -> None:
         fh = self._open()
-        if inject == "enospc":
-            raise OSError(errno.ENOSPC, "injected: no space left on device")
-        data = line + "\n"
-        if inject == "torn":
-            # Half a record reaches the disk, then the write "fails" —
-            # the same shape a real torn append leaves behind.
-            fh.write(data[: max(1, len(data) // 2)])
-            fh.flush()
-            raise OSError(errno.EIO, "injected: torn write")
-        fh.write(data)
+        fh.write(line + "\n")
         fh.flush()
-        if inject == "fsync":
-            raise OSError(errno.EIO, "injected: fsync failed")
         os.fsync(fh.fileno())
 
     def _rollback(self) -> None:

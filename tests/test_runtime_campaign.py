@@ -1,20 +1,29 @@
 """End-to-end tests for crash-safe, resumable campaign execution.
 
-The acceptance drill: a campaign interrupted by SIGKILL and resumed via
-``--resume`` must yield a ``CampaignResult`` bit-identical to the same
-campaign run uninterrupted, and a hung trial must be reaped by the
-timeout, retried per policy, and surface as a structured failure without
+The three recovery proofs: a campaign whose driver is SIGKILLed and
+resumed via ``--resume``, a campaign whose checkpoint ends in a torn
+record, and a campaign whose trials each wedge once past the deadline
+must all yield a ``CampaignResult`` bit-identical to the same campaign
+run uninterrupted.  A trial that stays hung is reaped by the timeout,
+retried per policy, and surfaces as a structured failure without
 aborting the sweep.
 """
 
+import functools
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
+import warnings
 
 import pytest
 
+import repro
 from repro.errors import (
     CheckpointCorruptError,
+    CheckpointWarning,
     ConfigurationError,
     TrialCrashError,
     TrialTimeoutError,
@@ -26,7 +35,8 @@ from repro.faults import (
     scheme_factory,
 )
 from repro.runtime import CampaignRuntime, RetryPolicy, campaign_digest
-from repro.tools import run_resilience_smoke
+from repro.runtime import _testhooks as hooks
+from repro.runtime import worker
 
 
 def small_config(**overrides):
@@ -63,27 +73,33 @@ class TestRuntimeEquivalence:
 
 
 class TestResume:
-    def test_interrupted_checkpoint_resumes_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("tail", ["whole", "torn"])
+    def test_interrupted_checkpoint_resumes_bit_identical(self, tmp_path, tail):
         config = small_config()
         reference = FaultCampaign(config).run()
 
-        with CampaignRuntime(
-            jobs=1, checkpoint_dir=tmp_path / "ckpt"
-        ) as runtime:
+        with CampaignRuntime(jobs=1, checkpoint_dir=tmp_path / "ckpt") as runtime:
             first = FaultCampaign(config).run(runtime=runtime)
         assert trial_dicts(first) == trial_dicts(reference)
 
         # Simulate a SIGKILL that landed after two durable trials: chop
-        # the log, then resume.  (Only completed-trial records remain —
-        # exactly what a real kill leaves behind.)
+        # the log, then resume.  A kill between appends leaves whole
+        # records; a kill mid-append also leaves the start of the next.
         log = next((tmp_path / "ckpt").glob("*/trials.jsonl"))
         lines = log.read_text().splitlines()
-        log.write_text("\n".join(lines[:2]) + "\n")
+        text = "\n".join(lines[:2]) + "\n"
+        if tail == "torn":
+            text += lines[2][: len(lines[2]) // 2]
+        log.write_text(text)
 
-        with CampaignRuntime(
-            jobs=1, checkpoint_dir=tmp_path / "ckpt", resume=True
-        ) as runtime:
-            resumed = FaultCampaign(config).run(runtime=runtime)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with CampaignRuntime(
+                jobs=1, checkpoint_dir=tmp_path / "ckpt", resume=True
+            ) as runtime:
+                resumed = FaultCampaign(config).run(runtime=runtime)
+        torn = [w for w in caught if issubclass(w.category, CheckpointWarning)]
+        assert len(torn) == (1 if tail == "torn" else 0)
         assert trial_dicts(resumed) == trial_dicts(reference)
         assert resumed.summary() == reference.summary()
         assert resumed.complete
@@ -233,18 +249,52 @@ def stray_workers():
     return strays
 
 
+def count_records(log):
+    if not log.exists():
+        return 0
+    return sum(1 for line in log.read_text().splitlines() if line)
+
+
 class TestKillAndResumeSmoke:
     def test_sigkilled_campaign_resumes_identically(self, tmp_path):
         before = stray_workers() if os.path.isdir("/proc") else set()
-        rc = run_resilience_smoke.main(
-            [
-                "--trials", "6",
-                "--warmup", "700",
-                "--post", "500",
-                "--workdir", str(tmp_path),
-            ]
+        config = small_config(
+            trials=6, warmup_references=700, post_fault_references=500
         )
-        assert rc == 0
+        reference = FaultCampaign(config).run()
+        # The same campaign as a child driver, SIGKILLed once one trial
+        # is durable.
+        ckpt = tmp_path / "ckpt"
+        log = ckpt / campaign_digest(config)[:16] / "trials.jsonl"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        argv = (
+            "-m repro.tools.run_campaign parity --benchmark gzip --trials 6 "
+            "--warmup 700 --post 500 --seed 0 --dirty-only --jobs 1"
+        ).split()
+        child = subprocess.Popen(
+            [sys.executable, *argv, "--checkpoint-dir", str(ckpt)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while count_records(log) < 1 and child.poll() is None:
+                assert time.monotonic() < deadline, "no trial became durable"
+                time.sleep(0.05)
+            assert child.poll() is None, "campaign finished before the kill"
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=30)
+        assert 1 <= count_records(log) < config.trials
+
+        with CampaignRuntime(jobs=1, checkpoint_dir=ckpt, resume=True) as runtime:
+            resumed = FaultCampaign(config).run(runtime=runtime)
+        assert trial_dicts(resumed) == trial_dicts(reference)
+        assert resumed.complete
         if not os.path.isdir("/proc"):
             return
         # The SIGKILLed driver's worker outlives it only until it sees
@@ -253,3 +303,26 @@ class TestKillAndResumeSmoke:
         while stray_workers() - before and time.monotonic() < deadline:
             time.sleep(0.1)
         assert not stray_workers() - before
+
+
+class TestWedgedTrials:
+    def test_wedged_first_attempts_time_out_and_retry(self, tmp_path, monkeypatch):
+        # Every trial's first attempt sleeps far past the deadline; the
+        # timeout kills it and the retry on the rebuilt lane runs it.
+        config = small_config(trials=3)
+        reference = FaultCampaign(config).run()
+        markers = tmp_path / "markers"
+        monkeypatch.setattr(
+            worker,
+            "run_campaign_trial",
+            functools.partial(hooks.wedge_first_attempt, str(markers), 60.0),
+        )
+        retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
+        with CampaignRuntime(jobs=1, timeout_s=1.0, retry=retry) as runtime:
+            result = FaultCampaign(config).run(runtime=runtime)
+        assert sorted(p.name for p in markers.iterdir()) == [
+            f"trial-{i}" for i in range(config.trials)
+        ]
+        assert trial_dicts(result) == trial_dicts(reference)
+        assert result.failures == []
+        assert result.complete

@@ -1,7 +1,7 @@
 """Tests for the fault-tolerant trial executor and retry policy.
 
-The pathological worker tasks (hangs, crashes, self-kills) live in
-``repro.runtime._testhooks`` because spawn workers cannot import test
+The pathological worker tasks (hangs, freezes, crashes, self-kills) live
+in ``repro.runtime._testhooks`` because spawn workers cannot import test
 modules.
 """
 
@@ -76,12 +76,17 @@ class TestHappyPath:
 
 
 class TestTimeouts:
-    def test_hung_task_is_reaped_and_neighbour_survives(self):
+    # A sleeping worker and a SIGSTOPped one (frozen, threads included)
+    # are both reaped by the wall-clock timeout.
+    @pytest.mark.parametrize(
+        "wedge", [hooks.hang, hooks.stop_self], ids=["hang", "stop_self"]
+    )
+    def test_hung_task_is_reaped_and_neighbour_survives(self, wedge):
         retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
         with TrialExecutor(jobs=2, timeout_s=1.0, retry=retry) as executor:
             reports = executor.run(
                 [
-                    TrialTask(index=0, seed=1, fn=hooks.hang, args=()),
+                    TrialTask(index=0, seed=1, fn=wedge, args=()),
                     TrialTask(index=1, seed=2, fn=hooks.echo, args=("ok",)),
                 ]
             )
@@ -90,7 +95,8 @@ class TestTimeouts:
         assert isinstance(hung.error, TrialTimeoutError)
         assert hung.error.trial_index == 0
         assert hung.error.timeout_s == 1.0
-        assert hung.attempts == 2  # retried per policy before giving up
+        # Retried per policy on a rebuilt lane before giving up.
+        assert hung.attempts == 2
         assert alive.ok and alive.value == "ok"
 
     def test_lane_recovers_after_timeout_kill(self):
@@ -163,7 +169,6 @@ class TestCrashes:
                     [TrialTask(index=0, seed=1, fn=hooks.diverge, args=(str(marks),))],
                     on_report=seen.append,
                 )
-            assert executor.health.crashes == 0
         assert excinfo.value.mismatches == ["attempt 1: fast!=scalar"]
         assert len(list(marks.glob("attempt-*"))) == 1
         assert seen == []
@@ -198,8 +203,6 @@ class TestPreloadWarmupTimeout:
         assert report.ok
         assert report.value == "ok"
         assert report.attempts == 2
-        assert executor.health.crashes == 1
-        assert executor.health.lane_kills == 1
 
 
 class TestCallbacks:
