@@ -40,7 +40,7 @@ from typing import Dict, List, Optional
 from ..errors import ConfigurationError
 from ..memsim.types import AccessType
 from ..util.rng import make_rng, weighted_choice
-from ..workloads.store import cached_records
+from ..workloads.spec import make_workload
 from ..workloads.trace import TraceRecord
 
 #: Serialization format version stamped into every scenario/reproducer.
@@ -268,11 +268,8 @@ class ScenarioGenerator:
 
     def _trace(self, rng, length: int) -> List[TraceRecord]:
         benchmark = rng.choice(_FUZZ_BENCHMARKS)
-        # Via the columnar trace store when REPRO_TRACE_CACHE is set, so
-        # repeated fuzz runs over the same seed reuse on-disk traces.
-        return cached_records(
-            benchmark, (self.seed, "trace", rng.getrandbits(32)), length
-        )
+        seed = (self.seed, "trace", rng.getrandbits(32))
+        return list(make_workload(benchmark, seed=seed).records(length))
 
     def _cppc_params(self, rng) -> dict:
         num_pairs = rng.choice((1, 1, 2, 4, 8))

@@ -67,7 +67,7 @@ from ..memsim.snapshot import (
 )
 from ..memsim.types import AccessType, UnitLocation
 from ..workloads.replay import GoldenMemory, TraceReplayer
-from ..workloads.store import cached_records
+from ..workloads.spec import make_workload
 from ..workloads.trace import TraceRecord
 from .campaign import CampaignConfig
 
@@ -390,14 +390,9 @@ def build_warm_state(config: CampaignConfig) -> WarmState:
     """Simulate the shared warmup prefix once and package the result,
     then run the suffix fault-free on the same hierarchy to record its
     :class:`GoldenRecord`."""
-    # cached_records goes through the columnar trace store when
-    # REPRO_TRACE_CACHE is set, so campaigns sharing a workload decode
-    # one on-disk trace instead of regenerating it per process.
-    records = cached_records(
-        config.benchmark,
-        config.workload_seed(0),
-        config.warmup_references + config.post_fault_references,
-    )
+    workload = make_workload(config.benchmark, seed=config.workload_seed(0))
+    length = config.warmup_references + config.post_fault_references
+    records = list(workload.records(length))
     warm_records = records[: config.warmup_references]
     suffix_records = records[config.warmup_references :]
 

@@ -19,7 +19,7 @@ from .experiments import (
     table2,
     table3,
 )
-from .figures import bar_chart, grouped_bar_chart
+from .figures import bar_chart
 from .reporting import format_table, format_value
 from .resilience import ResilienceMatrix, resilience_matrix, scheme_factory
 from .scorecard import Claim, Scorecard, scorecard
@@ -51,7 +51,6 @@ __all__ = [
     "format_table",
     "format_value",
     "bar_chart",
-    "grouped_bar_chart",
     "SweepResult",
     "sweep_interleaving",
     "sweep_l1_size",

@@ -244,20 +244,6 @@ class Figure10Result:
             precision=4,
         )
 
-    def to_chart(self) -> str:
-        """ASCII grouped-bar rendering of the figure."""
-        from .figures import grouped_bar_chart
-
-        benchmarks = list(self.per_benchmark)
-        series = {
-            scheme: [self.normalized(scheme, b) for b in benchmarks]
-            for scheme in _fig10_overhead_schemes()
-        }
-        return grouped_bar_chart(
-            "Figure 10: CPI normalised to 1-D parity L1",
-            benchmarks, series, baseline=1.0,
-        )
-
 
 def figure10(
     runs: Sequence[BenchmarkRun],
@@ -323,22 +309,6 @@ class EnergyFigureResult:
                 f"Figure {figure}: {self.level} dynamic energy normalised "
                 "to 1-D parity"
             ),
-        )
-
-    def to_chart(self) -> str:
-        """ASCII grouped-bar rendering of the figure."""
-        from .figures import grouped_bar_chart
-
-        figure = "11" if self.level == "L1" else "12"
-        benchmarks = list(self.per_benchmark)
-        schemes = [s for s in SCHEMES if s != "parity"]
-        series = {
-            scheme: [self.per_benchmark[b][scheme] for b in benchmarks]
-            for scheme in schemes
-        }
-        return grouped_bar_chart(
-            f"Figure {figure}: {self.level} energy normalised to 1-D parity",
-            benchmarks, series, baseline=1.0,
         )
 
 

@@ -1,18 +1,14 @@
 """Plain-text (ASCII) chart rendering for experiment results.
 
-The paper presents Figures 10-12 as grouped bar charts; these helpers
-render the same shape in a terminal so the benches' archived outputs are
+Bar charts render in a terminal, so the benches' archived outputs are
 readable without a plotting stack.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError
-
-#: Glyph per series, cycled.
-_GLYPHS = "#*+o@%"
 
 
 def bar_chart(
@@ -42,47 +38,3 @@ def bar_chart(
             f"{'#' * magnitude}{' ' * (width - magnitude)} {value:.3f}"
         )
     return "\n".join(lines)
-
-
-def grouped_bar_chart(
-    title: str,
-    groups: Sequence[str],
-    series: Dict[str, Sequence[float]],
-    *,
-    width: int = 40,
-    baseline: float = 0.0,
-) -> str:
-    """Grouped horizontal bars: one block per group, one bar per series."""
-    if not series:
-        raise ConfigurationError("no series to chart")
-    for name, values in series.items():
-        if len(values) != len(groups):
-            raise ConfigurationError(
-                f"series {name!r} has {len(values)} values for "
-                f"{len(groups)} groups"
-            )
-    flat: List[float] = [v for values in series.values() for v in values]
-    span = max(abs(v - baseline) for v in flat) or 1.0
-    name_width = max(len(n) for n in series)
-    lines = [title, "=" * len(title)]
-    for index, group in enumerate(groups):
-        lines.append(f"{group}:")
-        for glyph, (name, values) in zip(
-            _cycle_glyphs(len(series)), series.items()
-        ):
-            value = values[index]
-            magnitude = int(round(abs(value - baseline) / span * width))
-            lines.append(
-                f"  {name:>{name_width}s} | "
-                f"{glyph * magnitude}{' ' * (width - magnitude)} {value:.3f}"
-            )
-    legend = "  ".join(
-        f"{glyph}={name}"
-        for glyph, name in zip(_cycle_glyphs(len(series)), series)
-    )
-    lines.append(f"legend: {legend}")
-    return "\n".join(lines)
-
-
-def _cycle_glyphs(n: int) -> List[str]:
-    return [(_GLYPHS[i % len(_GLYPHS)]) for i in range(n)]

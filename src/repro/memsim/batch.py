@@ -150,10 +150,9 @@ class BatchTrace:
         """Build a trace straight from column arrays (no record objects).
 
         ``raw`` carries each store's value bytes as a right-aligned
-        big-endian integer (zero for loads) — the representation the
-        columnar trace store (:mod:`repro.workloads.store`) decodes from
-        its value heap.  Input arrays may be read-only views (e.g. into
-        an mmap); they are adopted without copying.
+        big-endian integer (zero for loads); :meth:`from_records` packs
+        through here.  Input arrays of the right dtype are adopted
+        without copying.
         """
         addr = np.asarray(addr, dtype=np.int64)
         size = np.asarray(size, dtype=np.int64)
@@ -420,32 +419,15 @@ class BatchReplayEngine:
         self._feed(state, trace)
         return self._finish(state)
 
-    def replay_chunks(
-        self,
-        chunks: Iterable[BatchTrace],
-        capture: Optional[ReplayCapture] = None,
-    ) -> BatchReplayResult:
-        """Replay a trace streamed as consecutive :class:`BatchTrace` chunks.
-
-        Cache, register and statistics state persist across chunk
-        boundaries, so the result is bit-identical to a one-shot
-        :meth:`replay` of the concatenated trace — only peak memory
-        differs (one chunk of columns at a time plus the cache state).
-        This is how a :class:`repro.workloads.store.ColumnarTraceReader`
-        replays traces far larger than the Python-object path allows.
-        """
-        state = _ReplayState(self, capture)
-        for chunk in chunks:
-            self._feed(state, chunk)
-        return self._finish(state)
-
     # ------------------------------------------------------------------
     # Incremental streaming API
     # ------------------------------------------------------------------
     def begin(self, capture: Optional[ReplayCapture] = None) -> "_ReplayState":
         """Open a persistent replay: feed chunks, then :meth:`finish`.
 
-        Unlike :meth:`replay_chunks`, the caller holds the state between
+        Cache, register and statistics state persist across chunk
+        boundaries, so feeding a trace in pieces is bit-identical to one
+        :meth:`replay` of the whole.  The caller holds the state between
         chunks and may observe it mid-stream (via
         :meth:`_ReplayState.checkpoint`) — how the timing fast path
         splits one replay into a warmup and a measured window without
@@ -933,8 +915,7 @@ class _ReplayState:
     :class:`BatchReplayResult`.  Everything whose size would otherwise
     grow with the *trace* (event streams, interval lists, delta lists)
     is reduced per chunk, so peak memory is one chunk of columns plus
-    the cache-sized state — the property that lets the columnar store
-    replay traces far larger than RAM-resident record lists.
+    the cache-sized state.
     """
 
     __slots__ = (

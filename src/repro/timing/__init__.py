@@ -3,10 +3,8 @@
 from .fast import (
     EventColumns,
     FastRun,
-    collect_events_fast,
     collect_run_fast,
     collect_scalar,
-    simulate_cpi_fast,
     time_events_fast,
     timing_mismatches,
 )
@@ -27,7 +25,6 @@ from .model import (
     TimingResult,
     TwoDParityTiming,
     collect_events,
-    simulate_cpi,
     time_events,
     timing_policy,
 )
@@ -43,15 +40,12 @@ __all__ = [
     "TimingResult",
     "TwoDParityTiming",
     "collect_events",
-    "simulate_cpi",
     "time_events",
     "timing_policy",
     "EventColumns",
     "FastRun",
-    "collect_events_fast",
     "collect_run_fast",
     "collect_scalar",
-    "simulate_cpi_fast",
     "time_events_fast",
     "timing_mismatches",
     "DetailedPipeline",

@@ -7,7 +7,7 @@ halves vectorize, and both halves must stay *bit-identical* to the
 scalar code — Figure 10 normalises CPIs against each other, so even a
 last-ulp drift would show up in the reproduction tables.
 
-Columnar collection (:func:`collect_events_fast`) drives the
+Columnar collection (:func:`collect_run_fast`) drives the
 :class:`~repro.memsim.batch.BatchReplayEngine` once over the whole
 trace, splitting warmup from the measured window with a mid-stream
 :meth:`~repro.memsim.batch._ReplayState.checkpoint` instead of a second
@@ -56,7 +56,6 @@ from .model import (
     TimingResult,
     collect_events,
     time_events,
-    timing_policy,
 )
 
 
@@ -478,22 +477,6 @@ def collect_run_fast(
     return run
 
 
-def collect_events_fast(
-    records: Union[BatchTrace, Iterable],
-    config: HierarchyConfig = PAPER_CONFIG,
-    *,
-    equivalence: str = "auto",
-    equivalence_limit: int = DEFAULT_EQUIVALENCE_LIMIT,
-) -> EventColumns:
-    """Columnar counterpart of :func:`repro.timing.model.collect_events`."""
-    return collect_run_fast(
-        records,
-        config,
-        equivalence=equivalence,
-        equivalence_limit=equivalence_limit,
-    ).events
-
-
 def collect_scalar(
     records: Iterable, config: HierarchyConfig = PAPER_CONFIG, *, warmup: int = 0
 ) -> Tuple[List[AccessEvent], MemoryHierarchy]:
@@ -584,7 +567,9 @@ def time_events_fast(
     rail-jumping scan described in the module docstring.
     """
     cfg = config or TimingConfig()
-    cols = events if isinstance(events, EventColumns) else EventColumns.from_events(events)
+    cols = (
+        events if isinstance(events, EventColumns) else EventColumns.from_events(events)
+    )
     n = len(cols)
     result = TimingResult()
     if n == 0:
@@ -806,26 +791,3 @@ def _resolve_backlog(
             p = q
             chunk = min(chunk * 2, 65536)
     return port
-
-
-def simulate_cpi_fast(
-    records: Union[BatchTrace, Iterable],
-    config: HierarchyConfig,
-    scheme: str,
-    timing_config: Optional[TimingConfig] = None,
-    *,
-    equivalence: str = "auto",
-) -> TimingResult:
-    """Fast counterpart of :func:`repro.timing.model.simulate_cpi`.
-
-    Takes the hierarchy *config* rather than a live hierarchy (the fast
-    path builds its own batch engine) but returns the bit-identical
-    :class:`~repro.timing.model.TimingResult`.
-    """
-    run = collect_run_fast(records, config, equivalence=equivalence)
-    return time_events_fast(
-        run.events,
-        timing_policy(scheme),
-        timing_config,
-        units_per_block=run.units_per_block,
-    )

@@ -246,19 +246,3 @@ def time_events(
             backlog = float(cfg.store_buffer_capacity)
 
     return result
-
-
-def simulate_cpi(
-    records: Iterable[TraceRecord],
-    hierarchy: MemoryHierarchy,
-    scheme: str,
-    config: Optional[TimingConfig] = None,
-) -> TimingResult:
-    """Replay and price a trace for one scheme in a single call."""
-    events = collect_events(records, hierarchy)
-    return time_events(
-        events,
-        timing_policy(scheme),
-        config,
-        units_per_block=hierarchy.l1d.units_per_block,
-    )

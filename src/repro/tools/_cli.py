@@ -1,7 +1,8 @@
 """Shared CLI conventions for the ``repro.tools`` entry points.
 
 Exit codes (uniform across ``run_campaign``, ``run_scorecard``,
-``run_sensitivity``, ``run_bench``, ``run_fuzz``):
+``run_sensitivity``, ``run_bench``, ``run_fuzz``; ``run_experiment``
+and ``gen_trace`` use the first two):
 
 * ``EXIT_OK`` (0) — everything ran and every result is complete.
 * ``EXIT_FATAL`` (1) — the run could not produce usable results

@@ -4,13 +4,6 @@ Writes a synthetic benchmark trace in the text format of
 :mod:`repro.workloads.trace`::
 
     python -m repro.tools.gen_trace gcc --references 100000 -o gcc.trace
-
-or, with ``--format columnar``, in the chunked binary format of
-:mod:`repro.workloads.store` (streamed — generation never materializes
-the full trace)::
-
-    python -m repro.tools.gen_trace gcc -n 10000000 --format columnar \\
-        -o gcc.coltrace
 """
 
 from __future__ import annotations
@@ -19,8 +12,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from ..errors import ConfigurationError
 from ..workloads import benchmark_names, make_workload, save_trace
-from ..workloads.store import DEFAULT_CHUNK_RECORDS, write_trace
+from ._cli import fail, require_positive
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,49 +35,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="generator seed (default: 0)"
     )
     parser.add_argument(
-        "--format", choices=("text", "columnar"), default="text",
-        help="trace encoding: one-line-per-record text or the chunked "
-        "columnar binary store (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--chunk-records", type=int, default=DEFAULT_CHUNK_RECORDS,
-        help="records per columnar chunk (default: %(default)s)",
-    )
-    parser.add_argument(
         "--output", "-o", default=None,
-        help="output file (default: stdout; required for --format columnar)",
+        help="output file (default: stdout)",
     )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    workload = make_workload(args.benchmark, seed=args.seed)
-    records = workload.records(args.references)
-    if args.format == "columnar":
-        if args.output is None:
-            print(
-                "--format columnar writes a binary file; --output is "
-                "required",
-                file=sys.stderr,
-            )
-            return 2
-        written = write_trace(
-            records,
-            args.output,
-            chunk_records=args.chunk_records,
-            meta={
-                "benchmark": args.benchmark,
-                "seed": args.seed,
-                "n_references": args.references,
-            },
-        )
-    elif args.output is None:
+    try:
+        require_positive(references=args.references)
+    except ConfigurationError as exc:
+        return fail(f"invalid arguments: {exc}")
+    records = make_workload(args.benchmark, seed=args.seed).records(args.references)
+    if args.output is None:
         save_trace(records, sys.stdout)
         return 0
-    else:
-        with open(args.output, "w") as fh:
-            written = save_trace(records, fh)
+    try:
+        fh = open(args.output, "w")
+    except OSError as exc:
+        return fail(f"invalid arguments: --output {args.output}: {exc.strerror}")
+    with fh:
+        written = save_trace(records, fh)
     print(f"wrote {written} records for {args.benchmark}", file=sys.stderr)
     return 0
 

@@ -9,9 +9,6 @@ both paths and returns a JSON report (``BENCH_<mode>.json`` by default):
   ``Cache``, plus batch time with a *disabled* trace sink over the plain
   batch time (the zero-overhead-when-disabled property of
   :mod:`repro.obs`);
-* ``tracestore`` — columnar load (:mod:`repro.workloads.store`) vs.
-  text parsing, chunked replay straight off the reader, and the
-  content-addressed trace cache;
 * ``campaign`` — the snapshot-fork campaign
   (:mod:`repro.faults.warmstate`) vs. the legacy warm-every-trial loop;
 * ``reliability`` — the vectorized double-fault Monte-Carlo engine
@@ -36,15 +33,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import pathlib
 import sys
-import tempfile
 import time
 from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import EquivalenceError, raise_mismatches
 from ..faults.schemes import scheme_factory
@@ -52,14 +45,6 @@ from ..memsim.batch import BatchTrace
 from ..obs import NullSink, make_sink
 from ..workloads import benchmark_names, make_workload, materialize
 from ..workloads.replay import FastReplay, TraceReplayer
-from ..workloads.store import (
-    DEFAULT_CHUNK_RECORDS,
-    ColumnarTraceReader,
-    ColumnarTraceWriter,
-    TraceCache,
-    write_trace,
-)
-from ..workloads.trace import load_trace, save_trace
 from ._cli import add_obs_arguments, emit_metrics, fail, metrics_registry, resolve_exit
 
 #: Trace prefix used to warm both engines before the timed runs.
@@ -177,140 +162,6 @@ def run_bench(
             FastReplay(equivalence="never", obs=sink).run(trace)
         report["trace_out"] = str(trace_out)
     return report
-
-
-def run_tracestore_bench(
-    benchmark: str = "gcc",
-    trace_len: int = 200_000,
-    *,
-    equivalence_len: int = 1_000,
-    repeats: int = 3,
-    seed: int = 0,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-) -> dict:
-    """Benchmark the columnar trace store and return the report.
-
-    Writes the same generated trace in both formats under a temporary
-    directory, then measures, best of ``repeats``:
-
-    * columnar load (file → replay-ready :class:`BatchTrace` columns)
-      against text parse (``load_trace`` → ``from_records``) — the
-      ``load_speedup`` ratio this mode gates on;
-    * chunked replay throughput straight off the reader;
-    * trace-cache miss (generate + write) vs. hit (decode) latency.
-
-    Correctness is asserted, not sampled: the columnar columns must be
-    bit-identical to the text round-trip, and a ``trace_len``-capped
-    prefix is replayed with ``FastReplay(equivalence="always")`` from
-    the columnar file, so a format bug fails the bench rather than
-    skewing it.  The writer streams from the generator; the report
-    records its buffered high-water mark.
-    """
-    if trace_len < 1:
-        raise ValueError("trace_len must be positive")
-    with tempfile.TemporaryDirectory() as tmp:
-        base = pathlib.Path(tmp)
-        col_path = base / f"{benchmark}-{trace_len}.coltrace"
-        text_path = base / f"{benchmark}-{trace_len}.trace"
-
-        # Streaming generation straight into chunks (bounded memory).
-        start = time.perf_counter()
-        with ColumnarTraceWriter(col_path, chunk_records=chunk_records) as writer:
-            writer.extend(make_workload(benchmark, seed=seed).records(trace_len))
-        gen_columnar_s = time.perf_counter() - start
-        peak_buffered = writer.peak_buffered
-        if peak_buffered > chunk_records:
-            raise EquivalenceError(
-                f"streaming writer buffered {peak_buffered} records "
-                f"(more than one {chunk_records}-record chunk)"
-            )
-
-        start = time.perf_counter()
-        with open(text_path, "w") as fh:
-            save_trace(make_workload(benchmark, seed=seed).records(trace_len), fh)
-        gen_text_s = time.perf_counter() - start
-
-        def text_load():
-            with open(text_path) as fh:
-                return BatchTrace.from_records(list(load_trace(fh)))
-
-        def columnar_load():
-            with ColumnarTraceReader(col_path, use_mmap=False) as reader:
-                return reader.batch_trace()
-
-        text_load_s = _time_best(text_load, repeats)
-        col_load_s = _time_best(columnar_load, repeats)
-
-        # Bit-identity between the two load paths, checked on the real
-        # files the timings used.
-        text_trace = text_load()
-        col_trace = columnar_load()
-        raise_mismatches(
-            "columnar load diverged from the text round-trip",
-            [
-                f"column {field.name!r}"
-                for field in dataclasses.fields(BatchTrace)
-                if not np.array_equal(
-                    getattr(text_trace, field.name), getattr(col_trace, field.name)
-                )
-            ],
-        )
-
-        # Scalar equivalence through the full columnar path (chunked
-        # replay + record decode for the scalar twin).
-        checked = min(equivalence_len, trace_len)
-        if checked:
-            check_path = base / "equivalence-prefix.coltrace"
-            with ColumnarTraceReader(col_path, use_mmap=False) as reader:
-                prefix = list(itertools.islice(reader.records(), checked))
-            write_trace(prefix, check_path, chunk_records=max(1, checked // 4))
-            with ColumnarTraceReader(check_path) as reader:
-                FastReplay(equivalence="always").run(reader)
-
-        # Chunked replay throughput straight off the reader.
-        engine_holder = FastReplay(equivalence="never")
-
-        def replay_chunked():
-            with ColumnarTraceReader(col_path, verify=False) as reader:
-                engine_holder.engine.replay_chunks(reader.iter_chunks())
-
-        replay_chunked()  # warm
-        replay_s = _time_best(replay_chunked, repeats)
-
-        # Content-addressed cache: first request generates and writes,
-        # the second decodes the cached file.
-        cache = TraceCache(base / "cache")
-        start = time.perf_counter()
-        cache.get_or_create(benchmark, seed, trace_len)
-        cache_miss_s = time.perf_counter() - start
-        start = time.perf_counter()
-        cached_path = cache.get_or_create(benchmark, seed, trace_len)
-        with ColumnarTraceReader(cached_path, use_mmap=False) as reader:
-            reader.batch_trace()
-        cache_hit_s = time.perf_counter() - start
-
-        return {
-            "mode": "tracestore",
-            "benchmark": benchmark,
-            "trace_len": trace_len,
-            "seed": seed,
-            "repeats": repeats,
-            "chunk_records": chunk_records,
-            "equivalence_checked_references": checked,
-            "columnar_bytes": col_path.stat().st_size,
-            "text_bytes": text_path.stat().st_size,
-            "gen_columnar_seconds": gen_columnar_s,
-            "gen_text_seconds": gen_text_s,
-            "writer_peak_buffered": peak_buffered,
-            "text_load_seconds": text_load_s,
-            "columnar_load_seconds": col_load_s,
-            "load_speedup": text_load_s / col_load_s,
-            "chunked_replay_seconds": replay_s,
-            "chunked_replay_ops_per_sec": trace_len / replay_s,
-            "cache_miss_seconds": cache_miss_s,
-            "cache_hit_seconds": cache_hit_s,
-            "columns_identical": True,
-        }
 
 
 def run_campaign_bench(
@@ -599,18 +450,6 @@ MODES = {
         "obs-overhead {obs_overhead_ratio:.3f}",
         trace_len=100_000,
     ),
-    "tracestore": Mode(
-        run=run_tracestore_bench,
-        inputs="benchmark trace_len equivalence_len repeats seed",
-        ratios=(("load_speedup", "min", "bench.tracestore_load_speedup"),),
-        gauges=(("bench.tracestore_replay_ops_per_sec", "chunked_replay_ops_per_sec"),),
-        summary="{benchmark}: {trace_len} refs  "
-        "text-load {text_load_seconds:.3f}s  "
-        "columnar-load {columnar_load_seconds:.3f}s  "
-        "load-speedup {load_speedup:.1f}x  "
-        "chunked-replay {chunked_replay_ops_per_sec:.0f} ops/s",
-        trace_len=200_000,
-    ),
     "campaign": Mode(
         run=run_campaign_bench,
         inputs="benchmark trials seed",
@@ -706,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmark",
         choices=benchmark_names(),
         default="gcc",
-        help="workload profile of the replay, tracestore and campaign modes "
+        help="workload profile of the replay and campaign modes "
         "(default: %(default)s)",
     )
     trace_lens = ", ".join(
@@ -725,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1_000,
         help="trace prefix cross-checked word-for-word against the scalar "
-        "cache in the replay and tracestore modes; 0 skips the check "
+        "cache in replay mode; 0 skips the check "
         "(default: %(default)s)",
     )
     parser.add_argument(

@@ -13,6 +13,7 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
+from ..errors import ConfigurationError
 from ..harness import (
     figure10,
     figure11,
@@ -27,7 +28,14 @@ from ..reliability import (
     estimate_double_fault_failure_fast,
 )
 from ..workloads import benchmark_names
-from ._cli import add_obs_arguments, emit_metrics, metrics_registry, open_sink
+from ._cli import (
+    add_obs_arguments,
+    emit_metrics,
+    fail,
+    metrics_registry,
+    open_sink,
+    require_positive,
+)
 
 EXPERIMENTS = (
     "fig10", "fig11", "fig12", "table2", "table3", "table3mc", "all",
@@ -122,6 +130,17 @@ def _tables_for(experiment: str, runs) -> dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        require_positive(references=args.references, mc_samples=args.mc_samples)
+    except ConfigurationError as exc:
+        return fail(f"invalid arguments: {exc}")
+    if args.output is not None:
+        try:
+            args.output.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return fail(
+                f"invalid arguments: --output {args.output}: {exc.strerror}"
+            )
     registry = metrics_registry(args.emit_metrics)
     tables = {}
     if args.experiment == "table3mc":
@@ -151,7 +170,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(text)
         print()
         if args.output is not None:
-            args.output.mkdir(parents=True, exist_ok=True)
             (args.output / f"{name}.txt").write_text(text + "\n")
     if args.output is not None:
         print(f"archived {len(tables)} table(s) under {args.output}",

@@ -16,7 +16,7 @@ Conventions (matching the paper's figures):
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable
 
 from ..errors import ConfigurationError
 
@@ -70,16 +70,6 @@ def get_bit(x: int, k: int, width: int = WORD_BITS) -> int:
     return (x >> (width - 1 - k)) & 1
 
 
-def set_bit(x: int, k: int, bit: int, width: int = WORD_BITS) -> int:
-    """Return ``x`` with MSB-first bit ``k`` set to ``bit`` (0 or 1)."""
-    if bit not in (0, 1):
-        raise ConfigurationError(f"bit value must be 0 or 1, got {bit}")
-    pos = width - 1 - k
-    if bit:
-        return x | (1 << pos)
-    return x & ~(1 << pos) & mask(width)
-
-
 def flip_bit(x: int, k: int, width: int = WORD_BITS) -> int:
     """Return ``x`` with MSB-first bit ``k`` inverted."""
     if not 0 <= k < width:
@@ -94,34 +84,11 @@ def flip_bits(x: int, positions: Iterable[int], width: int = WORD_BITS) -> int:
     return x
 
 
-def bit_positions(x: int, width: int = WORD_BITS) -> List[int]:
-    """MSB-first indices of the set bits of ``x``."""
-    return [k for k in range(width) if get_bit(x, k, width)]
-
-
 def get_byte(x: int, b: int, nbytes: int = WORD_BYTES) -> int:
     """Byte ``b`` of ``x`` counting from the most significant byte."""
     if not 0 <= b < nbytes:
         raise ConfigurationError(f"byte index {b} out of range for {nbytes} bytes")
     return (x >> (8 * (nbytes - 1 - b))) & 0xFF
-
-
-def set_byte(x: int, b: int, byte: int, nbytes: int = WORD_BYTES) -> int:
-    """Return ``x`` with byte ``b`` (MSB-first) replaced by ``byte``."""
-    if not 0 <= byte <= 0xFF:
-        raise ConfigurationError(f"byte value must fit in 8 bits, got {byte}")
-    shift = 8 * (nbytes - 1 - b)
-    return (x & ~(0xFF << shift)) | (byte << shift)
-
-
-def to_bytes_be(x: int, nbytes: int = WORD_BYTES) -> bytes:
-    """Big-endian byte string of ``x`` (byte 0 first)."""
-    return x.to_bytes(nbytes, "big")
-
-
-def from_bytes_be(data: Sequence[int]) -> int:
-    """Inverse of :func:`to_bytes_be`."""
-    return int.from_bytes(bytes(data), "big")
 
 
 def rotl_bytes(x: int, c: int, nbytes: int = WORD_BYTES) -> int:
@@ -145,44 +112,9 @@ def rotr_bytes(x: int, c: int, nbytes: int = WORD_BYTES) -> int:
     return rotl_bytes(x, nbytes - (c % nbytes), nbytes)
 
 
-def rotl_bits(x: int, c: int, width: int = WORD_BITS) -> int:
-    """Rotate ``x`` left by ``c`` bits."""
-    c %= width
-    if c == 0:
-        return x
-    return ((x << c) | (x >> (width - c))) & mask(width)
-
-
 def xor_reduce(values: Iterable[int]) -> int:
     """XOR of all values (0 for an empty iterable)."""
     acc = 0
     for v in values:
         acc ^= v
     return acc
-
-
-def iter_bytes(x: int, nbytes: int = WORD_BYTES) -> Iterator[Tuple[int, int]]:
-    """Yield ``(byte_index, byte_value)`` MSB-first."""
-    for b in range(nbytes):
-        yield b, get_byte(x, b, nbytes)
-
-
-def bytes_to_words(data: Sequence[int], word_bytes: int = WORD_BYTES) -> List[int]:
-    """Split a byte sequence into big-endian words.
-
-    ``len(data)`` must be a multiple of ``word_bytes``.
-    """
-    if len(data) % word_bytes:
-        raise ConfigurationError(
-            f"byte length {len(data)} is not a multiple of word size {word_bytes}"
-        )
-    blob = bytes(data)
-    return [
-        int.from_bytes(blob[i : i + word_bytes], "big")
-        for i in range(0, len(blob), word_bytes)
-    ]
-
-
-def words_to_bytes(words: Sequence[int], word_bytes: int = WORD_BYTES) -> bytes:
-    """Inverse of :func:`bytes_to_words`."""
-    return b"".join(w.to_bytes(word_bytes, "big") for w in words)

@@ -7,8 +7,6 @@ from .replay import (
     GoldenMemory,
     ReplayResult,
     TraceReplayer,
-    fast_replay,
-    replay,
 )
 from .spec import (
     BENCHMARKS,
@@ -17,16 +15,7 @@ from .spec import (
     get_profile,
     make_workload,
 )
-from .store import (
-    ColumnarTraceReader,
-    ColumnarTraceWriter,
-    TraceCache,
-    cached_records,
-    default_trace_cache,
-    load_batch_trace,
-    write_trace,
-)
-from .trace import TraceRecord, load_trace, materialize, save_trace, trace_stats
+from .trace import TraceRecord, load_trace, materialize, save_trace
 
 __all__ = [
     "SyntheticWorkload",
@@ -36,23 +25,13 @@ __all__ = [
     "GoldenMemory",
     "ReplayResult",
     "TraceReplayer",
-    "fast_replay",
-    "replay",
     "BENCHMARKS",
     "PROFILES",
     "benchmark_names",
     "get_profile",
     "make_workload",
-    "ColumnarTraceReader",
-    "ColumnarTraceWriter",
-    "TraceCache",
-    "cached_records",
-    "default_trace_cache",
-    "load_batch_trace",
-    "write_trace",
     "TraceRecord",
     "load_trace",
     "materialize",
     "save_trace",
-    "trace_stats",
 ]

@@ -115,9 +115,8 @@ class SyntheticWorkload:
     def records(self, n_references: int) -> Iterator[TraceRecord]:
         """Yield ``n_references`` trace records.
 
-        The trace is a fixed function of ``(seed, profile)``:
-        :class:`~repro.workloads.store.TraceCache` keys and every
-        recorded result depend on the exact ``random.Random`` draw
+        The trace is a fixed function of ``(seed, profile)``: every
+        recorded result depends on the exact ``random.Random`` draw
         sequence, which ``tests/test_workloads.py`` pins by digest.  For
         speed the loop binds profile fields and ``rng`` methods to
         locals and inlines the size and gap draws; each inlined draw

@@ -142,19 +142,6 @@ class TraceReplayer:
         return self.result
 
 
-def replay(
-    records: Iterable[TraceRecord],
-    hierarchy: MemoryHierarchy,
-    *,
-    golden: Optional[GoldenMemory] = None,
-    check_loads: bool = False,
-) -> ReplayResult:
-    """Convenience wrapper: replay a full trace and return the summary."""
-    return TraceReplayer(
-        hierarchy, golden=golden, check_loads=check_loads
-    ).run(records)
-
-
 @dataclasses.dataclass
 class FastReplayResult:
     """Outcome of one :class:`FastReplay` run.
@@ -256,29 +243,20 @@ class FastReplay:
         """Replay a trace; cross-check against the scalar cache when the
         equivalence mode says so.
 
-        ``source`` may be an iterable of :class:`TraceRecord`, an
-        already-packed :class:`~repro.memsim.batch.BatchTrace`, or a
-        chunked columnar reader (anything with ``iter_chunks()``, e.g.
-        :class:`~repro.workloads.store.ColumnarTraceReader`) — chunked
-        sources replay through
-        :meth:`~repro.memsim.batch.BatchReplayEngine.replay_chunks`
-        without ever concatenating the trace.  Cross-checking a
-        non-record source decodes records back out of the columns, so
+        ``source`` may be an iterable of :class:`TraceRecord` or an
+        already-packed :class:`~repro.memsim.batch.BatchTrace`.
+        Cross-checking a ``BatchTrace`` decodes records back out of its
+        columns (:meth:`~repro.memsim.batch.BatchTrace.to_records`), so
         the scalar twin replays word-for-word the same stream.
         """
         obs = self.obs if self.obs is not None and self.obs.enabled else None
         t0 = time.perf_counter() if obs is not None else 0.0
-        records = None
-        if hasattr(source, "iter_chunks"):
-            batch = self.engine.replay_chunks(source.iter_chunks())
-            record_source = source.records
-        elif isinstance(source, BatchTrace):
-            batch = self.engine.replay(source)
-            record_source = source.to_records
+        if isinstance(source, BatchTrace):
+            trace, records = source, None
         else:
             records = materialize(source)
-            batch = self.engine.replay(BatchTrace.from_records(records))
-            record_source = None
+            trace = BatchTrace.from_records(records)
+        batch = self.engine.replay(trace)
         summary = ReplayResult(
             references=batch.references,
             loads=batch.loads,
@@ -297,7 +275,7 @@ class FastReplay:
         if check:
             t0 = time.perf_counter() if obs is not None else 0.0
             if records is None:
-                records = materialize(record_source())
+                records = trace.to_records()
             problems = self._cross_check(records, batch)
             if obs is not None:
                 obs.span(
@@ -321,10 +299,3 @@ class FastReplay:
             if mine != theirs:
                 problems.append(f"{field}: batch={mine} scalar={theirs}")
         return problems
-
-
-def fast_replay(
-    records: Iterable[TraceRecord], **kwargs
-) -> FastReplayResult:
-    """Convenience wrapper around :class:`FastReplay`."""
-    return FastReplay(**kwargs).run(records)

@@ -9,7 +9,7 @@ non-memory instruction.
 from __future__ import annotations
 
 import dataclasses
-from typing import IO, Iterable, Iterator, List, Sequence, Tuple
+from typing import IO, Iterable, Iterator, List
 
 from ..errors import TraceFormatError
 from ..memsim.types import AccessType
@@ -89,34 +89,6 @@ def load_trace(fh: IO[str]) -> Iterator[TraceRecord]:
                 raise TraceFormatError(f"line {lineno}: unknown op {kind!r}")
         except (IndexError, ValueError) as exc:
             raise TraceFormatError(f"line {lineno}: {line!r}: {exc}") from exc
-
-
-def trace_stats(
-    records: Iterable[TraceRecord],
-) -> Tuple[dict, Sequence[TraceRecord]]:
-    """Aggregate counts of a trace (loads, stores, instructions).
-
-    Returns ``(stats, records)`` where ``records`` is re-iterable: a
-    sequence input is handed back untouched, a generator is materialized
-    first.  Statting a one-shot iterator used to silently consume it, so
-    a caller who then replayed the "trace" replayed nothing.
-    """
-    if not isinstance(records, Sequence):
-        records = tuple(records)
-    loads = stores = instructions = 0
-    for r in records:
-        instructions += r.instructions
-        if r.op is AccessType.LOAD:
-            loads += 1
-        else:
-            stores += 1
-    stats = {
-        "loads": loads,
-        "stores": stores,
-        "references": loads + stores,
-        "instructions": instructions,
-    }
-    return stats, records
 
 
 def materialize(records: Iterable[TraceRecord]) -> List[TraceRecord]:

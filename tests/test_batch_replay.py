@@ -9,12 +9,17 @@ from repro.errors import (
     EquivalenceError,
     TraceFormatError,
 )
-from repro.memsim import AccessType, BatchReplayEngine, BatchTrace, cross_check_scalar
+from repro.memsim import (
+    AccessType,
+    BatchReplayEngine,
+    BatchTrace,
+    ReplayCapture,
+    cross_check_scalar,
+)
 from repro.workloads import (
     FastReplay,
     TraceRecord,
     TraceReplayer,
-    fast_replay,
     make_workload,
     materialize,
 )
@@ -184,17 +189,55 @@ class TestFastReplay:
             FastReplay(equivalence="always").run(workload_records(n=400))
         assert excinfo.value.mismatches
 
-    def test_wrapper_function(self):
-        result = fast_replay(workload_records(n=60), equivalence="always")
+    def test_result_exposes_batch_registers(self):
+        result = FastReplay(equivalence="always").run(workload_records(n=60))
         assert result.checked
         assert result.registers is result.batch.registers
 
     def test_dirty_xor_property(self):
-        result = fast_replay(workload_records(n=60), equivalence="always")
+        result = FastReplay(equivalence="always").run(workload_records(n=60))
         xors = result.batch.dirty_xor
         assert set(xors) == {0}
         pair = result.batch.registers.pairs[0]
         assert xors[0] == pair.r1 ^ pair.r2
+
+    def test_fast_replay_accepts_batch_trace(self):
+        records = list(make_workload("gcc", seed=4).records(500))
+        trace = BatchTrace.from_records(records)
+        direct = FastReplay(equivalence="always").run(trace)
+        from_records = FastReplay(equivalence="always").run(records)
+        assert direct.stats.snapshot() == from_records.stats.snapshot()
+
+
+class TestStreamingFeed:
+    def test_fed_chunks_match_one_shot(self):
+        # collect_run_fast splits warm-up from the measured window by
+        # feeding one open replay twice: the state must carry over.
+        trace = BatchTrace.from_records(workload_records("vortex", n=2000, seed=8))
+        engine = BatchReplayEngine(2048, 2, 32)
+        cap_fed, cap_once = ReplayCapture(), ReplayCapture()
+        state = engine.begin(cap_fed)
+        for start in range(0, len(trace), 333):
+            engine.feed(state, trace.slice(start, start + 333))
+        fed = engine.finish(state)
+        once = engine.replay(trace, capture=cap_once)
+        assert fed.stats.snapshot() == once.stats.snapshot()
+        assert fed.lines == once.lines
+        assert fed.memory == once.memory
+        assert [(p.r1, p.r2) for p in fed.registers.pairs] == [
+            (p.r1, p.r2) for p in once.registers.pairs
+        ]
+        assert cap_fed.lru == cap_once.lru
+
+        # Memory-slot numbering is a per-run permutation; compare the
+        # next-level event streams address-to-address.
+        def translated(cap):
+            return [
+                (i, kind, cap.slot_addr[slot], cycle, words)
+                for i, kind, slot, cycle, words in cap.events
+            ]
+
+        assert translated(cap_fed) == translated(cap_once)
 
 
 class TestRecordValidation:
@@ -263,63 +306,6 @@ class TestRunBench:
         )
         # A failed ratio gate is "results exist but a claim failed" —
         # EXIT_PARTIAL under the shared exit-code contract.
-        assert code == 3
-
-
-class TestTracestoreBench:
-    def test_report_and_gate(self, tmp_path, capsys):
-        import json
-
-        from repro.tools.run_bench import main, run_tracestore_bench
-
-        out = tmp_path / "BENCH_tracestore.json"
-        code = main(
-            [
-                "--mode",
-                "tracestore",
-                "--trace-len",
-                "3000",
-                "--equivalence-len",
-                "300",
-                "--repeats",
-                "1",
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["mode"] == "tracestore"
-        assert report["trace_len"] == 3000
-        assert report["columns_identical"] is True
-        assert report["load_speedup"] > 0
-        assert "load-speedup" in capsys.readouterr().out
-        # The chunk size is no CLI option: the streaming bound is pinned
-        # on the run function with a chunk smaller than the trace.
-        chunked = run_tracestore_bench(
-            "gcc", 3000, equivalence_len=0, repeats=1, chunk_records=512
-        )
-        assert chunked["writer_peak_buffered"] <= 512
-
-    def test_unreachable_load_gate_is_partial(self, tmp_path):
-        from repro.tools.run_bench import main
-
-        code = main(
-            [
-                "--mode",
-                "tracestore",
-                "--trace-len",
-                "1000",
-                "--equivalence-len",
-                "0",
-                "--repeats",
-                "1",
-                "--min-speedup",
-                "1e9",
-                "--output",
-                str(tmp_path / "BENCH_tracestore.json"),
-            ]
-        )
         assert code == 3
 
 

@@ -9,29 +9,25 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.util import bitops
 from repro.util import (
-    bit_positions,
-    bytes_to_words,
     check_word,
     flip_bit,
     flip_bits,
-    from_bytes_be,
     get_bit,
     get_byte,
-    iter_bytes,
     mask,
     parity,
     popcount,
-    rotl_bits,
     rotl_bytes,
     rotr_bytes,
-    set_bit,
-    set_byte,
-    to_bytes_be,
-    words_to_bytes,
     xor_reduce,
 )
 
 words = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+def set_positions(x):
+    """MSB-first indices of the set bits of a 64-bit word."""
+    return [k for k in range(64) if get_bit(x, k)]
 
 
 class TestMaskAndCheck:
@@ -106,15 +102,6 @@ class TestBitIndexing:
         assert get_bit(1 << 63, 0) == 1
         assert get_bit(1, 63) == 1
 
-    def test_set_bit_roundtrip(self):
-        x = set_bit(0, 5, 1)
-        assert get_bit(x, 5) == 1
-        assert set_bit(x, 5, 0) == 0
-
-    def test_set_bit_rejects_bad_value(self):
-        with pytest.raises(ConfigurationError):
-            set_bit(0, 0, 2)
-
     def test_flip_bit_out_of_range(self):
         with pytest.raises(ConfigurationError):
             flip_bit(0, 64)
@@ -123,14 +110,10 @@ class TestBitIndexing:
     def test_flip_twice_is_identity(self, x, k):
         assert flip_bit(flip_bit(x, k), k) == x
 
-    @given(words)
-    def test_bit_positions_match_popcount(self, x):
-        assert len(bit_positions(x)) == popcount(x)
-
     @given(st.sets(st.integers(min_value=0, max_value=63)))
     def test_flip_bits_sets_exact_positions(self, positions):
         x = flip_bits(0, positions)
-        assert set(bit_positions(x)) == positions
+        assert set(set_positions(x)) == positions
 
 
 class TestByteIndexing:
@@ -138,27 +121,9 @@ class TestByteIndexing:
         assert get_byte(0xAB << 56, 0) == 0xAB
         assert get_byte(0xCD, 7) == 0xCD
 
-    def test_set_byte(self):
-        x = set_byte(0, 2, 0x7F)
-        assert get_byte(x, 2) == 0x7F
-        assert set_byte(x, 2, 0) == 0
-
-    def test_set_byte_rejects_wide_value(self):
-        with pytest.raises(ConfigurationError):
-            set_byte(0, 0, 0x100)
-
     def test_get_byte_out_of_range(self):
         with pytest.raises(ConfigurationError):
             get_byte(0, 8)
-
-    @given(words)
-    def test_iter_bytes_reassembles(self, x):
-        assert from_bytes_be([b for _i, b in iter_bytes(x)]) == x
-
-    @given(words)
-    def test_to_from_bytes_roundtrip(self, x):
-        assert from_bytes_be(to_bytes_be(x)) == x
-
 
 class TestRotation:
     def test_rotl_bytes_moves_msb_byte(self):
@@ -190,23 +155,10 @@ class TestRotation:
     def test_byte_rotation_preserves_bit_in_byte_position(self, x, c):
         rotated = rotl_bytes(x, c)
         def groups(v):
-            return sorted(k % 8 for k in bit_positions(v))
+            return sorted(k % 8 for k in set_positions(v))
         assert groups(rotated) == groups(x)
 
-    @given(words, st.integers(min_value=0, max_value=63))
-    def test_rotl_bits_period(self, x, c):
-        assert rotl_bits(rotl_bits(x, c), 64 - c) == x
-
-
 class TestWordPacking:
-    @given(st.lists(words, min_size=0, max_size=8))
-    def test_words_bytes_roundtrip(self, ws):
-        assert bytes_to_words(words_to_bytes(ws)) == ws
-
-    def test_bytes_to_words_rejects_ragged(self):
-        with pytest.raises(ConfigurationError):
-            bytes_to_words(b"\x00" * 12)
-
     @given(st.lists(words, min_size=0, max_size=10))
     def test_xor_reduce_matches_functools(self, ws):
         acc = 0

@@ -17,6 +17,7 @@ from repro.crosscheck.scenario import Scenario
 from repro.crosscheck.shrink import (
     corpus_files,
     load_reproducer,
+    reproducer_name,
     save_reproducer,
     shrink_scenario,
 )
@@ -42,6 +43,14 @@ def test_reproducer_replays_clean(path):
 def test_reproducer_round_trips(path):
     scenario, _recorded = load_reproducer(path)
     assert Scenario.from_json(scenario.to_json()) == scenario
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_reproducer_is_named_by_its_content(path):
+    # A rediscovered case overwrites its file only if the committed name
+    # is the digest save_reproducer would write.
+    scenario, _recorded = load_reproducer(path)
+    assert path.name == reproducer_name(scenario)
 
 
 def test_find_shrink_save_replay_loop(tmp_path):

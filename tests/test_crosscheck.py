@@ -125,7 +125,7 @@ class TestFlipsParityCannotSee:
 
     def scenario(self):
         path = pathlib.Path(__file__).parent / "corpus"
-        scenario, _recorded = load_reproducer(path / "repro-recovery-eb5193e201ae.json")
+        scenario, _recorded = load_reproducer(path / "repro-recovery-206b3e741fb5.json")
         return scenario
 
     def test_predicted_class_replays_clean(self):

@@ -156,18 +156,15 @@ class TestFigure10(object):
         assert "Figure 10" in text and "gzip" in text and "average" in text
 
     def test_renderers_follow_fig10_schemes(self, small_runs):
-        # Regression: to_text/to_chart used to hard-code the scheme
-        # list; they must track FIG10_SCHEMES instead.
+        # Regression: to_text used to hard-code the scheme list; it must
+        # track FIG10_SCHEMES instead.
         from repro.harness.experiments import FIG10_SCHEMES
 
-        result = figure10(small_runs)
-        text = result.to_text()
-        chart = result.to_chart()
+        text = figure10(small_runs).to_text()
         for scheme in FIG10_SCHEMES:
             if scheme == "parity":
-                continue  # the baseline is implicit in both renderings
+                continue  # the baseline is implicit in the rendering
             assert scheme in text
-            assert scheme in chart
 
 
 class TestFigures11And12:
@@ -244,17 +241,6 @@ class TestReporting:
     def test_format_table_with_title(self):
         text = format_table(["x"], [[1]], title="T")
         assert text.startswith("T\n=")
-
-
-class TestCharts:
-    def test_figure10_chart_renders(self, small_runs):
-        chart = figure10(small_runs).to_chart()
-        assert "Figure 10" in chart and "legend:" in chart
-
-    def test_energy_chart_renders(self, small_runs):
-        chart = figure11(small_runs).to_chart()
-        assert "Figure 11" in chart
-        assert "cppc" in chart and "secded" in chart
 
 
 class TestScorecard:

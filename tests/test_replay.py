@@ -9,7 +9,6 @@ from repro.workloads import (
     TraceRecord,
     TraceReplayer,
     make_workload,
-    replay,
 )
 
 
@@ -42,7 +41,7 @@ class TestReplayer:
             TraceRecord(AccessType.STORE, 0, 8, 2, b"\x11" * 8),
             TraceRecord(AccessType.LOAD, 0, 8, 3),
         ]
-        result = replay(records, tiny_hierarchy)
+        result = TraceReplayer(tiny_hierarchy).run(records)
         assert result.references == 2
         assert result.loads == 1 and result.stores == 1
         assert result.instructions == 7

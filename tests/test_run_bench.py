@@ -36,32 +36,6 @@ CASES = {
         },
         {"bench.speedup", "bench.obs_overhead_ratio"},
     ),
-    "tracestore": (
-        ["--trace-len", "1000", "--equivalence-len", "200", "--repeats", "1"],
-        {
-            "mode",
-            "benchmark",
-            "trace_len",
-            "seed",
-            "repeats",
-            "chunk_records",
-            "equivalence_checked_references",
-            "columnar_bytes",
-            "text_bytes",
-            "gen_columnar_seconds",
-            "gen_text_seconds",
-            "writer_peak_buffered",
-            "text_load_seconds",
-            "columnar_load_seconds",
-            "load_speedup",
-            "chunked_replay_seconds",
-            "chunked_replay_ops_per_sec",
-            "cache_miss_seconds",
-            "cache_hit_seconds",
-            "columns_identical",
-        },
-        {"bench.tracestore_load_speedup", "bench.tracestore_replay_ops_per_sec"},
-    ),
     "campaign": (
         ["--trials", "2"],
         {
@@ -146,7 +120,6 @@ def _live_always_corrects(image, batch, positions):
 #: fast-vs-reference comparison report a mismatch.
 FORCED_MISMATCH = {
     "replay": ("repro.workloads.replay", "cross_check_scalar", _report_mismatch),
-    "tracestore": ("repro.workloads.replay", "cross_check_scalar", _report_mismatch),
     "campaign": ("repro.faults.campaign", "trial_mismatches", _report_mismatch),
     "reliability": (
         "repro.reliability.fastmc",
@@ -217,7 +190,6 @@ def test_regressed_baseline_only_warns(mode, tmp_path, capsys):
             {
                 mode: {
                     "speedup": 1e12,
-                    "load_speedup": 1e12,
                     "mc_speedup": 1e12,
                     "obs_overhead_ratio": 1e-12,
                 }

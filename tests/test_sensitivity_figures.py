@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.harness import (
     SweepResult,
     bar_chart,
-    grouped_bar_chart,
     sweep_interleaving,
     sweep_l1_size,
     sweep_seu_rate,
@@ -29,19 +28,6 @@ class TestBarCharts:
             bar_chart("T", ["a"], [1.0, 2.0])
         with pytest.raises(ConfigurationError):
             bar_chart("T", [], [])
-
-    def test_grouped_chart_has_legend(self):
-        text = grouped_bar_chart(
-            "G", ["g1", "g2"], {"s1": [1, 2], "s2": [2, 1]}
-        )
-        assert "legend:" in text
-        assert "g1:" in text and "g2:" in text
-
-    def test_grouped_chart_validates_lengths(self):
-        with pytest.raises(ConfigurationError):
-            grouped_bar_chart("G", ["g1"], {"s": [1, 2]})
-        with pytest.raises(ConfigurationError):
-            grouped_bar_chart("G", ["g1"], {})
 
 
 class TestSweeps:

@@ -1,6 +1,6 @@
 """Bit-identity tests for the vectorized Figure-10 timing fast path.
 
-The contract under test is exact: ``collect_events_fast`` must produce
+The contract under test is exact: ``collect_run_fast`` must produce
 the same event stream (and L1/L2 statistics) as the scalar
 ``collect_events`` replay, and ``time_events_fast`` must return a
 ``TimingResult`` equal *field for field, bit for bit* to the scalar
@@ -22,14 +22,12 @@ from repro.timing import (
     AccessEvent,
     TimingConfig,
     collect_events,
-    simulate_cpi,
     time_events,
+    timing_policy,
 )
 from repro.timing.fast import (
     EventColumns,
-    collect_events_fast,
     collect_run_fast,
-    simulate_cpi_fast,
     time_events_fast,
     timing_mismatches,
 )
@@ -124,7 +122,7 @@ class TestCollectFast:
 
     def test_collect_events_fast_equals_scalar(self):
         records = list(make_workload("gcc", seed=3).records(300))
-        columns = collect_events_fast(records, equivalence="never")
+        columns = collect_run_fast(records, equivalence="never").events
         scalar = collect_events(records, MemoryHierarchy(PAPER_CONFIG))
         assert list(columns) == scalar
 
@@ -214,12 +212,16 @@ class TestCollectFast:
 
     def test_simulate_cpi_fast_matches_scalar(self):
         records = list(make_workload("mcf", seed=5).records(250))
+        run = collect_run_fast(records, PAPER_CONFIG, equivalence="never")
+        hierarchy = MemoryHierarchy(PAPER_CONFIG)
+        events = collect_events(records, hierarchy)
         for scheme in TIMING_POLICIES:
-            scalar = simulate_cpi(
-                iter(records), MemoryHierarchy(PAPER_CONFIG), scheme
+            policy = timing_policy(scheme)
+            scalar = time_events(
+                events, policy, units_per_block=hierarchy.l1d.units_per_block
             )
-            fast = simulate_cpi_fast(
-                records, PAPER_CONFIG, scheme, equivalence="never"
+            fast = time_events_fast(
+                run.events, policy, units_per_block=run.units_per_block
             )
             assert scalar == fast
 

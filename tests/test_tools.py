@@ -36,25 +36,6 @@ class TestGenTrace:
         with pytest.raises(SystemExit):
             gen_trace.main(["linpack"])
 
-    def test_columnar_format_round_trips(self, tmp_path):
-        from repro.workloads import ColumnarTraceReader, make_workload
-
-        out = tmp_path / "t.coltrace"
-        rc = gen_trace.main(
-            ["gzip", "-n", "80", "--seed", "5", "--format", "columnar",
-             "--chunk-records", "32", "-o", str(out)]
-        )
-        assert rc == 0
-        with ColumnarTraceReader(out) as reader:
-            assert reader.meta["benchmark"] == "gzip"
-            records = list(reader.records())
-        assert records == list(make_workload("gzip", seed=5).records(80))
-
-    def test_columnar_format_requires_output(self, capsys):
-        rc = gen_trace.main(["gzip", "-n", "10", "--format", "columnar"])
-        assert rc == 2
-        assert "--output" in capsys.readouterr().err
-
 
 class TestRunExperiment:
     def test_fig11_prints_table(self, capsys, tmp_path):
@@ -279,6 +260,54 @@ class TestCliValidation:
         rc = run_scorecard.main(["-n", "0"])
         assert rc == 1
         assert "--references" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["fig10", "-n", "0"], "--references"),
+            (["fig10", "-n", "-5"], "--references"),
+            (["table3mc", "--mc-samples", "0"], "--mc-samples"),
+        ],
+    )
+    def test_run_experiment_rejects_bad_counts(self, capsys, argv, flag):
+        rc = run_experiment.main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid arguments" in err
+        assert flag in err
+
+    def test_run_experiment_rejects_unusable_output_first(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def simulate(**kwargs):
+            raise AssertionError("simulated before checking --output")
+
+        monkeypatch.setattr(run_experiment, "run_all_benchmarks", simulate)
+        existing = tmp_path / "tables"
+        existing.write_text("")
+        rc = run_experiment.main(["table2", "--output", str(existing)])
+        assert rc == 1
+        assert str(existing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_gen_trace_rejects_bad_counts(self, capsys, count):
+        rc = gen_trace.main(["gcc", "-n", count])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid arguments" in err
+        assert "--references" in err
+
+    def test_gen_trace_rejects_unwritable_output(self, capsys, tmp_path):
+        rc = gen_trace.main(["gcc", "-n", "5", "-o", str(tmp_path)])
+        assert rc == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_one_reference_stays_valid(self, capsys, tmp_path):
+        out = tmp_path / "one.trace"
+        assert gen_trace.main(["gcc", "-n", "1", "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1
+        rc = run_experiment.main(["fig10", "-n", "1", "--benchmarks", "gzip"])
+        assert rc == 0
 
     def test_zero_retries_stays_valid(self):
         # --retries 0 means "no retry", which is a legal policy.

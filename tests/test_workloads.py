@@ -5,9 +5,11 @@ import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, TraceFormatError
-from repro.memsim import AccessType
+from repro.memsim import AccessType, BatchTrace
 from repro.workloads import (
     BENCHMARKS,
     SyntheticWorkload,
@@ -19,7 +21,6 @@ from repro.workloads import (
     make_workload,
     materialize,
     save_trace,
-    trace_stats,
 )
 
 
@@ -67,29 +68,44 @@ class TestTraceSerialization:
         with pytest.raises(TraceFormatError):
             list(load_trace(io.StringIO("L 10\n")))
 
-    def test_trace_stats(self):
-        records = [
-            TraceRecord(AccessType.LOAD, 0, 8, 3),
-            TraceRecord(AccessType.STORE, 8, 8, 1, b"\x00" * 8),
-        ]
-        stats, back = trace_stats(records)
-        assert stats == {
-            "loads": 1, "stores": 1, "references": 2, "instructions": 6,
-        }
-        assert back is records  # sequences pass through untouched
+    @pytest.mark.parametrize("profile", ["gcc", "swim"])
+    def test_generated_traces_round_trip(self, profile):
+        records = list(make_workload(profile, seed=3).records(400))
+        buffer = io.StringIO()
+        assert save_trace(records, buffer) == 400
+        buffer.seek(0)
+        assert list(load_trace(buffer)) == records
 
-    def test_trace_stats_preserves_generator_traces(self):
-        # Statting a one-shot iterator used to silently consume it, so a
-        # caller who then replayed the "trace" replayed nothing.  The
-        # returned records must survive a second pass.
-        def gen():
-            yield TraceRecord(AccessType.LOAD, 0, 8, 3)
-            yield TraceRecord(AccessType.STORE, 8, 8, 1, b"\xab" * 8)
 
-        stats, records = trace_stats(gen())
-        assert stats["references"] == 2
-        assert len(list(records)) == 2
-        assert len(list(records)) == 2  # still re-iterable
+# Single-unit records, as BatchTrace packs them: sizes up to one 64-bit
+# protection unit, naturally aligned addresses.
+_sizes = st.sampled_from((1, 2, 4, 8))
+
+
+@st.composite
+def records_strategy(draw):
+    size = draw(_sizes)
+    addr = draw(st.integers(min_value=0, max_value=1 << 30)) * size
+    gap = draw(st.integers(min_value=0, max_value=50))
+    if draw(st.booleans()):
+        value = draw(st.binary(min_size=size, max_size=size))
+        return TraceRecord(AccessType.STORE, addr, size, gap, value)
+    return TraceRecord(AccessType.LOAD, addr, size, gap)
+
+
+class TestBatchTraceRoundTrip:
+    """``to_records`` inverts ``from_records``: the scalar twin of every
+    batch cross-check replays the records decoded from the columns."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(records_strategy(), max_size=120))
+    def test_property_round_trip(self, records):
+        assert BatchTrace.from_records(records).to_records() == records
+
+    @pytest.mark.parametrize("profile", BENCHMARKS)
+    def test_all_profiles_round_trip(self, profile):
+        records = list(make_workload(profile, seed=11).records(600))
+        assert BatchTrace.from_records(records).to_records() == records
 
 
 class TestProfileValidation:
@@ -150,8 +166,9 @@ class TestGenerator:
 
 #: SHA-256 of ``records(4000)`` at seed 0 for every profile, in the
 #: :func:`_trace_digest` encoding.  A change to the generator's draw
-#: order changes every trace, and with it every ``TraceCache`` key and
-#: recorded result; these pins make such a change fail here first.
+#: order changes every trace, and with it every recorded result (fuzz
+#: scenarios, campaign outcomes, the benchmark's golden digests); these
+#: pins make such a change fail here first.
 PINNED_TRACE_DIGESTS = {
     "gzip": "366e654ffe5631c8051b938d97103654d44ba087d15084ff0c7bf8ce8103d972",
     "vpr": "6f699f2823badfaccccfeb3a427ee8a7f66936eed32f3588b8f0639145062921",
