@@ -103,6 +103,19 @@ def _golden_touch_skips_hits() -> List[Patch]:
     return [(_TouchRecorder, "_access", access)]
 
 
+def _flush_touch_skips_upper_levels() -> List[Patch]:
+    """The golden pass records no touches during an upper level's drain,
+    so a trial whose struck L2 unit the L1 drain reaches still settles
+    its flush at its struck lines."""
+    from ..faults import warmstate
+
+    def drain(hierarchy):
+        hierarchy.flush()
+        return {level.name: frozenset() for level in hierarchy.levels()}
+
+    return [(warmstate, "_golden_drain", drain)]
+
+
 def _audit_zero_residue() -> List[Patch]:
     """The audit recorder logs residue 0 for every register pair."""
     from ..cppc import protection
@@ -176,6 +189,12 @@ MUTATIONS: Dict[str, Mutation] = {
             "golden suffix pass does not count hits as touches",
             ("campaign",),
             _golden_touch_skips_hits,
+        ),
+        Mutation(
+            "flush-touch-skips-upper-levels",
+            "golden pass records no touches during an upper level's drain",
+            ("campaign",),
+            _flush_touch_skips_upper_levels,
         ),
         Mutation(
             "audit-zero-residue",

@@ -33,12 +33,15 @@ from ..errors import (
     cross_checks,
     raise_mismatches,
 )
+from ..memsim.cache import Cache
 from ..memsim.hierarchy import MemoryHierarchy
 from ..memsim.protection import CacheProtection
+from ..memsim.types import UnitLocation
 from ..util.rng import split_seed
 from ..workloads.replay import GoldenMemory, TraceReplayer
 from ..workloads.spec import make_workload
 from .injector import FaultInjector, InjectionRecord
+from .models import BitFlip
 
 
 class Outcome(enum.Enum):
@@ -132,9 +135,12 @@ class TrialResult:
 #: How a trial was settled, in the order :class:`CampaignResult` reports
 #: them: ``skipped`` replayed no suffix (its struck units are never
 #: touched, or nothing was resident to strike), ``rejoined`` replayed
-#: the suffix but not the flush (its pre-flush state equals the golden
-#: run's), ``replayed`` simulated both, and ``resumed`` was read back
-#: from a checkpoint.
+#: the suffix up to a golden checkpoint where its state equals the
+#: golden run's (up to flips the suffix never reads, whose lines alone
+#: then leave in the flush) and not the rest, ``replayed`` simulated the
+#: suffix from a golden checkpoint on, and ``resumed`` was read back
+#: from a checkpoint.  Whether a trial then ran the whole flush is
+#: counted apart (:attr:`TrialRun.flushed`).
 SETTLE_PATHS = ("skipped", "rejoined", "replayed", "resumed")
 
 
@@ -149,11 +155,17 @@ class TrialRun:
         result: the trial's classification.
         settled: one of :data:`SETTLE_PATHS` (never ``resumed``).
         replayed: suffix references the trial simulated.
+        flushed: whether the trial ran the whole end-of-trial flush
+            (:meth:`MemoryHierarchy.flush
+            <repro.memsim.hierarchy.MemoryHierarchy.flush>`, a DUE
+            included), rather than ending before it, rejoining the
+            golden run, or settling it at its struck lines.
     """
 
     result: TrialResult
     settled: str = "replayed"
     replayed: int = 0
+    flushed: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,10 +200,12 @@ class CampaignResult:
     are over completed trials only, so partial campaigns stay valid
     estimates with an explicit denominator.
 
-    ``settled`` counts the completed trials by :data:`SETTLE_PATHS`, and
-    ``replayed_references`` sums the suffix references they simulated.
-    The scalar reference and per-trial campaigns settle every trial as
-    ``replayed``.
+    ``settled`` counts the completed trials by :data:`SETTLE_PATHS`,
+    ``replayed_references`` sums the suffix references they simulated,
+    and ``flushed`` counts the trials that ran the whole end-of-trial
+    flush (:attr:`TrialRun.flushed`).  The scalar reference and
+    per-trial campaigns settle every trial as ``replayed`` and flush
+    every trial that reaches the end of its suffix.
     """
 
     config: CampaignConfig
@@ -201,12 +215,14 @@ class CampaignResult:
         default_factory=lambda: dict.fromkeys(SETTLE_PATHS, 0)
     )
     replayed_references: int = 0
+    flushed: int = 0
 
     def add(self, run: TrialRun) -> None:
         """Append a finished trial and count how it was settled."""
         self.trials.append(run.result)
         self.settled[run.settled] += 1
         self.replayed_references += run.replayed
+        self.flushed += run.flushed
 
     def add_resumed(self, result: TrialResult) -> None:
         """Append a trial read back from a checkpoint."""
@@ -257,6 +273,7 @@ class CampaignResult:
             "rates": self.summary(),
             "settled": dict(self.settled),
             "replayed_references": self.replayed_references,
+            "flushed": self.flushed,
         }
 
     def export_metrics(self, registry, prefix: str = "campaign.") -> None:
@@ -272,6 +289,7 @@ class CampaignResult:
         registry.counter(f"{prefix}replayed_references").inc(
             self.replayed_references
         )
+        registry.counter(f"{prefix}flushed").inc(self.flushed)
 
 
 class FaultCampaign:
@@ -461,12 +479,13 @@ class FaultCampaign:
         then settles the trial by the cheapest exact path
         (:meth:`_finish_trial`): a trial whose struck units the suffix
         never touches takes the golden pre-flush state instead of
-        replaying the suffix, and a trial whose pre-flush state equals
-        the golden one is classified without its flush.
+        replaying the suffix and drains only its struck lines, and any
+        other trial replays from the golden checkpoint before its first
+        touch and is classified where its state rejoins the golden one.
 
         The observer, if any, sees injection/classification events but
         not the warmup prefix (simulated once, not per trial), nor the
-        suffix steps or the flush a trial skips.
+        suffix steps or the part of the flush a trial skips.
         """
         if warm is None:
             from .warmstate import warm_state_for
@@ -498,13 +517,29 @@ class FaultCampaign:
 
         * no struck unit is touched by the suffix: the fork takes the
           golden pre-flush state, keeping its flips, which equals
-          replaying the suffix, and then flushes;
-        * the pre-flush state equals the golden one up to statistics:
-          the flush would repeat the golden run's, which leaves memory
-          correct and detects nothing, so the trial is CORRECTED when
-          its target's ``detected_faults`` rose and BENIGN otherwise,
-          exactly what the flush would conclude.  Only this
-          classification reads the statistics the digest leaves out.
+          replaying the suffix.  If the golden flush was clean and no
+          upper level's drain touches a struck unit
+          (:meth:`~repro.faults.warmstate.GoldenRecord.settles_flush`),
+          the flush is settled at the struck lines
+          (:func:`_flush_struck_lines`); otherwise it runs whole;
+        * any other trial resumes at the golden run's last checkpoint
+          before the first touch of a struck unit
+          (:meth:`~repro.faults.warmstate.GoldenRecord.checkpoints_for`).
+          If its state equals the golden one up to statistics at the
+          first checkpoint after the last touch of a struck unit, or at
+          the end of the suffix
+          (:meth:`~repro.faults.warmstate.GoldenRecord.rejoins_at`), the
+          rest of the suffix and the flush would repeat the golden run's,
+          which loads correct data, leaves memory correct and detects
+          nothing: the trial is CORRECTED when its target's
+          ``detected_faults`` rose and BENIGN otherwise, exactly what
+          the flush would conclude.  Only this classification reads the
+          statistics the comparison leaves out.  If it equals the golden
+          state only up to flips in struck units the suffix never
+          touches, it moves to the golden pre-flush state with those
+          flips (:meth:`~repro.faults.warmstate.GoldenRecord.settle_inert`)
+          and settles like a skipped trial, a detection in the suffix
+          counting toward CORRECTED.
         """
         cfg = self.config
         obs = self._obs_or_none()
@@ -531,50 +566,96 @@ class FaultCampaign:
 
         detected_before = target.stats.detected_faults
         replayed_from = replayer.result.references
+        struck = injection.touched_units
+        skipped = golden_record is not None and not golden_record.touches(
+            target, struck
+        )
+        path = "skipped" if skipped else "replayed"
+        flushed = False
+        # The flips a struck-line settle of the flush evicts, if any.
+        inert = injection.flips if skipped else None
+        detected_in_suffix = False
 
-        def settle(outcome, detail="", settled="replayed") -> TrialRun:
+        def settle(outcome, detail="") -> TrialRun:
             return TrialRun(
                 TrialResult(
                     outcome=outcome,
                     injected_bits=injection.total_bits,
-                    touched_units=len(injection.touched_units),
+                    touched_units=len(struck),
                     detail=detail,
                 ),
-                settled,
+                path,
                 replayer.result.references - replayed_from,
+                flushed,
             )
 
-        skipped = golden_record is not None and not golden_record.touches(
-            target, injection.touched_units
-        )
+        def classify() -> TrialRun:
+            """CORRECTED when the target detected a fault, else BENIGN."""
+            detected = target.stats.detected_faults > detected_before
+            return settle(
+                Outcome.CORRECTED
+                if detected or detected_in_suffix
+                else Outcome.BENIGN
+            )
+
+        def replay(part) -> bool:
+            """Replay ``part``; True when a load returned corrupted data."""
+            return any(replayer.step(record) for record in part)
+
         try:
             if skipped:
                 golden_record.apply(hierarchy, golden)
+            elif golden_record is None:
+                if replay(records):  # the remaining post-fault slice
+                    return settle(Outcome.SDC, "load returned corrupted data")
             else:
-                for record in records:  # the remaining post-fault slice
-                    if replayer.step(record):
-                        return settle(Outcome.SDC, "load returned corrupted data")
-                if golden_record is not None and golden_record.rejoins(hierarchy):
-                    detected = target.stats.detected_faults > detected_before
-                    return settle(
-                        Outcome.CORRECTED if detected else Outcome.BENIGN,
-                        settled="rejoined",
-                    )
-            hierarchy.flush()
+                from .warmstate import SetRecorder
+
+                start, checks = golden_record.checkpoints_for(target, struck)
+                golden_record.resume(start, hierarchy, golden, replayer, records)
+                recorder = SetRecorder(hierarchy, obs)
+                hierarchy.set_observer(recorder)
+                try:
+                    step = start.step
+                    for check in checks:
+                        if replay(records[step : check.step]):
+                            return settle(Outcome.SDC, "load returned corrupted data")
+                        step = check.step
+                        inert = golden_record.rejoins_at(
+                            start,
+                            check,
+                            hierarchy,
+                            recorder.reached(hierarchy),
+                            target,
+                            injection.flips,
+                        )
+                        if inert is not None:
+                            break
+                    else:
+                        if replay(records[step:]):
+                            return settle(Outcome.SDC, "load returned corrupted data")
+                finally:
+                    hierarchy.set_observer(obs)
+                if inert is not None:
+                    path = "rejoined"
+                    if not inert:
+                        return classify()
+                    detected_in_suffix = target.stats.detected_faults > detected_before
+                    golden_record.settle_inert(hierarchy, golden, target, inert)
+            if inert is not None and golden_record.settles_flush(
+                target, [flip.loc for flip in inert]
+            ):
+                addr = _flush_struck_lines(target, inert, golden)
+            else:
+                flushed = True
+                hierarchy.flush()
+                addr = hierarchy.memory.first_mismatch(golden.items())
         except UncorrectableError as exc:
             return settle(Outcome.DUE, str(exc))
 
-        settled = "skipped" if skipped else "replayed"
-        addr = hierarchy.memory.first_mismatch(golden.items())
         if addr is not None:
-            return settle(
-                Outcome.SDC, f"latent corruption at {addr:#x} after flush", settled
-            )
-
-        detected = target.stats.detected_faults > detected_before
-        return settle(
-            Outcome.CORRECTED if detected else Outcome.BENIGN, settled=settled
-        )
+            return settle(Outcome.SDC, f"latent corruption at {addr:#x} after flush")
+        return classify()
 
     def _inject(self, injector: FaultInjector) -> Optional[InjectionRecord]:
         cfg = self.config
@@ -582,6 +663,61 @@ class FaultCampaign:
             return injector.random_temporal(dirty_only=cfg.dirty_only)
         height, width = cfg.spatial_shape
         return injector.random_spatial(height=height, width=width)
+
+
+def _flush_struck_lines(
+    target: Cache, flips: Sequence[BitFlip], golden: GoldenMemory
+) -> Optional[int]:
+    """Settle a trial's flush at the lines ``flips`` strike: the first
+    golden-image address the flush would leave corrupted, or None.
+
+    Evicts, in line order, the struck lines the target's own flush reads
+    (:meth:`Cache.flush_lines <repro.memsim.cache.Cache.flush_lines>`),
+    and nothing else.  That is exact when the trial's pre-flush state is
+    the golden one with ``flips`` (it skipped the suffix, or rejoined the
+    golden run up to these inert flips) and
+    :meth:`~repro.faults.warmstate.GoldenRecord.settles_flush` holds.
+    The whole flush is the golden drain until it reads a struck unit,
+    and from there on the eviction of a struck line reads the same state
+    however far the drain got: evicting or storing fault-free words
+    leaves CPPC's per-pair ``R1 ^ R2 ^ XOR(rotated dirty words)`` and
+    2-D parity's ``vertical ^ XOR(resident units)`` as they are, and a
+    refetch reads the next level's copy of the struck block, which no
+    earlier drain step changes.  So the struck lines raise the flush's
+    DUE, if any, and write back what the flush would.
+
+    The rest of the flush reads only fault-free units, as the clean
+    golden flush did, so it detects nothing more, and a written-back
+    block that differs from its golden bytes (its bytes before eviction
+    with the flips undone) reaches memory as it is.  Raises
+    :class:`~repro.errors.UncorrectableError` on a DUE.
+    """
+    ways = target.ways
+    ub = target.unit_bytes
+    expected: Dict[int, bytearray] = {}
+    for flip in flips:
+        loc = flip.loc
+        line = loc.set_index * ways + loc.way
+        block = expected.get(line)
+        if block is None:
+            block = expected[line] = bytearray(target.line(loc.set_index, loc.way).data)
+        off = loc.unit_index * ub
+        value = int.from_bytes(block[off : off + ub], "big") ^ flip.mask
+        block[off : off + ub] = value.to_bytes(ub, "big")
+    corrupted = {
+        target.address_of(UnitLocation(*divmod(line, ways), 0)): block
+        for line, block in target.flush_lines(expected).items()
+        if block != expected[line]
+    }
+    if not corrupted:
+        return None
+    # What memory.first_mismatch would find, over these blocks only.
+    mask = target.block_bytes - 1
+    for addr, value in golden.items():
+        block = corrupted.get(addr & ~mask)
+        if block is not None and block[addr & mask] != value:
+            return addr
+    return None
 
 
 def trial_mismatches(

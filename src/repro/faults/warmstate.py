@@ -31,10 +31,17 @@ condition sent it there.
 After taking the snapshot, :func:`build_warm_state` keeps replaying its
 own hierarchy through the suffix, fault-free, and records the golden run
 in a small :class:`GoldenRecord`: the first suffix step that touches
-each unit, the pre-flush state as a delta against the snapshot, and a
-digest of that state.  A flipped unit is inert until its first touch,
-so a trial whose struck units the suffix never touches need not replay
-it; a trial whose pre-flush state equals the golden one need not flush
+each unit, a checkpoint every :data:`CHECKPOINT_STEPS` steps and at the
+end of the suffix (the state there as a delta against the snapshot, and
+the sets reached since the checkpoint before), and the units an upper
+level's drain touches in the flush.  A flipped unit is inert until its
+first touch, so a trial whose struck units the suffix never touches need
+not replay it, and need not drain more of the flush than its struck
+lines; any other trial resumes at the last checkpoint before its first
+touch, and one whose state equals the golden run's at the first
+checkpoint after its last touch, or at the end, is classified there,
+without the rest of the suffix or the flush, or, when flips the suffix
+never reads are left, settled like a skipped trial with those flips
 (:meth:`~repro.faults.campaign.FaultCampaign._classify_trial_fast`).
 
 :func:`warm_state_for` memoizes warm states in a bounded module-level
@@ -47,7 +54,8 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..cppc.protection import CppcProtection
 from ..errors import UncorrectableError
@@ -56,28 +64,57 @@ from ..memsim.cache import Cache
 from ..memsim.hierarchy import MemoryHierarchy
 from ..memsim.replacement import LRUPolicy
 from ..memsim.snapshot import (
+    CacheSnapshot,
     HierarchyDelta,
     HierarchySnapshot,
     SnapshotCache,
     apply_delta,
     diff_hierarchy,
     restore_hierarchy,
+    same_state,
     snapshot_hierarchy,
-    state_digest,
 )
 from ..memsim.types import AccessType, UnitLocation
 from ..workloads.replay import GoldenMemory, TraceReplayer
 from ..workloads.spec import make_workload
 from ..workloads.trace import TraceRecord
 from .campaign import CampaignConfig
+from .models import BitFlip
+
+
+#: Suffix steps between two checkpoints of the golden run.  A trial
+#: struck at one unit replays from the last checkpoint before its touch
+#: to the first one after it, and each checkpoint costs the golden pass
+#: a diff of the sets reached since the one before.
+CHECKPOINT_STEPS = 100
+
+
+@dataclasses.dataclass
+class GoldenCheckpoint:
+    """The golden run after its first ``step`` suffix steps.
+
+    Attributes:
+        step: suffix steps the golden run had replayed.
+        cycle: the replayer's cycle clock there.
+        delta: the golden hierarchy there against the warm snapshot; None
+            at step 0, where it is the snapshot.
+        sets: per cache level, innermost first, the sets the golden run's
+            loads and stores reached since the checkpoint before, which
+            hold every line and way order it changed in between.
+    """
+
+    step: int
+    cycle: int
+    delta: Optional[HierarchyDelta]
+    sets: List[FrozenSet[int]]
 
 
 @dataclasses.dataclass
 class GoldenRecord:
     """The fault-free run of a warm state's suffix, recorded once.
 
-    Holds no full image: the pre-flush state is a delta against the
-    warm snapshot, and the rejoin test compares digests.
+    Holds no full image: the checkpoints and the pre-flush state are
+    deltas against the warm snapshot.
 
     Attributes:
         first_touch: per cache level name, the first suffix step that
@@ -90,27 +127,194 @@ class GoldenRecord:
         image_delta: the golden memory bytes the suffix's stores set;
             applied with ``dict.update``, addresses new to the image
             follow it in first-store order, as in the golden run.
-        digest: :func:`~repro.memsim.snapshot.state_digest` of the
-            golden pre-flush hierarchy.
         flush_clean: whether the golden run's own flush detected nothing
             and left memory equal to the golden image.  When it did not,
-            no trial skips its flush.
+            no trial skips its flush or any part of it.
+        flush_touch: per cache level name, the unit slots an upper
+            level's drain touches in the golden flush: the lower level's
+            lines the upper level's write-backs store into, and the
+            victims their fills evict.  A few hundred slots, empty for
+            the L1D.  A trial struck there drains the whole flush.
+        base: the warm snapshot every delta is taken against (the warm
+            state's own, so pickling the state stores it once).
+        checkpoints: the golden run at step 0, every
+            :data:`CHECKPOINT_STEPS` steps after it, and at the end of
+            the suffix, whose delta is ``delta``.
     """
 
     first_touch: Dict[str, Dict[int, int]]
     delta: HierarchyDelta
     image_delta: Dict[int, int]
-    digest: bytes
     flush_clean: bool
+    flush_touch: Dict[str, FrozenSet[int]] = dataclasses.field(default_factory=dict)
+    base: Optional[HierarchySnapshot] = None
+    checkpoints: List[GoldenCheckpoint] = dataclasses.field(default_factory=list)
 
     def touches(self, cache: Cache, locs: Iterable[UnitLocation]) -> bool:
         """Whether the suffix touches any of the units at ``locs``."""
+        return _any_slot(self.first_touch[cache.name], cache, locs)
+
+    def checkpoints_for(
+        self, cache: Cache, locs: Sequence[UnitLocation]
+    ) -> Tuple[GoldenCheckpoint, List[GoldenCheckpoint]]:
+        """Where a trial struck at the units at ``locs`` of ``cache``, some
+        of which the suffix touches, resumes, and where it may rejoin.
+
+        It resumes at the last checkpoint at or before the first touch of
+        a struck unit: up to there the golden run never read one, so the
+        trial's state is the golden one with the flips.  It may rejoin at
+        the first checkpoint after the last touch of a struck unit and at
+        the end of the suffix, or nowhere if the golden flush was not
+        clean.
+        """
         first = self.first_touch[cache.name]
         ways = cache.ways
         upb = cache.units_per_block
-        return any(
-            (loc.set_index * ways + loc.way) * upb + loc.unit_index in first
-            for loc in locs
+        slots = [
+            (loc.set_index * ways + loc.way) * upb + loc.unit_index for loc in locs
+        ]
+        touched = [first[slot] for slot in slots if slot in first]
+        stops = [checkpoint.step for checkpoint in self.checkpoints]
+        start = self.checkpoints[bisect_right(stops, min(touched)) - 1]
+        if not self.flush_clean:
+            return start, []
+        checks = {bisect_right(stops, max(touched)), len(stops) - 1}
+        return start, [self.checkpoints[i] for i in sorted(checks)]
+
+    def resume(
+        self,
+        checkpoint: GoldenCheckpoint,
+        hierarchy: MemoryHierarchy,
+        golden: GoldenMemory,
+        replayer: TraceReplayer,
+        suffix: Sequence[TraceRecord],
+    ) -> None:
+        """Move a fork to ``checkpoint`` of the golden run: its state
+        there (units the run has not changed keep their flips), the
+        suffix's stores before it in the golden image, and its clock."""
+        if checkpoint.delta is None:
+            return
+        apply_delta(checkpoint.delta, hierarchy)
+        for record in suffix[: checkpoint.step]:
+            if record.op is AccessType.STORE:
+                golden.store(record.addr, record.value)
+        replayer.cycle = checkpoint.cycle
+
+    def rejoins_at(
+        self,
+        start: GoldenCheckpoint,
+        checkpoint: GoldenCheckpoint,
+        hierarchy: MemoryHierarchy,
+        reached: Sequence[Iterable[int]],
+        cache: Cache,
+        flips: Sequence[BitFlip],
+    ) -> Optional[List[BitFlip]]:
+        """Whether a trial struck by ``flips`` in ``cache``, resumed at
+        ``start`` and replayed up to ``checkpoint``, equals the golden run
+        there up to statistics and to inert flips: the flips still set in
+        struck units the golden suffix never touches.
+
+        Returns those inert flips (empty when none are left), or None when
+        the states differ in anything else.  A unit the suffix never
+        touches must hold its warm value, or that value with its flips
+        (a recovery corrects every faulty dirty unit it scans).
+
+        ``reached`` holds, per level, the sets the trial's loads and
+        stores reached since ``start``.  A run changes lines and way
+        orders only in the sets its loads and stores reach, and a
+        recovery corrects only struck units.  So outside the sets either
+        run reached since ``start`` and the struck units' sets, both
+        states are what they were at ``start``, where they differed only
+        in the flips, and the test compares the rest
+        (:func:`~repro.memsim.snapshot.same_state`): those sets against
+        the checkpoint's delta, the whole-cache state and main memory.
+
+        Equal, the trial goes on as the golden run does, which never
+        reads an inert flip, loads correct data and detects nothing, so
+        its pre-flush state is the golden one with the inert flips
+        (:meth:`settle_inert`).
+        """
+        levels = hierarchy.levels()
+        index = levels.index(cache)
+        inert = self._inert_flips(cache, self.base.caches[index], flips)
+        if inert is None:
+            return None
+        sets = [set(mine) for mine in reached]
+        for window in self.checkpoints:
+            if start.step < window.step <= checkpoint.step:
+                for level_sets, window_sets in zip(sets, window.sets):
+                    level_sets |= window_sets
+        sets[index].update(flip.loc.set_index for flip in flips)
+        for flip in inert:
+            cache.corrupt_data(flip.loc, flip.mask)
+        try:
+            here = diff_hierarchy(
+                self.base, hierarchy, sets, previous=checkpoint.delta
+            )
+        finally:
+            for flip in inert:
+                cache.corrupt_data(flip.loc, flip.mask)
+        return inert if same_state(here, checkpoint.delta) else None
+
+    def _inert_flips(
+        self, cache: Cache, warm: CacheSnapshot, flips: Sequence[BitFlip]
+    ) -> Optional[List[BitFlip]]:
+        """The flips still set in struck units of ``cache`` the golden
+        suffix never touches, one per unit; None when such a unit holds
+        neither its ``warm`` value nor that value with its flips."""
+        first = self.first_touch[cache.name]
+        ways = cache.ways
+        upb = cache.units_per_block
+        ub = cache.unit_bytes
+        masks: Dict[int, int] = {}
+        for flip in flips:
+            loc = flip.loc
+            slot = (loc.set_index * ways + loc.way) * upb + loc.unit_index
+            if slot not in first:
+                masks[slot] = masks.get(slot, 0) ^ flip.mask
+        inert = []
+        for slot, mask in masks.items():
+            line = slot // upb
+            if not cache._valid[line] or cache._tags[line] != warm.tags[line]:
+                return None
+            off = slot * ub
+            now = int.from_bytes(cache._data[off : off + ub], "big")
+            flipped = now ^ int.from_bytes(warm.data[off : off + ub], "big")
+            if flipped == mask:
+                loc = UnitLocation(*divmod(line, ways), slot % upb)
+                inert.append(BitFlip(loc, mask))
+            elif flipped:
+                return None
+        return inert
+
+    def settle_inert(
+        self,
+        hierarchy: MemoryHierarchy,
+        golden: GoldenMemory,
+        cache: Cache,
+        inert: Sequence[BitFlip],
+    ) -> None:
+        """Move a trial that rejoined the golden run up to the ``inert``
+        flips (:meth:`rejoins_at`) to the golden pre-flush state with those
+        flips, which is where the rest of its suffix would take it.  The
+        hierarchy's statistics become the golden run's."""
+        restore_hierarchy(self.base, hierarchy)
+        self.apply(hierarchy, golden)
+        for flip in inert:
+            cache.corrupt_data(flip.loc, flip.mask)
+
+    def settles_flush(self, cache: Cache, locs: Iterable[UnitLocation]) -> bool:
+        """Whether a trial that skips the suffix may settle its flush at
+        its struck lines, the units at ``locs`` of ``cache``: the golden
+        flush was clean, and no upper level's drain touches them.
+
+        Until the drain reaches a struck line it is the golden drain,
+        and what the eviction of a struck line reads does not depend on
+        how far the drain got
+        (:func:`~repro.faults.campaign._flush_struck_lines`).
+        """
+        return self.flush_clean and not _any_slot(
+            self.flush_touch[cache.name], cache, locs
         )
 
     def apply(self, hierarchy: MemoryHierarchy, golden: GoldenMemory) -> None:
@@ -123,17 +327,38 @@ class GoldenRecord:
         apply_delta(self.delta, hierarchy)
         golden.update(self.image_delta)
 
-    def rejoins(self, hierarchy: MemoryHierarchy) -> bool:
-        """Whether a trial's pre-flush state equals the golden run's, up
-        to statistics, with a golden flush that needed no correction.
 
-        Such a trial's flush repeats the golden one: memory ends equal
-        to the golden image, and nothing is detected.
-        """
-        return self.flush_clean and state_digest(hierarchy) == self.digest
+class SetRecorder:
+    """Trace sink: every set each level's loads and stores reach, which
+    holds every line and way order a run changes (a fill and its victim
+    share the access's set), passing each event on to ``sink``.
+
+    Attach it with :meth:`MemoryHierarchy.set_observer
+    <repro.memsim.hierarchy.MemoryHierarchy.set_observer>` and detach it
+    (attach ``sink`` again) when done: it holds the levels, so while
+    attached it and the hierarchy form a reference cycle.
+    """
+
+    enabled = True
+
+    def __init__(self, hierarchy: MemoryHierarchy, sink=None):
+        self._levels = {level.name: level for level in hierarchy.levels()}
+        self._sink = sink
+        self.sets: Dict[str, set] = {name: set() for name in self._levels}
+
+    def reached(self, hierarchy: MemoryHierarchy) -> List[set]:
+        """The sets reached, per level of ``hierarchy``, innermost first."""
+        return [self.sets[level.name] for level in hierarchy.levels()]
+
+    def emit(self, category, name, args=None, ts=None) -> None:
+        if self._sink is not None:
+            self._sink.emit(category, name, args, ts)
+        if category == "cache" and name in ("load", "store"):
+            cache = self._levels[args["level"]]
+            self.sets[cache.name].add(cache.mapper.set_index(args["addr"]))
 
 
-class _TouchRecorder:
+class _TouchRecorder(SetRecorder):
     """Trace sink for the golden pass: the first step that touches each
     unit slot, and every set an access reached (where the delta looks).
 
@@ -144,15 +369,12 @@ class _TouchRecorder:
     or lost it to an earlier eviction, so no fault can sit there.
     """
 
-    enabled = True
-
     def __init__(self, hierarchy: MemoryHierarchy):
+        super().__init__(hierarchy)
         self.step = 0
-        self._levels = {level.name: level for level in hierarchy.levels()}
         self.first_touch: Dict[str, Dict[int, int]] = {
             name: {} for name in self._levels
         }
-        self.sets: Dict[str, set] = {name: set() for name in self._levels}
 
     def emit(self, category, name, args=None, ts=None) -> None:
         if category != "cache":
@@ -182,15 +404,55 @@ class _TouchRecorder:
             first_touch.setdefault(ui, self.step)
 
 
+def _any_slot(slots, cache: Cache, locs: Iterable[UnitLocation]) -> bool:
+    """Whether any unit at ``locs`` has its slot in ``slots``."""
+    ways = cache.ways
+    upb = cache.units_per_block
+    return any(
+        (loc.set_index * ways + loc.way) * upb + loc.unit_index in slots
+        for loc in locs
+    )
+
+
 def _detections(hierarchy: MemoryHierarchy) -> int:
     return sum(level.stats.detected_faults for level in hierarchy.levels())
+
+
+def _golden_drain(hierarchy: MemoryHierarchy) -> Dict[str, FrozenSet[int]]:
+    """Flush the golden hierarchy and return, per level, the unit slots
+    an upper level's drain touched.
+
+    Each upper level drains with a :class:`_TouchRecorder` attached to
+    the levels below it only, so the recorder sees its write-backs and
+    the victims their fills evict, never a level's own drain.  The last
+    level drains through :meth:`MemoryHierarchy.flush`, which finds the
+    upper levels already empty.
+    """
+    recorder = _TouchRecorder(hierarchy)
+    levels = hierarchy.levels()
+    for level in levels[1:]:
+        level.set_observer(recorder)
+    try:
+        for level in levels[:-1]:
+            level.set_observer(None)
+            level.flush()
+    finally:
+        hierarchy.set_observer(None)
+    hierarchy.flush()
+    return {name: frozenset(slots) for name, slots in recorder.first_touch.items()}
 
 
 def _golden_pass(
     state: "WarmState", hierarchy: MemoryHierarchy, golden: GoldenMemory
 ) -> Optional[GoldenRecord]:
     """Replay ``state``'s suffix fault-free on the hierarchy and golden
-    memory its snapshot was taken from, record the run, then flush.
+    memory its snapshot was taken from, record the run with a checkpoint
+    every :data:`CHECKPOINT_STEPS` steps and at the end, then flush it
+    level by level (:func:`_golden_drain`).
+
+    Each checkpoint's delta is the one before it brought up to date over
+    the sets reached in between, so the pass diffs every set only where
+    it was reached.
 
     None when the fault-free run itself detects a fault or loads wrong
     data, which no correct simulator does; trials then replay in full.
@@ -199,10 +461,24 @@ def _golden_pass(
     replayer = TraceReplayer(
         hierarchy, golden=golden, check_loads=True, start_cycle=state.start_cycle
     )
+    checkpoints = [GoldenCheckpoint(0, state.start_cycle, None, [])]
+    delta = None
+
+    def window() -> List[FrozenSet[int]]:
+        """The sets reached since the last call, per level."""
+        sets = [frozenset(s) for s in recorder.reached(hierarchy)]
+        for level_sets in recorder.sets.values():
+            level_sets.clear()
+        return sets
+
     detected = _detections(hierarchy)
     hierarchy.set_observer(recorder)
     try:
         for step, record in enumerate(state.suffix_records):
+            if step and step % CHECKPOINT_STEPS == 0:
+                sets = window()
+                delta = diff_hierarchy(state.snapshot, hierarchy, sets, delta)
+                checkpoints.append(GoldenCheckpoint(step, replayer.cycle, delta, sets))
             recorder.step = step
             if replayer.step(record):
                 return None
@@ -218,16 +494,21 @@ def _golden_pass(
     for record in state.suffix_records:
         if record.op is AccessType.STORE:
             stores.store(record.addr, record.value)
-    sets = [recorder.sets[level.name] for level in hierarchy.levels()]
+    sets = window()
+    delta = diff_hierarchy(state.snapshot, hierarchy, sets, delta)
+    checkpoints.append(
+        GoldenCheckpoint(len(state.suffix_records), replayer.cycle, delta, sets)
+    )
     golden_run = GoldenRecord(
         first_touch=recorder.first_touch,
-        delta=diff_hierarchy(state.snapshot, hierarchy, sets),
+        delta=delta,
         image_delta=stores.snapshot(),
-        digest=state_digest(hierarchy),
         flush_clean=False,
+        base=state.snapshot,
+        checkpoints=checkpoints,
     )
     try:
-        hierarchy.flush()
+        golden_run.flush_touch = _golden_drain(hierarchy)
     except UncorrectableError:
         return golden_run
     golden_run.flush_clean = (

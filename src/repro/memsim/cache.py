@@ -33,7 +33,7 @@ from __future__ import annotations
 import collections.abc
 import struct
 from itertools import compress
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError, UncorrectableError
 from .address import AddressMapper
@@ -1098,16 +1098,13 @@ class Cache:
         whose lines are one unit each (every L2 and L3), each dirty line
         is evicted inline on the same walk: its unit is inspected, a
         detection goes through :meth:`_verify_unit` exactly as in
-        :meth:`_evict`, and the line is written back.
+        :meth:`_evict`, and the line is written back.  Each dirty line
+        leaves through :meth:`_flush_line`, the per-line routine
+        :meth:`flush_lines` shares.
         """
-        one_by_one = (
-            self._obs_on
-            or self.tag_protection is not None
-            or self.protection.tracks_clean_lines
-        )
+        one_by_one = self._flush_one_by_one()
         upb = self.units_per_block
         whole_lines = upb == 1 and not one_by_one
-        ways = self.ways
         count = 0
         done = 0  # lines below this one are already removed
         # ``compress`` reads each dirty bit as the walk reaches it, so the
@@ -1116,14 +1113,55 @@ class Cache:
             line = ui // upb
             if line > done:
                 self._drop_clean_lines(done, line, one_by_one)
-            if whole_lines:
-                self._evict_dirty_unit_line(line, *divmod(line, ways), True)
-                count += 1
-            else:
-                count += self._evict(*divmod(line, ways))
+            count += self._flush_line(line, whole_lines)
             done = line + 1
         self._drop_clean_lines(done, len(self._valid), one_by_one)
         return count
+
+    def flush_lines(self, lines: Iterable[int]) -> Dict[int, bytes]:
+        """Evict, in line order, those of ``lines`` that :meth:`flush`
+        reads, each exactly as its walk would, and return the block each
+        one wrote back, by line.
+
+        :meth:`flush` reads the valid lines holding a dirty unit, or
+        every valid line when the scheme
+        :attr:`~CacheProtection.tracks_clean_lines`.  Every other line
+        stays as it is, so the result is a flush's only where the
+        evictions left out cannot change what these lines read: a fault
+        campaign settles a trial's flush at its struck lines this way
+        (:func:`~repro.faults.campaign._flush_struck_lines`).
+        Raises :class:`UncorrectableError` on a DUE, as :meth:`flush`
+        would.
+        """
+        whole_lines = self.units_per_block == 1 and not self._flush_one_by_one()
+        every_valid = self.protection.tracks_clean_lines
+        upb = self.units_per_block
+        bb = self.block_bytes
+        written: Dict[int, bytes] = {}
+        for line in sorted(lines):
+            u0 = line * upb
+            reads = every_valid or True in self._dirty[u0 : u0 + upb]
+            if self._valid[line] and reads and self._flush_line(line, whole_lines):
+                written[line] = bytes(self._data[line * bb : (line + 1) * bb])
+        return written
+
+    def _flush_one_by_one(self) -> bool:
+        """Whether :meth:`flush` evicts clean lines one by one."""
+        return (
+            self._obs_on
+            or self.tag_protection is not None
+            or self.protection.tracks_clean_lines
+        )
+
+    def _flush_line(self, line: int, whole_lines: bool) -> bool:
+        """Evict valid line ``line`` as :meth:`flush`'s walk does; True on
+        a write-back.  ``whole_lines`` takes the inline single-unit kernel,
+        which only a dirty line may."""
+        set_index, way = divmod(line, self.ways)
+        if whole_lines:
+            self._evict_dirty_unit_line(line, set_index, way, True)
+            return True
+        return self._evict(set_index, way)
 
     def _drop_clean_lines(self, start: int, stop: int, one_by_one: bool) -> None:
         """Remove the valid lines in ``[start, stop)``, which are all clean."""

@@ -39,9 +39,11 @@ live hierarchy differs from a snapshot (plus the small whole-cache
 state, carried whole), and :func:`apply_delta` writes them back.  Every
 unit the delta does not name is left as it is, so a delta taken from a
 fault-free run can be applied to a faulty fork without erasing faults
-in units the run never changed.  :func:`state_digest` hashes a
-hierarchy's state with the statistics left out, an exact equality test
-that holds no second image.
+in units the run never changed.  A delta can also be brought up to date
+by comparing only the sets a run reached since it was taken
+(``previous``), and :func:`same_state` compares two deltas against one
+snapshot up to statistics, an exact equality test that holds no second
+image.
 
 :class:`SnapshotCache` is the LRU used to bound warm-state caches on
 both the campaign side and inside worker processes.
@@ -50,10 +52,8 @@ both the campaign side and inside worker processes.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-from array import array
 from collections import OrderedDict
-from itertools import compress
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SnapshotError
@@ -515,24 +515,60 @@ def _diff_memory(base: MemorySnapshot, memory: MainMemory) -> MemoryDelta:
     )
 
 
+def _carry(
+    previous: CacheDelta, fresh: CacheDelta, sets: Iterable[int], cache: Cache
+) -> CacheDelta:
+    """``fresh``, a diff over ``sets``, completed with the lines, units
+    and orders ``previous`` holds in every other set, each list in slot
+    order as :func:`_diff_cache` makes it."""
+    sets = frozenset(sets)
+    ways = cache.ways
+    per_set = ways * cache.units_per_block
+    first = itemgetter(0)
+    fresh.lines = sorted(
+        [e for e in previous.lines if e[0] // ways not in sets] + fresh.lines,
+        key=first,
+    )
+    fresh.units = sorted(
+        [e for e in previous.units if e[0] // per_set not in sets] + fresh.units,
+        key=first,
+    )
+    fresh.orders = sorted(
+        [e for e in previous.orders if e[0] not in sets] + fresh.orders, key=first
+    )
+    return fresh
+
+
 def diff_hierarchy(
     base: HierarchySnapshot,
     hierarchy: MemoryHierarchy,
     sets: Sequence[Iterable[int]],
+    previous: Optional[HierarchyDelta] = None,
 ) -> HierarchyDelta:
     """How ``hierarchy`` differs from ``base``.
 
     ``sets`` holds, per level (innermost first), every set whose lines
     or replacement order may differ, such as the sets a run since the
-    snapshot reached; the others are not compared.
+    snapshot reached; the others are not compared.  With ``previous``,
+    a delta against ``base`` taken earlier, ``sets`` need only hold the
+    sets that may have changed since: every other set's lines, units and
+    order are carried from ``previous``.  Main memory and the
+    whole-cache state are always compared whole.
     """
     levels = _check_levels(len(base.caches), hierarchy)
+    caches = [
+        _diff_cache(snap, cache, level_sets)
+        for snap, cache, level_sets in zip(base.caches, levels, sets)
+    ]
+    if previous is not None:
+        caches = [
+            _carry(old, fresh, level_sets, cache)
+            for old, fresh, level_sets, cache in zip(
+                previous.caches, caches, sets, levels
+            )
+        ]
     return HierarchyDelta(
-        caches=[
-            _diff_cache(snap, cache, level_sets)
-            for snap, cache, level_sets in zip(base.caches, levels, sets)
-        ],
-        memory=_diff_memory(base.memory, hierarchy.memory),
+        caches=caches, memory=_diff_memory(base.memory, hierarchy.memory)
     )
 
 
@@ -556,65 +592,38 @@ def apply_delta(delta: HierarchyDelta, hierarchy: MemoryHierarchy) -> MemoryHier
 
 
 # ----------------------------------------------------------------------
-# Digest
+# Comparison
 # ----------------------------------------------------------------------
 #: Protection-state entries that are statistics, not state.
 _PROTECTION_COUNTERS = ("recoveries", "register_repairs")
 
 
-def _hash_ints(h, values: List[int]) -> None:
-    """Feed a list of ints to ``h`` a slice at a time, so no copy of a
-    whole L2-sized list is ever held."""
-    for start in range(0, len(values), 4096):
-        chunk = values[start : start + 4096]
-        try:
-            h.update(array("q", chunk))
-        except OverflowError:
-            h.update(repr(chunk).encode())
+def _protection_state(protection: dict) -> dict:
+    """A protection snapshot without its statistics."""
+    return {k: v for k, v in protection.items() if k not in _PROTECTION_COUNTERS}
 
 
-def state_digest(hierarchy: MemoryHierarchy) -> bytes:
-    """SHA-256 of a hierarchy's state with the statistics left out.
+def same_state(a: HierarchyDelta, b: HierarchyDelta) -> bool:
+    """Whether two deltas against one snapshot describe the same state up
+    to statistics.
 
-    Hashes every line's valid bit and tag, the data, dirty bits and check
-    words (stale ones of invalid lines too), the dirty units' dirty-cycle
-    stamps, the replacement state, the clock, the protection scheme's
-    registers and main memory's blocks.  Left out: :class:`CacheStats`,
+    Compares every level's lines, units (data, dirty bits, check words,
+    dirty-cycle stamps), replacement state, clock and protection
+    registers, and main memory's blocks.  Left out: :class:`CacheStats`,
     CPPC's ``recoveries``/``register_repairs`` counters and memory's
-    read/write counts.  Equal digests therefore mean equal state up to
-    statistics, and a hierarchy's further simulation reads no
-    statistics, so two such hierarchies go on to make the same accesses,
-    detections and memory writes.
+    read/write counts.  A hierarchy's further simulation reads no
+    statistics, so two hierarchies in the same state go on to make the
+    same accesses, detections and memory writes.
     """
-    h = hashlib.sha256()
-    for cache in hierarchy.levels():
-        dirty = cache._dirty
-        stamps = cache._last_dirty
-        policy = cache.policy
-        protection = {
-            k: v
-            for k, v in _snapshot_protection(cache).items()
-            if k not in _PROTECTION_COUNTERS
-        }
-        rest = (
-            [stamps[ui] for ui in compress(range(len(dirty)), dirty)],
-            cache._access_counter,
-            type(policy).__name__,
-            policy._rng.getstate() if isinstance(policy, RandomPolicy) else None,
-            sorted(protection.items()),
-        )
-        h.update(cache._valid)
-        h.update(cache._data)
-        h.update(bytes(dirty))
-        _hash_ints(h, cache._tags)
-        _hash_ints(h, cache._check)
-        _hash_ints(h, _order_of(policy) or [])
-        h.update(repr(rest).encode())
-    blocks = hierarchy.memory._blocks
-    for addr in sorted(blocks):
-        h.update(b"%d:" % addr)
-        h.update(blocks[addr])
-    return h.digest()
+    return a.memory.blocks == b.memory.blocks and all(
+        x.lines == y.lines
+        and x.units == y.units
+        and x.orders == y.orders
+        and x.rng_state == y.rng_state
+        and x.access_counter == y.access_counter
+        and _protection_state(x.protection) == _protection_state(y.protection)
+        for x, y in zip(a.caches, b.caches)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -152,6 +152,7 @@ def _summary_payload(args, result) -> dict:
         "rates": result.summary(),
         "settled": dict(result.settled),
         "replayed_references": result.replayed_references,
+        "flushed": result.flushed,
         "failures": [dataclasses.asdict(f) for f in result.failures],
         "complete": result.complete,
     }

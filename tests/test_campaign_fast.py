@@ -31,6 +31,7 @@ from repro.faults import (
 from repro.faults.campaign import SETTLE_PATHS, TrialRun, trial_mismatches
 from repro.faults import warmstate as warmstate_mod
 from repro.memsim import MemoryHierarchy, NoProtection, snapshot_hierarchy
+from repro.memsim.types import UnitLocation
 from repro.memsim.replacement import FIFOPolicy
 from repro.obs import MetricsRegistry
 
@@ -313,12 +314,273 @@ class TestGoldenRecord:
         assert snapshot["settled"] == result.settled
         assert sum(snapshot["settled"].values()) == 4
         assert snapshot["replayed_references"] == result.replayed_references
+        assert snapshot["flushed"] == result.flushed
         registry = MetricsRegistry()
         result.export_metrics(registry)
         counters = registry.snapshot()["counters"]
         for path in SETTLE_PATHS:
             assert counters[f"campaign.settled.{path}"] == result.settled[path]
         assert counters["campaign.replayed_references"] == result.replayed_references
+        assert counters["campaign.flushed"] == result.flushed
+
+
+class TestGoldenCheckpoints:
+    """Struck trials resume at the golden run's last checkpoint before
+    their first touch and may rejoin it at the next one
+    (``GoldenRecord.checkpoints``)."""
+
+    @pytest.mark.parametrize("level", ["L1D", "L2"])
+    @pytest.mark.parametrize("scheme", ["cppc", "parity", "secded", "twod", "none"])
+    def test_resume_equals_a_replay_to_the_checkpoint(self, scheme, level):
+        state = build_warm_state(
+            shared_config(
+                scheme_factory=scheme_factory(scheme),
+                benchmark="mcf",
+                warmup_references=5000,
+            )
+        )
+        record = state.golden_record
+        every = warmstate_mod.CHECKPOINT_STEPS
+        steps = [checkpoint.step for checkpoint in record.checkpoints]
+        assert steps == [0, every, 2 * every, 3 * every, 350]
+        assert record.checkpoints[-1].delta is record.delta
+        for checkpoint in record.checkpoints[1:]:
+            runs = []
+            for replay in (True, False):
+                hierarchy, golden, replayer = state.fork()
+                target = hierarchy.l1d if level == "L1D" else hierarchy.l2
+                target.corrupt_data(untouched_unit(state, target), 0b1011 << 3)
+                if replay:
+                    for r in state.suffix_records[: checkpoint.step]:
+                        assert not replayer.step(r)
+                else:
+                    record.resume(
+                        checkpoint, hierarchy, golden, replayer, state.suffix_records
+                    )
+                runs.append((hierarchy, golden, replayer))
+            (replayed, replayed_golden, one), (resumed, resumed_golden, other) = runs
+            assert snapshot_hierarchy(resumed) == snapshot_hierarchy(replayed)
+            assert list(resumed.memory._blocks) == list(replayed.memory._blocks)
+            assert list(resumed_golden.items()) == list(replayed_golden.items())
+            assert other.cycle == one.cycle
+
+    def test_struck_trials_rejoin_at_the_next_checkpoint(self):
+        # One struck L1 unit: a trial replays from the checkpoint before
+        # its touch to the one after it, never the whole suffix.
+        config = shared_config(
+            trials=12, warmup_references=2000, post_fault_references=1500, seed=1
+        )
+        legacy, fast = run_both(config)
+        assert_identical(legacy, fast)
+        campaign = FaultCampaign(config)
+        runs = [campaign._classify_trial_fast(i) for i in range(config.trials)]
+        rejoined = [run.replayed for run in runs if run.settled == "rejoined"]
+        assert rejoined
+        assert all(0 < n <= warmstate_mod.CHECKPOINT_STEPS for n in rejoined)
+
+    @pytest.mark.parametrize("scheme", ["cppc", "parity", "secded", "twod"])
+    def test_trials_rejoin_up_to_inert_flips(self, monkeypatch, scheme):
+        # An 8x8 strike leaves flips in units the suffix never touches;
+        # a trial whose touched units were corrected rejoins the golden
+        # run up to those flips and settles its flush at their lines.
+        settled = []
+        settle_inert = warmstate_mod.GoldenRecord.settle_inert
+
+        def spy(self, hierarchy, golden, cache, inert):
+            settled.append(len(inert))
+            return settle_inert(self, hierarchy, golden, cache, inert)
+
+        monkeypatch.setattr(warmstate_mod.GoldenRecord, "settle_inert", spy)
+        config = shared_config(
+            scheme_factory=scheme_factory(scheme),
+            benchmark="mcf",
+            trials=8,
+            warmup_references=3000,
+            post_fault_references=500,
+            fault_kind="spatial",
+            spatial_shape=(8, 8),
+            seed=1,
+        )
+        legacy, fast = run_both(config)
+        assert_identical(legacy, fast)
+        assert settled and all(settled)
+        assert fast.settled["rejoined"] >= len(settled)
+
+    def test_inert_flips_reach_the_flush(self, monkeypatch):
+        # Dropping the inert flips from the settled state loses what the
+        # flush of their lines detects.
+        def settle_without_flips(self, hierarchy, golden, cache, inert):
+            warmstate_mod.restore_hierarchy(self.base, hierarchy)
+            self.apply(hierarchy, golden)
+
+        monkeypatch.setattr(
+            warmstate_mod.GoldenRecord, "settle_inert", settle_without_flips
+        )
+        config = shared_config(
+            scheme_factory=scheme_factory("secded"),
+            benchmark="mcf",
+            trials=8,
+            warmup_references=3000,
+            post_fault_references=500,
+            fault_kind="spatial",
+            spatial_shape=(8, 8),
+            seed=1,
+        )
+        legacy, fast = run_both(config)
+        assert trial_mismatches(fast.trials, legacy.trials)
+
+    def test_rejoin_compares_the_sets_the_trial_reached(self):
+        state = build_warm_state(shared_config(warmup_references=2000))
+        record = state.golden_record
+        start, check = record.checkpoints[1:3]
+        hierarchy, golden, replayer = state.fork()
+        record.resume(start, hierarchy, golden, replayer, state.suffix_records)
+        recorder = warmstate_mod.SetRecorder(hierarchy)
+        hierarchy.set_observer(recorder)
+        for r in state.suffix_records[start.step : check.step]:
+            assert not replayer.step(r)
+        l1, l2 = hierarchy.levels()
+        reached = recorder.reached(hierarchy)
+        assert record.rejoins_at(start, check, hierarchy, reached, l1, []) == []
+
+        # A hit the golden run never made, in an L2 set it did not reach
+        # and at the L2's own clock, moves only that set's way order.
+        def order_of(set_index):
+            return l2.policy._order[set_index * l2.ways : (set_index + 1) * l2.ways]
+
+        def reorder():
+            for set_index in sorted(set(range(l2.num_sets)) - check.sets[1]):
+                before = order_of(set_index)
+                for way in range(l2.ways):
+                    if l2._valid[set_index * l2.ways + way]:
+                        addr = l2.address_of(UnitLocation(set_index, way, 0))
+                        l2.load(addr, 8, cycle=l2._access_counter)
+                        if order_of(set_index) != before:
+                            return
+            raise AssertionError("no L2 set outside the window changed order")
+
+        reorder()
+        hierarchy.set_observer(None)
+        blind = [set(), set()]
+        assert record.rejoins_at(start, check, hierarchy, blind, l1, []) == []
+        assert record.rejoins_at(start, check, hierarchy, reached, l1, []) is None
+
+
+def fork_runs(config):
+    """The scalar reference's trials, and the fork's :class:`TrialRun`
+    of each trial (how it settled and whether it flushed)."""
+    campaign = FaultCampaign(config)
+    legacy = campaign.run_scalar()
+    clear_warm_cache()
+    runs = [campaign._classify_trial_fast(trial) for trial in range(config.trials)]
+    assert [vars(run.result) for run in runs] == [vars(t) for t in legacy.trials]
+    return legacy, runs
+
+
+def settled_at_struck_lines(run):
+    """A trial that skipped the suffix and drained only its struck lines."""
+    return run.settled == "skipped" and not run.flushed and run.result.injected_bits > 0
+
+
+def twod_l2_config():
+    """2-D parity on a clean L2: every struck unit the golden L1 drain
+    stores into is read before it is written, and corrected there."""
+    return shared_config(
+        scheme_factory=scheme_factory("twod"),
+        trials=12,
+        warmup_references=800,
+        post_fault_references=400,
+        target_level="L2",
+        seed=3,
+    )
+
+
+class TestFlushSettle:
+    """A trial that skips the suffix settles the flush at its struck
+    lines (``Cache.flush_lines``) unless an upper level's golden drain
+    touches them (``GoldenRecord.flush_touch``)."""
+
+    #: Outcomes each scheme must reach through the struck-line settle
+    #: across the sweep below; together they are all four.
+    SETTLED = {
+        "cppc": {Outcome.BENIGN, Outcome.CORRECTED},
+        "parity": {Outcome.BENIGN, Outcome.DUE},
+        "secded": {Outcome.BENIGN, Outcome.CORRECTED},
+        "twod": {Outcome.BENIGN, Outcome.CORRECTED},
+        "none": {Outcome.BENIGN, Outcome.SDC},
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(SETTLED))
+    def test_fork_matches_the_scalar_reference(self, scheme):
+        # mcf's 1,500 warm-up references leave dirty L2 lines to strike.
+        faults = [
+            dict(fault_kind="temporal"),
+            dict(fault_kind="temporal", dirty_only=True),
+            dict(fault_kind="spatial", spatial_shape=(8, 8)),
+        ]
+        settled = set()
+        for level in ("L1D", "L2"):
+            for fault in faults:
+                config = shared_config(
+                    scheme_factory=scheme_factory(scheme),
+                    benchmark="mcf",
+                    trials=4,
+                    warmup_references=1500,
+                    post_fault_references=200,
+                    target_level=level,
+                    **fault,
+                )
+                _legacy, runs = fork_runs(config)
+                settled.update(
+                    run.result.outcome for run in runs if settled_at_struck_lines(run)
+                )
+        assert self.SETTLED[scheme] <= settled
+
+    def test_upper_level_drain_sends_trials_through_the_whole_flush(self):
+        # That read-before-write is the only read of a clean struck unit:
+        # the L2's own drain removes clean lines without checking them.
+        config = twod_l2_config()
+        _legacy, runs = fork_runs(config)
+        guarded = [run for run in runs if run.settled == "skipped" and run.flushed]
+        assert len(guarded) >= 3
+        assert {run.result.outcome for run in guarded} == {Outcome.CORRECTED}
+        assert any(settled_at_struck_lines(run) for run in runs)
+        record = warm_state_for(config).golden_record
+        assert record.flush_clean
+        assert record.flush_touch["L2"] and not record.flush_touch["L1D"]
+
+    def test_flush_touch_is_needed(self, monkeypatch):
+        def drain(hierarchy):
+            hierarchy.flush()
+            return {level.name: frozenset() for level in hierarchy.levels()}
+
+        monkeypatch.setattr(warmstate_mod, "_golden_drain", drain)
+        config = twod_l2_config()
+        legacy, fast = run_both(config)
+        assert trial_mismatches(fast.trials, legacy.trials)
+
+    def test_a_due_at_a_struck_line_counts_as_skipped(self):
+        # Parity cannot correct a dirty unit, so each of these trials
+        # raises its DUE when the settle evicts its struck line.
+        config = shared_config(
+            scheme_factory=scheme_factory("parity"),
+            dirty_only=True,
+            trials=12,
+            warmup_references=800,
+            post_fault_references=400,
+            seed=3,
+        )
+        _legacy, runs = fork_runs(config)
+        dues = [run for run in runs if run.result.outcome is Outcome.DUE]
+        assert sum(settled_at_struck_lines(run) for run in dues) >= 3
+        assert all(run.settled == "skipped" for run in dues if not run.replayed)
+
+    def test_flushed_counts_trials_that_ran_the_whole_flush(self):
+        config = shared_config(trials=8)
+        legacy, fast = run_both(config)
+        assert legacy.flushed == config.trials
+        assert fast.flushed < config.trials
+        assert fast.settled["skipped"] > 0
 
 
 class TestGuards:

@@ -32,6 +32,7 @@ from repro.memsim import (
     MainMemory,
     MemoryHierarchy,
 )
+from repro.memsim.types import UnitLocation
 from repro.obs.sinks import TraceSink
 from repro.util import make_rng
 
@@ -259,6 +260,58 @@ class TestDrainMatchesLineByLine:
         for mine, theirs in zip(drained.levels(), reference.levels()):
             assert cache_state(mine) == cache_state(theirs)
         assert memory_state(drained.memory) == memory_state(reference.memory)
+
+
+class TestFlushLines:
+    """``Cache.flush_lines`` evicts the lines ``Cache.flush`` reads, through
+    the same per-line routine, and returns what each wrote back."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_line_drains_as_the_flush_does(self, scheme):
+        for geometry in GEOMETRIES:
+            for seed in SEEDS:
+                drained, drained_memory, _ = build_cache(scheme, geometry, seed)
+                reference, reference_memory, _ = build_cache(scheme, geometry, seed)
+                written = {}
+
+                def flush_every_line(cache):
+                    lines = range(cache.num_sets * cache.ways)
+                    written.update(cache.flush_lines(lines))
+                    return len(written)
+
+                outcome = run_flush(flush_every_line, [drained])
+                assert outcome == run_flush(Cache.flush, [reference])
+                assert memory_state(drained_memory) == memory_state(reference_memory)
+                if isinstance(outcome, str):
+                    continue
+                assert drained.dirty_unit_count() == 0
+                for line, block in written.items():
+                    set_index, way = divmod(line, drained.ways)
+                    base = drained.address_of(UnitLocation(set_index, way, 0))
+                    assert drained_memory.peek(base, drained.block_bytes) == block
+
+    @pytest.mark.parametrize("scheme,evicted", [("cppc", 2), ("twod", 3)])
+    def test_only_the_lines_the_flush_reads_leave(self, scheme, evicted):
+        cache = Cache(
+            "L2",
+            4096,
+            4,
+            32,
+            unit_bytes=32,
+            protection=scheme_factory(scheme)("L2", 256),
+            next_level=MainMemory(block_bytes=32),
+        )
+        # One line in each of sets 0-3, the second and fourth dirty; the
+        # flush reads no empty line (40).
+        for addr in (0, 32, 64, 96):
+            cache.load(addr, 8)
+        cache.store(32, bytes(8))
+        cache.store(96, bytes(8))
+        lines = [cache._line_of(addr) for addr in (0, 32, 64, 96)]
+        written = cache.flush_lines(lines[1:] + [40])
+        assert sorted(written) == [lines[1], lines[3]]
+        assert sum(not cache._valid[line] for line in lines) == evicted
+        assert cache._valid[lines[0]]
 
 
 class TestDirtyWalk:

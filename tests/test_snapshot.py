@@ -19,6 +19,7 @@ from repro.memsim import (
     restore_hierarchy,
     snapshot_hierarchy,
 )
+from repro.memsim.snapshot import apply_delta, diff_hierarchy, same_state
 from repro.obs import MetricsRegistry
 from repro.workloads import make_workload, materialize
 from repro.workloads.replay import TraceReplayer
@@ -173,6 +174,101 @@ class TestRoundTrip:
         )
         result = replayer.run(records[400:])
         assert result.mismatches == 0
+
+
+class _SetsReached:
+    """Trace sink: the sets each level's loads and stores reach."""
+
+    enabled = True
+
+    def __init__(self, hierarchy):
+        self.levels = {level.name: level for level in hierarchy.levels()}
+        self.sets = {name: set() for name in self.levels}
+
+    def emit(self, category, name, args=None, ts=None):
+        if category == "cache" and name in ("load", "store"):
+            level = self.levels[args["level"]]
+            self.sets[level.name].add(level.mapper.set_index(args["addr"]))
+
+    def take(self):
+        """The sets reached since the last call, innermost level first."""
+        sets = [set(self.sets[name]) for name in self.levels]
+        for reached in self.sets.values():
+            reached.clear()
+        return sets
+
+
+class TestDelta:
+    @pytest.mark.parametrize("scheme", ("cppc", "twod", "secded"))
+    def test_delta_brought_up_to_date_equals_a_full_diff(self, scheme):
+        records = _trace("mcf", scheme, 1600)
+        hierarchy = _fresh(scheme)
+        TraceReplayer(hierarchy).run(records[:1000])
+        base = snapshot_hierarchy(hierarchy)
+        reached = _SetsReached(hierarchy)
+        hierarchy.set_observer(reached)
+        replayer = TraceReplayer(hierarchy, start_cycle=1000)
+        delta, everywhere = None, [set(), set()]
+        for start in range(1000, 1600, 150):
+            replayer.run(records[start : start + 150])
+            sets = reached.take()
+            delta = diff_hierarchy(base, hierarchy, sets, previous=delta)
+            for level_sets, window in zip(everywhere, sets):
+                level_sets |= window
+            full = diff_hierarchy(base, hierarchy, everywhere)
+            for carried, whole in zip(delta.caches, full.caches):
+                assert carried.lines == whole.lines
+                assert carried.units == whole.units
+                assert carried.orders == whole.orders
+            assert same_state(delta, full)
+        hierarchy.set_observer(None)
+
+        restored = _fresh(scheme)
+        restore_hierarchy(base, restored)
+        apply_delta(delta, restored)
+        assert snapshot_hierarchy(restored) == snapshot_hierarchy(hierarchy)
+
+    def test_same_state_leaves_out_statistics_only(self):
+        records = _trace("mcf", "same", 1500)
+        hierarchy = _fresh("cppc")
+        TraceReplayer(hierarchy).run(records[:1000])
+        base = snapshot_hierarchy(hierarchy)
+        TraceReplayer(hierarchy, start_cycle=1000).run(records[1000:])
+        every = [range(level.num_sets) for level in hierarchy.levels()]
+        delta = diff_hierarchy(base, hierarchy, every)
+        assert delta.caches[0].units and delta.caches[0].orders
+
+        def changed(edit):
+            other = diff_hierarchy(base, hierarchy, every)
+            edit(other)
+            return not same_state(delta, other)
+
+        def bump_stats(d):
+            d.caches[0].stats["read_hits"] += 1
+            d.caches[0].protection["recoveries"] += 1
+            d.memory.reads += 1
+
+        def flip_unit(d):
+            ui, data, *rest = d.caches[0].units[0]
+            d.caches[0].units[0] = (ui, bytes([data[0] ^ 1]) + data[1:], *rest)
+
+        def swap_order(d):
+            set_index, order = d.caches[0].orders[0]
+            d.caches[0].orders[0] = (set_index, order[::-1])
+
+        def bump_register(d):
+            r1, *rest = d.caches[0].protection["pairs"][0]
+            d.caches[0].protection["pairs"][0] = (r1 ^ 1, *rest)
+
+        def write_memory(d):
+            d.memory.blocks[1 << 20] = bytes(hierarchy.memory.block_bytes)
+
+        def tick(d):
+            d.caches[1].access_counter += 1
+
+        assert not changed(bump_stats)
+        for edit in (flip_unit, swap_order, bump_register, write_memory, tick):
+            assert changed(edit), edit.__name__
 
 
 class TestValidation:

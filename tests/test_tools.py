@@ -141,7 +141,7 @@ class TestRunCampaign:
             "skipped": 0, "rejoined": 0, "replayed": 3, "resumed": 0,
         }
 
-    def test_fast_campaign_reports_how_trials_settled(self, tmp_path):
+    def test_fast_campaign_reports_how_trials_settled(self, capsys, tmp_path):
         out = tmp_path / "summary.json"
         metrics = tmp_path / "m.json"
         rc = run_campaign.main([
@@ -160,6 +160,10 @@ class TestRunCampaign:
             counters["campaign.replayed_references"]
             == summary["replayed_references"]
         )
+        # Trials that ran the whole flush: counted, but not on stdout.
+        assert 0 <= summary["flushed"] <= 4
+        assert counters["campaign.flushed"] == summary["flushed"]
+        assert "flush" not in capsys.readouterr().out
 
     def test_runtime_flags_with_checkpoint_and_resume(self, capsys, tmp_path):
         args = [
