@@ -103,6 +103,18 @@ def _golden_touch_skips_hits() -> List[Patch]:
     return [(_TouchRecorder, "_access", access)]
 
 
+def _golden_touch_skips_evictions() -> List[Patch]:
+    """The golden suffix pass counts no eviction as a touch, so a trial
+    whose struck line the suffix evicts resumes at the end of the suffix
+    as if its units were never touched."""
+    from ..faults.warmstate import _TouchRecorder
+
+    def evict(self, cache, set_index, way):
+        return None
+
+    return [(_TouchRecorder, "_evict", evict)]
+
+
 def _flush_touch_skips_upper_levels() -> List[Patch]:
     """The golden pass records no touches during an upper level's drain,
     so a trial whose struck L2 unit the L1 drain reaches still settles
@@ -189,6 +201,12 @@ MUTATIONS: Dict[str, Mutation] = {
             "golden suffix pass does not count hits as touches",
             ("campaign",),
             _golden_touch_skips_hits,
+        ),
+        Mutation(
+            "golden-touch-skips-evictions",
+            "golden suffix pass does not count evictions as touches",
+            ("campaign",),
+            _golden_touch_skips_evictions,
         ),
         Mutation(
             "flush-touch-skips-upper-levels",

@@ -99,7 +99,6 @@ def check_replay(scenario: Scenario) -> List[str]:
         byte_shifting=scenario.byte_shifting,
         num_classes=scenario.num_classes,
         equivalence="always",
-        equivalence_limit=0,
     )
     try:
         replayer.run(scenario.records)

@@ -330,7 +330,7 @@ class ScenarioGenerator:
 
     def _gen_campaign(self, rng, index: int) -> Scenario:
         fault_kind = rng.choice(("temporal", "spatial"))
-        return Scenario(
+        scenario = Scenario(
             kind="campaign",
             seed=rng.getrandbits(32),
             scheme=weighted_choice(
@@ -352,6 +352,17 @@ class ScenarioGenerator:
             dirty_only=fault_kind == "temporal" and rng.random() < 0.4,
             target_level=rng.choice(("L1D", "L1D", "L2")),
         )
+        if rng.random() < 0.25:
+            # One campaign in four runs mcf long enough for its suffix to
+            # evict struck lines before anything reads them, which only
+            # the golden pass's eviction touches send through a replay.
+            scenario = dataclasses.replace(
+                scenario,
+                benchmark="mcf",
+                warmup_references=rng.randrange(800, 1400),
+                post_fault_references=rng.randrange(500, 900),
+            )
+        return scenario
 
     def _gen_timing(self, rng, index: int) -> Scenario:
         # The timing collector rides on the batch engine (64-bit L1

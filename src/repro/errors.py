@@ -138,8 +138,9 @@ class EquivalenceError(SimulationError):
 
 
 #: ``equivalence=`` modes of the fast paths.  ``"auto"`` cross-checks a
-#: run of at most ``equivalence_limit`` references against the scalar
-#: reference; ``"always"`` and ``"never"`` force either behaviour.
+#: run of at most :data:`DEFAULT_EQUIVALENCE_LIMIT` references against
+#: the scalar reference; ``"always"`` and ``"never"`` force either
+#: behaviour.
 EQUIVALENCE_MODES = ("auto", "always", "never")
 
 #: The modes of a fast path with no run size for ``"auto"`` to gate on
@@ -150,26 +151,19 @@ FORCED_EQUIVALENCE_MODES = EQUIVALENCE_MODES[1:]
 DEFAULT_EQUIVALENCE_LIMIT = 2048
 
 
-def check_equivalence_mode(
-    mode: str,
-    limit: int = DEFAULT_EQUIVALENCE_LIMIT,
-    modes: Sequence[str] = EQUIVALENCE_MODES,
-) -> None:
-    """Raise :class:`ConfigurationError` unless ``mode`` is one of
-    ``modes`` and ``limit`` is non-negative."""
+def check_equivalence_mode(mode: str, modes: Sequence[str] = EQUIVALENCE_MODES) -> None:
+    """Raise :class:`ConfigurationError` unless ``mode`` is one of ``modes``."""
     if mode not in modes:
         raise ConfigurationError(
             f"equivalence mode must be one of {modes}, got {mode!r}"
         )
-    if limit < 0:
-        raise ConfigurationError(f"equivalence_limit must be >= 0, got {limit!r}")
 
 
-def cross_checks(
-    mode: str, references: int = 0, limit: int = DEFAULT_EQUIVALENCE_LIMIT
-) -> bool:
+def cross_checks(mode: str, references: int = 0) -> bool:
     """Whether a run of ``references`` references is cross-checked."""
-    return mode == "always" or (mode == "auto" and references <= limit)
+    return mode == "always" or (
+        mode == "auto" and references <= DEFAULT_EQUIVALENCE_LIMIT
+    )
 
 
 def raise_mismatches(message: str, mismatches: Sequence[str]) -> None:

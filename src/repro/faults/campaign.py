@@ -36,6 +36,7 @@ from ..errors import (
 from ..memsim.cache import Cache
 from ..memsim.hierarchy import MemoryHierarchy
 from ..memsim.protection import CacheProtection
+from ..memsim.snapshot import restore_hierarchy
 from ..memsim.types import UnitLocation
 from ..util.rng import split_seed
 from ..workloads.replay import GoldenMemory, TraceReplayer
@@ -133,14 +134,15 @@ class TrialResult:
 
 
 #: How a trial was settled, in the order :class:`CampaignResult` reports
-#: them: ``skipped`` replayed no suffix (its struck units are never
-#: touched, or nothing was resident to strike), ``rejoined`` replayed
-#: the suffix up to a golden checkpoint where its state equals the
-#: golden run's (up to flips the suffix never reads, whose lines alone
-#: then leave in the flush) and not the rest, ``replayed`` simulated the
-#: suffix from a golden checkpoint on, and ``resumed`` was read back
-#: from a checkpoint.  Whether a trial then ran the whole flush is
-#: counted apart (:attr:`TrialRun.flushed`).
+#: them: ``skipped`` replayed no suffix (it resumed at the end of the
+#: golden suffix, as its struck units are never touched, or nothing was
+#: resident to strike), ``rejoined`` replayed the suffix up to a golden
+#: checkpoint where its state equals the golden run's (up to flips the
+#: suffix never reads, which it then carries to the end of the golden
+#: suffix, and whose lines alone leave in the flush) and not the rest,
+#: ``replayed`` simulated the suffix from a golden checkpoint on, and
+#: ``resumed`` was read back from a checkpoint.  Whether a trial then
+#: ran the whole flush is counted apart (:attr:`TrialRun.flushed`).
 SETTLE_PATHS = ("skipped", "rejoined", "replayed", "resumed")
 
 
@@ -477,11 +479,11 @@ class FaultCampaign:
         on ``(seed, trial)`` plus the (identical) resident cache state.
         The warm state's :class:`~repro.faults.warmstate.GoldenRecord`
         then settles the trial by the cheapest exact path
-        (:meth:`_finish_trial`): a trial whose struck units the suffix
-        never touches takes the golden pre-flush state instead of
-        replaying the suffix and drains only its struck lines, and any
-        other trial replays from the golden checkpoint before its first
-        touch and is classified where its state rejoins the golden one.
+        (:meth:`_finish_trial`): every trial resumes at the golden
+        checkpoint before its first touch, one the suffix never touches
+        at the golden pre-flush state, where it drains only its struck
+        lines, and any other trial replays from there and is classified
+        where its state rejoins the golden one.
 
         The observer, if any, sees injection/classification events but
         not the warmup prefix (simulated once, not per trial), nor the
@@ -513,33 +515,35 @@ class FaultCampaign:
         of the legacy and snapshot-fork paths.  ``golden_record`` (the
         fork's :class:`~repro.faults.warmstate.GoldenRecord`, None for
         the scalar reference) lets the trial skip what its fault cannot
-        change:
+        change.  The fork resumes at the golden run's last checkpoint
+        before the first touch of a struck unit
+        (:meth:`~repro.faults.warmstate.GoldenRecord.checkpoints_for`,
+        :meth:`~repro.faults.warmstate.GoldenRecord.resume`), and then:
 
-        * no struck unit is touched by the suffix: the fork takes the
-          golden pre-flush state, keeping its flips, which equals
-          replaying the suffix.  If the golden flush was clean and no
-          upper level's drain touches a struck unit
-          (:meth:`~repro.faults.warmstate.GoldenRecord.settles_flush`),
-          the flush is settled at the struck lines
-          (:func:`_flush_struck_lines`); otherwise it runs whole;
-        * any other trial resumes at the golden run's last checkpoint
-          before the first touch of a struck unit
-          (:meth:`~repro.faults.warmstate.GoldenRecord.checkpoints_for`).
-          If its state equals the golden one up to statistics at the
-          first checkpoint after the last touch of a struck unit, or at
-          the end of the suffix
-          (:meth:`~repro.faults.warmstate.GoldenRecord.rejoins_at`), the
-          rest of the suffix and the flush would repeat the golden run's,
-          which loads correct data, leaves memory correct and detects
-          nothing: the trial is CORRECTED when its target's
+        * a trial whose struck units the suffix never touches resumed at
+          the end of the suffix, in the golden pre-flush state with its
+          flips, which equals replaying the suffix: it is ``skipped``;
+        * any other trial replays from its checkpoint.  If its state
+          equals the golden one up to statistics at the first checkpoint
+          after the last touch of a struck unit, or at the end of the
+          suffix (:meth:`~repro.faults.warmstate.GoldenRecord.rejoins_at`),
+          the rest of the suffix and the flush would repeat the golden
+          run's, which loads correct data, leaves memory correct and
+          detects nothing: the trial is CORRECTED when its target's
           ``detected_faults`` rose and BENIGN otherwise, exactly what
           the flush would conclude.  Only this classification reads the
           statistics the comparison leaves out.  If it equals the golden
           state only up to flips in struck units the suffix never
-          touches, it moves to the golden pre-flush state with those
-          flips (:meth:`~repro.faults.warmstate.GoldenRecord.settle_inert`)
-          and settles like a skipped trial, a detection in the suffix
-          counting toward CORRECTED.
+          touches, it is restored to the warm snapshot, flipped there
+          again and resumed at the end of the suffix, like an untouched
+          trial, a detection in the suffix counting toward CORRECTED.
+
+        A trial in the golden pre-flush state with flips settles the
+        flush at its struck lines (:func:`_flush_struck_lines`) if the
+        golden flush was clean and no upper level's drain touches a
+        struck unit
+        (:meth:`~repro.faults.warmstate.GoldenRecord.settles_flush`);
+        every other trial runs the whole flush.
         """
         cfg = self.config
         obs = self._obs_or_none()
@@ -567,13 +571,10 @@ class FaultCampaign:
         detected_before = target.stats.detected_faults
         replayed_from = replayer.result.references
         struck = injection.touched_units
-        skipped = golden_record is not None and not golden_record.touches(
-            target, struck
-        )
-        path = "skipped" if skipped else "replayed"
+        path = "replayed"
         flushed = False
         # The flips a struck-line settle of the flush evicts, if any.
-        inert = injection.flips if skipped else None
+        inert = None
         detected_in_suffix = False
 
         def settle(outcome, detail="") -> TrialRun:
@@ -603,16 +604,15 @@ class FaultCampaign:
             return any(replayer.step(record) for record in part)
 
         try:
-            if skipped:
-                golden_record.apply(hierarchy, golden)
-            elif golden_record is None:
+            if golden_record is None:
                 if replay(records):  # the remaining post-fault slice
                     return settle(Outcome.SDC, "load returned corrupted data")
             else:
                 from .warmstate import SetRecorder
 
                 start, checks = golden_record.checkpoints_for(target, struck)
-                golden_record.resume(start, hierarchy, golden, replayer, records)
+                end = golden_record.checkpoints[-1]
+                golden_record.resume(start, hierarchy, golden, replayer)
                 recorder = SetRecorder(hierarchy, obs)
                 hierarchy.set_observer(recorder)
                 try:
@@ -636,12 +636,18 @@ class FaultCampaign:
                             return settle(Outcome.SDC, "load returned corrupted data")
                 finally:
                     hierarchy.set_observer(obs)
-                if inert is not None:
+                if start is end:
+                    path = "skipped"
+                    inert = injection.flips
+                elif inert is not None:
                     path = "rejoined"
                     if not inert:
                         return classify()
                     detected_in_suffix = target.stats.detected_faults > detected_before
-                    golden_record.settle_inert(hierarchy, golden, target, inert)
+                    restore_hierarchy(golden_record.base, hierarchy)
+                    for flip in inert:
+                        target.corrupt_data(flip.loc, flip.mask)
+                    golden_record.resume(end, hierarchy, golden, replayer)
             if inert is not None and golden_record.settles_flush(
                 target, [flip.loc for flip in inert]
             ):

@@ -33,16 +33,19 @@ own hierarchy through the suffix, fault-free, and records the golden run
 in a small :class:`GoldenRecord`: the first suffix step that touches
 each unit, a checkpoint every :data:`CHECKPOINT_STEPS` steps and at the
 end of the suffix (the state there as a delta against the snapshot, and
-the sets reached since the checkpoint before), and the units an upper
-level's drain touches in the flush.  A flipped unit is inert until its
-first touch, so a trial whose struck units the suffix never touches need
-not replay it, and need not drain more of the flush than its struck
-lines; any other trial resumes at the last checkpoint before its first
-touch, and one whose state equals the golden run's at the first
-checkpoint after its last touch, or at the end, is classified there,
-without the rest of the suffix or the flush, or, when flips the suffix
-never reads are left, settled like a skipped trial with those flips
-(:meth:`~repro.faults.campaign.FaultCampaign._classify_trial_fast`).
+the sets reached and golden-image bytes stored since the checkpoint
+before), and the units an upper level's drain touches in the flush.  A
+flipped unit is inert until its first touch, so every trial resumes at
+the last checkpoint before the first touch of a struck unit
+(:meth:`GoldenRecord.resume`).  A trial whose struck units the suffix
+never touches resumes at the end of the suffix, the golden pre-flush
+state, and need not drain more of the flush than its struck lines.  One
+whose state equals the golden run's at the first checkpoint after its
+last touch, or at the end, is classified there, without the rest of the
+suffix or the flush, or, when flips the suffix never reads are left,
+resumed at the end of the suffix with those flips and settled like an
+untouched trial
+(:meth:`~repro.faults.campaign.FaultCampaign._finish_trial`).
 
 :func:`warm_state_for` memoizes warm states in a bounded module-level
 :class:`~repro.memsim.snapshot.SnapshotCache`, keyed by everything the
@@ -101,20 +104,24 @@ class GoldenCheckpoint:
         sets: per cache level, innermost first, the sets the golden run's
             loads and stores reached since the checkpoint before, which
             hold every line and way order it changed in between.
+        image: the golden-image bytes the suffix's stores set since the
+            checkpoint before, addresses in the order the golden image
+            gained them; empty at step 0.
     """
 
     step: int
     cycle: int
     delta: Optional[HierarchyDelta]
     sets: List[FrozenSet[int]]
+    image: Dict[int, int]
 
 
 @dataclasses.dataclass
 class GoldenRecord:
     """The fault-free run of a warm state's suffix, recorded once.
 
-    Holds no full image: the checkpoints and the pre-flush state are
-    deltas against the warm snapshot.
+    Holds no full image: each checkpoint is a delta against the warm
+    snapshot plus the golden-image bytes stored since the one before.
 
     Attributes:
         first_touch: per cache level name, the first suffix step that
@@ -122,11 +129,6 @@ class GoldenRecord:
             A step touches a unit when it loads or stores any byte of
             it, or fills or evicts its line; a unit missing here keeps
             its warm state through the whole suffix.
-        delta: the golden pre-flush hierarchy against the warm snapshot
-            (:func:`~repro.memsim.snapshot.diff_hierarchy`).
-        image_delta: the golden memory bytes the suffix's stores set;
-            applied with ``dict.update``, addresses new to the image
-            follow it in first-store order, as in the golden run.
         flush_clean: whether the golden run's own flush detected nothing
             and left memory equal to the golden image.  When it did not,
             no trial skips its flush or any part of it.
@@ -139,44 +141,42 @@ class GoldenRecord:
             state's own, so pickling the state stores it once).
         checkpoints: the golden run at step 0, every
             :data:`CHECKPOINT_STEPS` steps after it, and at the end of
-            the suffix, whose delta is ``delta``.
+            the suffix, where it is the golden pre-flush state.
     """
 
     first_touch: Dict[str, Dict[int, int]]
-    delta: HierarchyDelta
-    image_delta: Dict[int, int]
     flush_clean: bool
     flush_touch: Dict[str, FrozenSet[int]] = dataclasses.field(default_factory=dict)
     base: Optional[HierarchySnapshot] = None
     checkpoints: List[GoldenCheckpoint] = dataclasses.field(default_factory=list)
 
-    def touches(self, cache: Cache, locs: Iterable[UnitLocation]) -> bool:
-        """Whether the suffix touches any of the units at ``locs``."""
-        return _any_slot(self.first_touch[cache.name], cache, locs)
-
     def checkpoints_for(
         self, cache: Cache, locs: Sequence[UnitLocation]
     ) -> Tuple[GoldenCheckpoint, List[GoldenCheckpoint]]:
-        """Where a trial struck at the units at ``locs`` of ``cache``, some
-        of which the suffix touches, resumes, and where it may rejoin.
+        """Where a trial struck at the units at ``locs`` of ``cache``
+        resumes, and where it may rejoin.
 
         It resumes at the last checkpoint at or before the first touch of
         a struck unit: up to there the golden run never read one, so the
-        trial's state is the golden one with the flips.  It may rejoin at
-        the first checkpoint after the last touch of a struck unit and at
-        the end of the suffix, or nowhere if the golden flush was not
-        clean.
+        trial's state is the golden one with the flips.  A trial whose
+        struck units the suffix never touches counts as first touched at
+        the end of the suffix: it resumes at the last checkpoint, with
+        nothing to replay and every flip inert.  Any other trial may
+        rejoin at the first checkpoint after the last touch of a struck
+        unit and at the end of the suffix, or nowhere if the golden flush
+        was not clean.
         """
         first = self.first_touch[cache.name]
         ways = cache.ways
         upb = cache.units_per_block
+        end = self.checkpoints[-1]
         slots = [
             (loc.set_index * ways + loc.way) * upb + loc.unit_index for loc in locs
         ]
-        touched = [first[slot] for slot in slots if slot in first]
+        touched = [first[slot] for slot in slots if slot in first] or [end.step]
         stops = [checkpoint.step for checkpoint in self.checkpoints]
         start = self.checkpoints[bisect_right(stops, min(touched)) - 1]
-        if not self.flush_clean:
+        if start is end or not self.flush_clean:
             return start, []
         checks = {bisect_right(stops, max(touched)), len(stops) - 1}
         return start, [self.checkpoints[i] for i in sorted(checks)]
@@ -187,17 +187,24 @@ class GoldenRecord:
         hierarchy: MemoryHierarchy,
         golden: GoldenMemory,
         replayer: TraceReplayer,
-        suffix: Sequence[TraceRecord],
     ) -> None:
         """Move a fork to ``checkpoint`` of the golden run: its state
         there (units the run has not changed keep their flips), the
-        suffix's stores before it in the golden image, and its clock."""
+        golden-image bytes the suffix's stores set before it, and its
+        clock.
+
+        The images go in window by window with ``dict.update``, so the
+        addresses new to ``golden`` follow it in first-store order, as in
+        the golden run, and bytes a trial already stored by replaying
+        part of the suffix keep their place.
+        """
         if checkpoint.delta is None:
             return
         apply_delta(checkpoint.delta, hierarchy)
-        for record in suffix[: checkpoint.step]:
-            if record.op is AccessType.STORE:
-                golden.store(record.addr, record.value)
+        for window in self.checkpoints:
+            if window.step > checkpoint.step:
+                break
+            golden.update(window.image)
         replayer.cycle = checkpoint.cycle
 
     def rejoins_at(
@@ -231,8 +238,8 @@ class GoldenRecord:
 
         Equal, the trial goes on as the golden run does, which never
         reads an inert flip, loads correct data and detects nothing, so
-        its pre-flush state is the golden one with the inert flips
-        (:meth:`settle_inert`).
+        its pre-flush state is the golden one with the inert flips: the
+        warm snapshot with those flips, resumed at the end of the suffix.
         """
         levels = hierarchy.levels()
         index = levels.index(cache)
@@ -287,45 +294,24 @@ class GoldenRecord:
                 return None
         return inert
 
-    def settle_inert(
-        self,
-        hierarchy: MemoryHierarchy,
-        golden: GoldenMemory,
-        cache: Cache,
-        inert: Sequence[BitFlip],
-    ) -> None:
-        """Move a trial that rejoined the golden run up to the ``inert``
-        flips (:meth:`rejoins_at`) to the golden pre-flush state with those
-        flips, which is where the rest of its suffix would take it.  The
-        hierarchy's statistics become the golden run's."""
-        restore_hierarchy(self.base, hierarchy)
-        self.apply(hierarchy, golden)
-        for flip in inert:
-            cache.corrupt_data(flip.loc, flip.mask)
-
     def settles_flush(self, cache: Cache, locs: Iterable[UnitLocation]) -> bool:
-        """Whether a trial that skips the suffix may settle its flush at
-        its struck lines, the units at ``locs`` of ``cache``: the golden
-        flush was clean, and no upper level's drain touches them.
+        """Whether a trial in the golden pre-flush state with flips in the
+        units at ``locs`` of ``cache`` may settle its flush at their lines:
+        the golden flush was clean, and no upper level's drain touches
+        them.
 
         Until the drain reaches a struck line it is the golden drain,
         and what the eviction of a struck line reads does not depend on
         how far the drain got
         (:func:`~repro.faults.campaign._flush_struck_lines`).
         """
-        return self.flush_clean and not _any_slot(
-            self.flush_touch[cache.name], cache, locs
+        touched = self.flush_touch[cache.name]
+        ways = cache.ways
+        upb = cache.units_per_block
+        return self.flush_clean and not any(
+            (loc.set_index * ways + loc.way) * upb + loc.unit_index in touched
+            for loc in locs
         )
-
-    def apply(self, hierarchy: MemoryHierarchy, golden: GoldenMemory) -> None:
-        """Move a fork to the golden run's pre-flush state.
-
-        Only units the suffix touched are written, so a flipped unit it
-        never touches keeps its flips: the fork then equals a fork
-        injected with the same flips that replayed the whole suffix.
-        """
-        apply_delta(self.delta, hierarchy)
-        golden.update(self.image_delta)
 
 
 class SetRecorder:
@@ -404,16 +390,6 @@ class _TouchRecorder(SetRecorder):
             first_touch.setdefault(ui, self.step)
 
 
-def _any_slot(slots, cache: Cache, locs: Iterable[UnitLocation]) -> bool:
-    """Whether any unit at ``locs`` has its slot in ``slots``."""
-    ways = cache.ways
-    upb = cache.units_per_block
-    return any(
-        (loc.set_index * ways + loc.way) * upb + loc.unit_index in slots
-        for loc in locs
-    )
-
-
 def _detections(hierarchy: MemoryHierarchy) -> int:
     return sum(level.stats.detected_faults for level in hierarchy.levels())
 
@@ -452,7 +428,8 @@ def _golden_pass(
 
     Each checkpoint's delta is the one before it brought up to date over
     the sets reached in between, so the pass diffs every set only where
-    it was reached.
+    it was reached, and its image holds the bytes the stores in between
+    set, collected as the pass replays them.
 
     None when the fault-free run itself detects a fault or loads wrong
     data, which no correct simulator does; trials then replay in full.
@@ -461,48 +438,42 @@ def _golden_pass(
     replayer = TraceReplayer(
         hierarchy, golden=golden, check_loads=True, start_cycle=state.start_cycle
     )
-    checkpoints = [GoldenCheckpoint(0, state.start_cycle, None, [])]
-    delta = None
+    checkpoints = [GoldenCheckpoint(0, state.start_cycle, None, [], {})]
+    stores = GoldenMemory()
 
-    def window() -> List[FrozenSet[int]]:
-        """The sets reached since the last call, per level."""
+    def checkpoint(step: int) -> None:
+        """Record the golden run after ``step`` steps, with the sets it
+        reached and the image bytes it stored since the checkpoint
+        before."""
         sets = [frozenset(s) for s in recorder.reached(hierarchy)]
         for level_sets in recorder.sets.values():
             level_sets.clear()
-        return sets
+        delta = diff_hierarchy(state.snapshot, hierarchy, sets, checkpoints[-1].delta)
+        checkpoints.append(
+            GoldenCheckpoint(step, replayer.cycle, delta, sets, stores.snapshot())
+        )
+        stores.restore({})
 
     detected = _detections(hierarchy)
     hierarchy.set_observer(recorder)
     try:
         for step, record in enumerate(state.suffix_records):
             if step and step % CHECKPOINT_STEPS == 0:
-                sets = window()
-                delta = diff_hierarchy(state.snapshot, hierarchy, sets, delta)
-                checkpoints.append(GoldenCheckpoint(step, replayer.cycle, delta, sets))
+                checkpoint(step)
             recorder.step = step
             if replayer.step(record):
                 return None
+            if record.op is AccessType.STORE:
+                stores.store(record.addr, record.value)
     except UncorrectableError:
         return None
     finally:
         hierarchy.set_observer(None)
     if _detections(hierarchy) != detected:
         return None
-    # The suffix's stores, replayed into an empty image: the final bytes,
-    # new addresses in the order the golden image gained them.
-    stores = GoldenMemory()
-    for record in state.suffix_records:
-        if record.op is AccessType.STORE:
-            stores.store(record.addr, record.value)
-    sets = window()
-    delta = diff_hierarchy(state.snapshot, hierarchy, sets, delta)
-    checkpoints.append(
-        GoldenCheckpoint(len(state.suffix_records), replayer.cycle, delta, sets)
-    )
+    checkpoint(len(state.suffix_records))
     golden_run = GoldenRecord(
         first_touch=recorder.first_touch,
-        delta=delta,
-        image_delta=stores.snapshot(),
         flush_clean=False,
         base=state.snapshot,
         checkpoints=checkpoints,

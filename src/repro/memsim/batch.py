@@ -345,17 +345,12 @@ class BatchReplayEngine:
         num_pairs: int = 1,
         byte_shifting: bool = True,
         num_classes: int = 8,
-        policy: str = "lru",
     ):
         if unit_bytes != WORD_BYTES:
             raise ConfigurationError(
                 "the batch engine replays 64-bit protection units only "
                 f"(unit_bytes=8); got {unit_bytes}",
                 reason="unit_bytes",
-            )
-        if policy.lower() != "lru":
-            raise ConfigurationError(
-                f"the batch engine models LRU replacement only, got {policy!r}"
             )
         if size_bytes % (ways * block_bytes):
             raise ConfigurationError(

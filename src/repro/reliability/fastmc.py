@@ -1,4 +1,4 @@
-"""Vectorized, shardable Monte-Carlo double-fault engine.
+"""Vectorized Monte-Carlo double-fault engine.
 
 :mod:`repro.reliability.montecarlo` validates the paper's ``1/(p*w)``
 collision claim with live machinery — a scalar loop that forks a dirty
@@ -24,10 +24,9 @@ every XOR in the recovery algebra.  Concretely:
 
 The engine therefore materializes the dirty-cache image **once per
 geometry** as columnar NumPy arrays (:class:`CacheImage`), samples every
-fault pair of a shard in one batch (:func:`sample_fault_pairs`, a
-counter-based Philox convention that makes the merged estimate
-bit-independent of the shard count), classifies the common cases with
-array algebra — parity syndromes via
+fault pair in one batch (:func:`sample_fault_pairs`, a counter-based
+Philox stream in which each sample's draw is fixed by its index alone),
+classifies the common cases with array algebra — parity syndromes via
 :func:`repro.memsim.batch._fold_check_words` against the actual stored
 check words, register images via
 :func:`repro.memsim.batch._rotl_bytes_u64` — and resolves the rare
@@ -45,7 +44,7 @@ identity** with the vector kernel, raising
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -90,10 +89,10 @@ CORRECTED, DUE, MISCORRECTED = 0, 1, 2
 
 #: Raw 64-bit Philox draws consumed per sample: unit_a, unit_b, bit_a,
 #: bit_b.  ``Philox.advance(n)`` skips exactly ``4 * n`` raw outputs
-#: (one counter increment yields one four-word block), so a shard
+#: (one counter increment yields one four-word block), so a range
 #: starting at global sample ``lo`` positions its stream with
-#: ``advance(lo)`` — the draw for sample ``i`` is identical no matter
-#: how the sample range is partitioned into shards.
+#: ``advance(lo)`` — the draw for sample ``i`` is identical whichever
+#: range of samples is drawn.
 RAWS_PER_SAMPLE = 4
 
 #: Geometry constants mirrored from ``montecarlo._build_dirty_cache``:
@@ -289,13 +288,12 @@ def sample_fault_pairs(seed, lo: int, hi: int, num_units: int) -> FaultPairBatch
 
     The stream is counter-based: sample ``i`` always consumes raw words
     ``4*i .. 4*i+3`` of the Philox stream keyed by
-    ``split_seed(seed, "double-fault", "fastmc")``, so any partition of
-    ``[0, samples)`` into shards draws the identical per-sample faults
-    and the merged outcome counts are bit-independent of the shard
-    count.  ``unit_b`` is drawn over ``num_units - 1`` and shifted past
-    ``unit_a``, giving a uniform ordered pair of *distinct* units (the
-    same sample space as the scalar path's ``rng.sample(locations, 2)``,
-    under an independent stream).
+    ``split_seed(seed, "double-fault", "fastmc")``, so ``[lo, hi)``
+    draws the same faults as the tail of ``[0, hi)``.  ``unit_b`` is
+    drawn over ``num_units - 1`` and shifted past ``unit_a``, giving a
+    uniform ordered pair of *distinct* units (the same sample space as
+    the scalar path's ``rng.sample(locations, 2)``, under an independent
+    stream).
     """
     if num_units < 2:
         raise ConfigurationError("need at least two units to sample pairs")
@@ -438,39 +436,6 @@ def classify_batch(image: CacheImage, batch: FaultPairBatch) -> np.ndarray:
     return outcomes
 
 
-def _shard_bounds(samples: int, shards: int) -> List[Tuple[int, int]]:
-    """Even partition of ``[0, samples)`` into ``shards`` ranges."""
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    step, extra = divmod(samples, shards)
-    bounds = []
-    lo = 0
-    for i in range(shards):
-        hi = lo + step + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return [b for b in bounds if b[0] != b[1]]
-
-
-def _shard_counts(
-    lo: int,
-    hi: int,
-    parity_ways: int,
-    num_pairs: int,
-    seed,
-    cache_bytes: int,
-) -> Tuple[int, int, int]:
-    """Outcome counts of one sample shard (picklable worker entry)."""
-    image = build_cache_image(num_pairs, parity_ways, seed, cache_bytes)
-    batch = sample_fault_pairs(seed, lo, hi, image.num_units)
-    outcomes = classify_batch(image, batch)
-    return (
-        int(np.count_nonzero(outcomes == CORRECTED)),
-        int(np.count_nonzero(outcomes == DUE)),
-        int(np.count_nonzero(outcomes == MISCORRECTED)),
-    )
-
-
 def estimate_double_fault_failure_fast(
     *,
     samples: int = 200_000,
@@ -478,37 +443,23 @@ def estimate_double_fault_failure_fast(
     num_pairs: int = 1,
     seed: int = 0,
     cache_bytes: int = 8192,
-    shards: int = 1,
-    jobs: Optional[int] = None,
 ) -> DoubleFaultEstimate:
     """Vectorized counterpart of ``estimate_double_fault_failure``.
 
     Same estimator (outcome histogram of two concurrent single-bit
     faults in distinct dirty words of a fully-dirty CPPC cache), under
-    an independent deterministic sample stream, at four to five orders
-    of magnitude more samples per second.  ``shards`` splits the sample
-    range; the counter-based stream guarantees the merged estimate is
-    bit-identical for any shard count.  ``jobs`` (> 1) fans the shards
-    out across worker processes via the
-    :class:`~repro.runtime.TrialExecutor`; per-shard seeds still come
-    from the same global stream, so results are also independent of
-    *where* a shard ran.
+    an independent deterministic sample stream
+    (:func:`sample_fault_pairs`), at four to five orders of magnitude
+    more samples per second.
     """
     estimate = DoubleFaultEstimate(samples=samples)
     _validate_geometry(parity_ways, num_pairs, cache_bytes)
-    bounds = _shard_bounds(samples, shards)
-    argses = [(lo, hi, parity_ways, num_pairs, seed, cache_bytes) for lo, hi in bounds]
-    if jobs is not None and jobs > 1 and len(argses) > 1:
-        from ..runtime import TrialExecutor
-
-        with TrialExecutor(jobs=min(jobs, len(argses))) as executor:
-            results = executor.map(_shard_counts, argses, seed=seed)
-    else:
-        results = [_shard_counts(*args) for args in argses]
-    for corrected, due, miscorrected in results:
-        estimate.corrected += corrected
-        estimate.due += due
-        estimate.miscorrected += miscorrected
+    image = build_cache_image(num_pairs, parity_ways, seed, cache_bytes)
+    batch = sample_fault_pairs(seed, 0, samples, image.num_units)
+    outcomes = classify_batch(image, batch)
+    estimate.corrected = int(np.count_nonzero(outcomes == CORRECTED))
+    estimate.due = int(np.count_nonzero(outcomes == DUE))
+    estimate.miscorrected = int(np.count_nonzero(outcomes == MISCORRECTED))
     return estimate
 
 

@@ -50,7 +50,6 @@ class CampaignRuntime:
         retry: Optional[RetryPolicy] = None,
         checkpoint_dir: Union[str, Path, None] = None,
         resume: bool = False,
-        executor: Optional[TrialExecutor] = None,
     ):
         if resume and checkpoint_dir is None:
             raise ConfigurationError(
@@ -63,7 +62,7 @@ class CampaignRuntime:
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self.resume = resume
-        self._executor = executor
+        self._executor: Optional[TrialExecutor] = None
 
     def executor(self) -> TrialExecutor:
         """The lazily created, reusable worker-lane executor."""

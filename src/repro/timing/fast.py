@@ -39,7 +39,6 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import (
-    DEFAULT_EQUIVALENCE_LIMIT,
     ConfigurationError,
     check_equivalence_mode,
     cross_checks,
@@ -407,7 +406,6 @@ def collect_run_fast(
     *,
     warmup: int = 0,
     equivalence: str = "auto",
-    equivalence_limit: int = DEFAULT_EQUIVALENCE_LIMIT,
 ) -> FastRun:
     """One batch replay -> measured events plus L1/L2 statistics.
 
@@ -429,12 +427,12 @@ def collect_run_fast(
             consumed.
         warmup: references to exclude from the front of the trace.
         equivalence: ``"auto"`` (cross-check against the scalar
-            pipeline with :func:`timing_mismatches` when the trace is
-            small), ``"always"`` or ``"never"`` — the
+            pipeline with :func:`timing_mismatches` when the trace has
+            at most :data:`~repro.errors.DEFAULT_EQUIVALENCE_LIMIT`
+            references), ``"always"`` or ``"never"`` — the
             :class:`~repro.workloads.replay.FastReplay` convention.
-        equivalence_limit: reference-count cutoff for ``"auto"``.
     """
-    check_equivalence_mode(equivalence, equivalence_limit)
+    check_equivalence_mode(equivalence)
     config.check_geometry()
     l1 = config.l1d
     engine = BatchReplayEngine(
@@ -469,7 +467,7 @@ def collect_run_fast(
         references=n_total - warmup,
         units_per_block=engine.units_per_block,
     )
-    if cross_checks(equivalence, n_total, equivalence_limit):
+    if cross_checks(equivalence, n_total):
         raise_mismatches(
             "timing fast path diverged from the scalar pipeline",
             timing_mismatches(trace, config, warmup=warmup, run=run),

@@ -240,16 +240,11 @@ def run_reliability_bench(
     """Time the vectorized vs. scalar double-fault engine; return report.
 
     Correctness first, following the other fast-path benches:
-
-    * **live equivalence** — :func:`~repro.reliability.fastmc.cross_check_live`
-      replays a randomized subset of the kernel's sampled fault pairs
-      through full ``Cache``/``CppcProtection`` recovery and compares
-      them *per sample* (the subset deliberately front-loads the rare
-      DUE/miscorrection verdicts), for the benched geometry and a
-      four-pair one;
-    * **shard-merge determinism** — the same seed estimated through one
-      shard and through four must produce the identical outcome
-      histogram, bit for bit.
+    :func:`~repro.reliability.fastmc.cross_check_live` replays a
+    randomized subset of the kernel's sampled fault pairs through full
+    ``Cache``/``CppcProtection`` recovery and compares them *per sample*
+    (the subset deliberately front-loads the rare DUE/miscorrection
+    verdicts), for the benched geometry and a four-pair one.
 
     Both paths are then timed (best of ``repeats``) on their own sample
     budgets and normalized to samples/sec before the ``mc_speedup``
@@ -264,20 +259,6 @@ def run_reliability_bench(
         fastmc.cross_check_live(num_pairs=pairs, seed=seed)
         for pairs in (MC_GEOMETRY["num_pairs"], 4)
     ]
-
-    probe = max(1, min(mc_samples, 20_000))
-    single = fastmc.estimate_double_fault_failure_fast(
-        samples=probe, seed=seed, **MC_GEOMETRY
-    )
-    sharded = fastmc.estimate_double_fault_failure_fast(
-        samples=probe, shards=4, seed=seed, **MC_GEOMETRY
-    )
-    if vars(single) != vars(sharded):
-        raise EquivalenceError(
-            f"shard merge is not deterministic: 1 shard {vars(single)!r} "
-            f"vs 4 shards {vars(sharded)!r}",
-            mismatches=[f"{vars(single)!r} != {vars(sharded)!r}"],
-        )
 
     estimate_holder = {}
 
@@ -303,7 +284,6 @@ def run_reliability_bench(
         "mode": "reliability",
         "mc_samples": mc_samples,
         "scalar_samples": scalar_samples,
-        "shards": 1,
         **MC_GEOMETRY,
         "seed": seed,
         "repeats": repeats,
@@ -321,7 +301,6 @@ def run_reliability_bench(
         "corrected": estimate.corrected,
         "due": estimate.due,
         "miscorrected": estimate.miscorrected,
-        "shard_merge_deterministic": True,
         "equivalence": equivalence,
     }
 

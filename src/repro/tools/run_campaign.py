@@ -79,15 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --fast, 'always' re-runs every trial on the legacy "
              "path and fails on any divergence (default: never)",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="profile the campaign under cProfile and print the top 20 "
-             "functions by cumulative time",
-    )
-    parser.add_argument(
-        "--profile-out", default=None, metavar="FILE",
-        help="also dump raw pstats data to FILE (implies --profile)",
-    )
     runtime = parser.add_argument_group(
         "crash-safe runtime",
         "run trials in isolated worker subprocesses with timeout, retry, "
@@ -158,19 +149,8 @@ def _summary_payload(args, result) -> dict:
     }
 
 
-def _print_profile(profiler, profile_out) -> None:
-    import pstats
-
-    stats = pstats.Stats(profiler)
-    if profile_out is not None:
-        stats.dump_stats(profile_out)
-        print(f"profile data written to {profile_out}")
-    stats.sort_stats("cumulative").print_stats(20)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    profiling = args.profile or args.profile_out is not None
     try:
         _validate_args(args)
         config = CampaignConfig(
@@ -189,40 +169,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigurationError as exc:
         return fail(f"invalid arguments: {exc}")
     registry = metrics_registry(args.emit_metrics)
-    profiler = None
-    if profiling:
-        import cProfile
-
-        profiler = cProfile.Profile()
     try:
         with open_sink(args.trace_out) as sink:
             campaign = FaultCampaign(
                 config, obs=sink, equivalence=args.fast_equivalence
             )
-            if profiler is not None:
-                profiler.enable()
-            try:
-                if _wants_runtime(args):
-                    from ..runtime import CampaignRuntime, RetryPolicy
+            if _wants_runtime(args):
+                from ..runtime import CampaignRuntime, RetryPolicy
 
-                    retry = (
-                        RetryPolicy(max_attempts=args.retries + 1)
-                        if args.retries is not None
-                        else RetryPolicy()
-                    )
-                    with CampaignRuntime(
-                        jobs=args.jobs or 1,
-                        timeout_s=args.timeout,
-                        retry=retry,
-                        checkpoint_dir=args.checkpoint_dir,
-                        resume=args.resume,
-                    ) as runtime:
-                        result = campaign.run(runtime=runtime)
-                else:
-                    result = campaign.run()
-            finally:
-                if profiler is not None:
-                    profiler.disable()
+                retry = (
+                    RetryPolicy(max_attempts=args.retries + 1)
+                    if args.retries is not None
+                    else RetryPolicy()
+                )
+                with CampaignRuntime(
+                    jobs=args.jobs or 1,
+                    timeout_s=args.timeout,
+                    retry=retry,
+                    checkpoint_dir=args.checkpoint_dir,
+                    resume=args.resume,
+                ) as runtime:
+                    result = campaign.run(runtime=runtime)
+            else:
+                result = campaign.run()
     except ReproError as exc:
         return fail(f"campaign failed: {exc}")
     if registry is not None:
@@ -238,8 +207,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 registry.counter(f"engine.warm.{warm.warm_engine}").inc()
                 if warm.warm_fallback is not None:
                     registry.counter(f"engine.warm.fallback.{warm.warm_fallback}").inc()
-    if profiler is not None:
-        _print_profile(profiler, args.profile_out)
 
     counts = result.counts
     print(f"scheme={args.scheme} benchmark={args.benchmark} "

@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Optional
 
 from ..cppc.protection import CppcProtection
 from ..errors import (
-    DEFAULT_EQUIVALENCE_LIMIT,
     SimulationError,
     check_equivalence_mode,
     cross_checks,
@@ -175,8 +174,9 @@ class FastReplay:
     configuration :mod:`repro.memsim.batch` vectorizes).  Equivalence
     modes:
 
-    * ``"auto"`` (default) — traces of at most ``equivalence_limit``
-      references are *also* replayed through the scalar ``Cache`` and the
+    * ``"auto"`` (default) — traces of at most
+      :data:`~repro.errors.DEFAULT_EQUIVALENCE_LIMIT` references are
+      *also* replayed through the scalar ``Cache`` and the
       results compared word-for-word; longer traces run batch-only.
     * ``"always"`` / ``"never"`` — force either behaviour.
 
@@ -185,7 +185,6 @@ class FastReplay:
         num_pairs / byte_shifting / num_classes: CPPC register
             configuration (as :class:`~repro.cppc.CppcProtection`).
         equivalence: cross-check mode.
-        equivalence_limit: reference-count cutoff for ``"auto"``.
         obs: optional :class:`repro.obs.TraceSink`; the engine emits
             per-chunk spans into it, and the run/cross-check phases get
             spans of their own.  Trace emission never feeds back into
@@ -202,10 +201,9 @@ class FastReplay:
         byte_shifting: bool = True,
         num_classes: int = 8,
         equivalence: str = "auto",
-        equivalence_limit: int = DEFAULT_EQUIVALENCE_LIMIT,
         obs=None,
     ):
-        check_equivalence_mode(equivalence, equivalence_limit)
+        check_equivalence_mode(equivalence)
         self.engine = BatchReplayEngine(
             size_bytes,
             ways,
@@ -220,7 +218,6 @@ class FastReplay:
         self.byte_shifting = byte_shifting
         self.num_classes = num_classes
         self.equivalence = equivalence
-        self.equivalence_limit = equivalence_limit
 
     def scalar_cache(self) -> Cache:
         """A fresh scalar cache configured identically to the engine."""
@@ -263,7 +260,7 @@ class FastReplay:
             stores=batch.stores,
             instructions=batch.instructions,
         )
-        check = cross_checks(self.equivalence, batch.references, self.equivalence_limit)
+        check = cross_checks(self.equivalence, batch.references)
         if obs is not None:
             obs.span(
                 "replay",

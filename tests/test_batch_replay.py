@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    DEFAULT_EQUIVALENCE_LIMIT,
     AlignmentError,
     ConfigurationError,
     EquivalenceError,
@@ -91,10 +92,6 @@ class TestEngineConfiguration:
         with pytest.raises(ConfigurationError):
             BatchReplayEngine(1024, 2, 32, unit_bytes=32)
 
-    def test_rejects_non_lru_policy(self):
-        with pytest.raises(ConfigurationError):
-            BatchReplayEngine(1024, 2, 32, policy="fifo")
-
     def test_rejects_bad_geometry(self):
         with pytest.raises(ConfigurationError):
             BatchReplayEngine(1000, 3, 32)
@@ -153,15 +150,13 @@ class TestScalarEquivalence:
 
 class TestFastReplay:
     def test_auto_mode_checks_small_traces(self):
-        result = FastReplay(equivalence="auto", equivalence_limit=64).run(
-            workload_records(n=50)
-        )
+        records = workload_records(n=DEFAULT_EQUIVALENCE_LIMIT)
+        result = FastReplay(equivalence="auto").run(records)
         assert result.checked
 
     def test_auto_mode_skips_long_traces(self):
-        result = FastReplay(equivalence="auto", equivalence_limit=64).run(
-            workload_records(n=200)
-        )
+        records = workload_records(n=DEFAULT_EQUIVALENCE_LIMIT + 1)
+        result = FastReplay(equivalence="auto").run(records)
         assert not result.checked
 
     def test_never_mode_skips(self):
@@ -171,10 +166,6 @@ class TestFastReplay:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigurationError):
             FastReplay(equivalence="sometimes")
-
-    def test_rejects_negative_limit(self):
-        with pytest.raises(ConfigurationError):
-            FastReplay(equivalence_limit=-1)
 
     def test_divergence_raises_with_mismatches(self, monkeypatch):
         from repro.memsim import batch as batch_module

@@ -239,7 +239,10 @@ class TestGoldenRecord:
                 warmup_references=5000,
             )
         )
-        assert state.golden_record is not None
+        record = state.golden_record
+        assert record is not None
+        end = record.checkpoints[-1]
+        assert end.step == len(state.suffix_records)
         runs = []
         for replay in (True, False):
             hierarchy, golden, replayer = state.fork()
@@ -247,15 +250,21 @@ class TestGoldenRecord:
             loc = untouched_unit(state, target)
             target.corrupt_data(loc, 0b1011 << 3)
             if replay:
-                for record in state.suffix_records:
-                    assert not replayer.step(record)
+                for r in state.suffix_records:
+                    assert not replayer.step(r)
             else:
-                state.golden_record.apply(hierarchy, golden)
-            runs.append((hierarchy, golden))
-        (replayed, replayed_golden), (applied, applied_golden) = runs
-        assert snapshot_hierarchy(applied) == snapshot_hierarchy(replayed)
-        assert list(applied.memory._blocks) == list(replayed.memory._blocks)
-        assert list(applied_golden.items()) == list(replayed_golden.items())
+                # A skipped trial resumes at the end checkpoint, whose
+                # delta is the golden pre-flush state, with nothing left
+                # to replay and its flip kept.
+                checkpoint, inert = record.checkpoints_for(target, [loc])
+                assert (checkpoint, inert) == (end, [])
+                record.resume(checkpoint, hierarchy, golden, replayer)
+            runs.append((hierarchy, golden, replayer))
+        (replayed, replayed_golden, one), (resumed, resumed_golden, other) = runs
+        assert snapshot_hierarchy(resumed) == snapshot_hierarchy(replayed)
+        assert list(resumed.memory._blocks) == list(replayed.memory._blocks)
+        assert list(resumed_golden.items()) == list(replayed_golden.items())
+        assert other.cycle == one.cycle
 
     @pytest.mark.parametrize("bench", ["gcc", "mcf"])
     def test_every_changed_resident_unit_is_touched(self, bench):
@@ -266,7 +275,9 @@ class TestGoldenRecord:
         record = state.golden_record
         hierarchy = MemoryHierarchy(protection_factory=scheme_factory("cppc"))
         for snap, delta, cache in zip(
-            state.snapshot.caches, record.delta.caches, hierarchy.levels()
+            state.snapshot.caches,
+            record.checkpoints[-1].delta.caches,
+            hierarchy.levels(),
         ):
             touched = record.first_touch[cache.name]
             upb = cache.units_per_block
@@ -343,20 +354,21 @@ class TestGoldenCheckpoints:
         every = warmstate_mod.CHECKPOINT_STEPS
         steps = [checkpoint.step for checkpoint in record.checkpoints]
         assert steps == [0, every, 2 * every, 3 * every, 350]
-        assert record.checkpoints[-1].delta is record.delta
+        end = record.checkpoints[-1]
         for checkpoint in record.checkpoints[1:]:
             runs = []
             for replay in (True, False):
                 hierarchy, golden, replayer = state.fork()
                 target = hierarchy.l1d if level == "L1D" else hierarchy.l2
-                target.corrupt_data(untouched_unit(state, target), 0b1011 << 3)
+                loc = untouched_unit(state, target)
+                target.corrupt_data(loc, 0b1011 << 3)
                 if replay:
                     for r in state.suffix_records[: checkpoint.step]:
                         assert not replayer.step(r)
                 else:
-                    record.resume(
-                        checkpoint, hierarchy, golden, replayer, state.suffix_records
-                    )
+                    # An untouched trial resumes at the end of the suffix.
+                    assert record.checkpoints_for(target, [loc]) == (end, [])
+                    record.resume(checkpoint, hierarchy, golden, replayer)
                 runs.append((hierarchy, golden, replayer))
             (replayed, replayed_golden, one), (resumed, resumed_golden, other) = runs
             assert snapshot_hierarchy(resumed) == snapshot_hierarchy(replayed)
@@ -383,14 +395,16 @@ class TestGoldenCheckpoints:
         # An 8x8 strike leaves flips in units the suffix never touches;
         # a trial whose touched units were corrected rejoins the golden
         # run up to those flips and settles its flush at their lines.
-        settled = []
-        settle_inert = warmstate_mod.GoldenRecord.settle_inert
+        inert_flips = []
+        rejoins_at = warmstate_mod.GoldenRecord.rejoins_at
 
-        def spy(self, hierarchy, golden, cache, inert):
-            settled.append(len(inert))
-            return settle_inert(self, hierarchy, golden, cache, inert)
+        def spy(self, *args):
+            inert = rejoins_at(self, *args)
+            if inert:
+                inert_flips.append(len(inert))
+            return inert
 
-        monkeypatch.setattr(warmstate_mod.GoldenRecord, "settle_inert", spy)
+        monkeypatch.setattr(warmstate_mod.GoldenRecord, "rejoins_at", spy)
         config = shared_config(
             scheme_factory=scheme_factory(scheme),
             benchmark="mcf",
@@ -403,18 +417,20 @@ class TestGoldenCheckpoints:
         )
         legacy, fast = run_both(config)
         assert_identical(legacy, fast)
-        assert settled and all(settled)
-        assert fast.settled["rejoined"] >= len(settled)
+        assert inert_flips
+        assert fast.settled["rejoined"] >= len(inert_flips)
 
     def test_inert_flips_reach_the_flush(self, monkeypatch):
-        # Dropping the inert flips from the settled state loses what the
-        # flush of their lines detects.
-        def settle_without_flips(self, hierarchy, golden, cache, inert):
-            warmstate_mod.restore_hierarchy(self.base, hierarchy)
-            self.apply(hierarchy, golden)
+        # A rejoin that drops its inert flips classifies the trial at once
+        # and loses what the flush of their lines detects.
+        rejoins_at = warmstate_mod.GoldenRecord.rejoins_at
+
+        def rejoin_without_flips(self, *args):
+            inert = rejoins_at(self, *args)
+            return None if inert is None else []
 
         monkeypatch.setattr(
-            warmstate_mod.GoldenRecord, "settle_inert", settle_without_flips
+            warmstate_mod.GoldenRecord, "rejoins_at", rejoin_without_flips
         )
         config = shared_config(
             scheme_factory=scheme_factory("secded"),
@@ -434,7 +450,7 @@ class TestGoldenCheckpoints:
         record = state.golden_record
         start, check = record.checkpoints[1:3]
         hierarchy, golden, replayer = state.fork()
-        record.resume(start, hierarchy, golden, replayer, state.suffix_records)
+        record.resume(start, hierarchy, golden, replayer)
         recorder = warmstate_mod.SetRecorder(hierarchy)
         hierarchy.set_observer(recorder)
         for r in state.suffix_records[start.step : check.step]:
@@ -657,9 +673,9 @@ class TestWarmCache:
 
 
 class TestTrialFootprint:
-    """Forks, with the golden delta applied, allocate a bounded number of
-    collector-tracked objects, and a finished trial's hierarchy is freed
-    by reference counting alone."""
+    """Forks, resumed at the end of the golden suffix, allocate a bounded
+    number of collector-tracked objects, and a finished trial's hierarchy
+    is freed by reference counting alone."""
 
     @pytest.mark.parametrize("bench,warmup", [("gcc", 2000), ("mcf", 5000)])
     def test_fork_allocates_a_bounded_number_of_tracked_objects(self, bench, warmup):
@@ -670,8 +686,9 @@ class TestTrialFootprint:
         gc.disable()
         try:
             before = len(gc.get_objects())
-            hierarchy, golden, _replayer = state.fork()
-            state.golden_record.apply(hierarchy, golden)
+            hierarchy, golden, replayer = state.fork()
+            record = state.golden_record
+            record.resume(record.checkpoints[-1], hierarchy, golden, replayer)
             allocated = len(gc.get_objects()) - before
         finally:
             gc.enable()

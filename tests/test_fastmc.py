@@ -1,4 +1,4 @@
-"""Tests for the vectorized sharded Monte-Carlo engine (fastmc)."""
+"""Tests for the vectorized Monte-Carlo engine (fastmc)."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,6 @@ from repro.reliability.fastmc import (
     replay_pairs_live,
     sample_fault_pairs,
 )
-
-
-def _counts(estimate):
-    return (estimate.corrected, estimate.due, estimate.miscorrected)
 
 
 class TestCacheImage:
@@ -88,27 +84,6 @@ class TestSampleFaultPairs:
             sample_fault_pairs(0, 0, 10, 1)
 
 
-class TestShardDeterminism:
-    @pytest.mark.parametrize("shards", [2, 8])
-    def test_merged_estimate_independent_of_shard_count(self, shards):
-        base = estimate_double_fault_failure_fast(samples=4000, seed=11, shards=1)
-        sharded = estimate_double_fault_failure_fast(
-            samples=4000, seed=11, shards=shards
-        )
-        assert _counts(base) == _counts(sharded)
-
-    def test_multiprocess_fanout_matches_inline(self):
-        inline = estimate_double_fault_failure_fast(samples=3000, seed=4, shards=2)
-        fanned = estimate_double_fault_failure_fast(
-            samples=3000, seed=4, shards=2, jobs=2
-        )
-        assert _counts(inline) == _counts(fanned)
-
-    def test_outcomes_partition_samples(self):
-        est = estimate_double_fault_failure_fast(samples=2500, seed=6)
-        assert est.corrected + est.due + est.miscorrected == est.samples
-
-
 class TestLiveEquivalence:
     @pytest.mark.parametrize("num_pairs", [1, 2, 4, 8])
     @pytest.mark.parametrize("parity_ways", [4, 8])
@@ -175,6 +150,10 @@ class TestLiveEquivalence:
 
 
 class TestStatistics:
+    def test_outcomes_partition_samples(self):
+        est = estimate_double_fault_failure_fast(samples=2500, seed=6)
+        assert est.corrected + est.due + est.miscorrected == est.samples
+
     def test_rate_tracks_analytic(self):
         for num_pairs in (1, 2, 4, 8):
             est = estimate_double_fault_failure_fast(
@@ -201,5 +180,3 @@ class TestStatistics:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             estimate_double_fault_failure_fast(samples=0)
-        with pytest.raises(ConfigurationError):
-            estimate_double_fault_failure_fast(samples=10, shards=0)

@@ -62,7 +62,6 @@ CASES = {
             "mode",
             "mc_samples",
             "scalar_samples",
-            "shards",
             "num_pairs",
             "parity_ways",
             "cache_bytes",
@@ -80,7 +79,6 @@ CASES = {
             "corrected",
             "due",
             "miscorrected",
-            "shard_merge_deterministic",
             "equivalence",
         },
         {"bench.mc_speedup", "bench.mc_samples_per_sec"},

@@ -15,7 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, EquivalenceError
+from repro.errors import (
+    DEFAULT_EQUIVALENCE_LIMIT,
+    ConfigurationError,
+    EquivalenceError,
+)
 from repro.memsim import PAPER_CONFIG, HierarchyConfig, MemoryHierarchy
 from repro.timing import (
     TIMING_POLICIES,
@@ -147,16 +151,11 @@ class TestCollectFast:
         with pytest.raises(ConfigurationError):
             collect_run_fast([], PAPER_CONFIG, equivalence="sometimes")
 
-    def test_rejects_negative_equivalence_limit(self):
-        # Regression: a negative limit was accepted and silently turned
-        # "auto" into "never".
-        with pytest.raises(ConfigurationError):
-            collect_run_fast([], PAPER_CONFIG, equivalence_limit=-1)
-
     def test_auto_mode_checks_at_the_limit_and_skips_above(self, monkeypatch):
         from repro.timing import fast as fast_module
 
-        records = list(make_workload("gzip", seed=2).records(121))
+        limit = DEFAULT_EQUIVALENCE_LIMIT
+        records = list(make_workload("gzip", seed=2).records(limit + 1))
         original = fast_module._dirty_flags
         monkeypatch.setattr(
             fast_module,
@@ -164,14 +163,10 @@ class TestCollectFast:
             lambda stores, warmup, n: np.zeros_like(original(stores, warmup, n)),
         )
         with pytest.raises(EquivalenceError) as excinfo:
-            collect_run_fast(
-                records[:120], PAPER_CONFIG, equivalence="auto", equivalence_limit=120
-            )
+            collect_run_fast(records[:limit], PAPER_CONFIG, equivalence="auto")
         assert excinfo.value.mismatches
-        run = collect_run_fast(
-            records, PAPER_CONFIG, equivalence="auto", equivalence_limit=120
-        )
-        assert run.references == 121
+        run = collect_run_fast(records, PAPER_CONFIG, equivalence="auto")
+        assert run.references == limit + 1
 
     def test_comparison_prices_every_scheme(self, monkeypatch):
         from repro.timing import fast as fast_module
