@@ -66,6 +66,13 @@ class PhysicalGeometry:
             raise ConfigurationError(f"unit index {loc.unit_index} out of range")
         return loc.set_index * self.units_per_block + loc.unit_index
 
+    def rows_of_slots(self, slots):
+        """:meth:`row_of` for unit slots as :class:`~repro.memsim.Cache`
+        numbers them (``(set_index * ways + way) * units_per_block +
+        unit_index``), elementwise over an integer array."""
+        upb = self.units_per_block
+        return slots // (self.ways * upb) * upb + slots % upb
+
     def loc_of(self, way: int, row: int) -> UnitLocation:
         """Inverse of :meth:`row_of` for a given way."""
         if not 0 <= way < self.ways:

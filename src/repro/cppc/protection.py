@@ -29,7 +29,7 @@ from ..memsim.types import UnitLocation
 from ..obs.trail import DEFAULT_TRAIL_MAXLEN, RecoveryAuditTrail, audit_payload
 from ..util import parity
 from .geometry import PhysicalGeometry
-from .recovery import RecoveryReport, recover
+from .recovery import DirtyScan, RecoveryReport, recover
 from .registers import RegisterFile
 from .shifting import RotationScheme
 
@@ -65,12 +65,9 @@ class CppcProtection(CodedProtection):
         num_pairs: int = 1,
         byte_shifting: bool = True,
         num_classes: int = 8,
-        code: Optional[InterleavedParity] = None,
         audit_maxlen: int = DEFAULT_TRAIL_MAXLEN,
     ):
-        super().__init__(
-            code or InterleavedParity(data_bits=data_bits, ways=parity_ways)
-        )
+        super().__init__(InterleavedParity(data_bits=data_bits, ways=parity_ways))
         if byte_shifting and self.code.ways != 8:
             raise ConfigurationError(
                 "byte shifting requires 8-way interleaved parity "
@@ -238,19 +235,18 @@ class CppcProtection(CodedProtection):
         if which not in ("r1", "r2"):
             raise ConfigurationError(f"register must be 'r1' or 'r2', not {which}")
         pair = self.registers.pairs[pair_index]
-        dirty_xor = 0
-        stored_check = self.cache.stored_check
-        for loc, value in self.cache.iter_dirty_units():
+        scan = DirtyScan(self)
+        for loc, value, check in scan.flagged():
             cls = self.class_of(loc)
             if self.registers.pair_index_of_class(cls) != pair_index:
                 continue
-            if self.inspect(value, stored_check(loc)).detected:
+            if self.inspect(value, check).detected:
                 raise UncorrectableError(
                     "cppc: cannot rebuild a faulty register while dirty "
                     f"word {loc} is itself faulty (Section 4.9 caveat)",
                     detail=loc,
                 )
-            dirty_xor ^= self.rotation.rotate_in(value, cls)
+        dirty_xor = scan.rotated_xor(pair_index)
         if which == "r1":
             pair.r1 = dirty_xor ^ pair.r2
             pair.r1_parity = parity(pair.r1)
@@ -270,12 +266,7 @@ class CppcProtection(CodedProtection):
     # ------------------------------------------------------------------
     def dirty_xor_expected(self, pair_index: int) -> int:
         """XOR of rotated dirty values the pair *should* hold (testing)."""
-        acc = 0
-        for loc, value in self.cache.iter_dirty_units():
-            cls = self.class_of(loc)
-            if self.registers.pair_index_of_class(cls) == pair_index:
-                acc ^= self.rotation.rotate_in(value, cls)
-        return acc
+        return DirtyScan(self).rotated_xor(pair_index)
 
     @property
     def storage_overhead_bits(self) -> int:

@@ -3,11 +3,15 @@
 Entry point: :func:`recover`, invoked by the CPPC protection scheme when a
 parity check fails on a *dirty* unit.  The procedure follows the paper:
 
-1. Scan every dirty unit in the cache, checking parity, to find all
+1. Check the parity of every dirty unit in the cache to find all
    concurrently faulty dirty units (step 1 / step 3 of Section 4.4).
+   :class:`DirtyScan` does this in one NumPy pass over the cache's dirty
+   units, and only the units it flags are inspected one by one.
 2. Per register pair, compute the residue
    ``R3 = R1 ^ R2 ^ XOR(rotated dirty values)`` — the XOR of the rotated
-   error patterns of the faulty units in that pair's domain.
+   error patterns of the faulty units in that pair's domain.  The same
+   scan folds each rotation class's dirty units and rotates the fold
+   once.
 3. Resolve each pair's faults:
 
    * exactly one faulty unit  → its error is ``rotate_out(R3)`` (steps
@@ -32,11 +36,14 @@ unit to the cache.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from ..errors import FaultLocatorError, SimulationError, UncorrectableError
 from ..memsim.types import UnitLocation
-from ..util import xor_reduce
+from ..util import mask
 from .locator import FaultLocator, FaultyUnit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,7 +81,7 @@ class RecoveryReport:
     #: Cost-model count of the units a hardware recovery reads: every
     #: valid unit, the dominant cost of the Section 4.4 procedure.  It
     #: is computed from the resident-unit count; the simulated scan
-    #: itself visits only the dirty units.
+    #: reads only the dirty units, in bulk (:class:`DirtyScan`).
     units_scanned: int = 0
     #: Per-pair audit slices, in resolution order.
     pair_audits: List[PairAudit] = dataclasses.field(default_factory=list)
@@ -112,16 +119,14 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
         register_repairs=scheme.register_repairs - repairs_before,
     )
 
-    # Step 1/3: scan all dirty units, grouping by register pair and
-    # collecting the ones whose parity check fails.
-    dirty_by_pair: Dict[int, List[Tuple[UnitLocation, int, int]]] = {}
+    # Step 1/3: check every dirty unit, collecting the faulty ones by
+    # register pair.
+    scan = DirtyScan(scheme)
     faulty_by_pair: Dict[int, List[FaultyUnit]] = {}
-    stored_check = cache.stored_check
-    for loc, value in cache.iter_dirty_units():
+    for loc, value, check in scan.flagged():
         cls = scheme.class_of(loc)
         pair_index = scheme.registers.pair_index_of_class(cls)
-        dirty_by_pair.setdefault(pair_index, []).append((loc, value, cls))
-        inspection = scheme.inspect(value, stored_check(loc))
+        inspection = scheme.inspect(value, check)
         if inspection.detected:
             faulty_by_pair.setdefault(pair_index, []).append(
                 FaultyUnit(
@@ -152,13 +157,10 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
         )
 
     # Step 2: per-pair residues, then resolution.
+    stored_check = cache.stored_check
     for pair_index, faulty in faulty_by_pair.items():
         pair = scheme.registers.pairs[pair_index]
-        rotated_dirty = (
-            scheme.rotation.rotate_in(value, cls)
-            for _loc, value, cls in dirty_by_pair.get(pair_index, [])
-        )
-        r3 = pair.dirty_xor ^ xor_reduce(rotated_dirty)
+        r3 = pair.dirty_xor ^ scan.rotated_xor(pair_index)
         if obs is not None:
             obs.emit(
                 "cppc.recovery",
@@ -226,6 +228,111 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
         if loc != trigger:
             cache.repair_unit(loc, new)
     return report
+
+
+class DirtyScan:
+    """Every dirty unit of a CPPC cache, read once and checked in bulk.
+
+    Section 4.4 reads the dirty units twice: step 1 checks each one's
+    parity, and step 2 XORs each pair's rotated dirty values against
+    ``R1 ^ R2``.  Both are XOR-linear.  A unit's parity syndrome is the
+    XOR of its ``ways``-bit chunks against its check word, and a byte
+    rotation distributes over XOR, so a pair's rotated XOR is the XOR,
+    over its rotation classes, of one rotation of each class's XOR.  So
+    both run as NumPy passes over :meth:`Cache.dirty_unit_arrays
+    <repro.memsim.Cache.dirty_unit_arrays>`, and only the units the
+    parity pass flags come back as Python values, for
+    :meth:`CppcProtection.inspect` to judge.  Recovery, register repair
+    (Section 4.9) and :meth:`CppcProtection.dirty_xor_expected` all read
+    the cache through it.
+    """
+
+    def __init__(self, scheme: "CppcProtection"):
+        self.scheme = scheme
+        self.slots, self.data, self.checks = scheme.cache.dirty_unit_arrays()
+        rows = scheme.geometry.rows_of_slots(self.slots)
+        self.classes = rows % scheme.rotation.num_classes
+
+    def flagged(self) -> Iterator[Tuple[UnitLocation, int, int]]:
+        """``(location, value, stored check)`` of every dirty unit whose
+        check word disagrees with its data, in
+        :meth:`~repro.memsim.Cache.iter_dirty_units` order.
+
+        A stored check word outside the code's range is flagged too, so
+        that ``inspect`` raises for it at the same unit as a
+        unit-by-unit walk would.
+        """
+        ways = self.scheme.code.ways
+        width = max(1, ways // 8)
+        checks = self.checks
+        wild: List[int] = []
+        try:
+            stored = _word_bytes(checks, width)
+        except (ValueError, OverflowError):
+            top = mask(ways)
+            wild = [i for i, c in enumerate(checks) if not 0 <= c <= top]
+            stored = _word_bytes([c if 0 <= c <= top else 0 for c in checks], width)
+        stored_words = np.frombuffer(stored, dtype=np.uint8).reshape(-1, width)
+        syndromes = _check_words(self.data, ways) ^ stored_words
+        hits = np.flatnonzero(syndromes.any(axis=1)).tolist()
+        if wild:
+            hits = sorted(set(hits).union(wild))
+        slot_location = self.scheme.cache.slot_location
+        for i in hits:
+            yield (
+                slot_location(int(self.slots[i])),
+                int.from_bytes(self.data[i].tobytes(), "big"),
+                checks[i],
+            )
+
+    def rotated_xor(self, pair_index: int) -> int:
+        """XOR of the rotated values of the pair's dirty units: what the
+        pair's ``R1 ^ R2`` holds when no dirty unit is faulty."""
+        scheme = self.scheme
+        rotation = scheme.rotation
+        acc = np.zeros(self.data.shape[1], dtype=np.uint8)
+        for cls in range(rotation.num_classes):
+            if scheme.registers.pair_index_of_class(cls) != pair_index:
+                continue
+            fold = np.bitwise_xor.reduce(self.data[self.classes == cls], axis=0)
+            acc ^= _rotl_row(fold, cls) if rotation.enabled else fold
+        return int.from_bytes(acc.tobytes(), "big")
+
+
+def _word_bytes(words: List[int], width: int) -> bytes:
+    """``width``-byte MSB-first encodings of ``words``, concatenated;
+    raises ``ValueError`` or ``OverflowError`` for a word that does not
+    fit."""
+    if width == 1:
+        return bytes(words)
+    return b"".join(map(int.to_bytes, words, repeat(width), repeat("big")))
+
+
+def _check_words(data: np.ndarray, ways: int) -> np.ndarray:
+    """``InterleavedParity(ways).encode`` of every row of ``data``, as
+    MSB-first bytes: ``(n, ways // 8)`` for ``ways >= 8``, else ``(n, 1)``.
+
+    A check word is the XOR of its unit's ``ways``-bit chunks (see
+    :mod:`repro.coding.parity`).  From eight ways up the chunks are
+    ``ways // 8``-byte columns; below, the XOR of the bytes is folded on
+    down to ``ways`` bits, as ``fastmc._fold_parity_words`` does.
+    """
+    rows, unit_bytes = data.shape
+    width = max(1, ways // 8)
+    folded = np.bitwise_xor.reduce(
+        data.reshape(rows, unit_bytes // width, width), axis=1
+    )
+    bits = 8
+    while bits > ways:
+        bits //= 2
+        folded = (folded ^ folded >> bits) & mask(bits)
+    return folded
+
+
+def _rotl_row(row: np.ndarray, count: int) -> np.ndarray:
+    """``rotl_bytes`` of one MSB-first byte row: byte ``j`` takes byte
+    ``(j + count) mod len(row)``."""
+    return np.roll(row, -count)
 
 
 def _resolve_pair(

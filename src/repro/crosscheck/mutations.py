@@ -143,6 +143,19 @@ def _audit_zero_residue() -> List[Patch]:
     return [(protection, "audit_payload", zeroed)]
 
 
+def _scan_rotl_off_by_one() -> List[Patch]:
+    """The recovery scan rotates each class's XOR one byte too far, so
+    every residue carries the dirty words' misrotated fold."""
+    from ..cppc import recovery
+
+    original = recovery._rotl_row
+
+    def rotl(row, count):
+        return original(row, count + 1)
+
+    return [(recovery, "_rotl_row", rotl)]
+
+
 def _fast_timing_shadow_leak() -> List[Patch]:
     """Fast backlog resolver drops the miss-shadow drain (scalar keeps it)."""
     from ..timing import fast
@@ -219,6 +232,12 @@ MUTATIONS: Dict[str, Mutation] = {
             "audit_payload records residue=0 for every pair",
             ("recovery",),
             _audit_zero_residue,
+        ),
+        Mutation(
+            "scan-rotl-off-by-one",
+            "recovery scan rotates each class's XOR count+1 bytes",
+            ("recovery",),
+            _scan_rotl_off_by_one,
         ),
         Mutation(
             "analytic-inflate",

@@ -35,6 +35,8 @@ import struct
 from itertools import compress
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError, SimulationError, UncorrectableError
 from .address import AddressMapper
 from .protection import (
@@ -402,8 +404,9 @@ class Cache:
 
         ``itertools.compress`` filters the flat dirty list, so the
         Python-level work is per dirty unit, not per resident unit
-        (invalid lines hold only clean units).  It is the one dirty walk:
-        CPPC recovery, register repair and the register check read it.
+        (invalid lines hold only clean units).  Fault injection and the
+        fuzz oracles pick dirty sites from it; CPPC's recovery scan reads
+        the same units in bulk through :meth:`dirty_unit_arrays`.
         """
         ways = self.ways
         upb = self.units_per_block
@@ -417,6 +420,24 @@ class Cache:
                 UnitLocation(set_index, way, u),
                 int.from_bytes(data[off : off + ub], "big"),
             )
+
+    def dirty_unit_arrays(self) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+        """The dirty units in :meth:`iter_dirty_units` order, in bulk.
+
+        Returns their unit slots (an ``int64`` array), their bytes (an
+        ``(n, unit_bytes)`` ``uint8`` matrix, each row MSB first) and
+        their stored check words.  :meth:`slot_location` names a slot.
+        """
+        dirty = self._dirty
+        slots = np.flatnonzero(np.frombuffer(bytearray(dirty), dtype=np.uint8))
+        units = np.frombuffer(self._data, dtype=np.uint8).reshape(-1, self.unit_bytes)
+        return slots, units[slots], list(compress(self._check, dirty))
+
+    def slot_location(self, ui: int) -> UnitLocation:
+        """Location of the unit in slot ``ui``."""
+        line, u = divmod(ui, self.units_per_block)
+        set_index, way = divmod(line, self.ways)
+        return UnitLocation(set_index, way, u)
 
     def resident_locations(self) -> Sequence[UnitLocation]:
         """Locations of all valid units (fault-site sampling), in

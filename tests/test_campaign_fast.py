@@ -770,6 +770,22 @@ class TestOutcomePins:
             {"benign"},
             "6b9e63e165d91e43848663eec56276bbe414723b7e53bdbf0804b5f6a7d8c347",
         ),
+        # Two recoveries of 256-bit L2 units; taken before the recovery
+        # scan became one NumPy pass.
+        "cppc-l2-spatial-8x8": (
+            dict(
+                scheme="cppc",
+                target_level="L2",
+                fault_kind="spatial",
+                spatial_shape=(8, 8),
+                benchmark="mcf",
+                warmup_references=3000,
+                trials=8,
+                seed=0,
+            ),
+            {"benign", "corrected"},
+            "cf49e0bec628d2340858f541283e46bbba0fe9e86e128fb7055f48e217b6a818",
+        ),
         "parity-dirty-only": (
             dict(scheme="parity", dirty_only=True),
             {"benign", "due"},

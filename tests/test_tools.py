@@ -383,6 +383,14 @@ class TestGenDocs:
                        "RegisterPair", "CacheEnergyModel"):
             assert symbol in text
 
+    def test_output_is_byte_stable(self):
+        """Callable defaults render by name, not by memory address."""
+        from repro.tools import gen_docs
+
+        text = gen_docs.generate()
+        assert " at 0x" not in text
+        assert "protection_factory: 'ProtectionFactory' = _no_protection" in text
+
 
 class TestRunScorecard:
     def test_scorecard_cli(self, capsys, monkeypatch):
