@@ -152,7 +152,9 @@ class BatchTrace:
         ``raw`` carries each store's value bytes as a right-aligned
         big-endian integer (zero for loads); :meth:`from_records` packs
         through here.  Input arrays of the right dtype are adopted
-        without copying.
+        without copying.  Besides :meth:`validate`'s checks, a load
+        with a value or a store value wider than its size raises
+        :class:`~repro.errors.TraceFormatError`.
         """
         addr = np.asarray(addr, dtype=np.int64)
         size = np.asarray(size, dtype=np.int64)
@@ -169,6 +171,10 @@ class BatchTrace:
             value_mask=np.zeros(n, dtype=np.uint64),
         )
         trace.validate()
+        if bool(np.any(raw[~is_store])):
+            raise TraceFormatError("load records carry no value")
+        if bool(np.any(raw & ~_SIZE_MASKS[size])):
+            raise TraceFormatError("store value is wider than its access size")
         # A store of `size` bytes lands at byte offset `addr mod 8` of its
         # big-endian unit: left-shift the value and an all-ones byte mask
         # into position, in bulk.
@@ -198,36 +204,46 @@ class BatchTrace:
         Inverse of :meth:`from_records`: store values are recovered by
         shifting each positioned unit word back down to its raw bytes,
         so ``BatchTrace.from_records(t.to_records())`` is bit-identical
-        to ``t``.
+        to ``t``.  The columns pass :meth:`validate` first, which covers
+        every check of ``TraceRecord.__post_init__`` (a store's value
+        has its size in bytes by construction), so each record's fields
+        are set as the dataclass's ``__init__`` sets them, without
+        running those checks again per record.
         """
         from ..workloads.trace import TraceRecord
 
+        self.validate()
         shift = (8 * (WORD_BYTES - (self.addr & 7) - self.size)).astype(
             np.uint64
         )
-        raw = (self.value_word >> shift).tolist()
+        new = object.__new__
+        put = object.__setattr__
+        load, store = AccessType.LOAD, AccessType.STORE
         records = []
+        append = records.append
         for a, s, st, g, v in zip(
             self.addr.tolist(),
             self.size.tolist(),
             self.is_store.tolist(),
             self.gap.tolist(),
-            raw,
+            (self.value_word >> shift).tolist(),
         ):
-            if st:
-                records.append(
-                    TraceRecord(
-                        AccessType.STORE, a, s, g, int(v).to_bytes(s, "big")
-                    )
-                )
-            else:
-                records.append(TraceRecord(AccessType.LOAD, a, s, g))
+            record = new(TraceRecord)
+            put(record, "op", store if st else load)
+            put(record, "addr", a)
+            put(record, "size", s)
+            put(record, "gap", g)
+            put(record, "value", v.to_bytes(s, "big") if st else b"")
+            append(record)
         return records
 
     def validate(self) -> None:
-        """Bulk-check the single-unit access preconditions."""
+        """Bulk-check the single-unit access preconditions and the
+        gaps."""
         if len(self) and int(self.addr.min()) < 0:
             raise TraceFormatError("batch trace addresses must be non-negative")
+        if len(self) and int(self.gap.min()) < 0:
+            raise TraceFormatError("record gap must be non-negative")
         sizes = self.size
         if len(self) and (
             int(sizes.min()) < 1

@@ -41,9 +41,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from ..errors import EquivalenceError, raise_mismatches
 from ..faults.schemes import scheme_factory
-from ..memsim.batch import BatchTrace
 from ..obs import NullSink, make_sink
-from ..workloads import benchmark_names, make_workload, materialize
+from ..workloads import benchmark_names, make_workload
 from ..workloads.replay import FastReplay, TraceReplayer
 from ._cli import add_obs_arguments, emit_metrics, fail, metrics_registry, resolve_exit
 
@@ -91,7 +90,8 @@ def run_bench(
     """
     if trace_len < 1:
         raise ValueError("trace_len must be positive")
-    records = materialize(make_workload(benchmark, seed=seed).records(trace_len))
+    trace = make_workload(benchmark, seed=seed).trace(trace_len)
+    records = trace.to_records()
     replayer = FastReplay(equivalence="never")
 
     # Correctness first: replay a short prefix through both engines and
@@ -101,11 +101,9 @@ def run_bench(
     if checked:
         FastReplay(equivalence="always").run(records[:checked])
 
-    # Pack the trace (and the warmup prefix) into columns exactly once:
-    # the engines being timed both consume the same immutable BatchTrace,
-    # so the measurement no longer includes redundant from_records packing
-    # repeated per engine per repeat.
-    trace = BatchTrace.from_records(records)
+    # The trace is synthesized into columns once, outside the timed
+    # stages: the engines being timed both consume the same immutable
+    # BatchTrace, and the scalar one its decoded records.
     warm_trace = trace.slice(0, min(WARMUP_REFERENCES, trace_len))
     warm = records[: len(warm_trace)]
 
@@ -319,8 +317,9 @@ def run_timing_bench(
 
     Each benchmark measures ``trace_len`` references after a quarter as
     many warmup references.  Both stages consume pre-generated traces
-    (the scalar path a record list, the fast path the equivalent
-    :class:`BatchTrace`) so the ratio measures simulation, not workload
+    (the fast path each benchmark's
+    :class:`~repro.memsim.batch.BatchTrace`, the scalar path its decoded
+    records) so the ratio measures simulation, not workload
     synthesis — the same convention the replay bench uses.  Each stage
     replays every benchmark and prices it under every scheme;
     best-of-``repeats`` wall times feed the ``speedup`` ratio.
@@ -339,11 +338,11 @@ def run_timing_bench(
     names = benchmark_names()
     warmup = trace_len // 4
     policies = {name: factory() for name, factory in TIMING_POLICIES.items()}
-    records = {
-        name: list(make_workload(name, seed=seed).records(trace_len + warmup))
+    traces = {
+        name: make_workload(name, seed=seed).trace(trace_len + warmup)
         for name in names
     }
-    traces = {name: BatchTrace.from_records(recs) for name, recs in records.items()}
+    records = {name: trace.to_records() for name, trace in traces.items()}
 
     problems = []
     for name in names:

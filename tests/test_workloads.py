@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,39 @@ class TestBatchTraceRoundTrip:
         assert BatchTrace.from_records(records).to_records() == records
 
 
+def _columns(gap=(0, 0), raw=(0, 0), is_store=(False, False), size=(8, 8)):
+    return dict(
+        addr=[0, 8], size=list(size), is_store=list(is_store), gap=list(gap),
+        raw=np.array(raw, dtype=np.uint64),
+    )
+
+
+class TestBatchTraceColumns:
+    """``from_columns`` rejects what no ``TraceRecord`` can hold."""
+
+    def test_negative_gap(self):
+        with pytest.raises(TraceFormatError, match="gap must be non-negative"):
+            BatchTrace.from_columns(**_columns(gap=(2, -5)))
+
+    def test_store_value_wider_than_its_size(self):
+        with pytest.raises(TraceFormatError, match="wider than its access size"):
+            BatchTrace.from_columns(
+                **_columns(raw=(0, 0x1FF), is_store=(False, True), size=(8, 1))
+            )
+
+    def test_load_with_a_value(self):
+        with pytest.raises(TraceFormatError, match="load records carry no value"):
+            BatchTrace.from_columns(**_columns(raw=(0, 1)))
+
+    def test_full_width_values_pass(self):
+        trace = BatchTrace.from_columns(
+            **_columns(
+                raw=(0xFF, (1 << 64) - 1), is_store=(True, True), size=(1, 8)
+            )
+        )
+        assert [r.value for r in trace.to_records()] == [b"\xff", b"\xff" * 8]
+
+
 class TestProfileValidation:
     def test_hot_must_fit(self):
         with pytest.raises(ConfigurationError):
@@ -124,6 +158,25 @@ class TestProfileValidation:
             WorkloadProfile(
                 name="x", working_set_bytes=1024, hot_bytes=512,
                 store_region_bytes=4096,
+            )
+
+    # A range under one 8-byte word is empty: ``randrange(0)`` raises
+    # and the inlined ``getrandbits(0)`` loop would never end.
+    def test_hot_set_must_hold_a_word(self):
+        with pytest.raises(ConfigurationError):
+            WorkloadProfile(name="x", working_set_bytes=1024, hot_bytes=4)
+        WorkloadProfile(name="x", working_set_bytes=1024, hot_bytes=8)
+
+    def test_store_region_must_hold_a_word(self):
+        with pytest.raises(ConfigurationError):
+            WorkloadProfile(
+                name="x", working_set_bytes=1024, hot_bytes=512,
+                store_region_bytes=4,
+            )
+        for region in (0, 8):
+            WorkloadProfile(
+                name="x", working_set_bytes=1024, hot_bytes=512,
+                store_region_bytes=region,
             )
 
 
