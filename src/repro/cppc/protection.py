@@ -19,14 +19,14 @@ configurations evaluated in the paper's Section 6.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 from ..coding import Inspection, InterleavedParity
 from ..errors import ConfigurationError, UncorrectableError
 from ..memsim.cache import Cache
 from ..memsim.protection import CodedProtection, FaultResolution, Resolution
 from ..memsim.types import UnitLocation
-from ..obs.trail import DEFAULT_TRAIL_MAXLEN, RecoveryAuditTrail, audit_payload
+from ..obs.trail import audit_payload
 from ..util import parity
 from .geometry import PhysicalGeometry
 from .recovery import DirtyScan, RecoveryReport, recover
@@ -50,9 +50,10 @@ class CppcProtection(CodedProtection):
             are out of scope.
         num_classes: rotation classes / spatial row coverage (8 = the
             paper's 8x8 squares).
-        audit_maxlen: recovery reports/audits retained in memory; the
-            ``recoveries`` counter stays exact regardless, and an
-            attached trace sink streams every audit to disk.
+        audit_maxlen: recovery reports retained in ``recovery_log``
+            (at least 1); the ``recoveries`` counter stays exact
+            regardless, and an attached trace sink receives every
+            pass's audit record (:meth:`audits`).
     """
 
     name = "cppc"
@@ -65,9 +66,11 @@ class CppcProtection(CodedProtection):
         num_pairs: int = 1,
         byte_shifting: bool = True,
         num_classes: int = 8,
-        audit_maxlen: int = DEFAULT_TRAIL_MAXLEN,
+        audit_maxlen: int = 64,
     ):
         super().__init__(InterleavedParity(data_bits=data_bits, ways=parity_ways))
+        if audit_maxlen < 1:
+            raise ConfigurationError("audit_maxlen must be >= 1")
         if byte_shifting and self.code.ways != 8:
             raise ConfigurationError(
                 "byte shifting requires 8-way interleaved parity "
@@ -90,8 +93,6 @@ class CppcProtection(CodedProtection):
         #: not by callers — so unattended campaigns hold O(1) memory no
         #: matter how many faults they inject.
         self.recovery_log: Deque[RecoveryReport] = deque(maxlen=audit_maxlen)
-        #: JSON-safe audit record per recovery, same retention bound.
-        self.audit_trail = RecoveryAuditTrail(maxlen=audit_maxlen)
         #: Registers rebuilt after their own parity failed (Section 4.9).
         self.register_repairs = 0
 
@@ -99,12 +100,6 @@ class CppcProtection(CodedProtection):
     def attach(self, cache: Cache) -> None:
         super().attach(cache)
         self.geometry = PhysicalGeometry.of_cache(cache)
-
-    def set_observer(self, sink) -> None:
-        super().set_observer(sink)
-        # The trail streams each audit record out as it is captured, so
-        # the bounded deque never loses history when a sink is attached.
-        self.audit_trail.sink = sink
 
     def class_of(self, loc: UnitLocation) -> int:
         """Rotation class of the unit at ``loc``."""
@@ -203,7 +198,10 @@ class CppcProtection(CodedProtection):
         report: RecoveryReport = recover(self, loc)
         self.recoveries += 1
         self.recovery_log.append(report)
-        self.audit_trail.record(audit_payload(report, self))
+        if self._obs_on:
+            # The pass's one trace event: past ``audit_maxlen`` the
+            # stream still holds every pass the log has dropped.
+            self._obs.emit("cppc.recovery", "audit", audit_payload(report, self))
         return FaultResolution(
             kind=Resolution.CORRECTED, value=report.corrected_value(loc)
         )
@@ -264,6 +262,11 @@ class CppcProtection(CodedProtection):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def audits(self) -> List[dict]:
+        """JSON-safe audit record of each logged recovery pass, oldest
+        first (:func:`repro.obs.audit_payload`)."""
+        return [audit_payload(report, self) for report in self.recovery_log]
+
     def dirty_xor_expected(self, pair_index: int) -> int:
         """XOR of rotated dirty values the pair *should* hold (testing)."""
         return DirtyScan(self).rotated_xor(pair_index)

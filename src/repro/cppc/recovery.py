@@ -108,7 +108,6 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
     cache = scheme.cache
     if cache is None:
         raise SimulationError("CPPC recovery invoked before attach()")
-    obs = scheme._obs if scheme._obs_on else None
     # The registers are about to be read: check their own parity first
     # and rebuild any that took a hit (paper Section 4.9).
     repairs_before = scheme.register_repairs
@@ -144,41 +143,12 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
             f"recovery triggered by {trigger} but the scan does not see it "
             "as a faulty dirty unit"
         )
-    if obs is not None:
-        obs.emit(
-            "cppc.recovery",
-            "scan",
-            {
-                "trigger": list(trigger),
-                "units_scanned": report.units_scanned,
-                "faulty": [list(loc) for loc in report.faulty_units],
-                "register_repairs": report.register_repairs,
-            },
-        )
 
     # Step 2: per-pair residues, then resolution.
     stored_check = cache.stored_check
     for pair_index, faulty in faulty_by_pair.items():
         pair = scheme.registers.pairs[pair_index]
         r3 = pair.dirty_xor ^ scan.rotated_xor(pair_index)
-        if obs is not None:
-            obs.emit(
-                "cppc.recovery",
-                "residue",
-                {
-                    "pair": pair_index,
-                    "r1": pair.r1,
-                    "r2": pair.r2,
-                    "residue": r3,
-                    "faulty": [
-                        {
-                            "loc": list(u.loc),
-                            "parities": sorted(u.faulty_parities),
-                        }
-                        for u in faulty
-                    ],
-                },
-            )
         deltas = _resolve_pair(scheme, faulty, r3, report)
         report.pair_audits.append(
             PairAudit(
@@ -209,18 +179,6 @@ def recover(scheme: "CppcProtection", trigger: UnitLocation) -> RecoveryReport:
                     detail=unit.loc,
                 )
             report.corrections[unit.loc] = (unit.stored_value, corrected)
-            if obs is not None:
-                obs.emit(
-                    "cppc.recovery",
-                    "reconstruct",
-                    {
-                        "loc": list(unit.loc),
-                        "method": report.methods[-1],
-                        "old": unit.stored_value,
-                        "new": corrected,
-                        "delta": unit.stored_value ^ corrected,
-                    },
-                )
 
     # Apply every repair except the trigger's (the cache applies that one
     # through the normal resolution path).

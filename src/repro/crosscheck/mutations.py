@@ -129,7 +129,8 @@ def _flush_touch_skips_upper_levels() -> List[Patch]:
 
 
 def _audit_zero_residue() -> List[Patch]:
-    """The audit recorder logs residue 0 for every register pair."""
+    """Every audit record (``audit_payload``) reports residue 0 for every
+    register pair, in ``CppcProtection.audits()`` and in the stream."""
     from ..cppc import protection
 
     original = protection.audit_payload

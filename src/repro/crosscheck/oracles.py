@@ -249,7 +249,7 @@ class _UnseenFlips:
 def _audit_problems(scheme: CppcProtection) -> List[str]:
     """Offline replay of every recorded recovery pass."""
     problems: List[str] = []
-    for index, payload in enumerate(scheme.audit_trail):
+    for index, payload in enumerate(scheme.audits()):
         for issue in verify_audit(payload):
             problems.append(f"audit[{index}]: {issue}")
         rebuilt = reconstruct_corrections(payload)

@@ -66,7 +66,7 @@ class CampaignConfig:
         warmup_references: references replayed before the injection.
         post_fault_references: references replayed after it.
         fault_kind: "temporal" (one bit) or "spatial" (a rectangle).
-        spatial_shape: (height, width) for spatial faults.
+        spatial_shape: (height, width) for spatial faults, both >= 1.
         dirty_only: restrict temporal faults to dirty units.
         target_level: "L1D" or "L2".
         seed: base seed; trial ``i`` derives its own streams.
@@ -101,6 +101,18 @@ class CampaignConfig:
             )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        # Checked here so a bad shape fails before the warm-up is built,
+        # not as a crash in every trial.
+        shape = self.spatial_shape
+        if not (
+            isinstance(shape, tuple)
+            and len(shape) == 2
+            and all(isinstance(e, int) and e >= 1 for e in shape)
+        ):
+            raise ConfigurationError(
+                "spatial_shape must be a (height, width) tuple of integers "
+                f">= 1, got {shape!r}"
+            )
 
     def trial_seed(self, trial: int) -> int:
         """Stable 64-bit identity of trial ``trial``'s seed material.

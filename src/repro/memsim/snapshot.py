@@ -24,9 +24,9 @@ Protection state is dispatched on the scheme's ``name``:
 
 * ``cppc`` — the (R1, R2) register pairs with their parity bits, plus
   the ``recoveries`` / ``register_repairs`` counters.  The bounded
-  diagnostic buffers (``recovery_log``, ``audit_trail``) are *not*
-  carried — they never influence simulation outcomes — and restore
-  empties them, as they are in a fault-free warm state.
+  ``recovery_log`` is *not* carried — it never influences simulation
+  outcomes — and restore empties it, as it is in a fault-free warm
+  state.
 * ``2d-parity`` — the vertical parity register.
 * ``none`` / ``parity`` / ``secded`` — stateless.
 
@@ -321,7 +321,6 @@ def _restore_protection(name: str, state: dict, cache: Cache) -> None:
         scheme.recoveries = state["recoveries"]
         scheme.register_repairs = state["register_repairs"]
         scheme.recovery_log.clear()
-        scheme.audit_trail.clear()
         return
     if name == "2d-parity":
         scheme.vertical_register._register = state["vertical"]

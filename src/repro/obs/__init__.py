@@ -1,4 +1,4 @@
-"""Observability: event tracing, metrics, and the recovery audit trail.
+"""Observability: event tracing, metrics, and the recovery audit record.
 
 ``repro.obs`` makes the simulator's correction machinery visible without
 making it slower: every instrumented component guards its emission sites
@@ -18,10 +18,11 @@ Three pillars:
   schema with :class:`~repro.memsim.stats.CacheStats`,
   :class:`~repro.faults.campaign.CampaignResult` and the ``--json``
   CLIs.
-* **Recovery audit trail** (:mod:`repro.obs.trail`) — a bounded,
-  replayable record of every CPPC recovery pass: parity syndrome →
-  register residue → locator method → reconstructed value, verifiable
-  offline with :func:`verify_audit`.
+* **Recovery audit record** (:mod:`repro.obs.trail`) — a replayable
+  account of one CPPC recovery pass, rendered from its
+  :class:`~repro.cppc.recovery.RecoveryReport` by :func:`audit_payload`:
+  parity syndrome → register residue → locator method → reconstructed
+  value, verifiable offline with :func:`verify_audit`.
 """
 
 from .metrics import Counter, Gauge, Log2Histogram, MetricsRegistry
@@ -33,12 +34,7 @@ from .sinks import (
     make_sink,
     read_jsonl_trace,
 )
-from .trail import (
-    RecoveryAuditTrail,
-    audit_payload,
-    reconstruct_corrections,
-    verify_audit,
-)
+from .trail import audit_payload, reconstruct_corrections, verify_audit
 
 __all__ = [
     "TraceSink",
@@ -51,7 +47,6 @@ __all__ = [
     "Gauge",
     "Log2Histogram",
     "MetricsRegistry",
-    "RecoveryAuditTrail",
     "audit_payload",
     "reconstruct_corrections",
     "verify_audit",

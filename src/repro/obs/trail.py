@@ -1,10 +1,10 @@
-"""The recovery audit trail: replayable records of every CPPC recovery.
+"""The recovery audit record: a replayable account of one CPPC recovery.
 
-Before this module, the only evidence of a recovery pass was the
-:class:`~repro.cppc.recovery.RecoveryReport` appended to an *unbounded*
-in-memory list.  The trail replaces that with a bounded deque of
-JSON-safe **audit payloads**, each capturing the full detect → locate →
-reconstruct chain:
+Every recovery pass leaves one :class:`~repro.cppc.recovery.RecoveryReport`
+in :attr:`CppcProtection.recovery_log
+<repro.cppc.CppcProtection.recovery_log>`, a deque bounded by
+``audit_maxlen``.  :func:`audit_payload` renders a report as a JSON-safe
+**audit record** capturing the full detect → locate → reconstruct chain:
 
 * the triggering unit and how many units the scan walked,
 * per register pair: the R1/R2 contents read, the residue
@@ -15,7 +15,12 @@ reconstruct chain:
   the error mask between them,
 * any registers that had to be rebuilt first (Section 4.9).
 
-Because the payload is self-describing (unit width, rotation classes,
+:meth:`CppcProtection.audits <repro.cppc.CppcProtection.audits>` returns
+the record of every logged pass, and with a trace sink attached each
+pass streams its record as its one ``cppc.recovery`` / ``audit`` event,
+so the stream keeps every pass the bounded log has dropped.
+
+Because the record is self-describing (unit width, rotation classes,
 byte shifting), :func:`verify_audit` can re-derive every correction
 offline — from a ``trace.jsonl`` file on another machine — and check it
 against the recorded residues, exactly the discipline the R1^R2
@@ -25,14 +30,7 @@ invariant enforces live via
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
-
-from ..errors import ConfigurationError
-
-#: Default bound on retained audit records; the ``recoveries`` counter
-#: stays monotone regardless.
-DEFAULT_TRAIL_MAXLEN = 64
+from typing import Dict, List, Tuple
 
 
 def audit_payload(report, scheme) -> dict:
@@ -108,7 +106,7 @@ def reconstruct_corrections(payload: dict) -> Dict[Tuple[int, int, int], int]:
 def verify_audit(payload: dict) -> List[str]:
     """Check one audit payload's internal consistency; returns problems.
 
-    Three properties must hold for a trustworthy trail record:
+    Three properties must hold for a trustworthy audit record:
 
     1. every correction's reconstructed value equals ``old ^ delta`` and
        matches the faulty unit it claims to repair;
@@ -164,53 +162,3 @@ def verify_audit(payload: dict) -> List[str]:
                 f"the XOR of the rotated error masks ({rotated_deltas:#x})"
             )
     return problems
-
-
-class RecoveryAuditTrail:
-    """A bounded, optionally sink-backed log of recovery audit records.
-
-    The newest ``maxlen`` payloads stay resident for inspection; every
-    record is also forwarded to the attached
-    :class:`~repro.obs.sinks.TraceSink` (category ``cppc.recovery``), so
-    nothing is lost when the deque wraps — long campaigns stream the
-    full history to disk while holding O(maxlen) memory.
-    """
-
-    def __init__(self, maxlen: int = DEFAULT_TRAIL_MAXLEN, sink=None):
-        if maxlen < 1:
-            raise ConfigurationError("audit trail maxlen must be >= 1")
-        self._entries: Deque[dict] = deque(maxlen=maxlen)
-        self.sink = sink
-        #: Monotone count of every record ever appended (never truncated).
-        self.total_recorded = 0
-
-    @property
-    def maxlen(self) -> int:
-        """Retention bound of the in-memory deque."""
-        return self._entries.maxlen
-
-    def record(self, payload: dict) -> dict:
-        """Append one audit payload (and stream it to the sink)."""
-        self._entries.append(payload)
-        self.total_recorded += 1
-        if self.sink is not None and self.sink.enabled:
-            self.sink.emit("cppc.recovery", "audit", payload)
-        return payload
-
-    def clear(self) -> None:
-        """Drop the retained records (``total_recorded`` keeps counting)."""
-        self._entries.clear()
-
-    @property
-    def latest(self) -> Optional[dict]:
-        """The most recent audit record, or None."""
-        return self._entries[-1] if self._entries else None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[dict]:
-        return iter(self._entries)
-
-    def __getitem__(self, index):
-        return self._entries[index]

@@ -21,12 +21,9 @@ terms as pure array ops.  The store-buffer backlog recurrence
 (``backlog = clip(backlog + demand - supply, 0, cap)`` per event) is
 sequential, but it spends almost all its time pinned at one of its two
 clip rails; the scan below jumps over those pinned runs with
-precomputed one-event transition tables and resolves the rare interior
-stretches with a chunked ``np.cumsum`` over the per-event deltas —
-``np.add.accumulate`` folds strictly left-to-right, so the partial sums
-round exactly like the scalar loop, and a clip (the only nonlinearity)
-always surfaces as a detectable sign/threshold violation that is
-re-resolved with one scalar step.
+precomputed one-event transition tables and steps through each
+excursion between the rails with the scalar loop's own float
+operations, so every value rounds exactly as the scalar loop rounds it.
 """
 
 from __future__ import annotations
@@ -638,12 +635,9 @@ def _resolve_backlog(
     ``cap`` (saturated) — because both clips assign those exact floats.
     Rail states are memoryless, so one-event transition tables computed
     elementwise describe every possible departure, and a sorted-index
-    jump skips each pinned run in O(log n).  Interior stretches fold the
-    four per-event deltas (drain, store demand, miss demand, miss
-    shadow) through one flat ``np.cumsum`` seeded with the entry backlog
-    — strictly sequential, hence bit-identical — and any clip shows up
-    as a sign/threshold violation on the partial sums, repaired by
-    replaying that single event scalar-style.
+    jump skips each pinned run in O(log n).  An excursion off the rails
+    runs event by event, as the scalar loop does, until the backlog
+    lands on a rail again.
     """
     n = len(drain)
     port = np.zeros(n)
@@ -676,30 +670,13 @@ def _resolve_backlog(
             np.flatnonzero(np.minimum(value, cap) != cap).tolist(),
         )
 
-    # Scalar excursions index these Python lists instead of the arrays:
-    # the values are the same IEEE doubles, but list indexing skips the
-    # numpy-scalar boxing that would otherwise dominate short stretches.
-    # Built on the first excursion; a scan that never leaves the rails
+    # Excursions index these Python lists instead of the arrays: the
+    # values are the same IEEE doubles, but list indexing skips the
+    # numpy-scalar boxing that would otherwise dominate the loop.  Built
+    # on the first excursion; a scan that never leaves the rails
     # (parity-like policies) needs none.
     supply_l = store_l = missd_l = miss_l = shadow_l = None
 
-    def step(backlog: float, j: int) -> Tuple[float, float]:
-        """One event, exactly as the scalar loop computes it."""
-        stalled = 0.0
-        supplied = supply_l[j]
-        if supplied > 0 and backlog > 0:
-            backlog = max(0.0, backlog - supplied)
-        backlog = backlog + store_l[j]
-        if miss_l[j]:
-            backlog = backlog + missd_l[j]
-            backlog = max(0.0, backlog - shadow_l[j])
-        if backlog > cap:
-            stalled = backlog - cap
-            backlog = cap
-        return backlog, stalled
-
-    deltas = None
-    chunk = 64
     backlog = 0.0
     p = 0
     n_zero_exits = len(zero_exits)
@@ -727,18 +704,17 @@ def _resolve_backlog(
             backlog = float(cap_next[e])
             p = e + 1
             continue
-        # Interior: resolve a handful of events scalar-style (short
-        # excursions between rails are the common case) ...
+        # Interior: step event by event until the backlog lands on a rail.
         if supply_l is None:
             supply_l = supply.tolist()
             store_l = store_demand.tolist()
             missd_l = miss_demand.tolist()
             miss_l = miss.tolist()
             shadow_l = shadow.tolist()
-        end = p + 32 if p + 32 < n else n
-        while p < end:
-            # step(), inlined for the hot loop; ``x if x > 0.0 else 0.0``
-            # is ``max(0.0, x)`` without the call.
+        while p < n:
+            # The scalar loop's event; ``x if x > 0.0 else 0.0`` is
+            # ``max(0.0, x)`` without the call, and the backlog is off
+            # the zero rail, so a positive supply always drains.
             supplied = supply_l[p]
             if supplied > 0:
                 backlog = backlog - supplied
@@ -754,38 +730,4 @@ def _resolve_backlog(
             # A step keeps the backlog within [0, cap]; stop on a rail.
             if backlog == 0.0 or backlog == cap:
                 break
-        if p >= n or backlog == 0.0 or backlog == cap:
-            continue
-        # ... and genuinely long interior stretches with the chunked
-        # flat-cumsum scan.
-        if deltas is None:
-            deltas = np.empty((n, 4))
-            deltas[:, 0] = -drain
-            deltas[:, 1] = store_demand
-            deltas[:, 2] = miss_demand
-            deltas[:, 3] = -shadow
-        q = min(n, p + chunk)
-        seeded = np.empty(4 * (q - p) + 1)
-        seeded[0] = backlog
-        seeded[1:] = deltas[p:q].reshape(-1)
-        partials = np.cumsum(seeded)[1:].reshape(-1, 4)
-        clipped = (
-            (partials[:, 0] < 0.0)
-            | (partials[:, 3] < 0.0)
-            | (partials[:, 3] > cap)
-        )
-        hits = np.flatnonzero(clipped)
-        if len(hits):
-            h = int(hits[0])
-            if h:
-                backlog = float(partials[h - 1, 3])
-            backlog, stalled = step(backlog, p + h)
-            if stalled:
-                port[p + h] = stalled
-            p = p + h + 1
-            chunk = max(64, chunk // 2)
-        else:
-            backlog = float(partials[-1, 3])
-            p = q
-            chunk = min(chunk * 2, 65536)
     return port

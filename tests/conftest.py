@@ -14,6 +14,7 @@ from repro.memsim import (
     MainMemory,
     MemoryHierarchy,
 )
+from repro.obs.sinks import TraceSink
 
 #: A small hierarchy: 1KB/2-way/32B L1 over 8KB/4-way/32B L2.
 TINY_CONFIG = HierarchyConfig(
@@ -24,6 +25,16 @@ TINY_CONFIG = HierarchyConfig(
         size_bytes=8192, ways=4, block_bytes=32, unit_bytes=32, latency_cycles=8
     ),
 )
+
+
+class ListSink(TraceSink):
+    """Keeps every emitted event in memory."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, category, name, args=None, ts=None):
+        self.events.append((category, name, args))
 
 
 def make_tiny_cache(protection=None, *, size=1024, ways=2, block=32, unit=8):

@@ -59,6 +59,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             CampaignConfig(scheme_factory=cppc_factory, trials=0)
 
+    @pytest.mark.parametrize(
+        "shape", [(0, 8), (8, 0), (-1, 4), (8,), (8, 8, 8), (2.0, 4), None]
+    )
+    def test_bad_spatial_shape(self, shape):
+        for kind in ("spatial", "temporal"):
+            with pytest.raises(ConfigurationError, match="spatial_shape"):
+                CampaignConfig(
+                    scheme_factory=cppc_factory, fault_kind=kind, spatial_shape=shape
+                )
+
 
 class TestCppcCampaigns:
     def test_temporal_faults_never_sdc_or_due(self):

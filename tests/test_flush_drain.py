@@ -5,8 +5,8 @@ clean lines between them in bulk.  The reference here is the old loop,
 ``_evict`` on every valid line in line order.  Both run on identically
 built caches with faults planted in dirty and clean units, so recovery,
 refetch and DUEs fire inside the flush, and must leave identical caches,
-statistics, registers, recovery logs, audit trails and memory, return
-the same write-back count and raise the same DUE text.
+statistics, registers, recovery logs and memory, return the same
+write-back count and raise the same DUE text.
 """
 
 import collections
@@ -33,10 +33,9 @@ from repro.memsim import (
     MemoryHierarchy,
 )
 from repro.memsim.types import UnitLocation
-from repro.obs.sinks import TraceSink
 from repro.util import make_rng
 
-from conftest import TINY_CONFIG
+from conftest import TINY_CONFIG, ListSink
 
 SCHEMES = ("cppc", "parity", "secded", "twod", "none")
 
@@ -54,16 +53,6 @@ def line_by_line_flush(cache):
         if cache._evict(set_index, way):
             count += 1
     return count
-
-
-class ListSink(TraceSink):
-    """Keeps every emitted event in memory."""
-
-    def __init__(self):
-        self.events = []
-
-    def emit(self, category, name, args=None, ts=None):
-        self.events.append((category, name, args))
 
 
 def cache_state(cache):
@@ -86,7 +75,6 @@ def cache_state(cache):
         state["recoveries"] = scheme.recoveries
         state["register_repairs"] = scheme.register_repairs
         state["recovery_log"] = list(scheme.recovery_log)
-        state["audit_trail"] = list(scheme.audit_trail)
     if scheme.name == "2d-parity":
         state["vertical"] = scheme.vertical_register.value
     if cache.tag_protection is not None:

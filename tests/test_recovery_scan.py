@@ -8,7 +8,8 @@ reference here is the old walk: ``iter_dirty_units``, then ``class_of``,
 unit.  Both run on identically built caches with data, check-bit,
 out-of-range check-word, spatial and register faults planted, and must
 return equal reports, audit payloads and register values, emit the same
-trace events, leave identical caches and raise the same exception text.
+trace events (register repairs; ``recover`` itself emits none), leave
+identical caches and raise the same exception text.
 """
 
 import dataclasses
@@ -23,9 +24,10 @@ from repro.errors import ReproError, SimulationError, UncorrectableError
 from repro.faults import FaultInjector, SpatialFault
 from repro.memsim import Cache, MainMemory
 from repro.memsim.types import UnitLocation
-from repro.obs.sinks import TraceSink
 from repro.obs.trail import audit_payload
 from repro.util import parity, xor_reduce
+
+from conftest import ListSink
 
 # ----------------------------------------------------------------------
 # The reference: the per-unit walk
@@ -74,7 +76,6 @@ def per_unit_dirty_xor_expected(scheme, pair_index):
 def per_unit_recover(scheme, trigger):
     """``recover`` with the per-unit scan and residue loop."""
     cache = scheme.cache
-    obs = scheme._obs if scheme._obs_on else None
     repairs_before = scheme.register_repairs
     for pair_index, pair in enumerate(scheme.registers.pairs):
         if not pair.r1_intact():
@@ -110,17 +111,6 @@ def per_unit_recover(scheme, trigger):
             f"recovery triggered by {trigger} but the scan does not see it "
             "as a faulty dirty unit"
         )
-    if obs is not None:
-        obs.emit(
-            "cppc.recovery",
-            "scan",
-            {
-                "trigger": list(trigger),
-                "units_scanned": report.units_scanned,
-                "faulty": [list(loc) for loc in report.faulty_units],
-                "register_repairs": report.register_repairs,
-            },
-        )
     for pair_index, faulty in faulty_by_pair.items():
         pair = scheme.registers.pairs[pair_index]
         rotated_dirty = (
@@ -128,21 +118,6 @@ def per_unit_recover(scheme, trigger):
             for _loc, value, cls in dirty_by_pair.get(pair_index, [])
         )
         r3 = pair.dirty_xor ^ xor_reduce(rotated_dirty)
-        if obs is not None:
-            obs.emit(
-                "cppc.recovery",
-                "residue",
-                {
-                    "pair": pair_index,
-                    "r1": pair.r1,
-                    "r2": pair.r2,
-                    "residue": r3,
-                    "faulty": [
-                        {"loc": list(u.loc), "parities": sorted(u.faulty_parities)}
-                        for u in faulty
-                    ],
-                },
-            )
         deltas = _resolve_pair(scheme, faulty, r3, report)
         report.pair_audits.append(
             PairAudit(
@@ -166,18 +141,6 @@ def per_unit_recover(scheme, trigger):
                     detail=unit.loc,
                 )
             report.corrections[unit.loc] = (unit.stored_value, corrected)
-            if obs is not None:
-                obs.emit(
-                    "cppc.recovery",
-                    "reconstruct",
-                    {
-                        "loc": list(unit.loc),
-                        "method": report.methods[-1],
-                        "old": unit.stored_value,
-                        "new": corrected,
-                        "delta": unit.stored_value ^ corrected,
-                    },
-                )
     for loc, (_old, new) in report.corrections.items():
         if loc != trigger:
             cache.repair_unit(loc, new)
@@ -205,16 +168,6 @@ SEEDS = range(12)
 def code_id(code):
     pairs, shifting, ways = code
     return f"p{pairs}-{'shift' if shifting else 'flat'}-w{ways}"
-
-
-class ListSink(TraceSink):
-    """Keeps every emitted event in memory."""
-
-    def __init__(self):
-        self.events = []
-
-    def emit(self, category, name, args=None, ts=None):
-        self.events.append((category, name, args))
 
 
 def build_cache(code, unit_bytes, seed, references=None):

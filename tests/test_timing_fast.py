@@ -96,6 +96,20 @@ class TestTimeEventsFast:
                 events, factory(), config
             )
 
+    def test_long_excursions_between_rails(self):
+        # A deep buffer: hundreds of small dirty stores climb toward the
+        # cap and long load gaps drain back to zero, so each excursion
+        # off the rails runs for hundreds of events.
+        events = (
+            [AccessEvent(False, 2, True, 0)] * 400
+            + [AccessEvent(True, 8, False, 0)] * 300
+        ) * 3
+        config = TimingConfig(issue_width=3, store_buffer_capacity=64)
+        for factory in TIMING_POLICIES.values():
+            assert time_events(events, factory(), config) == time_events_fast(
+                events, factory(), config
+            )
+
 
 class TestCollectFast:
     @given(

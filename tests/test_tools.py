@@ -245,6 +245,24 @@ class TestCliValidation:
         assert "invalid arguments" in err
         assert flag in err
 
+    @pytest.mark.parametrize("runtime", [[], ["--jobs", "1", "--retries", "1"]])
+    @pytest.mark.parametrize("shape", [["0", "8"], ["8", "0"], ["-2", "4"]])
+    def test_run_campaign_rejects_bad_shape(self, capsys, monkeypatch, runtime, shape):
+        # Refused before any campaign is built: no warm-up, no trial
+        # crashing on the strike and no retries.
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("campaign built for an invalid shape")
+
+        monkeypatch.setattr(run_campaign, "FaultCampaign", no_campaign)
+        rc = run_campaign.main([
+            "cppc", "--trials", "2", "--warmup", "300", "--post", "50",
+            "--fault", "spatial", "--shape", *shape, *runtime,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid arguments" in err
+        assert "spatial_shape" in err
+
     def test_run_sensitivity_rejects_bad_flags(self, capsys):
         from repro.tools import run_sensitivity
 
