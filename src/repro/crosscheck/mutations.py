@@ -77,6 +77,29 @@ def _rotl_off_by_one() -> List[Patch]:
     return [(batch, "_rotl_bytes_u64", rotl)]
 
 
+def _lru_evicts_second_least_recent() -> List[Patch]:
+    """The LRU residency kernel points each full-set miss of a cache with
+    three or more ways at the second-least-recent block, so the batch
+    engine and the timing path's L2 retire the wrong line."""
+    import numpy as np
+
+    from ..memsim import batch
+
+    original = batch.lru_residency
+
+    def lru_residency(sets, blocks, ways):
+        resolved = original(sets, blocks, ways)
+        if ways < 3:
+            return resolved
+        # A (ways-1)-way cache's victim is the full one's second-least-
+        # recent block wherever the full one evicts.
+        shallow = original(sets, blocks, ways - 1).evict
+        full = resolved.evict >= 0
+        return resolved._replace(evict=np.where(full, shallow, resolved.evict))
+
+    return [(batch, "lru_residency", lru_residency)]
+
+
 def _fast_campaign_seed_skew() -> List[Patch]:
     """Snapshot-fork path injects with the NEXT trial's fault seed."""
     from ..faults.campaign import FaultCampaign
@@ -203,6 +226,12 @@ MUTATIONS: Dict[str, Mutation] = {
             "batch _rotl_bytes_u64 rotates count+1 bytes",
             ("replay",),
             _rotl_off_by_one,
+        ),
+        Mutation(
+            "lru-evicts-second-least-recent",
+            "LRU kernel evicts the second-least-recent block at >= 3 ways",
+            ("replay", "timing"),
+            _lru_evicts_second_least_recent,
         ),
         Mutation(
             "fast-campaign-seed-skew",

@@ -101,6 +101,11 @@ class CampaignConfig:
             )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        for name in ("warmup_references", "post_fault_references"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
         # Checked here so a bad shape fails before the warm-up is built,
         # not as a crash in every trial.
         shape = self.spatial_shape

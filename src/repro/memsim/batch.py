@@ -3,27 +3,32 @@
 The object-model :class:`~repro.memsim.cache.Cache` walks every access one
 word at a time, which caps fault-injection campaigns and dirty-data sweeps
 at toy trace sizes.  This module replays a *whole trace* through a
-single-level write-back cache in bulk phases:
+single-level write-back cache in three bulk phases:
 
 1. **Decompose** — the trace becomes structured arrays
-   (:class:`BatchTrace`) and every address is split into tag / set / unit
-   / byte-offset fields with vectorized shifts and masks, mirroring
+   (:class:`BatchTrace`) and every address is split into block / set /
+   unit fields with vectorized shifts and masks, mirroring
    :class:`~repro.memsim.address.AddressMapper`.
-2. **Resolve** — accesses are grouped by set (``np.argsort``) and each
-   set's hit / miss / eviction / LRU sequence is resolved over flat array
-   state, logging dirty-word movement as event streams instead of
-   mutating Python objects.
-3. **Accumulate** — CPPC's R1/R2 registers (including the byte rotation
-   by ``row mod num_classes`` of :mod:`repro.cppc.shifting`), the
-   dirty-occupancy integral, and the Tavg interval histogram are reduced
-   from the event streams with ``np.bitwise_xor.reduce`` / ``np.cumsum``
-   / ``np.bincount``.
+2. **Resolve** — :func:`lru_residency` settles every access of every set
+   at once from the stack property of LRU: an access hits a W-way set
+   exactly when fewer than W distinct blocks touched the set since its
+   block's previous access.  It yields each access's hit flag, way and
+   residency, and for a miss in a full set the block it evicts;
+   :class:`ResolvedStream` adds each residency's dirty units.
+3. **Derive** — everything else is a reduction of those columns: store
+   values by a per-byte latest-writer fold, CPPC's R1/R2 registers as
+   per-class XOR reductions (including the byte rotation by ``row mod
+   num_classes`` of :mod:`repro.cppc.shifting`), write-backs with their
+   words, counters, the dirty-occupancy integral and Tavg intervals by
+   segmented cumsums, final lines, LRU orders and the memory image.
 
 The engine reproduces the scalar semantics *exactly* — same hit/miss
 stream, same statistics (including the Table 2 dirty-data metrics), same
 final data, dirty bits and check words, and bit-identical R1/R2 register
 contents — which :func:`cross_check_scalar` verifies word-for-word
-against a real :class:`~repro.memsim.cache.Cache`.
+against a real :class:`~repro.memsim.cache.Cache`.  The Figure-10 timing
+path (:mod:`repro.timing.fast`) runs :class:`ResolvedStream` over both
+cache levels.
 
 Scope: fault-free replay of 64-bit-unit caches (the paper's L1 shape)
 under LRU with write-allocate.  Fault injection, wider units and other
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -273,19 +278,15 @@ class ReplayCapture:
         events: next-level block traffic, one tuple per miss read /
             dirty write-back — ``(access_index, kind, mem_slot, cycle,
             block_words)`` with ``kind`` 0 for a read (``block_words``
-            None) and 1 for a write.  Sorted into global access order
-            (stable, so a miss's read precedes its victim's write-back,
-            exactly the scalar ``Cache`` order).
+            None) and 1 for a write.  In access order, a miss's read
+            before its victim's write-back, exactly the scalar ``Cache``
+            order.
         lru: final MRU-to-LRU way order per touched set.
         line_last: final last-dirty cycle of every unit, flat —
             unit ``u`` of (set, way) at ``(set * ways + way) *
             units_per_block + u`` (None where no dirty stamp is live).
         slot_addr: byte address of each memory-image slot.
         final_cycle: cycle of the last access (0 for an empty trace).
-        dirty_stores: access indices of stores that hit an already-dirty
-            unit (sorted) — the per-access view of the
-            ``stores_to_dirty`` counter, which the timing fast path
-            turns into ``AccessEvent.was_dirty``.
     """
 
     def __init__(self):
@@ -294,7 +295,6 @@ class ReplayCapture:
         self.line_last: Optional[list] = None
         self.slot_addr: Optional[List[int]] = None
         self.final_cycle: int = 0
-        self.dirty_stores: List[int] = []
 
 
 @dataclasses.dataclass(frozen=True)
@@ -332,6 +332,398 @@ class BatchReplayResult:
     def dirty_xor(self) -> Dict[int, int]:
         """R1 ^ R2 per register pair (the recovery invariant)."""
         return {i: p.dirty_xor for i, p in enumerate(self.registers.pairs)}
+
+
+# ----------------------------------------------------------------------
+# The LRU residency kernel
+# ----------------------------------------------------------------------
+def _index_dtype(bound: int):
+    """int32 when every index below ``bound`` fits, else int64."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal ``keys`` starts."""
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return head
+
+
+def _stable_argsort(keys: np.ndarray, dtype) -> np.ndarray:
+    """Indices (as ``dtype``) that sort non-negative ``keys``, equal keys
+    in index order.
+
+    Small keys take NumPy's radix sort; otherwise each key gets its
+    index as a tiebreak, and NumPy's quicksort of the unique composite
+    beats its stable merge sort several times over.
+    """
+    n = len(keys)
+    top = int(keys.max()) if n else 0
+    if top < 1 << 16:
+        order = np.argsort(keys.astype(np.uint16), kind="stable")
+    elif top < (1 << 62) // n:
+        composite = keys.astype(np.int64)
+        composite *= n
+        composite += np.arange(n)
+        order = np.argsort(composite)
+    else:
+        order = np.argsort(keys, kind="stable")
+    return order.astype(dtype, copy=False)
+
+
+def _run_starts(head: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``index`` of the first element of each element's run."""
+    return np.maximum.accumulate(np.where(head, index, 0))
+
+
+class LruResidency(NamedTuple):
+    """Per-access outcome of a W-way LRU cache, in access order.
+
+    Attributes:
+        hit: the access found its block resident.
+        way: the way that holds the block after the access.
+        fill: access index of the miss that filled that way with the
+            block (the access itself on a miss) — one id per residency.
+        evict: for a miss in a full set, access index of the last access
+            to the block it evicts; -1 everywhere else.
+    """
+
+    hit: np.ndarray
+    way: np.ndarray
+    fill: np.ndarray
+    evict: np.ndarray
+
+
+def lru_residency(sets: np.ndarray, blocks: np.ndarray, ways: int) -> LruResidency:
+    """Resolve every access of a write-allocate LRU cache at once.
+
+    ``sets`` and ``blocks`` give each access's set and block key in
+    access order; a block belongs to one set.  Lines start invalid and a
+    miss fills the first invalid way, else the LRU way — the scalar
+    :class:`~repro.memsim.cache.Cache` order.
+
+    LRU keeps the W most recently used distinct blocks of a set (the
+    stack property of Mattson, Gecsei, Slutz and Traiger, 1970).  With
+    ``q_m`` the last access to the m-th most recent distinct block
+    before an access (in its set), the access hits exactly when its
+    block's previous access is at or after ``q_W``, and a miss in a full
+    set evicts the block last accessed at ``q_W``.  Accesses are sorted
+    by set (stable) and linked to their block's previous and next
+    access; ``q_1`` and ``q_2`` follow in closed form from runs of equal
+    blocks, and each deeper ``q_m`` is the last position before
+    ``q_(m-1)`` whose block recurs no earlier than the access, found by
+    binary lifting over a max sparse table of the next-access links.
+    Misses in sets not yet full take the next invalid way; a miss in a
+    full set takes the way of the residency it evicts, found by pointer
+    jumping along the chain of residencies each way held.
+    """
+    n = len(sets)
+    it = _index_dtype(n + 1)
+    if n == 0:
+        empty = np.zeros(0, dtype=it)
+        return LruResidency(np.zeros(0, dtype=bool), empty, empty, empty)
+    # Positions: accesses grouped by set, in access order within a set.
+    order = _stable_argsort(sets, it)
+    pos = np.arange(n, dtype=it)
+    head = _heads(sets[order])
+    start = _run_starts(head, pos)
+    blk = blocks[order]
+    by_block = _stable_argsort(blk, it)
+    sorted_blk = blk[by_block]
+    same = sorted_blk[1:] == sorted_blk[:-1]
+    del sorted_blk
+    earlier, later = by_block[:-1][same], by_block[1:][same]
+    del same
+    prev = np.full(n, -1, dtype=it)
+    prev[later] = earlier
+
+    q = pos - 1
+    q[head] = -1
+    if ways > 1:
+        # The run of equal blocks ending just before an access: the
+        # block before that run is the second most recent.
+        run_start = _run_starts(_heads(blk), pos)
+        q = np.where(q >= 0, run_start[q] - 1, -1)
+        q[q < start] = -1
+        del run_start
+    longest = int(np.diff(np.flatnonzero(head), append=n).max())
+    del blk, head
+    if ways > 2:
+        nxt = np.full(n, n, dtype=it)
+        nxt[earlier] = later
+        # table[l][k] = max(nxt[k : k + 2**l]); a skip never leaves a set.
+        table = [nxt]
+        while 1 << len(table) < longest:
+            step = 1 << (len(table) - 1)
+            table.append(np.maximum(table[-1][:-step], table[-1][step:]))
+        for _depth in range(2, ways):
+            # A block at or after q_(m-1) is already known to hit.
+            q[(q >= 0) & (prev >= q)] = -1
+            live = np.flatnonzero(q >= 0).astype(it)
+            if not len(live):
+                break
+            lo = start[live]
+            cur = q[live]
+            for level in range(len(table) - 1, -1, -1):
+                step = 1 << level
+                cand = cur - step
+                ok = cand >= lo
+                cand[~ok] = 0
+                ok &= table[level][cand] < live
+                cur[ok] -= step
+            cur -= 1
+            cur[cur < lo] = -1
+            q[live] = cur
+        del table, nxt
+    del earlier, later
+
+    hit = (prev >= 0) & (q <= prev)
+    miss = ~hit
+    full = miss & (q >= 0)
+    # Each access's residency: the latest miss of its block so far (a
+    # block's first access always misses).
+    latest = _run_starts(miss[by_block], pos)
+    fill = np.empty(n, dtype=it)
+    fill[by_block] = by_block[latest]
+    del latest, by_block
+    # Ways, in miss space: a miss in a set not yet full takes the next
+    # invalid way (lines fill in way order); a full-set miss points at
+    # the miss that filled the residency it evicts, down to a root.
+    missed = np.flatnonzero(miss).astype(it)
+    rank = np.cumsum(miss, dtype=it) - 1
+    firsts = np.cumsum(prev < 0, dtype=it)
+    root_way = firsts[missed] - firsts[start[missed]]
+    del firsts, prev
+    chained = full[missed]
+    link = np.arange(len(missed), dtype=it)
+    link[chained] = rank[fill[q[missed[chained]]]]
+    while True:
+        jumped = link[link]
+        if np.array_equal(jumped, link):
+            break
+        link = jumped
+    way = root_way[link][rank[fill]]
+    del link, jumped, rank, root_way, missed, chained
+
+    out_hit = np.empty(n, dtype=bool)
+    out_hit[order] = hit
+    out_way = np.empty(n, dtype=it)
+    out_way[order] = way
+    out_fill = np.empty(n, dtype=it)
+    out_fill[order] = order[fill]
+    out_evict = np.empty(n, dtype=it)
+    out_evict[order] = np.where(full, order[q], -1)
+    return LruResidency(out_hit, out_way, out_fill, out_evict)
+
+
+# ----------------------------------------------------------------------
+# Dirty-unit accounting over a resolved access stream
+# ----------------------------------------------------------------------
+class ResolvedStream:
+    """One access stream through a write-back, write-allocate LRU cache.
+
+    Runs :func:`lru_residency` over ``sets``/``blocks`` and accounts each
+    residency's dirty units.  ``cycles`` is each access's clock
+    (non-decreasing); ``units`` gives the protection unit each access
+    touches inside its block (``None``: one unit per line, as in the
+    L2).  A unit turns dirty at the first store of its residency and
+    stays dirty until the residency is evicted.  Every array is in
+    access order: the :class:`LruResidency` columns plus each access's
+    dirty facts, from which :meth:`stats` sums any window that ends with
+    the stream.
+
+    Attributes:
+        was_dirty: the access found its unit dirty (a store to the same
+            unit of the same residency came first).
+        interval: cycles since the unit's previous access where
+            ``was_dirty`` (0 elsewhere) — the Tavg samples.
+        victim_dirty: dirty units of the residency a full-set miss
+            evicts (0 elsewhere); a write-back where positive.
+        group_order, group_keys: accesses sorted by (residency, unit),
+            stable, and their ``fill * units_per_block + unit`` keys.
+    """
+
+    def __init__(
+        self,
+        sets: np.ndarray,
+        blocks: np.ndarray,
+        is_store: np.ndarray,
+        cycles: np.ndarray,
+        ways: int,
+        *,
+        units: Optional[np.ndarray] = None,
+        units_per_block: int = 1,
+    ):
+        self.hit, self.way, self.fill, self.evict = lru_residency(sets, blocks, ways)
+        self.is_store = is_store
+        self.cycles = cycles
+        n = len(is_store)
+        it = _index_dtype(n + 1)
+        if units is None:
+            keys = self.fill
+        else:
+            keys = self.fill.astype(_index_dtype((n + 1) * units_per_block))
+            keys *= units_per_block
+            keys += units
+        order = _stable_argsort(keys, it)
+        keys = keys[order]
+        stored = is_store[order]
+        # Stores earlier in each (residency, unit) group.
+        before = np.cumsum(stored, dtype=it)
+        before -= stored
+        before -= before[_run_starts(_heads(keys), np.arange(n, dtype=it))]
+        dirty = before > 0
+        del before
+        self.was_dirty = np.empty(n, dtype=bool)
+        self.was_dirty[order] = dirty
+        # A dirty access is never first in its group.
+        at = np.flatnonzero(dirty)
+        sorted_cycles = cycles[order]
+        self.interval = np.zeros(n, dtype=np.int64)
+        self.interval[order[at]] = sorted_cycles[at] - sorted_cycles[at - 1]
+        del at, sorted_cycles
+        # Dirty units per residency: one first store each.
+        dirty_units = np.bincount(self.fill[order[stored & ~dirty]], minlength=n)
+        del stored, dirty
+        self.victim_dirty = np.zeros(n, dtype=it)
+        full = self.evict >= 0
+        self.victim_dirty[full] = dirty_units[self.fill[self.evict[full]]]
+        self.group_order = order
+        self.group_keys = keys
+
+    def __len__(self) -> int:
+        return len(self.hit)
+
+    def traffic(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next-level block traffic, in the scalar cache's order.
+
+        One read per miss and one write-back per dirty eviction, in
+        access order with a miss's read before its victim's write-back.
+        Returns each event's access index, whether it is a write-back,
+        and the index of an access to the block it moves.
+        """
+        reads = np.flatnonzero(~self.hit)
+        writes = np.flatnonzero(self.victim_dirty)
+        at_read = np.arange(len(reads)) + np.searchsorted(writes, reads)
+        at_write = np.searchsorted(reads, writes, side="right")
+        at_write += np.arange(len(writes))
+        access = np.empty(len(reads) + len(writes), dtype=np.int64)
+        access[at_read] = reads
+        access[at_write] = writes
+        source = access.copy()
+        source[at_write] = self.evict[writes]
+        is_write = np.zeros(len(access), dtype=bool)
+        is_write[at_write] = True
+        return access, is_write, source
+
+    def stats(self, start: int, total_units: int) -> CacheStats:
+        """Statistics of accesses ``[start:]``, as the scalar cache
+        reports them after ``reset_stats()`` before access ``start``.
+
+        Counters are masked sums.  The dirty-occupancy integral and the
+        interval sums are sums of integers, exact in float64 below
+        2**53, so one integer sum converted once equals the scalar
+        cache's running float sum.  ``read_before_writes`` stays 0 (a
+        protection scheme's count).
+        """
+        stats = CacheStats()
+        stats.configure(total_units)
+        n = len(self)
+        if not n:
+            return stats
+        hit = self.hit[start:]
+        stored = self.is_store[start:]
+        hits = int(np.count_nonzero(hit))
+        stats.write_hits = int(np.count_nonzero(hit & stored))
+        stats.read_hits = hits - stats.write_hits
+        stats.write_misses = int(np.count_nonzero(stored)) - stats.write_hits
+        stats.read_misses = len(hit) - hits - stats.write_misses
+        stats.fills = len(hit) - hits
+        victims = self.victim_dirty[start:]
+        stats.evictions_dirty = int(np.count_nonzero(victims))
+        stats.evictions_clean = (
+            int(np.count_nonzero(self.evict[start:] >= 0)) - stats.evictions_dirty
+        )
+        stats.writebacks = stats.evictions_dirty
+        dirty = self.was_dirty[start:]
+        stats.stores_to_dirty_units = int(np.count_nonzero(dirty & stored))
+        # Dirty units in force before each access: the scalar cache
+        # integrates before applying an access's dirty-bit changes.
+        count = (self.is_store & ~self.was_dirty).astype(np.int64)
+        count -= self.victim_dirty
+        np.cumsum(count, out=count)
+        cycles = self.cycles
+        # Access i integrates count[i - 1] over its span; access 0 finds
+        # the cache clean.
+        s = max(start, 1)
+        integral = int(np.dot(np.diff(cycles[s - 1 :]), count[s - 1 : -1]))
+        stats.dirty_time_integral = float(integral)
+        first = int(cycles[start - 1]) if start else 0
+        stats.observed_cycles = float(int(cycles[-1]) - first)
+        stats._last_event_cycle = float(cycles[-1])
+        stats._current_dirty_units = int(count[-1])
+        intervals = self.interval[start:][dirty]
+        if len(intervals):
+            stats.dirty_interval_sum = float(intervals.sum())
+            stats.dirty_interval_count = len(intervals)
+            buckets = np.searchsorted(_POW2, intervals, side="right") - 1
+            np.maximum(buckets, 0, out=buckets)
+            stats.dirty_interval_histogram = {
+                bucket: total
+                for bucket, total in enumerate(np.bincount(buckets).tolist())
+                if total
+            }
+        return stats
+
+
+class _UnitHistory:
+    """Every store's unit value, with point lookups by unit and time.
+
+    Stores are grouped by memory unit (block slot and unit, stable, so
+    in access order within a unit).  A store writes whole bytes, so the
+    unit value after a store takes each byte from the latest store to
+    that unit covering it (zero where none did): a per-byte
+    latest-writer fold.  A unit's value does not depend on residencies,
+    because a clean eviction drops a copy of memory and a dirty one
+    writes the line back.
+    """
+
+    def __init__(self, unit_keys, times, words, masks, n):
+        self.n = n
+        it = _index_dtype(len(times) + 1)
+        order = _stable_argsort(unit_keys, np.int64)
+        unit_keys = unit_keys[order]
+        self.order = order
+        #: Sort key: unit, then access index.
+        self.keys = unit_keys * (n + 1) + times[order]
+        index = np.arange(len(order), dtype=it)
+        group = _run_starts(_heads(unit_keys), index)
+        del unit_keys
+        masks = masks[order]
+        words = words[order]
+        #: Unit value after each store, in ``order``.
+        self.values = np.zeros(len(order), dtype=np.uint64)
+        for shift in range(0, 64, 8):
+            lane = np.uint64(0xFF << shift)
+            writer = np.where(masks & lane, index, -1)
+            np.maximum.accumulate(writer, out=writer)
+            found = writer >= group
+            self.values[found] |= words[writer[found]] & lane
+
+    def at(self, unit_keys, times):
+        """Value of each unit before access ``times``, and the access
+        index of the store that wrote it (-1 for none: zero)."""
+        base = unit_keys * (self.n + 1)
+        j = np.searchsorted(self.keys, base + times) - 1
+        found = j >= 0
+        found[found] = self.keys[j[found]] >= base[found]
+        j = j[found]
+        values = np.zeros(len(base), dtype=np.uint64)
+        values[found] = self.values[j]
+        written = np.full(len(base), -1, dtype=np.int64)
+        written[found] = self.keys[j] - base[found]
+        return values, written
 
 
 class BatchReplayEngine:
@@ -388,32 +780,21 @@ class BatchReplayEngine:
         # Validates the pair/class geometry exactly like CppcProtection.
         RegisterFile(64, num_pairs=num_pairs, num_classes=num_classes)
         #: Optional :class:`repro.obs.TraceSink`.  When absent or
-        #: disabled, :meth:`replay` runs the single-chunk uninstrumented
-        #: path — no timing calls, no extra per-set work.
+        #: disabled, :meth:`replay` makes no timing calls.
         self.obs = None
-
-    #: Set-range chunks per replay when a sink is attached (each chunk
-    #: becomes one span in the trace).
-    OBS_CHUNKS = 8
 
     # ------------------------------------------------------------------
     # Phase 1 — bulk address decomposition
     # ------------------------------------------------------------------
-    def decompose(
-        self, trace: BatchTrace
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split every address into (set, tag, unit, rotation class)."""
-        block_shift = self.block_bytes.bit_length() - 1
-        set_bits = self.num_sets.bit_length() - 1
-        blocks = trace.addr >> block_shift
-        set_idx = blocks & (self.num_sets - 1)
-        tags = blocks >> set_bits
+    def decompose(self, trace: BatchTrace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split every address into (block, set, unit)."""
+        blocks = trace.addr >> (self.block_bytes.bit_length() - 1)
+        sets = blocks & (self.num_sets - 1)
         units = (trace.addr & (self.block_bytes - 1)) >> 3
-        classes = (set_idx * self.units_per_block + units) % self.num_classes
-        return set_idx, tags, units, classes
+        return blocks, sets, units
 
     # ------------------------------------------------------------------
-    # Phases 2+3 — per-set resolution and bulk reduction
+    # Phases 2+3 — resolution and derivation
     # ------------------------------------------------------------------
     def replay(
         self,
@@ -425,245 +806,104 @@ class BatchReplayEngine:
         With a :class:`ReplayCapture`, the next-level traffic and final
         microarchitectural details needed to rebuild a scalar hierarchy
         are recorded as a side effect (simulation outcomes unchanged).
+        With a live sink, each phase (``decompose``, ``resolve``,
+        ``accumulate``) is one ``batch`` span over every reference.
         """
-        state = _ReplayState(self, capture)
-        self._feed(state, trace)
-        return self._finish(state)
-
-    # ------------------------------------------------------------------
-    # Incremental streaming API
-    # ------------------------------------------------------------------
-    def begin(self, capture: Optional[ReplayCapture] = None) -> "_ReplayState":
-        """Open a persistent replay: feed chunks, then :meth:`finish`.
-
-        Cache, register and statistics state persist across chunk
-        boundaries, so feeding a trace in pieces is bit-identical to one
-        :meth:`replay` of the whole.  The caller holds the state between
-        chunks and may observe it mid-stream (via
-        :meth:`_ReplayState.checkpoint`) — how the timing fast path
-        splits one replay into a warmup and a measured window without
-        replaying anything twice.
-        """
-        return _ReplayState(self, capture)
-
-    def feed(self, state: "_ReplayState", trace: BatchTrace) -> None:
-        """Advance an open replay by one :class:`BatchTrace` chunk."""
-        self._feed(state, trace)
-
-    def finish(self, state: "_ReplayState") -> BatchReplayResult:
-        """Close an open replay and fold it into the result bundle."""
-        return self._finish(state)
-
-    def close(self, state: "_ReplayState") -> None:
-        """Seal an open replay's capture without building a result.
-
-        The timing fast path reads its statistics from checkpoints and
-        only needs the capture finalized; skipping the line/register/
-        memory snapshots :meth:`finish` performs removes the dominant
-        fixed cost at that call site.
-        """
-        self._seal_capture(state)
-
-    def _feed(self, state: "_ReplayState", trace: BatchTrace) -> None:
-        """Resolve one chunk of accesses against the persistent state."""
         trace.validate()
-        n = len(trace)
-        if n == 0:
-            return
         obs = self.obs if self.obs is not None and self.obs.enabled else None
+        n = len(trace)
+        upb, ways, bb = self.units_per_block, self.ways, self.block_bytes
         t_phase = time.perf_counter() if obs is not None else 0.0
-        offset = state.references
-        set_idx, tags, units, classes = self.decompose(trace)
-        cycles = state.last_cycle + np.cumsum(trace.gap + 1)
-        # Every block the chunk can touch, mapped to a persistent dense
-        # memory-image slot so the replay loop never hashes an address.
-        block_addrs = trace.addr >> (self.block_bytes.bit_length() - 1)
-        unique_blocks, inverse = np.unique(block_addrs, return_inverse=True)
-        block_slot = state.block_slot
-        slot_blocks = state.slot_blocks
-        blocks = unique_blocks.tolist()
-        for block in blocks:
-            if block not in block_slot:
-                block_slot[block] = len(slot_blocks)
-                slot_blocks.append(block)
-        grow = self.units_per_block * len(slot_blocks) - len(state.memimg)
-        state.memimg.extend([0] * grow)
-        lookup = [block_slot[block] for block in blocks]
-        mem_slot = np.array(lookup, dtype=np.int64)[inverse]
-
-        r1_vals: List[int] = []
-        r1_cls: List[int] = []
-        r2_vals: List[int] = []
-        r2_cls: List[int] = []
-        intervals: List[int] = []
-        delta_idx: List[int] = []
-        delta_val: List[int] = []
-
-        order = np.argsort(set_idx, kind="stable")
-        bounds = np.searchsorted(set_idx[order], np.arange(self.num_sets + 1)).tolist()
-        # Every column in set order once, so each set below takes plain
-        # slices (views) instead of gathering its own rows.
-        columns = (
-            order + offset,
-            tags[order],
-            units[order],
-            classes[order],
-            trace.is_store[order],
-            cycles[order],
-            mem_slot[order],
-            trace.value_word[order],
-            trace.value_mask[order],
-        )
-        del tags, units, classes, mem_slot  # only the set-ordered copies live on
-        lines = (
-            state.line_tag,
-            state.line_data,
-            state.line_dirty,
-            state.line_last,
-            state.line_slot,
-            state.line_ndirty,
-            state.lru,
-        )
-        if obs is None:
-            # Uninstrumented path: one span, zero timing calls.
-            set_ranges = [(0, self.num_sets)]
-        else:
-            obs.span(
-                "batch",
-                "decompose",
-                t_phase,
-                time.perf_counter() - t_phase,
-                {"references": n, "offset": offset},
-            )
-            step = -(-self.num_sets // self.OBS_CHUNKS)
-            set_ranges = [
-                (c0, min(c0 + step, self.num_sets))
-                for c0 in range(0, self.num_sets, step)
-            ]
-        for c0, c1 in set_ranges:
-            t_chunk = time.perf_counter() if obs is not None else 0.0
-            for s in range(c0, c1):
-                lo, hi = bounds[s], bounds[s + 1]
-                if lo == hi:
-                    continue
-                state.touched.add(s)
-                self._replay_set(
-                    s,
-                    *[column[lo:hi].tolist() for column in columns],
-                    state.memimg,
-                    lines,
-                    state.counters,
-                    r1_vals,
-                    r1_cls,
-                    r2_vals,
-                    r2_cls,
-                    intervals,
-                    delta_idx,
-                    delta_val,
-                    capture=state.capture,
-                )
-            if obs is not None:
-                obs.span(
-                    "batch",
-                    f"resolve-sets[{c0}:{c1}]",
-                    t_chunk,
-                    time.perf_counter() - t_chunk,
-                    {
-                        "sets": c1 - c0,
-                        "references": int(bounds[c1] - bounds[c0]),
-                    },
-                )
-
-        t_phase = time.perf_counter() if obs is not None else 0.0
-        # Dirty-occupancy integral: the count in force over the interval
-        # ending at access i is the cumulative delta through access i-1
-        # (the scalar cache integrates *before* applying an access's
-        # dirty-bit changes).  The per-chunk increment telescopes to the
-        # one-shot reduction exactly because both are integer sums.
-        deltas = np.zeros(n, dtype=np.int64)
-        if delta_idx:
-            np.add.at(
-                deltas,
-                np.array(delta_idx, dtype=np.int64) - offset,
-                np.array(delta_val, dtype=np.int64),
-            )
-        counts = state.dirty_count + np.cumsum(deltas)
-        prev_counts = np.concatenate(([state.dirty_count], counts[:-1]))
-        spans = np.diff(np.concatenate(([state.last_cycle], cycles)))
-        state.integral += int(np.dot(spans, prev_counts))
-        state.dirty_count = int(counts[-1])
-        state.last_cycle = int(cycles[-1])
-        if intervals:
-            arr = np.array(intervals, dtype=np.int64)
-            state.interval_sum += int(arr.sum())
-            state.interval_count += len(arr)
-            buckets = np.maximum(
-                np.searchsorted(_POW2, arr, side="right") - 1, 0
-            )
-            hist = state.interval_hist
-            for b, count in enumerate(np.bincount(buckets)):
-                if count:
-                    hist[int(b)] = hist.get(int(b), 0) + int(count)
-        self._fold_stream(state.r1_acc, r1_vals, r1_cls)
-        self._fold_stream(state.r2_acc, r2_vals, r2_cls)
-        state.references += n
-        state.stores += int(trace.is_store.sum())
-        state.instructions += int(trace.gap.sum()) + n
+        blocks, sets, units = self.decompose(trace)
+        cycles = np.cumsum(trace.gap + 1)
         if obs is not None:
-            obs.span(
-                "batch",
-                "accumulate",
-                t_phase,
-                time.perf_counter() - t_phase,
-                {"references": n},
-            )
+            t_phase = self._span(obs, "decompose", t_phase, n)
+        stream = ResolvedStream(
+            sets,
+            blocks,
+            trace.is_store,
+            cycles,
+            ways,
+            units=units,
+            units_per_block=upb,
+        )
+        if obs is not None:
+            t_phase = self._span(obs, "resolve", t_phase, n)
 
-    def _seal_capture(self, state: "_ReplayState") -> None:
-        """Finalize the capture attached to an open replay, if any."""
-        capture = state.capture
-        bb = self.block_bytes
+        stats = stream.stats(0, self.num_sets * ways * upb)
+        stats.read_before_writes = stats.stores_to_dirty_units
+        slot_blocks, slot = np.unique(blocks, return_inverse=True)
+        stores = np.flatnonzero(trace.is_store)
+        history = _UnitHistory(
+            slot[stores] * upb + units[stores],
+            stores,
+            trace.value_word[stores],
+            trace.value_mask[stores],
+            n,
+        )
+        # R1 takes every stored value; R2 the old value of each store to
+        # a dirty unit, and each dirty unit a write-back retires.  A
+        # unit's row (set * units_per_block + unit) picks its class.
+        stores = stores[history.order]
+        rows = sets[stores] * upb + units[stores]
+        r1_acc = self._fold(history.values, rows)
+        redirtied = np.flatnonzero(stream.was_dirty[stores])
+        del stores, units
+
+        # Write-backs carry every unit of the evicted block as it stood.
+        unit = np.arange(upb)
+        wb = np.flatnonzero(stream.victim_dirty)
+        victim = stream.evict[wb]
+        wb_slot = slot[victim]
+        values, written = history.at(
+            (wb_slot[:, None] * upb + unit).ravel(), np.repeat(wb, upb)
+        )
+        wb_words = values.reshape(len(wb), upb)
+        retired = written >= np.repeat(stream.fill[victim], upb)
+        retired_rows = (sets[victim][:, None] * upb + unit).ravel()[retired]
+        r2_acc = self._fold(
+            np.concatenate((history.values[redirtied - 1], values[retired])),
+            np.concatenate((rows[redirtied], retired_rows)),
+        )
+        del victim, values, written, retired, retired_rows, rows, redirtied
+
+        # Final lines: the residencies no miss evicted.
+        live = ~stream.hit
+        live[stream.fill[stream.evict[stream.evict >= 0]]] = False
+        live = np.flatnonzero(live)
+        line = sets[live] * ways + stream.way[live]
+        by_line = np.argsort(line)
+        live, line = live[by_line], line[by_line]
+        values, written = history.at(
+            (slot[live][:, None] * upb + unit).ravel(), np.full(len(live) * upb, n)
+        )
+        data = values.reshape(len(live), upb)
+        dirty = (written >= np.repeat(live, upb)).reshape(len(live), upb)
+        # The residency's last access to each unit, where it has one: a
+        # dirty unit's stamp, and the line's recency.
+        key = (live[:, None] * upb + unit).ravel()
+        tail = np.searchsorted(stream.group_keys, key, side="right") - 1
+        np.maximum(tail, 0, out=tail)
+        last = np.where(stream.group_keys[tail] == key, stream.group_order[tail], -1)
+        last = last.reshape(len(live), upb)
+        stamp = np.where(dirty, cycles[last], -1)
+        recent = np.full(self.num_sets * ways, -1, dtype=np.int64)
+        recent[line] = last.max(axis=1)
+        del history, values, written, key, tail, last
+        tags = blocks[live] >> (self.num_sets.bit_length() - 1)
+        del live, blocks
+
         if capture is not None:
-            # Stable sort: within one access the miss read was appended
-            # before the victim write-back, matching the scalar order.
-            capture.events.sort(key=lambda e: e[0])
-            capture.dirty_stores.sort()
-            capture.line_last = state.line_last
-            capture.slot_addr = [int(b) * bb for b in state.slot_blocks]
-            capture.final_cycle = state.last_cycle
-            ways = self.ways
-            for s in sorted(state.touched):
-                base = s * ways
-                capture.lru[s] = [ln - base for ln in state.lru[base : base + ways]]
+            access, is_write, source = stream.traffic()
+            traffic_slot = slot[source]
+            del source
+            # MRU-to-LRU: ways by their last access, latest first; ways
+            # never filled keep their initial order behind them.
+            recent = recent.reshape(self.num_sets, ways)
+            touched = np.flatnonzero(recent[:, 0] >= 0)  # way 0 fills first
+            lru = np.argsort(-recent[touched], axis=1, kind="stable")
+        del stream, slot, sets, recent
 
-    def _finish(self, state: "_ReplayState") -> BatchReplayResult:
-        """Fold the accumulated state into the result bundle."""
-        self._seal_capture(state)
-        bb = self.block_bytes
-        capture = state.capture
-        stats = CacheStats()
-        stats.configure(self.num_sets * self.ways * self.units_per_block)
-        c = state.counters
-        stats.read_hits = c.read_hits
-        stats.read_misses = c.read_misses
-        stats.write_hits = c.write_hits
-        stats.write_misses = c.write_misses
-        stats.fills = c.fills
-        stats.writebacks = c.writebacks
-        stats.evictions_clean = c.evictions_clean
-        stats.evictions_dirty = c.evictions_dirty
-        stats.read_before_writes = c.read_before_writes
-        stats.stores_to_dirty_units = c.stores_to_dirty
-        if state.references:
-            stats.dirty_time_integral = float(state.integral)
-            stats.observed_cycles = float(state.last_cycle)
-            stats._last_event_cycle = float(state.last_cycle)
-            stats._current_dirty_units = state.dirty_count
-        if state.interval_count:
-            stats.dirty_interval_sum = float(state.interval_sum)
-            stats.dirty_interval_count = state.interval_count
-            stats.dirty_interval_histogram = dict(
-                sorted(state.interval_hist.items())
-            )
         registers = RegisterFile(
             64, num_pairs=self.num_pairs, num_classes=self.num_classes
         )
@@ -673,348 +913,103 @@ class BatchReplayEngine:
                 pair_index * classes_per_pair,
                 (pair_index + 1) * classes_per_pair,
             ):
-                pair.r1 ^= state.r1_acc[rotation_class]
-                pair.r2 ^= state.r2_acc[rotation_class]
+                pair.r1 ^= r1_acc[rotation_class]
+                pair.r2 ^= r2_acc[rotation_class]
             # Incremental event parity telescopes to the parity of the
             # final register value (popcount is linear over XOR mod 2).
             pair.r1_parity = parity(pair.r1)
             pair.r2_parity = parity(pair.r2)
-        lines = self._snapshot_lines(
-            state.line_tag, state.line_data, state.line_dirty
-        )
-        if state.memimg:
-            raw = np.array(state.memimg, dtype=np.uint64).astype(">u8").tobytes()
-        else:
-            raw = b""
-        memory = {
-            int(block) * bb: raw[slot * bb : (slot + 1) * bb]
-            for slot, block in enumerate(state.slot_blocks)
+        raw = data.astype(">u8").tobytes()
+        lines = {
+            divmod(ln, ways): LineState(
+                tag=tag,
+                data=raw[k * bb : (k + 1) * bb],
+                dirty=tuple(bits),
+                check=tuple(check),
+            )
+            for k, (ln, tag, bits, check) in enumerate(
+                zip(
+                    line.tolist(),
+                    tags.tolist(),
+                    dirty.tolist(),
+                    _fold_check_words(data).tolist(),
+                )
+            )
         }
-        return BatchReplayResult(
-            references=state.references,
-            loads=state.references - state.stores,
-            stores=state.stores,
-            instructions=state.instructions,
+        # Memory image: each block as its last write-back left it.
+        image = np.zeros((len(slot_blocks), upb), dtype=np.uint64)
+        written, latest = np.unique(wb_slot[::-1], return_index=True)
+        image[written] = wb_words[len(wb) - 1 - latest]
+        raw = image.astype(">u8").tobytes()
+        del image, written, latest
+        memory = {
+            block * bb: raw[k * bb : (k + 1) * bb]
+            for k, block in enumerate(slot_blocks.tolist())
+        }
+        del raw
+
+        if capture is not None:
+            words = [None] * len(access)
+            for at, row in zip(np.flatnonzero(is_write).tolist(), wb_words.tolist()):
+                words[at] = row
+            capture.events.extend(
+                zip(
+                    access.tolist(),
+                    is_write.astype(np.int8).tolist(),
+                    traffic_slot.tolist(),
+                    cycles[access].tolist(),
+                    words,
+                )
+            )
+            del words
+            line_last = [None] * (self.num_sets * ways * upb)
+            for ln, stamps in zip(line.tolist(), stamp.tolist()):
+                for u, cycle in enumerate(stamps):
+                    if cycle >= 0:
+                        line_last[ln * upb + u] = cycle
+            capture.line_last = line_last
+            capture.slot_addr = (slot_blocks * bb).tolist()
+            capture.final_cycle = int(cycles[-1]) if n else 0
+            capture.lru = dict(zip(touched.tolist(), lru.tolist()))
+
+        stored = int(np.count_nonzero(trace.is_store))
+        result = BatchReplayResult(
+            references=n,
+            loads=n - stored,
+            stores=stored,
+            instructions=trace.instructions,
             stats=stats,
             registers=registers,
             lines=lines,
             memory=memory,
-            memory_reads=c.mem_reads,
-            memory_writes=c.mem_writes,
+            memory_reads=stats.fills,
+            memory_writes=len(wb),
         )
+        if obs is not None:
+            self._span(obs, "accumulate", t_phase, n)
+        return result
 
-    def _fold_stream(
-        self,
-        acc: List[int],
-        values: List[int],
-        stream_classes: List[int],
-    ) -> None:
-        """XOR one chunk's rotated value stream into the per-class accs."""
-        if not values:
-            return
-        vals = np.array(values, dtype=np.uint64)
-        cls = np.array(stream_classes, dtype=np.int64)
+    @staticmethod
+    def _span(obs, name: str, began: float, references: int) -> float:
+        now = time.perf_counter()
+        obs.span("batch", name, began, now - began, {"references": references})
+        return now
+
+    def _fold(self, values, rows) -> List[int]:
+        """Per-class XOR of ``values``, each rotated by its row's class
+        (``row mod num_classes``)."""
+        acc = [0] * self.num_classes
+        if not len(values):
+            return acc
+        classes = rows % self.num_classes
         for rotation_class in range(self.num_classes):
-            selected = vals[cls == rotation_class]
+            selected = values[classes == rotation_class]
             if not len(selected):
                 continue
             if self.byte_shifting:
                 selected = _rotl_bytes_u64(selected, rotation_class)
             acc[rotation_class] ^= int(np.bitwise_xor.reduce(selected))
-
-    # ------------------------------------------------------------------
-    def _replay_set(
-        self,
-        s: int,
-        idxs: List[int],
-        tags: List[int],
-        units: List[int],
-        classes: List[int],
-        is_store: List[bool],
-        cycles: List[int],
-        slots: List[int],
-        words: List[int],
-        masks: List[int],
-        memimg: List[int],
-        lines,
-        c: "_Counters",
-        r1_vals: List[int],
-        r1_cls: List[int],
-        r2_vals: List[int],
-        r2_cls: List[int],
-        intervals: List[int],
-        delta_idx: List[int],
-        delta_val: List[int],
-        capture: Optional[ReplayCapture] = None,
-    ) -> None:
-        """Resolve one set's access sequence over flat list state.
-
-        Sets are independent subproblems — a block address maps to
-        exactly one set, so cache *and* memory-image state touched here
-        is disjoint from every other set's.  The per-access work is a
-        handful of integer operations; everything reducible is deferred
-        to the bulk phases.  ``lines`` (including the LRU order) is the
-        caller's flat :class:`_ReplayState` storage, so consecutive
-        chunks of one streamed trace resume exactly where the previous
-        chunk stopped.
-        """
-        ltag, ldata, ldirty, llast, lslot, lndirty, lru = lines
-        ways = self.ways
-        base = s * ways
-        lru_tail = base + ways - 1
-        line_range = range(base, base + ways)
-        upb = self.units_per_block
-        clean = [False] * upb
-        unstamped = [None] * upb
-        num_classes = self.num_classes
-        cls_base = (s * upb) % num_classes
-        r1v = r1_vals.append
-        r1c = r1_cls.append
-        r2v = r2_vals.append
-        r2c = r2_cls.append
-        iva = intervals.append
-        dia = delta_idx.append
-        dva = delta_val.append
-        ev = capture.events.append if capture is not None else None
-        dsa = capture.dirty_stores.append if capture is not None else None
-
-        for i, t, u, cls_i, st, now, slot, word, msk in zip(
-            idxs, tags, units, classes, is_store, cycles, slots, words, masks
-        ):
-            # Tag match across the ways (scalar Cache._find order).
-            w = -1
-            for cand in line_range:
-                if ltag[cand] == t:
-                    w = cand
-                    break
-            if w >= 0:
-                if st:
-                    c.write_hits += 1
-                else:
-                    c.read_hits += 1
-            else:
-                if st:
-                    c.write_misses += 1
-                else:
-                    c.read_misses += 1
-                c.mem_reads += 1
-                if ev is not None:
-                    ev((i, 0, slot, now, None))
-                # Victim: first invalid way, else LRU tail.
-                v = -1
-                for cand in line_range:
-                    if ltag[cand] == -1:
-                        v = cand
-                        break
-                if v < 0:
-                    v = lru[lru_tail]
-                    nd = lndirty[v]
-                    if nd:
-                        d0 = v * upb
-                        victim_data = ldata[d0 : d0 + upb]
-                        for uu in range(upb):
-                            if ldirty[d0 + uu]:
-                                r2v(victim_data[uu])
-                                r2c((cls_base + uu) % num_classes)
-                        m0 = lslot[v] * upb
-                        memimg[m0 : m0 + upb] = victim_data
-                        if ev is not None:
-                            ev((i, 1, lslot[v], now, victim_data))
-                        c.mem_writes += 1
-                        c.writebacks += 1
-                        c.evictions_dirty += 1
-                        dia(i)
-                        dva(-nd)
-                    else:
-                        c.evictions_clean += 1
-                ltag[v] = t
-                d0 = v * upb
-                m0 = slot * upb
-                ldata[d0 : d0 + upb] = memimg[m0 : m0 + upb]
-                ldirty[d0 : d0 + upb] = clean
-                llast[d0 : d0 + upb] = unstamped
-                lslot[v] = slot
-                lndirty[v] = 0
-                c.fills += 1
-                w = v
-            ui = w * upb + u
-            was_dirty = ldirty[ui]
-            if st:
-                old = ldata[ui]
-                if was_dirty:
-                    c.stores_to_dirty += 1
-                    c.read_before_writes += 1
-                    if dsa is not None:
-                        dsa(i)
-                    r2v(old)
-                    r2c(cls_i)
-                new = (old & ~msk) | word
-                r1v(new)
-                r1c(cls_i)
-                ldata[ui] = new
-                if not was_dirty:
-                    ldirty[ui] = True
-                    lndirty[w] += 1
-                    dia(i)
-                    dva(1)
-                last = llast[ui]
-                if last is not None:
-                    iva(now - last)
-                llast[ui] = now
-            elif was_dirty:
-                iva(now - llast[ui])
-                llast[ui] = now
-            if lru[base] != w:
-                pos = lru.index(w, base)
-                while pos > base:
-                    lru[pos] = lru[pos - 1]
-                    pos -= 1
-                lru[base] = w
-
-    def _snapshot_lines(
-        self, line_tag, line_data, line_dirty
-    ) -> Dict[Tuple[int, int], LineState]:
-        """Final per-line state with check words re-encoded in bulk."""
-        lines: Dict[Tuple[int, int], LineState] = {}
-        upb = self.units_per_block
-        for line, tag in enumerate(line_tag):
-            if tag == -1:
-                continue
-            d0 = line * upb
-            values = np.array(line_data[d0 : d0 + upb], dtype=np.uint64)
-            # Fault-free replay of a linear code: the check word of
-            # every unit equals a fresh encode of its value.
-            checks = _fold_check_words(values)
-            lines[divmod(line, self.ways)] = LineState(
-                tag=tag,
-                data=values.astype(">u8").tobytes(),
-                dirty=tuple(line_dirty[d0 : d0 + upb]),
-                check=tuple(int(x) for x in checks),
-            )
-        return lines
-
-
-class _Counters:
-    """Scalar event counters accumulated by the replay loop."""
-
-    __slots__ = (
-        "read_hits",
-        "read_misses",
-        "write_hits",
-        "write_misses",
-        "fills",
-        "writebacks",
-        "evictions_clean",
-        "evictions_dirty",
-        "read_before_writes",
-        "stores_to_dirty",
-        "mem_reads",
-        "mem_writes",
-    )
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-
-class _ReplayState:
-    """Cache state and reduction accumulators carried across chunks.
-
-    One instance spans one logical trace; :meth:`BatchReplayEngine._feed`
-    advances it by a chunk at a time and
-    :meth:`BatchReplayEngine._finish` folds it into a
-    :class:`BatchReplayResult`.  Everything whose size would otherwise
-    grow with the *trace* (event streams, interval lists, delta lists)
-    is reduced per chunk, so peak memory is one chunk of columns plus
-    the cache-sized state.
-    """
-
-    __slots__ = (
-        "capture",
-        "counters",
-        "line_tag",
-        "line_data",
-        "line_dirty",
-        "line_last",
-        "line_slot",
-        "line_ndirty",
-        "lru",
-        "touched",
-        "block_slot",
-        "slot_blocks",
-        "memimg",
-        "references",
-        "stores",
-        "instructions",
-        "last_cycle",
-        "integral",
-        "dirty_count",
-        "interval_sum",
-        "interval_count",
-        "interval_hist",
-        "r1_acc",
-        "r2_acc",
-    )
-
-    def __init__(self, engine: BatchReplayEngine, capture):
-        num_sets, ways = engine.num_sets, engine.ways
-        lines = num_sets * ways
-        units = lines * engine.units_per_block
-        self.capture = capture
-        self.counters = _Counters()
-        # Flat line state laid out like the scalar Cache's: line
-        # ``set * ways + way`` (tag -1 while never filled), unit
-        # ``line * units_per_block + unit``; each set's lines in
-        # MRU-to-LRU order at ``lru[set * ways : (set + 1) * ways]``.
-        self.line_tag = [-1] * lines
-        self.line_data = [0] * units
-        self.line_dirty = [False] * units
-        self.line_last = [None] * units
-        self.line_slot = [-1] * lines
-        self.line_ndirty = [0] * lines
-        self.lru = list(range(lines))
-        self.touched = set()
-        # Dense memory image, grown as new blocks appear: block slot
-        # ``k`` holds its words at ``memimg[k * units_per_block:]``.
-        self.block_slot = {}
-        self.slot_blocks = []
-        self.memimg = []
-        # Reduction carries.
-        self.references = 0
-        self.stores = 0
-        self.instructions = 0
-        self.last_cycle = 0
-        self.integral = 0
-        self.dirty_count = 0
-        self.interval_sum = 0
-        self.interval_count = 0
-        self.interval_hist = {}
-        self.r1_acc = [0] * engine.num_classes
-        self.r2_acc = [0] * engine.num_classes
-
-    def checkpoint(self) -> dict:
-        """Copy of the reduction accumulators at the current position.
-
-        Two checkpoints bracket a window of the replay: subtracting
-        them yields that window's counters, dirty-occupancy integral and
-        interval sums — exactly what a scalar ``reset_stats`` at the
-        window boundary would have measured, because the integral
-        restarts from the live dirty count and every per-unit
-        ``last_dirty_access`` survives the boundary in both models.
-        """
-        c = self.counters
-        return {
-            "counters": {name: getattr(c, name) for name in _Counters.__slots__},
-            "references": self.references,
-            "stores": self.stores,
-            "instructions": self.instructions,
-            "last_cycle": self.last_cycle,
-            "integral": self.integral,
-            "dirty_count": self.dirty_count,
-            "interval_sum": self.interval_sum,
-            "interval_count": self.interval_count,
-            "interval_hist": dict(self.interval_hist),
-        }
+        return acc
 
 
 # ----------------------------------------------------------------------

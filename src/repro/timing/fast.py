@@ -7,14 +7,14 @@ halves vectorize, and both halves must stay *bit-identical* to the
 scalar code — Figure 10 normalises CPIs against each other, so even a
 last-ulp drift would show up in the reproduction tables.
 
-Columnar collection (:func:`collect_run_fast`) drives the
-:class:`~repro.memsim.batch.BatchReplayEngine` once over the whole
-trace, splitting warmup from the measured window with a mid-stream
-:meth:`~repro.memsim.batch._ReplayState.checkpoint` instead of a second
-replay.  The engine's :class:`~repro.memsim.batch.ReplayCapture` records
-the next-level traffic; replaying that (sparse) traffic through a lean
-single-unit-line L2 model reproduces the L2 statistics and the
-per-access ``miss_level`` exactly as the scalar hierarchy saw them.
+Columnar collection (:func:`collect_run_fast`) resolves the whole trace
+once with :class:`~repro.memsim.batch.ResolvedStream` — the batch
+engine's LRU residency kernel plus its dirty-unit accounting — and
+reads the warm-up boundary as masked sums of the per-access columns
+instead of a second replay.  The L1's traffic columns (miss reads and
+dirty write-backs, in access order) run through the same kernel as the
+L2, which reproduces the L2 statistics and the per-access
+``miss_level`` exactly as the scalar hierarchy saw them.
 
 Pricing (:func:`time_events_fast`) computes the issue and miss-stall
 terms as pure array ops.  The store-buffer backlog recurrence
@@ -41,7 +41,7 @@ from ..errors import (
     cross_checks,
     raise_mismatches,
 )
-from ..memsim.batch import BatchReplayEngine, BatchTrace, ReplayCapture
+from ..memsim.batch import BatchReplayEngine, BatchTrace, ResolvedStream
 from ..memsim.hierarchy import PAPER_CONFIG, HierarchyConfig, MemoryHierarchy
 from ..memsim.stats import CacheStats
 from .model import (
@@ -153,248 +153,34 @@ class FastRun:
 # Columnar event collection
 # ----------------------------------------------------------------------
 
-#: Batch-engine counter name -> CacheStats field name.
-_COUNTER_FIELDS = (
-    ("read_hits", "read_hits"),
-    ("read_misses", "read_misses"),
-    ("write_hits", "write_hits"),
-    ("write_misses", "write_misses"),
-    ("fills", "fills"),
-    ("writebacks", "writebacks"),
-    ("evictions_clean", "evictions_clean"),
-    ("evictions_dirty", "evictions_dirty"),
-    ("stores_to_dirty", "stores_to_dirty_units"),
-)
-
-
-def _zero_gap(trace: BatchTrace) -> BatchTrace:
-    """The same accesses on a gap-free clock.
-
-    The scalar hierarchy advances its access counter by exactly one per
-    reference (``collect_events`` passes no cycle), while the batch
-    engine advances by ``gap + 1``; replaying a gap-free copy makes the
-    batch clock — and therefore every Tavg/dirty-residency statistic and
-    captured next-level cycle — land on the scalar values.  The
-    instruction gaps still reach the timing model via the
-    ``instructions`` column.
-    """
-    return BatchTrace(
-        addr=trace.addr,
-        size=trace.size,
-        is_store=trace.is_store,
-        gap=np.zeros(len(trace), dtype=np.int64),
-        value_word=trace.value_word,
-        value_mask=trace.value_mask,
-    )
-
-
-def _delta_stats(engine: BatchReplayEngine, warm: dict, end: dict) -> CacheStats:
-    """Measured-window L1 stats from two replay checkpoints.
-
-    Field-for-field what the scalar cache reports after
-    ``reset_stats()`` at the warmup boundary: counters are checkpoint
-    deltas, the dirty-occupancy integral telescopes across the boundary,
-    and the stats clock carries the absolute final cycle (the scalar
-    clock is not rewound by a reset).  ``read_before_writes`` stays 0 —
-    event collection runs on an unprotected hierarchy, and only
-    protection schemes perform read-before-writes (the batch engine
-    models CPPC's).
-    """
-    stats = CacheStats()
-    stats.configure(engine.num_sets * engine.ways * engine.units_per_block)
-    warm_counters, end_counters = warm["counters"], end["counters"]
-    for src, dst in _COUNTER_FIELDS:
-        setattr(stats, dst, end_counters[src] - warm_counters[src])
-    stats.dirty_time_integral = float(end["integral"] - warm["integral"])
-    stats.observed_cycles = float(end["last_cycle"] - warm["last_cycle"])
-    stats._last_event_cycle = float(end["last_cycle"])
-    stats._current_dirty_units = end["dirty_count"]
-    stats.dirty_interval_sum = float(end["interval_sum"] - warm["interval_sum"])
-    stats.dirty_interval_count = end["interval_count"] - warm["interval_count"]
-    warm_hist = warm["interval_hist"]
-    stats.dirty_interval_histogram = {
-        bucket: count - warm_hist.get(bucket, 0)
-        for bucket, count in sorted(end["interval_hist"].items())
-        if count - warm_hist.get(bucket, 0)
-    }
-    return stats
-
-
-class _LeanL2:
-    """Single-unit-per-line L2 replay with scalar-exact accounting.
-
-    :meth:`~repro.memsim.hierarchy.HierarchyConfig.check_geometry` makes
-    every L2 line one unit of one L1 block, so the captured traffic
-    always touches exactly one L2 unit covering the whole line.  That
-    collapses the scalar ``Cache`` path to a handful of list operations
-    per event; the float-bearing statistics still go through the very
-    same :class:`CacheStats` methods (``advance_to``,
-    ``record_dirty_interval``), so every rounding step matches.
-    """
-
-    def __init__(self, geometry):
-        self.block_bytes = geometry.block_bytes
-        self.ways = geometry.ways
-        self.num_sets = geometry.size_bytes // (geometry.ways * geometry.block_bytes)
-        self._access_counter = 0.0
-        self.stats = CacheStats()
-        self.stats.configure(self.num_sets * self.ways)
-        lines = self.num_sets * self.ways
-        # Flat per-line state (line ``set * ways + way``) and each set's
-        # MRU-to-LRU way order at ``order[set * ways : (set + 1) * ways]``.
-        # A line holds the capture's memory-image slot of its block, and
-        # ``slot_way`` maps every resident slot back to its way, so a
-        # probe is one list index.  ``filled`` counts valid ways: lines
-        # fill in way order and validity never decreases (every eviction
-        # is immediately followed by a fill of the same way), so the
-        # first invalid way is simply ``filled``.
-        self.line_slot = [-1] * lines
-        self.dirty = [False] * lines
-        self.last_dirty = [None] * lines
-        self.order = list(range(self.ways)) * self.num_sets
-        self.filled = [0] * self.num_sets
-        self.slot_way: list = []
-
-    def replay(self, events, slot_set, base_access, miss_level) -> None:
-        """Drive one capture segment, classifying per-access miss levels.
-
-        ``miss_level`` (when not ``None``) receives 2 for accesses whose
-        L2 traffic missed at least once — the scalar ``collect_events``
-        classification, which counts a victim write-back missing L2 too
-        — and 1 otherwise.  All cache state lives in locals for the
-        duration of the segment; only the float-bearing statistics calls
-        go through :class:`CacheStats` methods.
-        """
-        stats = self.stats
-        advance_to = stats.advance_to
-        record_interval = stats.record_dirty_interval
-        dirty_changed = stats.dirty_units_changed
-        ways = self.ways
-        line_slot, dirty, last_dirty = self.line_slot, self.dirty, self.last_dirty
-        order, filled_l = self.order, self.filled
-        slot_way = self.slot_way
-        if len(slot_way) < len(slot_set):
-            slot_way.extend([-1] * (len(slot_set) - len(slot_way)))
-        counter = self._access_counter
-        current = -1
-        missed = False
-        for access, kind, slot, cycle, _words in events:
-            if access != current:
-                if miss_level is not None and current >= 0:
-                    miss_level[current - base_access] = 2 if missed else 1
-                current = access
-                missed = False
-            if cycle > counter:
-                counter = cycle
-            now = counter
-            advance_to(now)
-            set_index = slot_set[slot]
-            base = set_index * ways
-            way = slot_way[slot]
-            if way >= 0:
-                if kind:
-                    stats.write_hits += 1
-                else:
-                    stats.read_hits += 1
-            else:
-                missed = True
-                if kind:
-                    stats.write_misses += 1
-                else:
-                    stats.read_misses += 1
-                filled = filled_l[set_index]
-                if filled < ways:
-                    way = filled
-                    filled_l[set_index] = filled + 1
-                else:
-                    way = order[base + ways - 1]
-                    line = base + way
-                    if dirty[line]:
-                        stats.writebacks += 1
-                        stats.evictions_dirty += 1
-                        dirty_changed(-1)
-                        dirty[line] = False
-                        last_dirty[line] = None
-                    else:
-                        stats.evictions_clean += 1
-                    slot_way[line_slot[line]] = -1
-                line_slot[base + way] = slot
-                slot_way[slot] = way
-                stats.fills += 1
-            line = base + way
-            if kind:
-                if dirty[line]:
-                    stats.stores_to_dirty_units += 1
-                else:
-                    dirty[line] = True
-                    dirty_changed(1)
-                last = last_dirty[line]
-                if last is not None:
-                    record_interval(now - last)
-                last_dirty[line] = now
-            elif dirty[line]:
-                record_interval(now - last_dirty[line])
-                last_dirty[line] = now
-            if order[base] != way:
-                pos = order.index(way, base)
-                while pos > base:
-                    order[pos] = order[pos - 1]
-                    pos -= 1
-                order[base] = way
-        if miss_level is not None and current >= 0:
-            miss_level[current - base_access] = 2 if missed else 1
-        self._access_counter = counter
-
-    def reset_stats(self) -> None:
-        last = max(self._access_counter, self.stats._last_event_cycle)
-        self._access_counter = last
-        fresh = CacheStats()
-        fresh.configure(self.num_sets * self.ways)
-        fresh._last_event_cycle = last
-        fresh._current_dirty_units = self.stats._current_dirty_units
-        self.stats = fresh
-
 
 def _replay_l2(
-    capture: ReplayCapture,
-    config: HierarchyConfig,
-    warmup: int,
-    n_total: int,
+    l1: ResolvedStream, blocks: np.ndarray, geometry, warmup: int
 ) -> Tuple[CacheStats, np.ndarray]:
-    """Reproduce L2 behaviour from the captured next-level traffic.
+    """L2 statistics and per-access miss levels from the L1's traffic.
 
-    The capture holds exactly the ``read_block``/``write_block`` calls
-    the scalar L1 would have issued (same order, same cycles), so
-    feeding them to an L2 model reproduces its statistics bit-for-bit,
-    including the ``reset_stats()`` at the warmup boundary.  The lean
-    single-unit model covers every geometry
-    :meth:`~repro.memsim.hierarchy.HierarchyConfig.check_geometry` accepts.
+    The L2 sees exactly the ``read_block``/``write_block`` calls the
+    scalar L1 issues: a read per L1 miss and a write-back per dirty
+    eviction, in access order with a miss's read before its victim's
+    write-back, each at its access's cycle (access index + 1 on the
+    gap-free clock).  :meth:`~repro.memsim.hierarchy.HierarchyConfig.check_geometry`
+    makes every L2 line one unit of one L1 block, so the same kernel and
+    accounting reproduce the L2 statistics, including the
+    ``reset_stats()`` before the first event at or after ``warmup``.
     ``miss_level`` is classified per L1-missing access the way
     ``collect_events`` does: level 2 whenever the access grew the L2
     miss counter (its own fill *or* its victim's write-back missing L2).
     """
-    geometry = config.l2
-    miss_level = np.zeros(n_total - warmup, dtype=np.int8)
-    events = capture.events
-    split = 0
-    while split < len(events) and events[split][0] < warmup:
-        split += 1
-    l2 = _LeanL2(geometry)
-    num_sets, bb = l2.num_sets, l2.block_bytes
-    slot_set = [(a // bb) % num_sets for a in capture.slot_addr or []]
-    l2.replay(events[:split], slot_set, 0, None)
-    if warmup:
-        l2.reset_stats()
-    l2.replay(events[split:], slot_set, warmup, miss_level)
-    return l2.stats, miss_level
-
-
-def _dirty_flags(dirty_stores: List[int], warmup: int, n_total: int) -> np.ndarray:
-    flags = np.zeros(n_total - warmup, dtype=bool)
-    if dirty_stores:
-        idx = np.asarray(dirty_stores, dtype=np.int64)
-        flags[idx[idx >= warmup] - warmup] = True
-    return flags
+    access, is_write, source = l1.traffic()
+    block = blocks[source]
+    del source
+    num_sets = geometry.size_bytes // (geometry.ways * geometry.block_bytes)
+    l2 = ResolvedStream(block % num_sets, block, is_write, access + 1, geometry.ways)
+    stats = l2.stats(int(np.searchsorted(access, warmup)), num_sets * geometry.ways)
+    level = np.zeros(len(l1), dtype=np.int8)
+    level[access] = 1
+    level[access[~l2.hit]] = 2
+    return stats, level[warmup:]
 
 
 def collect_run_fast(
@@ -404,13 +190,13 @@ def collect_run_fast(
     warmup: int = 0,
     equivalence: str = "auto",
 ) -> FastRun:
-    """One batch replay -> measured events plus L1/L2 statistics.
+    """One batch resolution -> measured events plus L1/L2 statistics.
 
     The first ``warmup`` references fill the caches and are excluded
     from the returned events and statistics, exactly like
     ``reset_stats()`` at the boundary of a scalar run — but without
-    replaying anything twice: the measured window is the delta between
-    two checkpoints of one streaming replay.
+    replaying anything twice: the whole trace is resolved once and the
+    measured window is a masked sum over its per-access columns.
 
     Args:
         records: a :class:`~repro.memsim.batch.BatchTrace` or an
@@ -431,9 +217,12 @@ def collect_run_fast(
     """
     check_equivalence_mode(equivalence)
     config.check_geometry()
-    l1 = config.l1d
+    geometry = config.l1d
     engine = BatchReplayEngine(
-        l1.size_bytes, l1.ways, l1.block_bytes, unit_bytes=l1.unit_bytes
+        geometry.size_bytes,
+        geometry.ways,
+        geometry.block_bytes,
+        unit_bytes=geometry.unit_bytes,
     )
     trace = (
         records if isinstance(records, BatchTrace) else BatchTrace.from_records(records)
@@ -443,23 +232,34 @@ def collect_run_fast(
         raise ConfigurationError(
             f"warmup must be within the trace: {warmup} vs {n_total} references"
         )
-    capture = ReplayCapture()
-    state = engine.begin(capture)
-    flat = _zero_gap(trace)
-    if warmup:
-        engine.feed(state, flat.slice(0, warmup))
-    boundary = state.checkpoint()
-    engine.feed(state, flat.slice(warmup, n_total))
-    engine.close(state)
-    l2_stats, miss_level = _replay_l2(capture, config, warmup, n_total)
+    trace.validate()
+    blocks, sets, units = engine.decompose(trace)
+    # The scalar hierarchy's clock advances one per reference
+    # (``collect_events`` passes no cycle), so every Tavg/dirty-residency
+    # statistic and L2 cycle lands on the scalar values on this gap-free
+    # clock; the gaps reach the timing model via ``instructions``.
+    l1 = ResolvedStream(
+        sets,
+        blocks,
+        trace.is_store,
+        np.arange(1, n_total + 1),
+        geometry.ways,
+        units=units,
+        units_per_block=engine.units_per_block,
+    )
+    del sets, units
+    l1_stats = l1.stats(warmup, engine.num_sets * engine.ways * engine.units_per_block)
+    was_dirty = l1.was_dirty[warmup:] & trace.is_store[warmup:]
+    l2_stats, miss_level = _replay_l2(l1, blocks, config.l2, warmup)
+    del l1, blocks
     run = FastRun(
         events=EventColumns(
             is_load=~trace.is_store[warmup:],
             instructions=trace.gap[warmup:] + 1,
-            was_dirty=_dirty_flags(capture.dirty_stores, warmup, n_total),
+            was_dirty=was_dirty,
             miss_level=miss_level,
         ),
-        l1=_delta_stats(engine, boundary, state.checkpoint()),
+        l1=l1_stats,
         l2=l2_stats,
         references=n_total - warmup,
         units_per_block=engine.units_per_block,

@@ -14,9 +14,9 @@ from repro.memsim import (
     AccessType,
     BatchReplayEngine,
     BatchTrace,
-    ReplayCapture,
     cross_check_scalar,
 )
+from repro.memsim.batch import ResolvedStream
 from repro.workloads import (
     FastReplay,
     TraceRecord,
@@ -200,35 +200,68 @@ class TestFastReplay:
         assert direct.stats.snapshot() == from_records.stats.snapshot()
 
 
-class TestStreamingFeed:
-    def test_fed_chunks_match_one_shot(self):
-        # collect_run_fast splits warm-up from the measured window by
-        # feeding one open replay twice: the state must carry over.
+class TestWarmupBoundary:
+    @pytest.mark.parametrize("k", [0, 1, 333, 1000, 1999, 2000])
+    def test_boundary_sums_match_prefix_replay(self, k):
+        # collect_run_fast reads its warm-up boundary as masked sums of
+        # one resolution's per-access columns: LRU is causal, so the
+        # first k rows of the whole trace's columns are the prefix's
+        # own, and the sums before k are what replay(trace[:k]) reports.
         trace = BatchTrace.from_records(workload_records("vortex", n=2000, seed=8))
         engine = BatchReplayEngine(2048, 2, 32)
-        cap_fed, cap_once = ReplayCapture(), ReplayCapture()
-        state = engine.begin(cap_fed)
-        for start in range(0, len(trace), 333):
-            engine.feed(state, trace.slice(start, start + 333))
-        fed = engine.finish(state)
-        once = engine.replay(trace, capture=cap_once)
-        assert fed.stats.snapshot() == once.stats.snapshot()
-        assert fed.lines == once.lines
-        assert fed.memory == once.memory
-        assert [(p.r1, p.r2) for p in fed.registers.pairs] == [
-            (p.r1, p.r2) for p in once.registers.pairs
-        ]
-        assert cap_fed.lru == cap_once.lru
+        units = engine.num_sets * engine.ways * engine.units_per_block
 
-        # Memory-slot numbering is a per-run permutation; compare the
-        # next-level event streams address-to-address.
-        def translated(cap):
-            return [
-                (i, kind, cap.slot_addr[slot], cycle, words)
-                for i, kind, slot, cycle, words in cap.events
-            ]
+        def resolve(t):
+            blocks, sets, unit = engine.decompose(t)
+            return ResolvedStream(
+                sets,
+                blocks,
+                t.is_store,
+                np.cumsum(t.gap + 1),
+                engine.ways,
+                units=unit,
+                units_per_block=engine.units_per_block,
+            )
 
-        assert translated(cap_fed) == translated(cap_once)
+        whole, prefix = resolve(trace), resolve(trace.slice(0, k))
+        for column in (
+            "hit",
+            "way",
+            "fill",
+            "evict",
+            "was_dirty",
+            "interval",
+            "victim_dirty",
+        ):
+            mine, theirs = getattr(whole, column), getattr(prefix, column)
+            assert mine[:k].tolist() == theirs.tolist(), column
+
+        before = engine.replay(trace.slice(0, k)).stats
+        total, after = whole.stats(0, units), whole.stats(k, units)
+        for field in (
+            "read_hits",
+            "read_misses",
+            "write_hits",
+            "write_misses",
+            "fills",
+            "writebacks",
+            "evictions_clean",
+            "evictions_dirty",
+            "stores_to_dirty_units",
+            "dirty_time_integral",
+            "observed_cycles",
+            "dirty_interval_sum",
+            "dirty_interval_count",
+        ):
+            expected = getattr(before, field)
+            assert getattr(total, field) - getattr(after, field) == expected, field
+        assert before.read_before_writes == before.stores_to_dirty_units
+        hist = {
+            b: c - after.dirty_interval_histogram.get(b, 0)
+            for b, c in total.dirty_interval_histogram.items()
+        }
+        assert {b: c for b, c in hist.items() if c} == before.dirty_interval_histogram
+        assert after._current_dirty_units == total._current_dirty_units
 
 
 class TestRecordValidation:

@@ -59,6 +59,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             CampaignConfig(scheme_factory=cppc_factory, trials=0)
 
+    @pytest.mark.parametrize("shared_warmup", [False, True])
+    @pytest.mark.parametrize("field", ["warmup_references", "post_fault_references"])
+    def test_negative_reference_counts(self, field, shared_warmup):
+        # A negative warm-up used to crash every per-trial campaign trial
+        # and a negative post count to shorten the trace silently.
+        with pytest.raises(ConfigurationError, match=field):
+            CampaignConfig(
+                scheme_factory=cppc_factory,
+                shared_warmup=shared_warmup,
+                **{field: -50},
+            )
+        CampaignConfig(
+            scheme_factory=cppc_factory, shared_warmup=shared_warmup, **{field: 0}
+        )
+
     @pytest.mark.parametrize(
         "shape", [(0, 8), (8, 0), (-1, 4), (8,), (8, 8, 8), (2.0, 4), None]
     )

@@ -106,22 +106,19 @@ class TestFastReplayWithSink:
         baseline = FastReplay(equivalence="never").run(records)
         assert result.stats.snapshot() == baseline.stats.snapshot()
 
-    def test_chunk_spans_cover_every_set(self, tmp_path):
+    def test_phase_spans_cover_every_reference(self, tmp_path):
         records = _trace(800)
         path = tmp_path / "trace.jsonl"
         with JsonlSink(path) as sink:
             FastReplay(equivalence="never", obs=sink).run(records)
-        spans = [
-            e
-            for e in read_jsonl_trace(path, category="batch")
-            if e["name"].startswith("resolve-sets")
+        spans = list(read_jsonl_trace(path, category="batch"))
+        assert [span["name"] for span in spans] == [
+            "decompose",
+            "resolve",
+            "accumulate",
         ]
-        engine = FastReplay(equivalence="never").engine
-        assert len(spans) == min(engine.OBS_CHUNKS, engine.num_sets)
-        covered = sum(span["args"]["sets"] for span in spans)
-        assert covered == engine.num_sets
-        refs = sum(span["args"]["references"] for span in spans)
-        assert refs == len(records)
+        for span in spans:
+            assert span["args"]["references"] == len(records)
 
     def test_disabled_sink_keeps_single_chunk(self):
         engine = FastReplay(equivalence="never").engine

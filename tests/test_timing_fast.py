@@ -31,6 +31,7 @@ from repro.timing import (
 )
 from repro.timing.fast import (
     EventColumns,
+    _replay_l2 as _REPLAY_L2,
     collect_run_fast,
     time_events_fast,
     timing_mismatches,
@@ -111,6 +112,12 @@ class TestTimeEventsFast:
             )
 
 
+def _l2_misses_read_as_hits(*args):
+    """A planted fast-path bug: every L1 miss reads as an L2 hit."""
+    stats, miss_level = _REPLAY_L2(*args)
+    return stats, np.minimum(miss_level, 1)
+
+
 class TestCollectFast:
     @given(
         benchmark=st.sampled_from(["gzip", "gcc", "mcf", "twolf", "swim"]),
@@ -152,12 +159,7 @@ class TestCollectFast:
         from repro.timing import fast as fast_module
 
         records = list(make_workload("gzip", seed=2).records(120))
-        original = fast_module._dirty_flags
-        monkeypatch.setattr(
-            fast_module,
-            "_dirty_flags",
-            lambda stores, warmup, n: np.zeros_like(original(stores, warmup, n)),
-        )
+        monkeypatch.setattr(fast_module, "_replay_l2", _l2_misses_read_as_hits)
         with pytest.raises(EquivalenceError):
             collect_run_fast(records, PAPER_CONFIG, equivalence="always")
 
@@ -170,12 +172,7 @@ class TestCollectFast:
 
         limit = DEFAULT_EQUIVALENCE_LIMIT
         records = list(make_workload("gzip", seed=2).records(limit + 1))
-        original = fast_module._dirty_flags
-        monkeypatch.setattr(
-            fast_module,
-            "_dirty_flags",
-            lambda stores, warmup, n: np.zeros_like(original(stores, warmup, n)),
-        )
+        monkeypatch.setattr(fast_module, "_replay_l2", _l2_misses_read_as_hits)
         with pytest.raises(EquivalenceError) as excinfo:
             collect_run_fast(records[:limit], PAPER_CONFIG, equivalence="auto")
         assert excinfo.value.mismatches
