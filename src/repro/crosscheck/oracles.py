@@ -45,7 +45,6 @@ from ..faults.campaign import CampaignConfig, FaultCampaign, trial_mismatches
 from ..faults.injector import FaultInjector
 from ..faults.models import SpatialFault, TemporalFault
 from ..faults.schemes import scheme_factory
-from ..faults.warmstate import clear_warm_cache
 from ..memsim.cache import Cache
 from ..memsim.mainmem import MainMemory
 from ..memsim.types import AccessType, UnitLocation
@@ -382,12 +381,8 @@ def check_campaign(scenario: Scenario) -> List[str]:
         shared_warmup=True,
     )
     campaign = FaultCampaign(config)
-    clear_warm_cache()
-    try:
-        legacy = campaign.run_scalar()
-        fast = campaign.run()
-    finally:
-        clear_warm_cache()
+    legacy = campaign.run_scalar()
+    fast = campaign.run()
     return trial_mismatches(fast.trials, legacy.trials)
 
 

@@ -13,22 +13,11 @@ from .fitrate import FitEstimate, estimate_fit
 from .injector import FaultInjector, InjectionRecord
 from .models import BitFlip, SpatialFault, TemporalFault
 from .schemes import SCHEMES, SchemeFactory, scheme_factory
-from .warmstate import (
-    WarmState,
-    build_warm_state,
-    clear_warm_cache,
-    warm_cache,
-    warm_key,
-    warm_state_for,
-)
+from .warmstate import WarmState, build_warm_state
 
 __all__ = [
     "WarmState",
     "build_warm_state",
-    "clear_warm_cache",
-    "warm_cache",
-    "warm_key",
-    "warm_state_for",
     "CampaignConfig",
     "CampaignResult",
     "FaultCampaign",

@@ -225,6 +225,13 @@ class CampaignResult:
     flush (:attr:`TrialRun.flushed`).  The scalar reference and
     per-trial campaigns settle every trial as ``replayed`` and flush
     every trial that reaches the end of its suffix.
+
+    ``warm_engine`` and ``warm_fallback`` say how the run's shared warmup
+    was simulated (:attr:`WarmState.warm_engine
+    <repro.faults.warmstate.WarmState.warm_engine>` and
+    :attr:`~repro.faults.warmstate.WarmState.warm_fallback`); both are
+    None when the run built no warm state: the scalar reference, a
+    per-trial campaign, or a resumed one with no trial left to run.
     """
 
     config: CampaignConfig
@@ -235,6 +242,8 @@ class CampaignResult:
     )
     replayed_references: int = 0
     flushed: int = 0
+    warm_engine: Optional[str] = None
+    warm_fallback: Optional[str] = None
 
     def add(self, run: TrialRun) -> None:
         """Append a finished trial and count how it was settled."""
@@ -315,11 +324,12 @@ class FaultCampaign:
     """Runs the Monte-Carlo campaign described by a :class:`CampaignConfig`.
 
     The config chooses the engine.  Under ``config.shared_warmup`` every
-    trial forks one memoized warm snapshot and simulates only its
-    post-warmup suffix (see :mod:`repro.faults.warmstate`); otherwise
-    each trial warms its own hierarchy on its own trace.  Per-trial
-    results of the fork are bit-identical to the scalar reference,
-    :meth:`run_scalar`, which warms every trial itself either way.
+    trial forks one warm snapshot, built once per run, and simulates
+    only its post-warmup suffix (see :mod:`repro.faults.warmstate`);
+    otherwise each trial warms its own hierarchy on its own trace.
+    Per-trial results of the fork are bit-identical to the scalar
+    reference, :meth:`run_scalar`, which warms every trial itself either
+    way.
 
     Args:
         config: the campaign parameters.
@@ -363,6 +373,12 @@ class FaultCampaign:
         :class:`repro.runtime.CampaignRuntime` instead runs each trial in
         a worker subprocess with timeout/retry/checkpoint handling, and
         crashes degrade to :class:`TrialFailure` records.
+
+        Under a shared warmup the run builds its warm state once, before
+        the first trial (:func:`~repro.faults.warmstate.build_warm_state`,
+        in the parent process on the runtime path), hands it to every
+        trial and keeps nothing afterwards.  A failing build propagates as raised,
+        as it does in :meth:`run_scalar`.
         """
         if runtime is not None:
             from ..runtime.campaign import run_campaign
@@ -370,15 +386,24 @@ class FaultCampaign:
             return run_campaign(
                 self.config, runtime, obs=self.obs, equivalence=self.equivalence
             )
-        return self._run_sequential(self._run_trial)
+        warm = None
+        if self.config.shared_warmup:
+            from . import warmstate
+
+            warm = warmstate.build_warm_state(self.config)
+        result = self._run_sequential(lambda trial: self._run_trial(trial, warm))
+        if warm is not None:
+            result.warm_engine = warm.warm_engine
+            result.warm_fallback = warm.warm_fallback
+        return result
 
     def run_scalar(self) -> CampaignResult:
         """Execute every trial through the scalar reference, in-process.
 
         Each trial warms its own hierarchy and replays its whole trace
-        (:meth:`_classify_trial`), whatever the config; the warm-state
-        cache is never consulted.  This is what the fork is compared
-        against, the campaign counterpart of
+        (:meth:`_classify_trial`), whatever the config; no warm state is
+        built.  This is what the fork is compared against, the campaign
+        counterpart of
         :func:`repro.harness.experiments.run_benchmark_scalar`.  A trial
         crash propagates as raised.
         """
@@ -415,10 +440,10 @@ class FaultCampaign:
         wrapped in a :class:`TrialCrashError` carrying the trial index
         and derived seed so drivers can report *which* trial died.
 
-        ``warm`` optionally supplies a pre-built
-        :class:`~repro.faults.warmstate.WarmState` for a shared-warmup
-        trial (worker processes pass their digest-cached one); without
-        it the fork consults the module-level warm cache.
+        ``warm`` is the campaign's
+        :class:`~repro.faults.warmstate.WarmState` under a shared warmup
+        (built by :meth:`run`, or held by the worker that runs the trial)
+        and None for a per-trial campaign.
         """
         try:
             if not self.config.shared_warmup:
@@ -486,9 +511,9 @@ class FaultCampaign:
 
         return self._finish_trial(trial, hierarchy, golden, replayer, records)
 
-    def _classify_trial_fast(self, trial: int, warm=None) -> TrialRun:
-        """Fork the cached warm state and simulate only what the fault
-        can change.
+    def _classify_trial_fast(self, trial: int, warm) -> TrialRun:
+        """Fork the campaign's warm state ``warm`` and simulate only what
+        the fault can change.
 
         Bit-identical to :meth:`_classify_trial` under ``shared_warmup``:
         the restored hierarchy, golden image and cycle clock match the
@@ -506,10 +531,6 @@ class FaultCampaign:
         not the warmup prefix (simulated once, not per trial), nor the
         suffix steps or the part of the flush a trial skips.
         """
-        if warm is None:
-            from .warmstate import warm_state_for
-
-            warm = warm_state_for(self.config)
         hierarchy, golden, replayer = warm.fork()
         obs = self._obs_or_none()
         if obs is not None:

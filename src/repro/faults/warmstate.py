@@ -47,16 +47,16 @@ resumed at the end of the suffix with those flips and settled like an
 untouched trial
 (:meth:`~repro.faults.campaign.FaultCampaign._finish_trial`).
 
-:func:`warm_state_for` memoizes warm states in a bounded module-level
-:class:`~repro.memsim.snapshot.SnapshotCache`, keyed by everything the
-warm image depends on — scheme factory, benchmark, prefix length, trace
-length and workload seed stream.
+Nothing here is memoized: a campaign owns its warm state.
+:meth:`FaultCampaign.run <repro.faults.campaign.FaultCampaign.run>`
+builds it once per run and hands it to every trial, and the runtime
+builds it once in the parent process and ships it to each worker in the
+campaign's payload (:func:`repro.runtime.campaign.run_campaign`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pickle
 from bisect import bisect_right
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -70,7 +70,6 @@ from ..memsim.snapshot import (
     CacheSnapshot,
     HierarchyDelta,
     HierarchySnapshot,
-    SnapshotCache,
     apply_delta,
     diff_hierarchy,
     restore_hierarchy,
@@ -494,7 +493,6 @@ class WarmState:
     """One warmed-up campaign image, ready to fork per trial.
 
     Attributes:
-        key: the :func:`warm_key` this state was built for.
         config: the campaign configuration (supplies the scheme factory
             for forked hierarchies).
         snapshot: the post-warmup hierarchy state.
@@ -514,10 +512,8 @@ class WarmState:
             when that run was unusable, and every trial replays in full.
             It depends on the warm state alone, so it rides to workers
             in the payload and is dropped with the state.
-        size_bytes: pickled size (cache accounting and lane shipping).
     """
 
-    key: tuple
     config: CampaignConfig
     snapshot: HierarchySnapshot
     golden_image: Dict[int, int]
@@ -526,7 +522,6 @@ class WarmState:
     warm_engine: str
     warm_fallback: Optional[str] = None
     golden_record: Optional[GoldenRecord] = None
-    size_bytes: int = 0
 
     def fork(self) -> Tuple[MemoryHierarchy, GoldenMemory, TraceReplayer]:
         """A fresh live ``(hierarchy, golden, replayer)`` at the fork point.
@@ -547,22 +542,6 @@ class WarmState:
             start_cycle=self.start_cycle,
         )
         return hierarchy, golden, replayer
-
-
-def warm_key(config: CampaignConfig) -> tuple:
-    """Everything the warm image depends on (the memoization key).
-
-    ``post_fault_references`` is included because the workload generator
-    is seeded once for the whole trace — the suffix records depend on the
-    total length requested, not only on the prefix.
-    """
-    return (
-        repr(config.scheme_factory),
-        config.benchmark,
-        config.warmup_references,
-        config.post_fault_references,
-        repr(config.workload_seed(0)),
-    )
 
 
 def _batch_compatible(l1) -> Optional[str]:
@@ -609,7 +588,9 @@ def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> 
     )
     capture = ReplayCapture()
     result = engine.replay(BatchTrace.from_records(warm_records), capture=capture)
-    hierarchy.l2.absorb_line_traffic(capture.events, capture.slot_addr)
+    hierarchy.l2.absorb_line_traffic(
+        capture.kinds, capture.slots, capture.cycles, capture.words, capture.slot_addr
+    )
 
     upb = l1.units_per_block
     for (set_index, way), state in result.lines.items():
@@ -668,7 +649,6 @@ def build_warm_state(config: CampaignConfig) -> WarmState:
             warm_engine = "scalar"
 
     state = WarmState(
-        key=warm_key(config),
         config=config,
         snapshot=snapshot_hierarchy(hierarchy),
         golden_image=golden.snapshot(),
@@ -678,32 +658,4 @@ def build_warm_state(config: CampaignConfig) -> WarmState:
         warm_fallback=fallback,
     )
     state.golden_record = _golden_pass(state, hierarchy, golden)
-    # The flushed build hierarchy is done: free it before pickling.
-    del hierarchy, golden
-    state.size_bytes = len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
-    return state
-
-
-#: Campaign-side warm-state memo, bounded so sweeps over many
-#: configurations cannot grow without bound.
-_WARM_CACHE = SnapshotCache(max_entries=8, max_bytes=1 << 30)
-
-
-def warm_cache() -> SnapshotCache:
-    """The module-level warm-state cache (metrics export, tests)."""
-    return _WARM_CACHE
-
-
-def clear_warm_cache() -> None:
-    """Drop every memoized warm state (benchmarks and tests)."""
-    _WARM_CACHE.clear()
-
-
-def warm_state_for(config: CampaignConfig) -> WarmState:
-    """The memoized warm state for ``config`` (built on first use)."""
-    key = warm_key(config)
-    state = _WARM_CACHE.get(key)
-    if state is None:
-        state = build_warm_state(config)
-        _WARM_CACHE.put(key, state, state.size_bytes)
     return state

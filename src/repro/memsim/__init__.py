@@ -34,7 +34,6 @@ from .snapshot import (
     HierarchySnapshot,
     MemorySnapshot,
     PolicySnapshot,
-    SnapshotCache,
     restore_cache,
     restore_hierarchy,
     restore_memory,
@@ -70,7 +69,6 @@ __all__ = [
     "HierarchySnapshot",
     "MemorySnapshot",
     "PolicySnapshot",
-    "SnapshotCache",
     "restore_cache",
     "restore_hierarchy",
     "restore_memory",

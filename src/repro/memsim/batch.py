@@ -272,15 +272,20 @@ class ReplayCapture:
     lines, stats and registers, but not the next-level traffic (needed to
     warm the L2 behind it), the per-unit ``Tavg`` timestamps, or the
     final LRU orders.  Passing a capture to :meth:`BatchReplayEngine.replay`
-    collects them:
+    collects them.
+
+    The next-level block traffic, one event per miss read and dirty
+    write-back, is held as four aligned columns, in access order with a
+    miss's read before its victim's write-back, exactly the scalar
+    ``Cache`` order (:meth:`Cache.absorb_line_traffic
+    <repro.memsim.cache.Cache.absorb_line_traffic>` walks them).
 
     Attributes:
-        events: next-level block traffic, one tuple per miss read /
-            dirty write-back — ``(access_index, kind, mem_slot, cycle,
-            block_words)`` with ``kind`` 0 for a read (``block_words``
-            None) and 1 for a write.  In access order, a miss's read
-            before its victim's write-back, exactly the scalar ``Cache``
-            order.
+        kinds: each event's kind, 0 for a read and 1 for a write-back.
+        slots: the memory-image slot of the block each event moves.
+        cycles: the cycle of the access that caused each event.
+        words: the 64-bit words each write-back carries, one whole
+            line; None for a read.
         lru: final MRU-to-LRU way order per touched set.
         line_last: final last-dirty cycle of every unit, flat —
             unit ``u`` of (set, way) at ``(set * ways + way) *
@@ -290,7 +295,10 @@ class ReplayCapture:
     """
 
     def __init__(self):
-        self.events: List[tuple] = []
+        self.kinds: List[int] = []
+        self.slots: List[int] = []
+        self.cycles: List[int] = []
+        self.words: List[Optional[List[int]]] = []
         self.lru: Dict[int, List[int]] = {}
         self.line_last: Optional[list] = None
         self.slot_addr: Optional[List[int]] = None
@@ -896,7 +904,8 @@ class BatchReplayEngine:
         if capture is not None:
             access, is_write, source = stream.traffic()
             traffic_slot = slot[source]
-            del source
+            traffic_cycle = cycles[access]
+            del access, source
             # MRU-to-LRU: ways by their last access, latest first; ways
             # never filled keep their initial order behind them.
             recent = recent.reshape(self.num_sets, ways)
@@ -949,19 +958,13 @@ class BatchReplayEngine:
         del raw
 
         if capture is not None:
-            words = [None] * len(access)
+            words = [None] * len(is_write)
             for at, row in zip(np.flatnonzero(is_write).tolist(), wb_words.tolist()):
                 words[at] = row
-            capture.events.extend(
-                zip(
-                    access.tolist(),
-                    is_write.astype(np.int8).tolist(),
-                    traffic_slot.tolist(),
-                    cycles[access].tolist(),
-                    words,
-                )
-            )
-            del words
+            capture.kinds = is_write.view(np.int8).tolist()
+            capture.slots = traffic_slot.tolist()
+            capture.cycles = traffic_cycle.tolist()
+            capture.words = words
             line_last = [None] * (self.num_sets * ways * upb)
             for ln, stamps in zip(line.tolist(), stamp.tolist()):
                 for u, cycle in enumerate(stamps):

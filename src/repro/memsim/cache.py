@@ -890,19 +890,28 @@ class Cache:
         """Absorb a write-back from the level above."""
         self.store(block_addr, data, cycle=cycle)
 
-    def absorb_line_traffic(self, events, slot_addr: Sequence[int]) -> None:
+    def absorb_line_traffic(
+        self,
+        kinds: Sequence[int],
+        slots: Sequence[int],
+        cycles: Sequence[int],
+        words: Sequence[Optional[Sequence[int]]],
+        slot_addr: Sequence[int],
+    ) -> None:
         """Replay the upper level's captured block traffic in one pass.
 
-        ``events`` are :attr:`~repro.memsim.batch.ReplayCapture.events`
-        tuples ``(access_index, kind, slot, cycle, words)``, and block
-        ``slot`` sits at ``slot_addr[slot]``.  Kind 0 is replayed exactly
-        as :meth:`read_block`, kind 1 exactly as :meth:`write_block` of
-        the 64-bit ``words`` (one whole line).  The cache ends in the
-        same state, with the same :class:`CacheStats` calls made in the
-        same order (so float sums round the same), the scheme's
-        ``on_fill``/``on_unit_write``/``on_evict`` hooks called as the
-        per-access path calls them, and the same next-level
-        ``read_block``/``write_block`` calls in the same order.
+        The traffic comes as the aligned columns of a
+        :class:`~repro.memsim.batch.ReplayCapture`: event ``i`` is of kind
+        ``kinds[i]``, moves the block at ``slot_addr[slots[i]]`` at cycle
+        ``cycles[i]``, and a write-back carries the 64-bit ``words[i]``
+        (one whole line; None for a read).  Kind 0 is replayed exactly as
+        :meth:`read_block`, kind 1 exactly as :meth:`write_block` of those
+        words.  The cache ends in the same state, with the same
+        :class:`CacheStats` calls made in the same order (so float sums
+        round the same), the scheme's ``on_fill``/``on_unit_write``/
+        ``on_evict`` hooks called as the per-access path calls them, and
+        the same next-level ``read_block``/``write_block`` calls in the
+        same order.
 
         Every check of the per-access path stays: ``check_access`` on
         each address, and a check-word inspect of the unit each read
@@ -953,7 +962,7 @@ class Cache:
         policy = self.policy
         next_level = self.next_level
         counter = self._access_counter
-        for _access, kind, slot, cycle, words in events:
+        for kind, slot, cycle, block_words in zip(kinds, slots, cycles, words):
             addr = slot_addr[slot]
             # _advance: the clock moves only forward.
             if cycle > counter:
@@ -1027,11 +1036,11 @@ class Cache:
                 ):
                     raise self._line_fault(line)
                 try:
-                    packed = pack(*words)
+                    packed = pack(*block_words)
                 except struct.error:
                     raise SimulationError(
-                        f"{self.name}: write-back of {len(words)} words into "
-                        f"a {bb}B line"
+                        f"{self.name}: write-back of {len(block_words)} words "
+                        f"into a {bb}B line"
                     ) from None
                 new = int.from_bytes(packed, "big")
                 protection.on_unit_write(

@@ -44,15 +44,11 @@ by comparing only the sets a run reached since it was taken
 (``previous``), and :func:`same_state` compares two deltas against one
 snapshot up to statistics, an exact equality test that holds no second
 image.
-
-:class:`SnapshotCache` is the LRU used to bound warm-state caches on
-both the campaign side and inside worker processes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -623,84 +619,3 @@ def same_state(a: HierarchyDelta, b: HierarchyDelta) -> bool:
         and _protection_state(x.protection) == _protection_state(y.protection)
         for x, y in zip(a.caches, b.caches)
     )
-
-
-# ----------------------------------------------------------------------
-# Bounded snapshot caching
-# ----------------------------------------------------------------------
-class SnapshotCache:
-    """LRU cache of expensive-to-build state, bounded by count and bytes.
-
-    Used campaign-side for warm states and worker-side for deduplicated
-    trial payloads, so sweeps over many configurations hold O(bound)
-    memory.  ``size_bytes`` is caller-provided (typically the pickled
-    payload size) because Python object graphs have no cheap exact size.
-    """
-
-    def __init__(self, max_entries: int = 8, max_bytes: int = 512 << 20):
-        if max_entries < 1 or max_bytes < 1:
-            raise SnapshotError(
-                "SnapshotCache bounds must be positive, got "
-                f"max_entries={max_entries} max_bytes={max_bytes}"
-            )
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._entries: "OrderedDict[object, Tuple[object, int]]" = OrderedDict()
-        self.total_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def get(self, key):
-        """The cached value for ``key`` (now most recently used), or None."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[0]
-
-    def peek(self, key):
-        """The cached value for ``key``, or None, leaving recency order and
-        the hit/miss counters untouched (reporting)."""
-        entry = self._entries.get(key)
-        return None if entry is None else entry[0]
-
-    def put(self, key, value, size_bytes: int) -> None:
-        """Insert (or refresh) an entry, evicting LRU entries over bounds.
-
-        An entry larger than ``max_bytes`` on its own is stored alone —
-        the cache never refuses its newest entry, it only sheds old ones.
-        """
-        if key in self._entries:
-            self.total_bytes -= self._entries.pop(key)[1]
-        self._entries[key] = (value, size_bytes)
-        self.total_bytes += size_bytes
-        while len(self._entries) > self.max_entries or (
-            self.total_bytes > self.max_bytes and len(self._entries) > 1
-        ):
-            _old_key, (_old_value, old_size) = self._entries.popitem(last=False)
-            self.total_bytes -= old_size
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are retained)."""
-        self._entries.clear()
-        self.total_bytes = 0
-
-    def export_metrics(self, registry, prefix: str) -> None:
-        """Publish occupancy and traffic into a ``MetricsRegistry``."""
-        if prefix and not prefix.endswith("."):
-            prefix += "."
-        registry.gauge(f"{prefix}entries").set(len(self._entries))
-        registry.gauge(f"{prefix}bytes").set(self.total_bytes)
-        registry.counter(f"{prefix}hits").inc(self.hits)
-        registry.counter(f"{prefix}misses").inc(self.misses)
-        registry.counter(f"{prefix}evictions").inc(self.evictions)

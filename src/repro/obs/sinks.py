@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
 from ..errors import ConfigurationError, ReproError
-from ..util.jsonio import canonical_json, line_checksum
+from ..util.jsonio import canonical_json, line_checksum, read_checked_lines
 
 
 class TraceSink:
@@ -257,26 +257,15 @@ def read_jsonl_trace(
 ) -> Iterator[dict]:
     """Yield verified events from a :class:`JsonlSink` file.
 
-    Every line's checksum is validated; a torn *final* line (the one a
-    crash can interrupt) is dropped, corruption anywhere earlier raises
-    :class:`~repro.errors.ReproError`.  ``category`` filters events.
+    Every line's checksum is validated
+    (:func:`~repro.util.jsonio.read_checked_lines`); a torn *final* line
+    (the one a crash can interrupt) is dropped, corruption anywhere
+    earlier raises :class:`~repro.errors.ReproError`.  ``category``
+    filters events.
     """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines):
-        try:
-            raw = json.loads(line)
-            if not isinstance(raw, dict):
-                raise ValueError("event is not an object")
-            body = {k: v for k, v in raw.items() if k != "crc"}
-            if raw.get("crc") != line_checksum(body):
-                raise ValueError("checksum mismatch")
-        except ValueError as exc:
-            if lineno == len(lines) - 1:
-                return  # torn tail from a crash mid-append
-            raise ReproError(
-                f"corrupt trace event at {path}:{lineno + 1}: {exc}"
-            ) from None
+    events, _torn = read_checked_lines(
+        path, lambda where: ReproError(f"corrupt trace event at {where}")
+    )
+    for body in events:
         if category is None or body.get("cat") == category:
             yield body

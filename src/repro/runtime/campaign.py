@@ -165,13 +165,14 @@ def run_campaign(
     and propagates, unrecorded.
 
     The per-trial payload is deduplicated: ``(config, warm)`` — ``warm``
-    is the campaign's warm snapshot under ``config.shared_warmup`` (see
-    :mod:`repro.faults.warmstate`), None otherwise — is pickled once,
-    shipped to each worker lane once via an executor preload, and cached
-    worker-side by content digest; tasks carry only
-    ``(digest, trial_index, equivalence)``.  Workers run the same
-    :meth:`FaultCampaign._run_trial` as the sequential loop, so the
-    config chooses the engine here too.
+    is the campaign's warm state under ``config.shared_warmup``, built
+    here once when any trial is pending (see
+    :mod:`repro.faults.warmstate`), None otherwise — is pickled once and
+    shipped to each worker lane once via an executor preload; tasks
+    carry only ``(digest, trial_index, equivalence)``.  Workers run the
+    same :meth:`FaultCampaign._run_trial` as the sequential loop, so the
+    config chooses the engine here too.  A failing warm build propagates
+    as raised, before any trial is scheduled.
 
     ``obs`` (a :class:`repro.obs.TraceSink`) receives one outcome event
     per finished trial.  Trials execute in worker subprocesses, so —
@@ -197,12 +198,12 @@ def run_campaign(
 
     preload_token = None
     tasks = []
+    warm = None
     if pending:
-        warm = None
         if config.shared_warmup:
-            from ..faults.warmstate import warm_state_for
+            from ..faults import warmstate
 
-            warm = warm_state_for(config)
+            warm = warmstate.build_warm_state(config)
         blob = pickle.dumps((config, warm), protocol=pickle.HIGHEST_PROTOCOL)
         payload_digest = hashlib.sha256(blob).hexdigest()
         preload_token = runtime.executor().add_preload(
@@ -271,6 +272,9 @@ def run_campaign(
 
     by_index: Dict[int, TaskReport] = {r.index: r for r in reports}
     result = CampaignResult(config=config)
+    if warm is not None:
+        result.warm_engine = warm.warm_engine
+        result.warm_fallback = warm.warm_fallback
     for trial in range(config.trials):
         if trial in recorded:
             record = recorded[trial]

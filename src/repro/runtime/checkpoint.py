@@ -30,7 +30,12 @@ from ..errors import (
     CheckpointWarning,
     ConfigurationError,
 )
-from ..util.jsonio import JsonlAppender, canonical_json, line_checksum
+from ..util.jsonio import (
+    JsonlAppender,
+    canonical_json,
+    line_checksum,
+    read_checked_lines,
+)
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
@@ -208,59 +213,42 @@ class CheckpointStore:
         """Read back every trustworthy record, keyed by trial index.
 
         A torn final line (the one write a SIGKILL or a failed disk can
-        interrupt) is dropped with a :class:`~repro.errors.CheckpointWarning`
-        — its trial simply re-executes on resume; a bad record anywhere
-        before it raises :class:`CheckpointCorruptError`.
+        interrupt: it fails to parse or its checksum) is dropped with a
+        :class:`~repro.errors.CheckpointWarning` — its trial simply
+        re-executes on resume.  A bad line anywhere before it, or a whole
+        record of another campaign anywhere, raises
+        :class:`CheckpointCorruptError`.
         """
         records: Dict[int, CheckpointRecord] = {}
         if not self.log_path.exists():
             return records
-        with open(self.log_path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for lineno, line in enumerate(lines):
-            try:
-                record = self._parse_line(line)
-            except CheckpointCorruptError:
-                if lineno == len(lines) - 1:
-                    # Torn tail from a crash mid-append: drop it and
-                    # let the resume re-execute that trial.
-                    warnings.warn(
-                        f"dropping torn trailing checkpoint record at "
-                        f"{self.log_path}:{lineno + 1}; its trial will "
-                        "re-execute on resume",
-                        CheckpointWarning,
-                        stacklevel=2,
-                    )
-                    break
-                raise CheckpointCorruptError(
-                    f"corrupt checkpoint record at "
-                    f"{self.log_path}:{lineno + 1}"
-                ) from None
-            records[record.trial_index] = record
-        return records
-
-    def _parse_line(self, line: str) -> CheckpointRecord:
-        try:
-            raw = json.loads(line)
-        except ValueError as exc:
-            raise CheckpointCorruptError(f"unparseable record: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise CheckpointCorruptError("record is not an object")
-        body = {k: v for k, v in raw.items() if k != "crc"}
-        if raw.get("crc") != _checksum(body):
-            raise CheckpointCorruptError("record checksum mismatch")
-        if body.get("config_digest") != self.config_digest:
-            raise CheckpointCorruptError(
-                "record belongs to a different campaign"
-            )
-        return CheckpointRecord(
-            trial_index=body["trial_index"],
-            seed=body["seed"],
-            kind=body["kind"],
-            payload=body["payload"],
+        bodies, torn = read_checked_lines(
+            self.log_path,
+            lambda where: CheckpointCorruptError(
+                f"corrupt checkpoint record at {where}"
+            ),
         )
+        for lineno, body in enumerate(bodies, 1):
+            if body.get("config_digest") != self.config_digest:
+                raise CheckpointCorruptError(
+                    f"checkpoint record at {self.log_path}:{lineno} belongs "
+                    "to a different campaign"
+                )
+            records[body["trial_index"]] = CheckpointRecord(
+                trial_index=body["trial_index"],
+                seed=body["seed"],
+                kind=body["kind"],
+                payload=body["payload"],
+            )
+        if torn:
+            warnings.warn(
+                f"dropping torn trailing checkpoint record at "
+                f"{self.log_path}:{len(bodies) + 1}; its trial will "
+                "re-execute on resume",
+                CheckpointWarning,
+                stacklevel=2,
+            )
+        return records
 
     def close(self) -> None:
         """Close the log file handle (records already durable)."""

@@ -2,11 +2,12 @@
 
 Everything here is module-level so ``spawn``-context workers can unpickle
 it by qualified name.  A campaign's trials all enter through
-:func:`run_campaign_trial`: the worker holds the campaign's picklable
-payload (a :class:`~repro.faults.campaign.CampaignConfig` built with
-:class:`~repro.faults.schemes.SchemeFactory`, plus its warm snapshot
-under a shared warmup), each task names a trial index, and results come
-back as plain dataclasses.
+:func:`run_campaign_trial`: the worker holds the picklable payload of
+the one campaign it serves (a
+:class:`~repro.faults.campaign.CampaignConfig` built with
+:class:`~repro.faults.schemes.SchemeFactory`, plus its warm state under
+a shared warmup), each task names a trial index, and results come back
+as plain dataclasses.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import signal
 import sys
 import threading
 import time
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 #: How often a worker checks that the driver which spawned it still
 #: lives (seconds).
@@ -78,42 +79,33 @@ def noop() -> None:
 # ----------------------------------------------------------------------
 # The shared-payload trial entry point
 #
-# A campaign's config (and, under a shared warmup, its warm snapshot) is
-# the same for every trial, so the driver ships it once per worker via an
+# A campaign's config (and, under a shared warmup, its warm state) is the
+# same for every trial, so the parent ships it once per worker via an
 # executor preload (:meth:`TrialExecutor.add_preload`) and per-trial
 # tasks carry only the payload digest, a trial index and the equivalence
-# mode.  The cache is module-level worker state: each spawn-context
-# worker process holds its own copy, bounded so long-lived lanes serving
-# many campaigns stay bounded too.
+# mode.  A runtime runs one campaign at a time, so a worker holds only
+# the payload of the campaign it serves, and the next campaign's preload
+# replaces it.
 # ----------------------------------------------------------------------
-_PAYLOAD_CACHE = None
-
-
-def _payload_cache():
-    """This worker's bounded digest-keyed payload cache."""
-    global _PAYLOAD_CACHE
-    if _PAYLOAD_CACHE is None:
-        from ..memsim.snapshot import SnapshotCache
-
-        _PAYLOAD_CACHE = SnapshotCache(max_entries=4, max_bytes=2 << 30)
-    return _PAYLOAD_CACHE
+_PAYLOAD: Optional[Tuple[str, tuple]] = None
 
 
 def seed_campaign_payload(digest: str, blob: bytes) -> None:
-    """Preload entry point: cache a pickled campaign payload by digest."""
-    _payload_cache().put(digest, pickle.loads(blob), len(blob))
+    """Preload entry point: hold a pickled campaign payload, replacing
+    the one held before."""
+    global _PAYLOAD
+    _PAYLOAD = (digest, pickle.loads(blob))
 
 
-def _cached_payload(digest: str):
-    payload = _payload_cache().get(digest)
-    if payload is None:
+def _cached_payload(digest: str) -> tuple:
+    if _PAYLOAD is None or _PAYLOAD[0] != digest:
         from ..errors import CampaignRuntimeError
 
         raise CampaignRuntimeError(
             f"worker has no cached payload for campaign {digest[:16]}; "
             "the driver must preload it before scheduling trials"
         )
-    return payload
+    return _PAYLOAD[1]
 
 
 def run_campaign_trial(digest: str, trial_index: int, equivalence: str = "never"):
@@ -123,9 +115,9 @@ def run_campaign_trial(digest: str, trial_index: int, equivalence: str = "never"
 
     The payload is ``(config, warm)``: ``warm`` is the campaign's
     :class:`~repro.faults.warmstate.WarmState` under
-    ``config.shared_warmup`` (unpickled once per worker at preload time
-    and forked per trial, so workers never re-simulate the shared
-    warmup), None otherwise.  Runs the exact same
+    ``config.shared_warmup`` (built once by the parent, unpickled once
+    per worker at preload time and forked per trial, so workers never
+    re-simulate the shared warmup), None otherwise.  Runs the exact same
     :meth:`FaultCampaign._run_trial` as the sequential in-process path,
     so a campaign's per-trial outcomes do not depend on where (or in
     what order) its trials execute.

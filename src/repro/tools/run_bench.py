@@ -173,8 +173,8 @@ def run_campaign_bench(
     through the snapshot-fork engine its shared warmup selects
     (:meth:`FaultCampaign.run`) — and verifies per-trial bit-identity
     before reporting throughput.
-    The fast timing includes building the warm snapshot (the cache is
-    cleared first), so the reported ratio is what a cold campaign sees.
+    The fast timing includes building the warm snapshot (every run
+    builds its own), so the reported ratio is what a cold campaign sees.
     """
     from ..faults.campaign import (
         CampaignConfig,
@@ -182,7 +182,6 @@ def run_campaign_bench(
         Outcome,
         trial_mismatches,
     )
-    from ..faults.warmstate import clear_warm_cache
 
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -201,7 +200,6 @@ def run_campaign_bench(
     legacy = campaign.run_scalar()
     legacy_s = time.perf_counter() - start
 
-    clear_warm_cache()
     start = time.perf_counter()
     fast = campaign.run()
     fast_s = time.perf_counter() - start

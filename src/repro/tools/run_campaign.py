@@ -196,17 +196,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return fail(f"campaign failed: {exc}")
     if registry is not None:
         result.export_metrics(registry)
-        if config.shared_warmup:
-            from ..faults.warmstate import warm_cache, warm_key
-
-            warm_cache().export_metrics(registry, prefix="warm_cache")
-            # Which engine simulated the shared warmup, and why a scalar
-            # one ran (absent when a resumed run needed no warm state).
-            warm = warm_cache().peek(warm_key(config))
-            if warm is not None:
-                registry.counter(f"engine.warm.{warm.warm_engine}").inc()
-                if warm.warm_fallback is not None:
-                    registry.counter(f"engine.warm.fallback.{warm.warm_fallback}").inc()
+        # Which engine simulated the shared warmup, and why a scalar one
+        # ran (absent when the run built no warm state).
+        if result.warm_engine is not None:
+            registry.counter(f"engine.warm.{result.warm_engine}").inc()
+        if result.warm_fallback is not None:
+            registry.counter(f"engine.warm.fallback.{result.warm_fallback}").inc()
 
     counts = result.counts
     print(f"scheme={args.scheme} benchmark={args.benchmark} "

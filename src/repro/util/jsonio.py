@@ -5,7 +5,8 @@ The writer discipline shared by campaign checkpoints
 (:class:`repro.obs.JsonlSink`): each record is one line of canonical JSON
 (sorted keys, no whitespace) carrying a short content checksum, so a
 reader can detect corruption and distinguish a torn tail line (crash
-mid-append) from damage anywhere earlier.
+mid-append) from damage anywhere earlier.  :func:`read_checked_lines` is
+that reader, shared by both.
 
 :class:`JsonlAppender` is the durable writer half of that discipline —
 append + flush + fsync per record, with a remembered *good offset* (the
@@ -20,7 +21,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import CheckpointWarning
 
@@ -35,6 +36,40 @@ def line_checksum(payload: dict) -> str:
     return hashlib.sha256(
         canonical_json(payload).encode("utf-8")
     ).hexdigest()[:16]
+
+
+def read_checked_lines(
+    path, corrupt: Callable[[str], Exception]
+) -> Tuple[List[dict], bool]:
+    """Read the checksummed records of the JSONL file at ``path``.
+
+    Each line must parse as a JSON object whose ``crc`` is the
+    :func:`line_checksum` of the rest of it.  Only the final line can be
+    torn by a crash mid-append, so a final line that fails is dropped;
+    one that fails anywhere earlier raises ``corrupt(reason)``, where
+    ``reason`` names the line (``path:lineno: why``).
+
+    Returns every record without its ``crc``, in file order, and whether
+    a torn final line was dropped (it was line ``len(records) + 1``).
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            raw = json.loads(line)
+            if not isinstance(raw, dict):
+                raise ValueError("record is not an object")
+            body = {k: v for k, v in raw.items() if k != "crc"}
+            if raw.get("crc") != line_checksum(body):
+                raise ValueError("checksum mismatch")
+        except ValueError as exc:
+            if lineno == len(lines):
+                return records, True
+            raise corrupt(f"{path}:{lineno}: {exc}") from None
+        records.append(body)
+    return records, False
 
 
 class JsonlAppender:

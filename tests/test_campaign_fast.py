@@ -7,7 +7,7 @@ same config and seeds it must produce exactly the per-trial
 as the legacy loop, ``FaultCampaign.run_scalar``.  These tests enforce
 that over randomized scheme/benchmark/seed combinations, exercise both
 warm engines (batch for CPPC, scalar for everything else), and pin down
-the warm-state cache and configuration guard rails.
+who builds the warm state and the configuration guard rails.
 """
 
 import gc
@@ -24,9 +24,7 @@ from repro.faults import (
     Outcome,
     TrialResult,
     build_warm_state,
-    clear_warm_cache,
     scheme_factory,
-    warm_state_for,
 )
 from repro.faults.campaign import SETTLE_PATHS, TrialRun, trial_mismatches
 from repro.faults import warmstate as warmstate_mod
@@ -34,13 +32,7 @@ from repro.memsim import MemoryHierarchy, NoProtection, snapshot_hierarchy
 from repro.memsim.types import UnitLocation
 from repro.memsim.replacement import FIFOPolicy
 from repro.obs import MetricsRegistry
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warm_cache():
-    clear_warm_cache()
-    yield
-    clear_warm_cache()
+from repro.runtime import CampaignRuntime
 
 
 def shared_config(**overrides):
@@ -59,12 +51,12 @@ def shared_config(**overrides):
 
 def run_both(config):
     campaign = FaultCampaign(config)
-    clear_warm_cache()
-    legacy = campaign.run_scalar()
-    # The reference must not quietly turn into the fork it checks.
-    assert len(warmstate_mod.warm_cache()) == 0
-    fast = campaign.run()
-    return legacy, fast
+    return campaign.run_scalar(), campaign.run()
+
+
+def use_warm_state(monkeypatch, state):
+    """Make every run of the test use ``state``, which it has edited."""
+    monkeypatch.setattr(warmstate_mod, "build_warm_state", lambda config: state)
 
 
 def assert_identical(legacy, fast):
@@ -300,21 +292,22 @@ class TestGoldenRecord:
         legacy, fast = run_both(config)
         assert trial_mismatches(fast.trials, legacy.trials)
 
-    def test_golden_flush_that_detects_disables_the_rejoin(self):
+    def test_golden_flush_that_detects_disables_the_rejoin(self, monkeypatch):
         config = shared_config(trials=8)
-        record = warm_state_for(config).golden_record
-        assert record.flush_clean is True
-        record.flush_clean = False
-        fast = FaultCampaign(config).run()
-        clear_warm_cache()
-        legacy = FaultCampaign(config).run_scalar()
+        state = build_warm_state(config)
+        assert state.golden_record.flush_clean is True
+        state.golden_record.flush_clean = False
+        use_warm_state(monkeypatch, state)
+        legacy, fast = run_both(config)
         assert_identical(legacy, fast)
         assert fast.settled["rejoined"] == 0
         assert fast.settled["replayed"] > 0
 
-    def test_unusable_golden_run_replays_every_trial(self):
+    def test_unusable_golden_run_replays_every_trial(self, monkeypatch):
         config = shared_config(trials=4)
-        warm_state_for(config).golden_record = None
+        state = build_warm_state(config)
+        state.golden_record = None
+        use_warm_state(monkeypatch, state)
         fast = FaultCampaign(config).run()
         assert fast.settled["replayed"] == config.trials
         assert fast.replayed_references == config.trials * config.post_fault_references
@@ -385,7 +378,8 @@ class TestGoldenCheckpoints:
         legacy, fast = run_both(config)
         assert_identical(legacy, fast)
         campaign = FaultCampaign(config)
-        runs = [campaign._classify_trial_fast(i) for i in range(config.trials)]
+        warm = build_warm_state(config)
+        runs = [campaign._classify_trial_fast(i, warm) for i in range(config.trials)]
         rejoined = [run.replayed for run in runs if run.settled == "rejoined"]
         assert rejoined
         assert all(0 < n <= warmstate_mod.CHECKPOINT_STEPS for n in rejoined)
@@ -487,8 +481,10 @@ def fork_runs(config):
     of each trial (how it settled and whether it flushed)."""
     campaign = FaultCampaign(config)
     legacy = campaign.run_scalar()
-    clear_warm_cache()
-    runs = [campaign._classify_trial_fast(trial) for trial in range(config.trials)]
+    warm = build_warm_state(config)
+    runs = [
+        campaign._classify_trial_fast(trial, warm) for trial in range(config.trials)
+    ]
     assert [vars(run.result) for run in runs] == [vars(t) for t in legacy.trials]
     return legacy, runs
 
@@ -561,7 +557,7 @@ class TestFlushSettle:
         assert len(guarded) >= 3
         assert {run.result.outcome for run in guarded} == {Outcome.CORRECTED}
         assert any(settled_at_struck_lines(run) for run in runs)
-        record = warm_state_for(config).golden_record
+        record = build_warm_state(config).golden_record
         assert record.flush_clean
         assert record.flush_touch["L2"] and not record.flush_touch["L1D"]
 
@@ -645,31 +641,47 @@ class TestGuards:
         assert plain.workload_seed(0) != plain.workload_seed(5)
 
 
-class TestWarmCache:
-    def test_warm_state_is_memoized(self):
-        config = shared_config()
-        cache = warmstate_mod.warm_cache()
-        before = cache.hits
-        first = warm_state_for(config)
-        assert warm_state_for(config) is first
-        assert cache.hits == before + 1
+class TestWarmStateOwnership:
+    """Each run builds the one warm state its trials fork, and keeps
+    nothing between runs."""
 
-    def test_distinct_configs_get_distinct_states(self):
-        a = warm_state_for(shared_config())
-        b = warm_state_for(shared_config(benchmark="gzip"))
-        assert a is not b
-        assert a.key != b.key
+    def test_each_run_builds_its_warm_state_once(self, monkeypatch):
+        built = []
+        build = warmstate_mod.build_warm_state
 
-    def test_trial_count_does_not_affect_warm_key(self):
-        a = warm_state_for(shared_config(trials=4))
-        b = warm_state_for(shared_config(trials=9))
-        assert a.key == b.key
-        assert b is a
+        def spy(config):
+            built.append(config)
+            return build(config)
 
-    def test_size_accounting(self):
-        state = warm_state_for(shared_config())
-        assert state.size_bytes > 0
-        assert warmstate_mod.warm_cache().total_bytes >= state.size_bytes
+        monkeypatch.setattr(warmstate_mod, "build_warm_state", spy)
+        config = shared_config(trials=3)
+        campaign = FaultCampaign(config)
+        legacy = campaign.run_scalar()
+        assert built == []
+        assert legacy.warm_engine is None
+        first = campaign.run()
+        second = campaign.run()
+        assert built == [config, config]
+        assert_identical(first, second)
+        assert (first.warm_engine, first.warm_fallback) == ("batch", None)
+        with CampaignRuntime(jobs=1) as runtime:
+            shipped = campaign.run(runtime=runtime)
+        # Built once in this process; the worker forks the one it was sent.
+        assert built == [config] * 3
+        assert_identical(legacy, shipped)
+        assert (shipped.warm_engine, shipped.warm_fallback) == ("batch", None)
+
+    def test_closure_scheme_factory_forks_in_process(self):
+        # Nothing in-process pickles the campaign, so a factory that is a
+        # local closure forks as a registered one does.
+        registered = scheme_factory("cppc")
+
+        def factory(level, unit_bits):
+            return registered(level, unit_bits)
+
+        legacy, fast = run_both(shared_config(scheme_factory=factory))
+        assert_identical(legacy, fast)
+        assert fast.settled["skipped"] > 0
 
 
 class TestTrialFootprint:

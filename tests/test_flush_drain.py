@@ -22,7 +22,6 @@ from repro.faults import (
     FaultInjector,
     TemporalFault,
     build_warm_state,
-    clear_warm_cache,
     scheme_factory,
 )
 from repro.memsim import (
@@ -227,7 +226,6 @@ class TestDrainMatchesLineByLine:
 
     def test_campaign_warm_state(self):
         """A batch-warmed campaign hierarchy, as a trial flushes it."""
-        clear_warm_cache()
         config = CampaignConfig(
             scheme_factory=scheme_factory("cppc"),
             benchmark="mcf",
@@ -238,7 +236,6 @@ class TestDrainMatchesLineByLine:
             shared_warmup=True,
         )
         warm = build_warm_state(config)
-        clear_warm_cache()
         drained, _golden, _replayer = warm.fork()
         reference, _golden, _replayer = warm.fork()
         for cache in (drained.l2, reference.l2):

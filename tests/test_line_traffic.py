@@ -62,19 +62,27 @@ def capture():
     return capture
 
 
-def per_event(cache, events, slot_addr):
+def columns(capture, start=0, stop=None):
+    """The capture's traffic columns, events ``start`` to ``stop``."""
+    return [
+        column[start:stop]
+        for column in (capture.kinds, capture.slots, capture.cycles, capture.words)
+    ]
+
+
+def per_event(cache, kinds, slots, cycles, words, slot_addr):
     """The reference: each event through ``read_block``/``write_block``."""
-    for _index, kind, slot, cycle, words in events:
+    for kind, slot, cycle, block_words in zip(kinds, slots, cycles, words):
         addr = slot_addr[slot]
         if kind == 0:
             cache.read_block(addr, cycle=cycle)
         else:
-            data = b"".join(word.to_bytes(8, "big") for word in words)
+            data = b"".join(word.to_bytes(8, "big") for word in block_words)
             cache.write_block(addr, data, cycle=cycle)
 
 
-def absorb(cache, events, slot_addr):
-    cache.absorb_line_traffic(events, slot_addr)
+def absorb(cache, *traffic):
+    cache.absorb_line_traffic(*traffic)
 
 
 class TrafficLog:
@@ -110,7 +118,7 @@ class TrafficLog:
 def replay(replayer, scheme, config, capture):
     hierarchy = MemoryHierarchy(config, protection_factory=scheme_factory(scheme))
     log = TrafficLog(hierarchy.l2.next_level)
-    replayer(hierarchy.l2, capture.events, capture.slot_addr)
+    replayer(hierarchy.l2, *columns(capture), capture.slot_addr)
     return hierarchy, log
 
 
@@ -155,9 +163,15 @@ class TestMatchesPerEventReplay:
         """Absorbing the traffic in pieces equals absorbing it at once."""
         whole = replay(absorb, "cppc", CONFIG, capture)
 
-        def in_chunks(cache, events, slot_addr):
-            for start in range(0, len(events), 500):
-                cache.absorb_line_traffic(events[start : start + 500], slot_addr)
+        def in_chunks(cache, kinds, slots, cycles, words, slot_addr):
+            for start in range(0, len(kinds), 500):
+                cache.absorb_line_traffic(
+                    kinds[start : start + 500],
+                    slots[start : start + 500],
+                    cycles[start : start + 500],
+                    words[start : start + 500],
+                    slot_addr,
+                )
 
         assert_same(replay(in_chunks, "cppc", CONFIG, capture), whole)
 
@@ -179,28 +193,28 @@ class TestPreconditions:
     def test_multi_unit_lines(self):
         cache = Cache("L1D", 1024, 2, 32, next_level=MainMemory(block_bytes=32))
         with pytest.raises(ConfigurationError, match="4 units per line"):
-            cache.absorb_line_traffic([], [])
+            cache.absorb_line_traffic([], [], [], [], [])
 
     def test_observer(self):
         cache = single_unit_cache()
         cache.set_observer(TraceSink())
         with pytest.raises(ConfigurationError, match="trace observer"):
-            cache.absorb_line_traffic([], [])
+            cache.absorb_line_traffic([], [], [], [], [])
 
     def test_tag_protection(self):
         cache = single_unit_cache(tag_protection=TagCppc(tag_bits=40))
         with pytest.raises(ConfigurationError, match="tag protection"):
-            cache.absorb_line_traffic([], [])
+            cache.absorb_line_traffic([], [], [], [], [])
 
     def test_write_through(self):
         cache = single_unit_cache(write_through=True)
         with pytest.raises(ConfigurationError, match="write-through"):
-            cache.absorb_line_traffic([], [])
+            cache.absorb_line_traffic([], [], [], [], [])
 
     def test_write_no_allocate(self):
         cache = single_unit_cache(allocate_on_write=False)
         with pytest.raises(ConfigurationError, match="write-no-allocate"):
-            cache.absorb_line_traffic([], [])
+            cache.absorb_line_traffic([], [], [], [], [])
 
 
 def checked_unit(cache, kind, addr, site):
@@ -225,7 +239,7 @@ class TestFaults:
     def test_bad_address_raises_like_the_access_path(self, replayer, addr):
         cache = single_unit_cache()
         with pytest.raises(AlignmentError):
-            replayer(cache, [(0, 0, 0, 1, None)], [addr])
+            replayer(cache, [0], [0], [1], [None], [addr])
 
     @pytest.mark.parametrize("site", ("read", "store", "victim"))
     def test_planted_bit_raises(self, site, capture):
@@ -234,15 +248,15 @@ class TestFaults:
         hierarchy = MemoryHierarchy(CONFIG, protection_factory=scheme_factory("cppc"))
         l2 = hierarchy.l2
         slot_addr = capture.slot_addr
-        for event in capture.events:
-            _index, kind, slot, _cycle, _words = event
+        for index, (kind, slot) in enumerate(zip(capture.kinds, capture.slots)):
+            event = columns(capture, index, index + 1)
             loc = checked_unit(l2, kind, slot_addr[slot], site)
             if loc is not None:
                 break
-            l2.absorb_line_traffic([event], slot_addr)
+            l2.absorb_line_traffic(*event, slot_addr)
         else:
             pytest.fail(f"no event checks a {site} unit")
         l2.corrupt_data(loc, 1 << 7)
         with pytest.raises(SimulationError, match="fault detected at"):
-            l2.absorb_line_traffic([event], slot_addr)
+            l2.absorb_line_traffic(*event, slot_addr)
         assert l2.protection.recoveries == 0

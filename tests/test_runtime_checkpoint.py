@@ -160,6 +160,26 @@ class TestCrashSafety:
         with pytest.raises(CheckpointCorruptError):
             make_store(tmp_path / "ckpt", resume=True).load()
 
+    @pytest.mark.parametrize("last", [True, False])
+    def test_foreign_record_raises_wherever_it_sits(self, tmp_path, last):
+        # A whole record of another campaign is never a torn tail.
+        foreign = make_store(tmp_path / "other")
+        foreign.record(1, 2, "result", {"outcome": "due"})
+        foreign.close()
+        store = make_store(tmp_path / "ckpt", digest="b" * 64)
+        store.record(0, 1, "result", {"outcome": "benign"})
+        store.close()
+        log = tmp_path / "ckpt" / "trials.jsonl"
+        lines = log.read_text().splitlines()
+        stray = (tmp_path / "other" / "trials.jsonl").read_text().splitlines()
+        lines.insert(len(lines) if last else 0, stray[0])
+        log.write_text("\n".join(lines) + "\n")
+        resumed = make_store(tmp_path / "ckpt", digest="b" * 64, resume=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CheckpointWarning)
+            with pytest.raises(CheckpointCorruptError, match="different campaign"):
+                resumed.load()
+
     def test_tampered_record_fails_checksum(self, tmp_path):
         store = make_store(tmp_path / "ckpt")
         store.record(0, 1, "result", {"outcome": "benign"})

@@ -1,12 +1,12 @@
-"""Deduplicated campaign payloads and preloaded worker caches.
+"""Deduplicated campaign payloads and preloaded workers.
 
-The runtime ships each campaign's payload (config, plus the warm
-snapshot under a shared warmup) to every worker lane exactly once, keyed
-by content digest; trials carry only the digest, an index and the
-equivalence mode.  These tests cover the worker-side cache, the executor
-preload mechanism (including re-seeding a rebuilt lane after a kill),
-and end-to-end bit-identity of the runtime-backed fork against the
-sequential legacy loop.
+The runtime ships each campaign's payload (config, plus the warm state
+under a shared warmup) to every worker lane exactly once, named by
+content digest; trials carry only the digest, an index and the
+equivalence mode.  These tests cover the payload a worker holds, the
+executor preload mechanism (including re-seeding a rebuilt lane after a
+kill), and end-to-end bit-identity of the runtime-backed fork against
+the sequential legacy loop.
 """
 
 import hashlib
@@ -18,9 +18,8 @@ from repro.errors import CampaignRuntimeError
 from repro.faults import (
     CampaignConfig,
     FaultCampaign,
-    clear_warm_cache,
+    build_warm_state,
     scheme_factory,
-    warm_state_for,
 )
 from repro.runtime import CampaignRuntime, TrialExecutor, TrialTask
 from repro.runtime import worker as _worker
@@ -48,14 +47,8 @@ def seed_payload(payload):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_warm_cache()
-    if _worker._PAYLOAD_CACHE is not None:
-        _worker._PAYLOAD_CACHE.clear()
-    yield
-    clear_warm_cache()
-    if _worker._PAYLOAD_CACHE is not None:
-        _worker._PAYLOAD_CACHE.clear()
+def _no_payload(monkeypatch):
+    monkeypatch.setattr(_worker, "_PAYLOAD", None)
 
 
 class TestWorkerPayloadCache:
@@ -69,7 +62,7 @@ class TestWorkerPayloadCache:
     def test_fast_trial_matches_legacy(self):
         config = shared_config()
         legacy = FaultCampaign(config).run_scalar().trials[2]
-        digest = seed_payload((config, warm_state_for(config)))
+        digest = seed_payload((config, build_warm_state(config)))
         fast = _worker.run_campaign_trial(digest, 2, "always")
         assert vars(fast.result) == vars(legacy)
 
@@ -77,9 +70,15 @@ class TestWorkerPayloadCache:
         with pytest.raises(CampaignRuntimeError):
             _worker.run_campaign_trial("0" * 64, 0)
 
-    def test_payload_cache_is_bounded(self):
-        cache = _worker._payload_cache()
-        assert cache.max_entries <= 8
+    def test_next_payload_replaces_the_last(self):
+        first = shared_config(shared_warmup=False)
+        second = shared_config(shared_warmup=False, seed=3)
+        old = seed_payload((first, None))
+        new = seed_payload((second, None))
+        direct = FaultCampaign(second)._run_trial(0)
+        assert vars(_worker.run_campaign_trial(new, 0)) == vars(direct)
+        with pytest.raises(CampaignRuntimeError, match="no cached payload"):
+            _worker.run_campaign_trial(old, 0)
 
 
 class TestExecutorPreload:
@@ -92,7 +91,7 @@ class TestExecutorPreload:
             token = executor.add_preload(_worker.seed_campaign_payload, digest, blob)
             first = executor.map(_worker.run_campaign_trial, [(digest, 0)])
             assert vars(first[0]) == expected[0]
-            # Kill the lane: the replacement worker has a cold cache and
+            # Kill the lane: the replacement worker holds no payload and
             # must be re-seeded by the preload before its next trial.
             executor._lanes[0].kill()
             second = executor.map(_worker.run_campaign_trial, [(digest, 1)])

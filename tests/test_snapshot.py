@@ -15,12 +15,10 @@ from repro.faults.schemes import scheme_factory
 from repro.memsim import (
     PAPER_CONFIG_WITH_L3,
     MemoryHierarchy,
-    SnapshotCache,
     restore_hierarchy,
     snapshot_hierarchy,
 )
 from repro.memsim.snapshot import apply_delta, diff_hierarchy, same_state
-from repro.obs import MetricsRegistry
 from repro.workloads import make_workload, materialize
 from repro.workloads.replay import TraceReplayer
 
@@ -284,43 +282,3 @@ class TestValidation:
         snap = snapshot_hierarchy(_fresh("parity"))
         with pytest.raises(SnapshotError):
             restore_hierarchy(snap, _fresh("secded"))
-
-
-class TestSnapshotCache:
-    def test_entry_bound_evicts_least_recently_used(self):
-        cache = SnapshotCache(max_entries=2, max_bytes=1 << 20)
-        cache.put("a", 1, 10)
-        cache.put("b", 2, 10)
-        assert cache.get("a") == 1  # refresh "a"; "b" is now LRU
-        cache.put("c", 3, 10)
-        assert "b" not in cache
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_byte_bound_evicts_but_keeps_newest(self):
-        cache = SnapshotCache(max_entries=8, max_bytes=100)
-        cache.put("a", 1, 60)
-        cache.put("b", 2, 60)  # over budget: "a" evicted
-        assert "a" not in cache and "b" in cache
-        cache.put("huge", 3, 500)  # oversized entries still land alone
-        assert "huge" in cache and len(cache) == 1
-
-    def test_bounds_must_be_positive(self):
-        with pytest.raises(SnapshotError):
-            SnapshotCache(max_entries=0)
-        with pytest.raises(SnapshotError):
-            SnapshotCache(max_bytes=0)
-
-    def test_metrics_export(self):
-        cache = SnapshotCache(max_entries=1, max_bytes=1 << 20)
-        cache.put("a", 1, 7)
-        cache.get("a")
-        cache.get("missing")
-        cache.put("b", 2, 9)  # evicts "a"
-        registry = MetricsRegistry()
-        cache.export_metrics(registry, prefix="warm_cache")
-        snap = registry.snapshot()
-        assert snap["gauges"]["warm_cache.entries"] == 1
-        assert snap["gauges"]["warm_cache.bytes"] == 9
-        assert snap["counters"]["warm_cache.hits"] == 1
-        assert snap["counters"]["warm_cache.misses"] == 1
-        assert snap["counters"]["warm_cache.evictions"] == 1

@@ -182,21 +182,26 @@ class TestRunCampaign:
         assert resumed == first
 
     @pytest.mark.parametrize(
-        "scheme,warmup,engine,fallback",
+        "scheme,warmup,engine,fallback,runtime",
         [
-            ("cppc", "400", "batch", None),
-            ("secded", "400", "scalar", "l1_scheme"),
-            ("cppc", "0", "pristine", None),
+            pytest.param(*row, runtime, id="-".join(map(str, row)) + suffix)
+            # The runtime path builds the warm state in the parent process.
+            for runtime, suffix in (([], ""), (["--jobs", "1"], "-jobs1"))
+            for row in (
+                ("cppc", "400", "batch", None),
+                ("secded", "400", "scalar", "l1_scheme"),
+                ("cppc", "0", "pristine", None),
+            )
         ],
     )
     def test_fast_warm_engine_is_counted(
-        self, tmp_path, scheme, warmup, engine, fallback
+        self, tmp_path, scheme, warmup, engine, fallback, runtime
     ):
         metrics = tmp_path / "m.json"
         rc = run_campaign.main([
             scheme, "--fast", "--trials", "2", "--warmup", warmup,
             "--post", "200", "--benchmark", "gzip",
-            "--emit-metrics", str(metrics),
+            "--emit-metrics", str(metrics), *runtime,
         ])
         assert rc == 0
         counters = json.loads(metrics.read_text())["counters"]
