@@ -100,6 +100,26 @@ def _lru_evicts_second_least_recent() -> List[Patch]:
     return [(batch, "lru_residency", lru_residency)]
 
 
+def _late_dirty_stamps() -> List[Patch]:
+    """The batch engine stamps each dirty unit one cycle after its last
+    access, so a cache restored from its snapshot measures every later
+    Tavg interval one cycle short."""
+    from ..memsim.batch import BatchReplayEngine
+
+    original = BatchReplayEngine.replay
+
+    def replay(self, trace, **kwargs):
+        result = original(self, trace, **kwargs)
+        stamps = [
+            None if cycle is None else cycle + 1
+            for cycle in result.cache.last_dirty_access
+        ]
+        cache = dataclasses.replace(result.cache, last_dirty_access=stamps)
+        return result._replace(cache=cache)
+
+    return [(BatchReplayEngine, "replay", replay)]
+
+
 def _fast_campaign_seed_skew() -> List[Patch]:
     """Snapshot-fork path injects with the NEXT trial's fault seed."""
     from ..faults.campaign import FaultCampaign
@@ -232,6 +252,12 @@ MUTATIONS: Dict[str, Mutation] = {
             "LRU kernel evicts the second-least-recent block at >= 3 ways",
             ("replay", "timing"),
             _lru_evicts_second_least_recent,
+        ),
+        Mutation(
+            "batch-stamps-one-cycle-late",
+            "batch engine's final dirty-cycle stamps are one cycle late",
+            ("replay",),
+            _late_dirty_stamps,
         ),
         Mutation(
             "fast-campaign-seed-skew",

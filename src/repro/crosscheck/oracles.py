@@ -6,9 +6,10 @@ human-readable mismatch strings (empty = agreement).  The oracles
 mirror the repo's redundant computations:
 
 * :func:`check_replay` — scalar :class:`~repro.memsim.cache.Cache` vs.
-  the NumPy :class:`~repro.memsim.batch.BatchReplayEngine`, word for
-  word (final contents, dirty bits, check words, stats, registers,
-  memory image), via ``FastReplay(equivalence="always")``.
+  the NumPy :class:`~repro.memsim.batch.BatchReplayEngine`, every field
+  of the final cache and memory snapshots (contents, dirty bits, check
+  words, dirty-cycle stamps, LRU orders, clock, stats, registers,
+  written blocks), via ``FastReplay(equivalence="always")``.
 * :func:`check_recovery` — live CPPC recovery vs. an offline replay of
   the audit trail: every recorded pass must satisfy
   :func:`~repro.obs.trail.verify_audit`, its corrections must re-derive

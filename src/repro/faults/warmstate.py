@@ -20,9 +20,12 @@ clock).
 Where the L1 scheme is batch-compatible (CPPC over 64-bit units under
 LRU — the configuration :mod:`repro.memsim.batch` vectorizes), the
 warmup itself runs through the :class:`~repro.memsim.batch.BatchReplayEngine`:
-the engine produces the final L1 state directly, and the L2 absorbs the
-next-level traffic it captures (:class:`~repro.memsim.batch.ReplayCapture`)
-in original access order, in one pass of its whole-line kernel
+the engine returns the final L1 as the
+:class:`~repro.memsim.snapshot.CacheSnapshot` a scalar warmup leaves,
+which :func:`~repro.memsim.snapshot.restore_cache` loads into the L1, and
+the L2 absorbs the next-level traffic it returns
+(:class:`~repro.memsim.batch.LineTraffic`) in original access order, in
+one pass of its whole-line kernel
 (:meth:`~repro.memsim.cache.Cache.absorb_line_traffic`), which warms the
 rest of the hierarchy exactly as the per-access path would.  Everything
 else falls back to a scalar warmup, and the warm state records which
@@ -62,7 +65,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..cppc.protection import CppcProtection
 from ..errors import UncorrectableError
-from ..memsim.batch import BatchReplayEngine, BatchTrace, ReplayCapture
+from ..memsim.batch import BatchReplayEngine, BatchTrace
 from ..memsim.cache import Cache
 from ..memsim.hierarchy import MemoryHierarchy
 from ..memsim.replacement import LRUPolicy
@@ -72,6 +75,7 @@ from ..memsim.snapshot import (
     HierarchySnapshot,
     apply_delta,
     diff_hierarchy,
+    restore_cache,
     restore_hierarchy,
     same_state,
     snapshot_hierarchy,
@@ -568,9 +572,9 @@ def _batch_compatible(l1) -> Optional[str]:
 def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> None:
     """Warm ``hierarchy`` through the batch engine (L1) plus event replay.
 
-    The engine resolves the whole L1 access stream vectorized and
-    captures its next-level block traffic.  The L2 absorbs those events
-    in original access order in one pass
+    The engine resolves the whole L1 access stream vectorized; its final
+    state is restored into the L1, and the L2 absorbs its next-level
+    block traffic in original access order in one pass
     (:meth:`~repro.memsim.cache.Cache.absorb_line_traffic`, exact for
     its single-unit lines), which reproduces exactly the L2/memory state
     of a scalar warmup, because the scalar L1 would have issued exactly
@@ -586,37 +590,9 @@ def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> 
         byte_shifting=prot.rotation.enabled,
         num_classes=prot.registers.num_classes,
     )
-    capture = ReplayCapture()
-    result = engine.replay(BatchTrace.from_records(warm_records), capture=capture)
-    hierarchy.l2.absorb_line_traffic(
-        capture.kinds, capture.slots, capture.cycles, capture.words, capture.slot_addr
-    )
-
-    upb = l1.units_per_block
-    for (set_index, way), state in result.lines.items():
-        u0 = (set_index * l1.ways + way) * upb
-        l1.install_line(
-            set_index,
-            way,
-            state.tag,
-            state.data,
-            state.dirty,
-            state.check,
-            capture.line_last[u0 : u0 + upb],
-        )
-    for set_index, order in capture.lru.items():
-        l1.policy.set_recency_order(set_index, order)
-    stats = result.stats
-    # The scalar cache keeps integer cycle stamps; normalize the one
-    # float the reducer produces so snapshots compare field-for-field.
-    stats._last_event_cycle = int(stats._last_event_cycle)
-    l1.stats = stats
-    l1._access_counter = capture.final_cycle
-    for pair, src in zip(prot.registers.pairs, result.registers.pairs):
-        pair.r1 = src.r1
-        pair.r2 = src.r2
-        pair.r1_parity = src.r1_parity
-        pair.r2_parity = src.r2_parity
+    result = engine.replay(BatchTrace.from_records(warm_records), traffic=True)
+    hierarchy.l2.absorb_line_traffic(*result.traffic)
+    restore_cache(result.cache, l1)
 
 
 def build_warm_state(config: CampaignConfig) -> WarmState:

@@ -50,10 +50,6 @@ from .batch import (  # noqa: E402
     BatchReplayEngine,
     BatchReplayResult,
     BatchTrace,
-    LineState,
-    ReplayCapture,
-    cross_check_scalar,
-    snapshot_scalar_cache,
 )
 
 __all__ = [
@@ -61,10 +57,6 @@ __all__ = [
     "BatchReplayEngine",
     "BatchReplayResult",
     "BatchTrace",
-    "LineState",
-    "ReplayCapture",
-    "cross_check_scalar",
-    "snapshot_scalar_cache",
     "CacheSnapshot",
     "HierarchySnapshot",
     "MemorySnapshot",

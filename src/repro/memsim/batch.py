@@ -20,15 +20,20 @@ single-level write-back cache in three bulk phases:
    per-class XOR reductions (including the byte rotation by ``row mod
    num_classes`` of :mod:`repro.cppc.shifting`), write-backs with their
    words, counters, the dirty-occupancy integral and Tavg intervals by
-   segmented cumsums, final lines, LRU orders and the memory image.
+   segmented cumsums, final lines, dirty-cycle stamps, LRU orders and
+   the written-back blocks.
 
-The engine reproduces the scalar semantics *exactly* — same hit/miss
-stream, same statistics (including the Table 2 dirty-data metrics), same
-final data, dirty bits and check words, and bit-identical R1/R2 register
-contents — which :func:`cross_check_scalar` verifies word-for-word
-against a real :class:`~repro.memsim.cache.Cache`.  The Figure-10 timing
-path (:mod:`repro.timing.fast`) runs :class:`ResolvedStream` over both
-cache levels.
+The engine reproduces the scalar semantics *exactly*.  It returns the
+final cache and memory in the format :mod:`repro.memsim.snapshot` gives
+a scalar :class:`~repro.memsim.cache.Cache`, and each snapshot equals,
+field for field, the one a scalar replay of the same trace leaves: hit
+and miss counts, statistics (the Table 2 dirty-data metrics included),
+data, dirty bits, check words, dirty-cycle stamps, LRU orders, the clock
+and bit-identical R1/R2 registers.
+:func:`repro.workloads.replay.replay_mismatches` makes that comparison,
+and :func:`~repro.memsim.snapshot.restore_cache` turns a snapshot into a
+live cache.  The Figure-10 timing path (:mod:`repro.timing.fast`) runs
+:class:`ResolvedStream` over both cache levels.
 
 Scope: fault-free replay of 64-bit-unit caches (the paper's L1 shape)
 under LRU with write-allocate.  Fault injection, wider units and other
@@ -40,7 +45,9 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from functools import reduce
+from operator import xor
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +55,7 @@ from ..cppc.registers import RegisterFile
 from ..errors import AlignmentError, ConfigurationError, TraceFormatError
 from ..util import WORD_BYTES, parity
 from .address import AddressMapper
+from .snapshot import CacheSnapshot, MemorySnapshot, PolicySnapshot
 from .stats import CacheStats
 from .types import AccessType
 
@@ -263,83 +271,50 @@ class BatchTrace:
             raise AlignmentError("batch replay needs naturally aligned accesses")
 
 
-class ReplayCapture:
-    """Side-channel record of everything :class:`BatchReplayResult` omits.
+class LineTraffic(NamedTuple):
+    """A batch replay's next-level block traffic, as aligned columns.
 
-    A campaign warm-up replayed through the batch engine must afterwards
-    be *rehydrated* into a full scalar hierarchy (see
-    :mod:`repro.faults.warmstate`).  The result bundle carries final L1
-    lines, stats and registers, but not the next-level traffic (needed to
-    warm the L2 behind it), the per-unit ``Tavg`` timestamps, or the
-    final LRU orders.  Passing a capture to :meth:`BatchReplayEngine.replay`
-    collects them.
-
-    The next-level block traffic, one event per miss read and dirty
-    write-back, is held as four aligned columns, in access order with a
+    One event per miss read and dirty write-back, in access order with a
     miss's read before its victim's write-back, exactly the scalar
-    ``Cache`` order (:meth:`Cache.absorb_line_traffic
-    <repro.memsim.cache.Cache.absorb_line_traffic>` walks them).
+    ``Cache`` order; :meth:`Cache.absorb_line_traffic
+    <repro.memsim.cache.Cache.absorb_line_traffic>` takes the five
+    columns in this order.
 
     Attributes:
         kinds: each event's kind, 0 for a read and 1 for a write-back.
-        slots: the memory-image slot of the block each event moves.
+        slots: the index into ``slot_addr`` of the block each event moves.
         cycles: the cycle of the access that caused each event.
         words: the 64-bit words each write-back carries, one whole
             line; None for a read.
-        lru: final MRU-to-LRU way order per touched set.
-        line_last: final last-dirty cycle of every unit, flat —
-            unit ``u`` of (set, way) at ``(set * ways + way) *
-            units_per_block + u`` (None where no dirty stamp is live).
-        slot_addr: byte address of each memory-image slot.
-        final_cycle: cycle of the last access (0 for an empty trace).
+        slot_addr: byte address of each block the trace touches.
     """
 
-    def __init__(self):
-        self.kinds: List[int] = []
-        self.slots: List[int] = []
-        self.cycles: List[int] = []
-        self.words: List[Optional[List[int]]] = []
-        self.lru: Dict[int, List[int]] = {}
-        self.line_last: Optional[list] = None
-        self.slot_addr: Optional[List[int]] = None
-        self.final_cycle: int = 0
+    kinds: List[int]
+    slots: List[int]
+    cycles: List[int]
+    words: List[Optional[List[int]]]
+    slot_addr: List[int]
 
 
-@dataclasses.dataclass(frozen=True)
-class LineState:
-    """Final contents of one cache line after a batch replay."""
+class BatchReplayResult(NamedTuple):
+    """The state a batch replay leaves, in the scalar snapshot format.
 
-    tag: int
-    data: bytes
-    dirty: Tuple[bool, ...]
-    check: Tuple[int, ...]
-
-
-@dataclasses.dataclass
-class BatchReplayResult:
-    """Everything a batch replay produced.
-
-    ``stats`` and ``registers`` are the *same types* the scalar simulator
-    uses (:class:`~repro.memsim.stats.CacheStats`,
-    :class:`~repro.cppc.registers.RegisterFile`), populated to be
-    field-for-field comparable.
+    Attributes:
+        cache: the final cache, named ``"L1D"`` as the hierarchy's L1:
+            :func:`~repro.memsim.snapshot.snapshot_cache` of a scalar
+            ``"L1D"`` that replayed the same trace from empty.
+        memory: the blocks the cache wrote back, each as its last
+            write-back left it and in the order of their first ones, with
+            the reads and writes memory served:
+            :func:`~repro.memsim.snapshot.snapshot_memory` of the scalar
+            cache's :class:`~repro.memsim.mainmem.MainMemory`.
+        traffic: the next-level block traffic, when the caller asked for
+            it; else None.
     """
 
-    references: int
-    loads: int
-    stores: int
-    instructions: int
-    stats: CacheStats
-    registers: RegisterFile
-    lines: Dict[Tuple[int, int], LineState]
-    memory: Dict[int, bytes]
-    memory_reads: int
-    memory_writes: int
-
-    @property
-    def dirty_xor(self) -> Dict[int, int]:
-        """R1 ^ R2 per register pair (the recovery invariant)."""
-        return {i: p.dirty_xor for i, p in enumerate(self.registers.pairs)}
+    cache: CacheSnapshot
+    memory: MemorySnapshot
+    traffic: Optional[LineTraffic] = None
 
 
 # ----------------------------------------------------------------------
@@ -804,23 +779,21 @@ class BatchReplayEngine:
     # ------------------------------------------------------------------
     # Phases 2+3 — resolution and derivation
     # ------------------------------------------------------------------
-    def replay(
-        self,
-        trace: BatchTrace,
-        capture: Optional[ReplayCapture] = None,
-    ) -> BatchReplayResult:
-        """Replay ``trace`` and return the full result bundle.
+    def replay(self, trace: BatchTrace, *, traffic: bool = False) -> BatchReplayResult:
+        """Replay ``trace`` into an empty cache over an empty memory.
 
-        With a :class:`ReplayCapture`, the next-level traffic and final
-        microarchitectural details needed to rebuild a scalar hierarchy
-        are recorded as a side effect (simulation outcomes unchanged).
-        With a live sink, each phase (``decompose``, ``resolve``,
-        ``accumulate``) is one ``batch`` span over every reference.
+        Returns the final cache and the blocks it wrote back as the
+        snapshots a scalar replay of the same trace leaves, and with
+        ``traffic`` the next-level block traffic too
+        (:class:`BatchReplayResult`).  With a live sink, each phase
+        (``decompose``, ``resolve``, ``accumulate``) is one ``batch``
+        span over every reference.
         """
         trace.validate()
         obs = self.obs if self.obs is not None and self.obs.enabled else None
         n = len(trace)
         upb, ways, bb = self.units_per_block, self.ways, self.block_bytes
+        lines = self.num_sets * ways
         t_phase = time.perf_counter() if obs is not None else 0.0
         blocks, sets, units = self.decompose(trace)
         cycles = np.cumsum(trace.gap + 1)
@@ -838,8 +811,11 @@ class BatchReplayEngine:
         if obs is not None:
             t_phase = self._span(obs, "resolve", t_phase, n)
 
-        stats = stream.stats(0, self.num_sets * ways * upb)
+        stats = stream.stats(0, lines * upb)
         stats.read_before_writes = stats.stores_to_dirty_units
+        if n:
+            # The scalar cache keeps the integer cycles it is given.
+            stats._last_event_cycle = int(stats._last_event_cycle)
         slot_blocks, slot = np.unique(blocks, return_inverse=True)
         stores = np.flatnonzero(trace.is_store)
         history = _UnitHistory(
@@ -875,122 +851,101 @@ class BatchReplayEngine:
         )
         del victim, values, written, retired, retired_rows, rows, redirtied
 
-        # Final lines: the residencies no miss evicted.
+        # Final lines: the residencies no miss evicted, and their units'
+        # slots in the cache's flat layout.
         live = ~stream.hit
         live[stream.fill[stream.evict[stream.evict >= 0]]] = False
         live = np.flatnonzero(live)
         line = sets[live] * ways + stream.way[live]
-        by_line = np.argsort(line)
-        live, line = live[by_line], line[by_line]
+        at = (line[:, None] * upb + unit).ravel()
         values, written = history.at(
-            (slot[live][:, None] * upb + unit).ravel(), np.full(len(live) * upb, n)
+            (slot[live][:, None] * upb + unit).ravel(), np.full(len(at), n)
         )
-        data = values.reshape(len(live), upb)
-        dirty = (written >= np.repeat(live, upb)).reshape(len(live), upb)
+        data = np.zeros(lines * upb, dtype=np.uint64)
+        data[at] = values
+        check = np.zeros(lines * upb, dtype=np.uint64)
+        check[at] = _fold_check_words(values)
+        live_dirty = written >= np.repeat(live, upb)
+        dirty = np.zeros(lines * upb, dtype=bool)
+        dirty[at] = live_dirty
         # The residency's last access to each unit, where it has one: a
         # dirty unit's stamp, and the line's recency.
         key = (live[:, None] * upb + unit).ravel()
         tail = np.searchsorted(stream.group_keys, key, side="right") - 1
         np.maximum(tail, 0, out=tail)
         last = np.where(stream.group_keys[tail] == key, stream.group_order[tail], -1)
-        last = last.reshape(len(live), upb)
-        stamp = np.where(dirty, cycles[last], -1)
-        recent = np.full(self.num_sets * ways, -1, dtype=np.int64)
-        recent[line] = last.max(axis=1)
-        del history, values, written, key, tail, last
-        tags = blocks[live] >> (self.num_sets.bit_length() - 1)
-        del live, blocks
+        stamps = np.full(lines * upb, None, dtype=object)
+        stamps[at[live_dirty]] = cycles[last[live_dirty]]
+        recent = np.full(lines, -1, dtype=np.int64)
+        recent[line] = last.reshape(len(live), upb).max(axis=1)
+        # MRU-to-LRU: ways by their last access, latest first; ways never
+        # filled keep their initial order behind them.
+        order = np.argsort(-recent.reshape(self.num_sets, ways), axis=1, kind="stable")
+        valid = np.zeros(lines, dtype=np.uint8)
+        valid[line] = 1
+        tags = np.zeros(lines, dtype=np.int64)
+        tags[line] = blocks[live] >> (self.num_sets.bit_length() - 1)
+        del history, values, written, live_dirty, key, tail, last, recent
+        del live, line, at, blocks
 
-        if capture is not None:
+        moved = None
+        if traffic:
             access, is_write, source = stream.traffic()
-            traffic_slot = slot[source]
-            traffic_cycle = cycles[access]
-            del access, source
-            # MRU-to-LRU: ways by their last access, latest first; ways
-            # never filled keep their initial order behind them.
-            recent = recent.reshape(self.num_sets, ways)
-            touched = np.flatnonzero(recent[:, 0] >= 0)  # way 0 fills first
-            lru = np.argsort(-recent[touched], axis=1, kind="stable")
-        del stream, slot, sets, recent
+            words = [None] * len(is_write)
+            for k, row in zip(np.flatnonzero(is_write).tolist(), wb_words.tolist()):
+                words[k] = row
+            moved = LineTraffic(
+                kinds=is_write.view(np.int8).tolist(),
+                slots=slot[source].tolist(),
+                cycles=cycles[access].tolist(),
+                words=words,
+                slot_addr=(slot_blocks * bb).tolist(),
+            )
+            del access, is_write, source
+        del stream, slot, sets
 
-        registers = RegisterFile(
-            64, num_pairs=self.num_pairs, num_classes=self.num_classes
-        )
-        classes_per_pair = self.num_classes // self.num_pairs
-        for pair_index, pair in enumerate(registers.pairs):
-            for rotation_class in range(
-                pair_index * classes_per_pair,
-                (pair_index + 1) * classes_per_pair,
-            ):
-                pair.r1 ^= r1_acc[rotation_class]
-                pair.r2 ^= r2_acc[rotation_class]
+        per_pair = self.num_classes // self.num_pairs
+        pairs = []
+        for lo in range(0, self.num_classes, per_pair):
+            r1 = reduce(xor, r1_acc[lo : lo + per_pair])
+            r2 = reduce(xor, r2_acc[lo : lo + per_pair])
             # Incremental event parity telescopes to the parity of the
             # final register value (popcount is linear over XOR mod 2).
-            pair.r1_parity = parity(pair.r1)
-            pair.r2_parity = parity(pair.r2)
-        raw = data.astype(">u8").tobytes()
-        lines = {
-            divmod(ln, ways): LineState(
-                tag=tag,
-                data=raw[k * bb : (k + 1) * bb],
-                dirty=tuple(bits),
-                check=tuple(check),
-            )
-            for k, (ln, tag, bits, check) in enumerate(
-                zip(
-                    line.tolist(),
-                    tags.tolist(),
-                    dirty.tolist(),
-                    _fold_check_words(data).tolist(),
-                )
-            )
-        }
-        # Memory image: each block as its last write-back left it.
-        image = np.zeros((len(slot_blocks), upb), dtype=np.uint64)
-        written, latest = np.unique(wb_slot[::-1], return_index=True)
-        image[written] = wb_words[len(wb) - 1 - latest]
-        raw = image.astype(">u8").tobytes()
-        del image, written, latest
-        memory = {
-            block * bb: raw[k * bb : (k + 1) * bb]
-            for k, block in enumerate(slot_blocks.tolist())
-        }
-        del raw
+            pairs.append((r1, r2, parity(r1), parity(r2)))
+        cache = CacheSnapshot(
+            name="L1D",
+            size_bytes=self.size_bytes,
+            ways=ways,
+            block_bytes=bb,
+            unit_bytes=self.unit_bytes,
+            scheme="cppc",
+            access_counter=int(cycles[-1]) if n else 0.0,
+            valid=valid.tobytes(),
+            tags=tags.tolist(),
+            data=data.astype(">u8").tobytes(),
+            dirty=dirty.tolist(),
+            check=check.tolist(),
+            last_dirty_access=stamps.tolist(),
+            policy=PolicySnapshot(kind="lru", order=order.ravel().tolist()),
+            stats=dataclasses.asdict(stats),
+            protection={"pairs": pairs, "recoveries": 0, "register_repairs": 0},
+        )
 
-        if capture is not None:
-            words = [None] * len(is_write)
-            for at, row in zip(np.flatnonzero(is_write).tolist(), wb_words.tolist()):
-                words[at] = row
-            capture.kinds = is_write.view(np.int8).tolist()
-            capture.slots = traffic_slot.tolist()
-            capture.cycles = traffic_cycle.tolist()
-            capture.words = words
-            line_last = [None] * (self.num_sets * ways * upb)
-            for ln, stamps in zip(line.tolist(), stamp.tolist()):
-                for u, cycle in enumerate(stamps):
-                    if cycle >= 0:
-                        line_last[ln * upb + u] = cycle
-            capture.line_last = line_last
-            capture.slot_addr = (slot_blocks * bb).tolist()
-            capture.final_cycle = int(cycles[-1]) if n else 0
-            capture.lru = dict(zip(touched.tolist(), lru.tolist()))
-
-        stored = int(np.count_nonzero(trace.is_store))
-        result = BatchReplayResult(
-            references=n,
-            loads=n - stored,
-            stores=stored,
-            instructions=trace.instructions,
-            stats=stats,
-            registers=registers,
-            lines=lines,
-            memory=memory,
-            memory_reads=stats.fills,
-            memory_writes=len(wb),
+        # Memory: each written block as its last write-back left it, in
+        # the order of the first write-backs, as memory gains them.
+        _, first = np.unique(wb_slot, return_index=True)
+        _, from_end = np.unique(wb_slot[::-1], return_index=True)
+        by_first = np.argsort(first)
+        raw = wb_words[len(wb) - 1 - from_end[by_first]].astype(">u8").tobytes()
+        addrs = (slot_blocks[wb_slot[first[by_first]]] * bb).tolist()
+        memory = MemorySnapshot(
+            blocks={addr: raw[k * bb : (k + 1) * bb] for k, addr in enumerate(addrs)},
+            reads=stats.fills,
+            writes=len(wb),
         )
         if obs is not None:
             self._span(obs, "accumulate", t_phase, n)
-        return result
+        return BatchReplayResult(cache, memory, moved)
 
     @staticmethod
     def _span(obs, name: str, began: float, references: int) -> float:
@@ -1013,83 +968,3 @@ class BatchReplayEngine:
                 selected = _rotl_bytes_u64(selected, rotation_class)
             acc[rotation_class] ^= int(np.bitwise_xor.reduce(selected))
         return acc
-
-
-# ----------------------------------------------------------------------
-# Equivalence cross-check against the scalar object model
-# ----------------------------------------------------------------------
-def snapshot_scalar_cache(cache) -> Dict[Tuple[int, int], LineState]:
-    """The scalar :class:`Cache`'s lines in :class:`LineState` form."""
-    lines: Dict[Tuple[int, int], LineState] = {}
-    for s, w in cache.resident_lines():
-        ln = cache.line(s, w)
-        lines[(s, w)] = LineState(
-            tag=ln.tag,
-            data=ln.data,
-            dirty=tuple(ln.dirty),
-            check=tuple(ln.check),
-        )
-    return lines
-
-
-def cross_check_scalar(result: BatchReplayResult, cache, memory) -> List[str]:
-    """Compare a batch result against a scalar replay of the same trace.
-
-    Returns a list of human-readable mismatch descriptions (empty when
-    the two engines agree on cache contents, dirty bits, check words,
-    statistics, memory image and register state).
-    """
-    problems: List[str] = []
-    scalar_lines = snapshot_scalar_cache(cache)
-    for key in sorted(set(scalar_lines) | set(result.lines)):
-        mine = result.lines.get(key)
-        theirs = scalar_lines.get(key)
-        if mine != theirs:
-            problems.append(f"line {key}: batch={mine!r} scalar={theirs!r}")
-    batch_stats = result.stats.snapshot()
-    scalar_stats = cache.stats.snapshot()
-    for name in sorted(set(batch_stats) | set(scalar_stats)):
-        if batch_stats.get(name) != scalar_stats.get(name):
-            problems.append(
-                f"stats[{name}]: batch={batch_stats.get(name)!r} "
-                f"scalar={scalar_stats.get(name)!r}"
-            )
-    if result.stats.dirty_interval_histogram != cache.stats.dirty_interval_histogram:
-        problems.append(
-            f"interval histogram: batch={result.stats.dirty_interval_histogram!r} "
-            f"scalar={cache.stats.dirty_interval_histogram!r}"
-        )
-    protection = cache.protection
-    scalar_registers = getattr(protection, "registers", None)
-    if scalar_registers is not None:
-        for i, (mine, theirs) in enumerate(
-            zip(result.registers.pairs, scalar_registers.pairs)
-        ):
-            for field in ("r1", "r2", "r1_parity", "r2_parity"):
-                if getattr(mine, field) != getattr(theirs, field):
-                    problems.append(
-                        f"pair {i} {field}: batch={getattr(mine, field):#x} "
-                        f"scalar={getattr(theirs, field):#x}"
-                    )
-            expected = protection.dirty_xor_expected(i)
-            if mine.dirty_xor != expected:
-                problems.append(
-                    f"pair {i} R1^R2 {mine.dirty_xor:#x} != XOR of rotated "
-                    f"dirty words {expected:#x}"
-                )
-    for block_addr, data in sorted(result.memory.items()):
-        theirs = memory.peek(block_addr, len(data))
-        if data != theirs:
-            problems.append(
-                f"memory block {block_addr:#x}: batch={data.hex()} "
-                f"scalar={theirs.hex()}"
-            )
-    if result.memory_reads != memory.reads:
-        problems.append(
-            f"memory reads: batch={result.memory_reads} scalar={memory.reads}"
-        )
-    if result.memory_writes != memory.writes:
-        problems.append(
-            f"memory writes: batch={result.memory_writes} scalar={memory.writes}"
-        )
-    return problems

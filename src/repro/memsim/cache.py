@@ -259,35 +259,6 @@ class Cache:
         base = self.mapper.rebuild_address(tag, loc.set_index)
         return base + loc.unit_index * self.unit_bytes
 
-    def install_line(
-        self,
-        set_index: int,
-        way: int,
-        tag: int,
-        data: bytes,
-        dirty: Sequence[bool],
-        check: Sequence[int],
-        last_dirty_access: Sequence[Optional[float]],
-    ) -> None:
-        """Make (set, way) a valid line holding exactly the given state
-        (``block_bytes`` of data, ``units_per_block`` of each per-unit
-        sequence).
-
-        Bypasses the access path — no protection hook, statistic or
-        replacement update — for warm engines that computed the state
-        elsewhere.
-        """
-        upb = self.units_per_block
-        line = set_index * self.ways + way
-        self._valid[line] = 1
-        self._tags[line] = tag
-        off = line * self.block_bytes
-        self._data[off : off + self.block_bytes] = data
-        u0 = line * upb
-        self._dirty[u0 : u0 + upb] = dirty
-        self._check[u0 : u0 + upb] = check
-        self._last_dirty[u0 : u0 + upb] = last_dirty_access
-
     # ------------------------------------------------------------------
     # Unit-level raw access (fault injection, schemes, tests)
     # ------------------------------------------------------------------
@@ -901,7 +872,7 @@ class Cache:
         """Replay the upper level's captured block traffic in one pass.
 
         The traffic comes as the aligned columns of a
-        :class:`~repro.memsim.batch.ReplayCapture`: event ``i`` is of kind
+        :class:`~repro.memsim.batch.LineTraffic`: event ``i`` is of kind
         ``kinds[i]``, moves the block at ``slot_addr[slots[i]]`` at cycle
         ``cycles[i]``, and a write-back carries the 64-bit ``words[i]``
         (one whole line; None for a read).  Kind 0 is replayed exactly as

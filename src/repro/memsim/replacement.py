@@ -9,7 +9,7 @@ removed line needs no policy update.
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence
+from typing import List
 
 from ..errors import ConfigurationError
 from ..util import Seed, make_rng
@@ -65,12 +65,6 @@ class LRUPolicy(ReplacementPolicy):
         """MRU-to-LRU order of a set."""
         base = set_index * self.ways
         return self._order[base : base + self.ways]
-
-    def set_recency_order(self, set_index: int, order: Sequence[int]) -> None:
-        """Replace a set's MRU-to-LRU order (a permutation of its ways;
-        warm engines)."""
-        base = set_index * self.ways
-        self._order[base : base + self.ways] = order
 
 
 class FIFOPolicy(ReplacementPolicy):

@@ -7,8 +7,8 @@ both paths and returns a JSON report (``BENCH_<mode>.json`` by default):
 
 * ``replay`` (default) — the batch replay engine vs. the scalar
   ``Cache``, plus batch time with a *disabled* trace sink over the plain
-  batch time (the zero-overhead-when-disabled property of
-  :mod:`repro.obs`);
+  batch time, the median over alternated pairs (the
+  zero-overhead-when-disabled property of :mod:`repro.obs`);
 * ``campaign`` — the snapshot-fork campaign
   (:mod:`repro.faults.warmstate`) vs. the legacy warm-every-trial loop;
 * ``reliability`` — the vectorized double-fault Monte-Carlo engine
@@ -35,12 +35,14 @@ import argparse
 import dataclasses
 import json
 import pathlib
+import statistics
 import sys
 import time
 from typing import Callable, Optional, Sequence, Tuple
 
 from ..errors import EquivalenceError, raise_mismatches
 from ..faults.schemes import scheme_factory
+from ..memsim.snapshot import restore_cache
 from ..obs import NullSink, make_sink
 from ..workloads import benchmark_names, make_workload
 from ..workloads.replay import FastReplay, TraceReplayer
@@ -48,6 +50,10 @@ from ._cli import add_obs_arguments, emit_metrics, fail, metrics_registry, resol
 
 #: Trace prefix used to warm both engines before the timed runs.
 WARMUP_REFERENCES = 5_000
+
+#: Timed (plain, disabled-sink) batch replay pairs behind the replay
+#: mode's ``obs_overhead_ratio``, the median of their time ratios.
+OBS_OVERHEAD_PAIRS = 15
 
 #: Default committed baseline file (see ``--compare-baseline``).
 DEFAULT_BASELINE = "BENCH_baseline.json"
@@ -119,19 +125,28 @@ def run_bench(
 
     # Zero-overhead-when-disabled: a NullSink attached to the engine must
     # keep the hot loop on its uninstrumented branch, so this ratio stays
-    # ~1.0 regardless of machine speed.  The two batch variants are timed
-    # in alternation (not in separate back-to-back blocks) so slow drift
-    # on a noisy machine cancels out of the ratio.
+    # ~1.0 regardless of machine speed.  It is the median time ratio of
+    # OBS_OVERHEAD_PAIRS pairs of a plain and a disabled-sink replay, each
+    # pair run in the other order from the one before, so slow drift on
+    # a noisy machine and the order within a pair cancel out.
     disabled = FastReplay(equivalence="never", obs=NullSink())
     disabled.engine.replay(warm_trace)
 
     def disabled_once():
         disabled.engine.replay(trace)
 
-    batch_s = disabled_s = float("inf")
-    for _ in range(max(1, repeats)):
-        batch_s = min(batch_s, _time_best(batch_once, 1))
-        disabled_s = min(disabled_s, _time_best(disabled_once, 1))
+    batch_s = _time_best(batch_once, repeats)
+    disabled_s = float("inf")
+    ratios = []
+    for pair in range(OBS_OVERHEAD_PAIRS):
+        if pair % 2:
+            disabled_pair = _time_best(disabled_once, 1)
+            plain_pair = _time_best(batch_once, 1)
+        else:
+            plain_pair = _time_best(batch_once, 1)
+            disabled_pair = _time_best(disabled_once, 1)
+        ratios.append(disabled_pair / plain_pair)
+        disabled_s = min(disabled_s, disabled_pair)
 
     scalar_s = _time_best(
         lambda: TraceReplayer(replayer.scalar_cache()).run(records),
@@ -151,10 +166,11 @@ def run_bench(
         "batch_ops_per_sec": trace_len / batch_s,
         "speedup": scalar_s / batch_s,
         "disabled_sink_seconds": disabled_s,
-        "obs_overhead_ratio": disabled_s / batch_s,
+        "obs_overhead_ratio": statistics.median(ratios),
     }
     if registry is not None:
-        batch_result["value"].stats.export_metrics(registry, prefix="batch.")
+        final = restore_cache(batch_result["value"].cache, replayer.scalar_cache())
+        final.stats.export_metrics(registry, prefix="batch.")
     if trace_out is not None:
         with make_sink(trace_out) as sink:
             FastReplay(equivalence="never", obs=sink).run(trace)

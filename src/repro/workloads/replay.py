@@ -9,8 +9,8 @@ fault-injection campaigns can detect silent data corruption.
 (:mod:`repro.memsim.batch`): same single-cache semantics, orders of
 magnitude faster, with an automatic equivalence mode that replays small
 traces through the scalar :class:`~repro.memsim.cache.Cache` as well and
-cross-checks final contents, dirty bits, statistics and the CPPC R1^R2
-invariant word-for-word.
+compares the two final states field for field
+(:func:`replay_mismatches`), CPPC's R1^R2 invariant included.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ from ..errors import (
     cross_checks,
     raise_mismatches,
 )
-from ..memsim.batch import (
-    BatchReplayEngine,
-    BatchReplayResult,
-    BatchTrace,
-    cross_check_scalar,
-)
+from ..memsim.batch import BatchReplayEngine, BatchReplayResult, BatchTrace
 from ..memsim.cache import Cache
 from ..memsim.hierarchy import MemoryHierarchy
 from ..memsim.mainmem import MainMemory
+from ..memsim.snapshot import (
+    restore_cache,
+    restore_memory,
+    snapshot_cache,
+    snapshot_memory,
+)
 from ..memsim.types import AccessType
 from .trace import TraceRecord, materialize
 
@@ -141,30 +142,88 @@ class TraceReplayer:
         return self.result
 
 
+def _field_mismatches(mine, theirs) -> List[str]:
+    """One line per field in which two snapshots of one type differ: per
+    key of a dict, per field of a nested snapshot, the first differing
+    slot of a sequence."""
+    problems: List[str] = []
+    for field in dataclasses.fields(mine):
+        name = field.name
+        a, b = getattr(mine, name), getattr(theirs, name)
+        if a == b:
+            continue
+        if isinstance(a, dict):
+            problems += [
+                f"{name}[{key!r}]: batch={a.get(key)!r} scalar={b.get(key)!r}"
+                for key in sorted(a.keys() | b.keys())
+                if a.get(key) != b.get(key)
+            ]
+        elif dataclasses.is_dataclass(a):
+            problems += [f"{name}.{p}" for p in _field_mismatches(a, b)]
+        elif isinstance(a, (bytes, list)) and len(a) == len(b):
+            slots = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+            i = slots[0]
+            problems.append(
+                f"{name}: {len(slots)} slots differ, first [{i}]: "
+                f"batch={a[i]!r} scalar={b[i]!r}"
+            )
+        else:
+            problems.append(f"{name}: batch={a!r} scalar={b!r}")
+    return problems
+
+
+def replay_mismatches(batch: BatchReplayResult, cache: Cache) -> List[str]:
+    """How a batch replay differs from a scalar replay of the same trace.
+
+    ``cache`` replayed the trace from empty over an empty
+    :class:`~repro.memsim.mainmem.MainMemory`.  ``batch.cache`` is
+    compared with :func:`~repro.memsim.snapshot.snapshot_cache` of it and
+    ``batch.memory`` with :func:`~repro.memsim.snapshot.snapshot_memory`
+    of its memory, field for field: lines, data, dirty bits, check words,
+    dirty-cycle stamps, LRU orders, the clock, every
+    :class:`~repro.memsim.stats.CacheStats` field, the CPPC registers,
+    the written blocks and memory's counts.  Then CPPC's invariant: each
+    pair's R1 ^ R2 in ``batch.cache`` must equal the XOR of the rotated
+    dirty words ``cache`` holds.  Returns one line per difference, empty
+    when the two agree.
+    """
+    problems = _field_mismatches(batch.cache, snapshot_cache(cache))
+    problems += _field_mismatches(batch.memory, snapshot_memory(cache.next_level))
+    for i, (r1, r2, _, _) in enumerate(batch.cache.protection["pairs"]):
+        expected = cache.protection.dirty_xor_expected(i)
+        if r1 ^ r2 != expected:
+            problems.append(
+                f"pair {i} R1^R2 {r1 ^ r2:#x} != XOR of rotated dirty words "
+                f"{expected:#x}"
+            )
+    return problems
+
+
 @dataclasses.dataclass
 class FastReplayResult:
     """Outcome of one :class:`FastReplay` run.
 
     Attributes:
         replay: the scalar-compatible reference/cycle summary.
-        batch: the engine's full result (stats, registers, final state).
+        cache: the engine's final cache over the memory it wrote back,
+            restored into a scalar twin (:meth:`FastReplay.scalar_cache`).
         checked: whether the scalar cross-check ran (and passed — a
             failing check raises :class:`~repro.errors.EquivalenceError`).
     """
 
     replay: ReplayResult
-    batch: BatchReplayResult
+    cache: Cache
     checked: bool
 
     @property
     def stats(self):
         """The batch run's :class:`~repro.memsim.stats.CacheStats`."""
-        return self.batch.stats
+        return self.cache.stats
 
     @property
     def registers(self):
         """The batch run's CPPC :class:`~repro.cppc.registers.RegisterFile`."""
-        return self.batch.registers
+        return self.cache.protection.registers
 
 
 class FastReplay:
@@ -220,9 +279,10 @@ class FastReplay:
         self.equivalence = equivalence
 
     def scalar_cache(self) -> Cache:
-        """A fresh scalar cache configured identically to the engine."""
+        """A fresh scalar cache configured identically to the engine,
+        and named as its snapshots are."""
         return Cache(
-            "batch-check",
+            "L1D",
             self.engine.size_bytes,
             self.engine.ways,
             self.engine.block_bytes,
@@ -254,20 +314,23 @@ class FastReplay:
             records = materialize(source)
             trace = BatchTrace.from_records(records)
         batch = self.engine.replay(trace)
+        cache = restore_cache(batch.cache, self.scalar_cache())
+        restore_memory(batch.memory, cache.next_level)
+        stores = int(trace.is_store.sum())
         summary = ReplayResult(
-            references=batch.references,
-            loads=batch.loads,
-            stores=batch.stores,
-            instructions=batch.instructions,
+            references=len(trace),
+            loads=len(trace) - stores,
+            stores=stores,
+            instructions=trace.instructions,
         )
-        check = cross_checks(self.equivalence, batch.references)
+        check = cross_checks(self.equivalence, summary.references)
         if obs is not None:
             obs.span(
                 "replay",
                 "fast-replay",
                 t0,
                 time.perf_counter() - t0,
-                {"references": batch.references, "checked": check},
+                {"references": summary.references, "checked": check},
             )
         if check:
             t0 = time.perf_counter() if obs is not None else 0.0
@@ -283,16 +346,10 @@ class FastReplay:
                     {"problems": len(problems)},
                 )
             raise_mismatches("batch replay diverged from the scalar cache", problems)
-        return FastReplayResult(replay=summary, batch=batch, checked=check)
+        return FastReplayResult(replay=summary, cache=cache, checked=check)
 
     def _cross_check(self, records, batch) -> List[str]:
         """Scalar replay of the same records plus the full comparison."""
         cache = self.scalar_cache()
-        scalar_summary = TraceReplayer(cache).run(records)
-        problems = cross_check_scalar(batch, cache, cache.next_level)
-        for field in ("references", "loads", "stores", "instructions"):
-            mine = getattr(batch, field)
-            theirs = getattr(scalar_summary, field)
-            if mine != theirs:
-                problems.append(f"{field}: batch={mine} scalar={theirs}")
-        return problems
+        TraceReplayer(cache).run(records)
+        return replay_mismatches(batch, cache)

@@ -40,7 +40,8 @@ def expected_dirty_xor(result, *, num_pairs, byte_shifting, num_classes=8):
     """Recompute the invariant directly from the final line states."""
     expected = {i: 0 for i in range(num_pairs)}
     classes_per_pair = num_classes // num_pairs
-    for (set_index, _way), line in result.batch.lines.items():
+    for set_index, way in result.cache.resident_lines():
+        line = result.cache.line(set_index, way)
         for unit, dirty in enumerate(line.dirty):
             if not dirty:
                 continue
@@ -74,7 +75,8 @@ class TestRandomizedInvariant:
         # The trace must actually exercise eviction and overwrite paths.
         assert result.stats.evictions_dirty > 0
         assert result.stats.stores_to_dirty_units > 0
-        assert result.batch.dirty_xor == expected_dirty_xor(
+        dirty_xor = {i: p.dirty_xor for i, p in enumerate(result.registers.pairs)}
+        assert dirty_xor == expected_dirty_xor(
             result, num_pairs=num_pairs, byte_shifting=byte_shifting
         )
 

@@ -14,9 +14,12 @@ from repro.memsim import (
     AccessType,
     BatchReplayEngine,
     BatchTrace,
-    cross_check_scalar,
+    CacheStats,
+    snapshot_cache,
+    snapshot_memory,
 )
 from repro.memsim.batch import ResolvedStream
+from repro.util import make_rng
 from repro.workloads import (
     FastReplay,
     TraceRecord,
@@ -24,6 +27,7 @@ from repro.workloads import (
     make_workload,
     materialize,
 )
+from repro.workloads.replay import replay_mismatches
 
 
 def store(addr, value, gap=0):
@@ -82,9 +86,10 @@ class TestBatchTrace:
     def test_empty_trace_replays(self):
         engine = BatchReplayEngine(1024, 2, 32)
         result = engine.replay(BatchTrace.from_records([]))
-        assert result.references == 0
-        assert result.stats.fills == 0
-        assert result.lines == {}
+        assert result.cache.stats["fills"] == 0
+        assert result.cache.valid == bytes(32)
+        assert result.memory.blocks == {}
+        assert result.traffic is None
 
 
 class TestEngineConfiguration:
@@ -133,11 +138,13 @@ class TestScalarEquivalence:
         records = workload_records(n=400)
         replay = FastReplay(1024, 2, 32, equivalence="never")
         batch = replay.engine.replay(BatchTrace.from_records(records))
-        batch.registers.pairs[0].r1 ^= 1
+        r1, r2, r1_parity, r2_parity = batch.cache.protection["pairs"][0]
+        batch.cache.protection["pairs"][0] = (r1 ^ 1, r2, r1_parity, r2_parity)
         cache = replay.scalar_cache()
         TraceReplayer(cache).run(records)
-        problems = cross_check_scalar(batch, cache, cache.next_level)
-        assert any("r1" in p for p in problems)
+        problems = replay_mismatches(batch, cache)
+        assert any(p.startswith("protection['pairs']") for p in problems)
+        assert any("R1^R2" in p for p in problems)
 
     def test_batch_memory_matches_scalar_writebacks(self):
         records = workload_records(n=800)
@@ -145,7 +152,83 @@ class TestScalarEquivalence:
         batch = replay.engine.replay(BatchTrace.from_records(records))
         cache = replay.scalar_cache()
         TraceReplayer(cache).run(records)
-        assert cross_check_scalar(batch, cache, cache.next_level) == []
+        assert batch.memory.writes > 0
+        assert replay_mismatches(batch, cache) == []
+
+    @pytest.mark.parametrize("field", ["last_dirty_access", "policy.order"])
+    def test_cross_check_flags_state_beyond_lines(self, field):
+        # Dirty-cycle stamps and LRU orders are compared too: one changed
+        # field is one mismatch, named after it.
+        records = workload_records(n=400)
+        replay = FastReplay(1024, 2, 32, equivalence="never")
+        batch = replay.engine.replay(BatchTrace.from_records(records))
+        cache = replay.scalar_cache()
+        TraceReplayer(cache).run(records)
+        if field == "policy.order":
+            order = batch.cache.policy.order
+            order[0], order[1] = order[1], order[0]
+        else:
+            stamps = batch.cache.last_dirty_access
+            i = next(k for k, cycle in enumerate(stamps) if cycle is not None)
+            stamps[i] += 1
+        problems = replay_mismatches(batch, cache)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"{field}: ")
+
+
+def random_trace(rng, n, blocks):
+    """``n`` random loads and stores over ``blocks`` 64-byte blocks."""
+    records = []
+    store_fraction = rng.uniform(0.2, 0.9)
+    for _ in range(n):
+        size = rng.choice([1, 2, 4, 8])
+        addr = 64 * rng.randrange(blocks) + size * rng.randrange(64 // size)
+        gap = rng.randrange(4)
+        if rng.random() < store_fraction:
+            value = bytes(rng.randrange(256) for _ in range(size))
+            records.append(TraceRecord(AccessType.STORE, addr, size, gap, value))
+        else:
+            records.append(TraceRecord(AccessType.LOAD, addr, size, gap))
+    return records
+
+
+class TestSnapshotEquivalence:
+    """The engine's two snapshots are the scalar cache's and memory's."""
+
+    @pytest.mark.parametrize("case", range(64))
+    def test_random_geometry_matches_scalar_snapshots(self, case):
+        rng = make_rng(("batch-snapshot", case))
+        ways = rng.randint(1, 8)
+        block = rng.choice([8, 16, 32, 64])
+        sets = rng.choice([1, 2, 4, 8, 16])
+        pairs = rng.choice([1, 2, 4, 8])
+        n = 0 if case == 0 else rng.randrange(1, 2000)
+        records = random_trace(rng, n, rng.randint(1, 4) * sets * ways)
+        replay = FastReplay(
+            sets * ways * block,
+            ways,
+            block,
+            num_pairs=pairs,
+            byte_shifting=rng.random() < 0.5,
+            equivalence="never",
+        )
+        batch = replay.engine.replay(BatchTrace.from_records(records))
+        cache = replay.scalar_cache()
+        TraceReplayer(cache).run(records)
+        scalar, memory = snapshot_cache(cache), snapshot_memory(cache.next_level)
+        assert batch.cache == scalar
+        assert batch.memory == memory
+        # Memory keeps its blocks in the order of their first write-back,
+        # and the clock, stamps and cycle bookkeeping keep their types.
+        assert list(batch.memory.blocks) == list(memory.blocks)
+        clock = "_last_event_cycle"
+        for mine, theirs in [
+            (batch.cache.access_counter, scalar.access_counter),
+            (batch.cache.stats[clock], scalar.stats[clock]),
+            *zip(batch.cache.last_dirty_access, scalar.last_dirty_access),
+        ]:
+            assert type(mine) is type(theirs)
+        assert replay_mismatches(batch, cache) == []
 
 
 class TestFastReplay:
@@ -181,16 +264,21 @@ class TestFastReplay:
         assert excinfo.value.mismatches
 
     def test_result_exposes_batch_registers(self):
-        result = FastReplay(equivalence="always").run(workload_records(n=60))
+        replay = FastReplay(equivalence="always")
+        records = workload_records(n=60)
+        result = replay.run(records)
         assert result.checked
-        assert result.registers is result.batch.registers
+        assert result.registers is result.cache.protection.registers
+        batch = replay.engine.replay(BatchTrace.from_records(records))
+        assert snapshot_cache(result.cache) == batch.cache
+        assert snapshot_memory(result.cache.next_level) == batch.memory
 
     def test_dirty_xor_property(self):
         result = FastReplay(equivalence="always").run(workload_records(n=60))
-        xors = result.batch.dirty_xor
-        assert set(xors) == {0}
-        pair = result.batch.registers.pairs[0]
-        assert xors[0] == pair.r1 ^ pair.r2
+        pairs = result.registers.pairs
+        assert len(pairs) == 1
+        assert pairs[0].dirty_xor == pairs[0].r1 ^ pairs[0].r2
+        assert pairs[0].dirty_xor == result.cache.protection.dirty_xor_expected(0)
 
     def test_fast_replay_accepts_batch_trace(self):
         records = list(make_workload("gcc", seed=4).records(500))
@@ -236,7 +324,7 @@ class TestWarmupBoundary:
             mine, theirs = getattr(whole, column), getattr(prefix, column)
             assert mine[:k].tolist() == theirs.tolist(), column
 
-        before = engine.replay(trace.slice(0, k)).stats
+        before = CacheStats(**engine.replay(trace.slice(0, k)).cache.stats)
         total, after = whole.stats(0, units), whole.stats(k, units)
         for field in (
             "read_hits",

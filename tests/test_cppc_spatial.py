@@ -186,6 +186,32 @@ class TestByteBoundaryFaults:
         _assert_all_clean_and_correct(cache, written)
 
 
+class TestSevenRowStrikes:
+    """A strike of seven rows whose columns cross a byte boundary is a DUE
+    with one register pair and corrected with two (EXPERIMENTS.md,
+    deviation 5)."""
+
+    def _strike(self, num_pairs):
+        cache, _ = make_cppc_cache(num_pairs=num_pairs)
+        written = _dirty_all_rows(cache, 0, 0, 7, random.Random(48))
+        # Columns 7 and 8: the last bit of byte 0 and the first of byte 1.
+        fault = SpatialFault(way=0, top_row=0, left_col=7, height=7, width=2)
+        record = FaultInjector(cache).inject_spatial(fault)
+        assert record.total_bits == 14
+        return cache, written, cache.address_of(record.flips[0].loc)
+
+    def test_seven_by_two_single_pair_is_due(self):
+        """Seven byte alignments explain the evidence equally."""
+        cache, _, addr = self._strike(num_pairs=1)
+        with pytest.raises(UncorrectableError, match="7 distinct fault locations"):
+            cache.load(addr, 8)
+
+    def test_seven_by_two_two_pairs_corrected(self):
+        cache, written, addr = self._strike(num_pairs=2)
+        cache.load(addr, 8)
+        _assert_all_clean_and_correct(cache, written)
+
+
 class TestAliasingHazard:
     def test_temporal_pair_miscorrected_as_spatial(self):
         """Section 4.7: temporal faults at bit 56 of a class-0 word and

@@ -1,7 +1,7 @@
 """The whole-line L2 kernel against the per-access path it replaces.
 
 ``Cache.absorb_line_traffic`` replays the block traffic a batch-replayed
-L1 captured.  The reference here is the loop it replaced: one
+L1 returns.  The reference here is the loop it replaced: one
 ``read_block``/``write_block`` call per event.  Both run on twin
 hierarchies whose L2 is small enough that dirty evictions, stores to
 dirty lines and re-reads of written-back blocks all happen, and must
@@ -23,7 +23,7 @@ from repro.memsim import (
     MainMemory,
     MemoryHierarchy,
 )
-from repro.memsim.batch import BatchReplayEngine, BatchTrace, ReplayCapture
+from repro.memsim.batch import BatchReplayEngine, BatchTrace
 from repro.memsim.snapshot import snapshot_cache, snapshot_memory
 from repro.memsim.types import UnitLocation
 from repro.obs.sinks import TraceSink
@@ -50,23 +50,22 @@ CONFIG_WITH_L3 = dataclasses.replace(
 
 
 @pytest.fixture(scope="module")
-def capture():
+def traffic():
     """The L2 traffic of 3,000 gcc references through a batch CPPC L1."""
     l1 = CONFIG.l1d
     engine = BatchReplayEngine(
         l1.size_bytes, l1.ways, l1.block_bytes, num_pairs=1, byte_shifting=True
     )
     records = list(make_workload("gcc", seed=1).records(3000))
-    capture = ReplayCapture()
-    engine.replay(BatchTrace.from_records(records), capture=capture)
-    return capture
+    return engine.replay(BatchTrace.from_records(records), traffic=True).traffic
 
 
-def columns(capture, start=0, stop=None):
-    """The capture's traffic columns, events ``start`` to ``stop``."""
+def columns(traffic, start=0, stop=None):
+    """The traffic columns without ``slot_addr``, events ``start`` to
+    ``stop``."""
     return [
         column[start:stop]
-        for column in (capture.kinds, capture.slots, capture.cycles, capture.words)
+        for column in (traffic.kinds, traffic.slots, traffic.cycles, traffic.words)
     ]
 
 
@@ -115,10 +114,10 @@ class TrafficLog:
         return count
 
 
-def replay(replayer, scheme, config, capture):
+def replay(replayer, scheme, config, traffic):
     hierarchy = MemoryHierarchy(config, protection_factory=scheme_factory(scheme))
     log = TrafficLog(hierarchy.l2.next_level)
-    replayer(hierarchy.l2, *columns(capture), capture.slot_addr)
+    replayer(hierarchy.l2, *columns(traffic), traffic.slot_addr)
     return hierarchy, log
 
 
@@ -136,9 +135,9 @@ def assert_same(kernel, reference):
 
 class TestMatchesPerEventReplay:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_l2_over_memory(self, scheme, capture):
-        kernel = replay(absorb, scheme, CONFIG, capture)
-        reference = replay(per_event, scheme, CONFIG, capture)
+    def test_l2_over_memory(self, scheme, traffic):
+        kernel = replay(absorb, scheme, CONFIG, traffic)
+        reference = replay(per_event, scheme, CONFIG, traffic)
         assert_same(kernel, reference)
         l2, log = kernel[0].l2, kernel[1]
         assert l2.stats.evictions_dirty > 0
@@ -151,17 +150,17 @@ class TestMatchesPerEventReplay:
             assert l2.stats.read_before_writes > 0
 
     @pytest.mark.parametrize("scheme", ("cppc", "twod"))
-    def test_l2_over_l3(self, scheme, capture):
-        kernel = replay(absorb, scheme, CONFIG_WITH_L3, capture)
-        reference = replay(per_event, scheme, CONFIG_WITH_L3, capture)
+    def test_l2_over_l3(self, scheme, traffic):
+        kernel = replay(absorb, scheme, CONFIG_WITH_L3, traffic)
+        reference = replay(per_event, scheme, CONFIG_WITH_L3, traffic)
         assert_same(kernel, reference)
         l3 = kernel[0].l3
         assert l3.stats.write_hits + l3.stats.write_misses > 0
         assert kernel[1].rereads() > 0
 
-    def test_chunks_compose(self, capture):
+    def test_chunks_compose(self, traffic):
         """Absorbing the traffic in pieces equals absorbing it at once."""
-        whole = replay(absorb, "cppc", CONFIG, capture)
+        whole = replay(absorb, "cppc", CONFIG, traffic)
 
         def in_chunks(cache, kinds, slots, cycles, words, slot_addr):
             for start in range(0, len(kinds), 500):
@@ -173,7 +172,7 @@ class TestMatchesPerEventReplay:
                     slot_addr,
                 )
 
-        assert_same(replay(in_chunks, "cppc", CONFIG, capture), whole)
+        assert_same(replay(in_chunks, "cppc", CONFIG, traffic), whole)
 
 
 def single_unit_cache(**options):
@@ -242,14 +241,14 @@ class TestFaults:
             replayer(cache, [0], [0], [1], [None], [addr])
 
     @pytest.mark.parametrize("site", ("read", "store", "victim"))
-    def test_planted_bit_raises(self, site, capture):
+    def test_planted_bit_raises(self, site, traffic):
         """A bit flipped in a resident line that an event checks makes
         the kernel raise instead of recovering."""
         hierarchy = MemoryHierarchy(CONFIG, protection_factory=scheme_factory("cppc"))
         l2 = hierarchy.l2
-        slot_addr = capture.slot_addr
-        for index, (kind, slot) in enumerate(zip(capture.kinds, capture.slots)):
-            event = columns(capture, index, index + 1)
+        slot_addr = traffic.slot_addr
+        for index, (kind, slot) in enumerate(zip(traffic.kinds, traffic.slots)):
+            event = columns(traffic, index, index + 1)
             loc = checked_unit(l2, kind, slot_addr[slot], site)
             if loc is not None:
                 break

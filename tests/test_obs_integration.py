@@ -3,6 +3,7 @@
 import dataclasses
 
 from repro.faults import CampaignConfig, FaultCampaign, scheme_factory
+from repro.memsim import CacheStats
 from repro.memsim.batch import BatchTrace
 from repro.obs import JsonlSink, MetricsRegistry, NullSink, read_jsonl_trace
 from repro.runtime import CheckpointStore
@@ -124,7 +125,7 @@ class TestFastReplayWithSink:
         engine = FastReplay(equivalence="never").engine
         engine.obs = NullSink()
         result = engine.replay(BatchTrace.from_records(_trace(400)))
-        assert result.references == 400
+        assert CacheStats(**result.cache.stats).accesses == 400
 
 
 class TestCampaignWithSink:

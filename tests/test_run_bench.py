@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.memsim.batch import BatchReplayEngine
 from repro.reliability import fastmc
 from repro.tools.run_bench import main
 
@@ -117,7 +118,7 @@ def _live_always_corrects(image, batch, positions):
 #: mode -> (module, attribute, replacement) making the mode's
 #: fast-vs-reference comparison report a mismatch.
 FORCED_MISMATCH = {
-    "replay": ("repro.workloads.replay", "cross_check_scalar", _report_mismatch),
+    "replay": ("repro.workloads.replay", "replay_mismatches", _report_mismatch),
     "campaign": ("repro.faults.campaign", "trial_mismatches", _report_mismatch),
     "reliability": (
         "repro.reliability.fastmc",
@@ -165,6 +166,25 @@ def test_unreachable_speedup_gate_is_partial(mode, tmp_path):
 def test_obs_overhead_gate_is_partial(tmp_path, capsys):
     code, report = run("replay", tmp_path, "--max-obs-overhead", "1e-9")
     assert code == 3
+    assert "obs_overhead_ratio" in capsys.readouterr().err
+
+
+def test_doubled_replay_behind_the_sink_fails_the_overhead_gate(
+    tmp_path, monkeypatch, capsys
+):
+    # A replay with a sink attached that does twice the work must fail
+    # CI's 1.05 bound, whatever the noise in single timings.
+    original = BatchReplayEngine.replay
+
+    def replay(self, trace, **kwargs):
+        if self.obs is not None:
+            original(self, trace, **kwargs)
+        return original(self, trace, **kwargs)
+
+    monkeypatch.setattr(BatchReplayEngine, "replay", replay)
+    code, report = run("replay", tmp_path, "--max-obs-overhead", "1.05")
+    assert code == 3
+    assert report["obs_overhead_ratio"] > 1.5
     assert "obs_overhead_ratio" in capsys.readouterr().err
 
 
