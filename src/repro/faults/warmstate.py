@@ -17,19 +17,20 @@ resident units in the same iteration order, so the per-trial injection
 RNG sees the same sample space; same statistics baselines; same cycle
 clock).
 
-Where the L1 scheme is batch-compatible (CPPC over 64-bit units under
-LRU — the configuration :mod:`repro.memsim.batch` vectorizes), the
-warmup itself runs through the :class:`~repro.memsim.batch.BatchReplayEngine`:
-the engine returns the final L1 as the
-:class:`~repro.memsim.snapshot.CacheSnapshot` a scalar warmup leaves,
-which :func:`~repro.memsim.snapshot.restore_cache` loads into the L1, and
-the L2 absorbs the next-level traffic it returns
-(:class:`~repro.memsim.batch.LineTraffic`) in original access order, in
-one pass of its whole-line kernel
-(:meth:`~repro.memsim.cache.Cache.absorb_line_traffic`), which warms the
-rest of the hierarchy exactly as the per-access path would.  Everything
-else falls back to a scalar warmup, and the warm state records which
-condition sent it there.
+Where both levels are batch-compatible (CPPC over 8-way parity under LRU
+with write-back and write-allocate, 64-bit L1 units, one unit per L2
+line, no L3 — the configuration :mod:`repro.memsim.batch` vectorizes),
+the warmup itself runs through the
+:class:`~repro.memsim.batch.BatchReplayEngine`, one engine per level: the
+L1's resolves the warmup trace and returns its next-level block traffic
+(:class:`~repro.memsim.batch.LineTraffic`), and the L2's replays that
+traffic as the scalar L1's ``read_block``/``write_block`` calls.  Their
+:class:`~repro.memsim.snapshot.CacheSnapshot` and the L2's write-backs
+to memory are the warm state's snapshot, equal to the one a scalar
+warmup leaves, which :func:`~repro.memsim.snapshot.restore_hierarchy`
+loads into a live hierarchy for the golden pass.  Everything else falls
+back to a scalar warmup, and the warm state records which condition
+sent it there.
 
 After taking the snapshot, :func:`build_warm_state` keeps replaying its
 own hierarchy through the suffix, fault-free, and records the golden run
@@ -75,7 +76,6 @@ from ..memsim.snapshot import (
     HierarchySnapshot,
     apply_delta,
     diff_hierarchy,
-    restore_cache,
     restore_hierarchy,
     same_state,
     snapshot_hierarchy,
@@ -548,51 +548,78 @@ class WarmState:
         return hierarchy, golden, replayer
 
 
-def _batch_compatible(l1) -> Optional[str]:
-    """None when the batch engine models this L1 exactly, else the first
-    condition that fails (a short tag such as ``"l1_scheme"``)."""
-    prot = l1.protection
+def _level_incompatible(cache: Cache, unit_bytes: int) -> Optional[str]:
+    """None when the batch engine models ``cache`` with ``unit_bytes``
+    protection units exactly, else the first condition that fails."""
+    prot = cache.protection
     if not isinstance(prot, CppcProtection):
-        return "l1_scheme"
-    if l1.unit_bytes != 8:
-        return "l1_unit_bytes"
+        return "scheme"
+    if cache.unit_bytes != unit_bytes:
+        return "unit_bytes"
     if prot.code.ways != 8:
-        return "l1_parity_ways"
-    if not isinstance(l1.policy, LRUPolicy):
-        return "l1_policy"
-    if l1.write_through:
-        return "l1_write_through"
-    if not l1.allocate_on_write:
-        return "l1_no_write_allocate"
-    if l1.tag_protection is not None:
-        return "l1_tag_protection"
+        return "parity_ways"
+    if not isinstance(cache.policy, LRUPolicy):
+        return "policy"
+    if cache.write_through:
+        return "write_through"
+    if not cache.allocate_on_write:
+        return "no_write_allocate"
+    if cache.tag_protection is not None:
+        return "tag_protection"
     return None
 
 
-def _batch_warm(hierarchy: MemoryHierarchy, warm_records: List[TraceRecord]) -> None:
-    """Warm ``hierarchy`` through the batch engine (L1) plus event replay.
+def _batch_compatible(hierarchy: MemoryHierarchy) -> Optional[str]:
+    """None when the batch engine models ``hierarchy``'s warmup exactly,
+    else the first condition that fails (a short tag such as
+    ``"l1_scheme"`` or ``"l2_unit_bytes"``, or ``"l3"``).
 
-    The engine resolves the whole L1 access stream vectorized; its final
-    state is restored into the L1, and the L2 absorbs its next-level
-    block traffic in original access order in one pass
-    (:meth:`~repro.memsim.cache.Cache.absorb_line_traffic`, exact for
-    its single-unit lines), which reproduces exactly the L2/memory state
-    of a scalar warmup, because the scalar L1 would have issued exactly
-    these reads and write-backs at these cycles.
+    The L1 must hold 64-bit units and the L2 one unit per line, and
+    there is no L3.  Every CLI builds both levels from one
+    :class:`~repro.faults.schemes.SchemeFactory`, so an L2 condition
+    fails alone only under a hand-built factory.
     """
-    l1 = hierarchy.l1d
-    prot = l1.protection
-    engine = BatchReplayEngine(
-        l1.size_bytes,
-        l1.ways,
-        l1.block_bytes,
+    l1, l2 = hierarchy.l1d, hierarchy.l2
+    for prefix, cache, unit_bytes in (
+        ("l1", l1, 8),
+        ("l2", l2, l2.block_bytes),
+    ):
+        reason = _level_incompatible(cache, unit_bytes)
+        if reason is not None:
+            return f"{prefix}_{reason}"
+    if hierarchy.l3 is not None:
+        return "l3"
+    return None
+
+
+def _level_engine(cache: Cache) -> BatchReplayEngine:
+    """The batch engine of one level that :func:`_batch_compatible`
+    accepts."""
+    prot = cache.protection
+    return BatchReplayEngine(
+        cache.size_bytes,
+        cache.ways,
+        cache.block_bytes,
+        unit_bytes=cache.unit_bytes,
         num_pairs=prot.registers.num_pairs,
         byte_shifting=prot.rotation.enabled,
         num_classes=prot.registers.num_classes,
     )
-    result = engine.replay(BatchTrace.from_records(warm_records), traffic=True)
-    hierarchy.l2.absorb_line_traffic(*result.traffic)
-    restore_cache(result.cache, l1)
+
+
+def _batch_warm(hierarchy: MemoryHierarchy, trace: BatchTrace) -> HierarchySnapshot:
+    """The state a scalar warmup of ``hierarchy`` over ``trace`` leaves,
+    from the batch engine alone.
+
+    The L1's engine resolves the whole trace and returns the block
+    traffic the scalar L1 would send the L2: exactly these reads and
+    write-backs, in this order, at these cycles.  The L2's engine replays
+    that traffic, so its snapshot and its write-backs to memory are the
+    scalar L2's and memory's.
+    """
+    l1 = _level_engine(hierarchy.l1d).replay(trace, traffic=True)
+    l2 = _level_engine(hierarchy.l2).replay(l1.traffic)
+    return HierarchySnapshot(caches=[l1.cache, l2.cache], memory=l2.memory)
 
 
 def build_warm_state(config: CampaignConfig) -> WarmState:
@@ -601,9 +628,9 @@ def build_warm_state(config: CampaignConfig) -> WarmState:
     :class:`GoldenRecord`."""
     workload = make_workload(config.benchmark, seed=config.workload_seed(0))
     length = config.warmup_references + config.post_fault_references
-    records = list(workload.records(length))
-    warm_records = records[: config.warmup_references]
-    suffix_records = records[config.warmup_references :]
+    warm_records = list(workload.records(length))
+    suffix_records = warm_records[config.warmup_references :]
+    del warm_records[config.warmup_references :]
 
     golden = GoldenMemory()
     for record in warm_records:
@@ -615,18 +642,25 @@ def build_warm_state(config: CampaignConfig) -> WarmState:
     fallback = None
     if not warm_records:
         warm_engine = "pristine"
+        snapshot = snapshot_hierarchy(hierarchy)
     else:
-        fallback = _batch_compatible(hierarchy.l1d)
+        fallback = _batch_compatible(hierarchy)
         if fallback is None:
-            _batch_warm(hierarchy, warm_records)
+            trace = BatchTrace.from_records(warm_records)
+            # The packed columns hold all the engines need.
+            del warm_records
+            snapshot = _batch_warm(hierarchy, trace)
+            del trace
+            restore_hierarchy(snapshot, hierarchy)
             warm_engine = "batch"
         else:
             TraceReplayer(hierarchy).run(warm_records)
+            snapshot = snapshot_hierarchy(hierarchy)
             warm_engine = "scalar"
 
     state = WarmState(
         config=config,
-        snapshot=snapshot_hierarchy(hierarchy),
+        snapshot=snapshot,
         golden_image=golden.snapshot(),
         suffix_records=suffix_records,
         start_cycle=start_cycle,

@@ -50,6 +50,7 @@ from .batch import (  # noqa: E402
     BatchReplayEngine,
     BatchReplayResult,
     BatchTrace,
+    LineTraffic,
 )
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "BatchReplayEngine",
     "BatchReplayResult",
     "BatchTrace",
+    "LineTraffic",
     "CacheSnapshot",
     "HierarchySnapshot",
     "MemorySnapshot",

@@ -1,44 +1,55 @@
-"""NumPy-vectorized batch trace replay — the scalar ``Cache`` fast path.
+"""NumPy-vectorized batch replay — the scalar ``Cache`` fast path.
 
 The object-model :class:`~repro.memsim.cache.Cache` walks every access one
 word at a time, which caps fault-injection campaigns and dirty-data sweeps
-at toy trace sizes.  This module replays a *whole trace* through a
-single-level write-back cache in three bulk phases:
+at toy trace sizes.  This module replays a whole access stream through a
+single-level write-back cache in three bulk phases.  The stream is a trace
+of references into 64-bit protection units (the L1), or the block traffic
+such a replay hands the level below, into a level whose protection unit is
+its whole line (the L2 of paper Section 3.5):
 
 1. **Decompose** — the trace becomes structured arrays
    (:class:`BatchTrace`) and every address is split into block / set /
    unit fields with vectorized shifts and masks, mirroring
-   :class:`~repro.memsim.address.AddressMapper`.
+   :class:`~repro.memsim.address.AddressMapper`; line traffic
+   (:class:`LineTraffic`) splits its block addresses the same way.
 2. **Resolve** — :func:`lru_residency` settles every access of every set
    at once from the stack property of LRU: an access hits a W-way set
    exactly when fewer than W distinct blocks touched the set since its
    block's previous access.  It yields each access's hit flag, way and
    residency, and for a miss in a full set the block it evicts;
    :class:`ResolvedStream` adds each residency's dirty units.
-3. **Derive** — everything else is a reduction of those columns: store
-   values by a per-byte latest-writer fold, CPPC's R1/R2 registers as
-   per-class XOR reductions (including the byte rotation by ``row mod
-   num_classes`` of :mod:`repro.cppc.shifting`), write-backs with their
-   words, counters, the dirty-occupancy integral and Tavg intervals by
-   segmented cumsums, final lines, dirty-cycle stamps, LRU orders and
-   the written-back blocks.
+3. **Derive** — everything else is a reduction of those columns, the
+   same for both streams with a unit held as ``unit_bytes // 8`` 64-bit
+   words: unit values by a per-byte latest-writer fold (a write-back
+   writes its whole line), CPPC's R1/R2 registers as per-class XOR
+   reductions (including the byte rotation by ``row mod num_classes`` of
+   :mod:`repro.cppc.shifting`), write-backs with their words, counters,
+   the dirty-occupancy integral and Tavg intervals by segmented cumsums,
+   final lines, check words, dirty-cycle stamps, LRU orders and the
+   written-back blocks.
 
 The engine reproduces the scalar semantics *exactly*.  It returns the
 final cache and memory in the format :mod:`repro.memsim.snapshot` gives
 a scalar :class:`~repro.memsim.cache.Cache`, and each snapshot equals,
-field for field, the one a scalar replay of the same trace leaves: hit
+field for field, the one a scalar replay of the same stream leaves: hit
 and miss counts, statistics (the Table 2 dirty-data metrics included),
 data, dirty bits, check words, dirty-cycle stamps, LRU orders, the clock
 and bit-identical R1/R2 registers.
 :func:`repro.workloads.replay.replay_mismatches` makes that comparison,
 and :func:`~repro.memsim.snapshot.restore_cache` turns a snapshot into a
-live cache.  The Figure-10 timing path (:mod:`repro.timing.fast`) runs
-:class:`ResolvedStream` over both cache levels.
+live cache.  The campaign warm build (:mod:`repro.faults.warmstate`)
+replays an L1 and its L2 this way, and the Figure-10 timing path
+(:mod:`repro.timing.fast`) runs :class:`ResolvedStream` over both cache
+levels.
 
-Scope: fault-free replay of 64-bit-unit caches (the paper's L1 shape)
-under LRU with write-allocate.  Fault injection, wider units and other
-policies stay on the scalar path; :class:`repro.workloads.replay.FastReplay`
-enforces the boundary.
+Scope: fault-free replay under LRU with write-allocate, of a trace into
+64-bit units or of line traffic into one unit per line, with a
+:class:`~repro.cppc.CppcProtection` scheme over 8-way interleaved
+parity.  Fault injection, other units and other policies and schemes
+stay on the scalar path; :class:`repro.workloads.replay.FastReplay`,
+:func:`repro.timing.fast.collect_run_fast` and the warm build enforce
+the boundary.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import dataclasses
 import time
 from functools import reduce
 from operator import xor
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,6 +103,20 @@ def _rotl_bytes_u64(values: np.ndarray, count: int) -> np.ndarray:
     shift = np.uint64(8 * count)
     inv = np.uint64(64 - 8 * count)
     return (values << shift) | (values >> inv)
+
+
+def _rotl_unit(words: np.ndarray, count: int) -> np.ndarray:
+    """Rotate one unit, held as big-endian 64-bit ``words``, left by
+    ``count`` bytes.
+
+    Whole words rotate by position; each word then takes its own bytes
+    rotated, with the bytes that left its top refilled from the next
+    word's.
+    """
+    whole, part = divmod(count % (WORD_BYTES * len(words)), WORD_BYTES)
+    rotated = _rotl_bytes_u64(np.roll(words, -whole), part)
+    low = np.uint64((1 << 8 * part) - 1)
+    return rotated & ~low | np.roll(rotated, -1) & low
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,33 +301,37 @@ class LineTraffic(NamedTuple):
 
     One event per miss read and dirty write-back, in access order with a
     miss's read before its victim's write-back, exactly the scalar
-    ``Cache`` order; :meth:`Cache.absorb_line_traffic
-    <repro.memsim.cache.Cache.absorb_line_traffic>` takes the five
-    columns in this order.
+    ``Cache`` order: the ``read_block``/``write_block`` calls the level
+    below serves.  :meth:`BatchReplayEngine.replay` replays it into a
+    level whose protection unit is its whole line.
 
     Attributes:
-        kinds: each event's kind, 0 for a read and 1 for a write-back.
+        kinds: each event's kind (``int8``), 0 for a read and 1 for a
+            write-back.
         slots: the index into ``slot_addr`` of the block each event moves.
-        cycles: the cycle of the access that caused each event.
-        words: the 64-bit words each write-back carries, one whole
-            line; None for a read.
-        slot_addr: byte address of each block the trace touches.
+        cycles: the cycle of the access that caused each event
+            (non-decreasing).
+        words: the line each write-back carries, in event order: one row
+            of ``block_bytes // 8`` big-endian 64-bit words (``uint64``)
+            per write-back.
+        slot_addr: byte address of each block the events move.
     """
 
-    kinds: List[int]
-    slots: List[int]
-    cycles: List[int]
-    words: List[Optional[List[int]]]
-    slot_addr: List[int]
+    kinds: np.ndarray
+    slots: np.ndarray
+    cycles: np.ndarray
+    words: np.ndarray
+    slot_addr: np.ndarray
 
 
 class BatchReplayResult(NamedTuple):
     """The state a batch replay leaves, in the scalar snapshot format.
 
     Attributes:
-        cache: the final cache, named ``"L1D"`` as the hierarchy's L1:
-            :func:`~repro.memsim.snapshot.snapshot_cache` of a scalar
-            ``"L1D"`` that replayed the same trace from empty.
+        cache: the final cache, named as the hierarchy's level it models
+            (``"L1D"`` after a trace, ``"L2"`` after line traffic):
+            :func:`~repro.memsim.snapshot.snapshot_cache` of that scalar
+            level after the same stream from empty.
         memory: the blocks the cache wrote back, each as its last
             write-back left it and in the order of their first ones, with
             the reads and writes memory served:
@@ -663,13 +692,15 @@ class ResolvedStream:
 class _UnitHistory:
     """Every store's unit value, with point lookups by unit and time.
 
-    Stores are grouped by memory unit (block slot and unit, stable, so
-    in access order within a unit).  A store writes whole bytes, so the
-    unit value after a store takes each byte from the latest store to
-    that unit covering it (zero where none did): a per-byte
-    latest-writer fold.  A unit's value does not depend on residencies,
-    because a clean eviction drops a copy of memory and a dirty one
-    writes the line back.
+    A unit value is a row of 64-bit words.  Stores are grouped by memory
+    unit (block slot and unit, stable, so in access order within a
+    unit).  A store writes whole bytes, so the unit value after a store
+    takes each byte from the latest store to that unit covering it (zero
+    where none did): a per-byte latest-writer fold over the stores' byte
+    ``masks``, or, with ``masks`` None, each store's own words, as when
+    every store writes its whole unit.  A unit's value does not depend
+    on residencies, because a clean eviction drops a copy of memory and
+    a dirty one writes the line back.
     """
 
     def __init__(self, unit_keys, times, words, masks, n):
@@ -680,19 +711,22 @@ class _UnitHistory:
         self.order = order
         #: Sort key: unit, then access index.
         self.keys = unit_keys * (n + 1) + times[order]
-        index = np.arange(len(order), dtype=it)
-        group = _run_starts(_heads(unit_keys), index)
-        del unit_keys
-        masks = masks[order]
         words = words[order]
         #: Unit value after each store, in ``order``.
-        self.values = np.zeros(len(order), dtype=np.uint64)
+        self.values = words
+        if masks is None:
+            return
+        index = np.arange(len(order), dtype=it)[:, None]
+        group = _run_starts(_heads(unit_keys), index[:, 0])[:, None]
+        del unit_keys
+        masks = masks[order]
+        columns = np.arange(words.shape[1])
+        self.values = np.zeros_like(words)
         for shift in range(0, 64, 8):
             lane = np.uint64(0xFF << shift)
             writer = np.where(masks & lane, index, -1)
-            np.maximum.accumulate(writer, out=writer)
-            found = writer >= group
-            self.values[found] |= words[writer[found]] & lane
+            np.maximum.accumulate(writer, axis=0, out=writer)
+            self.values |= np.where(writer >= group, words[writer, columns] & lane, 0)
 
     def at(self, unit_keys, times):
         """Value of each unit before access ``times``, and the access
@@ -702,7 +736,7 @@ class _UnitHistory:
         found = j >= 0
         found[found] = self.keys[j[found]] >= base[found]
         j = j[found]
-        values = np.zeros(len(base), dtype=np.uint64)
+        values = np.zeros((len(base), self.values.shape[1]), dtype=np.uint64)
         values[found] = self.values[j]
         written = np.full(len(base), -1, dtype=np.int64)
         written[found] = self.keys[j] - base[found]
@@ -712,15 +746,19 @@ class _UnitHistory:
 class BatchReplayEngine:
     """Vectorized single-level cache replay with CPPC register tracking.
 
-    Mirrors a :class:`~repro.memsim.cache.Cache` built with
-    ``unit_bytes=8``, LRU replacement, write-back / write-allocate, a
-    :class:`~repro.cppc.CppcProtection` scheme and a
-    :class:`~repro.memsim.mainmem.MainMemory` next level.
+    Mirrors a :class:`~repro.memsim.cache.Cache` built with LRU
+    replacement, write-back / write-allocate, a
+    :class:`~repro.cppc.CppcProtection` scheme over 8-way interleaved
+    parity and a :class:`~repro.memsim.mainmem.MainMemory` next level.
+    Its protection unit is a 64-bit word (``unit_bytes=8``: the L1, which
+    replays a trace) or its whole line (``unit_bytes=block_bytes``: the
+    L2, which replays the line traffic of the level above).
 
     Args:
         size_bytes: total data capacity.
         ways: associativity.
         block_bytes: line size.
+        unit_bytes: protection unit, 8 or ``block_bytes``.
         num_pairs: CPPC (R1, R2) register pairs (1, 2, 4 or 8).
         byte_shifting: rotate values by their row's class before XORing.
         num_classes: rotation classes (``row mod num_classes``).
@@ -737,10 +775,11 @@ class BatchReplayEngine:
         byte_shifting: bool = True,
         num_classes: int = 8,
     ):
-        if unit_bytes != WORD_BYTES:
+        if unit_bytes % WORD_BYTES or unit_bytes not in (WORD_BYTES, block_bytes):
             raise ConfigurationError(
-                "the batch engine replays 64-bit protection units only "
-                f"(unit_bytes=8); got {unit_bytes}",
+                "the batch engine replays 64-bit protection units or one "
+                f"unit per line; got {unit_bytes}-byte units in "
+                f"{block_bytes}-byte lines",
                 reason="unit_bytes",
             )
         if size_bytes % (ways * block_bytes):
@@ -761,10 +800,21 @@ class BatchReplayEngine:
         self.byte_shifting = byte_shifting
         self.num_classes = num_classes
         # Validates the pair/class geometry exactly like CppcProtection.
-        RegisterFile(64, num_pairs=num_pairs, num_classes=num_classes)
+        RegisterFile(8 * unit_bytes, num_pairs=num_pairs, num_classes=num_classes)
         #: Optional :class:`repro.obs.TraceSink`.  When absent or
         #: disabled, :meth:`replay` makes no timing calls.
         self.obs = None
+
+    def check_trace_units(self) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` (``reason``
+        ``"unit_bytes"``) unless the protection unit is a 64-bit word,
+        the unit a trace replays into."""
+        if self.unit_bytes != WORD_BYTES:
+            raise ConfigurationError(
+                "the batch engine replays traces into 64-bit protection "
+                f"units only (unit_bytes=8); got {self.unit_bytes}",
+                reason="unit_bytes",
+            )
 
     # ------------------------------------------------------------------
     # Phase 1 — bulk address decomposition
@@ -776,33 +826,83 @@ class BatchReplayEngine:
         units = (trace.addr & (self.block_bytes - 1)) >> 3
         return blocks, sets, units
 
+    def _decompose_lines(self, moved: LineTraffic) -> Tuple[np.ndarray, ...]:
+        """(block, set, unit, is_store, cycles, words) of line traffic,
+        after checking that it fits this level."""
+        bb = self.block_bytes
+        if self.units_per_block != 1:
+            raise ConfigurationError(
+                "line traffic replays into one protection unit per line; "
+                f"this engine has {self.units_per_block}",
+                reason="unit_bytes",
+            )
+        slot_addr = np.asarray(moved.slot_addr, dtype=np.int64)
+        if len(slot_addr) and (int(slot_addr.min()) < 0 or np.any(slot_addr % bb)):
+            raise AlignmentError(
+                f"line traffic moves blocks at non-negative multiples of {bb}B"
+            )
+        is_store = np.asarray(moved.kinds) != 0
+        words = np.asarray(moved.words, dtype=np.uint64)
+        expected = (np.count_nonzero(is_store), bb // WORD_BYTES)
+        if words.shape != expected:
+            raise AlignmentError(
+                f"write-backs carry one whole {bb}B line each: expected "
+                f"{expected[0]} rows of {expected[1]} words, got {words.shape}"
+            )
+        blocks = slot_addr[moved.slots] >> (bb.bit_length() - 1)
+        cycles = np.asarray(moved.cycles, dtype=np.int64)
+        sets = blocks & (self.num_sets - 1)
+        return blocks, sets, np.zeros_like(blocks), is_store, cycles, words
+
     # ------------------------------------------------------------------
     # Phases 2+3 — resolution and derivation
     # ------------------------------------------------------------------
-    def replay(self, trace: BatchTrace, *, traffic: bool = False) -> BatchReplayResult:
-        """Replay ``trace`` into an empty cache over an empty memory.
+    def replay(
+        self, source: Union[BatchTrace, LineTraffic], *, traffic: bool = False
+    ) -> BatchReplayResult:
+        """Replay ``source`` into an empty cache over an empty memory.
 
-        Returns the final cache and the blocks it wrote back as the
-        snapshots a scalar replay of the same trace leaves, and with
-        ``traffic`` the next-level block traffic too
+        ``source`` is a :class:`BatchTrace`, replayed as loads and stores
+        into 64-bit units (the hierarchy's ``"L1D"``), or the
+        :class:`LineTraffic` of the level above, replayed as its
+        ``read_block``/``write_block`` calls into one unit per line (the
+        ``"L2"``).  Returns the final cache and the blocks it wrote back
+        as the snapshots a scalar replay of the same stream leaves, and
+        with ``traffic`` the next-level block traffic too
         (:class:`BatchReplayResult`).  With a live sink, each phase
         (``decompose``, ``resolve``, ``accumulate``) is one ``batch``
-        span over every reference.
+        span over every access.
+
+        Raises:
+            ConfigurationError: ``reason`` ``"unit_bytes"``, when the
+                engine's unit is not the one ``source`` replays into.
+            AlignmentError: for a trace access or a line-traffic block
+                the scalar path rejects too, or a write-back that is not
+                one whole line.
         """
-        trace.validate()
         obs = self.obs if self.obs is not None and self.obs.enabled else None
-        n = len(trace)
+        t_phase = time.perf_counter() if obs is not None else 0.0
+        if isinstance(source, LineTraffic):
+            name = "L2"
+            blocks, sets, units, is_store, cycles, words = self._decompose_lines(source)
+            masks = None
+        else:
+            self.check_trace_units()
+            source.validate()
+            name = "L1D"
+            blocks, sets, units = self.decompose(source)
+            is_store, cycles = source.is_store, np.cumsum(source.gap + 1)
+            words = source.value_word[is_store, None]
+            masks = source.value_mask[is_store, None]
+        n = len(is_store)
         upb, ways, bb = self.units_per_block, self.ways, self.block_bytes
         lines = self.num_sets * ways
-        t_phase = time.perf_counter() if obs is not None else 0.0
-        blocks, sets, units = self.decompose(trace)
-        cycles = np.cumsum(trace.gap + 1)
         if obs is not None:
             t_phase = self._span(obs, "decompose", t_phase, n)
         stream = ResolvedStream(
             sets,
             blocks,
-            trace.is_store,
+            is_store,
             cycles,
             ways,
             units=units,
@@ -817,14 +917,11 @@ class BatchReplayEngine:
             # The scalar cache keeps the integer cycles it is given.
             stats._last_event_cycle = int(stats._last_event_cycle)
         slot_blocks, slot = np.unique(blocks, return_inverse=True)
-        stores = np.flatnonzero(trace.is_store)
+        stores = np.flatnonzero(is_store)
         history = _UnitHistory(
-            slot[stores] * upb + units[stores],
-            stores,
-            trace.value_word[stores],
-            trace.value_mask[stores],
-            n,
+            slot[stores] * upb + units[stores], stores, words, masks, n
         )
+        del words, masks
         # R1 takes every stored value; R2 the old value of each store to
         # a dirty unit, and each dirty unit a write-back retires.  A
         # unit's row (set * units_per_block + unit) picks its class.
@@ -842,7 +939,7 @@ class BatchReplayEngine:
         values, written = history.at(
             (wb_slot[:, None] * upb + unit).ravel(), np.repeat(wb, upb)
         )
-        wb_words = values.reshape(len(wb), upb)
+        wb_words = values.reshape(len(wb), bb // WORD_BYTES)
         retired = written >= np.repeat(stream.fill[victim], upb)
         retired_rows = (sets[victim][:, None] * upb + unit).ravel()[retired]
         r2_acc = self._fold(
@@ -861,10 +958,10 @@ class BatchReplayEngine:
         values, written = history.at(
             (slot[live][:, None] * upb + unit).ravel(), np.full(len(at), n)
         )
-        data = np.zeros(lines * upb, dtype=np.uint64)
+        data = np.zeros((lines * upb, self.unit_bytes // WORD_BYTES), np.uint64)
         data[at] = values
         check = np.zeros(lines * upb, dtype=np.uint64)
-        check[at] = _fold_check_words(values)
+        check[at] = np.bitwise_xor.reduce(_fold_check_words(values), axis=1)
         live_dirty = written >= np.repeat(live, upb)
         dirty = np.zeros(lines * upb, dtype=bool)
         dirty[at] = live_dirty
@@ -891,15 +988,12 @@ class BatchReplayEngine:
         moved = None
         if traffic:
             access, is_write, source = stream.traffic()
-            words = [None] * len(is_write)
-            for k, row in zip(np.flatnonzero(is_write).tolist(), wb_words.tolist()):
-                words[k] = row
             moved = LineTraffic(
-                kinds=is_write.view(np.int8).tolist(),
-                slots=slot[source].tolist(),
-                cycles=cycles[access].tolist(),
-                words=words,
-                slot_addr=(slot_blocks * bb).tolist(),
+                kinds=is_write.view(np.int8),
+                slots=slot[source],
+                cycles=cycles[access],
+                words=wb_words,
+                slot_addr=slot_blocks * bb,
             )
             del access, is_write, source
         del stream, slot, sets
@@ -913,7 +1007,7 @@ class BatchReplayEngine:
             # final register value (popcount is linear over XOR mod 2).
             pairs.append((r1, r2, parity(r1), parity(r2)))
         cache = CacheSnapshot(
-            name="L1D",
+            name=name,
             size_bytes=self.size_bytes,
             ways=ways,
             block_bytes=bb,
@@ -954,8 +1048,8 @@ class BatchReplayEngine:
         return now
 
     def _fold(self, values, rows) -> List[int]:
-        """Per-class XOR of ``values``, each rotated by its row's class
-        (``row mod num_classes``)."""
+        """Per-class XOR of unit ``values`` (rows of 64-bit words), each
+        rotated by its row's class (``row mod num_classes``)."""
         acc = [0] * self.num_classes
         if not len(values):
             return acc
@@ -964,7 +1058,9 @@ class BatchReplayEngine:
             selected = values[classes == rotation_class]
             if not len(selected):
                 continue
+            # Rotation is a bit permutation, so it commutes with XOR.
+            folded = np.bitwise_xor.reduce(selected, axis=0)
             if self.byte_shifting:
-                selected = _rotl_bytes_u64(selected, rotation_class)
-            acc[rotation_class] ^= int(np.bitwise_xor.reduce(selected))
+                folded = _rotl_unit(folded, rotation_class)
+            acc[rotation_class] = int.from_bytes(folded.astype(">u8").tobytes(), "big")
         return acc

@@ -21,17 +21,17 @@ A clean unit never carries a dirty-cycle stamp, and an invalid line
 always holds clean units; its tag, data and check words may be stale.
 
 Every L2 and L3 the program builds has lines of a single protection unit
-(one block of the level above).  On such a cache, the two bulk walks of a
-fault campaign take whole-line kernels instead of the per-access path:
-:meth:`Cache.absorb_line_traffic` replays a warm-up's captured upper-level
-traffic, and :meth:`Cache.flush` drains dirty lines, each in one pass.
-Both leave exactly the state the per-access path would.
+(one block of the level above).  On such a cache, :meth:`Cache.flush`
+drains the dirty lines inline in one pass instead of through the
+per-access path, leaving exactly the state that path would.  A fault
+campaign warms such an L2 on the batch engine instead
+(:class:`~repro.memsim.batch.BatchReplayEngine`) and loads the snapshot
+it returns.
 """
 
 from __future__ import annotations
 
 import collections.abc
-import struct
 from itertools import compress
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -586,24 +586,19 @@ class Cache:
         self._last_dirty[u0 : u0 + upb] = self._no_stamps
         return wrote_back
 
-    def _evict_dirty_unit_line(
-        self, line: int, set_index: int, way: int, recover: bool
-    ) -> None:
+    def _evict_dirty_unit_line(self, line: int, set_index: int, way: int) -> None:
         """:meth:`_evict` of the dirty line ``line`` of a single-unit-line
         cache with no observer, no tag protection and a scheme that does
         not track clean lines.
 
-        Its unit is checked first.  A detection goes through
-        :meth:`_verify_unit` (recovery, refetch or DUE) when ``recover``
-        is set, and raises :class:`SimulationError` otherwise.
+        Its unit is checked first, and a detection goes through
+        :meth:`_verify_unit` (recovery, refetch or DUE).
         """
         bb = self.block_bytes
         off = line * bb
         data = self._data
         value = int.from_bytes(data[off : off + bb], "big")
         if self.protection.inspect(value, self._check[line]).detected:
-            if not recover:
-                raise self._line_fault(line)
             self._verify_unit(line, set_index, way, 0)
             value = int.from_bytes(data[off : off + bb], "big")
         if self.next_level is None:
@@ -621,14 +616,6 @@ class Cache:
         self._valid[line] = 0
         self._dirty[line] = False
         self._last_dirty[line] = None
-
-    def _line_fault(self, line: int) -> SimulationError:
-        """The error a fault in absorbed line traffic raises."""
-        set_index, way = divmod(line, self.ways)
-        return SimulationError(
-            f"{self.name}: fault detected at {UnitLocation(set_index, way, 0)} "
-            "while absorbing line traffic, which is fault-free by construction"
-        )
 
     def _fill(self, set_index: int, tag: int, block: bytes) -> int:
         if len(block) != self.block_bytes:
@@ -861,176 +848,6 @@ class Cache:
         """Absorb a write-back from the level above."""
         self.store(block_addr, data, cycle=cycle)
 
-    def absorb_line_traffic(
-        self,
-        kinds: Sequence[int],
-        slots: Sequence[int],
-        cycles: Sequence[int],
-        words: Sequence[Optional[Sequence[int]]],
-        slot_addr: Sequence[int],
-    ) -> None:
-        """Replay the upper level's captured block traffic in one pass.
-
-        The traffic comes as the aligned columns of a
-        :class:`~repro.memsim.batch.LineTraffic`: event ``i`` is of kind
-        ``kinds[i]``, moves the block at ``slot_addr[slots[i]]`` at cycle
-        ``cycles[i]``, and a write-back carries the 64-bit ``words[i]``
-        (one whole line; None for a read).  Kind 0 is replayed exactly as
-        :meth:`read_block`, kind 1 exactly as :meth:`write_block` of those
-        words.  The cache ends in the same state, with the same
-        :class:`CacheStats` calls made in the same order (so float sums
-        round the same), the scheme's ``on_fill``/``on_unit_write``/
-        ``on_evict`` hooks called as the per-access path calls them, and
-        the same next-level ``read_block``/``write_block`` calls in the
-        same order.
-
-        Every check of the per-access path stays: ``check_access`` on
-        each address, and a check-word inspect of the unit each read
-        serves, of the old unit a store reads first (when the scheme's
-        ``verify_on_store`` asks, as CPPC does before a read-before-write
-        of a dirty unit) and of every dirty victim.  The captured traffic
-        of a fault-free warm-up holds no fault, so nothing is recovered: a
-        detection raises :class:`SimulationError`.
-
-        Raises:
-            ConfigurationError: unless the cache's lines are one unit
-                each, no trace observer or tag protection is attached,
-                and it is write-back with write-allocate.
-        """
-        problem = None
-        if self.units_per_block != 1:
-            problem = f"{self.units_per_block} units per line"
-        elif self._obs_on:
-            problem = "a trace observer"
-        elif self.tag_protection is not None:
-            problem = "tag protection"
-        elif self.write_through:
-            problem = "write-through"
-        elif not self.allocate_on_write:
-            problem = "write-no-allocate"
-        if problem is not None:
-            raise ConfigurationError(
-                f"{self.name}: cannot absorb line traffic with {problem}"
-            )
-        bb = self.block_bytes
-        ways = self.ways
-        num_sets = self.num_sets
-        check_access = self.mapper.check_access
-        pack = struct.Struct(f">{bb // 8}Q").pack
-        valid = self._valid
-        tags = self._tags
-        data = self._data
-        dirty = self._dirty
-        check = self._check
-        last_dirty = self._last_dirty
-        stats = self.stats
-        advance_to = stats.advance_to
-        record_interval = stats.record_dirty_interval
-        protection = self.protection
-        encode = protection.encode
-        inspect = protection.inspect
-        tracks_clean_lines = protection.tracks_clean_lines
-        policy = self.policy
-        next_level = self.next_level
-        counter = self._access_counter
-        for kind, slot, cycle, block_words in zip(kinds, slots, cycles, words):
-            addr = slot_addr[slot]
-            # _advance: the clock moves only forward.
-            if cycle > counter:
-                counter = self._access_counter = cycle
-            now = counter
-            advance_to(now)
-            check_access(addr, bb)
-            block_index = addr // bb
-            set_index = block_index % num_sets
-            tag = block_index // num_sets
-            base = set_index * ways
-            line = -1
-            for candidate in range(base, base + ways):
-                if tags[candidate] == tag and valid[candidate]:
-                    line = candidate
-                    break
-            if line >= 0:
-                if kind:
-                    stats.write_hits += 1
-                else:
-                    stats.read_hits += 1
-                way = line - base
-            else:
-                if kind:
-                    stats.write_misses += 1
-                else:
-                    stats.read_misses += 1
-                if next_level is None:
-                    raise SimulationError(f"{self.name}: miss with no next level")
-                block = next_level.read_block(addr, cycle=now)
-                if len(block) != bb:
-                    raise SimulationError(
-                        f"{self.name}: fill of {len(block)}B into a {bb}B line"
-                    )
-                line = valid.find(0, base, base + ways)
-                if line >= 0:
-                    way = line - base
-                else:
-                    way = policy.victim(set_index)
-                    line = base + way
-                    if dirty[line]:
-                        self._evict_dirty_unit_line(line, set_index, way, False)
-                    else:
-                        stats.evictions_clean += 1
-                        if tracks_clean_lines:
-                            off = line * bb
-                            protection.on_evict(
-                                set_index,
-                                way,
-                                [int.from_bytes(data[off : off + bb], "big")],
-                                [False],
-                            )
-                        last_dirty[line] = None
-                valid[line] = 1
-                tags[line] = tag
-                data[line * bb : (line + 1) * bb] = block
-                value = int.from_bytes(block, "big")
-                check[line] = encode(value)
-                protection.on_fill(set_index, way, [value])
-                stats.fills += 1
-                policy.fill(set_index, way)
-            off = line * bb
-            old = int.from_bytes(data[off : off + bb], "big")
-            was_dirty = dirty[line]
-            if kind:
-                if was_dirty:
-                    stats.stores_to_dirty_units += 1
-                if (
-                    protection.verify_on_store(was_dirty, False)
-                    and inspect(old, check[line]).detected
-                ):
-                    raise self._line_fault(line)
-                try:
-                    packed = pack(*block_words)
-                except struct.error:
-                    raise SimulationError(
-                        f"{self.name}: write-back of {len(block_words)} words "
-                        f"into a {bb}B line"
-                    ) from None
-                new = int.from_bytes(packed, "big")
-                protection.on_unit_write(
-                    UnitLocation(set_index, way, 0), old, new, was_dirty
-                )
-                data[off : off + bb] = packed
-                check[line] = encode(new)
-                if not was_dirty:
-                    dirty[line] = True
-                    stats.dirty_units_changed(1)
-            elif inspect(old, check[line]).detected:
-                raise self._line_fault(line)
-            if kind or was_dirty:
-                last = last_dirty[line]
-                if last is not None:
-                    record_interval(now - last)
-                last_dirty[line] = now
-            policy.touch(set_index, way)
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
@@ -1160,7 +977,7 @@ class Cache:
         which only a dirty line may."""
         set_index, way = divmod(line, self.ways)
         if whole_lines:
-            self._evict_dirty_unit_line(line, set_index, way, True)
+            self._evict_dirty_unit_line(line, set_index, way)
             return True
         return self._evict(set_index, way)
 

@@ -224,6 +224,7 @@ def collect_run_fast(
         geometry.block_bytes,
         unit_bytes=geometry.unit_bytes,
     )
+    engine.check_trace_units()
     trace = (
         records if isinstance(records, BatchTrace) else BatchTrace.from_records(records)
     )

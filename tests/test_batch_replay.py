@@ -94,8 +94,15 @@ class TestBatchTrace:
 
 class TestEngineConfiguration:
     def test_rejects_wide_units(self):
-        with pytest.raises(ConfigurationError):
-            BatchReplayEngine(1024, 2, 32, unit_bytes=32)
+        # Units wider than a word are whole lines or nothing, and a
+        # trace replays into 64-bit units only.
+        with pytest.raises(ConfigurationError) as excinfo:
+            BatchReplayEngine(1024, 2, 64, unit_bytes=32)
+        assert excinfo.value.reason == "unit_bytes"
+        lines = BatchReplayEngine(1024, 2, 32, unit_bytes=32)
+        with pytest.raises(ConfigurationError) as excinfo:
+            lines.replay(BatchTrace.from_records([load(0, 8)]))
+        assert excinfo.value.reason == "unit_bytes"
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ConfigurationError):

@@ -17,6 +17,7 @@ import weakref
 
 import pytest
 
+from repro.cppc import CppcProtection
 from repro.errors import ConfigurationError, EquivalenceError
 from repro.faults import (
     CampaignConfig,
@@ -169,25 +170,49 @@ class TestWarmEngines:
                 "l1_no_write_allocate",
             ),
             (lambda h: setattr(h.l1d, "tag_protection", object()), "l1_tag_protection"),
+            (lambda h: setattr(h.l2, "protection", NoProtection()), "l2_scheme"),
+            (lambda h: setattr(h.l2, "unit_bytes", 8), "l2_unit_bytes"),
+            (lambda h: setattr(h.l2.protection.code, "ways", 4), "l2_parity_ways"),
+            (lambda h: setattr(h.l2, "policy", FIFOPolicy(1, 1)), "l2_policy"),
+            (lambda h: setattr(h.l2, "write_through", True), "l2_write_through"),
+            (
+                lambda h: setattr(h.l2, "allocate_on_write", False),
+                "l2_no_write_allocate",
+            ),
+            (lambda h: setattr(h.l2, "tag_protection", object()), "l2_tag_protection"),
+            (lambda h: setattr(h, "l3", h.l2), "l3"),
         ],
     )
     def test_batch_compatible_names_the_failed_condition(self, change, reason):
         hierarchy = MemoryHierarchy(protection_factory=scheme_factory("cppc"))
-        assert warmstate_mod._batch_compatible(hierarchy.l1d) is None
+        assert warmstate_mod._batch_compatible(hierarchy) is None
         change(hierarchy)
-        assert warmstate_mod._batch_compatible(hierarchy.l1d) == reason
+        assert warmstate_mod._batch_compatible(hierarchy) == reason
 
     def test_batch_and_scalar_warm_agree(self, monkeypatch):
         # gcc's 900 references leave the 1MB L2 clean; mcf's 10,000 make
-        # it write back dirty lines, so the L2 kernel's eviction path and
-        # memory's block order are compared too.
+        # it write back dirty lines, so the L2 engine's eviction path and
+        # memory's block order are compared too, under one pair with
+        # shifting, eight pairs without and two pairs with.
         configs = [
             shared_config(warmup_references=900),
             shared_config(benchmark="mcf", warmup_references=10_000),
+            shared_config(
+                scheme_factory=cppc_factory(num_pairs=8, byte_shifting=False),
+                benchmark="mcf",
+                warmup_references=10_000,
+            ),
+            shared_config(
+                scheme_factory=cppc_factory(num_pairs=2),
+                benchmark="mcf",
+                warmup_references=10_000,
+            ),
         ]
         batch_states = [build_warm_state(config) for config in configs]
-        assert [s.warm_engine for s in batch_states] == ["batch", "batch"]
-        monkeypatch.setattr(warmstate_mod, "_batch_compatible", lambda l1: "forced")
+        assert [s.warm_engine for s in batch_states] == ["batch"] * len(configs)
+        monkeypatch.setattr(
+            warmstate_mod, "_batch_compatible", lambda hierarchy: "forced"
+        )
         for config, batch_state in zip(configs, batch_states):
             scalar_state = build_warm_state(config)
             assert scalar_state.warm_engine == "scalar"
@@ -198,8 +223,35 @@ class TestWarmEngines:
             )
             assert scalar_state.golden_image == batch_state.golden_image
             assert scalar_state.start_cycle == batch_state.start_cycle
-        l2_stats = batch_states[1].snapshot.caches[1].stats
-        assert l2_stats["evictions_dirty"] > 0
+        for state, pairs in zip(batch_states[1:], (1, 8, 2)):
+            l2 = state.snapshot.caches[1]
+            assert l2.stats["evictions_dirty"] > 0
+            assert state.snapshot.memory.writes == l2.stats["evictions_dirty"]
+            assert len(l2.protection["pairs"]) == pairs
+
+    def test_parity_l2_falls_back_to_scalar(self):
+        # A CPPC L1 over a parity L2 takes the scalar warm-up, which the
+        # campaign result names.
+        cppc, parity = scheme_factory("cppc"), scheme_factory("parity")
+
+        def mixed(level, unit_bits):
+            return (cppc if level == "L1D" else parity)(level, unit_bits)
+
+        config = shared_config(scheme_factory=mixed, trials=3)
+        state = build_warm_state(config)
+        assert (state.warm_engine, state.warm_fallback) == ("scalar", "l2_scheme")
+        legacy, fast = run_both(config)
+        assert_identical(legacy, fast)
+        assert (fast.warm_engine, fast.warm_fallback) == ("scalar", "l2_scheme")
+
+
+def cppc_factory(**options):
+    """A protection factory giving every level a CPPC with ``options``."""
+
+    def factory(level, unit_bits):
+        return CppcProtection(data_bits=unit_bits, **options)
+
+    return factory
 
 
 def untouched_unit(state, cache):

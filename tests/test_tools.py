@@ -413,6 +413,9 @@ class TestGenDocs:
         text = gen_docs.generate()
         assert " at 0x" not in text
         assert "protection_factory: 'ProtectionFactory' = _no_protection" in text
+        # NamedTuple fields render as dataclass fields do.
+        assert "ForwardRef(" not in text
+        assert "BatchReplayResult(cache: 'CacheSnapshot'" in text
 
 
 class TestRunScorecard:
