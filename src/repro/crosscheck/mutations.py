@@ -171,6 +171,20 @@ def _flush_touch_skips_upper_levels() -> List[Patch]:
     return [(warmstate, "_golden_drain", drain)]
 
 
+def _fork_forgets_reached_sets() -> List[Patch]:
+    """A finished trial hands its hierarchy back without the sets its own
+    replay reached, so the next fork keeps what the trial changed there
+    beyond the golden run's resume and its struck units."""
+    from ..faults.warmstate import GoldenRecord
+
+    original = GoldenRecord.changed_sets
+
+    def changed_sets(self, hierarchy, resumed, reached, *args):
+        return original(self, hierarchy, resumed, [()] * len(reached), *args)
+
+    return [(GoldenRecord, "changed_sets", changed_sets)]
+
+
 def _audit_zero_residue() -> List[Patch]:
     """Every audit record (``audit_payload``) reports residue 0 for every
     register pair, in ``CppcProtection.audits()`` and in the stream."""
@@ -282,6 +296,12 @@ MUTATIONS: Dict[str, Mutation] = {
             "golden pass records no touches during an upper level's drain",
             ("campaign",),
             _flush_touch_skips_upper_levels,
+        ),
+        Mutation(
+            "fork-forgets-reached-sets",
+            "a recycled fork is reset without the sets its last trial reached",
+            ("campaign",),
+            _fork_forgets_reached_sets,
         ),
         Mutation(
             "audit-zero-residue",

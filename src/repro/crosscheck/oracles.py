@@ -21,7 +21,8 @@ mirror the repo's redundant computations:
   additionally assert full architectural correctness (single-bit faults
   are exactly what CPPC guarantees to repair).
 * :func:`check_campaign` — the legacy warm-every-trial campaign loop
-  vs. the snapshot-fork fast path, per-trial bit identity.
+  vs. the snapshot-fork fast path, per-trial bit identity, and every
+  fork after the first (a recycled hierarchy) vs. the warm snapshot.
 * :func:`check_doublefault` — the measured double-fault failure rate
   vs. the ``1/(p*w)`` analytical collision probability, within a
   binomial confidence band.
@@ -46,8 +47,10 @@ from ..faults.campaign import CampaignConfig, FaultCampaign, trial_mismatches
 from ..faults.injector import FaultInjector
 from ..faults.models import SpatialFault, TemporalFault
 from ..faults.schemes import scheme_factory
+from ..faults.warmstate import build_warm_state
 from ..memsim.cache import Cache
 from ..memsim.mainmem import MainMemory
+from ..memsim.snapshot import snapshot_hierarchy
 from ..memsim.types import AccessType, UnitLocation
 from ..obs.trail import reconstruct_corrections, verify_audit
 from ..reliability import fastmc, montecarlo
@@ -365,9 +368,17 @@ def check_recovery(scenario: Scenario) -> List[str]:
 # campaign: legacy loop vs. snapshot-fork fast path
 # ----------------------------------------------------------------------
 def check_campaign(scenario: Scenario) -> List[str]:
-    """Per-trial bit identity of a shared-warmup campaign's fork
-    (:meth:`FaultCampaign.run`) and its scalar reference
-    (:meth:`FaultCampaign.run_scalar`)."""
+    """Per-trial bit identity of a shared-warmup campaign's fork and its
+    scalar reference (:meth:`FaultCampaign.run_scalar`), and no state
+    carried from one forked trial into the next.
+
+    The forked trials run as :meth:`FaultCampaign.run` runs them, on one
+    warm state.  After each, the next fork, which resets the hierarchy
+    the trial handed back, must equal the warm snapshot; it is handed
+    back unchanged for the next trial.  A leak the campaign's outcomes
+    never show, such as a way order in a set no later trial reaches,
+    fails here.
+    """
     config = CampaignConfig(
         scheme_factory=scheme_factory(scenario.scheme),
         benchmark=scenario.benchmark,
@@ -383,8 +394,15 @@ def check_campaign(scenario: Scenario) -> List[str]:
     )
     campaign = FaultCampaign(config)
     legacy = campaign.run_scalar()
-    fast = campaign.run()
-    return trial_mismatches(fast.trials, legacy.trials)
+    warm = build_warm_state(config)
+    fast, problems = [], []
+    for trial in range(config.trials):
+        fast.append(campaign._run_trial(trial, warm).result)
+        hierarchy, _golden, _replayer = warm.fork()
+        if snapshot_hierarchy(hierarchy) != warm.snapshot:
+            problems.append(f"trial {trial}: the next fork leaves the warm snapshot")
+        warm.release(hierarchy, [()] * len(hierarchy.levels()))
+    return trial_mismatches(fast, legacy.trials) + problems
 
 
 # ----------------------------------------------------------------------

@@ -156,9 +156,7 @@ def shrink_scenario(
     if best.records:
         records = _ddmin(
             best.records,
-            lambda recs: bool(
-                fails(dataclasses.replace(best, records=list(recs)))
-            ),
+            lambda recs: bool(fails(dataclasses.replace(best, records=list(recs)))),
             budget,
         )
         best = dataclasses.replace(best, records=list(records))

@@ -509,7 +509,8 @@ class FaultCampaign:
                 TrialResult(outcome=Outcome.DUE, detail=f"warmup: {exc}")
             )
 
-        return self._finish_trial(trial, hierarchy, golden, replayer, records)
+        run, _changed = self._finish_trial(trial, hierarchy, golden, replayer, records)
+        return run
 
     def _classify_trial_fast(self, trial: int, warm) -> TrialRun:
         """Fork the campaign's warm state ``warm`` and simulate only what
@@ -527,6 +528,11 @@ class FaultCampaign:
         lines, and any other trial replays from there and is classified
         where its state rejoins the golden one.
 
+        The trial then hands its hierarchy back to ``warm``
+        (:meth:`~repro.faults.warmstate.WarmState.release`) with the sets
+        it may have changed, for the next fork to reset and reuse; one
+        that raises drops it.
+
         The observer, if any, sees injection/classification events but
         not the warmup prefix (simulated once, not per trial), nor the
         suffix steps or the part of the flush a trial skips.
@@ -535,7 +541,7 @@ class FaultCampaign:
         obs = self._obs_or_none()
         if obs is not None:
             hierarchy.set_observer(obs)
-        return self._finish_trial(
+        run, changed = self._finish_trial(
             trial,
             hierarchy,
             golden,
@@ -543,10 +549,12 @@ class FaultCampaign:
             warm.suffix_records,
             warm.golden_record,
         )
+        warm.release(hierarchy, changed)
+        return run
 
     def _finish_trial(
         self, trial: int, hierarchy, golden, replayer, records, golden_record=None
-    ) -> TrialRun:
+    ) -> Tuple[TrialRun, Optional[List[set]]]:
         """Inject into a warmed-up hierarchy, replay the suffix, classify.
 
         ``records`` yields the post-warmup suffix only — the shared tail
@@ -582,6 +590,12 @@ class FaultCampaign:
         struck unit
         (:meth:`~repro.faults.warmstate.GoldenRecord.settles_flush`);
         every other trial runs the whole flush.
+
+        Returns the trial and, for a fork, the sets per level where its
+        hierarchy may now differ from the warm snapshot
+        (:meth:`~repro.faults.warmstate.GoldenRecord.changed_sets`), or
+        None where it may differ anywhere: after the whole flush, a DUE
+        or a replay without the golden record.
         """
         cfg = self.config
         obs = self._obs_or_none()
@@ -589,10 +603,11 @@ class FaultCampaign:
         injector = FaultInjector(target, seed=(cfg.seed, trial))
         injection = self._inject(injector)
         if injection is None or not injection.flips:
-            return TrialRun(
+            run = TrialRun(
                 TrialResult(outcome=Outcome.BENIGN, detail="no resident target"),
                 "replayed" if golden_record is None else "skipped",
             )
+            return run, [()] * len(hierarchy.levels())
         if obs is not None:
             obs.emit(
                 "campaign",
@@ -614,9 +629,24 @@ class FaultCampaign:
         # The flips a struck-line settle of the flush evicts, if any.
         inert = None
         detected_in_suffix = False
+        # The golden checkpoint the fork last resumed at, and the sets
+        # its own replay reached since the first.
+        resumed = recorder = None
+        # The flips whose lines the flush was settled at.
+        flush_settled = []
 
-        def settle(outcome, detail="") -> TrialRun:
-            return TrialRun(
+        def changed() -> List[set]:
+            return golden_record.changed_sets(
+                hierarchy,
+                resumed,
+                recorder.reached(hierarchy),
+                target,
+                struck,
+                [flip.loc for flip in flush_settled],
+            )
+
+        def settle(outcome, detail="") -> Tuple[TrialRun, Optional[List[set]]]:
+            run = TrialRun(
                 TrialResult(
                     outcome=outcome,
                     injected_bits=injection.total_bits,
@@ -627,8 +657,11 @@ class FaultCampaign:
                 replayer.result.references - replayed_from,
                 flushed,
             )
+            if recorder is None or flushed or outcome is Outcome.DUE:
+                return run, None
+            return run, changed()
 
-        def classify() -> TrialRun:
+        def classify() -> Tuple[TrialRun, Optional[List[set]]]:
             """CORRECTED when the target detected a fault, else BENIGN."""
             detected = target.stats.detected_faults > detected_before
             return settle(
@@ -651,6 +684,7 @@ class FaultCampaign:
                 start, checks = golden_record.checkpoints_for(target, struck)
                 end = golden_record.checkpoints[-1]
                 golden_record.resume(start, hierarchy, golden, replayer)
+                resumed = start
                 recorder = SetRecorder(hierarchy, obs)
                 hierarchy.set_observer(recorder)
                 try:
@@ -682,13 +716,15 @@ class FaultCampaign:
                     if not inert:
                         return classify()
                     detected_in_suffix = target.stats.detected_faults > detected_before
-                    restore_hierarchy(golden_record.base, hierarchy)
+                    restore_hierarchy(golden_record.base, hierarchy, sets=changed())
                     for flip in inert:
                         target.corrupt_data(flip.loc, flip.mask)
                     golden_record.resume(end, hierarchy, golden, replayer)
+                    resumed = end
             if inert is not None and golden_record.settles_flush(
                 target, [flip.loc for flip in inert]
             ):
+                flush_settled = inert
                 addr = _flush_struck_lines(target, inert, golden)
             else:
                 flushed = True

@@ -10,12 +10,18 @@ that prefix exactly once and captures everything a trial needs:
 * the materialized post-warmup suffix records, and
 * the cycle clock at the fork point.
 
-:meth:`WarmState.fork` then rebuilds a live hierarchy with a few slice
-copies per cache instead of re-simulating thousands of references, and
-the forked trial is bit-identical to a legacy warm-every-trial one (same
-resident units in the same iteration order, so the per-trial injection
-RNG sees the same sample space; same statistics baselines; same cycle
-clock).
+:meth:`WarmState.fork` then loads the snapshot into a live hierarchy
+with a few slice copies per cache instead of re-simulating thousands of
+references, and the forked trial is bit-identical to a legacy
+warm-every-trial one (same resident units in the same iteration order,
+so the per-trial injection RNG sees the same sample space; same
+statistics baselines; same cycle clock).  Trials recycle one hierarchy:
+a finished trial hands it back (:meth:`WarmState.release`) with the
+sets it may have changed (:meth:`GoldenRecord.changed_sets`), and the
+next fork resets only those sets' lines, units and way orders, plus
+every level's clock, statistics, registers and replacement RNG and main
+memory, to the snapshot.  A trial that ran the whole flush or met a DUE
+hands back None, and the next fork resets every set.
 
 Where both levels are batch-compatible (CPPC over 8-way parity under LRU
 with write-back and write-allocate, 64-bit L1 units, one unit per L2
@@ -153,6 +159,53 @@ class GoldenRecord:
     base: Optional[HierarchySnapshot] = None
     checkpoints: List[GoldenCheckpoint] = dataclasses.field(default_factory=list)
 
+    def changed_sets(
+        self,
+        hierarchy: MemoryHierarchy,
+        resumed: GoldenCheckpoint,
+        reached: Sequence[Iterable[int]],
+        cache: Cache,
+        locs: Iterable[UnitLocation],
+        settled: Sequence[UnitLocation] = (),
+    ) -> List[set]:
+        """Per level of ``hierarchy``, every set where a trial forked from
+        the warm snapshot and struck at the units at ``locs`` of ``cache``
+        may differ from the snapshot, so that
+        :func:`~repro.memsim.snapshot.restore_hierarchy` over them resets
+        it (:meth:`WarmState.release`).
+
+        They are the sets the golden run reached up to ``resumed``, the
+        checkpoint the trial last resumed at (the
+        :attr:`~GoldenCheckpoint.sets` of it and of every checkpoint
+        before), which hold every line and way order that resume wrote;
+        ``reached``, the sets the trial's own loads and stores reached
+        since its first resume; the struck units' sets; and, when the
+        trial settled its flush at the struck lines at ``settled``
+        (:func:`~repro.faults.campaign._flush_struck_lines`), the next
+        level's sets their write-backs land in.  That holds for a trial
+        that neither ran the whole flush nor raised a DUE, by the
+        invariant :meth:`rejoins_at` rests on: a run changes lines and way
+        orders only in the sets its loads and stores reach, and a recovery
+        repairs only struck units.  A write-back's fill and victim share
+        its set, and the L2's victims go to main memory, which a restore
+        loads whole.
+        """
+        levels = hierarchy.levels()
+        index = levels.index(cache)
+        sets = [set(mine) for mine in reached]
+        for checkpoint in self.checkpoints:
+            if checkpoint.step > resumed.step:
+                break
+            for level_sets, window in zip(sets, checkpoint.sets):
+                level_sets |= window
+        sets[index].update(loc.set_index for loc in locs)
+        if settled and index + 1 < len(levels):
+            lower = levels[index + 1]
+            sets[index + 1].update(
+                lower.mapper.set_index(cache.address_of(loc)) for loc in settled
+            )
+        return sets
+
     def checkpoints_for(
         self, cache: Cache, locs: Sequence[UnitLocation]
     ) -> Tuple[GoldenCheckpoint, List[GoldenCheckpoint]]:
@@ -258,9 +311,7 @@ class GoldenRecord:
         for flip in inert:
             cache.corrupt_data(flip.loc, flip.mask)
         try:
-            here = diff_hierarchy(
-                self.base, hierarchy, sets, previous=checkpoint.delta
-            )
+            here = diff_hierarchy(self.base, hierarchy, sets, previous=checkpoint.delta)
         finally:
             for flip in inert:
                 cache.corrupt_data(flip.loc, flip.mask)
@@ -527,16 +578,39 @@ class WarmState:
     warm_fallback: Optional[str] = None
     golden_record: Optional[GoldenRecord] = None
 
-    def fork(self) -> Tuple[MemoryHierarchy, GoldenMemory, TraceReplayer]:
-        """A fresh live ``(hierarchy, golden, replayer)`` at the fork point.
+    #: ``(hierarchy, sets)`` that :meth:`release` handed back, until the
+    #: next :meth:`fork` takes it.  Not a field (no annotation): it is
+    #: left out of comparisons and pickles.
+    _returned = None
 
-        The hierarchy's caches hold flat per-cache containers, so the
-        fork allocates a bounded number of objects whatever the warm
-        state's size, and holds no reference cycle: it is freed as soon
-        as the trial drops it.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_returned", None)
+        return state
+
+    def fork(self) -> Tuple[MemoryHierarchy, GoldenMemory, TraceReplayer]:
+        """A live ``(hierarchy, golden, replayer)`` at the fork point.
+
+        The hierarchy is the one the last :meth:`release` handed back,
+        reset to the fork point over the sets its trial may have changed
+        (:func:`~repro.memsim.snapshot.restore_hierarchy` with ``sets``)
+        and with no observer attached.  Only when none was handed back is
+        one built and loaded whole.  Each returned hierarchy goes to one
+        fork, so two forks held at once are independent.
+
+        The hierarchy's caches hold flat per-cache containers, so a built
+        one costs a bounded number of objects whatever the warm state's
+        size, and holds no reference cycle: it is freed as soon as its
+        trial and this state drop it.
         """
-        hierarchy = MemoryHierarchy(protection_factory=self.config.scheme_factory)
-        restore_hierarchy(self.snapshot, hierarchy)
+        returned, self._returned = self._returned, None
+        if returned is None:
+            hierarchy = MemoryHierarchy(protection_factory=self.config.scheme_factory)
+            sets = None
+        else:
+            hierarchy, sets = returned
+            hierarchy.set_observer(None)
+        restore_hierarchy(self.snapshot, hierarchy, sets=sets)
         golden = GoldenMemory()
         golden.restore(self.golden_image)
         replayer = TraceReplayer(
@@ -546,6 +620,19 @@ class WarmState:
             start_cycle=self.start_cycle,
         )
         return hierarchy, golden, replayer
+
+    def release(
+        self, hierarchy: MemoryHierarchy, sets: Optional[Sequence[Iterable[int]]]
+    ) -> None:
+        """Hand a finished fork's hierarchy back for the next :meth:`fork`.
+
+        ``sets`` holds, per level, every set where the hierarchy may
+        differ from the warm snapshot
+        (:meth:`GoldenRecord.changed_sets`), or is None when it may differ
+        anywhere.  One hierarchy is kept: a second release drops the
+        first.
+        """
+        self._returned = (hierarchy, sets)
 
 
 def _level_incompatible(cache: Cache, unit_bytes: int) -> Optional[str]:

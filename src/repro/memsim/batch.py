@@ -251,9 +251,7 @@ class BatchTrace:
         from ..workloads.trace import TraceRecord
 
         self.validate()
-        shift = (8 * (WORD_BYTES - (self.addr & 7) - self.size)).astype(
-            np.uint64
-        )
+        shift = (8 * (WORD_BYTES - (self.addr & 7) - self.size)).astype(np.uint64)
         new = object.__new__
         put = object.__setattr__
         load, store = AccessType.LOAD, AccessType.STORE
@@ -336,13 +334,15 @@ class BatchReplayResult(NamedTuple):
             write-back left it and in the order of their first ones, with
             the reads and writes memory served:
             :func:`~repro.memsim.snapshot.snapshot_memory` of the scalar
-            cache's :class:`~repro.memsim.mainmem.MainMemory`.
+            cache's :class:`~repro.memsim.mainmem.MainMemory`.  None when
+            the caller asked for the traffic, whose write-backs go to the
+            next level instead.
         traffic: the next-level block traffic, when the caller asked for
             it; else None.
     """
 
     cache: CacheSnapshot
-    memory: MemorySnapshot
+    memory: Optional[MemorySnapshot]
     traffic: Optional[LineTraffic] = None
 
 
@@ -867,8 +867,8 @@ class BatchReplayEngine:
         :class:`LineTraffic` of the level above, replayed as its
         ``read_block``/``write_block`` calls into one unit per line (the
         ``"L2"``).  Returns the final cache and the blocks it wrote back
-        as the snapshots a scalar replay of the same stream leaves, and
-        with ``traffic`` the next-level block traffic too
+        as the snapshots a scalar replay of the same stream leaves, or
+        with ``traffic`` the final cache and the next-level block traffic
         (:class:`BatchReplayResult`).  With a live sink, each phase
         (``decompose``, ``resolve``, ``accumulate``) is one ``batch``
         span over every access.
@@ -1025,18 +1025,22 @@ class BatchReplayEngine:
             protection={"pairs": pairs, "recoveries": 0, "register_repairs": 0},
         )
 
-        # Memory: each written block as its last write-back left it, in
-        # the order of the first write-backs, as memory gains them.
-        _, first = np.unique(wb_slot, return_index=True)
-        _, from_end = np.unique(wb_slot[::-1], return_index=True)
-        by_first = np.argsort(first)
-        raw = wb_words[len(wb) - 1 - from_end[by_first]].astype(">u8").tobytes()
-        addrs = (slot_blocks[wb_slot[first[by_first]]] * bb).tolist()
-        memory = MemorySnapshot(
-            blocks={addr: raw[k * bb : (k + 1) * bb] for k, addr in enumerate(addrs)},
-            reads=stats.fills,
-            writes=len(wb),
-        )
+        memory = None
+        if not traffic:
+            # Memory: each written block as its last write-back left it,
+            # in the order of the first write-backs, as memory gains them.
+            _, first = np.unique(wb_slot, return_index=True)
+            _, from_end = np.unique(wb_slot[::-1], return_index=True)
+            by_first = np.argsort(first)
+            raw = wb_words[len(wb) - 1 - from_end[by_first]].astype(">u8").tobytes()
+            addrs = (slot_blocks[wb_slot[first[by_first]]] * bb).tolist()
+            memory = MemorySnapshot(
+                blocks={
+                    addr: raw[k * bb : (k + 1) * bb] for k, addr in enumerate(addrs)
+                },
+                reads=stats.fills,
+                writes=len(wb),
+            )
         if obs is not None:
             self._span(obs, "accumulate", t_phase, n)
         return BatchReplayResult(cache, memory, moved)

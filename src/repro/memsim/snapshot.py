@@ -13,7 +13,10 @@ containers whole, with every invalid line blanked (zero tag, data and
 check words), so two caches holding the same lines snapshot equal
 whatever their eviction history.  Restore overwrites every container of
 the target with slice assignments, so the target may be fresh or may
-have simulated anything before.
+have simulated anything before.  Given the sets a hierarchy restored
+from the snapshot has changed since, it overwrites only those sets'
+slices, plus the small whole-cache state and main memory, and a fault
+campaign resets one hierarchy between trials that way.
 
 The restored simulator is *bit-identical* to the original: replaying the
 same suffix produces the same access results, statistics, register
@@ -280,7 +283,12 @@ def _check_target(snap: CacheSnapshot, cache: Cache) -> None:
         )
 
 
-def _restore_policy(snap: PolicySnapshot, cache: Cache) -> None:
+def _restore_policy(
+    snap: PolicySnapshot, cache: Cache, runs: Optional[List[List[int]]]
+) -> None:
+    """Load the policy state: the way orders of the sets in ``runs``
+    (:func:`_set_runs`; every set when None), or a
+    :class:`RandomPolicy`'s RNG."""
     policy = cache.policy
     expected = {"lru": LRUPolicy, "fifo": FIFOPolicy, "random": RandomPolicy}
     if snap.kind not in expected:
@@ -290,12 +298,16 @@ def _restore_policy(snap: PolicySnapshot, cache: Cache) -> None:
             f"{cache.name}: snapshot holds {snap.kind} policy state, target "
             f"policy is {type(policy).__name__}"
         )
-    if snap.kind == "lru":
-        policy._order[:] = snap.order
-    elif snap.kind == "fifo":
-        policy._queues[:] = snap.order
-    else:
+    if snap.kind == "random":
         policy._rng.setstate(snap.rng_state)
+        return
+    order = _order_of(policy)
+    if runs is None:
+        order[:] = snap.order
+        return
+    ways = cache.ways
+    for lo, hi in runs:
+        order[lo * ways : hi * ways] = snap.order[lo * ways : hi * ways]
 
 
 def _restore_protection(name: str, state: dict, cache: Cache) -> None:
@@ -330,24 +342,68 @@ def _restore_stats(stats_dict: dict) -> CacheStats:
     return CacheStats(**fields)
 
 
-def restore_cache(snap: CacheSnapshot, cache: Cache) -> Cache:
+#: A run of consecutive sets costs :func:`restore_cache` a few slice
+#: assignments, about as much as copying this many sets within a whole
+#: level; at fewer sets per run it copies the whole level.
+_RUN_SETS = 32
+
+
+def _set_runs(sets: Iterable[int], num_sets: int) -> Optional[List[List[int]]]:
+    """``sets`` as sorted runs ``[lo, hi]`` of consecutive sets (``hi``
+    exclusive), or None where copying all ``num_sets`` sets is cheaper."""
+    runs: List[List[int]] = []
+    for set_index in sorted(sets):
+        if runs and runs[-1][1] == set_index:
+            runs[-1][1] += 1
+        else:
+            runs.append([set_index, set_index + 1])
+            if len(runs) * _RUN_SETS >= num_sets:
+                return None
+    return runs
+
+
+def restore_cache(
+    snap: CacheSnapshot, cache: Cache, sets: Optional[Iterable[int]] = None
+) -> Cache:
     """Load a snapshot into a cache of identical configuration.
 
     Every line, unit, replacement, statistics and protection container of
     the target is overwritten, so the target may be freshly built or may
     already have simulated anything: afterwards
     ``snapshot_cache(cache) == snap``.
+
+    With ``sets``, only those sets' lines, units and way orders are
+    loaded (or, where they are many, every set's); every other set must
+    already hold the snapshot's, as in a cache restored from ``snap``
+    that has changed nothing outside ``sets`` since.  The clock,
+    statistics, replacement RNG and protection state are loaded whole
+    either way.
     """
     _check_target(snap, cache)
-    cache._valid[:] = snap.valid
-    cache._tags[:] = snap.tags
-    cache._data[:] = snap.data
-    cache._dirty[:] = snap.dirty
-    cache._check[:] = snap.check
-    cache._last_dirty[:] = snap.last_dirty_access
+    runs = None if sets is None else _set_runs(sets, cache.num_sets)
+    if runs is None:
+        cache._valid[:] = snap.valid
+        cache._tags[:] = snap.tags
+        cache._data[:] = snap.data
+        cache._dirty[:] = snap.dirty
+        cache._check[:] = snap.check
+        cache._last_dirty[:] = snap.last_dirty_access
+    else:
+        ways = cache.ways
+        upb = cache.units_per_block
+        bb = cache.block_bytes
+        for lo, hi in runs:
+            l0, l1 = lo * ways, hi * ways
+            u0, u1 = l0 * upb, l1 * upb
+            cache._valid[l0:l1] = snap.valid[l0:l1]
+            cache._tags[l0:l1] = snap.tags[l0:l1]
+            cache._data[l0 * bb : l1 * bb] = snap.data[l0 * bb : l1 * bb]
+            cache._dirty[u0:u1] = snap.dirty[u0:u1]
+            cache._check[u0:u1] = snap.check[u0:u1]
+            cache._last_dirty[u0:u1] = snap.last_dirty_access[u0:u1]
     cache._access_counter = snap.access_counter
     cache.stats = _restore_stats(snap.stats)
-    _restore_policy(snap.policy, cache)
+    _restore_policy(snap.policy, cache, runs)
     _restore_protection(snap.scheme, snap.protection, cache)
     return cache
 
@@ -372,17 +428,27 @@ def _check_levels(count: int, hierarchy: MemoryHierarchy) -> list:
 
 
 def restore_hierarchy(
-    snap: HierarchySnapshot, hierarchy: MemoryHierarchy
+    snap: HierarchySnapshot,
+    hierarchy: MemoryHierarchy,
+    sets: Optional[Sequence[Optional[Iterable[int]]]] = None,
 ) -> MemoryHierarchy:
     """Load a hierarchy snapshot into a hierarchy, overwriting its state.
 
     The target must have the same level structure and per-level
     configuration (geometry, scheme, policy) as the hierarchy the
     snapshot was taken from; what it simulated before does not matter.
+
+    ``sets``, as in :func:`diff_hierarchy`, holds per level (innermost
+    first) the sets to load, None for the whole level
+    (:func:`restore_cache`): a hierarchy restored from ``snap`` that has
+    changed no other set since then holds the snapshot's state again.
+    Main memory is loaded whole.  None loads every level whole.
     """
     levels = _check_levels(len(snap.caches), hierarchy)
-    for cache_snap, cache in zip(snap.caches, levels):
-        restore_cache(cache_snap, cache)
+    if sets is None:
+        sets = [None] * len(levels)
+    for cache_snap, cache, level_sets in zip(snap.caches, levels, sets):
+        restore_cache(cache_snap, cache, level_sets)
     restore_memory(snap.memory, hierarchy.memory)
     return hierarchy
 

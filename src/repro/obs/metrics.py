@@ -144,12 +144,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """The shared metrics schema (see module docstring)."""
         return {
-            "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
-            },
-            "gauges": {
-                name: g.value for name, g in sorted(self._gauges.items())
-            },
+            "counters": {name: c.value for name, c in sorted(self._counters.items())},
+            "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
             "histograms": {
                 name: h.pairs()
                 for name, h in sorted(self._histograms.items())

@@ -131,9 +131,7 @@ def verify_audit(payload: dict) -> List[str]:
         data_bits=payload["unit_bits"], ways=payload["parity_ways"]
     )
     for pair in payload["pairs"]:
-        syndromes = {
-            tuple(u["loc"]): frozenset(u["parities"]) for u in pair["faulty"]
-        }
+        syndromes = {tuple(u["loc"]): frozenset(u["parities"]) for u in pair["faulty"]}
         stored = {tuple(u["loc"]): u["stored"] for u in pair["faulty"]}
         rotated_deltas = 0
         for correction in pair["corrections"]:

@@ -81,9 +81,7 @@ class DoubleFaultEstimate:
         return (max(0.0, center - half_width), min(1.0, center + half_width))
 
 
-def analytical_collision_probability(
-    parity_ways: int = 8, num_pairs: int = 1
-) -> float:
+def analytical_collision_probability(parity_ways: int = 8, num_pairs: int = 1) -> float:
     """P(two uniform faults share a protection domain) = 1 / (p * w)."""
     if parity_ways < 1 or num_pairs < 1:
         raise ConfigurationError("parity_ways and num_pairs must be >= 1")

@@ -52,9 +52,7 @@ class CampaignRuntime:
         resume: bool = False,
     ):
         if resume and checkpoint_dir is None:
-            raise ConfigurationError(
-                "resume requires a checkpoint directory"
-            )
+            raise ConfigurationError("resume requires a checkpoint directory")
         self.jobs = jobs
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
@@ -121,9 +119,7 @@ def failure_payload(failure: TrialFailure) -> dict:
     }
 
 
-def failure_from_payload(
-    trial_index: int, seed: int, payload: dict
-) -> TrialFailure:
+def failure_from_payload(trial_index: int, seed: int, payload: dict) -> TrialFailure:
     """Rebuild a :class:`TrialFailure` from its checkpoint payload."""
     return TrialFailure(
         trial_index=trial_index,
@@ -254,16 +250,14 @@ def run_campaign(
             )
         else:
             store.record(
-                report.index, report.seed, "failure",
+                report.index,
+                report.seed,
+                "failure",
                 failure_payload(_failure_from_report(report)),
             )
 
     try:
-        reports = (
-            runtime.executor().run(tasks, on_report=checkpoint)
-            if tasks
-            else []
-        )
+        reports = runtime.executor().run(tasks, on_report=checkpoint) if tasks else []
     finally:
         if preload_token is not None:
             runtime.executor().remove_preload(preload_token)

@@ -117,9 +117,7 @@ class CheckpointStore:
                 )
             self._verify_manifest(manifest_path)
         else:
-            if resume and self.directory.exists() and any(
-                self.directory.iterdir()
-            ):
+            if resume and self.directory.exists() and any(self.directory.iterdir()):
                 raise CheckpointCorruptError(
                     f"checkpoint {self.directory} has no manifest but is "
                     "not empty"
@@ -185,9 +183,7 @@ class CheckpointStore:
         """Path of the append-only trial log."""
         return self.directory / LOG_NAME
 
-    def record(
-        self, trial_index: int, seed: int, kind: str, payload: dict
-    ) -> None:
+    def record(self, trial_index: int, seed: int, kind: str, payload: dict) -> None:
         """Durably append one finished trial (append + flush + fsync).
 
         Appends go through :class:`~repro.util.jsonio.JsonlAppender`, so

@@ -176,10 +176,7 @@ class TrialExecutor:
 
     def _preload_snapshot(self) -> List[Tuple[int, Callable, Tuple]]:
         with self._lock:
-            return [
-                (token, fn, args)
-                for token, (fn, args) in self._preloads.items()
-            ]
+            return [(token, fn, args) for token, (fn, args) in self._preloads.items()]
 
     # ------------------------------------------------------------------
     def run(
@@ -255,9 +252,7 @@ class TrialExecutor:
         re-raises its structured error here.
         """
         tasks = [
-            TrialTask(
-                index=i, seed=split_seed(seed, "map", i), fn=fn, args=tuple(a)
-            )
+            TrialTask(index=i, seed=split_seed(seed, "map", i), fn=fn, args=tuple(a))
             for i, a in enumerate(argses)
         ]
         reports = self.run(tasks)

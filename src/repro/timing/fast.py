@@ -132,9 +132,7 @@ class EventColumns:
                     f"{mine[i].item()} vs {theirs[i].item()}"
                 )
             if len(bad) > limit:
-                problems.append(
-                    f"... and {len(bad) - limit} more {field} divergences"
-                )
+                problems.append(f"... and {len(bad) - limit} more {field} divergences")
         return problems
 
 

@@ -160,11 +160,7 @@ class DetailedPipeline:
 
             # ---- commit (in order, up to issue_width) ----------------
             committed = 0
-            while (
-                ruu
-                and committed < cfg.issue_width
-                and ruu[0].complete_at <= cycle
-            ):
+            while ruu and committed < cfg.issue_width and ruu[0].complete_at <= cycle:
                 head = ruu[0]
                 if head.kind == _STORE:
                     if len(store_buffer) >= cfg.store_buffer_size:
@@ -221,9 +217,7 @@ class DetailedPipeline:
                         store_buffer.append(_Uop(_STORE, cycle, rbw=True))
                 elif kind == _STORE:
                     rbw = self.policy.store_demand(was_dirty) > 0
-                    ruu.append(
-                        _Uop(_STORE, cycle + 1, rbw=rbw, weight=weight)
-                    )
+                    ruu.append(_Uop(_STORE, cycle + 1, rbw=rbw, weight=weight))
                     lsq_occupancy += 1
                     result.stores += 1
                     for _ in range(demand):
@@ -247,9 +241,7 @@ class DetailedPipeline:
                         head = store_buffer.popleft()
                         read_port_free = False
                         if head.rbw:
-                            store_buffer.appendleft(
-                                _Uop(_STORE, cycle, rbw=False)
-                            )
+                            store_buffer.appendleft(_Uop(_STORE, cycle, rbw=False))
                 else:
                     head = store_buffer[0]
                     if not head.rbw or read_port_free:
@@ -275,6 +267,4 @@ def simulate_detailed_cpi(
     units_per_block: int = 4,
 ) -> PipelineResult:
     """Convenience wrapper mirroring :func:`repro.timing.time_events`."""
-    return DetailedPipeline(
-        policy, config, units_per_block=units_per_block
-    ).run(events)
+    return DetailedPipeline(policy, config, units_per_block=units_per_block).run(events)

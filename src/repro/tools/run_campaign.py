@@ -45,39 +45,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("scheme", choices=SCHEMES)
     parser.add_argument("--trials", "-t", type=int, default=30)
+    parser.add_argument("--benchmark", choices=benchmark_names(), default="gcc")
+    parser.add_argument("--fault", choices=("temporal", "spatial"), default="temporal")
     parser.add_argument(
-        "--benchmark", choices=benchmark_names(), default="gcc"
-    )
-    parser.add_argument(
-        "--fault", choices=("temporal", "spatial"), default="temporal"
-    )
-    parser.add_argument(
-        "--shape", type=int, nargs=2, default=(8, 8), metavar=("H", "W"),
+        "--shape",
+        type=int,
+        nargs=2,
+        default=(8, 8),
+        metavar=("H", "W"),
         help="spatial strike extent (default: 8 8)",
     )
     parser.add_argument(
-        "--level", choices=("L1D", "L2"), default="L1D",
+        "--level",
+        choices=("L1D", "L2"),
+        default="L1D",
         help="cache level to strike (default: L1D)",
     )
     parser.add_argument("--warmup", type=int, default=2000)
     parser.add_argument("--post", type=int, default=1500)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--dirty-only", action="store_true",
+        "--dirty-only",
+        action="store_true",
         help="restrict temporal faults to dirty data",
     )
     parser.add_argument(
-        "--fast", action=argparse.BooleanOptionalAction, default=False,
+        "--fast",
+        action=argparse.BooleanOptionalAction,
+        default=False,
         help="share one warmup trace across trials; the warmup is then "
-             "simulated once and each trial forks from its snapshot "
-             "(bit-identical to running the same shared-warmup campaign "
-             "trial by trial)",
+        "simulated once and each trial forks from its snapshot "
+        "(bit-identical to running the same shared-warmup campaign "
+        "trial by trial)",
     )
     parser.add_argument(
-        "--fast-equivalence", choices=FORCED_EQUIVALENCE_MODES,
-        default="never", metavar="MODE",
+        "--fast-equivalence",
+        choices=FORCED_EQUIVALENCE_MODES,
+        default="never",
+        metavar="MODE",
         help="with --fast, 'always' re-runs every trial on the legacy "
-             "path and fails on any divergence (default: never)",
+        "path and fails on any divergence (default: never)",
     )
     runtime = parser.add_argument_group(
         "crash-safe runtime",
@@ -85,25 +92,38 @@ def build_parser() -> argparse.ArgumentParser:
         "and resumable checkpoints",
     )
     runtime.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
+        "--jobs",
+        "-j",
+        type=int,
+        default=None,
+        metavar="N",
         help="worker subprocesses (default: in-process sequential loop)",
     )
     runtime.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
         help="per-trial wall-clock budget; a wedged trial is killed and "
-             "classified TRIAL_TIMEOUT",
+        "classified TRIAL_TIMEOUT",
     )
     runtime.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries",
+        type=int,
+        default=None,
+        metavar="N",
         help="extra attempts for crashed/timed-out trials (default: 2)",
     )
     runtime.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
+        "--checkpoint-dir",
+        default=None,
+        metavar="DIR",
         help="record every finished trial here (JSONL + manifest), "
-             "keyed by config digest",
+        "keyed by config digest",
     )
     runtime.add_argument(
-        "--resume", action="store_true",
+        "--resume",
+        action="store_true",
         help="skip trials already recorded under --checkpoint-dir",
     )
     add_json_argument(parser)
@@ -204,17 +224,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             registry.counter(f"engine.warm.fallback.{result.warm_fallback}").inc()
 
     counts = result.counts
-    print(f"scheme={args.scheme} benchmark={args.benchmark} "
-          f"fault={args.fault} level={args.level} trials={args.trials}")
+    print(
+        f"scheme={args.scheme} benchmark={args.benchmark} "
+        f"fault={args.fault} level={args.level} trials={args.trials}"
+    )
     for outcome in Outcome:
-        print(f"{outcome.value:>10s}: {counts[outcome]:4d} "
-              f"({result.rate(outcome):6.1%})")
+        print(
+            f"{outcome.value:>10s}: {counts[outcome]:4d} ({result.rate(outcome):6.1%})"
+        )
     if result.failures:
-        print(f"{'failed':>10s}: {result.failed:4d} "
-              f"(abandoned after retries)")
+        print(f"{'failed':>10s}: {result.failed:4d} (abandoned after retries)")
         for failure in result.failures:
-            print(f"            trial {failure.trial_index} "
-                  f"[{failure.kind} x{failure.attempts}]: {failure.message}")
+            print(
+                f"            trial {failure.trial_index} "
+                f"[{failure.kind} x{failure.attempts}]: {failure.message}"
+            )
     emit_json(args.json, _summary_payload(args, result))
     emit_metrics(args.emit_metrics, registry)
     return resolve_exit(partial=not result.complete)

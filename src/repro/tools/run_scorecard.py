@@ -32,7 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grade every reproduced paper claim in one run.",
     )
     parser.add_argument(
-        "--references", "-n", type=int, default=20_000,
+        "--references",
+        "-n",
+        type=int,
+        default=20_000,
         help="trace length per benchmark (default: %(default)s)",
     )
     parser.add_argument("--seed", type=int, default=0)
@@ -51,23 +54,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as exc:
         return fail(f"scorecard failed: {exc}")
     print(card.to_text())
-    emit_json(args.json, {
-        "references": args.references,
-        "seed": args.seed,
-        "passed": card.passed,
-        "pass_count": card.pass_count,
-        "claim_count": len(card.claims),
-        "claims": [
-            {
-                "section": c.section,
-                "statement": c.statement,
-                "expected": c.expected,
-                "measured": c.measured,
-                "passed": c.passed,
-            }
-            for c in card.claims
-        ],
-    })
+    emit_json(
+        args.json,
+        {
+            "references": args.references,
+            "seed": args.seed,
+            "passed": card.passed,
+            "pass_count": card.pass_count,
+            "claim_count": len(card.claims),
+            "claims": [
+                {
+                    "section": c.section,
+                    "statement": c.statement,
+                    "expected": c.expected,
+                    "measured": c.measured,
+                    "passed": c.passed,
+                }
+                for c in card.claims
+            ],
+        },
+    )
     if not card.passed:
         print("scorecard has failing claims", file=sys.stderr)
     return resolve_exit(partial=not card.passed)

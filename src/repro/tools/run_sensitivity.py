@@ -39,25 +39,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("sweep", choices=SWEEPS)
     parser.add_argument(
-        "--references", "-n", type=int, default=20_000,
+        "--references",
+        "-n",
+        type=int,
+        default=20_000,
         help="trace length for simulation-backed sweeps (default: %(default)s)",
     )
     parser.add_argument(
-        "--benchmark", choices=benchmark_names(), default="gcc",
+        "--benchmark",
+        choices=benchmark_names(),
+        default="gcc",
         help="workload for the L1-size sweep (default: gcc)",
     )
     parser.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
+        "--jobs",
+        "-j",
+        type=int,
+        default=None,
+        metavar="N",
         help="run simulation-backed sweep rows on N worker subprocesses",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
         help="per-row wall-clock budget when --jobs is given",
     )
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries",
+        type=int,
+        default=None,
+        metavar="N",
         help="extra attempts for crashed/timed-out rows when --jobs is "
-             "given (default: 2)",
+        "given (default: 2)",
     )
     add_json_argument(parser)
     return parser
@@ -75,18 +90,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     selected = []
     if args.sweep in ("l1-size", "all"):
         selected.append(
-            ("l1-size",
-             lambda runtime: sweep_l1_size(
-                 benchmark=args.benchmark, n_references=args.references,
-                 runtime=runtime,
-             ))
+            (
+                "l1-size",
+                lambda runtime: sweep_l1_size(
+                    benchmark=args.benchmark,
+                    n_references=args.references,
+                    runtime=runtime,
+                ),
+            )
         )
     if args.sweep in ("seu-rate", "all"):
         selected.append(("seu-rate", lambda runtime: sweep_seu_rate()))
     if args.sweep in ("interleaving", "all"):
-        selected.append(
-            ("interleaving", lambda runtime: sweep_interleaving())
-        )
+        selected.append(("interleaving", lambda runtime: sweep_interleaving()))
 
     retry = (
         RetryPolicy(max_attempts=args.retries + 1)
@@ -114,13 +130,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if runtime is not None:
             runtime.close()
 
-    emit_json(args.json, {
-        "sweeps": {
-            name: {"headers": r.headers, "rows": r.rows, "title": r.title}
-            for name, r in results.items()
+    emit_json(
+        args.json,
+        {
+            "sweeps": {
+                name: {"headers": r.headers, "rows": r.rows, "title": r.title}
+                for name, r in results.items()
+            },
+            "errors": errors,
         },
-        "errors": errors,
-    })
+    )
     if not results:
         return fail("every requested sweep failed")
     return resolve_exit(partial=bool(errors))

@@ -33,9 +33,7 @@ def canonical_json(payload: dict) -> str:
 
 def line_checksum(payload: dict) -> str:
     """Content checksum of one record (sha256 prefix of its canonical form)."""
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")
-    ).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()[:16]
 
 
 def read_checked_lines(

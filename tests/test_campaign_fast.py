@@ -10,9 +10,12 @@ warm engines (batch for CPPC, scalar for everything else), and pin down
 who builds the warm state and the configuration guard rails.
 """
 
+import collections
 import gc
 import hashlib
+import itertools
 import json
+import pickle
 import weakref
 
 import pytest
@@ -796,6 +799,152 @@ class TestTrialFootprint:
         assert outcome in {t.outcome.value for t in result.trials}
         assert len(refs) == 5 * config.trials
         assert alive == 0
+
+
+def at_fork_point(state, hierarchy):
+    """Whether ``hierarchy`` holds ``state``'s warm snapshot, down to the
+    blank tags, data and check words of its invalid lines and main
+    memory's block order, with no observer attached."""
+    snapshot = state.snapshot
+    return (
+        snapshot_hierarchy(hierarchy) == snapshot
+        and all(
+            (cache._tags, cache._data, cache._check, cache._obs)
+            == (snap.tags, snap.data, snap.check, None)
+            for cache, snap in zip(hierarchy.levels(), snapshot.caches)
+        )
+        and list(hierarchy.memory._blocks) == list(snapshot.memory.blocks)
+    )
+
+
+class TestForkRecycling:
+    """A finished trial hands its hierarchy back to the warm state
+    (``WarmState.release``), and the next fork resets it over the sets
+    the trial may have changed: no state leaks from one trial into the
+    next."""
+
+    TRIALS = 2
+    FAULTS = {
+        "temporal": dict(fault_kind="temporal"),
+        "dirty-only": dict(fault_kind="temporal", dirty_only=True),
+        "spatial": dict(fault_kind="spatial", spatial_shape=(8, 8)),
+    }
+    #: How trials end across the sweep: untouched, rejoined with and
+    #: without flips the suffix never reads, replayed through the whole
+    #: flush, and every outcome.
+    ENDINGS = {
+        "skipped",
+        "rejoined",
+        "rejoined+inert",
+        "replayed+flush",
+        "benign",
+        "corrected",
+        "due",
+        "sdc",
+    }
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """Run every campaign through ``FaultCampaign.run`` on a warm state
+        the test keeps, checking each fork, the one after the last trial
+        included; returns ``(forks, endings, mismatches)``."""
+        forks, endings, mismatches, inert = [], collections.Counter(), [], []
+        fork = warmstate_mod.WarmState.fork
+        rejoins_at = warmstate_mod.GoldenRecord.rejoins_at
+        classify = FaultCampaign._classify_trial_fast
+
+        def checked_fork(self):
+            hierarchy, golden, replayer = fork(self)
+            forks.append((label, at_fork_point(self, hierarchy)))
+            return hierarchy, golden, replayer
+
+        def rejoin(self, *args):
+            flips = rejoins_at(self, *args)
+            inert.append(bool(flips))
+            return flips
+
+        def ending(self, trial, warm):
+            inert.clear()
+            run = classify(self, trial, warm)
+            path = run.settled + "+inert" * any(inert) + "+flush" * run.flushed
+            endings.update([path, run.result.outcome.value])
+            return run
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(warmstate_mod.WarmState, "fork", checked_fork)
+            patch.setattr(warmstate_mod.GoldenRecord, "rejoins_at", rejoin)
+            patch.setattr(FaultCampaign, "_classify_trial_fast", ending)
+            for scheme, level, fault in itertools.product(
+                ("cppc", "parity", "secded", "twod", "none"), ("L1D", "L2"), self.FAULTS
+            ):
+                label = f"{scheme}-{level}-{fault}"
+                config = shared_config(
+                    scheme_factory=scheme_factory(scheme),
+                    benchmark="mcf",
+                    trials=self.TRIALS,
+                    warmup_references=600,
+                    post_fault_references=150,
+                    target_level=level,
+                    seed=1,
+                    **self.FAULTS[fault],
+                )
+                state = build_warm_state(config)
+                patch.setattr(warmstate_mod, "build_warm_state", lambda _: state)
+                campaign = FaultCampaign(config)
+                fast = campaign.run()
+                state.fork()
+                legacy = campaign.run_scalar()
+                mismatches += [
+                    f"{label}: {problem}"
+                    for problem in trial_mismatches(fast.trials, legacy.trials)
+                ]
+        return forks, endings, mismatches
+
+    def test_every_fork_starts_at_the_warm_snapshot(self, sweep):
+        forks, _endings, _mismatches = sweep
+        # Five schemes, two levels, three faults: one fork per trial and
+        # one after the last.
+        assert len(forks) == 5 * 2 * 3 * (self.TRIALS + 1)
+        assert [label for label, clean in forks if not clean] == []
+
+    def test_recycled_forks_match_the_scalar_reference(self, sweep):
+        _forks, endings, mismatches = sweep
+        assert mismatches == []
+        assert self.ENDINGS <= set(endings)
+
+    def test_forks_held_at_once_are_independent(self):
+        state = build_warm_state(shared_config(trials=1))
+        first, _golden, _replayer = state.fork()
+        second, _golden, _replayer = state.fork()
+        assert second is not first
+        state.release(first, None)
+        recycled, _golden, replayer = state.fork()
+        assert recycled is first
+        held, _golden, _replayer = state.fork()
+        assert held is not recycled and held is not second
+        for ours, theirs in zip(recycled.levels(), held.levels()):
+            assert ours is not theirs and ours.protection is not theirs.protection
+            assert ours._data is not theirs._data
+        for record in state.suffix_records:
+            assert not replayer.step(record)
+        recycled.flush()
+        assert not at_fork_point(state, recycled)
+        assert at_fork_point(state, held)
+        # One hierarchy is kept: the last one released.
+        state.release(held, [(), ()])
+        state.release(recycled, None)
+        assert state.fork()[0] is recycled
+        assert state.fork()[0] is not held
+
+    def test_pickled_state_carries_no_hierarchy(self):
+        state = build_warm_state(shared_config(trials=1))
+        before = pickle.dumps(state)
+        hierarchy, _golden, _replayer = state.fork()
+        state.release(hierarchy, None)
+        after = pickle.dumps(state)
+        assert after == before
+        assert b"MemoryHierarchy" not in after
+        assert pickle.loads(after).fork()[0] is not hierarchy
 
 
 def _trial_digest(result):

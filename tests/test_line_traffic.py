@@ -199,6 +199,8 @@ class TestMatchesPerEventReplay:
         )
         l2 = engine_for(hierarchy.l2).replay(l1.traffic)
         assert l1.cache == snapshot_cache(hierarchy.l1d)
+        # The L1's write-backs are the L2's traffic, not a memory image.
+        assert l1.memory is None
         assert l2.cache == snapshot_cache(hierarchy.l2)
         assert l2.memory == snapshot_memory(hierarchy.memory)
         assert list(l2.memory.blocks) == list(hierarchy.memory._blocks)

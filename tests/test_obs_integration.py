@@ -72,9 +72,7 @@ class TestSnapshotRoundTrip:
             cache.store(i * 8, bytes([i]) * 8, cycle=float(i * 3 + 1))
             cache.load((i // 2) * 8, 8, cycle=float(i * 3 + 2))
         snap = cache.stats.snapshot()
-        store = CheckpointStore(
-            tmp_path / "ckpt", config_digest="b" * 64, resume=False
-        )
+        store = CheckpointStore(tmp_path / "ckpt", config_digest="b" * 64, resume=False)
         store.record(0, 42, "result", snap)
         store.close()
         reloaded = CheckpointStore(
@@ -159,9 +157,7 @@ class TestCampaignWithSink:
         assert {e["args"]["outcome"] for e in trial_spans} == {
             t.outcome.value for t in baseline.trials
         }
-        assert any(
-            e["cat"] == "campaign" and e["name"] == "inject" for e in events
-        )
+        assert any(e["cat"] == "campaign" and e["name"] == "inject" for e in events)
         assert any(e["cat"] == "cache" for e in events)
 
     def test_campaign_metrics_export(self):

@@ -111,13 +111,9 @@ class TestResume:
 
     def test_resume_with_full_checkpoint_runs_nothing(self, tmp_path):
         config = small_config(trials=3)
-        with CampaignRuntime(
-            jobs=1, checkpoint_dir=tmp_path / "ckpt"
-        ) as runtime:
+        with CampaignRuntime(jobs=1, checkpoint_dir=tmp_path / "ckpt") as runtime:
             first = FaultCampaign(config).run(runtime=runtime)
-        runtime = CampaignRuntime(
-            jobs=1, checkpoint_dir=tmp_path / "ckpt", resume=True
-        )
+        runtime = CampaignRuntime(jobs=1, checkpoint_dir=tmp_path / "ckpt", resume=True)
         # No executor should even be needed: every trial is recorded.
         resumed = FaultCampaign(config).run(runtime=runtime)
         assert runtime._executor is None
@@ -129,9 +125,7 @@ class TestResume:
 
     def test_resume_rejects_foreign_seeds(self, tmp_path):
         config = small_config(trials=3)
-        with CampaignRuntime(
-            jobs=1, checkpoint_dir=tmp_path / "ckpt"
-        ) as runtime:
+        with CampaignRuntime(jobs=1, checkpoint_dir=tmp_path / "ckpt") as runtime:
             FaultCampaign(config).run(runtime=runtime)
         # Rewrite every record under the same digest but a wrong seed.
         log = next((tmp_path / "ckpt").glob("*/trials.jsonl"))
@@ -144,9 +138,7 @@ class TestResume:
             record = json.loads(line)
             record.pop("crc")
             record["seed"] = record["seed"] ^ 1
-            doctored.append(
-                json.dumps({**record, "crc": _checksum(record)})
-            )
+            doctored.append(json.dumps({**record, "crc": _checksum(record)}))
         log.write_text("\n".join(doctored) + "\n")
         with CampaignRuntime(
             jobs=1, checkpoint_dir=tmp_path / "ckpt", resume=True
@@ -157,9 +149,7 @@ class TestResume:
     def test_checkpoint_dirs_nest_by_config_digest(self, tmp_path):
         config_a = small_config(trials=3, seed=0)
         config_b = small_config(trials=3, seed=1)
-        with CampaignRuntime(
-            jobs=1, checkpoint_dir=tmp_path / "ckpt"
-        ) as runtime:
+        with CampaignRuntime(jobs=1, checkpoint_dir=tmp_path / "ckpt") as runtime:
             FaultCampaign(config_a).run(runtime=runtime)
             FaultCampaign(config_b).run(runtime=runtime)
         subdirs = {p.name for p in (tmp_path / "ckpt").iterdir()}
@@ -174,9 +164,7 @@ class TestGracefulDegradation:
         # Long warmup keeps one trial far above the 50ms budget.
         config = small_config(trials=2, warmup_references=20000)
         retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
-        with CampaignRuntime(
-            jobs=1, timeout_s=0.05, retry=retry
-        ) as runtime:
+        with CampaignRuntime(jobs=1, timeout_s=0.05, retry=retry) as runtime:
             result = FaultCampaign(config).run(runtime=runtime)
         assert result.trials == []
         assert len(result.failures) == 2
@@ -191,19 +179,17 @@ class TestGracefulDegradation:
         config = small_config(trials=2, warmup_references=20000)
         retry = RetryPolicy(max_attempts=1)
         with CampaignRuntime(
-            jobs=1, timeout_s=0.05, retry=retry,
+            jobs=1,
+            timeout_s=0.05,
+            retry=retry,
             checkpoint_dir=tmp_path / "ckpt",
         ) as runtime:
             first = FaultCampaign(config).run(runtime=runtime)
         assert first.failed == 2
-        runtime = CampaignRuntime(
-            jobs=1, checkpoint_dir=tmp_path / "ckpt", resume=True
-        )
+        runtime = CampaignRuntime(jobs=1, checkpoint_dir=tmp_path / "ckpt", resume=True)
         resumed = FaultCampaign(config).run(runtime=runtime)
         assert runtime._executor is None  # failures count as recorded
-        assert [vars(f) for f in resumed.failures] == [
-            vars(f) for f in first.failures
-        ]
+        assert [vars(f) for f in resumed.failures] == [vars(f) for f in first.failures]
 
 
 class TestStructuredErrors:
@@ -215,9 +201,7 @@ class TestStructuredErrors:
         assert clone.seed == 123
         assert "died" in str(clone)
 
-        timeout = TrialTimeoutError(
-            "too slow", trial_index=2, seed=5, timeout_s=1.5
-        )
+        timeout = TrialTimeoutError("too slow", trial_index=2, seed=5, timeout_s=1.5)
         clone = pickle.loads(pickle.dumps(timeout))
         assert clone.timeout_s == 1.5
         assert clone.trial_index == 2

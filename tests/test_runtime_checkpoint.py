@@ -303,9 +303,7 @@ class TestCampaignDigest:
         assert campaign_digest(self.config(trials=6)) != base
         assert campaign_digest(self.config(benchmark="gcc")) != base
         assert (
-            campaign_digest(
-                self.config(scheme_factory=scheme_factory("parity"))
-            )
+            campaign_digest(self.config(scheme_factory=scheme_factory("parity")))
             != base
         )
 

@@ -56,9 +56,7 @@ class TestRetryPolicy:
 class TestHappyPath:
     def test_reports_ordered_like_tasks(self):
         with TrialExecutor(jobs=2) as executor:
-            reports = executor.run(
-                make_tasks(hooks.echo, [(i,) for i in range(6)])
-            )
+            reports = executor.run(make_tasks(hooks.echo, [(i,) for i in range(6)]))
         assert [r.index for r in reports] == list(range(6))
         assert [r.value for r in reports] == list(range(6))
         assert all(r.ok and r.attempts == 1 for r in reports)
@@ -102,9 +100,7 @@ class TestTimeouts:
     def test_lane_recovers_after_timeout_kill(self):
         retry = RetryPolicy(max_attempts=1)
         with TrialExecutor(jobs=1, timeout_s=1.0, retry=retry) as executor:
-            first = executor.run(
-                [TrialTask(index=0, seed=1, fn=hooks.hang, args=())]
-            )
+            first = executor.run([TrialTask(index=0, seed=1, fn=hooks.hang, args=())])
             second = executor.run(
                 [TrialTask(index=0, seed=2, fn=hooks.echo, args=(42,))]
             )
@@ -181,9 +177,7 @@ class TestCrashes:
 
 
 class TestPreloadWarmupTimeout:
-    def test_slow_preload_blows_warmup_and_retry_recovers(
-        self, tmp_path, monkeypatch
-    ):
+    def test_slow_preload_blows_warmup_and_retry_recovers(self, tmp_path, monkeypatch):
         # The preload sleeps far past the (patched) lane warmup budget on
         # its first run only; the timeout kills the lane, and the rebuilt
         # lane's re-shipped preload returns instantly, so the trial
@@ -193,9 +187,7 @@ class TestPreloadWarmupTimeout:
         monkeypatch.setattr(executor_module, "WARMUP_TIMEOUT_S", 3.0)
         retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
         with TrialExecutor(jobs=1, retry=retry, sleep=no_sleep) as executor:
-            executor.add_preload(
-                hooks.slow_once, str(tmp_path / "marks"), 30.0
-            )
+            executor.add_preload(hooks.slow_once, str(tmp_path / "marks"), 30.0)
             reports = executor.run(
                 [TrialTask(index=0, seed=1, fn=hooks.echo, args=("ok",))]
             )

@@ -95,7 +95,5 @@ class TestScrubbedTrialDeterminism:
         schedule, never from hidden state."""
         sparse = [run_trial(s, scrub_interval=256) for s in range(4)]
         dense = [run_trial(s, scrub_interval=16) for s in range(4)]
-        assert sparse == [
-            run_trial(s, scrub_interval=256) for s in range(4)
-        ]
+        assert sparse == [run_trial(s, scrub_interval=256) for s in range(4)]
         assert dense == [run_trial(s, scrub_interval=16) for s in range(4)]

@@ -18,6 +18,7 @@ from repro.memsim import (
     restore_hierarchy,
     snapshot_hierarchy,
 )
+from repro.memsim import snapshot
 from repro.memsim.snapshot import apply_delta, diff_hierarchy, same_state
 from repro.workloads import make_workload, materialize
 from repro.workloads.replay import TraceReplayer
@@ -267,6 +268,44 @@ class TestDelta:
         assert not changed(bump_stats)
         for edit in (flip_unit, swap_order, bump_register, write_memory, tick):
             assert changed(edit), edit.__name__
+
+
+class TestRestoreSets:
+    """``restore_hierarchy(..., sets=...)`` resets a hierarchy restored
+    from a snapshot over the sets a run changed since."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("scheme", ("cppc", "twod", "secded"))
+    def test_restoring_the_sets_reached_undoes_a_run(self, scheme, policy):
+        records = _trace("mcf", (scheme, policy, "sets"), 1150)
+        original = _fresh(scheme, policy)
+        TraceReplayer(original).run(records[:1000])
+        base = snapshot_hierarchy(original)
+        hierarchy = _fresh(scheme, policy)
+        restore_hierarchy(base, hierarchy)
+        reached = _SetsReached(hierarchy)
+        hierarchy.set_observer(reached)
+        TraceReplayer(hierarchy, start_cycle=1000).run(records[1000:])
+        hierarchy.set_observer(None)
+        sets = reached.take()
+        changed = diff_hierarchy(base, hierarchy, sets).caches[1]
+        assert changed.lines
+
+        # The L2's reached sets are few enough to restore one run at a
+        # time, so a changed set left out keeps its change.
+        l2 = hierarchy.l2
+        missed = changed.lines[0][0] // l2.ways
+        assert snapshot._set_runs(sets[1], l2.num_sets) is not None
+        restore_hierarchy(base, hierarchy, sets=[sets[0], sets[1] - {missed}])
+        assert snapshot_hierarchy(hierarchy) != base
+        restore_hierarchy(base, hierarchy, sets=[(), {missed}])
+        assert snapshot_hierarchy(hierarchy) == base
+        assert list(hierarchy.memory._blocks) == list(base.memory.blocks)
+
+    def test_dense_sets_restore_the_whole_level(self):
+        runs = snapshot._set_runs({5, 6, 7, 9, 20}, 512)
+        assert runs == [[5, 8], [9, 10], [20, 21]]
+        assert snapshot._set_runs(range(0, 512, 2), 512) is None
 
 
 class TestValidation:

@@ -79,9 +79,7 @@ class TestTimeEventsFast:
         ]
         columns = EventColumns.from_events(events)
         policy = TIMING_POLICIES["cppc"]()
-        assert time_events_fast(columns, policy) == time_events_fast(
-            events, policy
-        )
+        assert time_events_fast(columns, policy) == time_events_fast(events, policy)
 
     def test_saturating_store_burst(self):
         # Pins the backlog to the cap rail, then drains to the zero
