@@ -36,13 +36,10 @@ from ..errors import (
 from ..memsim.cache import Cache
 from ..memsim.hierarchy import MemoryHierarchy
 from ..memsim.protection import CacheProtection
-from ..memsim.snapshot import restore_hierarchy
-from ..memsim.types import UnitLocation
 from ..util.rng import split_seed
 from ..workloads.replay import GoldenMemory, TraceReplayer
-from ..workloads.spec import make_workload
+from ..workloads.spec import get_profile, make_workload
 from .injector import FaultInjector, InjectionRecord
-from .models import BitFlip
 
 
 class Outcome(enum.Enum):
@@ -91,6 +88,9 @@ class CampaignConfig:
     shared_warmup: bool = False
 
     def __post_init__(self):
+        # Raises ConfigurationError naming the known benchmarks, so an
+        # unknown one fails here, not as a crash in every trial.
+        get_profile(self.benchmark)
         if self.fault_kind not in ("temporal", "spatial"):
             raise ConfigurationError(
                 f"fault_kind must be 'temporal' or 'spatial', got {self.fault_kind}"
@@ -480,324 +480,108 @@ class FaultCampaign:
 
     def _classify_trial(self, trial: int) -> TrialRun:
         """The scalar reference: warm a fresh hierarchy on the trial's own
-        trace, then inject, replay the whole suffix and flush."""
+        trace, inject, replay the whole suffix, run the whole flush and
+        classify."""
         cfg = self.config
         obs = self._obs_or_none()
         hierarchy = MemoryHierarchy(protection_factory=cfg.scheme_factory)
         if obs is not None:
             hierarchy.set_observer(obs)
         golden = GoldenMemory()
-        replayer = TraceReplayer(
-            hierarchy, golden=golden, check_loads=True
-        )
+        replayer = TraceReplayer(hierarchy, golden=golden, check_loads=True)
         workload = make_workload(cfg.benchmark, seed=cfg.workload_seed(trial))
-        records = workload.records(
-            cfg.warmup_references + cfg.post_fault_references
-        )
-        warmup = itertools.islice(records, cfg.warmup_references)
-
+        records = workload.records(cfg.warmup_references + cfg.post_fault_references)
         try:
-            for record in warmup:
+            for record in itertools.islice(records, cfg.warmup_references):
                 if replayer.step(record):
                     return TrialRun(
-                        TrialResult(
-                            outcome=Outcome.SDC, detail="mismatch before injection"
-                        )
+                        TrialResult(Outcome.SDC, detail="mismatch before injection")
                     )
         except UncorrectableError as exc:
-            return TrialRun(
-                TrialResult(outcome=Outcome.DUE, detail=f"warmup: {exc}")
-            )
+            return TrialRun(TrialResult(Outcome.DUE, detail=f"warmup: {exc}"))
 
-        run, _changed = self._finish_trial(trial, hierarchy, golden, replayer, records)
-        return run
-
-    def _classify_trial_fast(self, trial: int, warm) -> TrialRun:
-        """Fork the campaign's warm state ``warm`` and simulate only what
-        the fault can change.
-
-        Bit-identical to :meth:`_classify_trial` under ``shared_warmup``:
-        the restored hierarchy, golden image and cycle clock match the
-        warmed-up originals exactly, and the injection RNG depends only
-        on ``(seed, trial)`` plus the (identical) resident cache state.
-        The warm state's :class:`~repro.faults.warmstate.GoldenRecord`
-        then settles the trial by the cheapest exact path
-        (:meth:`_finish_trial`): every trial resumes at the golden
-        checkpoint before its first touch, one the suffix never touches
-        at the golden pre-flush state, where it drains only its struck
-        lines, and any other trial replays from there and is classified
-        where its state rejoins the golden one.
-
-        The trial then hands its hierarchy back to ``warm``
-        (:meth:`~repro.faults.warmstate.WarmState.release`) with the sets
-        it may have changed, for the next fork to reset and reuse; one
-        that raises drops it.
-
-        The observer, if any, sees injection/classification events but
-        not the warmup prefix (simulated once, not per trial), nor the
-        suffix steps or the part of the flush a trial skips.
-        """
-        hierarchy, golden, replayer = warm.fork()
-        obs = self._obs_or_none()
-        if obs is not None:
-            hierarchy.set_observer(obs)
-        run, changed = self._finish_trial(
-            trial,
-            hierarchy,
-            golden,
-            replayer,
-            warm.suffix_records,
-            warm.golden_record,
-        )
-        warm.release(hierarchy, changed)
-        return run
-
-    def _finish_trial(
-        self, trial: int, hierarchy, golden, replayer, records, golden_record=None
-    ) -> Tuple[TrialRun, Optional[List[set]]]:
-        """Inject into a warmed-up hierarchy, replay the suffix, classify.
-
-        ``records`` yields the post-warmup suffix only — the shared tail
-        of the legacy and snapshot-fork paths.  ``golden_record`` (the
-        fork's :class:`~repro.faults.warmstate.GoldenRecord`, None for
-        the scalar reference) lets the trial skip what its fault cannot
-        change.  The fork resumes at the golden run's last checkpoint
-        before the first touch of a struck unit
-        (:meth:`~repro.faults.warmstate.GoldenRecord.checkpoints_for`,
-        :meth:`~repro.faults.warmstate.GoldenRecord.resume`), and then:
-
-        * a trial whose struck units the suffix never touches resumed at
-          the end of the suffix, in the golden pre-flush state with its
-          flips, which equals replaying the suffix: it is ``skipped``;
-        * any other trial replays from its checkpoint.  If its state
-          equals the golden one up to statistics at the first checkpoint
-          after the last touch of a struck unit, or at the end of the
-          suffix (:meth:`~repro.faults.warmstate.GoldenRecord.rejoins_at`),
-          the rest of the suffix and the flush would repeat the golden
-          run's, which loads correct data, leaves memory correct and
-          detects nothing: the trial is CORRECTED when its target's
-          ``detected_faults`` rose and BENIGN otherwise, exactly what
-          the flush would conclude.  Only this classification reads the
-          statistics the comparison leaves out.  If it equals the golden
-          state only up to flips in struck units the suffix never
-          touches, it is restored to the warm snapshot, flipped there
-          again and resumed at the end of the suffix, like an untouched
-          trial, a detection in the suffix counting toward CORRECTED.
-
-        A trial in the golden pre-flush state with flips settles the
-        flush at its struck lines (:func:`_flush_struck_lines`) if the
-        golden flush was clean and no upper level's drain touches a
-        struck unit
-        (:meth:`~repro.faults.warmstate.GoldenRecord.settles_flush`);
-        every other trial runs the whole flush.
-
-        Returns the trial and, for a fork, the sets per level where its
-        hierarchy may now differ from the warm snapshot
-        (:meth:`~repro.faults.warmstate.GoldenRecord.changed_sets`), or
-        None where it may differ anywhere: after the whole flush, a DUE
-        or a replay without the golden record.
-        """
-        cfg = self.config
-        obs = self._obs_or_none()
-        target = hierarchy.l1d if cfg.target_level == "L1D" else hierarchy.l2
-        injector = FaultInjector(target, seed=(cfg.seed, trial))
-        injection = self._inject(injector)
-        if injection is None or not injection.flips:
-            run = TrialRun(
-                TrialResult(outcome=Outcome.BENIGN, detail="no resident target"),
-                "replayed" if golden_record is None else "skipped",
-            )
-            return run, [()] * len(hierarchy.levels())
-        if obs is not None:
-            obs.emit(
-                "campaign",
-                "inject",
-                {
-                    "trial": trial,
-                    "level": cfg.target_level,
-                    "kind": cfg.fault_kind,
-                    "bits": injection.total_bits,
-                    "units": len(injection.touched_units),
-                },
-            )
-
-        detected_before = target.stats.detected_faults
-        replayed_from = replayer.result.references
-        struck = injection.touched_units
-        path = "replayed"
+        target, injection = inject_trial_fault(hierarchy, cfg, trial, obs)
+        if injection is None:
+            return TrialRun(TrialResult(Outcome.BENIGN, detail="no resident target"))
+        before = target.stats.detected_faults
+        warmed = replayer.result.references
         flushed = False
-        # The flips a struck-line settle of the flush evicts, if any.
-        inert = None
-        detected_in_suffix = False
-        # The golden checkpoint the fork last resumed at, and the sets
-        # its own replay reached since the first.
-        resumed = recorder = None
-        # The flips whose lines the flush was settled at.
-        flush_settled = []
-
-        def changed() -> List[set]:
-            return golden_record.changed_sets(
-                hierarchy,
-                resumed,
-                recorder.reached(hierarchy),
-                target,
-                struck,
-                [flip.loc for flip in flush_settled],
-            )
-
-        def settle(outcome, detail="") -> Tuple[TrialRun, Optional[List[set]]]:
-            run = TrialRun(
-                TrialResult(
-                    outcome=outcome,
-                    injected_bits=injection.total_bits,
-                    touched_units=len(struck),
-                    detail=detail,
-                ),
-                path,
-                replayer.result.references - replayed_from,
-                flushed,
-            )
-            if recorder is None or flushed or outcome is Outcome.DUE:
-                return run, None
-            return run, changed()
-
-        def classify() -> Tuple[TrialRun, Optional[List[set]]]:
-            """CORRECTED when the target detected a fault, else BENIGN."""
-            detected = target.stats.detected_faults > detected_before
-            return settle(
-                Outcome.CORRECTED
-                if detected or detected_in_suffix
-                else Outcome.BENIGN
-            )
-
-        def replay(part) -> bool:
-            """Replay ``part``; True when a load returned corrupted data."""
-            return any(replayer.step(record) for record in part)
-
         try:
-            if golden_record is None:
-                if replay(records):  # the remaining post-fault slice
-                    return settle(Outcome.SDC, "load returned corrupted data")
-            else:
-                from .warmstate import SetRecorder
-
-                start, checks = golden_record.checkpoints_for(target, struck)
-                end = golden_record.checkpoints[-1]
-                golden_record.resume(start, hierarchy, golden, replayer)
-                resumed = start
-                recorder = SetRecorder(hierarchy, obs)
-                hierarchy.set_observer(recorder)
-                try:
-                    step = start.step
-                    for check in checks:
-                        if replay(records[step : check.step]):
-                            return settle(Outcome.SDC, "load returned corrupted data")
-                        step = check.step
-                        inert = golden_record.rejoins_at(
-                            start,
-                            check,
-                            hierarchy,
-                            recorder.reached(hierarchy),
-                            target,
-                            injection.flips,
-                        )
-                        if inert is not None:
-                            break
-                    else:
-                        if replay(records[step:]):
-                            return settle(Outcome.SDC, "load returned corrupted data")
-                finally:
-                    hierarchy.set_observer(obs)
-                if start is end:
-                    path = "skipped"
-                    inert = injection.flips
-                elif inert is not None:
-                    path = "rejoined"
-                    if not inert:
-                        return classify()
-                    detected_in_suffix = target.stats.detected_faults > detected_before
-                    restore_hierarchy(golden_record.base, hierarchy, sets=changed())
-                    for flip in inert:
-                        target.corrupt_data(flip.loc, flip.mask)
-                    golden_record.resume(end, hierarchy, golden, replayer)
-                    resumed = end
-            if inert is not None and golden_record.settles_flush(
-                target, [flip.loc for flip in inert]
-            ):
-                flush_settled = inert
-                addr = _flush_struck_lines(target, inert, golden)
+            if any(replayer.step(record) for record in records):
+                outcome, detail = Outcome.SDC, "load returned corrupted data"
             else:
                 flushed = True
                 hierarchy.flush()
-                addr = hierarchy.memory.first_mismatch(golden.items())
+                outcome, detail = settled_outcome(
+                    target.stats.detected_faults > before,
+                    hierarchy.memory.first_mismatch(golden.items()),
+                )
         except UncorrectableError as exc:
-            return settle(Outcome.DUE, str(exc))
+            outcome, detail = Outcome.DUE, str(exc)
+        return TrialRun(
+            TrialResult(outcome, injection.total_bits, len(injection.flips), detail),
+            "replayed",
+            replayer.result.references - warmed,
+            flushed,
+        )
 
-        if addr is not None:
-            return settle(Outcome.SDC, f"latent corruption at {addr:#x} after flush")
-        return classify()
-
-    def _inject(self, injector: FaultInjector) -> Optional[InjectionRecord]:
-        cfg = self.config
-        if cfg.fault_kind == "temporal":
-            return injector.random_temporal(dirty_only=cfg.dirty_only)
-        height, width = cfg.spatial_shape
-        return injector.random_spatial(height=height, width=width)
+    def _classify_trial_fast(self, trial: int, warm) -> TrialRun:
+        """Run the trial on a fork of the campaign's warm state ``warm``
+        (:meth:`WarmState.run_trial
+        <repro.faults.warmstate.WarmState.run_trial>`), which simulates
+        only what the fault can change and is bit-identical to
+        :meth:`_classify_trial` under ``shared_warmup``."""
+        return warm.run_trial(trial, self._obs_or_none())
 
 
-def _flush_struck_lines(
-    target: Cache, flips: Sequence[BitFlip], golden: GoldenMemory
-) -> Optional[int]:
-    """Settle a trial's flush at the lines ``flips`` strike: the first
-    golden-image address the flush would leave corrupted, or None.
+def inject_trial_fault(
+    hierarchy: MemoryHierarchy, config: CampaignConfig, trial: int, obs=None
+) -> Tuple[Cache, Optional[InjectionRecord]]:
+    """Draw trial ``trial``'s fault and inject it into ``hierarchy``.
 
-    Evicts, in line order, the struck lines the target's own flush reads
-    (:meth:`Cache.flush_lines <repro.memsim.cache.Cache.flush_lines>`),
-    and nothing else.  That is exact when the trial's pre-flush state is
-    the golden one with ``flips`` (it skipped the suffix, or rejoined the
-    golden run up to these inert flips) and
-    :meth:`~repro.faults.warmstate.GoldenRecord.settles_flush` holds.
-    The whole flush is the golden drain until it reads a struck unit,
-    and from there on the eviction of a struck line reads the same state
-    however far the drain got: evicting or storing fault-free words
-    leaves CPPC's per-pair ``R1 ^ R2 ^ XOR(rotated dirty words)`` and
-    2-D parity's ``vertical ^ XOR(resident units)`` as they are, and a
-    refetch reads the next level's copy of the struck block, which no
-    earlier drain step changes.  So the struck lines raise the flush's
-    DUE, if any, and write back what the flush would.
-
-    The rest of the flush reads only fault-free units, as the clean
-    golden flush did, so it detects nothing more, and a written-back
-    block that differs from its golden bytes (its bytes before eviction
-    with the flips undone) reaches memory as it is.  Raises
-    :class:`~repro.errors.UncorrectableError` on a DUE.
+    Returns the struck level and the injection, None when it flipped
+    nothing (nothing was resident to strike).  The draw depends only on
+    ``(config.seed, trial)`` and the level's resident units.  Both
+    engines inject through this function, looked up on this module, so
+    a test that substitutes it here changes every trial of
+    :meth:`FaultCampaign.run` and :meth:`FaultCampaign.run_scalar`
+    alike.  ``obs``, a live trace sink or None, gets a ``campaign``
+    ``inject`` event.
     """
-    ways = target.ways
-    ub = target.unit_bytes
-    expected: Dict[int, bytearray] = {}
-    for flip in flips:
-        loc = flip.loc
-        line = loc.set_index * ways + loc.way
-        block = expected.get(line)
-        if block is None:
-            block = expected[line] = bytearray(target.line(loc.set_index, loc.way).data)
-        off = loc.unit_index * ub
-        value = int.from_bytes(block[off : off + ub], "big") ^ flip.mask
-        block[off : off + ub] = value.to_bytes(ub, "big")
-    corrupted = {
-        target.address_of(UnitLocation(*divmod(line, ways), 0)): block
-        for line, block in target.flush_lines(expected).items()
-        if block != expected[line]
-    }
-    if not corrupted:
-        return None
-    # What memory.first_mismatch would find, over these blocks only.
-    mask = target.block_bytes - 1
-    for addr, value in golden.items():
-        block = corrupted.get(addr & ~mask)
-        if block is not None and block[addr & mask] != value:
-            return addr
-    return None
+    target = hierarchy.l1d if config.target_level == "L1D" else hierarchy.l2
+    injector = FaultInjector(target, seed=(config.seed, trial))
+    if config.fault_kind == "temporal":
+        injection = injector.random_temporal(dirty_only=config.dirty_only)
+    else:
+        height, width = config.spatial_shape
+        injection = injector.random_spatial(height=height, width=width)
+    if injection is None or not injection.flips:
+        return target, None
+    if obs is not None:
+        obs.emit(
+            "campaign",
+            "inject",
+            {
+                "trial": trial,
+                "level": config.target_level,
+                "kind": config.fault_kind,
+                "bits": injection.total_bits,
+                "units": len(injection.flips),
+            },
+        )
+    return target, injection
+
+
+def settled_outcome(
+    detected: bool, latent: Optional[int] = None
+) -> Tuple[Outcome, str]:
+    """The outcome and detail of a trial that ended with no DUE and no
+    wrong load: SDC when its flush left memory off the golden image at
+    ``latent``, else CORRECTED when its target detected a fault and
+    BENIGN when not."""
+    if latent is not None:
+        return Outcome.SDC, f"latent corruption at {latent:#x} after flush"
+    return (Outcome.CORRECTED if detected else Outcome.BENIGN), ""
 
 
 def trial_mismatches(

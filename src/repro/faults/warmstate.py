@@ -54,8 +54,10 @@ whose state equals the golden run's at the first checkpoint after its
 last touch, or at the end, is classified there, without the rest of the
 suffix or the flush, or, when flips the suffix never reads are left,
 resumed at the end of the suffix with those flips and settled like an
-untouched trial
-(:meth:`~repro.faults.campaign.FaultCampaign._finish_trial`).
+untouched trial.  :meth:`WarmState.run_trial` runs a trial this way,
+from the fork to the hand-back; the golden pass raises
+:class:`~repro.errors.SimulationError` if the fault-free run it records
+is not clean, as every settle rests on it.
 
 Nothing here is memoized: a campaign owns its warm state.
 :meth:`FaultCampaign.run <repro.faults.campaign.FaultCampaign.run>`
@@ -71,7 +73,7 @@ from bisect import bisect_right
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..cppc.protection import CppcProtection
-from ..errors import UncorrectableError
+from ..errors import SimulationError, UncorrectableError
 from ..memsim.batch import BatchReplayEngine, BatchTrace
 from ..memsim.cache import Cache
 from ..memsim.hierarchy import MemoryHierarchy
@@ -90,7 +92,8 @@ from ..memsim.types import AccessType, UnitLocation
 from ..workloads.replay import GoldenMemory, TraceReplayer
 from ..workloads.spec import make_workload
 from ..workloads.trace import TraceRecord
-from .campaign import CampaignConfig
+from . import campaign
+from .campaign import CampaignConfig, Outcome, TrialResult, TrialRun, settled_outcome
 from .models import BitFlip
 
 
@@ -138,9 +141,6 @@ class GoldenRecord:
             A step touches a unit when it loads or stores any byte of
             it, or fills or evicts its line; a unit missing here keeps
             its warm state through the whole suffix.
-        flush_clean: whether the golden run's own flush detected nothing
-            and left memory equal to the golden image.  When it did not,
-            no trial skips its flush or any part of it.
         flush_touch: per cache level name, the unit slots an upper
             level's drain touches in the golden flush: the lower level's
             lines the upper level's write-backs store into, and the
@@ -154,10 +154,9 @@ class GoldenRecord:
     """
 
     first_touch: Dict[str, Dict[int, int]]
-    flush_clean: bool
-    flush_touch: Dict[str, FrozenSet[int]] = dataclasses.field(default_factory=dict)
-    base: Optional[HierarchySnapshot] = None
-    checkpoints: List[GoldenCheckpoint] = dataclasses.field(default_factory=list)
+    flush_touch: Dict[str, FrozenSet[int]]
+    base: HierarchySnapshot
+    checkpoints: List[GoldenCheckpoint]
 
     def changed_sets(
         self,
@@ -181,7 +180,7 @@ class GoldenRecord:
         ``reached``, the sets the trial's own loads and stores reached
         since its first resume; the struck units' sets; and, when the
         trial settled its flush at the struck lines at ``settled``
-        (:func:`~repro.faults.campaign._flush_struck_lines`), the next
+        (:func:`_flush_struck_lines`), the next
         level's sets their write-backs land in.  That holds for a trial
         that neither ran the whole flush nor raised a DUE, by the
         invariant :meth:`rejoins_at` rests on: a run changes lines and way
@@ -219,8 +218,7 @@ class GoldenRecord:
         the end of the suffix: it resumes at the last checkpoint, with
         nothing to replay and every flip inert.  Any other trial may
         rejoin at the first checkpoint after the last touch of a struck
-        unit and at the end of the suffix, or nowhere if the golden flush
-        was not clean.
+        unit and at the end of the suffix.
         """
         first = self.first_touch[cache.name]
         ways = cache.ways
@@ -232,7 +230,7 @@ class GoldenRecord:
         touched = [first[slot] for slot in slots if slot in first] or [end.step]
         stops = [checkpoint.step for checkpoint in self.checkpoints]
         start = self.checkpoints[bisect_right(stops, min(touched)) - 1]
-        if start is end or not self.flush_clean:
+        if start is end:
             return start, []
         checks = {bisect_right(stops, max(touched)), len(stops) - 1}
         return start, [self.checkpoints[i] for i in sorted(checks)]
@@ -351,18 +349,16 @@ class GoldenRecord:
     def settles_flush(self, cache: Cache, locs: Iterable[UnitLocation]) -> bool:
         """Whether a trial in the golden pre-flush state with flips in the
         units at ``locs`` of ``cache`` may settle its flush at their lines:
-        the golden flush was clean, and no upper level's drain touches
-        them.
+        no upper level's drain touches them.
 
         Until the drain reaches a struck line it is the golden drain,
         and what the eviction of a struck line reads does not depend on
-        how far the drain got
-        (:func:`~repro.faults.campaign._flush_struck_lines`).
+        how far the drain got (:func:`_flush_struck_lines`).
         """
         touched = self.flush_touch[cache.name]
         ways = cache.ways
         upb = cache.units_per_block
-        return self.flush_clean and not any(
+        return not any(
             (loc.set_index * ways + loc.way) * upb + loc.unit_index in touched
             for loc in locs
         )
@@ -473,26 +469,35 @@ def _golden_drain(hierarchy: MemoryHierarchy) -> Dict[str, FrozenSet[int]]:
 
 
 def _golden_pass(
-    state: "WarmState", hierarchy: MemoryHierarchy, golden: GoldenMemory
-) -> Optional[GoldenRecord]:
-    """Replay ``state``'s suffix fault-free on the hierarchy and golden
-    memory its snapshot was taken from, record the run with a checkpoint
-    every :data:`CHECKPOINT_STEPS` steps and at the end, then flush it
-    level by level (:func:`_golden_drain`).
+    snapshot: HierarchySnapshot,
+    suffix: List[TraceRecord],
+    start_cycle: int,
+    hierarchy: MemoryHierarchy,
+    golden: GoldenMemory,
+) -> GoldenRecord:
+    """Replay ``suffix`` fault-free on the hierarchy and golden memory
+    ``snapshot`` was taken from, starting at cycle ``start_cycle``,
+    record the run with a checkpoint every :data:`CHECKPOINT_STEPS`
+    steps and at the end, then flush it level by level
+    (:func:`_golden_drain`).
 
     Each checkpoint's delta is the one before it brought up to date over
     the sets reached in between, so the pass diffs every set only where
     it was reached, and its image holds the bytes the stores in between
     set, collected as the pass replays them.
 
-    None when the fault-free run itself detects a fault or loads wrong
-    data, which no correct simulator does; trials then replay in full.
+    Every trial's settle rests on this run loading correct data,
+    detecting nothing and ending with memory equal to the golden image,
+    which no correct simulator fails to do.  So the pass raises
+    :class:`~repro.errors.SimulationError` naming what failed: a load of
+    wrong data, a DUE, a detection, or memory off the golden image after
+    the flush.
     """
     recorder = _TouchRecorder(hierarchy)
     replayer = TraceReplayer(
-        hierarchy, golden=golden, check_loads=True, start_cycle=state.start_cycle
+        hierarchy, golden=golden, check_loads=True, start_cycle=start_cycle
     )
-    checkpoints = [GoldenCheckpoint(0, state.start_cycle, None, [], {})]
+    checkpoints = [GoldenCheckpoint(0, start_cycle, None, [], {})]
     stores = GoldenMemory()
 
     def checkpoint(step: int) -> None:
@@ -502,45 +507,43 @@ def _golden_pass(
         sets = [frozenset(s) for s in recorder.reached(hierarchy)]
         for level_sets in recorder.sets.values():
             level_sets.clear()
-        delta = diff_hierarchy(state.snapshot, hierarchy, sets, checkpoints[-1].delta)
+        delta = diff_hierarchy(snapshot, hierarchy, sets, checkpoints[-1].delta)
         checkpoints.append(
             GoldenCheckpoint(step, replayer.cycle, delta, sets, stores.snapshot())
         )
         stores.restore({})
 
+    def failed(what: str) -> SimulationError:
+        return SimulationError(f"the fault-free golden run {what}")
+
     detected = _detections(hierarchy)
     hierarchy.set_observer(recorder)
     try:
-        for step, record in enumerate(state.suffix_records):
+        for step, record in enumerate(suffix):
             if step and step % CHECKPOINT_STEPS == 0:
                 checkpoint(step)
             recorder.step = step
             if replayer.step(record):
-                return None
+                raise failed(f"loaded wrong data at suffix step {step}")
             if record.op is AccessType.STORE:
                 stores.store(record.addr, record.value)
-    except UncorrectableError:
-        return None
+    except UncorrectableError as exc:
+        raise failed(f"raised a DUE at suffix step {step}: {exc}") from exc
     finally:
         hierarchy.set_observer(None)
     if _detections(hierarchy) != detected:
-        return None
-    checkpoint(len(state.suffix_records))
-    golden_run = GoldenRecord(
-        first_touch=recorder.first_touch,
-        flush_clean=False,
-        base=state.snapshot,
-        checkpoints=checkpoints,
-    )
+        raise failed("detected a fault in the suffix")
+    checkpoint(len(suffix))
     try:
-        golden_run.flush_touch = _golden_drain(hierarchy)
-    except UncorrectableError:
-        return golden_run
-    golden_run.flush_clean = (
-        _detections(hierarchy) == detected
-        and hierarchy.memory.first_mismatch(golden.items()) is None
-    )
-    return golden_run
+        flush_touch = _golden_drain(hierarchy)
+    except UncorrectableError as exc:
+        raise failed(f"raised a DUE in the flush: {exc}") from exc
+    if _detections(hierarchy) != detected:
+        raise failed("detected a fault in the flush")
+    addr = hierarchy.memory.first_mismatch(golden.items())
+    if addr is not None:
+        raise failed(f"left memory off the golden image at {addr:#x} after the flush")
+    return GoldenRecord(recorder.first_touch, flush_touch, snapshot, checkpoints)
 
 
 @dataclasses.dataclass
@@ -559,14 +562,13 @@ class WarmState:
         start_cycle: cycle clock at the fork point.
         warm_engine: how the prefix was simulated — ``"batch"``,
             ``"scalar"`` or ``"pristine"`` (zero-length warmup).
+        golden_record: the fault-free suffix run (:class:`GoldenRecord`)
+            that lets trials skip what their fault cannot change.  It
+            depends on the warm state alone, so it rides to workers in
+            the payload and is dropped with the state.
         warm_fallback: why a scalar warmup ran instead of the batch
             engine (the :func:`_batch_compatible` condition that failed,
             e.g. ``"l1_scheme"``), else None.
-        golden_record: the fault-free suffix run (:class:`GoldenRecord`)
-            that lets trials skip what their fault cannot change; None
-            when that run was unusable, and every trial replays in full.
-            It depends on the warm state alone, so it rides to workers
-            in the payload and is dropped with the state.
     """
 
     config: CampaignConfig
@@ -575,8 +577,8 @@ class WarmState:
     suffix_records: List[TraceRecord]
     start_cycle: int
     warm_engine: str
+    golden_record: GoldenRecord
     warm_fallback: Optional[str] = None
-    golden_record: Optional[GoldenRecord] = None
 
     #: ``(hierarchy, sets)`` that :meth:`release` handed back, until the
     #: next :meth:`fork` takes it.  Not a field (no annotation): it is
@@ -633,6 +635,201 @@ class WarmState:
         first.
         """
         self._returned = (hierarchy, sets)
+
+    def run_trial(self, trial: int, obs=None) -> TrialRun:
+        """Run trial ``trial`` of the campaign on a fork of this state.
+
+        Bit-identical to the scalar reference
+        (:meth:`FaultCampaign._classify_trial
+        <repro.faults.campaign.FaultCampaign._classify_trial>`) under a
+        shared warmup: the fork equals the warmed-up hierarchy, golden
+        image and clock, and the fault is drawn the same way
+        (:func:`~repro.faults.campaign.inject_trial_fault`).  The golden
+        record then settles the trial by the cheapest exact path.  It
+        resumes at the last checkpoint before the first touch of a
+        struck unit (:meth:`GoldenRecord.checkpoints_for`,
+        :meth:`GoldenRecord.resume`), and then:
+
+        * a trial whose struck units the suffix never touches resumed at
+          the end of the suffix, in the golden pre-flush state with its
+          flips, which equals replaying the suffix: it is ``skipped``;
+        * any other trial replays from its checkpoint.  If its state
+          equals the golden one up to statistics at the first checkpoint
+          after the last touch of a struck unit, or at the end of the
+          suffix (:meth:`GoldenRecord.rejoins_at`), the rest of the
+          suffix and the flush would repeat the golden run, which loads
+          correct data, leaves memory correct and detects nothing: the
+          trial is ``rejoined``, CORRECTED when its target's
+          ``detected_faults`` rose and BENIGN otherwise, exactly what the
+          flush would conclude.  Only this classification reads the
+          statistics the comparison leaves out.  If it equals the golden
+          state only up to flips in struck units the suffix never
+          touches, it is restored to the warm snapshot, flipped there
+          again and resumed at the end of the suffix, like an untouched
+          trial, a detection in the suffix counting toward CORRECTED.  A
+          trial that rejoins nowhere is ``replayed`` to the end.
+
+        A trial in the golden pre-flush state with flips settles the
+        flush at its struck lines (:func:`_flush_struck_lines`) if no
+        upper level's drain touches a struck unit
+        (:meth:`GoldenRecord.settles_flush`); every other trial runs the
+        whole flush.
+
+        The trial then hands its hierarchy back (:meth:`release`) with
+        the sets it may have changed (:meth:`GoldenRecord.changed_sets`),
+        or None after the whole flush or a DUE; one that raises drops it.
+        ``obs``, a live trace sink or None, sees the injection, the
+        suffix steps the trial replays and the flush it runs, not the
+        warmup nor what the trial skips.
+        """
+        record = self.golden_record
+        hierarchy, golden, replayer = self.fork()
+        if obs is not None:
+            hierarchy.set_observer(obs)
+        # Looked up on the module, so one substitute serves both engines.
+        target, injection = campaign.inject_trial_fault(
+            hierarchy, self.config, trial, obs
+        )
+        if injection is None:
+            self.release(hierarchy, [()] * len(hierarchy.levels()))
+            return TrialRun(
+                TrialResult(Outcome.BENIGN, detail="no resident target"), "skipped"
+            )
+        before = target.stats.detected_faults
+        flips = injection.flips
+        struck = injection.touched_units
+        start, checks = record.checkpoints_for(target, struck)
+        end = record.checkpoints[-1]
+        record.resume(start, hierarchy, golden, replayer)
+        recorder = SetRecorder(hierarchy, obs)
+        # The checkpoint the trial last resumed at, the flips it carries
+        # into the golden pre-flush state, and those whose lines its flush
+        # was settled at.
+        resumed, inert, settled = start, None, []
+        path, flushed, detected = "replayed", False, False
+
+        def changed() -> List[set]:
+            return record.changed_sets(
+                hierarchy,
+                resumed,
+                recorder.reached(hierarchy),
+                target,
+                struck,
+                [flip.loc for flip in settled],
+            )
+
+        def settle(outcome: Outcome, detail: str = "") -> TrialRun:
+            whole = flushed or outcome is Outcome.DUE
+            self.release(hierarchy, None if whole else changed())
+            return TrialRun(
+                TrialResult(outcome, injection.total_bits, len(struck), detail),
+                path,
+                replayer.result.references,
+                flushed,
+            )
+
+        suffix = self.suffix_records
+        try:
+            hierarchy.set_observer(recorder)
+            try:
+                step, sdc = start.step, False
+                for check in checks:
+                    sdc = any(map(replayer.step, suffix[step : check.step]))
+                    if sdc:
+                        break
+                    step = check.step
+                    reached = recorder.reached(hierarchy)
+                    inert = record.rejoins_at(
+                        start, check, hierarchy, reached, target, flips
+                    )
+                    if inert is not None:
+                        break
+                else:
+                    sdc = any(map(replayer.step, suffix[step:]))
+            finally:
+                hierarchy.set_observer(obs)
+            if sdc:
+                return settle(Outcome.SDC, "load returned corrupted data")
+            if start is end:
+                path, inert = "skipped", flips
+            elif inert is not None:
+                path = "rejoined"
+                detected = target.stats.detected_faults > before
+                if not inert:
+                    return settle(*settled_outcome(detected))
+                restore_hierarchy(self.snapshot, hierarchy, sets=changed())
+                for flip in inert:
+                    target.corrupt_data(flip.loc, flip.mask)
+                record.resume(end, hierarchy, golden, replayer)
+                resumed = end
+            if inert is not None and record.settles_flush(
+                target, [flip.loc for flip in inert]
+            ):
+                settled = inert
+                latent = _flush_struck_lines(target, inert, golden)
+            else:
+                flushed = True
+                hierarchy.flush()
+                latent = hierarchy.memory.first_mismatch(golden.items())
+        except UncorrectableError as exc:
+            return settle(Outcome.DUE, str(exc))
+        detected = detected or target.stats.detected_faults > before
+        return settle(*settled_outcome(detected, latent))
+
+
+def _flush_struck_lines(
+    target: Cache, flips: Sequence[BitFlip], golden: GoldenMemory
+) -> Optional[int]:
+    """Settle a trial's flush at the lines ``flips`` strike: the first
+    golden-image address the flush would leave corrupted, or None.
+
+    Evicts, in line order, the struck lines the target's own flush reads
+    (:meth:`Cache.flush_lines <repro.memsim.cache.Cache.flush_lines>`),
+    and nothing else.  That is exact when the trial's pre-flush state is
+    the golden one with ``flips`` (it skipped the suffix, or rejoined the
+    golden run up to these inert flips) and
+    :meth:`GoldenRecord.settles_flush` holds.  The whole flush is the
+    golden drain until it reads a struck unit, and from there on the
+    eviction of a struck line reads the same state however far the drain
+    got: evicting or storing fault-free words leaves CPPC's per-pair
+    ``R1 ^ R2 ^ XOR(rotated dirty words)`` and 2-D parity's
+    ``vertical ^ XOR(resident units)`` as they are, and a refetch reads
+    the next level's copy of the struck block, which no earlier drain
+    step changes.  So the struck lines raise the flush's DUE, if any, and
+    write back what the flush would.
+
+    The rest of the flush reads only fault-free units, as the golden
+    flush did, so it detects nothing more, and a written-back block that
+    differs from its golden bytes (its bytes before eviction with the
+    flips undone) reaches memory as it is.  Raises
+    :class:`~repro.errors.UncorrectableError` on a DUE.
+    """
+    ways = target.ways
+    ub = target.unit_bytes
+    expected: Dict[int, bytearray] = {}
+    for flip in flips:
+        loc = flip.loc
+        line = loc.set_index * ways + loc.way
+        block = expected.get(line)
+        if block is None:
+            block = expected[line] = bytearray(target.line(loc.set_index, loc.way).data)
+        off = loc.unit_index * ub
+        value = int.from_bytes(block[off : off + ub], "big") ^ flip.mask
+        block[off : off + ub] = value.to_bytes(ub, "big")
+    corrupted = {
+        target.address_of(UnitLocation(*divmod(line, ways), 0)): block
+        for line, block in target.flush_lines(expected).items()
+        if block != expected[line]
+    }
+    if not corrupted:
+        return None
+    # What memory.first_mismatch would find, over these blocks only.
+    mask = target.block_bytes - 1
+    for addr, value in golden.items():
+        block = corrupted.get(addr & ~mask)
+        if block is not None and block[addr & mask] != value:
+            return addr
+    return None
 
 
 def _level_incompatible(cache: Cache, unit_bytes: int) -> Optional[str]:
@@ -745,14 +942,16 @@ def build_warm_state(config: CampaignConfig) -> WarmState:
             snapshot = snapshot_hierarchy(hierarchy)
             warm_engine = "scalar"
 
-    state = WarmState(
+    # Taken before the golden pass stores the suffix into ``golden``.
+    golden_image = golden.snapshot()
+    record = _golden_pass(snapshot, suffix_records, start_cycle, hierarchy, golden)
+    return WarmState(
         config=config,
         snapshot=snapshot,
-        golden_image=golden.snapshot(),
+        golden_image=golden_image,
         suffix_records=suffix_records,
         start_cycle=start_cycle,
         warm_engine=warm_engine,
+        golden_record=record,
         warm_fallback=fallback,
     )
-    state.golden_record = _golden_pass(state, hierarchy, golden)
-    return state

@@ -246,13 +246,6 @@ class Cache:
         set_index, way = divmod(line, self.ways)
         return UnitLocation(set_index, way, self.mapper.unit_index(addr))
 
-    def peek_byte(self, addr: int) -> Optional[int]:
-        """The byte this level holds at ``addr``, or None if not resident."""
-        line = self._line_of(addr)
-        if line < 0:
-            return None
-        return self._data[line * self.block_bytes + self.mapper.block_offset(addr)]
-
     def address_of(self, loc: UnitLocation) -> int:
         """Byte address of the first byte of the unit at ``loc``."""
         tag = self._tags[loc.set_index * self.ways + loc.way]
@@ -947,7 +940,7 @@ class Cache:
         stays as it is, so the result is a flush's only where the
         evictions left out cannot change what these lines read: a fault
         campaign settles a trial's flush at its struck lines this way
-        (:func:`~repro.faults.campaign._flush_struck_lines`).
+        (:func:`~repro.faults.warmstate._flush_struck_lines`).
         Raises :class:`UncorrectableError` on a DUE, as :meth:`flush`
         would.
         """

@@ -180,24 +180,3 @@ class MemoryHierarchy:
         self.l2.flush()
         if self.l3 is not None:
             self.l3.flush()
-
-    def architectural_read(self, addr: int, size: int) -> bytes:
-        """Bytes the hierarchy *currently* holds at ``addr`` (L1 over L2
-        over memory), without performing an access or updating any state.
-
-        After fault injection this view may be corrupted; fault campaigns
-        compare it against an independent golden model to detect silent
-        data corruption.
-        """
-        out = bytearray(size)
-        for i in range(size):
-            a = addr + i
-            out[i] = self._resident_byte(a)
-        return bytes(out)
-
-    def _resident_byte(self, addr: int) -> int:
-        for cache in self.levels():
-            byte = cache.peek_byte(addr)
-            if byte is not None:
-                return byte
-        return self.memory.byte_at(addr)

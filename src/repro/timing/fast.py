@@ -104,19 +104,6 @@ class EventColumns:
             ),
         )
 
-    def to_events(self) -> List[AccessEvent]:
-        """The exact scalar ``AccessEvent`` list."""
-        return list(self)
-
-    def slice(self, start: int, stop: int) -> "EventColumns":
-        """A zero-copy view of rows ``[start:stop)``."""
-        return EventColumns(
-            is_load=self.is_load[start:stop],
-            instructions=self.instructions[start:stop],
-            was_dirty=self.was_dirty[start:stop],
-            miss_level=self.miss_level[start:stop],
-        )
-
     def mismatches(self, other: "EventColumns", limit: int = 5) -> List[str]:
         """Human-readable per-column differences against ``other``."""
         problems: List[str] = []

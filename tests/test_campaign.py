@@ -60,6 +60,16 @@ class TestConfigValidation:
             CampaignConfig(scheme_factory=cppc_factory, trials=0)
 
     @pytest.mark.parametrize("shared_warmup", [False, True])
+    def test_unknown_benchmark(self, shared_warmup):
+        # A per-trial campaign used to accept it and crash in every trial.
+        with pytest.raises(ConfigurationError, match="unknown benchmark 'nope'"):
+            CampaignConfig(
+                scheme_factory=cppc_factory,
+                benchmark="nope",
+                shared_warmup=shared_warmup,
+            )
+
+    @pytest.mark.parametrize("shared_warmup", [False, True])
     @pytest.mark.parametrize("field", ["warmup_references", "post_fault_references"])
     def test_negative_reference_counts(self, field, shared_warmup):
         # A negative warm-up used to crash every per-trial campaign trial

@@ -11,6 +11,7 @@ who builds the warm state and the configuration guard rails.
 """
 
 import collections
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -21,19 +22,22 @@ import weakref
 import pytest
 
 from repro.cppc import CppcProtection
-from repro.errors import ConfigurationError, EquivalenceError
+from repro.errors import ConfigurationError, EquivalenceError, SimulationError
 from repro.faults import (
     CampaignConfig,
     FaultCampaign,
+    FaultInjector,
     Outcome,
+    TemporalFault,
     TrialResult,
     build_warm_state,
     scheme_factory,
 )
 from repro.faults.campaign import SETTLE_PATHS, TrialRun, trial_mismatches
+from repro.faults import campaign as campaign_mod
 from repro.faults import warmstate as warmstate_mod
 from repro.memsim import MemoryHierarchy, NoProtection, snapshot_hierarchy
-from repro.memsim.types import UnitLocation
+from repro.memsim.types import AccessType, UnitLocation
 from repro.memsim.replacement import FIFOPolicy
 from repro.obs import MetricsRegistry
 from repro.runtime import CampaignRuntime
@@ -56,11 +60,6 @@ def shared_config(**overrides):
 def run_both(config):
     campaign = FaultCampaign(config)
     return campaign.run_scalar(), campaign.run()
-
-
-def use_warm_state(monkeypatch, state):
-    """Make every run of the test use ``state``, which it has edited."""
-    monkeypatch.setattr(warmstate_mod, "build_warm_state", lambda config: state)
 
 
 def assert_identical(legacy, fast):
@@ -271,6 +270,32 @@ def untouched_unit(state, cache):
     raise AssertionError("the suffix touches every resident unit")
 
 
+def first_loaded_dirty_unit(state, cache):
+    """The location of a dirty unit of ``cache`` that a load of
+    ``state``'s suffix reads in a set no earlier suffix step reaches."""
+    dirty = {loc for loc, _value in cache.iter_dirty_units()}
+    reached = set()
+    for record in state.suffix_records:
+        set_index = cache.mapper.set_index(record.addr)
+        if record.op is AccessType.LOAD and set_index not in reached:
+            loc = cache.locate(record.addr)
+            if loc in dirty:
+                return loc
+        reached.add(set_index)
+    raise AssertionError("no suffix load reads a dirty unit first")
+
+
+def golden_pass_with_flip(scheme, pick):
+    """Run the golden pass of a gcc warm state under ``scheme`` again, on
+    a fork with one bit flipped in the L1 unit at ``pick(state, l1)``."""
+    state = build_warm_state(shared_config(scheme_factory=scheme_factory(scheme)))
+    hierarchy, golden, _replayer = state.fork()
+    hierarchy.l1d.corrupt_data(pick(state, hierarchy.l1d), 1 << 5)
+    return warmstate_mod._golden_pass(
+        state.snapshot, state.suffix_records, state.start_cycle, hierarchy, golden
+    )
+
+
 class TestGoldenRecord:
     """The golden suffix pass that lets trials skip what their fault
     cannot change (``WarmState.golden_record``)."""
@@ -347,25 +372,33 @@ class TestGoldenRecord:
         legacy, fast = run_both(config)
         assert trial_mismatches(fast.trials, legacy.trials)
 
-    def test_golden_flush_that_detects_disables_the_rejoin(self, monkeypatch):
-        config = shared_config(trials=8)
-        state = build_warm_state(config)
-        assert state.golden_record.flush_clean is True
-        state.golden_record.flush_clean = False
-        use_warm_state(monkeypatch, state)
-        legacy, fast = run_both(config)
-        assert_identical(legacy, fast)
-        assert fast.settled["rejoined"] == 0
-        assert fast.settled["replayed"] > 0
+    @pytest.mark.parametrize(
+        "scheme,failure",
+        [
+            ("none", "loaded wrong data at suffix step 0"),
+            ("secded", "detected a fault in the suffix"),
+            ("parity", "raised a DUE at suffix step 0"),
+        ],
+        ids=["mismatch", "detection", "due"],
+    )
+    def test_golden_suffix_that_fails_raises(self, scheme, failure):
+        # Every forked trial settles by the fault-free run, so one that
+        # loads wrong data, detects or meets a DUE is a simulator fault.
+        with pytest.raises(SimulationError, match=failure):
+            golden_pass_with_flip(scheme, first_loaded_dirty_unit)
 
-    def test_unusable_golden_run_replays_every_trial(self, monkeypatch):
-        config = shared_config(trials=4)
-        state = build_warm_state(config)
-        state.golden_record = None
-        use_warm_state(monkeypatch, state)
-        fast = FaultCampaign(config).run()
-        assert fast.settled["replayed"] == config.trials
-        assert fast.replayed_references == config.trials * config.post_fault_references
+    @pytest.mark.parametrize(
+        "scheme,failure",
+        [
+            ("none", "left memory off the golden image at 0x"),
+            ("secded", "detected a fault in the flush"),
+            ("parity", "raised a DUE in the flush"),
+        ],
+        ids=["memory", "detection", "due"],
+    )
+    def test_golden_flush_that_fails_raises(self, scheme, failure):
+        with pytest.raises(SimulationError, match=failure):
+            golden_pass_with_flip(scheme, untouched_unit)
 
     def test_settle_counts_are_reported(self):
         result = FaultCampaign(shared_config(trials=4)).run()
@@ -613,7 +646,6 @@ class TestFlushSettle:
         assert {run.result.outcome for run in guarded} == {Outcome.CORRECTED}
         assert any(settled_at_struck_lines(run) for run in runs)
         record = build_warm_state(config).golden_record
-        assert record.flush_clean
         assert record.flush_touch["L2"] and not record.flush_touch["L1D"]
 
     def test_flush_touch_is_needed(self, monkeypatch):
@@ -648,6 +680,41 @@ class TestFlushSettle:
         assert legacy.flushed == config.trials
         assert fast.flushed < config.trials
         assert fast.settled["skipped"] > 0
+
+
+class TestSingleBitSites:
+    """Every single-bit site of a small warm state, one per trial, through
+    the injection function both engines share: trial ``i`` flips bit
+    ``i % 64`` of the ``i``-th resident L1D unit."""
+
+    #: Outcomes the sweep reaches per scheme: CPPC corrects every
+    #: single-bit fault (Sec 4.4), and parity cannot correct a dirty unit.
+    OUTCOMES = {
+        "cppc": {Outcome.BENIGN, Outcome.CORRECTED},
+        "parity": {Outcome.BENIGN, Outcome.CORRECTED, Outcome.DUE},
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(OUTCOMES))
+    def test_every_site_matches_the_scalar_reference(self, monkeypatch, scheme):
+        config = shared_config(
+            scheme_factory=scheme_factory(scheme),
+            warmup_references=150,
+            post_fault_references=100,
+        )
+        sites = build_warm_state(config).fork()[0].l1d.resident_locations()
+        config = dataclasses.replace(config, trials=len(sites))
+
+        def flip_site(hierarchy, _config, trial, obs=None):
+            target = hierarchy.l1d
+            fault = TemporalFault(target.resident_locations()[trial], trial % 64)
+            return target, FaultInjector(target).inject_temporal(fault)
+
+        monkeypatch.setattr(campaign_mod, "inject_trial_fault", flip_site)
+        legacy, fast = run_both(config)
+        assert_identical(legacy, fast)
+        assert {t.injected_bits for t in fast.trials} == {1}
+        assert {t.outcome for t in fast.trials} == self.OUTCOMES[scheme]
+        assert all(fast.settled[path] > 0 for path in SETTLE_PATHS[:3])
 
 
 class TestGuards:
@@ -779,15 +846,15 @@ class TestTrialFootprint:
         self, monkeypatch, run, scheme, params, outcome
     ):
         refs = []
-        finish = FaultCampaign._finish_trial
+        inject = campaign_mod.inject_trial_fault
 
-        def spy(self, trial, hierarchy, *args):
+        def spy(hierarchy, *args):
             levels = hierarchy.levels()
             owned = [hierarchy, *levels, *(level.protection for level in levels)]
             refs.extend(weakref.ref(obj) for obj in owned)
-            return finish(self, trial, hierarchy, *args)
+            return inject(hierarchy, *args)
 
-        monkeypatch.setattr(FaultCampaign, "_finish_trial", spy)
+        monkeypatch.setattr(campaign_mod, "inject_trial_fault", spy)
         config = shared_config(scheme_factory=scheme_factory(scheme), **params)
         gc.collect()
         gc.disable()

@@ -104,22 +104,6 @@ class TestDataFlow:
             assert h.memory.peek(addr, 8) == value
 
 
-class TestArchitecturalRead:
-    def test_prefers_l1_over_l2(self, tiny_hierarchy):
-        h = tiny_hierarchy
-        h.store(0, b"\x01" * 8)
-        # Corrupt only L1's copy and confirm the resident view shows it.
-        loc = h.l1d.locate(0)
-        h.l1d.corrupt_data(loc, 0xFF)
-        view = h.architectural_read(0, 8)
-        assert view != b"\x01" * 8
-
-    def test_falls_back_to_memory(self, tiny_hierarchy):
-        h = tiny_hierarchy
-        h.memory.poke(0x8000, b"\xAA" * 8)
-        assert h.architectural_read(0x8000, 8) == b"\xAA" * 8
-
-
 class TestProtectionFactoryWiring:
     def test_factory_receives_levels_and_widths(self):
         calls = []

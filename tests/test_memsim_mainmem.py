@@ -82,7 +82,8 @@ class TestFirstMismatch:
         for addr, byte in stored.items():
             mem.poke(addr, bytes([byte]))
         expected = next(
-            (addr for addr, byte in image.items() if mem.byte_at(addr) != byte), None
+            (addr for addr, byte in image.items() if mem.peek(addr, 1)[0] != byte),
+            None,
         )
         assert mem.first_mismatch(image.items()) == expected
 

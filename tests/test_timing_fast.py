@@ -237,16 +237,8 @@ class TestEventColumns:
             AccessEvent(False, 0, True, 2),
         ]
         columns = EventColumns.from_events(events)
-        assert columns.to_events() == events
         assert list(columns) == events
         assert len(columns) == 2
-
-    def test_slice_is_zero_copy_view(self):
-        events = [AccessEvent(True, i, False, 0) for i in range(6)]
-        columns = EventColumns.from_events(events)
-        window = columns.slice(2, 5)
-        assert window.to_events() == events[2:5]
-        assert window.instructions.base is columns.instructions
 
     def test_mismatches_name_the_column(self):
         a = EventColumns.from_events([AccessEvent(True, 4, False, 0)])
