@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from ..errors import ConfigurationError
@@ -98,6 +99,21 @@ def _lru_evicts_second_least_recent() -> List[Patch]:
         return resolved._replace(evict=np.where(full, shallow, resolved.evict))
 
     return [(batch, "lru_residency", lru_residency)]
+
+
+def _from_records_column_skew() -> List[Patch]:
+    """``BatchTrace.from_records`` fills the gap column from each record's
+    size, so every batch replay and fast timing run packed from records
+    counts the wrong instructions (their scalar twins replay the records
+    themselves)."""
+    from ..memsim.batch import BatchTrace
+
+    original = BatchTrace.from_records
+
+    def from_records(cls, records):
+        return original([r._replace(gap=r.size) for r in records])
+
+    return [(BatchTrace, "from_records", classmethod(from_records))]
 
 
 def _late_dirty_stamps() -> List[Patch]:
@@ -268,6 +284,12 @@ MUTATIONS: Dict[str, Mutation] = {
             _lru_evicts_second_least_recent,
         ),
         Mutation(
+            "from-records-column-skew",
+            "BatchTrace.from_records reads each gap from the size field",
+            ("replay", "timing"),
+            _from_records_column_skew,
+        ),
+        Mutation(
             "batch-stamps-one-cycle-late",
             "batch engine's final dirty-cycle stamps are one cycle late",
             ("replay",),
@@ -352,7 +374,8 @@ def active(mutation: Mutation) -> Iterator[None]:
     """Install ``mutation``'s patches for the duration of the block."""
     saved: List[Patch] = []
     for owner, attr, replacement in mutation.build():
-        saved.append((owner, attr, getattr(owner, attr)))
+        # The raw attribute, so a classmethod goes back as one.
+        saved.append((owner, attr, inspect.getattr_static(owner, attr)))
         setattr(owner, attr, replacement)
     try:
         yield

@@ -57,7 +57,8 @@ from __future__ import annotations
 import dataclasses
 import time
 from functools import reduce
-from operator import xor
+from itertools import repeat
+from operator import is_, itemgetter, xor
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -156,23 +157,23 @@ class BatchTrace:
         two ≤ 8, naturally aligned) — the precondition of the batch
         engine's single-unit access path.  Store bytes are positioned
         inside their unit with vectorized shifts; only the raw field
-        extraction walks the record objects.
+        extraction walks the records, one pass per field.
         """
         records = list(records)
         n = len(records)
-        store_op = AccessType.STORE
-        is_store = np.fromiter(
-            (r.op is store_op for r in records),
-            dtype=bool,
-            count=n,
+        # A record is a tuple (op, addr, size, gap, value): each column
+        # is one C-level pass of its field getter.
+        ops, addrs, sizes, gaps, values = (
+            map(itemgetter(k), records) for k in range(5)
         )
-        addr = np.fromiter((r.addr for r in records), dtype=np.int64, count=n)
-        size = np.fromiter((r.size for r in records), dtype=np.int64, count=n)
-        gap = np.fromiter((r.gap for r in records), dtype=np.int64, count=n)
+        is_store = np.fromiter(
+            map(is_, ops, repeat(AccessType.STORE)), dtype=bool, count=n
+        )
+        addr = np.fromiter(addrs, dtype=np.int64, count=n)
+        size = np.fromiter(sizes, dtype=np.int64, count=n)
+        gap = np.fromiter(gaps, dtype=np.int64, count=n)
         raw = np.fromiter(
-            (int.from_bytes(r.value, "big") for r in records),
-            dtype=np.uint64,
-            count=n,
+            map(int.from_bytes, values, repeat("big")), dtype=np.uint64, count=n
         )
         return cls.from_columns(addr, size, is_store, gap, raw)
 
@@ -243,35 +244,27 @@ class BatchTrace:
         shifting each positioned unit word back down to its raw bytes,
         so ``BatchTrace.from_records(t.to_records())`` is bit-identical
         to ``t``.  The columns pass :meth:`validate` first, which covers
-        every check of ``TraceRecord.__post_init__`` (a store's value
-        has its size in bytes by construction), so each record's fields
-        are set as the dataclass's ``__init__`` sets them, without
-        running those checks again per record.
+        every check of ``TraceRecord.__new__`` (a store's value has its
+        size in bytes by construction), so each record is built as the
+        tuple it is, with ``tuple.__new__``, without running those
+        checks again per record.
         """
         from ..workloads.trace import TraceRecord
 
         self.validate()
         shift = (8 * (WORD_BYTES - (self.addr & 7) - self.size)).astype(np.uint64)
-        new = object.__new__
-        put = object.__setattr__
-        load, store = AccessType.LOAD, AccessType.STORE
-        records = []
-        append = records.append
-        for a, s, st, g, v in zip(
-            self.addr.tolist(),
-            self.size.tolist(),
-            self.is_store.tolist(),
-            self.gap.tolist(),
-            (self.value_word >> shift).tolist(),
-        ):
-            record = new(TraceRecord)
-            put(record, "op", store if st else load)
-            put(record, "addr", a)
-            put(record, "size", s)
-            put(record, "gap", g)
-            put(record, "value", v.to_bytes(s, "big") if st else b"")
-            append(record)
-        return records
+        new = tuple.__new__
+        op = (AccessType.LOAD, AccessType.STORE)
+        return [
+            new(TraceRecord, (op[st], a, s, g, v.to_bytes(s, "big") if st else b""))
+            for a, s, st, g, v in zip(
+                self.addr.tolist(),
+                self.size.tolist(),
+                self.is_store.tolist(),
+                self.gap.tolist(),
+                (self.value_word >> shift).tolist(),
+            )
+        ]
 
     def validate(self) -> None:
         """Bulk-check the single-unit access preconditions and the

@@ -38,6 +38,10 @@ _SIZE_WEIGHTS = {8: 0.82, 4: 0.13, 1: 0.05}
 
 _BLOCK_BYTES = 32  # paper Table 1 line size; spatial-locality granularity
 
+#: Every drawn address goes into :class:`~repro.memsim.batch.BatchTrace`'s
+#: ``int64`` address column, so the region must lie below this.
+_ADDRESS_LIMIT = 1 << 63
+
 #: References :meth:`SyntheticWorkload.records` synthesizes and decodes
 #: at a time.
 _RECORDS_CHUNK = 4096
@@ -73,7 +77,9 @@ class WorkloadProfile:
             window (higher = dirtier lines linger longer).
         mean_gap: average non-memory instructions between references.
         base_address: start of the region (distinct per benchmark so
-            multi-workload runs do not alias).
+            multi-workload runs do not alias).  Every drawn address lies
+            in ``[base_address, base_address + working_set_bytes)``,
+            which must fit a non-negative ``int64``.
     """
 
     name: str
@@ -94,6 +100,12 @@ class WorkloadProfile:
     def __post_init__(self):
         if self.working_set_bytes < 2 * _BLOCK_BYTES:
             raise ConfigurationError("working set must span at least two blocks")
+        if not 0 <= self.base_address <= _ADDRESS_LIMIT - self.working_set_bytes:
+            raise ConfigurationError(
+                "base_address must be >= 0 and base_address + "
+                "working_set_bytes <= 2**63 (addresses are int64), got "
+                f"base_address {self.base_address:#x}"
+            )
         if not 8 <= self.hot_bytes <= self.working_set_bytes:
             raise ConfigurationError(
                 "hot set must hold a word and fit inside the working set"

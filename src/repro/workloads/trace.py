@@ -8,16 +8,28 @@ non-memory instruction.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import IO, Iterable, Iterator, List
+from typing import IO, Iterable, Iterator, List, NamedTuple
 
 from ..errors import TraceFormatError
 from ..memsim.types import AccessType
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceRecord:
+class _TraceRecordFields(NamedTuple):
+    """The fields of :class:`TraceRecord`, in order."""
+
+    op: AccessType
+    addr: int
+    size: int
+    gap: int = 0
+    value: bytes = b""
+
+
+class TraceRecord(_TraceRecordFields):
     """One memory reference.
+
+    A record is a tuple of its five fields.  Calling the class checks
+    them; :meth:`~repro.memsim.batch.BatchTrace.to_records` checks its
+    columns in bulk instead and builds each row with ``tuple.__new__``.
 
     Attributes:
         op: load or store.
@@ -27,23 +39,27 @@ class TraceRecord:
         value: bytes stored (stores only; length == size).
     """
 
-    op: AccessType
-    addr: int
-    size: int
-    gap: int = 0
-    value: bytes = b""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise TraceFormatError(f"record size must be positive, got {self.size}")
-        if self.addr < 0:
+    def __new__(
+        cls,
+        op: AccessType,
+        addr: int,
+        size: int,
+        gap: int = 0,
+        value: bytes = b"",
+    ):
+        if size < 1:
+            raise TraceFormatError(f"record size must be positive, got {size}")
+        if addr < 0:
             raise TraceFormatError("record address must be non-negative")
-        if self.gap < 0:
+        if gap < 0:
             raise TraceFormatError("record gap must be non-negative")
-        if self.op is AccessType.STORE and len(self.value) != self.size:
+        if op is AccessType.STORE and len(value) != size:
             raise TraceFormatError(
-                f"store record carries {len(self.value)} bytes for size {self.size}"
+                f"store record carries {len(value)} bytes for size {size}"
             )
+        return tuple.__new__(cls, (op, addr, size, gap, value))
 
     @property
     def instructions(self) -> int:
@@ -68,27 +84,33 @@ def save_trace(records: Iterable[TraceRecord], fh: IO[str]) -> int:
 
 
 def load_trace(fh: IO[str]) -> Iterator[TraceRecord]:
-    """Parse the format written by :func:`save_trace`."""
+    """Parse the format written by :func:`save_trace`.
+
+    Every error names its line: one that does not parse, an unknown op
+    and a record that :class:`TraceRecord`'s own checks reject all
+    raise :class:`~repro.errors.TraceFormatError` with the line number.
+    """
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
+        kind = fields[0].upper()
+        if kind not in ("L", "S"):
+            raise TraceFormatError(f"line {lineno}: unknown op {kind!r}")
         try:
-            kind = fields[0].upper()
             addr = int(fields[1], 16)
             size = int(fields[2])
             gap = int(fields[3])
             if kind == "L":
-                yield TraceRecord(AccessType.LOAD, addr, size, gap)
-            elif kind == "S":
-                yield TraceRecord(
+                record = TraceRecord(AccessType.LOAD, addr, size, gap)
+            else:
+                record = TraceRecord(
                     AccessType.STORE, addr, size, gap, bytes.fromhex(fields[4])
                 )
-            else:
-                raise TraceFormatError(f"line {lineno}: unknown op {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, TraceFormatError) as exc:
             raise TraceFormatError(f"line {lineno}: {line!r}: {exc}") from exc
+        yield record
 
 
 def materialize(records: Iterable[TraceRecord]) -> List[TraceRecord]:

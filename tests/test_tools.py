@@ -416,6 +416,11 @@ class TestGenDocs:
         # NamedTuple fields render as dataclass fields do.
         assert "ForwardRef(" not in text
         assert "BatchReplayResult(cache: 'CacheSnapshot'" in text
+        # A NamedTuple subclass renders through its annotated ``__new__``.
+        assert (
+            "### class `TraceRecord(op: 'AccessType', addr: 'int', size: 'int', "
+            "gap: 'int' = 0, value: 'bytes' = b'')`\n"
+        ) in text
 
 
 class TestRunScorecard:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -42,6 +43,21 @@ class TestTraceRecord:
         with pytest.raises(TraceFormatError):
             TraceRecord(AccessType.LOAD, 0, 8, -2)
 
+    def test_fields_cannot_be_assigned(self):
+        record = TraceRecord(AccessType.STORE, 8, 2, 1, b"ab")
+        for field in (*TraceRecord._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1)
+
+    # ``WarmState.suffix_records`` reaches campaign workers this way.
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_record_list_survives_pickle(self, protocol):
+        records = list(make_workload("gcc", seed=2).records(200))
+        records.append(TraceRecord(AccessType.LOAD, 0x40, 8))
+        copy = pickle.loads(pickle.dumps(records, protocol=protocol))
+        assert copy == records
+        assert all(type(r) is TraceRecord for r in copy)
+
 
 class TestTraceSerialization:
     def test_roundtrip(self):
@@ -68,6 +84,21 @@ class TestTraceSerialization:
     def test_truncated_line_rejected(self):
         with pytest.raises(TraceFormatError):
             list(load_trace(io.StringIO("L 10\n")))
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("S 20 8 0 abcd", "store record carries 2 bytes for size 8"),
+            ("L -8 8 0", "record address must be non-negative"),
+            ("L 8 8 -1", "record gap must be non-negative"),
+            ("L 8 0 0", "record size must be positive, got 0"),
+        ],
+    )
+    def test_rejected_record_names_its_line(self, line, reason):
+        text = f"L 0 8 0\n# a comment\n{line}\n"
+        with pytest.raises(TraceFormatError) as info:
+            list(load_trace(io.StringIO(text)))
+        assert str(info.value) == f"line 3: {line!r}: {reason}"
 
     @pytest.mark.parametrize("profile", ["gcc", "swim"])
     def test_generated_traces_round_trip(self, profile):
@@ -107,6 +138,15 @@ class TestBatchTraceRoundTrip:
     def test_all_profiles_round_trip(self, profile):
         records = list(make_workload(profile, seed=11).records(600))
         assert BatchTrace.from_records(records).to_records() == records
+
+    @pytest.mark.parametrize("profile", BENCHMARKS)
+    def test_rows_are_the_records_the_checks_build(self, profile):
+        """``to_records`` skips the per-record checks: each row must
+        still be the record that calling the class builds."""
+        rows = make_workload(profile, seed=11).trace(600).to_records()
+        for row in rows:
+            assert type(row) is TraceRecord
+            assert row == TraceRecord(*row)
 
 
 def _columns(gap=(0, 0), raw=(0, 0), is_store=(False, False), size=(8, 8)):
@@ -178,6 +218,25 @@ class TestProfileValidation:
                 name="x", working_set_bytes=1024, hot_bytes=512,
                 store_region_bytes=region,
             )
+
+    # Every drawn address lies in [base, base + working set), and
+    # BatchTrace holds it as an int64.
+    @pytest.mark.parametrize("base", [-1, -4096, 1 << 63, (1 << 63) - 4095, 1 << 64])
+    def test_address_region_must_fit_int64(self, base):
+        with pytest.raises(ConfigurationError, match="base_address"):
+            WorkloadProfile(
+                name="x", working_set_bytes=4096, hot_bytes=512,
+                base_address=base,
+            )
+
+    @pytest.mark.parametrize("base", [0, (1 << 63) - 4096])
+    def test_region_edges_synthesize(self, base):
+        profile = WorkloadProfile(
+            name="x", working_set_bytes=4096, hot_bytes=512, base_address=base,
+        )
+        trace = SyntheticWorkload(profile, seed=0).trace(2000)
+        assert base <= int(trace.addr.min())
+        assert int(trace.addr.max()) < base + 4096
 
 
 class TestGenerator:
